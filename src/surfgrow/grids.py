@@ -77,7 +77,10 @@ class StepRecord:
 
     ``v_nodes`` holds the tangential velocity at the ``n+1`` cell faces
     (node 0 is the clamped base); ``grad_v`` is the cell-centered velocity
-    gradient actually used by the transport step.
+    gradient actually used by the transport step.  A growth march owns its
+    arrays: ``F_e``, ``p``, ``v_nodes`` and ``grad_v`` are fresh every step,
+    and the uniform density ``rho`` is one read-only array shared by all
+    records of the run.
     """
 
     t: float
@@ -88,15 +91,6 @@ class StepRecord:
     p: np.ndarray
     rho: np.ndarray
     metrics: dict = field(default_factory=dict)
-
-    @property
-    def v_cells(self) -> np.ndarray:
-        v1 = 0.5 * (self.v_nodes[:-1] + self.v_nodes[1:])
-        return np.stack([v1, np.zeros_like(v1)], axis=1)
-
-    def field_state(self) -> FieldState:
-        return FieldState(grid=self.grid, t=self.t, v=self.v_cells,
-                          F_e=self.F_e.copy(), p=self.p.copy(), rho=self.rho.copy())
 
 
 def interp_columns(xq: np.ndarray, xp: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -10,8 +10,11 @@ makes the growing boundary an inflow for this equation (a boundary value
 is required); ablation is an outflow (none is).
 
 Grid transport uses first-order upwinding plus forward-Euler source
-integration.  Characteristic transport integrates the equivalent ODE
-system along pathlines with an explicit midpoint (RK2) scheme.
+integration.  In the through-thickness reduction the advecting velocity
+``v2`` is zero, so the growth march keeps only the source update
+(``reduced_step_1d``).  Characteristic transport integrates the
+equivalent ODE system along pathlines with an explicit midpoint (RK2)
+scheme.
 """
 
 from __future__ import annotations
@@ -113,6 +116,24 @@ def advance_F_e_grid(state: FieldState, grad_v_field: np.ndarray, dt: float,
                       F_e=F_new, p=state.p.copy(), rho=state.rho.copy())
 
 
+def reduced_step_1d(T: np.ndarray, grad_v: np.ndarray, dt: float,
+                    grid: Grid1D, new_grid: Grid1D, inflow_bc: np.ndarray) -> np.ndarray:
+    """One transport step of the through-thickness reduction, then regrid.
+
+    With ``v = v1(x2) e1`` the advecting velocity ``v2`` vanishes, so the
+    upwind term of ``_transport_step_1d`` is exactly zero and the step is
+    the source update ``T + dt (grad v) T``.  The result is resampled onto
+    ``new_grid`` (``inflow_bc`` fills freshly accreted cells) whenever the
+    grid changed.
+    """
+    if dt <= 0:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    T = T + dt * (grad_v @ T)
+    if new_grid != grid:
+        T = regrid_fields(grid, new_grid, {"T": T}, {"T": inflow_bc})["T"]
+    return T
+
+
 def advance_F_grid(F: np.ndarray, state: FieldState, grad_v_field: np.ndarray,
                    dt: float, inflow_bc: np.ndarray | None = None,
                    mass_rate: float = 0.0) -> np.ndarray:
@@ -187,8 +208,9 @@ def reconstruct_reference(history: Sequence[StepRecord],
 
     The configuration at ``t0`` (default: earliest stored time) is declared
     the reference, so ``F = I`` there; F is then advanced by replaying the
-    stored velocities through the same grid transport, and the relaxed shape
-    follows from ``F_relax = F_e^{-1} F`` at every sample.
+    stored velocity gradients through the march's own step
+    (``reduced_step_1d``), and the relaxed shape follows from
+    ``F_relax = F_e^{-1} F`` at every sample.
 
     Material accreted after ``t0`` carries ``F = I`` at its attachment
     instant (its reference is its as-deposited shape), which makes its
@@ -209,11 +231,8 @@ def reconstruct_reference(history: Sequence[StepRecord],
     frames = [ReconstructedFrame(t=history[i0].t, F=F.copy(),
                                  F_relax=inverse(history[i0].F_e) @ F)]
     for prev, cur in zip(history[i0:], history[i0 + 1:]):
-        dt = cur.t - prev.t
-        F = _transport_step_1d(F, prev.v_cells, prev.grad_v, prev.grid, dt,
-                               inflow_bc=np.eye(2), mass_rate=0.0)
-        if cur.grid.height != prev.grid.height or cur.grid.n_cells != prev.grid.n_cells:
-            F = regrid_fields(prev.grid, cur.grid, {"F": F}, {"F": np.eye(2)})["F"]
+        F = reduced_step_1d(F, prev.grad_v, cur.t - prev.t, prev.grid, cur.grid,
+                            np.eye(2))
         frames.append(ReconstructedFrame(t=cur.t, F=F.copy(),
                                          F_relax=inverse(cur.F_e) @ F))
     return frames

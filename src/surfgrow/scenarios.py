@@ -18,9 +18,9 @@ Three through-thickness scenarios are bundled:
     (material shrinks after attachment).  No closed form; verified by
     properties.
 
-Each driver marches: quasistatic momentum solve, explicit transport of
-F_e, then domain growth by regridding with the attachment value filling
-the fresh cells.
+Each scenario marches: quasistatic momentum solve, the explicit source
+update of F_e (the reduction has no advecting velocity), then domain
+growth by regridding with the attachment value filling the fresh cells.
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .balance import (BoundaryKind, GrowthInput, SideState, advance_domain,
-                      boundary_normal_velocity, density_update, growth_traction,
-                      jump_residuals, quasistatic_momentum_solve_1d)
+                      boundary_normal_velocity, growth_traction, jump_residuals,
+                      quasistatic_momentum_solve_1d)
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, total_stress)
-from .errors import (IncompatibleAnsatz, NoOracle, OutOfBody, ValidationError)
-from .grids import Grid1D, StepRecord, interp_columns, regrid_fields
-from .kinematics import (PathlineRecord, advance_F_e_grid,
-                         integrate_characteristics, reconstruct_reference)
+from .errors import (IncompatibleAnsatz, NoOracle, OutOfBody, SurfgrowError,
+                     ValidationError)
+from .grids import Grid1D, StepRecord, interp_columns
+from .kinematics import (PathlineRecord, integrate_characteristics,
+                         reconstruct_reference, reduced_step_1d)
 from .tensors import det, identity
 
 KINDS = ("non_normal", "fdm_shear", "thermal")
@@ -92,6 +93,18 @@ class ScenarioConfig:
             raise ValidationError(f"H0 must be nonnegative, got {self.H0}")
         if self.n_snapshots < 1:
             raise ValidationError("n_snapshots must be >= 1")
+        if self.kind == "non_normal" and self.height0 > 0:
+            raise ValidationError("H0 must be 0 for non_normal: its closed-form "
+                                  "oracle assumes a body grown from nothing")
+        if self.params.mu > 0:
+            # Explicit relaxation of F_e12 multiplies it by
+            # 1 - G dt F_e22^2 / mu per step; a negative factor flips its sign.
+            F22_sq = max(1.0, self.alpha ** -2) if self.kind == "thermal" else 1.0
+            dt, _ = self.resolve_dt()
+            if self.params.G * dt * F22_sq > self.params.mu:
+                raise ValidationError(
+                    f"dt = {dt:g} exceeds the explicit relaxation bound "
+                    f"mu / (G F_e22^2) = {self.params.mu / (self.params.G * F22_sq):g}")
 
     @property
     def height0(self) -> float:
@@ -246,18 +259,20 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
     dt, n_steps = config.resolve_dt()
     growth = config.growth_input()
     F_att = growth.F_e_attach
-    rho0 = params.rho
     t_b = growth.t_b
+    # The reduction keeps rho at its attachment value (v2 = 0, no
+    # compression), so every record shares one read-only density array.
+    rho = np.full(n, params.rho)
+    rho.flags.writeable = False
 
     grid = Grid1D(n, H0) if H0 > 0 else None
-    F_e = rho = None
+    F_e = None
     if grid is not None:
         F_e = identity((n,))
         if initial_F_e12 is not None:
             # one-shot equilibration: the body jumps to the sheared state
             # consistent with the surface momentum flux at t = 0+
             F_e[:, 0, 1] = initial_F_e12
-        rho = np.full(n, rho0)
     v_surf_prev = np.zeros(2)
     records: list[StepRecord] = []
 
@@ -278,29 +293,28 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
                 f"at t = {t:g}; the through-thickness ansatz is inconsistent")
         metrics = _step_metrics(config, sol, F_e, rho, grid, t, t_b, growth.v_a)
         records.append(StepRecord(t=t, grid=grid, v_nodes=sol.v_nodes,
-                                  grad_v=sol.grad_v, F_e=F_e.copy(),
-                                  p=sol.p.copy(), rho=rho.copy(), metrics=metrics))
+                                  grad_v=sol.grad_v, F_e=F_e, p=sol.p, rho=rho,
+                                  metrics=metrics))
         v_surf_prev = np.array([sol.v_nodes[-1], 0.0])
         return sol
 
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        if grid is not None:
-            sol = solve_and_record(t)
-            state = records[-1].field_state()
-            state = advance_F_e_grid(state, sol.grad_v, dt, inflow_bc=F_att,
-                                     mass_rate=M)
-            F_e = state.F_e
-            rho = density_update(rho, state.v, grid, dt, inflow_rho=rho0,
-                                 mass_rate=M)
-        H_new = advance_domain(H0, rate, dt, n_steps=k)
-        new_grid = Grid1D(n, H_new)
-        fields = regrid_fields(grid, new_grid, {"F_e": F_e, "rho": rho},
-                               {"F_e": F_att, "rho": rho0})
-        F_e, rho = fields["F_e"], fields["rho"]
-        grid = new_grid
-        t = k * dt
-    solve_and_record(n_steps * dt)
+    # Step k solves at t = k dt and advances to (k + 1) dt; the closing
+    # solve at t_end is step n_steps.
+    k, t = 0, 0.0
+    try:
+        for k in range(n_steps + 1):
+            t = k * dt
+            sol = solve_and_record(t) if grid is not None else None
+            if k == n_steps:
+                break
+            new_grid = Grid1D(n, advance_domain(H0, rate, dt, n_steps=k + 1))
+            if grid is None:  # a body built from nothing: all attachment value
+                F_e = np.broadcast_to(F_att, (n, 2, 2)).copy()
+            else:
+                F_e = reduced_step_1d(F_e, sol.grad_v, dt, grid, new_grid, F_att)
+            grid = new_grid
+    except SurfgrowError as exc:
+        raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
     return RunResult(config=config, history=records)
 
 

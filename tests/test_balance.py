@@ -160,6 +160,35 @@ def test_solve_uniform_body_force_quadratic_profile(params):
     np.testing.assert_array_equal(sol2.v_nodes, np.zeros(33))
 
 
+def test_solve_matches_dense_tridiagonal_system(params):
+    # the running sum of the first integral against a dense solve of the
+    # scaled tridiagonal system (unknowns: v at faces 1..n, face 0 clamped)
+    n, H, tau1, b1 = 40, 1.7, 0.3, -0.6
+    grid = Grid1D(n, H)
+    F_e = identity((n,))
+    F_e[:, 0, 1] = 0.4 * np.sin(3.0 * grid.centers) - 0.2 * grid.centers ** 2
+    F_e[:, 1, 1] = 1.0 + 0.1 * np.cos(grid.centers)
+    sol = quasistatic_momentum_solve_1d(F_e, grid, params, np.array([tau1, 0.0]),
+                                        body_force=(b1, 0.0))
+    G, mu, rho, dx = params.G, params.mu, params.rho, grid.dx
+    S12 = F_e[:, 0, 1] * F_e[:, 1, 1]
+    assert np.ptp(S12) > 0.1  # non-uniform
+    A = np.zeros((n, n))
+    rhs = np.empty(n)
+    for i in range(n - 1):
+        A[i, i] = -2.0
+        A[i, i + 1] = 1.0
+        if i > 0:
+            A[i, i - 1] = 1.0
+        rhs[i] = -(G / mu) * dx * (S12[i + 1] - S12[i]) - (rho * b1 / mu) * dx * dx
+    A[n - 1, n - 2], A[n - 1, n - 1] = -1.0, 1.0
+    rhs[n - 1] = (dx / mu) * (tau1 - G * S12[-1] + rho * b1 * 0.5 * dx)
+    u = np.linalg.solve(A, rhs)
+    assert sol.v_nodes[0] == 0.0
+    np.testing.assert_allclose(sol.v_nodes[1:], u, rtol=0, atol=1e-12)
+    assert sol.system_residual <= 1e-12
+
+
 def test_solve_degenerate_grid(params):
     stub = types.SimpleNamespace(n_cells=1, dx=0.1)
     with pytest.raises(SingularSystem):

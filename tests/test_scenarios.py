@@ -3,12 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from surfgrow import (MaterialParams, NoOracle, OutOfBody,
-                      ScenarioConfig, ValidationError, analytic_non_normal,
-                      convergence_study, reconstruct_reference,
-                      reconstruction_roundtrip_error, run_fdm_shear,
-                      run_non_normal, run_thermal, trace_history_pathlines,
+import surfgrow.scenarios
+from surfgrow import (FieldState, MaterialParams, NoOracle, OutOfBody,
+                      ScenarioConfig, SingularSystem, ValidationError,
+                      advance_F_e_grid, analytic_non_normal, convergence_study,
+                      reconstruct_reference, reconstruction_roundtrip_error,
+                      regrid_fields, run_fdm_shear, run_non_normal,
+                      run_scenario, run_thermal, trace_history_pathlines,
                       pathline_grid_discrepancy)
+from surfgrow.kinematics import _transport_step_1d, reduced_step_1d
 
 
 def nn_config(**kw):
@@ -45,6 +48,30 @@ def test_config_invariants():
         thermal_config(alpha=0.0)
     with pytest.raises(ValidationError):
         nn_config(dt=-0.1)
+
+
+def test_config_rejects_non_normal_preexisting_body():
+    # the closed-form oracle assumes a body grown from nothing
+    with pytest.raises(ValidationError, match="H0"):
+        nn_config(H0=0.5)
+    assert nn_config(H0=0.0).height0 == 0.0
+
+
+def test_config_rejects_dt_beyond_relaxation_bound():
+    # 1 - G dt / mu = -4: marched, this gave an L-inf F_e12 error of 2.0
+    with pytest.raises(ValidationError, match="relaxation"):
+        nn_config(dt=0.5)
+    # thermal deposits carry F_e22 = 1/alpha, tightening the bound to
+    # dt <= mu alpha^2 / G = 0.25
+    with pytest.raises(ValidationError, match="relaxation"):
+        thermal_config(alpha=0.5, dt=0.4)
+    thermal_config(alpha=0.5, dt=0.2)
+    fdm_config(dt=1.0)
+    # the default step and the sweep's dt = mu / (2G) are inside the bound
+    nn_config(params=MaterialParams(G=1.0, mu=1e-3, rho=1.0))
+    nn_config(params=MaterialParams(G=1.0, mu=1e-3, rho=1.0), dt=5e-4)
+    # mu = 0 is left to the momentum solve, which rejects it
+    nn_config(params=MaterialParams(G=1.0, mu=0.0, rho=1.0), dt=0.5)
 
 
 def test_analytic_attachment_and_relaxed_limits():
@@ -200,3 +227,61 @@ def test_mu_sweep_defaults():
     cfg = nn_config()
     assert cfg.sweep_values() == (1.0, 0.3, 0.1, 0.03, 0.01)
     assert replace(cfg, mu_sweep=(0.5, 0.1)).sweep_values() == (0.5, 0.1)
+
+
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_reduced_step_reproduces_general_transport(make):
+    # v = v1(x2) e1: the general upwind transport with v2 = 0 plus the regrid
+    # is bitwise the source-only step the march takes
+    cfg = make(n_cells=32, t_end=0.25)
+    res = run_scenario(cfg)
+    dt, _ = cfg.resolve_dt()
+    F_att = cfg.attachment_deformation()
+    prev, cur = res.history[1], res.history[2]
+    v1 = 0.5 * (prev.v_nodes[:-1] + prev.v_nodes[1:])
+    state = FieldState(grid=prev.grid, t=prev.t,
+                       v=np.stack([v1, np.zeros_like(v1)], axis=1),
+                       F_e=prev.F_e, p=prev.p, rho=prev.rho)
+    general = advance_F_e_grid(state, prev.grad_v, dt, inflow_bc=F_att,
+                               mass_rate=cfg.mass_rate).F_e
+    general = regrid_fields(prev.grid, cur.grid, {"F_e": general},
+                            {"F_e": F_att})["F_e"]
+    reduced = reduced_step_1d(prev.F_e, prev.grad_v, dt, prev.grid, cur.grid, F_att)
+    np.testing.assert_array_equal(reduced, general)
+    np.testing.assert_array_equal(cur.F_e, general)
+    # rho never leaves its attachment value
+    for rec in res.history:
+        assert np.all(rec.rho == cfg.params.rho)
+    # the replay matches one through the general transport kernel
+    F = np.broadcast_to(np.eye(2), prev.F_e.shape).copy()
+    frames = reconstruct_reference(res.history)
+    np.testing.assert_array_equal(frames[0].F, F)
+    for a, b, frame in zip(res.history, res.history[1:], frames[1:]):
+        v1 = 0.5 * (a.v_nodes[:-1] + a.v_nodes[1:])
+        F = _transport_step_1d(F, np.stack([v1, np.zeros_like(v1)], axis=1),
+                               a.grad_v, a.grid, b.t - a.t, inflow_bc=np.eye(2),
+                               mass_rate=0.0)
+        if b.grid != a.grid:
+            F = regrid_fields(a.grid, b.grid, {"F": F}, {"F": np.eye(2)})["F"]
+        np.testing.assert_array_equal(frame.F, F)
+
+
+def test_error_mid_march_names_step_and_time(monkeypatch):
+    solve = surfgrow.scenarios.quasistatic_momentum_solve_1d
+    calls = []
+
+    def failing_solve(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 6:  # fdm_shear solves at t = 0 first: step 5
+            raise SingularSystem("injected")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(surfgrow.scenarios, "quasistatic_momentum_solve_1d",
+                        failing_solve)
+    cfg = fdm_config(t_end=0.5)
+    dt, _ = cfg.resolve_dt()
+    with pytest.raises(SingularSystem) as info:
+        run_fdm_shear(cfg)
+    assert str(info.value) == f"step 5, t = {5 * dt:.6g}: injected"
+    assert isinstance(info.value.__cause__, SingularSystem)
+    assert str(info.value.__cause__) == "injected"
