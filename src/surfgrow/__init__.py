@@ -13,24 +13,22 @@ from .errors import (CFLViolation, GrowthNotSupported, IncompatibleAnsatz,
                      NoOracle, NotReduced, OutOfBody, OutOfDomain, ParseError,
                      SingularSystem, SingularTensor, SurfgrowError, UsageError,
                      ValidationError)
-from .tensors import EPS_DET, det, identity, inverse, sym, transpose
+from .tensors import EPS_DET, det, identity, inverse, sym
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, neo_hookean_stress,
                            total_stress)
-from .grids import FieldState, Grid1D, PeriodicStrip, StepRecord, regrid_fields
+from .grids import Grid1D, PeriodicStrip, StepRecord, regrid_fields
 from .kinematics import (PathlineRecord, ReconstructedFrame,
-                         advance_deformation_strip, advance_F_e_grid,
-                         advance_F_grid, advance_inverse_motion,
+                         advance_deformation_strip, advance_inverse_motion,
                          deformation_from_inverse_motion,
-                         elastic_rate_with_relax_evolution,
                          integrate_characteristics, reconstruct_reference,
                          strip_row_curl, strip_velocity_gradient)
-from .balance import (BoundaryKind, GrowthInput, QuasistaticSolution, SideState,
-                      advance_domain, boundary_normal_velocity, density_update,
+from .balance import (GrowthInput, QuasistaticSolution, SideState,
+                      advance_domain, boundary_normal_velocity,
                       growth_traction, jump_residuals,
                       quasistatic_momentum_solve_1d)
-from .scenarios import (ConvergenceRow, HistoryVelocitySampler, RunResult,
-                        ScenarioConfig, analytic_non_normal, convergence_study,
+from .scenarios import (ConvergenceRow, RunResult, ScenarioConfig,
+                        analytic_non_normal, convergence_study,
                         pathline_grid_discrepancy,
                         reconstruction_roundtrip_error, run_fdm_shear,
                         run_mu_sweep, run_non_normal, run_scenario, run_thermal,
@@ -38,4 +36,24 @@ from .scenarios import (ConvergenceRow, HistoryVelocitySampler, RunResult,
 from .config import parse_config
 from .output import RunManifest, read_snapshot, write_fields
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public API: exactly the names imported above.
+__all__ = [
+    "CFLViolation", "GrowthNotSupported", "IncompatibleAnsatz", "IoError",
+    "MissingInflowBC", "NegativeHeight", "NoInverse", "NoOracle", "NotReduced",
+    "OutOfBody", "OutOfDomain", "ParseError", "SingularSystem",
+    "SingularTensor", "SurfgrowError", "UsageError", "ValidationError",
+    "EPS_DET", "det", "identity", "inverse", "sym", "AttachmentSpec",
+    "MaterialParams", "attach_elastic_deformation", "neo_hookean_stress",
+    "total_stress", "Grid1D", "PeriodicStrip", "StepRecord", "regrid_fields",
+    "PathlineRecord", "ReconstructedFrame", "advance_deformation_strip",
+    "advance_inverse_motion", "deformation_from_inverse_motion",
+    "integrate_characteristics", "reconstruct_reference", "strip_row_curl",
+    "strip_velocity_gradient", "GrowthInput", "QuasistaticSolution",
+    "SideState", "advance_domain", "boundary_normal_velocity",
+    "growth_traction", "jump_residuals", "quasistatic_momentum_solve_1d",
+    "ConvergenceRow", "RunResult", "ScenarioConfig", "analytic_non_normal",
+    "convergence_study", "pathline_grid_discrepancy",
+    "reconstruction_roundtrip_error", "run_fdm_shear", "run_mu_sweep",
+    "run_non_normal", "run_scenario", "run_thermal", "trace_history_pathlines",
+    "parse_config", "RunManifest", "read_snapshot", "write_fields",
+]

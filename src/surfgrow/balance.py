@@ -1,31 +1,26 @@
 """Mass/momentum balance: growth boundary conditions, jump residuals, the
-quasistatic through-thickness momentum solve, and domain/density updates.
+quasistatic through-thickness momentum solve, and the domain-height update.
 
 Growth enters the balance laws only through the boundary: the surface
 moves with ``V_b . n = v . n + M / rho`` and develops the traction
-``sigma n = M (v_a - v) + t_b``.  The bulk equations are the standard
-continuity and (here inertia-free) momentum balances.
+``sigma n = M (v_a - v) + t_b``.  In the bulk only the (here inertia-free)
+momentum balance is solved: with ``v = v1(x2) e1`` the continuity equation
+leaves the density at its attachment value.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constitutive import MaterialParams
-from .errors import (CFLViolation, NegativeHeight, NotReduced, SingularSystem,
-                     ValidationError)
+from .errors import NegativeHeight, NotReduced, SingularSystem, ValidationError
 from .grids import Grid1D
-from .kinematics import CFL_LIMIT
 from .tensors import require_finite
 
-
-class BoundaryKind(enum.Enum):
-    CLAMPED = "clamped"
-    GROWING = "growing"
-    TRACTION = "traction"
+# Largest |F_e21| the through-thickness solve accepts as in the family.
+ANSATZ_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,15 +43,6 @@ class GrowthInput:
                            require_finite(self.F_e_attach, "F_e_attach").reshape(2, 2))
         if self.v_a is not None:
             object.__setattr__(self, "v_a", require_finite(self.v_a, "v_a").reshape(2))
-
-    def inferred_density(self, n) -> float:
-        """Density of the arriving material, ``M / (v_a . n)``."""
-        if self.v_a is None:
-            raise ValidationError("inferred density needs an attachment velocity")
-        flux = float(np.dot(self.v_a, n))
-        if flux == 0.0 or self.M / flux <= 0:
-            raise ValidationError("inferred density M/(v_a.n) must be positive")
-        return self.M / flux
 
 
 @dataclass(frozen=True)
@@ -125,38 +111,32 @@ class QuasistaticSolution:
     traction_residual: float
 
 
-def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D,
-                                  params: MaterialParams, top_traction,
-                                  base: BoundaryKind = BoundaryKind.CLAMPED,
-                                  body_force=(0.0, 0.0),
-                                  ansatz_tol: float = 1e-8) -> QuasistaticSolution:
+def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D, params: MaterialParams,
+                                  top_traction) -> QuasistaticSolution:
     """Inertia-free momentum balance for the through-thickness reduction.
 
     Fields depend on ``x2`` only and the velocity is ``v = v1(x2) e1``.
     With ``S = F_e F_e^T`` the tangential balance is the two-point boundary
     value problem
 
-        mu v1'' = -G dS12/dx2 - rho b1,
+        mu v1'' = -G dS12/dx2,
         v1(0) = 0,   mu v1'(H) = tau1 - G S12(H),
 
     discretized on the cell faces as a tridiagonal system.  Its solution is
     the running sum of the discrete first integral below, so no matrix is
     factored; the residual of the scaled system is still reported.  The
-    normal balance integrates to ``sigma22(x) = tau2 + rho b2 (H - x)``,
-    which fixes the pressure cell-wise.  ``body_force`` is accepted for
-    completeness; every bundled scenario runs with zero body force.
+    normal balance integrates to the uniform ``sigma22 = tau2``, which fixes
+    the pressure cell-wise.
 
-    The admissible family requires ``F_e21 = 0`` (within ``ansatz_tol``);
-    otherwise ``NotReduced`` is raised.  The returned ``grad_v`` uses the
-    scheme's exact discrete first integral
+    The admissible family requires ``|F_e21| <= ANSATZ_TOL``; otherwise
+    ``NotReduced`` is raised.  The returned ``grad_v`` uses the scheme's
+    exact discrete first integral
 
-        mu v1'(x) = tau1 - G S12(x) + rho b1 (H - x)
+        mu v1'(x) = tau1 - G S12(x)
 
     for the cell gradients, which keeps the transport source accurate in
     relative terms even where the fields are exponentially small.
     """
-    if base is not BoundaryKind.CLAMPED:
-        raise ValidationError(f"only a clamped base is implemented, got {base}")
     if not params.mu > 0:
         raise ValidationError("mu must be positive for the regularized solve")
     F = require_finite(F_e, "F_e")
@@ -164,23 +144,21 @@ def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D,
     dx = grid.dx
     if n < 2 or not np.isfinite(dx) or dx <= 0:
         raise SingularSystem(f"degenerate grid: n_cells = {n}, dx = {dx}")
-    if float(np.max(np.abs(F[:, 1, 0]))) > ansatz_tol:
+    if float(np.max(np.abs(F[:, 1, 0]))) > ANSATZ_TOL:
         raise NotReduced("F_e21 exceeds the through-thickness ansatz tolerance")
 
     tau1, tau2 = float(top_traction[0]), float(top_traction[1])
-    b1, b2 = float(body_force[0]), float(body_force[1])
     S12 = F[:, 0, 0] * F[:, 1, 0] + F[:, 0, 1] * F[:, 1, 1]
     S22 = F[:, 1, 0] ** 2 + F[:, 1, 1] ** 2
-    G, mu, rho = params.G, params.mu, params.rho
-    depth = grid.height - grid.centers  # distance below the growth surface
+    G, mu = params.G, params.mu
 
     # Exact discrete first integral of the scheme (see docstring).  Its
     # running sum solves the tridiagonal system: the unknowns are v at faces
     # 1..n (face 0 clamped), interior face i carries the second-difference
     # balance and the top row is the first integral at the top cell.
-    g_cells = (tau1 - G * S12 + rho * b1 * depth) / mu
+    g_cells = (tau1 - G * S12) / mu
     v_nodes = np.concatenate([[0.0], np.cumsum(dx * g_cells)])
-    p = G * S22 - tau2 - rho * b2 * depth
+    p = G * S22 - tau2
     if not (np.all(np.isfinite(v_nodes)) and np.all(np.isfinite(p))):
         raise SingularSystem("momentum solve produced non-finite values")
     grad_v = np.zeros((n, 2, 2))
@@ -188,15 +166,14 @@ def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D,
 
     # Residual of the tridiagonal system, rows scaled to O(1) entries.
     resid = np.empty(n)
-    resid[:n - 1] = (np.diff(v_nodes, 2) + (G / mu) * dx * np.diff(S12)
-                     + (rho * b1 / mu) * dx * dx)
+    resid[:n - 1] = np.diff(v_nodes, 2) + (G / mu) * dx * np.diff(S12)
     resid[n - 1] = (v_nodes[n] - v_nodes[n - 1]
-                    - (dx / mu) * (tau1 - G * S12[n - 1] + rho * b1 * depth[n - 1]))
+                    - (dx / mu) * (tau1 - G * S12[n - 1]))
     system_residual = (float(np.max(np.abs(resid)))
                        / max(1.0, float(np.max(np.abs(v_nodes)))))
 
-    sigma12_top = G * S12[-1] + mu * g_cells[-1] - rho * b1 * depth[-1]
-    sigma22_top = -p[-1] + G * S22[-1] - rho * b2 * depth[-1]
+    sigma12_top = G * S12[-1] + mu * g_cells[-1]
+    sigma22_top = -p[-1] + G * S22[-1]
     traction_residual = max(abs(sigma12_top - tau1), abs(sigma22_top - tau2))
 
     return QuasistaticSolution(v_nodes=v_nodes, grad_v=grad_v, p=p,
@@ -216,38 +193,3 @@ def advance_domain(H: float, V_b_normal: float, dt: float, n_steps: int = 1) -> 
     if H_new <= 0:
         raise NegativeHeight(f"domain ablated past extinction: H = {H_new:g}")
     return H_new
-
-
-def density_update(rho: np.ndarray, v: np.ndarray, grid: Grid1D, dt: float,
-                   tangential_stretch_rate: np.ndarray | None = None,
-                   inflow_rho: float | None = None,
-                   mass_rate: float = 0.0) -> np.ndarray:
-    """Conservative upwind step of the continuity equation on the x2 grid.
-
-    Face fluxes use the upwind cell density and the face-averaged normal
-    velocity; a uniform density in a divergence-free field is returned
-    unchanged to machine precision.  ``tangential_stretch_rate`` is a
-    diagnostic hook for the out-of-plane divergence ``dv1/dx1`` that the
-    through-thickness reduction otherwise drops.
-    """
-    rho = require_finite(rho, "rho")
-    v2 = np.asarray(v, dtype=float)[:, 1]
-    if float(np.max(np.abs(v2))) * dt > CFL_LIMIT * grid.dx * (1.0 + 1e-12):
-        raise CFLViolation("density update exceeds the advective CFL bound")
-    v_face = np.zeros(grid.n_cells + 1)
-    v_face[1:-1] = 0.5 * (v2[:-1] + v2[1:])
-    v_face[0] = v2[0]
-    v_face[-1] = v2[-1]
-    up = np.where(v_face[1:-1] > 0, rho[:-1], rho[1:])
-    flux = np.empty(grid.n_cells + 1)
-    flux[1:-1] = v_face[1:-1] * up
-    flux[0] = v_face[0] * rho[0]
-    if v_face[-1] > 0:
-        flux[-1] = v_face[-1] * rho[-1]
-    else:
-        ghost = inflow_rho if (mass_rate > 0 and inflow_rho is not None) else rho[-1]
-        flux[-1] = v_face[-1] * ghost
-    out = rho - (dt / grid.dx) * np.diff(flux)
-    if tangential_stretch_rate is not None:
-        out = out - dt * rho * np.asarray(tangential_stretch_rate, dtype=float)
-    return out

@@ -42,15 +42,9 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class AttachmentSpec:
-    """Requested stress state of material at the instant it joins the body.
-
-    ``tangential_identity`` restricts the inversion to deformations that
-    leave vectors tangent to the growth surface unchanged, i.e. the
-    unimodular family ``[[1, gamma], [0, 1]]`` plus a pressure.
-    """
+    """Requested stress state of material at the instant it joins the body."""
 
     sigma_star: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
-    tangential_identity: bool = True
 
     def __post_init__(self):
         s = require_finite(self.sigma_star, "sigma_star")
@@ -105,17 +99,14 @@ def attach_elastic_deformation(spec: AttachmentSpec, params: MaterialParams):
     """Invert the stress response for the elastic deformation of added material.
 
     Restricted to the tangential-identity family ``F_e = [[1, gamma], [0, 1]]``
-    with a free pressure; the surface normal is e2.  Returns ``(F_e, p)`` such
-    that ``neo_hookean_stress(F_e, p) @ e2`` reproduces the requested traction
-    and ``det F_e = 1`` exactly.
+    (deformations that leave vectors tangent to the growth surface
+    unchanged) with a free pressure; the surface normal is e2.  Returns
+    ``(F_e, p)`` such that ``neo_hookean_stress(F_e, p) @ e2`` reproduces the
+    requested traction and ``det F_e = 1`` exactly.
 
-    Raises ``NoInverse`` when the family cannot realize the request: either
-    the general (non-tangential-identity) inversion is asked for, or the
-    requested 11 component is inconsistent with the one the family implies.
+    Raises ``NoInverse`` when the requested 11 component is inconsistent
+    with the one the family implies.
     """
-    if not spec.tangential_identity:
-        raise NoInverse("general stress-response inversion is not available; "
-                        "only the tangential-identity family is invertible")
     s = spec.sigma_star
     gamma = s[0, 1] / params.G
     p = params.G - s[1, 1]

@@ -1,4 +1,4 @@
-"""Grids and discrete field containers.
+"""Grids, the per-step record of a run (``StepRecord``), and regridding.
 
 The through-thickness grid is one-dimensional in the coordinate ``x2``,
 cell-centered field storage, and is rebuilt on ``[0, H(t)]`` with a fixed
@@ -10,12 +10,11 @@ two-dimensional verification transports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .tensors import require_finite
 
 
 @dataclass(frozen=True)
@@ -42,33 +41,6 @@ class Grid1D:
     @property
     def faces(self) -> np.ndarray:
         return np.arange(self.n_cells + 1) * self.dx
-
-
-@dataclass
-class FieldState:
-    """Discrete fields at one instant: v (n,2), F_e (n,2,2), p (n,), rho (n,)."""
-
-    grid: Grid1D
-    t: float
-    v: np.ndarray
-    F_e: np.ndarray
-    p: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.n_cells
-        self.v = require_finite(self.v, "v")
-        self.F_e = require_finite(self.F_e, "F_e")
-        self.p = require_finite(self.p, "p")
-        self.rho = require_finite(self.rho, "rho")
-        for name, arr, shape in (("v", self.v, (n, 2)), ("F_e", self.F_e, (n, 2, 2)),
-                                 ("p", self.p, (n,)), ("rho", self.rho, (n,))):
-            if arr.shape != shape:
-                raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-
-    def copy(self) -> "FieldState":
-        return replace(self, v=self.v.copy(), F_e=self.F_e.copy(),
-                       p=self.p.copy(), rho=self.rho.copy())
 
 
 @dataclass
@@ -106,36 +78,22 @@ def interp_columns(xq: np.ndarray, xp: np.ndarray, values: np.ndarray) -> np.nda
     return out.reshape((len(xq),) + values.shape[1:])
 
 
-def regrid_fields(old_grid: Grid1D | None, new_grid: Grid1D, fields: dict,
-                  inflow: dict) -> dict:
-    """Resample cell fields onto a rebuilt grid.
+def regrid_fields(old_grid: Grid1D, new_grid: Grid1D, values: np.ndarray,
+                  inflow: np.ndarray) -> np.ndarray:
+    """Resample a cell field onto a rebuilt grid.
 
     On a growing rebuild the interpolation table is extended with the
     ``inflow`` value placed at the old boundary height: material between the
     old and new heights is newly accreted, so cells reaching above the old
-    body blend into and then take the attachment value.  With
-    ``old_grid=None`` the grid is filled entirely from ``inflow`` (a body
-    built from nothing).  Shrinking grids (ablation) interpolate only:
-    outflow needs no boundary data.
+    body blend into and then take the attachment value.  Shrinking grids
+    (ablation) interpolate only: outflow needs no boundary data.
     """
-    xq = new_grid.centers
-    out = {}
-    if old_grid is None:
-        for name in fields:
-            val = np.asarray(inflow[name], dtype=float)
-            out[name] = np.broadcast_to(val, (new_grid.n_cells,) + val.shape).copy()
-        return out
-    growing = new_grid.height > old_grid.height
     xp = old_grid.centers
-    if growing:
+    src = np.asarray(values, dtype=float)
+    if new_grid.height > old_grid.height:
         xp = np.append(xp, old_grid.height)
-    for name, arr in fields.items():
-        src = np.asarray(arr, dtype=float)
-        if growing:
-            bc = np.asarray(inflow[name], dtype=float)
-            src = np.concatenate([src, bc[None, ...]], axis=0)
-        out[name] = interp_columns(xq, xp, src)
-    return out
+        src = np.concatenate([src, np.asarray(inflow, dtype=float)[None, ...]], axis=0)
+    return interp_columns(new_grid.centers, xp, src)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (CFLViolation, GrowthNotSupported, MissingInflowBC,
                      OutOfDomain, ValidationError)
-from .grids import FieldState, Grid1D, PeriodicStrip, StepRecord, regrid_fields
+from .grids import Grid1D, PeriodicStrip, StepRecord, regrid_fields
 from .tensors import identity, inverse, require_finite
 
 CFL_LIMIT = 0.9
@@ -49,10 +49,6 @@ class PathlineRecord:
         self.F_e = np.asarray(self.F_e, dtype=float)
         if np.any(np.diff(self.t) <= 0):
             raise ValidationError("pathline sample times must be strictly increasing")
-
-    @property
-    def seed(self) -> np.ndarray:
-        return self.x[0]
 
 
 def _check_cfl(speed: float, dx: float, dt: float) -> None:
@@ -84,6 +80,11 @@ def _upwind_term_1d(comps: np.ndarray, v2: np.ndarray, dx: float,
 def _transport_step_1d(tensor_field: np.ndarray, v: np.ndarray, grad_v: np.ndarray,
                        grid: Grid1D, dt: float, inflow_bc: np.ndarray | None,
                        mass_rate: float) -> np.ndarray:
+    """General upwind/Euler transport step on the x2 grid (reference kernel).
+
+    The CFL bound is checked against ``v2``, the only advecting component;
+    ``inflow_bc`` is required while the top boundary accretes.
+    """
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     v2 = np.asarray(v, dtype=float)[:, 1]
@@ -100,22 +101,6 @@ def _transport_step_1d(tensor_field: np.ndarray, v: np.ndarray, grad_v: np.ndarr
     return T + dt * (source - adv)
 
 
-def advance_F_e_grid(state: FieldState, grad_v_field: np.ndarray, dt: float,
-                     inflow_bc: np.ndarray | None = None,
-                     mass_rate: float = 0.0) -> FieldState:
-    """One explicit transport step for the elastic deformation.
-
-    The only advecting velocity on the through-thickness grid is the
-    normal component ``v2`` (fields are uniform along ``x1``), so the CFL
-    bound is checked against it.  ``inflow_bc`` must be supplied whenever
-    the top boundary is accreting (``mass_rate > 0``).
-    """
-    F_new = _transport_step_1d(state.F_e, state.v, grad_v_field, state.grid, dt,
-                               inflow_bc, mass_rate)
-    return FieldState(grid=state.grid, t=state.t + dt, v=state.v.copy(),
-                      F_e=F_new, p=state.p.copy(), rho=state.rho.copy())
-
-
 def reduced_step_1d(T: np.ndarray, grad_v: np.ndarray, dt: float,
                     grid: Grid1D, new_grid: Grid1D, inflow_bc: np.ndarray) -> np.ndarray:
     """One transport step of the through-thickness reduction, then regrid.
@@ -130,20 +115,8 @@ def reduced_step_1d(T: np.ndarray, grad_v: np.ndarray, dt: float,
         raise ValidationError(f"dt must be positive, got {dt}")
     T = T + dt * (grad_v @ T)
     if new_grid != grid:
-        T = regrid_fields(grid, new_grid, {"T": T}, {"T": inflow_bc})["T"]
+        T = regrid_fields(grid, new_grid, T, inflow_bc)
     return T
-
-
-def advance_F_grid(F: np.ndarray, state: FieldState, grad_v_field: np.ndarray,
-                   dt: float, inflow_bc: np.ndarray | None = None,
-                   mass_rate: float = 0.0) -> np.ndarray:
-    """Same transport step applied to a deformation-gradient field.
-
-    ``F`` is carried separately from the state; initial data is the
-    identity at the chosen reference time.
-    """
-    return _transport_step_1d(F, state.v, grad_v_field, state.grid, dt,
-                              inflow_bc, mass_rate)
 
 
 def integrate_characteristics(velocity_sampler: VelocitySampler, seed, t0: float,
@@ -181,16 +154,6 @@ def integrate_characteristics(velocity_sampler: VelocitySampler, seed, t0: float
             raise OutOfDomain(f"characteristic left the body at t = {t:g}, x = {x}")
         ts[k + 1], xs[k + 1], Fs[k + 1] = t, x, F
     return PathlineRecord(t=ts, x=xs, F_e=Fs)
-
-
-def elastic_rate_with_relax_evolution(F_e, grad_v, F_relax, dFrelaxinv_dt) -> np.ndarray:
-    """Material rate of F_e when the relaxed shape itself evolves.
-
-    Reduces to ``(grad v) F_e`` for a pathline-constant relaxed shape.
-    """
-    F_e = np.asarray(F_e, dtype=float)
-    return (np.asarray(grad_v, dtype=float) @ F_e
-            + F_e @ np.asarray(F_relax, dtype=float) @ np.asarray(dFrelaxinv_dt, dtype=float))
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import IoError
-from .scenarios import RunResult
+from .scenarios import RunResult, pathline_samples
 
 SNAPSHOT_COLUMNS = ("x2", "v1", "v2", "Fe11", "Fe12", "Fe21", "Fe22", "p", "rho")
 METRIC_FIELDS = ("t", "H", "mass_residual", "momentum_residual",
@@ -86,20 +86,14 @@ def _write_metrics(path: Path, result: RunResult) -> None:
 
 
 def _write_pathlines(path: Path, result: RunResult) -> None:
-    history = result.history
-    t0 = history[0].t
-    dt = history[1].t - history[0].t if len(history) > 1 else 1.0
     lines = ["pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p"]
     for i, pl in enumerate(result.pathlines):
-        for m, t in enumerate(pl.t):
-            k = min(max(int(round((t - t0) / dt)), 0), len(history) - 1)
-            rec = history[k]
-            x2 = min(max(pl.x[m, 1], 0.0), rec.grid.height)
+        for m, rec, x2 in pathline_samples(result.history, pl):
             v1 = float(np.interp(x2, rec.grid.faces, rec.v_nodes))
             p = float(np.interp(x2, rec.grid.centers, rec.p))
             F = pl.F_e[m]
             lines.append(",".join([str(i)] + [fmt(v) for v in
-                                              (t, pl.x[m, 0], pl.x[m, 1],
+                                              (pl.t[m], pl.x[m, 0], pl.x[m, 1],
                                                F[0, 0], F[0, 1], F[1, 0], F[1, 1],
                                                v1, 0.0, p)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .balance import (BoundaryKind, GrowthInput, SideState, advance_domain,
+from .balance import (GrowthInput, SideState, advance_domain,
                       boundary_normal_velocity, growth_traction, jump_residuals,
                       quasistatic_momentum_solve_1d)
 from .constitutive import (AttachmentSpec, MaterialParams,
@@ -83,6 +83,8 @@ class ScenarioConfig:
             raise ValidationError(f"n_cells must be >= 16, got {self.n_cells}")
         if self.dt is not None and not self.dt > 0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
+        if not self.params.mu > 0:
+            raise ValidationError(f"mu must be positive, got {self.params.mu}")
         if self.kind == "fdm_shear" and not self.height0 > 0:
             raise ValidationError("H0 must be positive for fdm_shear")
         if self.kind != "fdm_shear" and not self.V_G > 0:
@@ -96,21 +98,25 @@ class ScenarioConfig:
         if self.kind == "non_normal" and self.height0 > 0:
             raise ValidationError("H0 must be 0 for non_normal: its closed-form "
                                   "oracle assumes a body grown from nothing")
-        if self.params.mu > 0:
-            # Explicit relaxation of F_e12 multiplies it by
-            # 1 - G dt F_e22^2 / mu per step; a negative factor flips its sign.
-            F22_sq = max(1.0, self.alpha ** -2) if self.kind == "thermal" else 1.0
-            dt, _ = self.resolve_dt()
-            if self.params.G * dt * F22_sq > self.params.mu:
-                raise ValidationError(
-                    f"dt = {dt:g} exceeds the explicit relaxation bound "
-                    f"mu / (G F_e22^2) = {self.params.mu / (self.params.G * F22_sq):g}")
+        dt, _ = self.resolve_dt()
+        if dt > self.relaxation_bound:
+            raise ValidationError(
+                f"dt = {dt:g} exceeds the explicit relaxation bound "
+                f"mu / (G F_e22^2) = {self.relaxation_bound:g}")
 
     @property
     def height0(self) -> float:
         if self.H0 is not None:
             return self.H0
         return {"non_normal": 0.0, "fdm_shear": 1.0, "thermal": 0.5}[self.kind]
+
+    @property
+    def relaxation_bound(self) -> float:
+        """Largest step ``mu / (G F_e22^2)`` whose explicit relaxation factor
+        ``1 - G dt F_e22^2 / mu`` on F_e12 is nonnegative; thermal deposits
+        carry ``F_e22^2 = max(1, alpha^-2)``, the other kinds 1."""
+        F22_sq = max(1.0, self.alpha ** -2) if self.kind == "thermal" else 1.0
+        return self.params.mu / (self.params.G * F22_sq)
 
     @property
     def mass_rate(self) -> float:
@@ -145,10 +151,9 @@ class ScenarioConfig:
         if self.dt is not None:
             base = self.dt
         else:
-            base = self.t_end / (4.0 * self.n_cells)
-            if self.kind == "non_normal":
-                # explicit relaxation stability/accuracy: G dt / mu bounded
-                base = min(base, 0.5 * self.params.mu / self.params.G)
+            # half the relaxation bound keeps the per-step factor in [1/2, 1]
+            base = min(self.t_end / (4.0 * self.n_cells),
+                       0.5 * self.relaxation_bound)
         n_steps = max(1, int(math.ceil(self.t_end / base - 1e-12)))
         return self.t_end / n_steps, n_steps
 
@@ -284,8 +289,7 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
     def solve_and_record(t):
         nonlocal v_surf_prev
         tau = traction_now()
-        sol = quasistatic_momentum_solve_1d(F_e, grid, params, tau,
-                                            base=BoundaryKind.CLAMPED)
+        sol = quasistatic_momentum_solve_1d(F_e, grid, params, tau)
         if check_ansatz and max(sol.traction_residual,
                                 sol.system_residual) > ANSATZ_RESIDUAL_LIMIT:
             raise IncompatibleAnsatz(
@@ -508,18 +512,24 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
     return pathlines
 
 
-def pathline_grid_discrepancy(result: RunResult, pathlines) -> float:
-    """L-infinity gap between grid-transported and characteristic F_e."""
-    history = result.history
+def pathline_samples(history, pl: PathlineRecord):
+    """Yield ``(m, record, x2)`` for each pathline sample ``m``: the stored
+    level at its time (index clamped to the history) and its height clamped
+    to that level's body."""
     t0 = history[0].t
     dt = history[1].t - history[0].t if len(history) > 1 else 1.0
+    last = len(history) - 1
+    for m, t in enumerate(pl.t):
+        rec = history[min(max(int(round((t - t0) / dt)), 0), last)]
+        yield m, rec, min(max(pl.x[m, 1], 0.0), rec.grid.height)
+
+
+def pathline_grid_discrepancy(result: RunResult, pathlines) -> float:
+    """L-infinity gap between grid-transported and characteristic F_e."""
     worst = 0.0
     for pl in pathlines:
-        for m, t in enumerate(pl.t):
-            k = int(round((t - t0) / dt))
-            rec = history[k]
-            xq = np.array([min(max(pl.x[m, 1], 0.0), rec.grid.height)])
-            F_grid = interp_columns(xq, rec.grid.centers, rec.F_e)[0]
+        for m, rec, x2 in pathline_samples(result.history, pl):
+            F_grid = interp_columns(np.array([x2]), rec.grid.centers, rec.F_e)[0]
             worst = max(worst, float(np.max(np.abs(F_grid - pl.F_e[m]))))
     return worst
 

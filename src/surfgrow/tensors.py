@@ -4,10 +4,6 @@ Vectors are arrays with trailing shape ``(2,)`` and tensors with trailing
 shape ``(2, 2)``; all operations broadcast over leading axes so a whole
 grid of tensors is handled in one call.  Components are stored row-major,
 matching ``numpy``'s default layout.
-
-Only the 2x2 case is implemented.  The 3x3 variants are reserved behind
-the same call signatures and raise ``NotImplementedError`` until a
-three-dimensional scenario exists.
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ I2 = np.eye(2)
 
 def _check_square(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if t.shape[-2:] == (3, 3):
-        raise NotImplementedError("3x3 tensors are not implemented (no 3-D scenario)")
     if t.shape[-2:] != (2, 2):
         raise ValidationError(f"expected trailing shape (2, 2), got {t.shape}")
     return t
@@ -59,10 +53,6 @@ def inverse(t: np.ndarray, eps: float = EPS_DET) -> np.ndarray:
     out[..., 1, 0] = -t[..., 1, 0]
     out[..., 1, 1] = t[..., 0, 0]
     return out / d[..., None, None]
-
-
-def transpose(t: np.ndarray) -> np.ndarray:
-    return np.swapaxes(np.asarray(t, dtype=float), -1, -2)
 
 
 def sym(t: np.ndarray) -> np.ndarray:

@@ -3,12 +3,10 @@ import types
 import numpy as np
 import pytest
 
-from surfgrow import (BoundaryKind, CFLViolation, Grid1D, GrowthInput,
-                      MaterialParams, NegativeHeight, NotReduced, SideState,
-                      SingularSystem, ValidationError, advance_domain,
-                      boundary_normal_velocity, density_update, growth_traction,
-                      jump_residuals, neo_hookean_stress,
-                      quasistatic_momentum_solve_1d)
+from surfgrow import (Grid1D, MaterialParams, NegativeHeight, NotReduced,
+                      SideState, SingularSystem, ValidationError, advance_domain,
+                      boundary_normal_velocity, growth_traction, jump_residuals,
+                      neo_hookean_stress, quasistatic_momentum_solve_1d)
 from surfgrow.tensors import identity
 
 E2 = np.array([0.0, 1.0])
@@ -134,43 +132,18 @@ def test_solve_requires_viscosity_and_clamped_base(params):
         quasistatic_momentum_solve_1d(identity((16,)), grid,
                                       MaterialParams(G=1.0, mu=0.0, rho=1.0),
                                       np.zeros(2))
-    with pytest.raises(ValidationError, match="base"):
-        quasistatic_momentum_solve_1d(identity((16,)), grid, params,
-                                      np.zeros(2), base=BoundaryKind.TRACTION)
-
-
-def test_solve_uniform_body_force_quadratic_profile(params):
-    # with S12 = 0 the exact profile is quadratic,
-    # v1 = (tau1 x + rho b1 (H x - x^2 / 2)) / mu, and the scheme is exact
-    b1, tau1, H = 0.4, 0.2, 1.0
-    grid = Grid1D(32, H)
-    sol = quasistatic_momentum_solve_1d(identity((32,)), grid, params,
-                                        np.array([tau1, 0.0]),
-                                        body_force=(b1, 0.0))
-    x = grid.faces
-    ref = (tau1 * x + params.rho * b1 * (H * x - 0.5 * x ** 2)) / params.mu
-    np.testing.assert_allclose(sol.v_nodes, ref, atol=1e-12)
-    assert sol.traction_residual <= 1e-12
-    # normal body force tilts the pressure, sigma22 stays in equilibrium
-    b2 = -0.3
-    sol2 = quasistatic_momentum_solve_1d(identity((32,)), grid, params,
-                                         np.zeros(2), body_force=(0.0, b2))
-    ref_p = params.G - params.rho * b2 * (H - grid.centers)
-    np.testing.assert_allclose(sol2.p, ref_p, atol=1e-14)
-    np.testing.assert_array_equal(sol2.v_nodes, np.zeros(33))
 
 
 def test_solve_matches_dense_tridiagonal_system(params):
     # the running sum of the first integral against a dense solve of the
     # scaled tridiagonal system (unknowns: v at faces 1..n, face 0 clamped)
-    n, H, tau1, b1 = 40, 1.7, 0.3, -0.6
+    n, H, tau1 = 40, 1.7, 0.3
     grid = Grid1D(n, H)
     F_e = identity((n,))
     F_e[:, 0, 1] = 0.4 * np.sin(3.0 * grid.centers) - 0.2 * grid.centers ** 2
     F_e[:, 1, 1] = 1.0 + 0.1 * np.cos(grid.centers)
-    sol = quasistatic_momentum_solve_1d(F_e, grid, params, np.array([tau1, 0.0]),
-                                        body_force=(b1, 0.0))
-    G, mu, rho, dx = params.G, params.mu, params.rho, grid.dx
+    sol = quasistatic_momentum_solve_1d(F_e, grid, params, np.array([tau1, 0.0]))
+    G, mu, dx = params.G, params.mu, grid.dx
     S12 = F_e[:, 0, 1] * F_e[:, 1, 1]
     assert np.ptp(S12) > 0.1  # non-uniform
     A = np.zeros((n, n))
@@ -180,9 +153,9 @@ def test_solve_matches_dense_tridiagonal_system(params):
         A[i, i + 1] = 1.0
         if i > 0:
             A[i, i - 1] = 1.0
-        rhs[i] = -(G / mu) * dx * (S12[i + 1] - S12[i]) - (rho * b1 / mu) * dx * dx
+        rhs[i] = -(G / mu) * dx * (S12[i + 1] - S12[i])
     A[n - 1, n - 2], A[n - 1, n - 1] = -1.0, 1.0
-    rhs[n - 1] = (dx / mu) * (tau1 - G * S12[-1] + rho * b1 * 0.5 * dx)
+    rhs[n - 1] = (dx / mu) * (tau1 - G * S12[-1])
     u = np.linalg.solve(A, rhs)
     assert sol.v_nodes[0] == 0.0
     np.testing.assert_allclose(sol.v_nodes[1:], u, rtol=0, atol=1e-12)
@@ -205,45 +178,3 @@ def test_advance_domain_examples():
 def test_advance_domain_fused_composition_is_bitwise():
     H0, rate, dt, n = 1.0, 1.0 / 3.0, 0.1, 10
     assert advance_domain(H0, rate, dt, n_steps=n) == H0 + rate * (n * dt)
-
-
-def test_growth_input_inferred_density():
-    g = GrowthInput(M=0.4, v_a=np.array([0.0, 0.8]))
-    assert g.inferred_density(E2) == 0.5
-    with pytest.raises(ValidationError):
-        GrowthInput(M=0.4, v_a=np.array([1.0, 0.0])).inferred_density(E2)
-    with pytest.raises(ValidationError):
-        GrowthInput(M=0.4).inferred_density(E2)
-
-
-def test_density_update_static_cases():
-    grid = Grid1D(16, 1.0)
-    rho = np.ones(16)
-    np.testing.assert_array_equal(
-        density_update(rho, np.zeros((16, 2)), grid, 1e-3), rho)
-    v = np.zeros((16, 2))
-    v[:, 1] = 0.2  # uniform advection of a uniform field
-    np.testing.assert_allclose(density_update(rho, v, grid, 1e-3), rho,
-                               atol=1e-15)
-
-
-def test_density_update_cfl():
-    grid = Grid1D(16, 1.0)
-    v = np.zeros((16, 2))
-    v[:, 1] = 10.0
-    with pytest.raises(CFLViolation):
-        density_update(np.ones(16), v, grid, 0.05)
-
-
-def test_density_update_exponential_compression_oracle():
-    # out-of-plane compression v1 = -k x1 enters as a stretch-rate source;
-    # the exact density is rho0 * exp(k t)
-    k, dt, t_end = 1.0, 1e-3, 1.0
-    grid = Grid1D(16, 1.0)
-    rho = np.ones(16)
-    v = np.zeros((16, 2))
-    for _ in range(int(round(t_end / dt))):
-        rho = density_update(rho, v, grid, dt,
-                             tangential_stretch_rate=np.full(16, -k))
-    ref = np.exp(k * t_end)
-    assert np.abs(rho - ref).max() / ref <= 0.01

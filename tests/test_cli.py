@@ -32,6 +32,14 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "out" / "metrics.jsonl").is_file()
 
 
+def test_run_rejects_zero_viscosity(tmp_path, capsys):
+    cfg = tmp_path / "inviscid.cfg"
+    cfg.write_text(NN_CFG.replace("mu = 0.1", "mu = 0.0"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error: ValidationError: mu" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_prints_orders(tmp_path, capsys):
     cfg = tmp_path / "nn.cfg"
     cfg.write_text(NN_CFG)

@@ -96,8 +96,6 @@ def test_attach_rejects_inconsistent_request(params):
     bad = AttachmentSpec(sigma_star=np.array([[5.0, 0.1], [0.1, 0.0]]))
     with pytest.raises(NoInverse):
         attach_elastic_deformation(bad, params)
-    with pytest.raises(NoInverse):
-        attach_elastic_deformation(AttachmentSpec(tangential_identity=False), params)
 
 
 def test_attachment_spec_requires_symmetry():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import surfgrow.scenarios
-from surfgrow import (FieldState, MaterialParams, NoOracle, OutOfBody,
-                      ScenarioConfig, SingularSystem, ValidationError,
-                      advance_F_e_grid, analytic_non_normal, convergence_study,
-                      reconstruct_reference, reconstruction_roundtrip_error,
-                      regrid_fields, run_fdm_shear, run_non_normal,
-                      run_scenario, run_thermal, trace_history_pathlines,
-                      pathline_grid_discrepancy)
+from surfgrow import (MaterialParams, NoOracle, OutOfBody, ScenarioConfig,
+                      SingularSystem, ValidationError, analytic_non_normal,
+                      convergence_study, reconstruct_reference,
+                      reconstruction_roundtrip_error, regrid_fields,
+                      run_fdm_shear, run_non_normal, run_scenario, run_thermal,
+                      trace_history_pathlines, pathline_grid_discrepancy)
 from surfgrow.kinematics import _transport_step_1d, reduced_step_1d
 
 
@@ -70,8 +69,25 @@ def test_config_rejects_dt_beyond_relaxation_bound():
     # the default step and the sweep's dt = mu / (2G) are inside the bound
     nn_config(params=MaterialParams(G=1.0, mu=1e-3, rho=1.0))
     nn_config(params=MaterialParams(G=1.0, mu=1e-3, rho=1.0), dt=5e-4)
-    # mu = 0 is left to the momentum solve, which rejects it
-    nn_config(params=MaterialParams(G=1.0, mu=0.0, rho=1.0), dt=0.5)
+    # mu = 0 has no relaxation bound and no stable step
+    for make in (nn_config, fdm_config, thermal_config):
+        for dt in (None, 0.5):
+            with pytest.raises(ValidationError, match="mu"):
+                make(params=MaterialParams(G=1.0, mu=0.0, rho=1.0), dt=dt)
+
+
+def test_default_dt_respects_relaxation_bound():
+    # t_end / (4 n) = 0.00125 exceeds mu alpha^2 / G = 0.00025; the default
+    # step takes half the bound instead
+    cfg = thermal_config(params=MaterialParams(G=1.0, mu=1e-3, rho=1.0),
+                         alpha=0.5, n_cells=200)
+    dt, n_steps = cfg.resolve_dt()
+    assert cfg.relaxation_bound == pytest.approx(2.5e-4, rel=1e-12)
+    assert dt <= 0.5 * cfg.relaxation_bound * (1 + 1e-12)
+    assert n_steps * dt == pytest.approx(cfg.t_end, rel=1e-12)
+    # fdm_shear and thermal keep t_end / (4 n) when mu is large
+    assert fdm_config().resolve_dt()[0] == 2.0 / (4 * 32)
+    assert thermal_config().resolve_dt()[0] == 1.0 / (4 * 32)
 
 
 def test_analytic_attachment_and_relaxed_limits():
@@ -239,13 +255,10 @@ def test_reduced_step_reproduces_general_transport(make):
     F_att = cfg.attachment_deformation()
     prev, cur = res.history[1], res.history[2]
     v1 = 0.5 * (prev.v_nodes[:-1] + prev.v_nodes[1:])
-    state = FieldState(grid=prev.grid, t=prev.t,
-                       v=np.stack([v1, np.zeros_like(v1)], axis=1),
-                       F_e=prev.F_e, p=prev.p, rho=prev.rho)
-    general = advance_F_e_grid(state, prev.grad_v, dt, inflow_bc=F_att,
-                               mass_rate=cfg.mass_rate).F_e
-    general = regrid_fields(prev.grid, cur.grid, {"F_e": general},
-                            {"F_e": F_att})["F_e"]
+    general = _transport_step_1d(prev.F_e, np.stack([v1, np.zeros_like(v1)], axis=1),
+                                 prev.grad_v, prev.grid, dt, inflow_bc=F_att,
+                                 mass_rate=cfg.mass_rate)
+    general = regrid_fields(prev.grid, cur.grid, general, F_att)
     reduced = reduced_step_1d(prev.F_e, prev.grad_v, dt, prev.grid, cur.grid, F_att)
     np.testing.assert_array_equal(reduced, general)
     np.testing.assert_array_equal(cur.F_e, general)
@@ -262,7 +275,7 @@ def test_reduced_step_reproduces_general_transport(make):
                                a.grad_v, a.grid, b.t - a.t, inflow_bc=np.eye(2),
                                mass_rate=0.0)
         if b.grid != a.grid:
-            F = regrid_fields(a.grid, b.grid, {"F": F}, {"F": np.eye(2)})["F"]
+            F = regrid_fields(a.grid, b.grid, F, np.eye(2))
         np.testing.assert_array_equal(frame.F, F)
 
 

@@ -97,10 +97,10 @@ def test_sym_linear(a, b, c):
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
-def test_3x3_variants_are_stubs():
-    with pytest.raises(NotImplementedError):
+def test_3x3_input_is_rejected():
+    with pytest.raises(ValidationError, match="2, 2"):
         det(np.eye(3))
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ValidationError, match="2, 2"):
         inverse(np.eye(3))
 
 
