@@ -14,7 +14,10 @@ integration.  In the through-thickness reduction the advecting velocity
 ``v2`` is zero, so the growth march keeps only the source update
 (``reduced_step_1d``).  Characteristic transport integrates the
 equivalent ODE system along pathlines with an explicit midpoint (RK2)
-scheme.
+scheme (``integrate_characteristics``, for any velocity sampler).  In the
+reduction a pathline keeps its height, so the scenarios trace theirs with
+the same scheme as one array march over the stored levels
+(``scenarios.trace_history_pathlines``).
 """
 
 from __future__ import annotations

@@ -35,11 +35,10 @@ from .balance import (GrowthInput, SideState, advance_domain,
                       quasistatic_momentum_solve_1d)
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, total_stress)
-from .errors import (IncompatibleAnsatz, NoOracle, OutOfBody, SurfgrowError,
-                     ValidationError)
+from .errors import (IncompatibleAnsatz, NoOracle, OutOfBody, OutOfDomain,
+                     SurfgrowError, ValidationError)
 from .grids import Grid1D, StepRecord, interp_columns
-from .kinematics import (PathlineRecord, integrate_characteristics,
-                         reconstruct_reference, reduced_step_1d)
+from .kinematics import PathlineRecord, reconstruct_reference, reduced_step_1d
 from .tensors import det, identity
 
 KINDS = ("non_normal", "fdm_shear", "thermal")
@@ -85,8 +84,16 @@ class ScenarioConfig:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if not self.params.mu > 0:
             raise ValidationError(f"mu must be positive, got {self.params.mu}")
-        if self.kind == "fdm_shear" and not self.height0 > 0:
-            raise ValidationError("H0 must be positive for fdm_shear")
+        if self.kind == "fdm_shear":
+            if not self.height0 > 0:
+                raise ValidationError("H0 must be positive for fdm_shear")
+            if not self.h > 0:
+                raise ValidationError(f"h must be positive for fdm_shear, got {self.h}")
+            if not self.L > 0:
+                raise ValidationError(f"L must be positive for fdm_shear, got {self.L}")
+            if not self.v0 >= 0:
+                # a negative feed would ablate the body, which is not supported
+                raise ValidationError(f"v0 must be nonnegative for fdm_shear, got {self.v0}")
         if self.kind != "fdm_shear" and not self.V_G > 0:
             raise ValidationError(f"V_G must be positive, got {self.V_G}")
         if self.kind == "thermal" and not self.alpha > 0:
@@ -254,8 +261,7 @@ def _step_metrics(config: ScenarioConfig, sol, F_e, rho, grid, t, t_b,
     }
 
 
-def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
-            check_ansatz: bool = False) -> RunResult:
+def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunResult:
     params = config.params
     n = config.n_cells
     H0 = config.height0
@@ -290,11 +296,11 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
         nonlocal v_surf_prev
         tau = traction_now()
         sol = quasistatic_momentum_solve_1d(F_e, grid, params, tau)
-        if check_ansatz and max(sol.traction_residual,
-                                sol.system_residual) > ANSATZ_RESIDUAL_LIMIT:
+        residual = max(sol.traction_residual, sol.system_residual)
+        if residual > ANSATZ_RESIDUAL_LIMIT:
             raise IncompatibleAnsatz(
-                f"reduced solve residual {max(sol.traction_residual, sol.system_residual):.3e} "
-                f"at t = {t:g}; the through-thickness ansatz is inconsistent")
+                f"reduced solve residual {residual:.3e}; the through-thickness "
+                f"ansatz is inconsistent")
         metrics = _step_metrics(config, sol, F_e, rho, grid, t, t_b, growth.v_a)
         records.append(StepRecord(t=t, grid=grid, v_nodes=sol.v_nodes,
                                   grad_v=sol.grad_v, F_e=F_e, p=sol.p, rho=rho,
@@ -391,7 +397,7 @@ def run_thermal(config: ScenarioConfig) -> RunResult:
     """March deposition with isotropic attachment mismatch (property-verified)."""
     if config.kind != "thermal":
         raise ValidationError(f"config.kind must be 'thermal', got {config.kind!r}")
-    return _run_1d(config, check_ansatz=True)
+    return _run_1d(config)
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
@@ -450,66 +456,53 @@ def convergence_study(config: ScenarioConfig, resolutions) -> list[ConvergenceRo
 # Pathlines against a stored run
 # ---------------------------------------------------------------------------
 
-class HistoryVelocitySampler:
-    """Velocity/gradient sampler over a stored history.
-
-    Piecewise linear in ``x2`` (faces for the velocity, face-padded cell
-    centers for the gradient) and piecewise constant in time within a step.
-    """
-
-    def __init__(self, history):
-        self.history = list(history)
-        self.times = np.array([rec.t for rec in self.history])
-        self._cache = []
-        for rec in self.history:
-            g = rec.grad_v[:, 0, 1]
-            gx = np.concatenate([[0.0], rec.grid.centers, [rec.grid.height]])
-            gv = np.concatenate([[g[0]], g, [g[-1]]])
-            self._cache.append((rec.grid.height, rec.grid.faces, rec.v_nodes, gx, gv))
-
-    def _index(self, t: float) -> int:
-        i = int(np.searchsorted(self.times, t * (1 + 1e-14), side="right")) - 1
-        return min(max(i, 0), len(self.history) - 1)
-
-    def __call__(self, x, t):
-        H, faces, v_nodes, gx, gv = self._cache[self._index(t)]
-        x2 = min(max(float(x[1]), 0.0), H)
-        v1 = float(np.interp(x2, faces, v_nodes))
-        g = float(np.interp(x2, gx, gv))
-        return np.array([v1, 0.0]), np.array([[0.0, g], [0.0, 0.0]])
-
-    def inside(self, x, t) -> bool:
-        H = self._cache[self._index(t)][0]
-        return -1e-9 <= float(x[1]) <= H + 1e-9
-
-
 def trace_history_pathlines(result: RunResult, count: int = 20) -> list[PathlineRecord]:
     """Integrate characteristics through the stored velocity history.
 
     Seeds are spread through the final body; each pathline starts at the
-    first stored time level whose body contains the seed height, with the
-    grid field interpolated there as its starting F_e, and is integrated
-    with the run's own step size.  Sample times coincide with the stored
-    levels, so grid/characteristic comparisons need no time interpolation.
+    first stored level whose body contains the seed height, with the grid
+    field interpolated there as its starting F_e.  With ``v = v1(x2) e1`` a
+    pathline keeps its height, so each explicit midpoint (RK2) step samples
+    one stored level (``v1`` at the faces, ``grad v`` at the face-padded
+    cell centers) and lands on the next: all seeds advance together, one
+    array step per level, and sample times coincide with the stored levels.
+    A seed first reached at the last level has no step and is skipped.
     """
     history = result.history
-    sampler = HistoryVelocitySampler(history)
-    t_end = history[-1].t
-    dt = history[1].t - history[0].t if len(history) > 1 else t_end
-    H_end = history[-1].grid.height
-    pathlines = []
-    for i in range(count):
-        x2_seed = (i + 0.5) * H_end / count
-        j0 = next(j for j, rec in enumerate(history) if rec.grid.height >= x2_seed)
-        rec = history[j0]
-        if rec.t >= t_end:
-            continue
-        F0 = interp_columns(np.array([x2_seed]), rec.grid.centers, rec.F_e)[0]
-        pl = integrate_characteristics(sampler, np.array([0.0, x2_seed]),
-                                       rec.t, t_end, dt, F0,
-                                       domain=sampler.inside)
-        pathlines.append(pl)
-    return pathlines
+    last = len(history) - 1
+    times = np.array([rec.t for rec in history])
+    heights = np.array([rec.grid.height for rec in history])
+    x2 = (np.arange(count) + 0.5) * heights[-1] / count
+    j0 = np.searchsorted(heights, x2)
+    x2, j0 = x2[j0 < last], j0[j0 < last]
+    h = (times[-1] - times[j0]) / (last - j0)
+    x1s = np.zeros((last + 1, len(x2)))
+    Fs = np.zeros((last + 1, len(x2), 2, 2))
+    for i, j in enumerate(j0):
+        rec = history[j]
+        Fs[j, i] = interp_columns(x2[i:i + 1], rec.grid.centers, rec.F_e)[0]
+    for j in range(j0.min(initial=last), last):
+        rec = history[j]
+        # seeds ascend in height and so in start level: the active ones
+        # are a prefix
+        on = slice(0, int(np.searchsorted(j0, j, side="right")))
+        z = x2[on]
+        g = rec.grad_v[:, 0, 1]
+        g = np.interp(z, np.concatenate([[0.0], rec.grid.centers, [rec.grid.height]]),
+                      np.concatenate([[g[0]], g, [g[-1]]]))
+        L = np.zeros((len(z), 2, 2))
+        L[:, 0, 1] = g
+        hj = h[on, None, None]
+        F = Fs[j, on]
+        F_mid = F + 0.5 * hj * (L @ F)
+        Fs[j + 1, on] = F + hj * (L @ F_mid)
+        x1s[j + 1, on] = x1s[j, on] + h[on] * np.interp(z, rec.grid.faces, rec.v_nodes)
+        if np.any(z > heights[j + 1] + 1e-9):
+            raise OutOfDomain(f"characteristic left the body at t = {times[j + 1]:g}")
+    return [PathlineRecord(t=times[j] + np.arange(last + 1 - j) * h[i],
+                           x=np.column_stack([x1s[j:, i], np.full(last + 1 - j, x2[i])]),
+                           F_e=Fs[j:, i].copy())
+            for i, j in enumerate(j0)]
 
 
 def pathline_samples(history, pl: PathlineRecord):

@@ -40,6 +40,15 @@ def test_run_rejects_zero_viscosity(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_zero_fdm_shear_length(tmp_path, capsys):
+    cfg = tmp_path / "fdm.cfg"
+    cfg.write_text("kind = fdm_shear\nmu = 1.0\nh = 0.1\nv0 = 1.0\nL = 0\n"
+                   "H0 = 1.0\nt_end = 0.5\nn_cells = 32\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error: ValidationError: L" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_prints_orders(tmp_path, capsys):
     cfg = tmp_path / "nn.cfg"
     cfg.write_text(NN_CFG)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import surfgrow.scenarios
-from surfgrow import (MaterialParams, NoOracle, OutOfBody, ScenarioConfig,
-                      SingularSystem, ValidationError, analytic_non_normal,
-                      convergence_study, reconstruct_reference,
+from surfgrow import (IncompatibleAnsatz, MaterialParams, NoOracle, OutOfBody,
+                      ScenarioConfig, SingularSystem, ValidationError,
+                      analytic_non_normal, convergence_study,
+                      integrate_characteristics, reconstruct_reference,
                       reconstruction_roundtrip_error, regrid_fields,
                       run_fdm_shear, run_non_normal, run_scenario, run_thermal,
                       trace_history_pathlines, pathline_grid_discrepancy)
+from surfgrow.grids import interp_columns
 from surfgrow.kinematics import _transport_step_1d, reduced_step_1d
 
 
@@ -47,6 +49,12 @@ def test_config_invariants():
         thermal_config(alpha=0.0)
     with pytest.raises(ValidationError):
         nn_config(dt=-0.1)
+    # fdm_shear geometry: L = 0 divided by zero in the mass rate, v0 < 0
+    # silently shrank the body
+    for field, value in (("h", 0.0), ("h", -0.1), ("L", 0.0), ("L", -1.0),
+                         ("v0", -1.0)):
+        with pytest.raises(ValidationError, match=f"^{field} must"):
+            fdm_config(**{field: value})
 
 
 def test_config_rejects_non_normal_preexisting_body():
@@ -224,6 +232,60 @@ def test_pathlines_match_grid_and_attachment_value():
         assert abs(pl.F_e[0, 0, 1] + cfg.alpha) <= bound
 
 
+def _stored_level_sampler(history):
+    """Velocity sampler over a stored history, written out independently of
+    the tracer: the level at or before ``t``, ``v1`` linear between faces,
+    ``grad v`` linear between face-padded cell centers."""
+    times = np.array([rec.t for rec in history])
+
+    def level(t):
+        i = int(np.searchsorted(times, t * (1 + 1e-14), side="right")) - 1
+        return history[min(max(i, 0), len(history) - 1)]
+
+    def sampler(x, t):
+        rec = level(t)
+        x2 = min(max(float(x[1]), 0.0), rec.grid.height)
+        g = rec.grad_v[:, 0, 1]
+        gx = np.concatenate([[0.0], rec.grid.centers, [rec.grid.height]])
+        gv = np.concatenate([[g[0]], g, [g[-1]]])
+        v1 = float(np.interp(x2, rec.grid.faces, rec.v_nodes))
+        g2 = float(np.interp(x2, gx, gv))
+        return np.array([v1, 0.0]), np.array([[0.0, g2], [0.0, 0.0]])
+
+    def inside(x, t):
+        return -1e-9 <= float(x[1]) <= level(t).grid.height + 1e-9
+
+    return sampler, inside
+
+
+@pytest.mark.parametrize("make", [nn_config, thermal_config])
+def test_pathline_march_matches_general_integrator(make):
+    # v = v1(x2) e1 keeps every pathline at its seed height, so the array
+    # march over the stored levels is the general RK2 integrator, bitwise
+    res = run_scenario(make(n_cells=32, t_end=0.5))
+    history = res.history
+    times = np.array([rec.t for rec in history])
+    heights = [rec.grid.height for rec in history]
+    sampler, inside = _stored_level_sampler(history)
+    pathlines = trace_history_pathlines(res, count=9)
+    assert len(pathlines) == 9
+    for i, pl in enumerate(pathlines):
+        x2 = (i + 0.5) * heights[-1] / 9
+        j0 = next(j for j, H in enumerate(heights) if H >= x2)
+        assert len(pl.t) == len(history) - j0
+        np.testing.assert_allclose(pl.t, times[j0:], rtol=1e-12, atol=0)
+        rec = history[j0]
+        F0 = interp_columns(np.array([x2]), rec.grid.centers, rec.F_e)[0]
+        ref = integrate_characteristics(sampler, np.array([0.0, x2]), rec.t,
+                                        times[-1], times[1] - times[0], F0,
+                                        domain=inside)
+        np.testing.assert_array_equal(pl.t, ref.t)
+        np.testing.assert_array_equal(pl.x, ref.x)
+        np.testing.assert_array_equal(pl.F_e, ref.F_e)
+        # each record owns its arrays rather than viewing a shared buffer
+        assert all(a.flags.owndata for a in (pl.t, pl.x, pl.F_e))
+
+
 def test_convergence_study_fdm_is_scheme_exact():
     rows = convergence_study(fdm_config(t_end=1.0), [16, 32])
     assert all(r.linf <= 1e-10 for r in rows)
@@ -298,3 +360,24 @@ def test_error_mid_march_names_step_and_time(monkeypatch):
     assert str(info.value) == f"step 5, t = {5 * dt:.6g}: injected"
     assert isinstance(info.value.__cause__, SingularSystem)
     assert str(info.value.__cause__) == "injected"
+
+
+def test_ansatz_residual_is_checked_for_every_kind(monkeypatch):
+    solve = surfgrow.scenarios.quasistatic_momentum_solve_1d
+    calls = []
+
+    def inconsistent_solve(*args, **kwargs):
+        calls.append(1)
+        sol = solve(*args, **kwargs)
+        if len(calls) == 4:  # non_normal records from t = dt: step 4
+            sol = replace(sol, system_residual=1e-3)
+        return sol
+
+    monkeypatch.setattr(surfgrow.scenarios, "quasistatic_momentum_solve_1d",
+                        inconsistent_solve)
+    cfg = nn_config(n_cells=32, t_end=0.25)
+    dt, _ = cfg.resolve_dt()
+    with pytest.raises(IncompatibleAnsatz) as info:
+        run_non_normal(cfg)
+    assert str(info.value).startswith(f"step 4, t = {4 * dt:.6g}: ")
+    assert "1.000e-03" in str(info.value)
