@@ -23,7 +23,7 @@ the same scheme as one array march over the stored levels
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -168,20 +168,16 @@ class ReconstructedFrame:
     F_relax: np.ndarray
 
 
-def reconstruct_reference(history: Sequence[StepRecord],
-                          t0: float | None = None) -> list[ReconstructedFrame]:
-    """Recover F and F_relax from a stored run.
+def replay_reference(history: Sequence[StepRecord], t0: float | None = None,
+                     ) -> Iterator[tuple[ReconstructedFrame, StepRecord]]:
+    """Replay a stored run level by level: yield ``(frame, record)`` from
+    ``t0`` on (default: the earliest stored time).
 
-    The configuration at ``t0`` (default: earliest stored time) is declared
-    the reference, so ``F = I`` there; F is then advanced by replaying the
-    stored velocity gradients through the march's own step
-    (``reduced_step_1d``), and the relaxed shape follows from
-    ``F_relax = F_e^{-1} F`` at every sample.
-
-    Material accreted after ``t0`` carries ``F = I`` at its attachment
-    instant (its reference is its as-deposited shape), which makes its
-    recovered relaxed shape the inverse of the attachment elastic
-    deformation.
+    The configuration at ``t0`` is declared the reference, so ``F = I``
+    there; F is then advanced by replaying the stored velocity gradients
+    through the march's own step (``reduced_step_1d``), and the relaxed
+    shape follows from ``F_relax = F_e^{-1} F`` at every level.  Each frame
+    owns fresh arrays, so a consumer may keep or drop it.
     """
     if not history:
         raise ValidationError("history is empty")
@@ -192,16 +188,27 @@ def reconstruct_reference(history: Sequence[StepRecord],
         i0 = int(np.argmin(np.abs(times - t0)))
         if abs(times[i0] - t0) > 1e-9 * max(1.0, abs(t0)):
             raise ValidationError(f"t0 = {t0:g} is not a stored time level")
-    eye = identity((history[i0].grid.n_cells,))
-    F = eye.copy()
-    frames = [ReconstructedFrame(t=history[i0].t, F=F.copy(),
-                                 F_relax=inverse(history[i0].F_e) @ F)]
-    for prev, cur in zip(history[i0:], history[i0 + 1:]):
-        F = reduced_step_1d(F, prev.grad_v, cur.t - prev.t, prev.grid, cur.grid,
-                            np.eye(2))
-        frames.append(ReconstructedFrame(t=cur.t, F=F.copy(),
-                                         F_relax=inverse(cur.F_e) @ F))
-    return frames
+    F = identity((history[i0].grid.n_cells,))
+    prev = None
+    for cur in history[i0:]:
+        if prev is not None:
+            F = reduced_step_1d(F, prev.grad_v, cur.t - prev.t, prev.grid, cur.grid,
+                                np.eye(2))
+        yield ReconstructedFrame(t=cur.t, F=F, F_relax=inverse(cur.F_e) @ F), cur
+        prev = cur
+
+
+def reconstruct_reference(history: Sequence[StepRecord],
+                          t0: float | None = None) -> list[ReconstructedFrame]:
+    """Recover F and F_relax from a stored run: every frame of
+    ``replay_reference``, from ``t0`` on.
+
+    Material accreted after ``t0`` carries ``F = I`` at its attachment
+    instant (its reference is its as-deposited shape), which makes its
+    recovered relaxed shape the inverse of the attachment elastic
+    deformation.
+    """
+    return [frame for frame, _ in replay_reference(history, t0=t0)]
 
 
 # ---------------------------------------------------------------------------

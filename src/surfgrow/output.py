@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import IoError
-from .scenarios import RunResult, pathline_samples
+from .scenarios import RunResult, pathline_levels
 
 SNAPSHOT_COLUMNS = ("x2", "v1", "v2", "Fe11", "Fe12", "Fe21", "Fe22", "p", "rho")
 METRIC_FIELDS = ("t", "H", "mass_residual", "momentum_residual",
@@ -60,14 +60,18 @@ def _snapshot_indices(n_records: int, n_snapshots: int) -> list[int]:
     return sorted(set(np.linspace(0, n_records - 1, k).round().astype(int).tolist()))
 
 
+def _format_rows(row_format: str, table: np.ndarray) -> list[str]:
+    # one %-format per row: "%.17g" writes the same bytes as fmt
+    return [row_format % row for row in map(tuple, table.tolist())]
+
+
 def _write_snapshot(path: Path, rec) -> None:
     v1 = 0.5 * (rec.v_nodes[:-1] + rec.v_nodes[1:])
+    n = rec.grid.n_cells
+    table = np.column_stack([rec.grid.centers, v1, np.zeros(n),
+                             rec.F_e.reshape(n, 4), rec.p, rec.rho])
     rows = [",".join(SNAPSHOT_COLUMNS)]
-    for j, x2 in enumerate(rec.grid.centers):
-        F = rec.F_e[j]
-        rows.append(",".join(fmt(v) for v in
-                             (x2, v1[j], 0.0, F[0, 0], F[0, 1], F[1, 0], F[1, 1],
-                              rec.p[j], rec.rho[j])))
+    rows += _format_rows(",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)), table)
     path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -86,16 +90,21 @@ def _write_metrics(path: Path, result: RunResult) -> None:
 
 
 def _write_pathlines(path: Path, result: RunResult) -> None:
+    pathlines = result.pathlines
+    x2, groups = pathline_levels(result.history, pathlines)
+    v1 = np.empty(len(x2))
+    p = np.empty(len(x2))
+    for j, idx in groups:
+        rec = result.history[j]
+        v1[idx] = np.interp(x2[idx], rec.grid.faces, rec.v_nodes)
+        p[idx] = np.interp(x2[idx], rec.grid.centers, rec.p)
+    index = np.concatenate([np.full(len(pl.t), i) for i, pl in enumerate(pathlines)])
+    t = np.concatenate([pl.t for pl in pathlines])
+    x = np.concatenate([pl.x for pl in pathlines])
+    F = np.concatenate([pl.F_e for pl in pathlines]).reshape(-1, 4)
+    table = np.column_stack([index, t, x, F, v1, np.zeros(len(t)), p])
     lines = ["pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p"]
-    for i, pl in enumerate(result.pathlines):
-        for m, rec, x2 in pathline_samples(result.history, pl):
-            v1 = float(np.interp(x2, rec.grid.faces, rec.v_nodes))
-            p = float(np.interp(x2, rec.grid.centers, rec.p))
-            F = pl.F_e[m]
-            lines.append(",".join([str(i)] + [fmt(v) for v in
-                                              (pl.t[m], pl.x[m, 0], pl.x[m, 1],
-                                               F[0, 0], F[0, 1], F[1, 0], F[1, 1],
-                                               v1, 0.0, p)]))
+    lines += _format_rows("%d" + ",%.17g" * 10, table)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from surfgrow import (Grid1D, MaterialParams, ParseError, RunResult,
-                      ScenarioConfig, StepRecord, ValidationError, parse_config,
-                      read_snapshot, run_fdm_shear, write_fields)
+from surfgrow import (Grid1D, MaterialParams, ParseError, PathlineRecord,
+                      RunResult, ScenarioConfig, StepRecord, ValidationError,
+                      parse_config, read_snapshot, run_fdm_shear, run_non_normal,
+                      trace_history_pathlines, write_fields)
 from surfgrow.config import read_pairs
-from surfgrow.output import SNAPSHOT_COLUMNS
+from surfgrow.output import METRIC_FIELDS, SNAPSHOT_COLUMNS, fmt
 from surfgrow.tensors import identity
 
 
@@ -130,3 +131,82 @@ def test_manifest_matches_directory(tmp_path):
     assert parsed["duration_seconds"] == 1.25
     assert parsed["version"] and parsed["config"]["kind"] == "fdm_shear"
     assert all(len(f["sha256"]) == 64 for f in parsed["files"])
+
+
+def _reference_snapshot(rec) -> str:
+    # one fmt call per value
+    v1 = 0.5 * (rec.v_nodes[:-1] + rec.v_nodes[1:])
+    rows = [",".join(SNAPSHOT_COLUMNS)]
+    for j, x2 in enumerate(rec.grid.centers):
+        F = rec.F_e[j]
+        rows.append(",".join(fmt(v) for v in
+                             (x2, v1[j], 0.0, F[0, 0], F[0, 1], F[1, 0], F[1, 1],
+                              rec.p[j], rec.rho[j])))
+    return "\n".join(rows) + "\n"
+
+
+def _reference_pathlines(result) -> str:
+    # sample by sample: clamped stored level, clamped height, fmt per value
+    history = result.history
+    t0, dt, last = history[0].t, history[1].t - history[0].t, len(history) - 1
+    lines = ["pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p"]
+    for i, pl in enumerate(result.pathlines):
+        for m, t in enumerate(pl.t):
+            rec = history[min(max(int(round((t - t0) / dt)), 0), last)]
+            x2 = min(max(pl.x[m, 1], 0.0), rec.grid.height)
+            v1 = float(np.interp(x2, rec.grid.faces, rec.v_nodes))
+            p = float(np.interp(x2, rec.grid.centers, rec.p))
+            F = pl.F_e[m]
+            lines.append(",".join([str(i)] + [fmt(v) for v in
+                                              (t, pl.x[m, 0], pl.x[m, 1],
+                                               F[0, 0], F[0, 1], F[1, 0], F[1, 1],
+                                               v1, 0.0, p)]))
+    return "\n".join(lines) + "\n"
+
+
+def _odd_values_result():
+    # values whose text is easy to get wrong: signed zero, the smallest
+    # subnormal, a repeating fraction, nan and infinities
+    odd = np.array([-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300])
+    history = []
+    for k, H in enumerate((0.5, 0.75, 1.0)):
+        grid = Grid1D(4, H)
+        history.append(StepRecord(
+            t=0.5 * k, grid=grid, v_nodes=np.roll(odd[:5], k),
+            grad_v=np.zeros((4, 2, 2)), F_e=np.roll(odd, k).reshape(2, 2, 2).repeat(2, 0),
+            p=np.roll(odd, k)[:4], rho=np.full(4, 1.0 / 3.0),
+            metrics={name: 0.0 for name in METRIC_FIELDS}))
+    pathlines = [
+        PathlineRecord(t=[-0.0, 1.0 / 3.0, 0.9, 1.4],
+                       x=[[-0.0, 5e-324], [1.0 / 3.0, -0.0], [5e-324, 0.9], [0.0, 2.0]],
+                       F_e=np.resize(odd, (4, 2, 2))),
+        PathlineRecord(t=[0.5, 1.0], x=[[0.0, 1.0 / 3.0], [1e300, -1.0]],
+                       F_e=np.resize(odd[::-1], (2, 2, 2))),
+    ]
+    return RunResult(config=_tiny_config(), history=history, pathlines=pathlines)
+
+
+def test_csv_rows_match_per_value_fmt(tmp_path):
+    res = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=32, t_end=0.5,
+                                        n_snapshots=4))
+    res.pathlines = trace_history_pathlines(res, count=5)
+    for name, result in (("run", res), ("odd", _odd_values_result())):
+        out = tmp_path / name
+        manifest = write_fields(result, out)
+        assert manifest.snapshots
+        for snap in manifest.snapshots:
+            expected = _reference_snapshot(result.history[snap["step"]])
+            assert (out / snap["file"]).read_bytes() == expected.encode(), snap["file"]
+        assert (out / "pathlines.csv").read_bytes() == \
+            _reference_pathlines(result).encode()
+    text = (tmp_path / "odd" / "pathlines.csv").read_text()
+    for token in ("-0", "4.9406564584124654e-324", "0.33333333333333331", "nan", "-inf"):
+        assert token in text.replace("\n", ",").split(","), token
+
+
+def test_no_pathlines_writes_no_pathline_file(tmp_path):
+    res = run_fdm_shear(_tiny_config())
+    assert res.pathlines == []
+    manifest = write_fields(res, tmp_path / "out")
+    assert not (tmp_path / "out" / "pathlines.csv").exists()
+    assert "pathlines.csv" not in {f["name"] for f in manifest.files}

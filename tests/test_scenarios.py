@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 import surfgrow.scenarios
 from surfgrow import (IncompatibleAnsatz, MaterialParams, NoOracle, OutOfBody,
-                      ScenarioConfig, SingularSystem, ValidationError,
-                      analytic_non_normal, convergence_study,
+                      PathlineRecord, ScenarioConfig, SingularSystem,
+                      ValidationError, analytic_non_normal, convergence_study,
                       integrate_characteristics, reconstruct_reference,
                       reconstruction_roundtrip_error, regrid_fields,
                       run_fdm_shear, run_non_normal, run_scenario, run_thermal,
@@ -230,6 +231,80 @@ def test_pathlines_match_grid_and_attachment_value():
     bound = cfg.alpha * lam * (dx / cfg.V_G + 2 * res.history[1].t) + 1e-9
     for pl in pathlines:
         assert abs(pl.F_e[0, 0, 1] + cfg.alpha) <= bound
+
+
+def _per_sample_discrepancy(history, pathlines):
+    """The gap sample by sample: the stored level at ``rint((t - t0)/dt)``
+    clamped to the history, the height clamped to that level's body."""
+    t0 = history[0].t
+    dt = history[1].t - history[0].t
+    last = len(history) - 1
+    worst = 0.0
+    for pl in pathlines:
+        for m, t in enumerate(pl.t):
+            rec = history[min(max(int(round((t - t0) / dt)), 0), last)]
+            x2 = min(max(pl.x[m, 1], 0.0), rec.grid.height)
+            F_grid = interp_columns(np.array([x2]), rec.grid.centers, rec.F_e)[0]
+            worst = max(worst, float(np.max(np.abs(F_grid - pl.F_e[m]))))
+    return worst
+
+
+@pytest.mark.parametrize("make, n_cells, count", [(nn_config, 64, 7),
+                                                  (thermal_config, 50, 3)])
+def test_discrepancy_by_level_matches_per_sample_loop(make, n_cells, count):
+    res = run_scenario(make(n_cells=n_cells))
+    pathlines = trace_history_pathlines(res, count=count)
+    gap = pathline_grid_discrepancy(res, pathlines)
+    assert gap > 0
+    assert repr(gap) == repr(_per_sample_discrepancy(res.history, pathlines))
+
+
+def test_discrepancy_clamps_time_and_height_like_per_sample_loop():
+    res = run_non_normal(nn_config(n_cells=32, t_end=0.5))
+    history = res.history
+    t_end, H_end = history[-1].t, history[-1].grid.height
+    # times before t0 and past t_end, off the stored levels; heights below
+    # the base and above the body at every level
+    t = np.linspace(-0.1, t_end + 0.3, 40) + 1e-4
+    x2 = np.linspace(-0.2, H_end + 0.4, 40)
+    x = np.column_stack([np.zeros(40), x2])
+    assert t.max() > t_end and x2.max() > H_end and t.min() < 0 and x2.min() < 0
+    # with F_e = I the gap of one sample is |F_e12| of the grid where it
+    # lands, so scoring samples one at a time shows any level it misplaces
+    F_e = np.broadcast_to(np.eye(2), (40, 2, 2))
+    for m in range(40):
+        one = [PathlineRecord(t=t[m:m + 1], x=x[m:m + 1], F_e=F_e[m:m + 1])]
+        gap = pathline_grid_discrepancy(res, one)
+        assert repr(gap) == repr(_per_sample_discrepancy(history, one)), m
+    pathlines = [PathlineRecord(t=t, x=x, F_e=F_e)] + trace_history_pathlines(res, count=3)
+    gap = pathline_grid_discrepancy(res, pathlines)
+    assert repr(gap) == repr(_per_sample_discrepancy(history, pathlines))
+
+
+def test_discrepancy_of_no_pathlines_is_zero():
+    res = run_non_normal(nn_config(n_cells=32, t_end=0.25))
+    assert pathline_grid_discrepancy(res, []) == 0.0
+
+
+def test_roundtrip_keeps_one_level_of_the_replay():
+    res = run_non_normal(nn_config())
+    frames = reconstruct_reference(res.history)
+    expected = max(
+        float(np.max(np.abs(rec.F_e @ f.F_relax - f.F)))
+        / max(1.0, float(np.max(np.abs(f.F))))
+        for f, rec in zip(frames, res.history))
+    frame_bytes = frames[0].F.nbytes + frames[0].F_relax.nbytes
+    assert len(frames) > 200
+    del frames
+    tracemalloc.start()
+    try:
+        value = reconstruction_roundtrip_error(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    # holding every frame would take len(history) frames' worth
+    assert peak < 10 * frame_bytes
 
 
 def _stored_level_sampler(history):
