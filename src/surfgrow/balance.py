@@ -5,7 +5,9 @@ Growth enters the balance laws only through the boundary: the surface
 moves with ``V_b . n = v . n + M / rho`` and develops the traction
 ``sigma n = M (v_a - v) + t_b``.  In the bulk only the (here inertia-free)
 momentum balance is solved: with ``v = v1(x2) e1`` the continuity equation
-leaves the density at its attachment value.
+leaves the density at its attachment value, and the velocity gradient
+``grad v = v1'(x2) e1 (x) e2`` is rank one, so the solve returns its single
+scalar ``g = v1'`` per cell rather than a 2x2 stack.
 """
 
 from __future__ import annotations
@@ -98,14 +100,15 @@ class QuasistaticSolution:
     """Result of the through-thickness momentum solve.
 
     ``v_nodes`` is the tangential velocity at the n+1 cell faces (node 0
-    clamped); ``grad_v`` the cell-centered velocity gradient; ``p`` the
-    per-cell pressure.  ``system_residual`` is the max-norm residual of the
+    clamped); ``g`` the cell-centered shear rate ``v1'``, the one nonzero
+    component ``(0, 1)`` of the velocity gradient; ``p`` the per-cell
+    pressure.  ``system_residual`` is the max-norm residual of the
     scaled tridiagonal system, ``traction_residual`` the defect of the
     discrete surface traction against the applied one.
     """
 
     v_nodes: np.ndarray
-    grad_v: np.ndarray
+    g: np.ndarray
     p: np.ndarray
     system_residual: float
     traction_residual: float
@@ -129,7 +132,7 @@ def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D, params: Materia
     the pressure cell-wise.
 
     The admissible family requires ``|F_e21| <= ANSATZ_TOL``; otherwise
-    ``NotReduced`` is raised.  The returned ``grad_v`` uses the scheme's
+    ``NotReduced`` is raised.  The returned shear rate ``g`` is the scheme's
     exact discrete first integral
 
         mu v1'(x) = tau1 - G S12(x)
@@ -161,8 +164,6 @@ def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D, params: Materia
     p = G * S22 - tau2
     if not (np.all(np.isfinite(v_nodes)) and np.all(np.isfinite(p))):
         raise SingularSystem("momentum solve produced non-finite values")
-    grad_v = np.zeros((n, 2, 2))
-    grad_v[:, 0, 1] = g_cells
 
     # Residual of the tridiagonal system, rows scaled to O(1) entries.
     resid = np.empty(n)
@@ -176,7 +177,7 @@ def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D, params: Materia
     sigma22_top = -p[-1] + G * S22[-1]
     traction_residual = max(abs(sigma12_top - tau1), abs(sigma22_top - tau2))
 
-    return QuasistaticSolution(v_nodes=v_nodes, grad_v=grad_v, p=p,
+    return QuasistaticSolution(v_nodes=v_nodes, g=g_cells, p=p,
                                system_residual=system_residual,
                                traction_residual=traction_residual)
 

@@ -4,8 +4,9 @@ The through-thickness grid is one-dimensional in the coordinate ``x2``,
 cell-centered field storage, and is rebuilt on ``[0, H(t)]`` with a fixed
 cell count whenever the body height changes (fields are resampled by
 linear interpolation; cells created above the old height take the inflow
-value).  A small periodic-in-``x1`` strip grid supports the
-two-dimensional verification transports.
+value).  A record stores the velocity gradient as its one scalar per
+cell, the shear rate ``g``.  A small periodic-in-``x1`` strip grid
+supports the two-dimensional verification transports.
 """
 
 from __future__ import annotations
@@ -48,21 +49,30 @@ class StepRecord:
     """One time level of a run: geometry, solved velocity, and fields.
 
     ``v_nodes`` holds the tangential velocity at the ``n+1`` cell faces
-    (node 0 is the clamped base); ``grad_v`` is the cell-centered velocity
-    gradient actually used by the transport step.  A growth march owns its
-    arrays: ``F_e``, ``p``, ``v_nodes`` and ``grad_v`` are fresh every step,
-    and the uniform density ``rho`` is one read-only array shared by all
-    records of the run.
+    (node 0 is the clamped base); ``g`` is the cell-centered shear rate
+    ``v1'`` actually used by the transport step.  With ``v = v1(x2) e1`` it
+    is the only nonzero component ``(0, 1)`` of the velocity gradient, which
+    ``grad_v`` assembles on demand.  A growth march owns its arrays:
+    ``F_e``, ``p``, ``v_nodes`` and ``g`` are fresh every step, and the
+    uniform density ``rho`` is one read-only array shared by all records of
+    the run.
     """
 
     t: float
     grid: Grid1D
     v_nodes: np.ndarray
-    grad_v: np.ndarray
+    g: np.ndarray
     F_e: np.ndarray
     p: np.ndarray
     rho: np.ndarray
     metrics: dict = field(default_factory=dict)
+
+    @property
+    def grad_v(self) -> np.ndarray:
+        """The ``(n, 2, 2)`` velocity gradient ``g e1 (x) e2``, built afresh."""
+        grad_v = np.zeros((len(self.g), 2, 2))
+        grad_v[:, 0, 1] = self.g
+        return grad_v
 
 
 def interp_columns(xq: np.ndarray, xp: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -12,12 +12,13 @@ is required); ablation is an outflow (none is).
 Grid transport uses first-order upwinding plus forward-Euler source
 integration.  In the through-thickness reduction the advecting velocity
 ``v2`` is zero, so the growth march keeps only the source update
-(``reduced_step_1d``).  Characteristic transport integrates the
-equivalent ODE system along pathlines with an explicit midpoint (RK2)
-scheme (``integrate_characteristics``, for any velocity sampler).  In the
-reduction a pathline keeps its height, so the scenarios trace theirs with
-the same scheme as one array march over the stored levels
-(``scenarios.trace_history_pathlines``).
+(``reduced_step_1d``), where the rank-one gradient ``g e1 (x) e2`` changes
+only the first row of the transported tensor.  Characteristic transport
+integrates the equivalent ODE system along pathlines with an explicit
+midpoint (RK2) scheme (``integrate_characteristics``, for any velocity
+sampler).  In the reduction a pathline keeps its height, so the scenarios
+trace theirs with the same scheme as one array march over the stored
+levels (``scenarios.trace_history_pathlines``).
 """
 
 from __future__ import annotations
@@ -104,19 +105,23 @@ def _transport_step_1d(tensor_field: np.ndarray, v: np.ndarray, grad_v: np.ndarr
     return T + dt * (source - adv)
 
 
-def reduced_step_1d(T: np.ndarray, grad_v: np.ndarray, dt: float,
+def reduced_step_1d(T: np.ndarray, g: np.ndarray, dt: float,
                     grid: Grid1D, new_grid: Grid1D, inflow_bc: np.ndarray) -> np.ndarray:
     """One transport step of the through-thickness reduction, then regrid.
 
     With ``v = v1(x2) e1`` the advecting velocity ``v2`` vanishes, so the
     upwind term of ``_transport_step_1d`` is exactly zero and the step is
-    the source update ``T + dt (grad v) T``.  The result is resampled onto
-    ``new_grid`` (``inflow_bc`` fills freshly accreted cells) whenever the
-    grid changed.
+    the source update ``T + dt (grad v) T``.  The velocity gradient
+    ``g e1 (x) e2`` is rank one, so only the first row changes:
+    ``T[0, :] += dt g T[1, :]``.  Each entry of ``(grad v) T`` sums one
+    such product and an exact zero, so this is bitwise the full update.
+    The result is a fresh array, resampled onto ``new_grid`` (``inflow_bc``
+    fills freshly accreted cells) whenever the grid changed.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    T = T + dt * (grad_v @ T)
+    T = T.copy()
+    T[:, 0, :] += dt * (g[:, None] * T[:, 1, :])
     if new_grid != grid:
         T = regrid_fields(grid, new_grid, T, inflow_bc)
     return T
@@ -174,7 +179,7 @@ def replay_reference(history: Sequence[StepRecord], t0: float | None = None,
     ``t0`` on (default: the earliest stored time).
 
     The configuration at ``t0`` is declared the reference, so ``F = I``
-    there; F is then advanced by replaying the stored velocity gradients
+    there; F is then advanced by replaying the stored shear rates ``g``
     through the march's own step (``reduced_step_1d``), and the relaxed
     shape follows from ``F_relax = F_e^{-1} F`` at every level.  Each frame
     owns fresh arrays, so a consumer may keep or drop it.
@@ -192,7 +197,7 @@ def replay_reference(history: Sequence[StepRecord], t0: float | None = None,
     prev = None
     for cur in history[i0:]:
         if prev is not None:
-            F = reduced_step_1d(F, prev.grad_v, cur.t - prev.t, prev.grid, cur.grid,
+            F = reduced_step_1d(F, prev.g, cur.t - prev.t, prev.grid, cur.grid,
                                 np.eye(2))
         yield ReconstructedFrame(t=cur.t, F=F, F_relax=inverse(cur.F_e) @ F), cur
         prev = cur

@@ -24,6 +24,8 @@ SNAPSHOT_COLUMNS = ("x2", "v1", "v2", "Fe11", "Fe12", "Fe21", "Fe22", "p", "rho"
 METRIC_FIELDS = ("t", "H", "mass_residual", "momentum_residual",
                  "traction_residual", "system_residual", "det_drift",
                  "max_F_e21", "max_p_dev")
+# Rows of a CSV table formatted and written at a time.
+BLOCK_ROWS = 1024
 
 
 def fmt(x: float) -> str:
@@ -60,9 +62,19 @@ def _snapshot_indices(n_records: int, n_snapshots: int) -> list[int]:
     return sorted(set(np.linspace(0, n_records - 1, k).round().astype(int).tolist()))
 
 
-def _format_rows(row_format: str, table: np.ndarray) -> list[str]:
-    # one %-format per row: "%.17g" writes the same bytes as fmt
-    return [row_format % row for row in map(tuple, table.tolist())]
+def _write_table(path: Path, header: str, row_format: str, table: np.ndarray) -> None:
+    """Write a CSV header and one ``row_format`` line per row of ``table``.
+
+    Rows are formatted and written ``BLOCK_ROWS`` at a time through one open
+    file, so no text of the whole table is ever held.  One %-format per row:
+    ``"%.17g"`` writes the same bytes as ``fmt``.
+    """
+    line_format = row_format + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        for start in range(0, len(table), BLOCK_ROWS):
+            block = table[start:start + BLOCK_ROWS].tolist()
+            f.write("".join(line_format % tuple(row) for row in block))
 
 
 def _write_snapshot(path: Path, rec) -> None:
@@ -70,9 +82,8 @@ def _write_snapshot(path: Path, rec) -> None:
     n = rec.grid.n_cells
     table = np.column_stack([rec.grid.centers, v1, np.zeros(n),
                              rec.F_e.reshape(n, 4), rec.p, rec.rho])
-    rows = [",".join(SNAPSHOT_COLUMNS)]
-    rows += _format_rows(",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)), table)
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    _write_table(path, ",".join(SNAPSHOT_COLUMNS),
+                 ",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)), table)
 
 
 def _write_metrics(path: Path, result: RunResult) -> None:
@@ -103,9 +114,8 @@ def _write_pathlines(path: Path, result: RunResult) -> None:
     x = np.concatenate([pl.x for pl in pathlines])
     F = np.concatenate([pl.F_e for pl in pathlines]).reshape(-1, 4)
     table = np.column_stack([index, t, x, F, v1, np.zeros(len(t)), p])
-    lines = ["pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p"]
-    lines += _format_rows("%d" + ",%.17g" * 10, table)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_table(path, "pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p",
+                 "%d" + ",%.17g" * 10, table)
 
 
 def read_snapshot(path) -> dict:

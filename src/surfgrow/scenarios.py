@@ -102,6 +102,11 @@ class ScenarioConfig:
             raise ValidationError(f"H0 must be nonnegative, got {self.H0}")
         if self.n_snapshots < 1:
             raise ValidationError("n_snapshots must be >= 1")
+        if self.mu_sweep is not None and not (
+                len(self.mu_sweep) > 0
+                and all(math.isfinite(mu) and mu > 0 for mu in self.mu_sweep)):
+            raise ValidationError(f"mu_sweep must be a nonempty list of finite "
+                                  f"positive viscosities, got {self.mu_sweep}")
         if self.kind == "non_normal" and self.height0 > 0:
             raise ValidationError("H0 must be 0 for non_normal: its closed-form "
                                   "oracle assumes a body grown from nothing")
@@ -243,7 +248,8 @@ def _step_metrics(config: ScenarioConfig, sol, F_e, rho, grid, t, t_b,
     v_a = v_a_fixed if v_a_fixed is not None else v_surf
     n_hat = np.array([0.0, 1.0])
     V_b = np.array([0.0, boundary_normal_velocity(M, rho[-1], v_surf, n_hat)])
-    sigma_top = total_stress(F_e[-1], sol.grad_v[-1], sol.p[-1], params)
+    grad_v_top = np.array([[0.0, sol.g[-1]], [0.0, 0.0]])
+    sigma_top = total_stress(F_e[-1], grad_v_top, sol.p[-1], params)
     body = SideState(rho=float(rho[-1]), v=v_surf, sigma=sigma_top)
     ambient = SideState(rho=0.0, v=v_a, sigma=_ambient_stress(t_b))
     mass_res, mom_res = jump_residuals(body, ambient, V_b, n_hat, M, v_a)
@@ -303,7 +309,7 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
                 f"ansatz is inconsistent")
         metrics = _step_metrics(config, sol, F_e, rho, grid, t, t_b, growth.v_a)
         records.append(StepRecord(t=t, grid=grid, v_nodes=sol.v_nodes,
-                                  grad_v=sol.grad_v, F_e=F_e, p=sol.p, rho=rho,
+                                  g=sol.g, F_e=F_e, p=sol.p, rho=rho,
                                   metrics=metrics))
         v_surf_prev = np.array([sol.v_nodes[-1], 0.0])
         return sol
@@ -321,7 +327,7 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
             if grid is None:  # a body built from nothing: all attachment value
                 F_e = np.broadcast_to(F_att, (n, 2, 2)).copy()
             else:
-                F_e = reduced_step_1d(F_e, sol.grad_v, dt, grid, new_grid, F_att)
+                F_e = reduced_step_1d(F_e, sol.g, dt, grid, new_grid, F_att)
             grid = new_grid
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
@@ -416,7 +422,9 @@ def run_mu_sweep(config: ScenarioConfig, probe_x2: float = 0.25,
     """
     if config.kind != "non_normal":
         raise ValidationError("the viscosity sweep applies to the non_normal kind")
-    mus = mu_values if mu_values is not None else config.sweep_values()
+    if mu_values is not None:  # validated as the config's own sweep is
+        config = replace(config, mu_sweep=tuple(mu_values))
+    mus = config.sweep_values()
     out = []
     for mu in mus:
         params = replace(config.params, mu=mu)
@@ -463,9 +471,10 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
     first stored level whose body contains the seed height, with the grid
     field interpolated there as its starting F_e.  With ``v = v1(x2) e1`` a
     pathline keeps its height, so each explicit midpoint (RK2) step samples
-    one stored level (``v1`` at the faces, ``grad v`` at the face-padded
-    cell centers) and lands on the next: all seeds advance together, one
-    array step per level, and sample times coincide with the stored levels.
+    one stored level (``v1`` at the faces, the shear rate ``g`` at the
+    face-padded cell centers) and lands on the next: all seeds advance
+    together, one array step per level, and sample times coincide with the
+    stored levels.
     A seed first reached at the last level has no step and is skipped.
     """
     history = result.history
@@ -487,9 +496,8 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
         # are a prefix
         on = slice(0, int(np.searchsorted(j0, j, side="right")))
         z = x2[on]
-        g = rec.grad_v[:, 0, 1]
         g = np.interp(z, np.concatenate([[0.0], rec.grid.centers, [rec.grid.height]]),
-                      np.concatenate([[g[0]], g, [g[-1]]]))
+                      np.concatenate([rec.g[:1], rec.g, rec.g[-1:]]))
         L = np.zeros((len(z), 2, 2))
         L[:, 0, 1] = g
         hj = h[on, None, None]

@@ -49,6 +49,14 @@ def test_run_rejects_zero_fdm_shear_length(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_nonpositive_sweep_viscosity(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(NN_CFG + "mu_sweep = 0.1, 0.0\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error: ValidationError: mu_sweep" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_prints_orders(tmp_path, capsys):
     cfg = tmp_path / "nn.cfg"
     cfg.write_text(NN_CFG)

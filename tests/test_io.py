@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import surfgrow.output
 from surfgrow import (Grid1D, MaterialParams, ParseError, PathlineRecord,
                       RunResult, ScenarioConfig, StepRecord, ValidationError,
                       parse_config, read_snapshot, run_fdm_shear, run_non_normal,
@@ -86,7 +87,7 @@ def test_write_fields_empty_history(tmp_path):
 def test_write_fields_single_snapshot_row_count(tmp_path):
     grid = Grid1D(4, 1.0)
     rec = StepRecord(t=0.0, grid=grid, v_nodes=np.zeros(5),
-                     grad_v=np.zeros((4, 2, 2)), F_e=identity((4,)),
+                     g=np.zeros(4), F_e=identity((4,)),
                      p=np.ones(4), rho=np.ones(4),
                      metrics={k: 0.0 for k in
                               ("t", "H", "mass_residual", "momentum_residual",
@@ -173,7 +174,7 @@ def _odd_values_result():
         grid = Grid1D(4, H)
         history.append(StepRecord(
             t=0.5 * k, grid=grid, v_nodes=np.roll(odd[:5], k),
-            grad_v=np.zeros((4, 2, 2)), F_e=np.roll(odd, k).reshape(2, 2, 2).repeat(2, 0),
+            g=np.zeros(4), F_e=np.roll(odd, k).reshape(2, 2, 2).repeat(2, 0),
             p=np.roll(odd, k)[:4], rho=np.full(4, 1.0 / 3.0),
             metrics={name: 0.0 for name in METRIC_FIELDS}))
     pathlines = [
@@ -202,6 +203,21 @@ def test_csv_rows_match_per_value_fmt(tmp_path):
     text = (tmp_path / "odd" / "pathlines.csv").read_text()
     for token in ("-0", "4.9406564584124654e-324", "0.33333333333333331", "nan", "-inf"):
         assert token in text.replace("\n", ",").split(","), token
+
+
+def test_csv_blocks_write_the_same_bytes(tmp_path, monkeypatch):
+    # rows are written a block at a time; block edges must not show
+    res = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=32, t_end=0.5,
+                                        n_snapshots=3))
+    res.pathlines = trace_history_pathlines(res, count=4)
+    write_fields(res, tmp_path / "whole")
+    monkeypatch.setattr(surfgrow.output, "BLOCK_ROWS", 5)
+    write_fields(res, tmp_path / "blocks")
+    names = sorted(f.name for f in (tmp_path / "whole").iterdir())
+    assert "pathlines.csv" in names and "snapshot_0002.csv" in names
+    for name in names:
+        assert (tmp_path / "blocks" / name).read_bytes() == \
+            (tmp_path / "whole" / name).read_bytes(), name
 
 
 def test_no_pathlines_writes_no_pathline_file(tmp_path):

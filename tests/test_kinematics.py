@@ -151,7 +151,7 @@ def _static_history(n=8, steps=5, F_e12=0.25):
     recs = []
     for k in range(steps):
         recs.append(StepRecord(t=0.1 * k, grid=grid, v_nodes=np.zeros(n + 1),
-                               grad_v=np.zeros((n, 2, 2)), F_e=F_e.copy(),
+                               g=np.zeros(n), F_e=F_e.copy(),
                                p=np.ones(n), rho=np.ones(n)))
     return recs
 

@@ -10,8 +10,9 @@ from surfgrow import (IncompatibleAnsatz, MaterialParams, NoOracle, OutOfBody,
                       ValidationError, analytic_non_normal, convergence_study,
                       integrate_characteristics, reconstruct_reference,
                       reconstruction_roundtrip_error, regrid_fields,
-                      run_fdm_shear, run_non_normal, run_scenario, run_thermal,
-                      trace_history_pathlines, pathline_grid_discrepancy)
+                      run_fdm_shear, run_mu_sweep, run_non_normal, run_scenario,
+                      run_thermal, trace_history_pathlines,
+                      pathline_grid_discrepancy)
 from surfgrow.grids import interp_columns
 from surfgrow.kinematics import _transport_step_1d, reduced_step_1d
 
@@ -56,6 +57,18 @@ def test_config_invariants():
                          ("v0", -1.0)):
         with pytest.raises(ValidationError, match=f"^{field} must"):
             fdm_config(**{field: value})
+
+
+@pytest.mark.parametrize("sweep", [(), (0.1, 0.0), (0.1, float("nan")),
+                                   (0.1, -0.01), (0.1, float("inf"))])
+def test_config_rejects_bad_mu_sweep(sweep):
+    # each used to be accepted: () gave an empty sweep, and the sweep
+    # marched its 0.1 member before reaching the bad one
+    with pytest.raises(ValidationError, match="^mu_sweep"):
+        nn_config(mu_sweep=sweep)
+    with pytest.raises(ValidationError, match="^mu_sweep"):
+        run_mu_sweep(nn_config(), mu_values=sweep)
+    assert nn_config(mu_sweep=(0.1, 1e-3)).sweep_values() == (0.1, 1e-3)
 
 
 def test_config_rejects_non_normal_preexisting_body():
@@ -396,7 +409,7 @@ def test_reduced_step_reproduces_general_transport(make):
                                  prev.grad_v, prev.grid, dt, inflow_bc=F_att,
                                  mass_rate=cfg.mass_rate)
     general = regrid_fields(prev.grid, cur.grid, general, F_att)
-    reduced = reduced_step_1d(prev.F_e, prev.grad_v, dt, prev.grid, cur.grid, F_att)
+    reduced = reduced_step_1d(prev.F_e, prev.g, dt, prev.grid, cur.grid, F_att)
     np.testing.assert_array_equal(reduced, general)
     np.testing.assert_array_equal(cur.F_e, general)
     # rho never leaves its attachment value
@@ -414,6 +427,57 @@ def test_reduced_step_reproduces_general_transport(make):
         if b.grid != a.grid:
             F = regrid_fields(a.grid, b.grid, F, np.eye(2))
         np.testing.assert_array_equal(frame.F, F)
+
+
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_rank_one_step_is_the_full_source_update(make):
+    # grad v = g e1 (x) e2: the row update is bitwise T + dt (grad_v @ T)
+    # and the general transport kernel with v2 = 0, on every stored level
+    # and every replayed frame
+    cfg = make(n_cells=32, t_end=0.25)
+    res = run_scenario(cfg)
+    dt, _ = cfg.resolve_dt()
+    zero_v = np.zeros((32, 2))
+    frames = reconstruct_reference(res.history)
+    for rec, frame in zip(res.history, frames):
+        grad_v = rec.grad_v
+        assert grad_v.shape == (32, 2, 2)
+        np.testing.assert_array_equal(grad_v[:, 0, 1], rec.g)
+        assert np.count_nonzero(np.delete(grad_v.reshape(32, 4), 1, axis=1)) == 0
+        for T in (rec.F_e, frame.F):
+            step = reduced_step_1d(T, rec.g, dt, rec.grid, rec.grid, None)
+            np.testing.assert_array_equal(step, T + dt * (grad_v @ T))
+            np.testing.assert_array_equal(
+                step, _transport_step_1d(T, zero_v, grad_v, rec.grid, dt, None, 0.0))
+            assert not np.shares_memory(step, T)
+    # generic tensors and gradients of either sign
+    rng = np.random.default_rng(7)
+    T = rng.standard_normal((32, 2, 2))
+    g = rng.standard_normal(32)
+    grad_v = np.zeros((32, 2, 2))
+    grad_v[:, 0, 1] = g
+    grid = res.final.grid
+    np.testing.assert_array_equal(reduced_step_1d(T, g, 0.3, grid, grid, None),
+                                  T + 0.3 * (grad_v @ T))
+
+
+def test_stored_history_keeps_one_scalar_velocity_gradient_per_cell():
+    # per level: the F_e stack (4 floats a cell) plus g, p and v_nodes
+    # (3 more), and a small constant for the record, its grid and its
+    # metrics; an (n, 2, 2) grad_v stack would add 4 floats a cell
+    n = 128
+    cfg = nn_config(n_cells=n, t_end=0.25)
+    run_scenario(cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = run_scenario(cfg)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    levels = len(res.history)
+    assert levels > 500
+    assert held <= levels * ((4 + 3) * 8 * n + 2048)
 
 
 def test_error_mid_march_names_step_and_time(monkeypatch):
