@@ -49,18 +49,36 @@ class GrowthInput:
 
 @dataclass(frozen=True)
 class SideState:
-    """Bulk state on one side of a surface of discontinuity."""
+    """Bulk state on one side of a surface of discontinuity.
 
-    rho: float
+    May hold a stack of states: ``rho`` of shape ``S``, ``v`` of shape
+    ``S + (2,)`` and ``sigma`` of shape ``S + (2, 2)``.
+    """
+
+    rho: float | np.ndarray
     v: np.ndarray
     sigma: np.ndarray
 
 
-def boundary_normal_velocity(M: float, rho: float, v, n) -> float:
-    """Normal speed of the boundary, ``v . n + M / rho``: motion plus growth."""
-    if not rho > 0:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of 2-vectors over the trailing axis, broadcast over the rest."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _scalar_or_array(x: np.ndarray) -> float | np.ndarray:
+    return float(x) if x.ndim == 0 else x
+
+
+def boundary_normal_velocity(M: float, rho, v, n) -> float | np.ndarray:
+    """Normal speed of the boundary, ``v . n + M / rho``: motion plus growth.
+
+    Broadcasts over leading axes of ``rho`` and the vectors ``v``, ``n``;
+    scalar inputs return a float.
+    """
+    if not np.all(np.asarray(rho) > 0):
         raise ValidationError(f"rho must be positive, got {rho}")
-    return float(np.dot(v, n)) + M / rho
+    speed = _dot(np.asarray(v, dtype=float), np.asarray(n, dtype=float)) + M / rho
+    return _scalar_or_array(np.asarray(speed))
 
 
 def growth_traction(M: float, v_a, v, t_b) -> np.ndarray:
@@ -70,7 +88,7 @@ def growth_traction(M: float, v_a, v, t_b) -> np.ndarray:
 
 
 def jump_residuals(side_plus: SideState, side_minus: SideState, V_b, n,
-                   M: float, v_a) -> tuple[float, np.ndarray]:
+                   M: float, v_a) -> tuple[float | np.ndarray, np.ndarray]:
     """Residuals of the mass and momentum jump conditions across a surface.
 
     The jump is ``[[g]] = g_plus - g_minus`` with the body on the plus side
@@ -79,20 +97,28 @@ def jump_residuals(side_plus: SideState, side_minus: SideState, V_b, n,
 
         [[rho (V_b - v) . n]] - M              (mass)
         [[rho v ((V_b - v) . n)]] + [[sigma n]] - M v_a   (momentum)
+
+    Broadcasts over leading axes of the sides, ``V_b``, ``n`` and ``v_a``,
+    so a stack of surface states is checked in one call.  Scalar inputs
+    return ``(float, (2,) array)``; stacked ones ``(S, S + (2,))``.
     """
     n = np.asarray(n, dtype=float)
     V_b = np.asarray(V_b, dtype=float)
 
-    def flux(side: SideState) -> float:
-        return side.rho * float(np.dot(V_b - side.v, n))
+    def flux(side: SideState) -> np.ndarray:
+        return np.asarray(side.rho, dtype=float) * _dot(V_b - side.v, n)
 
-    mass_res = flux(side_plus) - flux(side_minus) - M
-    mom_res = (flux(side_plus) * np.asarray(side_plus.v, dtype=float)
-               - flux(side_minus) * np.asarray(side_minus.v, dtype=float)
-               + np.asarray(side_plus.sigma, dtype=float) @ n
-               - np.asarray(side_minus.sigma, dtype=float) @ n
+    def traction(side: SideState) -> np.ndarray:
+        return _dot(np.asarray(side.sigma, dtype=float), n[..., None, :])
+
+    flux_plus, flux_minus = flux(side_plus), flux(side_minus)
+    mass_res = flux_plus - flux_minus - M
+    mom_res = (flux_plus[..., None] * np.asarray(side_plus.v, dtype=float)
+               - flux_minus[..., None] * np.asarray(side_minus.v, dtype=float)
+               + traction(side_plus)
+               - traction(side_minus)
                - M * np.asarray(v_a, dtype=float))
-    return float(mass_res), mom_res
+    return _scalar_or_array(mass_res), mom_res
 
 
 @dataclass

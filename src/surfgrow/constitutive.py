@@ -11,6 +11,7 @@ the kinematic state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,10 @@ class MaterialParams:
     rho: float = 1.0
 
     def __post_init__(self):
+        for name in ("G", "mu", "rho"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.G > 0:
             raise ValidationError(f"G must be positive, got {self.G}")
         if self.mu < 0:

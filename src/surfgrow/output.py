@@ -168,7 +168,9 @@ def write_fields(result: RunResult, out_dir,
             config=config_echo,
             grid={"n_cells": cfg.n_cells,
                   "final_height": result.history[-1].grid.height if result.history else None},
-            time={"dt": dt, "n_steps": n_steps, "t_end": cfg.t_end},
+            # dt over the explicit relaxation bound, G dt F_e22^2 / mu (<= 1)
+            time={"dt": dt, "n_steps": n_steps, "t_end": cfg.t_end,
+                  "stability_margin": dt / cfg.relaxation_bound},
             duration_seconds=duration_seconds,
             snapshots=snapshots,
             files=files,

@@ -21,6 +21,10 @@ Three through-thickness scenarios are bundled:
 Each scenario marches: quasistatic momentum solve, the explicit source
 update of F_e (the reduction has no advecting velocity), then domain
 growth by regridding with the attachment value filling the fresh cells.
+The step loop only solves, checks the solve's residuals and records the
+level.  The jump, determinant and pressure metrics and the oracle errors
+are computed after the march from the stored fields, ``BLOCK_LEVELS``
+levels per numpy call.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ KINDS = ("non_normal", "fdm_shear", "thermal")
 # Residual levels beyond which the through-thickness reduction is deemed
 # inconsistent rather than merely inaccurate.
 ANSATZ_RESIDUAL_LIMIT = 1e-6
+# Stored levels stacked into one array per numpy call when a run is scored.
+BLOCK_LEVELS = 16
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("alpha", "H0", "V_G", "h", "v0", "L", "dt", "t_end"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.t_end > 0:
             raise ValidationError(f"t_end must be positive, got {self.t_end}")
         if self.n_cells < 16:
@@ -212,27 +222,29 @@ class RunResult:
         return {"F_e": F, "p": p, "v1": v1}
 
 
-def analytic_non_normal(x2, t: float, alpha: float, G: float, mu: float, V_G: float):
+def analytic_non_normal(x2, t, alpha: float, G: float, mu: float, V_G: float):
     """Closed-form (v1, F_e12, p) for the sheared-attachment scenario.
 
     Valid for ``0 <= x2 <= V_G t``; above the growth front raises
     ``OutOfBody``.  Requires ``mu > 0``; the inviscid limit is reached as
-    ``mu -> 0`` with fields relaxing immediately after attachment.
+    ``mu -> 0`` with fields relaxing immediately after attachment.  ``x2``
+    and ``t`` broadcast against each other, so one call scores a stack of
+    levels; a scalar ``x2`` and ``t`` return floats.
     """
     if not mu > 0:
         raise ValidationError(f"mu must be positive, got {mu}")
     x2a = np.asarray(x2, dtype=float)
     top = V_G * t
     if np.any(x2a < -1e-12) or np.any(x2a > top * (1 + 1e-12) + 1e-15):
-        raise OutOfBody(f"x2 outside [0, {top:g}]")
+        raise OutOfBody(f"x2 outside [0, V_G t] = [0, {np.max(top):g}]")
     lam = G / mu
     age = t - x2a / V_G
-    F_e12 = -alpha * np.exp(-lam * age)
-    v1 = V_G * alpha * (np.exp(-lam * age) - np.exp(-lam * t))
-    p = np.full_like(x2a, float(G))
-    if np.isscalar(x2) or x2a.ndim == 0:
+    decay = np.exp(-lam * age)
+    F_e12 = -alpha * decay
+    v1 = V_G * alpha * (decay - np.exp(-lam * t))
+    if np.ndim(v1) == 0:
         return float(v1), float(F_e12), float(G)
-    return v1, F_e12, p
+    return v1, F_e12, np.full_like(v1, float(G))
 
 
 def _ambient_stress(t_b: np.ndarray) -> np.ndarray:
@@ -240,31 +252,58 @@ def _ambient_stress(t_b: np.ndarray) -> np.ndarray:
     return np.array([[0.0, t_b[0]], [t_b[0], t_b[1]]])
 
 
-def _step_metrics(config: ScenarioConfig, sol, F_e, rho, grid, t, t_b,
-                  v_a_fixed) -> dict:
+def _by_blocks(history: list[StepRecord], score) -> dict[str, np.ndarray]:
+    """Per-level columns of ``score(block)``, which maps up to
+    ``BLOCK_LEVELS`` consecutive stored levels to ``{name: (B,) array}``."""
+    parts = [score(history[start:start + BLOCK_LEVELS])
+             for start in range(0, len(history), BLOCK_LEVELS)]
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _stack(block: list[StepRecord], name: str) -> np.ndarray:
+    return np.stack([getattr(rec, name) for rec in block])
+
+
+def _score_levels(config: ScenarioConfig, history: list[StepRecord]) -> None:
+    """Add the jump, determinant and pressure metrics to every stored level.
+
+    The jump residuals are those of the top cell against the ambient side;
+    ``det_drift``, ``max_F_e21`` and ``max_p_dev`` range over all cells.
+    """
     params = config.params
     M = config.mass_rate
-    v_surf = np.array([sol.v_nodes[-1], 0.0])
-    v_a = v_a_fixed if v_a_fixed is not None else v_surf
+    growth = config.growth_input()
     n_hat = np.array([0.0, 1.0])
-    V_b = np.array([0.0, boundary_normal_velocity(M, rho[-1], v_surf, n_hat)])
-    grad_v_top = np.array([[0.0, sol.g[-1]], [0.0, 0.0]])
-    sigma_top = total_stress(F_e[-1], grad_v_top, sol.p[-1], params)
-    body = SideState(rho=float(rho[-1]), v=v_surf, sigma=sigma_top)
-    ambient = SideState(rho=0.0, v=v_a, sigma=_ambient_stress(t_b))
-    mass_res, mom_res = jump_residuals(body, ambient, V_b, n_hat, M, v_a)
-    d = det(F_e)
-    return {
-        "t": t,
-        "H": grid.height,
-        "mass_residual": abs(mass_res),
-        "momentum_residual": float(np.max(np.abs(mom_res))),
-        "traction_residual": sol.traction_residual,
-        "system_residual": sol.system_residual,
-        "det_drift": float(np.max(np.abs(d - 1.0))),
-        "max_F_e21": float(np.max(np.abs(F_e[:, 1, 0]))),
-        "max_p_dev": float(np.max(np.abs(sol.p - params.G))),
-    }
+    ambient_sigma = _ambient_stress(growth.t_b)
+
+    def score(block):
+        F_e = _stack(block, "F_e")
+        p = _stack(block, "p")
+        rho_top = np.array([rec.rho[-1] for rec in block])
+        v_surf = np.zeros((len(block), 2))
+        v_surf[:, 0] = [rec.v_nodes[-1] for rec in block]
+        v_a = growth.v_a if growth.v_a is not None else v_surf
+        V_b = np.zeros((len(block), 2))
+        V_b[:, 1] = boundary_normal_velocity(M, rho_top, v_surf, n_hat)
+        grad_v_top = np.zeros((len(block), 2, 2))
+        grad_v_top[:, 0, 1] = [rec.g[-1] for rec in block]
+        sigma_top = total_stress(F_e[:, -1], grad_v_top, p[:, -1], params)
+        body = SideState(rho=rho_top, v=v_surf, sigma=sigma_top)
+        ambient = SideState(rho=0.0, v=v_a, sigma=ambient_sigma)
+        mass_res, mom_res = jump_residuals(body, ambient, V_b, n_hat, M, v_a)
+        return {
+            "t": np.array([rec.t for rec in block]),
+            "H": np.array([rec.grid.height for rec in block]),
+            "mass_residual": np.abs(mass_res),
+            "momentum_residual": np.max(np.abs(mom_res), axis=1),
+            "det_drift": np.max(np.abs(det(F_e) - 1.0), axis=1),
+            "max_F_e21": np.max(np.abs(F_e[:, :, 1, 0]), axis=1),
+            "max_p_dev": np.max(np.abs(p - params.G), axis=1),
+        }
+
+    columns = {name: col.tolist() for name, col in _by_blocks(history, score).items()}
+    for k, rec in enumerate(history):
+        rec.metrics.update((name, col[k]) for name, col in columns.items())
 
 
 def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunResult:
@@ -307,10 +346,10 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
             raise IncompatibleAnsatz(
                 f"reduced solve residual {residual:.3e}; the through-thickness "
                 f"ansatz is inconsistent")
-        metrics = _step_metrics(config, sol, F_e, rho, grid, t, t_b, growth.v_a)
-        records.append(StepRecord(t=t, grid=grid, v_nodes=sol.v_nodes,
-                                  g=sol.g, F_e=F_e, p=sol.p, rho=rho,
-                                  metrics=metrics))
+        records.append(StepRecord(
+            t=t, grid=grid, v_nodes=sol.v_nodes, g=sol.g, F_e=F_e, p=sol.p,
+            rho=rho, metrics={"traction_residual": sol.traction_residual,
+                              "system_residual": sol.system_residual}))
         v_surf_prev = np.array([sol.v_nodes[-1], 0.0])
         return sol
 
@@ -331,28 +370,29 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
             grid = new_grid
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
+    _score_levels(config, records)
     return RunResult(config=config, history=records)
 
 
 def _attach_oracle_errors_non_normal(result: RunResult) -> None:
     cfg = result.config
     p = cfg.params
-    t = np.array([rec.t for rec in result.history])
-    linf_f, rms_f, linf_v, linf_p = [], [], [], []
-    for rec in result.history:
-        x = rec.grid.centers
-        v1_ref, f_ref, p_ref = analytic_non_normal(x, rec.t, cfg.alpha, p.G,
-                                                   p.mu, cfg.V_G)
-        ef = rec.F_e[:, 0, 1] - f_ref
-        v1 = 0.5 * (rec.v_nodes[:-1] + rec.v_nodes[1:])
-        linf_f.append(float(np.max(np.abs(ef))))
-        rms_f.append(float(np.sqrt(np.mean(ef ** 2))))
-        linf_v.append(float(np.max(np.abs(v1 - v1_ref))))
-        linf_p.append(float(np.max(np.abs(rec.p - p_ref))))
-    result.oracle_errors = {"t": t, "linf_F_e12": np.array(linf_f),
-                            "rms_F_e12": np.array(rms_f),
-                            "linf_v1": np.array(linf_v),
-                            "linf_p": np.array(linf_p)}
+
+    def score(block):
+        t = np.array([[rec.t] for rec in block])
+        # the centers of each level's grid, (i + 1/2) dx
+        x = (np.arange(cfg.n_cells) + 0.5) * np.array([[rec.grid.dx] for rec in block])
+        v1_ref, f_ref, p_ref = analytic_non_normal(x, t, cfg.alpha, p.G, p.mu, cfg.V_G)
+        ef = np.stack([rec.F_e[:, 0, 1] for rec in block]) - f_ref
+        v_nodes = _stack(block, "v_nodes")
+        v1 = 0.5 * (v_nodes[:, :-1] + v_nodes[:, 1:])
+        return {"linf_F_e12": np.max(np.abs(ef), axis=1),
+                "rms_F_e12": np.sqrt(np.mean(ef ** 2, axis=1)),
+                "linf_v1": np.max(np.abs(v1 - v1_ref), axis=1),
+                "linf_p": np.max(np.abs(_stack(block, "p") - p_ref), axis=1)}
+
+    result.oracle_errors = {"t": np.array([rec.t for rec in result.history]),
+                            **_by_blocks(result.history, score)}
 
 
 def _attach_oracle_errors_fdm(result: RunResult) -> None:
@@ -361,18 +401,19 @@ def _attach_oracle_errors_fdm(result: RunResult) -> None:
     M = cfg.mass_rate
     gamma = M * cfg.v0 / G
     s12_ref, s11_ref = M * cfg.v0, (M * cfg.v0) ** 2 / G
-    t = np.array([rec.t for rec in result.history])
-    linf_f, linf_v, linf_s12, linf_s11 = [], [], [], []
-    for rec in result.history:
-        sigma = total_stress(rec.F_e, rec.grad_v, rec.p, cfg.params)
-        linf_f.append(float(np.max(np.abs(rec.F_e[:, 0, 1] - gamma))))
-        linf_v.append(float(np.max(np.abs(rec.v_nodes))))
-        linf_s12.append(float(np.max(np.abs(sigma[:, 0, 1] - s12_ref))))
-        linf_s11.append(float(np.max(np.abs(sigma[:, 0, 0] - s11_ref))))
-    result.oracle_errors = {"t": t, "linf_F_e12": np.array(linf_f),
-                            "linf_v1": np.array(linf_v),
-                            "linf_sigma12": np.array(linf_s12),
-                            "linf_sigma11": np.array(linf_s11)}
+
+    def score(block):
+        F_e = _stack(block, "F_e")
+        grad_v = np.zeros(F_e.shape)
+        grad_v[..., 0, 1] = _stack(block, "g")
+        sigma = total_stress(F_e, grad_v, _stack(block, "p"), cfg.params)
+        return {"linf_F_e12": np.max(np.abs(F_e[..., 0, 1] - gamma), axis=1),
+                "linf_v1": np.max(np.abs(_stack(block, "v_nodes")), axis=1),
+                "linf_sigma12": np.max(np.abs(sigma[..., 0, 1] - s12_ref), axis=1),
+                "linf_sigma11": np.max(np.abs(sigma[..., 0, 0] - s11_ref), axis=1)}
+
+    result.oracle_errors = {"t": np.array([rec.t for rec in result.history]),
+                            **_by_blocks(result.history, score)}
 
 
 def run_non_normal(config: ScenarioConfig) -> RunResult:

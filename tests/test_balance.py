@@ -77,6 +77,36 @@ def test_jump_residuals_uniform_shear_steady_state():
     assert np.abs(mom).max() <= 1e-12
 
 
+def test_jump_conditions_broadcast_like_scalar_calls():
+    rng = np.random.default_rng(3)
+    B = 17
+    rho = rng.uniform(0.5, 2.0, B)
+    v = rng.standard_normal((B, 2))
+    sigma = rng.standard_normal((B, 2, 2))
+    n = rng.standard_normal((B, 2))
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    v_a = rng.standard_normal(2)  # one attachment velocity for every level
+    t_b = rng.standard_normal(2)
+    M = 0.3
+    ambient_sigma = np.array([[0.0, t_b[0]], [t_b[0], t_b[1]]])
+    speed = boundary_normal_velocity(M, rho, v, n)
+    V_b = speed[:, None] * n + rng.standard_normal((B, 2))
+    mass, mom = jump_residuals(SideState(rho=rho, v=v, sigma=sigma),
+                               SideState(rho=0.0, v=v_a, sigma=ambient_sigma),
+                               V_b, n, M, v_a)
+    assert speed.shape == mass.shape == (B,) and mom.shape == (B, 2)
+    for i in range(B):
+        s = boundary_normal_velocity(M, float(rho[i]), v[i], n[i])
+        assert type(s) is float and s == speed[i]
+        m, p = jump_residuals(SideState(rho=float(rho[i]), v=v[i], sigma=sigma[i]),
+                              SideState(rho=0.0, v=v_a, sigma=ambient_sigma),
+                              V_b[i], n[i], M, v_a)
+        assert type(m) is float and m == mass[i]
+        np.testing.assert_array_equal(p, mom[i])
+    with pytest.raises(ValidationError, match="rho"):
+        boundary_normal_velocity(M, np.array([1.0, 0.0]), v[:2], n[:2])
+
+
 @pytest.fixture
 def params():
     return MaterialParams(G=1.0, mu=0.1, rho=1.0)

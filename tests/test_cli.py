@@ -57,6 +57,15 @@ def test_run_rejects_nonpositive_sweep_viscosity(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_infinite_end_time(tmp_path, capsys):
+    # used to die with an OverflowError traceback from resolve_dt
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(NN_CFG.replace("t_end = 0.5", "t_end = inf"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error: ValidationError: t_end" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_prints_orders(tmp_path, capsys):
     cfg = tmp_path / "nn.cfg"
     cfg.write_text(NN_CFG)

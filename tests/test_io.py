@@ -11,6 +11,7 @@ from surfgrow import (Grid1D, MaterialParams, ParseError, PathlineRecord,
 from surfgrow.config import read_pairs
 from surfgrow.output import METRIC_FIELDS, SNAPSHOT_COLUMNS, fmt
 from surfgrow.tensors import identity
+from surfgrow.verify import default_config
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -132,6 +133,17 @@ def test_manifest_matches_directory(tmp_path):
     assert parsed["duration_seconds"] == 1.25
     assert parsed["version"] and parsed["config"]["kind"] == "fdm_shear"
     assert all(len(f["sha256"]) == 64 for f in parsed["files"])
+
+
+@pytest.mark.parametrize("kind", ["non_normal", "fdm_shear", "thermal"])
+def test_manifest_records_stability_margin(tmp_path, kind):
+    cfg = default_config(kind)
+    write_fields(RunResult(config=cfg, history=[]), tmp_path / "out")
+    time = json.loads((tmp_path / "out" / "manifest.json").read_text())["time"]
+    F22 = cfg.attachment_deformation()[1, 1]
+    expected = cfg.params.G * time["dt"] * max(1.0, F22) ** 2 / cfg.params.mu
+    assert time["stability_margin"] == pytest.approx(expected, rel=1e-14)
+    assert 0 < time["stability_margin"] <= 1
 
 
 def _reference_snapshot(rec) -> str:

@@ -13,8 +13,14 @@ from surfgrow import (IncompatibleAnsatz, MaterialParams, NoOracle, OutOfBody,
                       run_fdm_shear, run_mu_sweep, run_non_normal, run_scenario,
                       run_thermal, trace_history_pathlines,
                       pathline_grid_discrepancy)
+from surfgrow.balance import (SideState, boundary_normal_velocity,
+                              jump_residuals)
+from surfgrow.constitutive import total_stress
 from surfgrow.grids import interp_columns
 from surfgrow.kinematics import _transport_step_1d, reduced_step_1d
+from surfgrow.output import METRIC_FIELDS
+from surfgrow.scenarios import BLOCK_LEVELS, RunResult
+from surfgrow.tensors import det
 
 
 def nn_config(**kw):
@@ -57,6 +63,16 @@ def test_config_invariants():
                          ("v0", -1.0)):
         with pytest.raises(ValidationError, match=f"^{field} must"):
             fdm_config(**{field: value})
+    # non-finite values: t_end = inf overflowed in resolve_dt, mu = inf
+    # wrote NaN momentum residuals, V_G = inf failed only at step 0
+    for value in (float("inf"), float("-inf"), float("nan")):
+        for field in ("alpha", "H0", "V_G", "h", "v0", "L", "dt", "t_end"):
+            for make in (nn_config, fdm_config):
+                with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+                    make(**{field: value})
+        for field in ("G", "mu", "rho"):
+            with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+                MaterialParams(**{field: value})
 
 
 @pytest.mark.parametrize("sweep", [(), (0.1, 0.0), (0.1, float("nan")),
@@ -459,6 +475,91 @@ def test_rank_one_step_is_the_full_source_update(make):
     grid = res.final.grid
     np.testing.assert_array_equal(reduced_step_1d(T, g, 0.3, grid, grid, None),
                                   T + 0.3 * (grad_v @ T))
+
+
+def _per_level_metrics(config, rec):
+    # one level with scalar SideState / jump_residuals / total_stress calls
+    growth = config.growth_input()
+    M, t_b = config.mass_rate, growth.t_b
+    n_hat = np.array([0.0, 1.0])
+    v_surf = np.array([rec.v_nodes[-1], 0.0])
+    v_a = growth.v_a if growth.v_a is not None else v_surf
+    V_b = np.array([0.0, boundary_normal_velocity(M, rec.rho[-1], v_surf, n_hat)])
+    grad_v_top = np.array([[0.0, rec.g[-1]], [0.0, 0.0]])
+    sigma_top = total_stress(rec.F_e[-1], grad_v_top, rec.p[-1], config.params)
+    body = SideState(rho=float(rec.rho[-1]), v=v_surf, sigma=sigma_top)
+    ambient = SideState(rho=0.0, v=v_a,
+                        sigma=np.array([[0.0, t_b[0]], [t_b[0], t_b[1]]]))
+    mass_res, mom_res = jump_residuals(body, ambient, V_b, n_hat, M, v_a)
+    return {"t": rec.t, "H": rec.grid.height, "mass_residual": abs(mass_res),
+            "momentum_residual": float(np.max(np.abs(mom_res))),
+            "det_drift": float(np.max(np.abs(det(rec.F_e) - 1.0))),
+            "max_F_e21": float(np.max(np.abs(rec.F_e[:, 1, 0]))),
+            "max_p_dev": float(np.max(np.abs(rec.p - config.params.G)))}
+
+
+def _per_level_oracle(config, history):
+    p = config.params
+    rows = []
+    for rec in history:
+        if config.kind == "non_normal":
+            v1_ref, f_ref, p_ref = analytic_non_normal(rec.grid.centers, rec.t, config.alpha,
+                                                       p.G, p.mu, config.V_G)
+            ef = rec.F_e[:, 0, 1] - f_ref
+            v1 = 0.5 * (rec.v_nodes[:-1] + rec.v_nodes[1:])
+            rows.append({"linf_F_e12": np.max(np.abs(ef)),
+                         "rms_F_e12": np.sqrt(np.mean(ef ** 2)),
+                         "linf_v1": np.max(np.abs(v1 - v1_ref)),
+                         "linf_p": np.max(np.abs(rec.p - p_ref))})
+        else:
+            M = config.mass_rate
+            sigma = total_stress(rec.F_e, rec.grad_v, rec.p, p)
+            rows.append({"linf_F_e12": np.max(np.abs(rec.F_e[:, 0, 1] - M * config.v0 / p.G)),
+                         "linf_v1": np.max(np.abs(rec.v_nodes)),
+                         "linf_sigma12": np.max(np.abs(sigma[:, 0, 1] - M * config.v0)),
+                         "linf_sigma11": np.max(np.abs(sigma[:, 0, 0]
+                                                       - (M * config.v0) ** 2 / p.G))})
+    return {"t": np.array([rec.t for rec in history]),
+            **{name: np.array([row[name] for row in rows]) for name in rows[0]}}
+
+
+def _assert_scored_like_per_level_reference(result):
+    for rec in result.history:
+        assert sorted(rec.metrics) == sorted(METRIC_FIELDS)
+        for name, value in _per_level_metrics(result.config, rec).items():
+            assert type(rec.metrics[name]) is float
+            assert rec.metrics[name] == value, name
+    if result.config.kind == "thermal":
+        assert result.oracle_errors == {}
+        return
+    reference = _per_level_oracle(result.config, result.history)
+    assert sorted(result.oracle_errors) == sorted(reference)
+    for name, values in reference.items():
+        np.testing.assert_array_equal(result.oracle_errors[name], values, err_msg=name)
+
+
+@pytest.mark.parametrize("make, dt", [(nn_config, 1.0 / 33), (fdm_config, 2.0 / 32),
+                                      (thermal_config, 1.0 / 32)])
+@pytest.mark.parametrize("levels", [1, BLOCK_LEVELS, BLOCK_LEVELS + 1])
+def test_block_scoring_matches_per_level_reference(make, dt, levels):
+    # 33 stored levels: two full blocks and one level over
+    cfg = make(n_cells=16, dt=dt)
+    result = run_scenario(cfg)
+    assert len(result.history) == 2 * BLOCK_LEVELS + 1
+    _assert_scored_like_per_level_reference(result)
+    # rescore the first levels alone: one level, exactly one block, one over
+    solve_only = ("traction_residual", "system_residual")
+    history = [replace(rec, metrics={k: rec.metrics[k] for k in solve_only})
+               for rec in result.history[:levels]]
+    prefix = RunResult(config=cfg, history=history)
+    surfgrow.scenarios._score_levels(cfg, history)
+    if cfg.kind == "non_normal":
+        surfgrow.scenarios._attach_oracle_errors_non_normal(prefix)
+    elif cfg.kind == "fdm_shear":
+        surfgrow.scenarios._attach_oracle_errors_fdm(prefix)
+    _assert_scored_like_per_level_reference(prefix)
+    for rec, full in zip(prefix.history, result.history):
+        assert rec.metrics == full.metrics
 
 
 def test_stored_history_keeps_one_scalar_velocity_gradient_per_cell():
