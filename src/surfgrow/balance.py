@@ -171,7 +171,8 @@ def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D, params: Materia
     F = require_finite(F_e, "F_e")
     n = grid.n_cells
     dx = grid.dx
-    if n < 2 or not np.isfinite(dx) or dx <= 0:
+    # one cell suffices: the first integral is then the top row alone
+    if n < 1 or not np.isfinite(dx) or dx <= 0:
         raise SingularSystem(f"degenerate grid: n_cells = {n}, dx = {dx}")
     if float(np.max(np.abs(F[:, 1, 0]))) > ANSATZ_TOL:
         raise NotReduced("F_e21 exceeds the through-thickness ansatz tolerance")

@@ -57,7 +57,10 @@ def _cmd_run(args) -> int:
     elapsed = time.perf_counter() - start
     out = args.out or _default_out()
     manifest = write_fields(result, out, duration_seconds=elapsed)
-    print(f"{cfg.kind}: {len(result.history)} steps, "
+    _, n_steps = cfg.resolve_dt()
+    # levels before the first cell is active are not stored, and a body
+    # present at t = 0 stores one level more than its steps
+    print(f"{cfg.kind}: {n_steps} steps, {len(result.history)} stored levels, "
           f"H(t_end) = {result.final.grid.height:.6g}, wrote "
           f"{len(manifest.files)} files to {out}")
     return 0

@@ -1,16 +1,19 @@
-"""Grids, the per-step record of a run (``StepRecord``), and regridding.
+"""Grids and the per-step record of a run (``StepRecord``).
 
 The through-thickness grid is one-dimensional in the coordinate ``x2``,
-cell-centered field storage, and is rebuilt on ``[0, H(t)]`` with a fixed
-cell count whenever the body height changes (fields are resampled by
-linear interpolation; cells created above the old height take the inflow
-value).  A record stores the velocity gradient as its one scalar per
+with cell-centered field storage.  A growth run marches on one fixed
+Eulerian grid, sized so that its ``n_cells`` cells fill the final body
+``[0, H(t_end)]``; the growing boundary moves through it, and at each
+level only the active prefix is solved and stored: the cells whose
+centers the body height ``H(t)`` has reached.  A record's ``Grid1D`` is
+that prefix.  A record stores the velocity gradient as its one scalar per
 cell, the shear rate ``g``.  A small periodic-in-``x1`` strip grid
 supports the two-dimensional verification transports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,20 +23,28 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell-centered grid on ``[0, height]``."""
+    """The first ``n_cells`` cells, of width ``dx``, of a uniform
+    cell-centered grid on ``x2 >= 0``, holding a body of height ``height``.
+
+    ``dx`` defaults to ``height / n_cells``: cells that fill ``[0, height]``.
+    The active prefix of a growth run keeps the run's fixed ``dx``; its top
+    center lies at or below ``height`` and the next center above it, so
+    the top face may lie up to half a cell above or below ``height``.
+    """
 
     n_cells: int
     height: float
+    dx: float | None = None
 
     def __post_init__(self):
-        if self.n_cells < 4:
-            raise ValidationError(f"n_cells must be >= 4, got {self.n_cells}")
-        if not (np.isfinite(self.height) and self.height > 0):
+        if self.n_cells < 1:
+            raise ValidationError(f"n_cells must be >= 1, got {self.n_cells}")
+        if not (math.isfinite(self.height) and self.height > 0):
             raise ValidationError(f"height must be positive, got {self.height}")
-
-    @property
-    def dx(self) -> float:
-        return self.height / self.n_cells
+        if self.dx is None:
+            object.__setattr__(self, "dx", self.height / self.n_cells)
+        if not (math.isfinite(self.dx) and self.dx > 0):
+            raise ValidationError(f"dx must be positive, got {self.dx}")
 
     @property
     def centers(self) -> np.ndarray:
@@ -53,9 +64,9 @@ class StepRecord:
     ``v1'`` actually used by the transport step.  With ``v = v1(x2) e1`` it
     is the only nonzero component ``(0, 1)`` of the velocity gradient, which
     ``grad_v`` assembles on demand.  A growth march owns its arrays:
-    ``F_e``, ``p``, ``v_nodes`` and ``g`` are fresh every step, and the
-    uniform density ``rho`` is one read-only array shared by all records of
-    the run.
+    ``F_e``, ``p``, ``v_nodes`` and ``g`` are fresh every step and cover
+    the level's active cells, and the uniform density ``rho`` is a view of
+    one read-only array shared by all records of the run.
     """
 
     t: float
@@ -86,24 +97,6 @@ def interp_columns(xq: np.ndarray, xp: np.ndarray, values: np.ndarray) -> np.nda
     cols = [np.interp(xq, xp, flat[:, j]) for j in range(flat.shape[1])]
     out = np.stack(cols, axis=1)
     return out.reshape((len(xq),) + values.shape[1:])
-
-
-def regrid_fields(old_grid: Grid1D, new_grid: Grid1D, values: np.ndarray,
-                  inflow: np.ndarray) -> np.ndarray:
-    """Resample a cell field onto a rebuilt grid.
-
-    On a growing rebuild the interpolation table is extended with the
-    ``inflow`` value placed at the old boundary height: material between the
-    old and new heights is newly accreted, so cells reaching above the old
-    body blend into and then take the attachment value.  Shrinking grids
-    (ablation) interpolate only: outflow needs no boundary data.
-    """
-    xp = old_grid.centers
-    src = np.asarray(values, dtype=float)
-    if new_grid.height > old_grid.height:
-        xp = np.append(xp, old_grid.height)
-        src = np.concatenate([src, np.asarray(inflow, dtype=float)[None, ...]], axis=0)
-    return interp_columns(new_grid.centers, xp, src)
 
 
 @dataclass(frozen=True)

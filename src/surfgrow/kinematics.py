@@ -13,9 +13,11 @@ Grid transport uses first-order upwinding plus forward-Euler source
 integration.  In the through-thickness reduction the advecting velocity
 ``v2`` is zero, so the growth march keeps only the source update
 (``reduced_step_1d``), where the rank-one gradient ``g e1 (x) e2`` changes
-only the first row of the transported tensor.  Characteristic transport
-integrates the equivalent ODE system along pathlines with an explicit
-midpoint (RK2) scheme (``integrate_characteristics``, for any velocity
+only the first row of the transported tensor.  The march's grid is fixed
+in space: a step updates the active cells where they sit and appends the
+cells the growing boundary reached with the inflow value, with no
+interpolation.  Characteristic transport integrates the equivalent ODE
+system along pathlines with an explicit midpoint (RK2) scheme (``integrate_characteristics``, for any velocity
 sampler).  In the reduction a pathline keeps its height, so the scenarios
 trace theirs with the same scheme as one array march over the stored
 levels (``scenarios.trace_history_pathlines``).
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import (CFLViolation, GrowthNotSupported, MissingInflowBC,
                      OutOfDomain, ValidationError)
-from .grids import Grid1D, PeriodicStrip, StepRecord, regrid_fields
+from .grids import Grid1D, PeriodicStrip, StepRecord
 from .tensors import identity, inverse, require_finite
 
 CFL_LIMIT = 0.9
@@ -105,9 +107,12 @@ def _transport_step_1d(tensor_field: np.ndarray, v: np.ndarray, grad_v: np.ndarr
     return T + dt * (source - adv)
 
 
-def reduced_step_1d(T: np.ndarray, g: np.ndarray, dt: float,
-                    grid: Grid1D, new_grid: Grid1D, inflow_bc: np.ndarray) -> np.ndarray:
-    """One transport step of the through-thickness reduction, then regrid.
+def reduced_step_1d(T: np.ndarray, g: np.ndarray, dt: float, n_cells: int,
+                    inflow_bc: np.ndarray) -> np.ndarray:
+    """One transport step of the through-thickness reduction on the fixed
+    grid: the ``len(T)`` active cells are stepped, and the cells up to
+    ``n_cells`` that the boundary reached during the step are appended
+    with the inflow value ``inflow_bc``.
 
     With ``v = v1(x2) e1`` the advecting velocity ``v2`` vanishes, so the
     upwind term of ``_transport_step_1d`` is exactly zero and the step is
@@ -115,16 +120,18 @@ def reduced_step_1d(T: np.ndarray, g: np.ndarray, dt: float,
     ``g e1 (x) e2`` is rank one, so only the first row changes:
     ``T[0, :] += dt g T[1, :]``.  Each entry of ``(grad v) T`` sums one
     such product and an exact zero, so this is bitwise the full update.
-    The result is a fresh array, resampled onto ``new_grid`` (``inflow_bc``
-    fills freshly accreted cells) whenever the grid changed.
+    The result is a fresh ``(n_cells, 2, 2)`` array.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    T = T.copy()
-    T[:, 0, :] += dt * (g[:, None] * T[:, 1, :])
-    if new_grid != grid:
-        T = regrid_fields(grid, new_grid, T, inflow_bc)
-    return T
+    m = len(T)
+    if n_cells < m:
+        raise ValidationError(f"the active cells cannot shrink: {m} -> {n_cells}")
+    out = np.empty((n_cells, 2, 2))
+    out[:m] = T
+    out[:m, 0, :] += dt * (g[:, None] * T[:, 1, :])
+    out[m:] = inflow_bc
+    return out
 
 
 def integrate_characteristics(velocity_sampler: VelocitySampler, seed, t0: float,
@@ -180,8 +187,9 @@ def replay_reference(history: Sequence[StepRecord], t0: float | None = None,
 
     The configuration at ``t0`` is declared the reference, so ``F = I``
     there; F is then advanced by replaying the stored shear rates ``g``
-    through the march's own step (``reduced_step_1d``), and the relaxed
-    shape follows from ``F_relax = F_e^{-1} F`` at every level.  Each frame
+    through the march's own step (``reduced_step_1d``, cells attached
+    after ``t0`` entering with ``F = I``), and the relaxed shape follows
+    from ``F_relax = F_e^{-1} F`` at every level.  Each frame
     owns fresh arrays, so a consumer may keep or drop it.
     """
     if not history:
@@ -197,7 +205,7 @@ def replay_reference(history: Sequence[StepRecord], t0: float | None = None,
     prev = None
     for cur in history[i0:]:
         if prev is not None:
-            F = reduced_step_1d(F, prev.g, cur.t - prev.t, prev.grid, cur.grid,
+            F = reduced_step_1d(F, prev.g, cur.t - prev.t, cur.grid.n_cells,
                                 np.eye(2))
         yield ReconstructedFrame(t=cur.t, F=F, F_relax=inverse(cur.F_e) @ F), cur
         prev = cur

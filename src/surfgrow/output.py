@@ -87,17 +87,30 @@ def _write_snapshot(path: Path, rec) -> None:
 
 
 def _write_metrics(path: Path, result: RunResult) -> None:
+    """Write the header and one ``json.dumps(row, sort_keys=True)`` line per
+    stored level, each step row made by one precompiled %-format.
+
+    A step row holds ``"type": "step"``, ``"step": k`` and every metric and
+    oracle error as its ``fmt`` string, which ``"%.17g"`` writes; the
+    template lists the keys in sorted order with json's separators, and the
+    values need no escaping.
+    """
     oracle_keys = sorted(k for k in result.oracle_errors if k != "t")
-    lines = [json.dumps({"type": "header",
-                         "fields": list(METRIC_FIELDS) + oracle_keys},
-                        sort_keys=True)]
-    for k, rec in enumerate(result.history):
-        row = {"type": "step", "step": k}
-        row.update({name: fmt(rec.metrics[name]) for name in METRIC_FIELDS})
-        for key in oracle_keys:
-            row[key] = fmt(result.oracle_errors[key][k])
-        lines.append(json.dumps(row, sort_keys=True))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    fields = list(METRIC_FIELDS) + oracle_keys
+    header = json.dumps({"type": "header", "fields": fields}, sort_keys=True)
+    slots = {name: '"%.17g"' for name in fields}
+    slots.update(step="%d", type='"step"')
+    keys = sorted(slots)
+    template = "{" + ", ".join(f'"{key}": {slots[key]}' for key in keys) + "}\n"
+    history = result.history
+    columns = {"step": range(len(history))}
+    columns.update((name, [rec.metrics[name] for rec in history])
+                   for name in METRIC_FIELDS)
+    columns.update((key, result.oracle_errors[key].tolist()) for key in oracle_keys)
+    rows = zip(*(columns[key] for key in keys if key != "type"))
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        f.write("".join(template % row for row in rows))
 
 
 def _write_pathlines(path: Path, result: RunResult) -> None:
@@ -146,7 +159,8 @@ def write_fields(result: RunResult, out_dir,
             rec = result.history[idx]
             name = f"snapshot_{ordinal:04d}.csv"
             _write_snapshot(out / name, rec)
-            snapshots.append({"file": name, "step": int(idx), "t": fmt(rec.t)})
+            snapshots.append({"file": name, "step": int(idx), "t": fmt(rec.t),
+                              "n_active": rec.grid.n_cells})
         _write_metrics(out / "metrics.jsonl", result)
         written = [s["file"] for s in snapshots] + ["metrics.jsonl"]
         if result.pathlines:
@@ -166,7 +180,9 @@ def write_fields(result: RunResult, out_dir,
         manifest = RunManifest(
             version=__version__,
             config=config_echo,
-            grid={"n_cells": cfg.n_cells,
+            # the fixed grid's spacing and the active cells of the last level
+            grid={"n_cells": cfg.n_cells, "dx": cfg.eulerian_grid().dx,
+                  "n_active": result.history[-1].grid.n_cells if result.history else 0,
                   "final_height": result.history[-1].grid.height if result.history else None},
             # dt over the explicit relaxation bound, G dt F_e22^2 / mu (<= 1)
             time={"dt": dt, "n_steps": n_steps, "t_end": cfg.t_end,

@@ -18,13 +18,19 @@ Three through-thickness scenarios are bundled:
     (material shrinks after attachment).  No closed form; verified by
     properties.
 
-Each scenario marches: quasistatic momentum solve, the explicit source
-update of F_e (the reduction has no advecting velocity), then domain
-growth by regridding with the attachment value filling the fresh cells.
-The step loop only solves, checks the solve's residuals and records the
-level.  The jump, determinant and pressure metrics and the oracle errors
-are computed after the march from the stored fields, ``BLOCK_LEVELS``
-levels per numpy call.
+Each scenario marches on one fixed Eulerian grid whose ``n_cells`` cells
+fill the final body ``[0, H(t_end)]``.  A cell is active once the body
+height ``H(t_k)`` reaches its center.  A step solves the quasistatic
+momentum balance on the active cells, applies the explicit source update
+of F_e to them (the reduction has no advecting velocity) and appends the
+cells the boundary reached with the attachment value; nothing is
+interpolated.  Levels with no active cell (a body grown from nothing,
+before the front reaches the first center) are not stored.  The step loop
+only solves, checks the solve's residuals and records the level.  The
+jump, determinant and pressure metrics and the oracle errors are computed
+after the march from the stored fields, ``BLOCK_LEVELS`` levels per numpy
+call, the cells of a block's levels concatenated and reduced level by
+level.
 """
 
 from __future__ import annotations
@@ -168,6 +174,13 @@ class ScenarioConfig:
         return GrowthInput(M=self.mass_rate, v_a=v_a, t_b=np.zeros(2),
                            F_e_attach=self.attachment_deformation())
 
+    def eulerian_grid(self) -> Grid1D:
+        """The run's fixed grid: ``n_cells`` cells filling the final body
+        ``[0, H(t_end)]``, with ``H(t_end)`` as the march computes it."""
+        dt, n_steps = self.resolve_dt()
+        return Grid1D(self.n_cells, advance_domain(self.height0, self.boundary_rate,
+                                                   dt, n_steps=n_steps))
+
     def resolve_dt(self) -> tuple[float, int]:
         """Step size and count; dt is snapped so the steps tile [0, t_end]."""
         if self.dt is not None:
@@ -260,8 +273,23 @@ def _by_blocks(history: list[StepRecord], score) -> dict[str, np.ndarray]:
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
-def _stack(block: list[StepRecord], name: str) -> np.ndarray:
-    return np.stack([getattr(rec, name) for rec in block])
+def _cells(block: list[StepRecord], name: str) -> np.ndarray:
+    """The per-cell arrays ``name`` of a block's levels, concatenated."""
+    return np.concatenate([getattr(rec, name) for rec in block])
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Offset of each level's first entry among the concatenated entries."""
+    return np.cumsum(counts) - counts
+
+
+def _level_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-level maximum of concatenated per-cell values (every count >= 1)."""
+    return np.maximum.reduceat(values, _starts(counts))
+
+
+def _cell_counts(block: list[StepRecord]) -> np.ndarray:
+    return np.array([rec.grid.n_cells for rec in block])
 
 
 def _score_levels(config: ScenarioConfig, history: list[StepRecord]) -> None:
@@ -277,8 +305,10 @@ def _score_levels(config: ScenarioConfig, history: list[StepRecord]) -> None:
     ambient_sigma = _ambient_stress(growth.t_b)
 
     def score(block):
-        F_e = _stack(block, "F_e")
-        p = _stack(block, "p")
+        counts = _cell_counts(block)
+        top = np.cumsum(counts) - 1
+        F_e = _cells(block, "F_e")
+        p = _cells(block, "p")
         rho_top = np.array([rec.rho[-1] for rec in block])
         v_surf = np.zeros((len(block), 2))
         v_surf[:, 0] = [rec.v_nodes[-1] for rec in block]
@@ -287,7 +317,7 @@ def _score_levels(config: ScenarioConfig, history: list[StepRecord]) -> None:
         V_b[:, 1] = boundary_normal_velocity(M, rho_top, v_surf, n_hat)
         grad_v_top = np.zeros((len(block), 2, 2))
         grad_v_top[:, 0, 1] = [rec.g[-1] for rec in block]
-        sigma_top = total_stress(F_e[:, -1], grad_v_top, p[:, -1], params)
+        sigma_top = total_stress(F_e[top], grad_v_top, p[top], params)
         body = SideState(rho=rho_top, v=v_surf, sigma=sigma_top)
         ambient = SideState(rho=0.0, v=v_a, sigma=ambient_sigma)
         mass_res, mom_res = jump_residuals(body, ambient, V_b, n_hat, M, v_a)
@@ -296,9 +326,9 @@ def _score_levels(config: ScenarioConfig, history: list[StepRecord]) -> None:
             "H": np.array([rec.grid.height for rec in block]),
             "mass_residual": np.abs(mass_res),
             "momentum_residual": np.max(np.abs(mom_res), axis=1),
-            "det_drift": np.max(np.abs(det(F_e) - 1.0), axis=1),
-            "max_F_e21": np.max(np.abs(F_e[:, :, 1, 0]), axis=1),
-            "max_p_dev": np.max(np.abs(p - params.G), axis=1),
+            "det_drift": _level_max(np.abs(det(F_e) - 1.0), counts),
+            "max_F_e21": _level_max(np.abs(F_e[:, 1, 0]), counts),
+            "max_p_dev": _level_max(np.abs(p - params.G), counts),
         }
 
     columns = {name: col.tolist() for name, col in _by_blocks(history, score).items()}
@@ -308,7 +338,6 @@ def _score_levels(config: ScenarioConfig, history: list[StepRecord]) -> None:
 
 def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunResult:
     params = config.params
-    n = config.n_cells
     H0 = config.height0
     rate = config.boundary_rate
     M = config.mass_rate
@@ -316,19 +345,25 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
     growth = config.growth_input()
     F_att = growth.F_e_attach
     t_b = growth.t_b
+    grid = config.eulerian_grid()
+    centers = grid.centers
     # The reduction keeps rho at its attachment value (v2 = 0, no
-    # compression), so every record shares one read-only density array.
-    rho = np.full(n, params.rho)
+    # compression), so every record holds a view of one read-only array.
+    rho = np.full(grid.n_cells, params.rho)
     rho.flags.writeable = False
 
-    grid = Grid1D(n, H0) if H0 > 0 else None
-    F_e = None
-    if grid is not None:
-        F_e = identity((n,))
-        if initial_F_e12 is not None:
-            # one-shot equilibration: the body jumps to the sheared state
-            # consistent with the surface momentum flux at t = 0+
-            F_e[:, 0, 1] = initial_F_e12
+    def n_active(H):
+        # the cells whose centers the body has reached
+        return int(np.searchsorted(centers, H, side="right"))
+
+    H = H0
+    m = n_active(H)
+    F_e = identity((m,))
+    if initial_F_e12 is not None:
+        # one-shot equilibration: the body jumps to the sheared state
+        # consistent with the surface momentum flux at t = 0+
+        F_e[:, 0, 1] = initial_F_e12
+    g = np.zeros(m)
     v_surf_prev = np.zeros(2)
     records: list[StepRecord] = []
 
@@ -340,34 +375,34 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
     def solve_and_record(t):
         nonlocal v_surf_prev
         tau = traction_now()
-        sol = quasistatic_momentum_solve_1d(F_e, grid, params, tau)
+        level = Grid1D(m, H, grid.dx)
+        sol = quasistatic_momentum_solve_1d(F_e, level, params, tau)
         residual = max(sol.traction_residual, sol.system_residual)
         if residual > ANSATZ_RESIDUAL_LIMIT:
             raise IncompatibleAnsatz(
                 f"reduced solve residual {residual:.3e}; the through-thickness "
                 f"ansatz is inconsistent")
         records.append(StepRecord(
-            t=t, grid=grid, v_nodes=sol.v_nodes, g=sol.g, F_e=F_e, p=sol.p,
-            rho=rho, metrics={"traction_residual": sol.traction_residual,
-                              "system_residual": sol.system_residual}))
+            t=t, grid=level, v_nodes=sol.v_nodes, g=sol.g, F_e=F_e, p=sol.p,
+            rho=rho[:m], metrics={"traction_residual": sol.traction_residual,
+                                  "system_residual": sol.system_residual}))
         v_surf_prev = np.array([sol.v_nodes[-1], 0.0])
         return sol
 
-    # Step k solves at t = k dt and advances to (k + 1) dt; the closing
-    # solve at t_end is step n_steps.
+    # Step k solves at t = k dt on the cells active at H(t_k) and advances
+    # to (k + 1) dt; the closing solve at t_end is step n_steps.
     k, t = 0, 0.0
     try:
         for k in range(n_steps + 1):
             t = k * dt
-            sol = solve_and_record(t) if grid is not None else None
+            if m:
+                g = solve_and_record(t).g
             if k == n_steps:
                 break
-            new_grid = Grid1D(n, advance_domain(H0, rate, dt, n_steps=k + 1))
-            if grid is None:  # a body built from nothing: all attachment value
-                F_e = np.broadcast_to(F_att, (n, 2, 2)).copy()
-            else:
-                F_e = reduced_step_1d(F_e, sol.g, dt, grid, new_grid, F_att)
-            grid = new_grid
+            H = advance_domain(H0, rate, dt, n_steps=k + 1)
+            m_next = n_active(H)
+            F_e = reduced_step_1d(F_e, g, dt, m_next, F_att)
+            m = m_next
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
     _score_levels(config, records)
@@ -377,19 +412,24 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
 def _attach_oracle_errors_non_normal(result: RunResult) -> None:
     cfg = result.config
     p = cfg.params
+    # every level's centers are a prefix of the final level's
+    centers = result.history[-1].grid.centers
 
     def score(block):
-        t = np.array([[rec.t] for rec in block])
-        # the centers of each level's grid, (i + 1/2) dx
-        x = (np.arange(cfg.n_cells) + 0.5) * np.array([[rec.grid.dx] for rec in block])
+        counts = _cell_counts(block)
+        t = np.repeat([rec.t for rec in block], counts)
+        x = np.concatenate([centers[:m] for m in counts])
         v1_ref, f_ref, p_ref = analytic_non_normal(x, t, cfg.alpha, p.G, p.mu, cfg.V_G)
-        ef = np.stack([rec.F_e[:, 0, 1] for rec in block]) - f_ref
-        v_nodes = _stack(block, "v_nodes")
-        v1 = 0.5 * (v_nodes[:, :-1] + v_nodes[:, 1:])
-        return {"linf_F_e12": np.max(np.abs(ef), axis=1),
-                "rms_F_e12": np.sqrt(np.mean(ef ** 2, axis=1)),
-                "linf_v1": np.max(np.abs(v1 - v1_ref), axis=1),
-                "linf_p": np.max(np.abs(_stack(block, "p") - p_ref), axis=1)}
+        ef = _cells(block, "F_e")[:, 0, 1] - f_ref
+        # face averages, less the pairs that straddle two levels
+        v_nodes = _cells(block, "v_nodes")
+        v1 = np.delete(0.5 * (v_nodes[:-1] + v_nodes[1:]), np.cumsum(counts + 1)[:-1] - 1)
+        return {"linf_F_e12": _level_max(np.abs(ef), counts),
+                # np.mean's sum per level: np.add.reduceat sums in another order
+                "rms_F_e12": np.sqrt([e.sum() / e.size
+                                      for e in np.split(ef ** 2, _starts(counts)[1:])]),
+                "linf_v1": _level_max(np.abs(v1 - v1_ref), counts),
+                "linf_p": _level_max(np.abs(_cells(block, "p") - p_ref), counts)}
 
     result.oracle_errors = {"t": np.array([rec.t for rec in result.history]),
                             **_by_blocks(result.history, score)}
@@ -403,14 +443,15 @@ def _attach_oracle_errors_fdm(result: RunResult) -> None:
     s12_ref, s11_ref = M * cfg.v0, (M * cfg.v0) ** 2 / G
 
     def score(block):
-        F_e = _stack(block, "F_e")
+        counts = _cell_counts(block)
+        F_e = _cells(block, "F_e")
         grad_v = np.zeros(F_e.shape)
-        grad_v[..., 0, 1] = _stack(block, "g")
-        sigma = total_stress(F_e, grad_v, _stack(block, "p"), cfg.params)
-        return {"linf_F_e12": np.max(np.abs(F_e[..., 0, 1] - gamma), axis=1),
-                "linf_v1": np.max(np.abs(_stack(block, "v_nodes")), axis=1),
-                "linf_sigma12": np.max(np.abs(sigma[..., 0, 1] - s12_ref), axis=1),
-                "linf_sigma11": np.max(np.abs(sigma[..., 0, 0] - s11_ref), axis=1)}
+        grad_v[..., 0, 1] = _cells(block, "g")
+        sigma = total_stress(F_e, grad_v, _cells(block, "p"), cfg.params)
+        return {"linf_F_e12": _level_max(np.abs(F_e[..., 0, 1] - gamma), counts),
+                "linf_v1": _level_max(np.abs(_cells(block, "v_nodes")), counts + 1),
+                "linf_sigma12": _level_max(np.abs(sigma[..., 0, 1] - s12_ref), counts),
+                "linf_sigma11": _level_max(np.abs(sigma[..., 0, 0] - s11_ref), counts)}
 
     result.oracle_errors = {"t": np.array([rec.t for rec in result.history]),
                             **_by_blocks(result.history, score)}

@@ -120,7 +120,8 @@ def verify_fdm_shear(resolutions=(16, 50, 200)):
     H_ref = cfg.height0 + (cfg.h * cfg.v0 / cfg.L) * cfg.t_end
     rows.append(CheckRow("H_end_error", abs(result.final.grid.height - H_ref),
                          8 * np.finfo(float).eps * max(1.0, H_ref)))
-    drift = max(float(np.max(np.abs(a.F_e - b.F_e)))
+    # each level's cells against the same cells at the next level
+    drift = max(float(np.max(np.abs(a.F_e - b.F_e[:len(a.F_e)])))
                 for a, b in zip(result.history, result.history[1:]))
     rows.append(CheckRow("steady_step_to_step_drift", drift, 1e-12))
     rows.append(CheckRow("runtime_s", elapsed, 5.0))

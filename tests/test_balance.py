@@ -193,9 +193,21 @@ def test_solve_matches_dense_tridiagonal_system(params):
 
 
 def test_solve_degenerate_grid(params):
-    stub = types.SimpleNamespace(n_cells=1, dx=0.1)
+    stub = types.SimpleNamespace(n_cells=0, dx=0.1)
     with pytest.raises(SingularSystem):
-        quasistatic_momentum_solve_1d(identity((1,)), stub, params, np.zeros(2))
+        quasistatic_momentum_solve_1d(identity((0,)), stub, params, np.zeros(2))
+
+
+@pytest.mark.parametrize("grid", [Grid1D(1, 0.3), Grid1D(1, 0.0026, dx=0.005)])
+def test_solve_one_cell(params, grid):
+    # the first active cell of a body grown from nothing relaxes too: the
+    # solve is the first integral at the one cell, v = [0, dx g0]
+    F_e = identity((1,))
+    F_e[0, 0, 1] = -0.5
+    sol = quasistatic_momentum_solve_1d(F_e, grid, params, np.zeros(2))
+    assert sol.g[0] == 0.5 * params.G / params.mu
+    np.testing.assert_array_equal(sol.v_nodes, [0.0, grid.dx * sol.g[0]])
+    assert sol.system_residual <= 1e-14 and sol.traction_residual <= 1e-14
 
 
 def test_advance_domain_examples():

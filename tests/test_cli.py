@@ -1,3 +1,5 @@
+import pytest
+
 from surfgrow.cli import main
 
 NN_CFG = """\
@@ -30,6 +32,22 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "manifest.json").is_file()
     assert (tmp_path / "out" / "metrics.jsonl").is_file()
+
+
+@pytest.mark.parametrize("text, steps, levels", [
+    # dx = 4 dt: the first center dx / 2 is reached at step 2
+    (NN_CFG, 128, 127),
+    # a body present at t = 0 stores that level too
+    ("kind = fdm_shear\nmu = 1.0\nH0 = 1.0\nt_end = 0.5\nn_cells = 32\n", 128, 129),
+])
+def test_run_prints_steps_and_stored_levels(tmp_path, capsys, text, steps, levels):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert f": {steps} steps, {levels} stored levels, " in out
+    metrics = (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()
+    assert len(metrics) == 1 + levels
 
 
 def test_run_rejects_zero_viscosity(tmp_path, capsys):

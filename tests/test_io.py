@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import surfgrow.output
 from surfgrow import (Grid1D, MaterialParams, ParseError, PathlineRecord,
                       RunResult, ScenarioConfig, StepRecord, ValidationError,
                       parse_config, read_snapshot, run_fdm_shear, run_non_normal,
-                      trace_history_pathlines, write_fields)
+                      run_scenario, trace_history_pathlines, write_fields)
 from surfgrow.config import read_pairs
 from surfgrow.output import METRIC_FIELDS, SNAPSHOT_COLUMNS, fmt
 from surfgrow.tensors import identity
@@ -238,3 +239,54 @@ def test_no_pathlines_writes_no_pathline_file(tmp_path):
     manifest = write_fields(res, tmp_path / "out")
     assert not (tmp_path / "out" / "pathlines.csv").exists()
     assert "pathlines.csv" not in {f["name"] for f in manifest.files}
+
+
+def _reference_metrics(result) -> str:
+    # one json.dumps per row
+    oracle_keys = sorted(k for k in result.oracle_errors if k != "t")
+    lines = [json.dumps({"type": "header", "fields": list(METRIC_FIELDS) + oracle_keys},
+                        sort_keys=True)]
+    for k, rec in enumerate(result.history):
+        row = {"type": "step", "step": k}
+        row.update({name: fmt(rec.metrics[name]) for name in METRIC_FIELDS})
+        for key in oracle_keys:
+            row[key] = fmt(result.oracle_errors[key][k])
+        lines.append(json.dumps(row, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["non_normal", "fdm_shear", "thermal", "odd"])
+def test_metrics_rows_match_json_dumps(tmp_path, kind):
+    if kind == "odd":
+        result = _odd_values_result()
+        odd = [-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300, 2.0]
+        for k, rec in enumerate(result.history):
+            rec.metrics = {name: odd[(k + i) % len(odd)]
+                           for i, name in enumerate(METRIC_FIELDS)}
+        result.oracle_errors = {"t": np.array([0.0, 0.5, 1.0]),
+                                "linf_F_e12": np.array(odd[3:6]),
+                                "linf_v1": np.array(odd[:3])}
+    else:
+        result = run_scenario(replace(default_config(kind), n_cells=32))
+    write_fields(result, tmp_path / "out")
+    assert (tmp_path / "out" / "metrics.jsonl").read_bytes() == \
+        _reference_metrics(result).encode()
+
+
+@pytest.mark.parametrize("kind", ["non_normal", "fdm_shear", "thermal"])
+def test_manifest_counts_active_cells_like_the_csv_rows(tmp_path, kind):
+    cfg = replace(default_config(kind), n_cells=32, n_snapshots=4)
+    res = run_scenario(cfg)
+    write_fields(res, tmp_path / "out")
+    parsed = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    grid = parsed["grid"]
+    assert grid["dx"] == cfg.eulerian_grid().dx == res.final.grid.dx
+    assert grid["final_height"] == cfg.eulerian_grid().height
+    rows = []
+    for snap in parsed["snapshots"]:
+        lines = (tmp_path / "out" / snap["file"]).read_text().splitlines()
+        rows.append(len(lines) - 1)
+        assert snap["n_active"] == rows[-1] == res.history[snap["step"]].grid.n_cells
+    # the body grows through the fixed grid and fills it at t_end
+    assert rows[0] < rows[-1] == grid["n_active"] == cfg.n_cells
+    assert rows == sorted(rows)
