@@ -38,7 +38,7 @@ def main(out_dir=None):
     print(f"{'x2':>6} {'F_e11':>9} {'F11':>9} {'F_relax11':>10}")
     for x2 in (0.1, 0.4, 0.6, 0.9, 1.2, 1.45):
         j = int(np.argmin(np.abs(rec.grid.centers - x2)))
-        print(f"{x2:6.2f} {rec.F_e[j, 0, 0]:9.5f} {final.F[j, 0, 0]:9.5f} "
+        print(f"{x2:6.2f} {rec.F_e0[j, 0, 0]:9.5f} {final.F[j, 0, 0]:9.5f} "
               f"{final.F_relax[j, 0, 0]:10.5f}")
     print("\nthe deposited region stores its shrunken zero-stress shape in "
           "F_relax while F stays compatible (identity here: nothing moved)")

@@ -25,7 +25,7 @@ from .kinematics import (PathlineRecord, ReconstructedFrame,
                          strip_row_curl, strip_velocity_gradient)
 from .balance import (GrowthInput, QuasistaticSolution, SideState,
                       advance_domain, boundary_normal_velocity,
-                      growth_traction, jump_residuals,
+                      growth_traction, jump_residuals, normal_pressure,
                       quasistatic_momentum_solve_1d)
 from .scenarios import (ConvergenceRow, RunResult, ScenarioConfig,
                         analytic_non_normal, convergence_study,
@@ -50,7 +50,8 @@ __all__ = [
     "integrate_characteristics", "reconstruct_reference", "strip_row_curl",
     "strip_velocity_gradient", "GrowthInput", "QuasistaticSolution",
     "SideState", "advance_domain", "boundary_normal_velocity",
-    "growth_traction", "jump_residuals", "quasistatic_momentum_solve_1d",
+    "growth_traction", "jump_residuals", "normal_pressure",
+    "quasistatic_momentum_solve_1d",
     "ConvergenceRow", "RunResult", "ScenarioConfig", "analytic_non_normal",
     "convergence_study", "pathline_grid_discrepancy",
     "reconstruction_roundtrip_error", "run_fdm_shear", "run_mu_sweep",

@@ -7,7 +7,11 @@ moves with ``V_b . n = v . n + M / rho`` and develops the traction
 momentum balance is solved: with ``v = v1(x2) e1`` the continuity equation
 leaves the density at its attachment value, and the velocity gradient
 ``grad v = v1'(x2) e1 (x) e2`` is rank one, so the solve returns its single
-scalar ``g = v1'`` per cell rather than a 2x2 stack.
+scalar ``g = v1'`` per cell rather than a 2x2 stack.  Only the shear
+``F_e12`` of the elastic deformation evolves, so the solve takes it as one
+array and the cells' constant components as another, and the pressure,
+which depends on the constant second row alone, is computed once per run
+(``normal_pressure``).
 """
 
 from __future__ import annotations
@@ -127,24 +131,43 @@ class QuasistaticSolution:
 
     ``v_nodes`` is the tangential velocity at the n+1 cell faces (node 0
     clamped); ``g`` the cell-centered shear rate ``v1'``, the one nonzero
-    component ``(0, 1)`` of the velocity gradient; ``p`` the per-cell
-    pressure.  ``system_residual`` is the max-norm residual of the
-    scaled tridiagonal system, ``traction_residual`` the defect of the
-    discrete surface traction against the applied one.
+    component ``(0, 1)`` of the velocity gradient.  ``system_residual`` is
+    the max-norm residual of the scaled tridiagonal system,
+    ``traction_residual`` the defect of the discrete surface traction
+    against the applied one.  The pressure does not change while only
+    ``F_e12`` evolves; ``normal_pressure`` gives it.
     """
 
     v_nodes: np.ndarray
     g: np.ndarray
-    p: np.ndarray
     system_residual: float
     traction_residual: float
 
 
-def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D, params: MaterialParams,
-                                  top_traction) -> QuasistaticSolution:
+def normal_pressure(F_e0: np.ndarray, G: float, tau2: float) -> np.ndarray:
+    """Per-cell pressure ``p = G S22 - tau2`` with ``S22 = F_e21^2 + F_e22^2``.
+
+    The normal balance integrates to the uniform ``sigma22 = tau2``, which
+    fixes the pressure cell-wise.  It depends on the second row of ``F_e``
+    alone, which the reduction never changes, so a run computes it once.
+    Raises ``SingularSystem`` on non-finite values.
+    """
+    S22 = F_e0[..., 1, 0] ** 2 + F_e0[..., 1, 1] ** 2
+    p = G * S22 - tau2
+    if not np.isfinite(p).all():
+        raise SingularSystem("momentum solve produced non-finite values")
+    return p
+
+
+def quasistatic_momentum_solve_1d(F12: np.ndarray, F_e0: np.ndarray, grid: Grid1D,
+                                  params: MaterialParams, top_traction
+                                  ) -> QuasistaticSolution:
     """Inertia-free momentum balance for the through-thickness reduction.
 
     Fields depend on ``x2`` only and the velocity is ``v = v1(x2) e1``.
+    The elastic deformation is ``F_e0`` with its ``(0, 1)`` entries
+    replaced by ``F12``: in the reduction only the shear evolves, and
+    ``F_e0`` holds each cell's constant ``F_e11``, ``F_e21`` and ``F_e22``.
     With ``S = F_e F_e^T`` the tangential balance is the two-point boundary
     value problem
 
@@ -154,8 +177,8 @@ def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D, params: Materia
     discretized on the cell faces as a tridiagonal system.  Its solution is
     the running sum of the discrete first integral below, so no matrix is
     factored; the residual of the scaled system is still reported.  The
-    normal balance integrates to the uniform ``sigma22 = tau2``, which fixes
-    the pressure cell-wise.
+    normal balance fixes the pressure (``normal_pressure``); its top cell
+    enters the traction residual.
 
     The admissible family requires ``|F_e21| <= ANSATZ_TOL``; otherwise
     ``NotReduced`` is raised.  The returned shear rate ``g`` is the scheme's
@@ -168,18 +191,18 @@ def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D, params: Materia
     """
     if not params.mu > 0:
         raise ValidationError("mu must be positive for the regularized solve")
-    F = require_finite(F_e, "F_e")
+    F12 = require_finite(F12, "F_e12")
+    F = require_finite(F_e0, "F_e")
     n = grid.n_cells
     dx = grid.dx
     # one cell suffices: the first integral is then the top row alone
     if n < 1 or not np.isfinite(dx) or dx <= 0:
         raise SingularSystem(f"degenerate grid: n_cells = {n}, dx = {dx}")
-    if float(np.max(np.abs(F[:, 1, 0]))) > ANSATZ_TOL:
+    if np.abs(F[:, 1, 0]).max() > ANSATZ_TOL:
         raise NotReduced("F_e21 exceeds the through-thickness ansatz tolerance")
 
     tau1, tau2 = float(top_traction[0]), float(top_traction[1])
-    S12 = F[:, 0, 0] * F[:, 1, 0] + F[:, 0, 1] * F[:, 1, 1]
-    S22 = F[:, 1, 0] ** 2 + F[:, 1, 1] ** 2
+    S12 = F[:, 0, 0] * F[:, 1, 0] + F12 * F[:, 1, 1]
     G, mu = params.G, params.mu
 
     # Exact discrete first integral of the scheme (see docstring).  Its
@@ -187,24 +210,27 @@ def quasistatic_momentum_solve_1d(F_e: np.ndarray, grid: Grid1D, params: Materia
     # 1..n (face 0 clamped), interior face i carries the second-difference
     # balance and the top row is the first integral at the top cell.
     g_cells = (tau1 - G * S12) / mu
-    v_nodes = np.concatenate([[0.0], np.cumsum(dx * g_cells)])
-    p = G * S22 - tau2
-    if not (np.all(np.isfinite(v_nodes)) and np.all(np.isfinite(p))):
+    v_nodes = np.concatenate([[0.0], (dx * g_cells).cumsum()])
+    # the normal balance at the top cell, as normal_pressure has it
+    S22_top = F[-1, 1, 0] ** 2 + F[-1, 1, 1] ** 2
+    p_top = G * S22_top - tau2
+    if not (np.isfinite(v_nodes).all() and np.isfinite(p_top)):
         raise SingularSystem("momentum solve produced non-finite values")
 
     # Residual of the tridiagonal system, rows scaled to O(1) entries.
     resid = np.empty(n)
-    resid[:n - 1] = np.diff(v_nodes, 2) + (G / mu) * dx * np.diff(S12)
+    dv = v_nodes[1:] - v_nodes[:-1]
+    resid[:n - 1] = (dv[1:] - dv[:-1]) + (G / mu) * dx * (S12[1:] - S12[:-1])
     resid[n - 1] = (v_nodes[n] - v_nodes[n - 1]
                     - (dx / mu) * (tau1 - G * S12[n - 1]))
-    system_residual = (float(np.max(np.abs(resid)))
-                       / max(1.0, float(np.max(np.abs(v_nodes)))))
+    system_residual = (float(np.abs(resid).max())
+                       / max(1.0, float(np.abs(v_nodes).max())))
 
     sigma12_top = G * S12[-1] + mu * g_cells[-1]
-    sigma22_top = -p[-1] + G * S22[-1]
+    sigma22_top = -p_top + G * S22_top
     traction_residual = max(abs(sigma12_top - tau1), abs(sigma22_top - tau2))
 
-    return QuasistaticSolution(v_nodes=v_nodes, g=g_cells, p=p,
+    return QuasistaticSolution(v_nodes=v_nodes, g=g_cells,
                                system_residual=system_residual,
                                traction_residual=traction_residual)
 

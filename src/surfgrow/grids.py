@@ -6,8 +6,9 @@ Eulerian grid, sized so that its ``n_cells`` cells fill the final body
 ``[0, H(t_end)]``; the growing boundary moves through it, and at each
 level only the active prefix is solved and stored: the cells whose
 centers the body height ``H(t)`` has reached.  A record's ``Grid1D`` is
-that prefix.  A record stores the velocity gradient as its one scalar per
-cell, the shear rate ``g``.  A small periodic-in-``x1`` strip grid
+that prefix.  A record owns two scalars per cell, the shear ``F_e12`` and
+the shear rate ``g``; the rest of a level is a view of per-run constants
+or is assembled on request.  A small periodic-in-``x1`` strip grid
 supports the two-dimensional verification transports.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,24 +61,45 @@ class Grid1D:
 class StepRecord:
     """One time level of a run: geometry, solved velocity, and fields.
 
-    ``v_nodes`` holds the tangential velocity at the ``n+1`` cell faces
-    (node 0 is the clamped base); ``g`` is the cell-centered shear rate
-    ``v1'`` actually used by the transport step.  With ``v = v1(x2) e1`` it
-    is the only nonzero component ``(0, 1)`` of the velocity gradient, which
-    ``grad_v`` assembles on demand.  A growth march owns its arrays:
-    ``F_e``, ``p``, ``v_nodes`` and ``g`` are fresh every step and cover
-    the level's active cells, and the uniform density ``rho`` is a view of
-    one read-only array shared by all records of the run.
+    ``step`` is the march step ``k`` of the level, at ``t = k dt``.  In the
+    through-thickness reduction only the shear ``F_e12`` of the elastic
+    deformation evolves: ``F_e11``, ``F_e21`` and ``F_e22`` keep the values
+    a cell had when it entered the run.  A record owns two arrays over the
+    level's active cells, ``F_e12`` and the cell-centered shear rate
+    ``g = v1'`` used by the transport step.  Everything else per cell is a
+    view of a read-only array shared by all records of the run:
+
+    ``F_e0``
+        each cell's ``(2, 2)`` elastic deformation when it entered the run
+        (on attachment, or at ``t = 0`` for the initial body); ``F_e``
+        differs from it only in the ``(0, 1)`` entry, which is ``F_e12``;
+    ``p``
+        the pressure ``G S22 - tau2``, fixed per cell by the constant
+        ``F_e22`` and the applied normal traction;
+    ``rho``
+        the uniform density.
+
+    ``v_surf`` is the velocity of the top face.  ``v_nodes``, ``grad_v`` and
+    ``F_e`` are assembled on request; ``F_e`` is built once and then kept,
+    so an edit to it persists.
     """
 
     t: float
+    step: int
     grid: Grid1D
-    v_nodes: np.ndarray
+    F_e12: np.ndarray
     g: np.ndarray
-    F_e: np.ndarray
+    F_e0: np.ndarray
     p: np.ndarray
     rho: np.ndarray
+    v_surf: float
     metrics: dict = field(default_factory=dict)
+
+    @property
+    def v_nodes(self) -> np.ndarray:
+        """Tangential velocity at the ``n+1`` cell faces (node 0 is the
+        clamped base): the running sum of ``dx g``, as the solve computes it."""
+        return np.concatenate([[0.0], (self.grid.dx * self.g).cumsum()])
 
     @property
     def grad_v(self) -> np.ndarray:
@@ -84,6 +107,19 @@ class StepRecord:
         grad_v = np.zeros((len(self.g), 2, 2))
         grad_v[:, 0, 1] = self.g
         return grad_v
+
+    @cached_property
+    def F_e(self) -> np.ndarray:
+        """The ``(n, 2, 2)`` elastic deformation, built on first access."""
+        F_e = self.F_e0.copy()
+        F_e[:, 0, 1] = self.F_e12
+        return F_e
+
+    def F_e_columns(self) -> tuple[np.ndarray, ...]:
+        """The components ``(F_e11, F_e12, F_e21, F_e22)`` as ``(n,)`` arrays,
+        without assembling ``F_e``."""
+        F_e0 = self.F_e0
+        return F_e0[:, 0, 0], self.F_e12, F_e0[:, 1, 0], F_e0[:, 1, 1]
 
 
 def interp_columns(xq: np.ndarray, xp: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -13,10 +13,11 @@ Grid transport uses first-order upwinding plus forward-Euler source
 integration.  In the through-thickness reduction the advecting velocity
 ``v2`` is zero, so the growth march keeps only the source update
 (``reduced_step_1d``), where the rank-one gradient ``g e1 (x) e2`` changes
-only the first row of the transported tensor.  The march's grid is fixed
-in space: a step updates the active cells where they sit and appends the
-cells the growing boundary reached with the inflow value, with no
-interpolation.  Characteristic transport integrates the equivalent ODE
+only the first row of the transported tensor, and with ``F_e21 = 0`` only
+its shear: the march and the replay step that one scalar per cell.  The
+march's grid is fixed in space: a step updates the active cells where they
+sit and appends the cells the growing boundary reached with the inflow
+value, with no interpolation.  Characteristic transport integrates the equivalent ODE
 system along pathlines with an explicit midpoint (RK2) scheme (``integrate_characteristics``, for any velocity
 sampler).  In the reduction a pathline keeps its height, so the scenarios
 trace theirs with the same scheme as one array march over the stored
@@ -31,9 +32,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (CFLViolation, GrowthNotSupported, MissingInflowBC,
-                     OutOfDomain, ValidationError)
+                     OutOfDomain, SingularTensor, ValidationError)
 from .grids import Grid1D, PeriodicStrip, StepRecord
-from .tensors import identity, inverse, require_finite
+from .tensors import EPS_DET, identity, inverse, require_finite
 
 CFL_LIMIT = 0.9
 
@@ -107,30 +108,31 @@ def _transport_step_1d(tensor_field: np.ndarray, v: np.ndarray, grad_v: np.ndarr
     return T + dt * (source - adv)
 
 
-def reduced_step_1d(T: np.ndarray, g: np.ndarray, dt: float, n_cells: int,
-                    inflow_bc: np.ndarray) -> np.ndarray:
-    """One transport step of the through-thickness reduction on the fixed
-    grid: the ``len(T)`` active cells are stepped, and the cells up to
-    ``n_cells`` that the boundary reached during the step are appended
-    with the inflow value ``inflow_bc``.
+def reduced_step_1d(F12: np.ndarray, g: np.ndarray, F22, dt: float, n_cells: int,
+                    inflow: float) -> np.ndarray:
+    """One transport step of the shear ``F12`` of a tensor in the
+    through-thickness reduction on the fixed grid: the ``len(F12)`` active
+    cells are stepped, and the cells up to ``n_cells`` that the boundary
+    reached during the step are appended with the inflow shear ``inflow``.
 
     With ``v = v1(x2) e1`` the advecting velocity ``v2`` vanishes, so the
     upwind term of ``_transport_step_1d`` is exactly zero and the step is
     the source update ``T + dt (grad v) T``.  The velocity gradient
-    ``g e1 (x) e2`` is rank one, so only the first row changes:
-    ``T[0, :] += dt g T[1, :]``.  Each entry of ``(grad v) T`` sums one
-    such product and an exact zero, so this is bitwise the full update.
-    The result is a fresh ``(n_cells, 2, 2)`` array.
+    ``g e1 (x) e2`` is rank one, so only the first row of ``T`` changes,
+    ``T[0, :] += dt g T[1, :]``; with ``T21 = 0`` that leaves ``T11``
+    as it is and makes the shear ``F12 + dt (g F22)``, bitwise the ``(0, 1)``
+    entry of the full update.  ``F22`` is the tensor's constant second
+    diagonal entry per cell, or a scalar.  The result is a fresh
+    ``(n_cells,)`` array.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    m = len(T)
+    m = len(F12)
     if n_cells < m:
         raise ValidationError(f"the active cells cannot shrink: {m} -> {n_cells}")
-    out = np.empty((n_cells, 2, 2))
-    out[:m] = T
-    out[:m, 0, :] += dt * (g[:, None] * T[:, 1, :])
-    out[m:] = inflow_bc
+    out = np.empty(n_cells)
+    out[:m] = F12 + dt * (g * F22)
+    out[m:] = inflow
     return out
 
 
@@ -180,17 +182,21 @@ class ReconstructedFrame:
     F_relax: np.ndarray
 
 
-def replay_reference(history: Sequence[StepRecord], t0: float | None = None,
-                     ) -> Iterator[tuple[ReconstructedFrame, StepRecord]]:
-    """Replay a stored run level by level: yield ``(frame, record)`` from
-    ``t0`` on (default: the earliest stored time).
+def replay_columns(history: Sequence[StepRecord], t0: float | None = None,
+                   ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...], StepRecord]]:
+    """Replay a stored run level by level, by components: yield
+    ``(f12, F_relax, record)`` from ``t0`` on (default: the earliest stored
+    time), with ``F = I + f12 e1 (x) e2`` and ``F_relax`` the tuple of its
+    components ``(11, 12, 21, 22)`` as ``(n,)`` arrays.
 
     The configuration at ``t0`` is declared the reference, so ``F = I``
     there; F is then advanced by replaying the stored shear rates ``g``
     through the march's own step (``reduced_step_1d``, cells attached
-    after ``t0`` entering with ``F = I``), and the relaxed shape follows
-    from ``F_relax = F_e^{-1} F`` at every level.  Each frame
-    owns fresh arrays, so a consumer may keep or drop it.
+    after ``t0`` entering with ``F = I``).  That step changes neither the
+    second row of ``F`` nor ``F11``, so ``F`` stays ``I`` but for its shear
+    ``f12``.  The relaxed shape ``F_relax = F_e^{-1} F`` follows from the
+    adjugate of the record's ``F_e`` columns; ``SingularTensor`` is raised
+    when ``|det F_e| <= EPS_DET`` in any cell.
     """
     if not history:
         raise ValidationError("history is empty")
@@ -201,14 +207,33 @@ def replay_reference(history: Sequence[StepRecord], t0: float | None = None,
         i0 = int(np.argmin(np.abs(times - t0)))
         if abs(times[i0] - t0) > 1e-9 * max(1.0, abs(t0)):
             raise ValidationError(f"t0 = {t0:g} is not a stored time level")
-    F = identity((history[i0].grid.n_cells,))
+    f12 = np.zeros(history[i0].grid.n_cells)
     prev = None
     for cur in history[i0:]:
         if prev is not None:
-            F = reduced_step_1d(F, prev.g, cur.t - prev.t, cur.grid.n_cells,
-                                np.eye(2))
-        yield ReconstructedFrame(t=cur.t, F=F, F_relax=inverse(cur.F_e) @ F), cur
+            f12 = reduced_step_1d(f12, prev.g, 1.0, cur.t - prev.t, cur.grid.n_cells,
+                                  0.0)
+        a, b, c, d = cur.F_e_columns()
+        det = a * d - b * c
+        if np.any(np.abs(det) <= EPS_DET):
+            raise SingularTensor(f"|det| <= {EPS_DET:g} in tensor inversion")
+        # F_e^{-1} = [[d, -b], [-c, a]] / det, times [[1, f12], [0, 1]]
+        i11, i12, i21, i22 = d / det, -b / det, -c / det, a / det
+        yield f12, (i11, i11 * f12 + i12, i21, i21 * f12 + i22), cur
         prev = cur
+
+
+def replay_reference(history: Sequence[StepRecord], t0: float | None = None,
+                     ) -> Iterator[tuple[ReconstructedFrame, StepRecord]]:
+    """Replay a stored run level by level: yield ``(frame, record)`` from
+    ``t0`` on, the ``(n, 2, 2)`` tensors of ``replay_columns``.  Each frame
+    owns fresh arrays, so a consumer may keep or drop it.
+    """
+    for f12, F_relax, rec in replay_columns(history, t0=t0):
+        F = identity((len(f12),))
+        F[:, 0, 1] = f12
+        yield ReconstructedFrame(t=rec.t, F=F,
+                                 F_relax=np.stack(F_relax, axis=1).reshape(F.shape)), rec
 
 
 def reconstruct_reference(history: Sequence[StepRecord],

@@ -41,6 +41,7 @@ class RunManifest:
     config: dict
     grid: dict
     time: dict
+    history_bytes: int
     duration_seconds: float | None
     snapshots: list
     files: list
@@ -81,7 +82,7 @@ def _write_snapshot(path: Path, rec) -> None:
     v1 = 0.5 * (rec.v_nodes[:-1] + rec.v_nodes[1:])
     n = rec.grid.n_cells
     table = np.column_stack([rec.grid.centers, v1, np.zeros(n),
-                             rec.F_e.reshape(n, 4), rec.p, rec.rho])
+                             *rec.F_e_columns(), rec.p, rec.rho])
     _write_table(path, ",".join(SNAPSHOT_COLUMNS),
                  ",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)), table)
 
@@ -90,7 +91,8 @@ def _write_metrics(path: Path, result: RunResult) -> None:
     """Write the header and one ``json.dumps(row, sort_keys=True)`` line per
     stored level, each step row made by one precompiled %-format.
 
-    A step row holds ``"type": "step"``, ``"step": k`` and every metric and
+    A step row holds ``"type": "step"``, the march step ``"step": k`` of the
+    level (``t = k dt``) and every metric and
     oracle error as its ``fmt`` string, which ``"%.17g"`` writes; the
     template lists the keys in sorted order with json's separators, and the
     values need no escaping.
@@ -103,7 +105,7 @@ def _write_metrics(path: Path, result: RunResult) -> None:
     keys = sorted(slots)
     template = "{" + ", ".join(f'"{key}": {slots[key]}' for key in keys) + "}\n"
     history = result.history
-    columns = {"step": range(len(history))}
+    columns = {"step": [rec.step for rec in history]}
     columns.update((name, [rec.metrics[name] for rec in history])
                    for name in METRIC_FIELDS)
     columns.update((key, result.oracle_errors[key].tolist()) for key in oracle_keys)
@@ -129,6 +131,19 @@ def _write_pathlines(path: Path, result: RunResult) -> None:
     table = np.column_stack([index, t, x, F, v1, np.zeros(len(t)), p])
     _write_table(path, "pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p",
                  "%d" + ",%.17g" * 10, table)
+
+
+def _history_bytes(history) -> int:
+    """Bytes of the arrays a stored run holds, from their sizes: each
+    record's own ``F_e12`` and ``g``, plus every array the records share
+    (``F_e0``, ``p``, ``rho``, held as views) once."""
+    owned = sum(rec.F_e12.nbytes + rec.g.nbytes for rec in history)
+    shared = {}
+    for rec in history:
+        for view in (rec.F_e0, rec.p, rec.rho):
+            base = view if view.base is None else view.base
+            shared[id(base)] = base.nbytes
+    return owned + sum(shared.values())
 
 
 def read_snapshot(path) -> dict:
@@ -159,7 +174,7 @@ def write_fields(result: RunResult, out_dir,
             rec = result.history[idx]
             name = f"snapshot_{ordinal:04d}.csv"
             _write_snapshot(out / name, rec)
-            snapshots.append({"file": name, "step": int(idx), "t": fmt(rec.t),
+            snapshots.append({"file": name, "step": rec.step, "t": fmt(rec.t),
                               "n_active": rec.grid.n_cells})
         _write_metrics(out / "metrics.jsonl", result)
         written = [s["file"] for s in snapshots] + ["metrics.jsonl"]
@@ -180,13 +195,16 @@ def write_fields(result: RunResult, out_dir,
         manifest = RunManifest(
             version=__version__,
             config=config_echo,
-            # the fixed grid's spacing and the active cells of the last level
+            # the fixed grid's spacing, the active cells of the last level
+            # and the active cells summed over the solved levels
             grid={"n_cells": cfg.n_cells, "dx": cfg.eulerian_grid().dx,
                   "n_active": result.history[-1].grid.n_cells if result.history else 0,
-                  "final_height": result.history[-1].grid.height if result.history else None},
+                  "final_height": result.history[-1].grid.height if result.history else None,
+                  "cell_steps": sum(rec.grid.n_cells for rec in result.history)},
             # dt over the explicit relaxation bound, G dt F_e22^2 / mu (<= 1)
             time={"dt": dt, "n_steps": n_steps, "t_end": cfg.t_end,
                   "stability_margin": dt / cfg.relaxation_bound},
+            history_bytes=_history_bytes(result.history),
             duration_seconds=duration_seconds,
             snapshots=snapshots,
             files=files,

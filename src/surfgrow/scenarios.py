@@ -24,13 +24,16 @@ height ``H(t_k)`` reaches its center.  A step solves the quasistatic
 momentum balance on the active cells, applies the explicit source update
 of F_e to them (the reduction has no advecting velocity) and appends the
 cells the boundary reached with the attachment value; nothing is
-interpolated.  Levels with no active cell (a body grown from nothing,
-before the front reaches the first center) are not stored.  The step loop
-only solves, checks the solve's residuals and records the level.  The
-jump, determinant and pressure metrics and the oracle errors are computed
-after the march from the stored fields, ``BLOCK_LEVELS`` levels per numpy
-call, the cells of a block's levels concatenated and reduced level by
-level.
+interpolated.  Only the shear ``F_e12`` evolves, so it is the march's
+state: the other components of each cell's F_e, its pressure and its
+density are per-run constants, built once as read-only arrays of which
+each stored level holds a view.  Levels with no active cell (a body grown
+from nothing, before the front reaches the first center) are not stored.
+The step loop only solves, checks the solve's residuals and records the
+level.  The jump, determinant and pressure metrics and the oracle errors
+are computed after the march from the stored fields, ``BLOCK_LEVELS``
+levels per numpy call, the cells of a block's levels concatenated and
+reduced level by level.
 """
 
 from __future__ import annotations
@@ -42,13 +45,13 @@ import numpy as np
 
 from .balance import (GrowthInput, SideState, advance_domain,
                       boundary_normal_velocity, growth_traction, jump_residuals,
-                      quasistatic_momentum_solve_1d)
+                      normal_pressure, quasistatic_momentum_solve_1d)
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, total_stress)
 from .errors import (IncompatibleAnsatz, NoOracle, OutOfBody, OutOfDomain,
                      SurfgrowError, ValidationError)
 from .grids import Grid1D, StepRecord, interp_columns
-from .kinematics import PathlineRecord, reduced_step_1d, replay_reference
+from .kinematics import PathlineRecord, reduced_step_1d, replay_columns
 from .tensors import det, identity
 
 KINDS = ("non_normal", "fdm_shear", "thermal")
@@ -229,10 +232,17 @@ class RunResult:
         """Interpolated field values at one height (clamped to the body)."""
         rec = record if record is not None else self.final
         xq = np.array([min(max(x2, 0.0), rec.grid.height)])
-        F = interp_columns(xq, rec.grid.centers, rec.F_e)[0]
+        F = _interp_F_e(rec, xq)[0]
         p = float(np.interp(xq, rec.grid.centers, rec.p)[0])
         v1 = float(np.interp(xq, rec.grid.faces, rec.v_nodes)[0])
         return {"F_e": F, "p": p, "v1": v1}
+
+
+def _interp_F_e(rec: StepRecord, xq: np.ndarray) -> np.ndarray:
+    """A level's F_e interpolated at the heights ``xq`` from its columns
+    (the record's F_e is not built)."""
+    columns = np.stack(rec.F_e_columns(), axis=1)
+    return interp_columns(xq, rec.grid.centers, columns).reshape(len(xq), 2, 2)
 
 
 def analytic_non_normal(x2, t, alpha: float, G: float, mu: float, V_G: float):
@@ -278,6 +288,14 @@ def _cells(block: list[StepRecord], name: str) -> np.ndarray:
     return np.concatenate([getattr(rec, name) for rec in block])
 
 
+def _F_e_cells(block: list[StepRecord]) -> np.ndarray:
+    """The ``(2, 2)`` elastic deformations of a block's cells, concatenated,
+    assembled from the records' columns (no record's ``F_e`` is built)."""
+    F_e = _cells(block, "F_e0")
+    F_e[:, 0, 1] = _cells(block, "F_e12")
+    return F_e
+
+
 def _starts(counts: np.ndarray) -> np.ndarray:
     """Offset of each level's first entry among the concatenated entries."""
     return np.cumsum(counts) - counts
@@ -307,11 +325,11 @@ def _score_levels(config: ScenarioConfig, history: list[StepRecord]) -> None:
     def score(block):
         counts = _cell_counts(block)
         top = np.cumsum(counts) - 1
-        F_e = _cells(block, "F_e")
+        F_e = _F_e_cells(block)
         p = _cells(block, "p")
         rho_top = np.array([rec.rho[-1] for rec in block])
         v_surf = np.zeros((len(block), 2))
-        v_surf[:, 0] = [rec.v_nodes[-1] for rec in block]
+        v_surf[:, 0] = [rec.v_surf for rec in block]
         v_a = growth.v_a if growth.v_a is not None else v_surf
         V_b = np.zeros((len(block), 2))
         V_b[:, 1] = boundary_normal_velocity(M, rho_top, v_surf, n_hat)
@@ -347,10 +365,6 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
     t_b = growth.t_b
     grid = config.eulerian_grid()
     centers = grid.centers
-    # The reduction keeps rho at its attachment value (v2 = 0, no
-    # compression), so every record holds a view of one read-only array.
-    rho = np.full(grid.n_cells, params.rho)
-    rho.flags.writeable = False
 
     def n_active(H):
         # the cells whose centers the body has reached
@@ -358,35 +372,51 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
 
     H = H0
     m = n_active(H)
-    F_e = identity((m,))
-    if initial_F_e12 is not None:
-        # one-shot equilibration: the body jumps to the sheared state
-        # consistent with the surface momentum flux at t = 0+
-        F_e[:, 0, 1] = initial_F_e12
-    g = np.zeros(m)
     v_surf_prev = np.zeros(2)
-    records: list[StepRecord] = []
 
     def traction_now():
         if growth.v_a is None:
             return t_b.copy()
         return growth_traction(M, growth.v_a, v_surf_prev, t_b)
 
-    def solve_and_record(t):
+    # Per-cell constants of the run, each one read-only array of which every
+    # record holds a view of its active prefix.  Only F_e12 evolves: F_e0 is
+    # each cell's F_e when it entered the run, the initial body at rest (or,
+    # with the one-shot equilibration, in the sheared state consistent with
+    # the surface momentum flux at t = 0+) and every later cell at its
+    # attachment value.  The pressure depends on F_e0's second row and on
+    # tau2 = t_b2 (the attachment velocity has no normal component), and
+    # rho keeps its attachment value (v2 = 0, no compression).
+    F_e0 = np.empty((grid.n_cells, 2, 2))
+    F_e0[:m] = identity((m,))
+    F_e0[m:] = F_att
+    if initial_F_e12 is not None:
+        F_e0[:m, 0, 1] = initial_F_e12
+    p = normal_pressure(F_e0, params.G, traction_now()[1])
+    rho = np.full(grid.n_cells, params.rho)
+    for constant in (F_e0, p, rho):
+        constant.flags.writeable = False
+    F12 = F_e0[:m, 0, 1].copy()
+    g = np.zeros(m)
+    records: list[StepRecord] = []
+
+    def solve_and_record(k, t):
         nonlocal v_surf_prev
         tau = traction_now()
         level = Grid1D(m, H, grid.dx)
-        sol = quasistatic_momentum_solve_1d(F_e, level, params, tau)
+        sol = quasistatic_momentum_solve_1d(F12, F_e0[:m], level, params, tau)
         residual = max(sol.traction_residual, sol.system_residual)
         if residual > ANSATZ_RESIDUAL_LIMIT:
             raise IncompatibleAnsatz(
                 f"reduced solve residual {residual:.3e}; the through-thickness "
                 f"ansatz is inconsistent")
+        v_surf = float(sol.v_nodes[-1])
         records.append(StepRecord(
-            t=t, grid=level, v_nodes=sol.v_nodes, g=sol.g, F_e=F_e, p=sol.p,
-            rho=rho[:m], metrics={"traction_residual": sol.traction_residual,
-                                  "system_residual": sol.system_residual}))
-        v_surf_prev = np.array([sol.v_nodes[-1], 0.0])
+            t=t, step=k, grid=level, F_e12=F12, g=sol.g, F_e0=F_e0[:m], p=p[:m],
+            rho=rho[:m], v_surf=v_surf,
+            metrics={"traction_residual": sol.traction_residual,
+                     "system_residual": sol.system_residual}))
+        v_surf_prev = np.array([v_surf, 0.0])
         return sol
 
     # Step k solves at t = k dt on the cells active at H(t_k) and advances
@@ -396,12 +426,12 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
         for k in range(n_steps + 1):
             t = k * dt
             if m:
-                g = solve_and_record(t).g
+                g = solve_and_record(k, t).g
             if k == n_steps:
                 break
             H = advance_domain(H0, rate, dt, n_steps=k + 1)
             m_next = n_active(H)
-            F_e = reduced_step_1d(F_e, g, dt, m_next, F_att)
+            F12 = reduced_step_1d(F12, g, F_e0[:m, 1, 1], dt, m_next, F_att[0, 1])
             m = m_next
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
@@ -420,7 +450,7 @@ def _attach_oracle_errors_non_normal(result: RunResult) -> None:
         t = np.repeat([rec.t for rec in block], counts)
         x = np.concatenate([centers[:m] for m in counts])
         v1_ref, f_ref, p_ref = analytic_non_normal(x, t, cfg.alpha, p.G, p.mu, cfg.V_G)
-        ef = _cells(block, "F_e")[:, 0, 1] - f_ref
+        ef = _cells(block, "F_e12") - f_ref
         # face averages, less the pairs that straddle two levels
         v_nodes = _cells(block, "v_nodes")
         v1 = np.delete(0.5 * (v_nodes[:-1] + v_nodes[1:]), np.cumsum(counts + 1)[:-1] - 1)
@@ -444,7 +474,7 @@ def _attach_oracle_errors_fdm(result: RunResult) -> None:
 
     def score(block):
         counts = _cell_counts(block)
-        F_e = _cells(block, "F_e")
+        F_e = _F_e_cells(block)
         grad_v = np.zeros(F_e.shape)
         grad_v[..., 0, 1] = _cells(block, "g")
         sigma = total_stress(F_e, grad_v, _cells(block, "p"), cfg.params)
@@ -570,8 +600,7 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
     x1s = np.zeros((last + 1, len(x2)))
     Fs = np.zeros((last + 1, len(x2), 2, 2))
     for i, j in enumerate(j0):
-        rec = history[j]
-        Fs[j, i] = interp_columns(x2[i:i + 1], rec.grid.centers, rec.F_e)[0]
+        Fs[j, i] = _interp_F_e(history[j], x2[i:i + 1])[0]
     for j in range(j0.min(initial=last), last):
         rec = history[j]
         # seeds ascend in height and so in start level: the active ones
@@ -625,8 +654,7 @@ def pathline_grid_discrepancy(result: RunResult, pathlines) -> float:
     x2, groups = pathline_levels(result.history, pathlines)
     F_grid = np.empty((len(x2), 2, 2))
     for j, idx in groups:
-        rec = result.history[j]
-        F_grid[idx] = interp_columns(x2[idx], rec.grid.centers, rec.F_e)
+        F_grid[idx] = _interp_F_e(result.history[j], x2[idx])
     F_char = np.concatenate([pl.F_e for pl in pathlines])
     return float(np.max(np.abs(F_grid - F_char), initial=0.0))
 
@@ -634,12 +662,16 @@ def pathline_grid_discrepancy(result: RunResult, pathlines) -> float:
 def reconstruction_roundtrip_error(result: RunResult, t0: float | None = None) -> float:
     """Max relative defect of F_e F_relax against the replayed F.
 
-    Each replayed frame is scored as it arrives and then dropped, so the
-    check holds one level of the replay at a time.
+    Each replayed level is scored from its components as it arrives and
+    then dropped, so the check holds one level of the replay at a time.
     """
     worst = 0.0
-    for frame, rec in replay_reference(result.history, t0=t0):
-        recon = rec.F_e @ frame.F_relax
-        scale = max(1.0, float(np.max(np.abs(frame.F))))
-        worst = max(worst, float(np.max(np.abs(recon - frame.F))) / scale)
+    for f12, (r11, r12, r21, r22), rec in replay_columns(result.history, t0=t0):
+        a, b, c, d = rec.F_e_columns()
+        # F_e F_relax entry by entry, against F = [[1, f12], [0, 1]]
+        defect = max(float(np.max(np.abs(a * r11 + b * r21 - 1.0))),
+                     float(np.max(np.abs(a * r12 + b * r22 - f12))),
+                     float(np.max(np.abs(c * r11 + d * r21))),
+                     float(np.max(np.abs(c * r12 + d * r22 - 1.0))))
+        worst = max(worst, defect / max(1.0, float(np.max(np.abs(f12)))))
     return worst

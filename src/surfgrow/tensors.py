@@ -64,6 +64,6 @@ def sym(t: np.ndarray) -> np.ndarray:
 def require_finite(arr: np.ndarray, name: str) -> np.ndarray:
     """Reject NaN/Inf before values enter field storage."""
     arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite components")
     return arr

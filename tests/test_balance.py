@@ -6,7 +6,8 @@ import pytest
 from surfgrow import (Grid1D, MaterialParams, NegativeHeight, NotReduced,
                       SideState, SingularSystem, ValidationError, advance_domain,
                       boundary_normal_velocity, growth_traction, jump_residuals,
-                      neo_hookean_stress, quasistatic_momentum_solve_1d)
+                      neo_hookean_stress, normal_pressure,
+                      quasistatic_momentum_solve_1d)
 from surfgrow.tensors import identity
 
 E2 = np.array([0.0, 1.0])
@@ -114,11 +115,25 @@ def params():
 
 def test_solve_equilibrium_is_static(params):
     grid = Grid1D(32, 1.0)
-    sol = quasistatic_momentum_solve_1d(identity((32,)), grid, params,
+    sol = quasistatic_momentum_solve_1d(np.zeros(32), identity((32,)), grid, params,
                                         np.zeros(2))
     np.testing.assert_array_equal(sol.v_nodes, np.zeros(33))
-    np.testing.assert_array_equal(sol.p, np.full(32, params.G))
+    np.testing.assert_array_equal(normal_pressure(identity((32,)), params.G, 0.0),
+                                  np.full(32, params.G))
     assert sol.system_residual <= 1e-12 and sol.traction_residual <= 1e-12
+
+
+def test_normal_pressure_fixes_sigma22_and_rejects_non_finite(params):
+    # p = G S22 - tau2 makes sigma22 = -p + G S22 equal tau2 in every cell
+    F_e0 = identity((8,))
+    F_e0[:, 1, 1] = np.linspace(0.5, 2.0, 8)
+    p = normal_pressure(F_e0, params.G, 0.25)
+    np.testing.assert_allclose(-p + params.G * F_e0[:, 1, 1] ** 2, 0.25, rtol=0,
+                               atol=1e-15)
+    for bad in (np.nan, np.inf):
+        F_e0[3, 1, 1] = bad
+        with pytest.raises(SingularSystem):
+            normal_pressure(F_e0, params.G, 0.0)
 
 
 def test_solve_fresh_uniform_layer_linear_profile(params):
@@ -126,9 +141,8 @@ def test_solve_fresh_uniform_layer_linear_profile(params):
     # G alpha / mu, the immediate post-attachment rate of the closed form
     alpha = 0.5
     grid = Grid1D(64, 1.0)
-    F_e = identity((64,))
-    F_e[:, 0, 1] = -alpha
-    sol = quasistatic_momentum_solve_1d(F_e, grid, params, np.zeros(2))
+    sol = quasistatic_momentum_solve_1d(np.full(64, -alpha), identity((64,)), grid,
+                                        params, np.zeros(2))
     slope = params.G * alpha / params.mu
     np.testing.assert_allclose(sol.v_nodes, slope * grid.faces, rtol=1e-12,
                                atol=1e-12)
@@ -140,26 +154,31 @@ def test_solve_uniform_shear_with_matching_traction_is_steady(params):
     M, v0 = 0.1, 1.0
     gamma = M * v0 / params.G
     grid = Grid1D(48, 1.3)
-    F_e = identity((48,))
-    F_e[:, 0, 1] = gamma
-    sol = quasistatic_momentum_solve_1d(F_e, grid, params,
-                                        np.array([M * v0, 0.0]))
+    sol = quasistatic_momentum_solve_1d(np.full(48, gamma), identity((48,)), grid,
+                                        params, np.array([M * v0, 0.0]))
     np.testing.assert_array_equal(sol.v_nodes, np.zeros(49))
     np.testing.assert_array_equal(sol.g, np.zeros(48))
 
 
 def test_solve_rejects_out_of_family_fields(params):
     grid = Grid1D(16, 1.0)
-    F_e = identity((16,))
-    F_e[:, 1, 0] = 1e-3
+    F_e0 = identity((16,))
+    F_e0[:, 1, 0] = 1e-3
     with pytest.raises(NotReduced):
-        quasistatic_momentum_solve_1d(F_e, grid, params, np.zeros(2))
+        quasistatic_momentum_solve_1d(np.zeros(16), F_e0, grid, params, np.zeros(2))
+    # the shear is the evolving field: a non-finite value is refused
+    for bad in (np.nan, np.inf):
+        F12 = np.zeros(16)
+        F12[5] = bad
+        with pytest.raises(ValidationError, match="F_e12"):
+            quasistatic_momentum_solve_1d(F12, identity((16,)), grid, params,
+                                          np.zeros(2))
 
 
 def test_solve_requires_viscosity_and_clamped_base(params):
     grid = Grid1D(16, 1.0)
     with pytest.raises(ValidationError, match="mu"):
-        quasistatic_momentum_solve_1d(identity((16,)), grid,
+        quasistatic_momentum_solve_1d(np.zeros(16), identity((16,)), grid,
                                       MaterialParams(G=1.0, mu=0.0, rho=1.0),
                                       np.zeros(2))
 
@@ -169,12 +188,12 @@ def test_solve_matches_dense_tridiagonal_system(params):
     # scaled tridiagonal system (unknowns: v at faces 1..n, face 0 clamped)
     n, H, tau1 = 40, 1.7, 0.3
     grid = Grid1D(n, H)
-    F_e = identity((n,))
-    F_e[:, 0, 1] = 0.4 * np.sin(3.0 * grid.centers) - 0.2 * grid.centers ** 2
-    F_e[:, 1, 1] = 1.0 + 0.1 * np.cos(grid.centers)
-    sol = quasistatic_momentum_solve_1d(F_e, grid, params, np.array([tau1, 0.0]))
+    F12 = 0.4 * np.sin(3.0 * grid.centers) - 0.2 * grid.centers ** 2
+    F_e0 = identity((n,))
+    F_e0[:, 1, 1] = 1.0 + 0.1 * np.cos(grid.centers)
+    sol = quasistatic_momentum_solve_1d(F12, F_e0, grid, params, np.array([tau1, 0.0]))
     G, mu, dx = params.G, params.mu, grid.dx
-    S12 = F_e[:, 0, 1] * F_e[:, 1, 1]
+    S12 = F12 * F_e0[:, 1, 1]
     assert np.ptp(S12) > 0.1  # non-uniform
     A = np.zeros((n, n))
     rhs = np.empty(n)
@@ -195,16 +214,16 @@ def test_solve_matches_dense_tridiagonal_system(params):
 def test_solve_degenerate_grid(params):
     stub = types.SimpleNamespace(n_cells=0, dx=0.1)
     with pytest.raises(SingularSystem):
-        quasistatic_momentum_solve_1d(identity((0,)), stub, params, np.zeros(2))
+        quasistatic_momentum_solve_1d(np.zeros(0), identity((0,)), stub, params,
+                                      np.zeros(2))
 
 
 @pytest.mark.parametrize("grid", [Grid1D(1, 0.3), Grid1D(1, 0.0026, dx=0.005)])
 def test_solve_one_cell(params, grid):
     # the first active cell of a body grown from nothing relaxes too: the
     # solve is the first integral at the one cell, v = [0, dx g0]
-    F_e = identity((1,))
-    F_e[0, 0, 1] = -0.5
-    sol = quasistatic_momentum_solve_1d(F_e, grid, params, np.zeros(2))
+    sol = quasistatic_momentum_solve_1d(np.array([-0.5]), identity((1,)), grid,
+                                        params, np.zeros(2))
     assert sol.g[0] == 0.5 * params.G / params.mu
     np.testing.assert_array_equal(sol.v_nodes, [0.0, grid.dx * sol.g[0]])
     assert sol.system_residual <= 1e-14 and sol.traction_residual <= 1e-14

@@ -88,9 +88,9 @@ def test_write_fields_empty_history(tmp_path):
 
 def test_write_fields_single_snapshot_row_count(tmp_path):
     grid = Grid1D(4, 1.0)
-    rec = StepRecord(t=0.0, grid=grid, v_nodes=np.zeros(5),
-                     g=np.zeros(4), F_e=identity((4,)),
-                     p=np.ones(4), rho=np.ones(4),
+    rec = StepRecord(t=0.0, step=0, grid=grid, F_e12=np.zeros(4),
+                     g=np.zeros(4), F_e0=identity((4,)),
+                     p=np.ones(4), rho=np.ones(4), v_surf=0.0,
                      metrics={k: 0.0 for k in
                               ("t", "H", "mass_residual", "momentum_residual",
                                "traction_residual", "system_residual",
@@ -109,7 +109,7 @@ def test_snapshot_roundtrip_is_bitwise(tmp_path):
     data = read_snapshot(tmp_path / "out" / "snapshot_0000.csv")
     rec = res.history[0]
     np.testing.assert_array_equal(data["x2"], rec.grid.centers)
-    np.testing.assert_array_equal(data["Fe12"], rec.F_e[:, 0, 1])
+    np.testing.assert_array_equal(data["Fe12"], rec.F_e12)
     np.testing.assert_array_equal(data["p"], rec.p)
     v1 = 0.5 * (rec.v_nodes[:-1] + rec.v_nodes[1:])
     np.testing.assert_array_equal(data["v1"], v1)
@@ -185,10 +185,13 @@ def _odd_values_result():
     history = []
     for k, H in enumerate((0.5, 0.75, 1.0)):
         grid = Grid1D(4, H)
+        F_e0 = np.roll(odd, k).reshape(2, 2, 2).repeat(2, 0)
+        # v_nodes is the running sum of dx g
+        g = np.roll(odd, k)[:4] / grid.dx
         history.append(StepRecord(
-            t=0.5 * k, grid=grid, v_nodes=np.roll(odd[:5], k),
-            g=np.zeros(4), F_e=np.roll(odd, k).reshape(2, 2, 2).repeat(2, 0),
-            p=np.roll(odd, k)[:4], rho=np.full(4, 1.0 / 3.0),
+            t=0.5 * k, step=k, grid=grid, F_e12=np.roll(odd, 2 * k)[:4], g=g,
+            F_e0=F_e0, p=np.roll(odd, k)[:4], rho=np.full(4, 1.0 / 3.0),
+            v_surf=float(np.sum(grid.dx * g)),
             metrics={name: 0.0 for name in METRIC_FIELDS}))
     pathlines = [
         PathlineRecord(t=[-0.0, 1.0 / 3.0, 0.9, 1.4],
@@ -208,8 +211,9 @@ def test_csv_rows_match_per_value_fmt(tmp_path):
         out = tmp_path / name
         manifest = write_fields(result, out)
         assert manifest.snapshots
+        by_step = {rec.step: rec for rec in result.history}
         for snap in manifest.snapshots:
-            expected = _reference_snapshot(result.history[snap["step"]])
+            expected = _reference_snapshot(by_step[snap["step"]])
             assert (out / snap["file"]).read_bytes() == expected.encode(), snap["file"]
         assert (out / "pathlines.csv").read_bytes() == \
             _reference_pathlines(result).encode()
@@ -247,7 +251,7 @@ def _reference_metrics(result) -> str:
     lines = [json.dumps({"type": "header", "fields": list(METRIC_FIELDS) + oracle_keys},
                         sort_keys=True)]
     for k, rec in enumerate(result.history):
-        row = {"type": "step", "step": k}
+        row = {"type": "step", "step": rec.step}
         row.update({name: fmt(rec.metrics[name]) for name in METRIC_FIELDS})
         for key in oracle_keys:
             row[key] = fmt(result.oracle_errors[key][k])
@@ -283,10 +287,50 @@ def test_manifest_counts_active_cells_like_the_csv_rows(tmp_path, kind):
     assert grid["dx"] == cfg.eulerian_grid().dx == res.final.grid.dx
     assert grid["final_height"] == cfg.eulerian_grid().height
     rows = []
+    by_step = {rec.step: rec for rec in res.history}
     for snap in parsed["snapshots"]:
         lines = (tmp_path / "out" / snap["file"]).read_text().splitlines()
         rows.append(len(lines) - 1)
-        assert snap["n_active"] == rows[-1] == res.history[snap["step"]].grid.n_cells
+        assert snap["n_active"] == rows[-1] == by_step[snap["step"]].grid.n_cells
     # the body grows through the fixed grid and fills it at t_end
     assert rows[0] < rows[-1] == grid["n_active"] == cfg.n_cells
     assert rows == sorted(rows)
+
+
+@pytest.mark.parametrize("kind", ["non_normal", "fdm_shear", "thermal"])
+def test_step_is_the_march_step(tmp_path, kind):
+    # "step" in metrics.jsonl rows and in the manifest's snapshot entries
+    # is the march step k of the level, so t = k dt exactly; non_normal
+    # stores no level before the first cell center is reached
+    cfg = replace(default_config(kind), n_cells=32, n_snapshots=5)
+    dt, n_steps = cfg.resolve_dt()
+    res = run_scenario(cfg)
+    write_fields(res, tmp_path / "out")
+    lines = (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines[1:]]
+    assert len(rows) == len(res.history) and rows[-1]["step"] == n_steps
+    assert [row["step"] for row in rows] == list(range(rows[0]["step"], n_steps + 1))
+    assert (rows[0]["step"] > 0) == (kind == "non_normal")
+    for row in rows:
+        assert float(row["t"]) == row["step"] * dt
+    snapshots = json.loads((tmp_path / "out" / "manifest.json").read_text())["snapshots"]
+    assert len(snapshots) == 5
+    for snap in snapshots:
+        assert float(snap["t"]) == snap["step"] * dt
+
+
+@pytest.mark.parametrize("kind", ["non_normal", "fdm_shear", "thermal"])
+def test_manifest_size_counters(tmp_path, kind):
+    cfg = replace(default_config(kind), n_cells=32)
+    res = run_scenario(cfg)
+    write_fields(res, tmp_path / "out")
+    parsed = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert parsed["grid"]["cell_steps"] == sum(len(rec.g) for rec in res.history)
+    # each record owns F_e12 and g (8 bytes a cell each); the run shares one
+    # (n, 2, 2) F_e0, one p and one rho over the fixed grid
+    n = cfg.n_cells
+    owned = sum(16 * rec.grid.n_cells for rec in res.history)
+    assert parsed["history_bytes"] == owned + 8 * (4 * n + n + n)
+    assert all("F_e" not in vars(rec) for rec in res.history)
+    assert write_fields(RunResult(config=cfg, history=[]),
+                        tmp_path / "empty").history_bytes == 0

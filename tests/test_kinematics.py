@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from surfgrow import (CFLViolation, Grid1D, GrowthNotSupported,
-                      MissingInflowBC, OutOfDomain, PeriodicStrip, StepRecord,
-                      ValidationError, advance_inverse_motion,
+                      MissingInflowBC, OutOfDomain, PeriodicStrip,
+                      SingularTensor, StepRecord, ValidationError, advance_inverse_motion,
                       deformation_from_inverse_motion, integrate_characteristics,
                       reconstruct_reference)
 from surfgrow.kinematics import PathlineRecord, _transport_step_1d
@@ -144,15 +144,14 @@ def test_pathline_record_validates_times():
         PathlineRecord(t=[0.0, 0.0], x=np.zeros((2, 2)), F_e=identity((2,)))
 
 
-def _static_history(n=8, steps=5, F_e12=0.25):
+def _static_history(n=8, steps=5, F_e12=0.25, F_e0=None):
     grid = Grid1D(n, 1.0)
-    F_e = identity((n,))
-    F_e[:, 0, 1] = F_e12
+    F_e0 = identity((n,)) if F_e0 is None else F_e0
     recs = []
     for k in range(steps):
-        recs.append(StepRecord(t=0.1 * k, grid=grid, v_nodes=np.zeros(n + 1),
-                               g=np.zeros(n), F_e=F_e.copy(),
-                               p=np.ones(n), rho=np.ones(n)))
+        recs.append(StepRecord(t=0.1 * k, step=k, grid=grid, F_e12=np.full(n, F_e12),
+                               g=np.zeros(n), F_e0=F_e0, p=np.ones(n),
+                               rho=np.ones(n), v_surf=0.0))
     return recs
 
 
@@ -164,6 +163,16 @@ def test_reconstruct_static_body():
         np.testing.assert_allclose(frame.F_relax,
                                    np.linalg.inv(rec.F_e), atol=1e-14)
         np.testing.assert_allclose(rec.F_e @ frame.F_relax, frame.F, atol=1e-14)
+
+
+def test_replay_refuses_a_singular_elastic_deformation():
+    # det F_e = F11 F22 - F12 F21 = 0 in one cell: F_relax = F_e^{-1} F
+    # does not exist
+    F_e0 = identity((8,))
+    F_e0[3] = [[2.0, 0.0], [0.0, 1.0]]
+    F_e0[3, 1, 0] = 8.0  # with F12 = 0.25: det = 2 - 0.25 * 8 = 0
+    with pytest.raises(SingularTensor):
+        reconstruct_reference(_static_history(F_e0=F_e0))
 
 
 def test_reconstruct_accepts_interior_reference_time():

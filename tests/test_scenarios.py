@@ -14,15 +14,17 @@ from surfgrow import (IncompatibleAnsatz, MaterialParams, NoOracle, OutOfBody,
                       reconstruction_roundtrip_error,
                       run_fdm_shear, run_mu_sweep, run_non_normal, run_scenario,
                       run_thermal, trace_history_pathlines,
-                      pathline_grid_discrepancy)
+                      pathline_grid_discrepancy, write_fields)
 from surfgrow.balance import (SideState, advance_domain,
-                              boundary_normal_velocity, jump_residuals)
+                              boundary_normal_velocity, growth_traction,
+                              jump_residuals, quasistatic_momentum_solve_1d)
 from surfgrow.constitutive import total_stress
 from surfgrow.grids import interp_columns
-from surfgrow.kinematics import _transport_step_1d, reduced_step_1d
+from surfgrow.kinematics import _transport_step_1d, reduced_step_1d, replay_reference
 from surfgrow.output import METRIC_FIELDS
 from surfgrow.scenarios import BLOCK_LEVELS, RunResult
-from surfgrow.tensors import det
+from surfgrow.tensors import det, inverse
+from surfgrow.verify import verify_scenario
 
 
 def nn_config(**kw):
@@ -221,7 +223,9 @@ def test_fixed_grid_march_properties(make, n_cells, t_end, dt):
         np.testing.assert_array_equal(rec.grid.centers, grid.centers[:m])
         assert grid.centers[m - 1] <= rec.grid.height
         assert m == n_cells or grid.centers[m] > rec.grid.height
+        assert rec.step == k
         assert rec.F_e.shape == (m, 2, 2) and rec.g.shape == rec.p.shape == (m,)
+        assert rec.F_e12.shape == (m,) and rec.F_e0.shape == (m, 2, 2)
         assert len(rec.v_nodes) == m + 1 and len(rec.rho) == m
     if H0 == 0:  # a body grown from nothing: every cell attached
         np.testing.assert_array_equal(history[0].F_e,
@@ -233,6 +237,17 @@ def test_fixed_grid_march_properties(make, n_cells, t_end, dt):
         np.testing.assert_array_equal(b.F_e[:m], a.F_e + dt * (a.grad_v @ a.F_e))
         np.testing.assert_array_equal(b.F_e[m:],
                                       np.broadcast_to(F_att, b.F_e[m:].shape))
+    # a record's velocities are bitwise those of the solve at its level
+    growth = cfg.growth_input()
+    v_surf = 0.0
+    for rec in history:
+        tau = growth.t_b if growth.v_a is None else growth_traction(
+            cfg.mass_rate, growth.v_a, np.array([v_surf, 0.0]), growth.t_b)
+        sol = quasistatic_momentum_solve_1d(rec.F_e12, rec.F_e0, rec.grid, cfg.params, tau)
+        np.testing.assert_array_equal(rec.g, sol.g)
+        np.testing.assert_array_equal(rec.v_nodes, sol.v_nodes)
+        assert rec.v_surf == sol.v_nodes[-1]
+        v_surf = rec.v_surf
 
 
 def test_fdm_shear_exact_steady_state():
@@ -494,8 +509,11 @@ def test_reduced_step_reproduces_general_transport(make):
                                  mass_rate=cfg.mass_rate)
     fresh = cur.grid.n_cells - prev.grid.n_cells
     general = np.concatenate([general, np.broadcast_to(F_att, (fresh, 2, 2))])
-    reduced = reduced_step_1d(prev.F_e, prev.g, dt, cur.grid.n_cells, F_att)
-    np.testing.assert_array_equal(reduced, general)
+    reduced = reduced_step_1d(prev.F_e12, prev.g, prev.F_e0[:, 1, 1], dt,
+                              cur.grid.n_cells, F_att[0, 1])
+    np.testing.assert_array_equal(reduced, general[:, 0, 1])
+    np.testing.assert_array_equal(cur.F_e12, general[:, 0, 1])
+    # the other components are the cells' constants
     np.testing.assert_array_equal(cur.F_e, general)
     # rho never leaves its attachment value
     for rec in res.history:
@@ -519,9 +537,10 @@ def test_reduced_step_reproduces_general_transport(make):
 
 @pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
 def test_rank_one_step_is_the_full_source_update(make):
-    # grad v = g e1 (x) e2: the row update is bitwise T + dt (grad_v @ T)
-    # and the general transport kernel with v2 = 0, on every stored level
-    # and every replayed frame
+    # grad v = g e1 (x) e2 and T21 = 0: the shear update F12 + dt (g F22) is
+    # bitwise the (0, 1) entry of T + dt (grad_v @ T) and of the general
+    # transport kernel with v2 = 0, whose other entries leave T as it is, on
+    # every stored level and every replayed frame
     cfg = make(n_cells=32, t_end=0.25)
     res = run_scenario(cfg)
     dt, _ = cfg.resolve_dt()
@@ -533,21 +552,32 @@ def test_rank_one_step_is_the_full_source_update(make):
         np.testing.assert_array_equal(grad_v[:, 0, 1], rec.g)
         assert np.count_nonzero(np.delete(grad_v.reshape(m, 4), 1, axis=1)) == 0
         for T in (rec.F_e, frame.F):
-            step = reduced_step_1d(T, rec.g, dt, m, None)
-            np.testing.assert_array_equal(step, T + dt * (grad_v @ T))
+            full = T + dt * (grad_v @ T)
+            step = reduced_step_1d(T[:, 0, 1], rec.g, T[:, 1, 1], dt, m, 0.0)
+            np.testing.assert_array_equal(step, full[:, 0, 1])
+            np.testing.assert_array_equal(np.delete(full.reshape(m, 4), 1, axis=1),
+                                          np.delete(T.reshape(m, 4), 1, axis=1))
             if m >= 2:  # the kernel's ghost cells need two cells
                 np.testing.assert_array_equal(
-                    step, _transport_step_1d(T, np.zeros((m, 2)), grad_v, rec.grid,
+                    full, _transport_step_1d(T, np.zeros((m, 2)), grad_v, rec.grid,
                                              dt, None, 0.0))
             assert not np.shares_memory(step, T)
-    # generic tensors and gradients of either sign
+    # generic tensors of the family and gradients of either sign
     rng = np.random.default_rng(7)
     T = rng.standard_normal((32, 2, 2))
+    T[:, 1, 0] = 0.0
     g = rng.standard_normal(32)
     grad_v = np.zeros((32, 2, 2))
     grad_v[:, 0, 1] = g
-    np.testing.assert_array_equal(reduced_step_1d(T, g, 0.3, 32, None),
-                                  T + 0.3 * (grad_v @ T))
+    full = T + 0.3 * (grad_v @ T)
+    np.testing.assert_array_equal(reduced_step_1d(T[:, 0, 1], g, T[:, 1, 1], 0.3, 32, 0.0),
+                                  full[:, 0, 1])
+    np.testing.assert_array_equal(full[:, 0, 0], T[:, 0, 0])
+    # attached cells enter with the inflow shear; the prefix cannot shrink
+    np.testing.assert_array_equal(reduced_step_1d(T[:4, 0, 1], g[:4], 1.0, 0.3, 6, -0.5)[4:],
+                                  [-0.5, -0.5])
+    with pytest.raises(ValidationError, match="shrink"):
+        reduced_step_1d(T[:4, 0, 1], g[:4], 1.0, 0.3, 3, 0.0)
 
 
 def _per_level_metrics(config, rec):
@@ -636,12 +666,7 @@ def test_block_scoring_matches_per_level_reference(make, dt, levels):
         assert rec.metrics == full.metrics
 
 
-def test_stored_history_keeps_one_scalar_velocity_gradient_per_cell():
-    # per level: the F_e stack (4 floats a cell) plus g, p and v_nodes
-    # (3 more), and a small constant for the record, its grid and its
-    # metrics; an (n, 2, 2) grad_v stack would add 4 floats a cell
-    n = 128
-    cfg = nn_config(n_cells=n, t_end=0.25)
+def _held_by_run(cfg):
     run_scenario(cfg)
     tracemalloc.start()
     try:
@@ -650,9 +675,81 @@ def test_stored_history_keeps_one_scalar_velocity_gradient_per_cell():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    levels = len(res.history)
+    return held, res.history
+
+
+def test_stored_history_keeps_two_scalars_per_cell():
+    # per level: the owned F_e12 and g (2 floats a cell) and a small
+    # constant for the record, its grid, its metrics and its views of the
+    # run's constants; an owned (n, 2, 2) F_e stack would add 4 floats a
+    # cell, and owned p and v_nodes 2 more
+    n = 128
+    held, history = _held_by_run(nn_config(n_cells=n, t_end=0.25, dt=1.0 / 2048))
+    levels = len(history)
     assert levels > 500
-    assert held <= levels * ((4 + 3) * 8 * n + 2048)
+    assert held <= levels * (2 * 8 * n + 1024)
+    # the cost of one more active cell, from a run on twice the cells
+    # over the same steps: 16 bytes
+    held2, history2 = _held_by_run(nn_config(n_cells=2 * n, t_end=0.25, dt=1.0 / 2048))
+    cells = sum(rec.grid.n_cells for rec in history)
+    cells2 = sum(rec.grid.n_cells for rec in history2)
+    assert cells2 > 1.9 * cells
+    assert (held2 - held) / (cells2 - cells) <= 2 * 8 + 1
+
+
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_no_pass_builds_a_stored_F_e(make, tmp_path):
+    # scoring, the oracles, pathlines, the gap, the round-trip, the writers,
+    # the probe and the sweep read the records' columns; a built F_e would
+    # be cached on its record
+    cfg = make(n_cells=32, t_end=0.25, n_snapshots=4)
+    res = run_scenario(cfg)
+    res.pathlines = trace_history_pathlines(res, count=5)
+    pathline_grid_discrepancy(res, res.pathlines)
+    reconstruction_roundtrip_error(res)
+    reconstruct_reference(res.history)
+    res.probe(0.1)
+    write_fields(res, tmp_path / "out")
+    assert not any("F_e" in vars(rec) for rec in res.history)
+    for rec in res.history:
+        m = rec.grid.n_cells
+        assert rec.F_e12.shape == rec.g.shape == (m,)
+        assert rec.F_e12.flags.owndata and rec.g.flags.owndata
+        for view in (rec.F_e0, rec.p, rec.rho):
+            assert view.base is not None and not view.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["fdm_shear", "thermal"])
+def test_verify_tables_read_the_columns(kind):
+    rows, result = verify_scenario(kind)
+    assert all(row.ok for row in rows)
+    assert not any("F_e" in vars(rec) for rec in result.history)
+
+
+def test_built_F_e_is_kept_and_an_edit_persists():
+    res = run_non_normal(nn_config(n_cells=32, t_end=0.25))
+    rec = res.history[-1]
+    F_e = rec.F_e
+    assert rec.F_e is F_e and F_e.shape == (rec.grid.n_cells, 2, 2)
+    np.testing.assert_array_equal(F_e[:, 0, 1], rec.F_e12)
+    F_e[0, 0, 1] += 0.1
+    assert rec.F_e[0, 0, 1] == rec.F_e12[0] + 0.1
+    # the record's own columns and the run's constants are untouched
+    assert not np.shares_memory(F_e, rec.F_e12) and not np.shares_memory(F_e, rec.F_e0)
+    assert "F_e" not in vars(res.history[-2])
+
+
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_replayed_frames_within_one_ulp_of_inverse_reference(make):
+    cfg = make(n_cells=32, t_end=0.25)
+    res = run_scenario(cfg)
+    for frame, rec in replay_reference(res.history):
+        m = rec.grid.n_cells
+        F = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
+        F[:, 0, 1] = frame.F[:, 0, 1]
+        np.testing.assert_array_equal(frame.F, F)
+        reference = inverse(rec.F_e) @ frame.F
+        assert np.all(np.abs(frame.F_relax - reference) <= np.spacing(np.abs(reference)))
 
 
 def test_error_mid_march_names_step_and_time(monkeypatch):
