@@ -11,7 +11,11 @@ scalar ``g = v1'`` per cell rather than a 2x2 stack.  Only the shear
 ``F_e12`` of the elastic deformation evolves, so the solve takes it as one
 array and the cells' constant components as another, and the pressure,
 which depends on the constant second row alone, is computed once per run
-(``normal_pressure``).
+(``normal_pressure``).  The solve of one level
+(``quasistatic_momentum_solve_1d``) is the composition of the two pieces a
+growth march runs apart: the first integral (``first_integral``), the
+march's step kernel, and the residuals of the solve (``solve_residuals``),
+checked for a stack of levels at a time.
 """
 
 from __future__ import annotations
@@ -159,6 +163,88 @@ def normal_pressure(F_e0: np.ndarray, G: float, tau2: float) -> np.ndarray:
     return p
 
 
+def require_reduced(F_e0: np.ndarray) -> np.ndarray:
+    """The cells' elastic deformations, checked to be finite and to lie in
+    the through-thickness family: ``|F_e21| <= ANSATZ_TOL``, else
+    ``NotReduced``."""
+    F = require_finite(F_e0, "F_e")
+    if len(F) and np.abs(F[:, 1, 0]).max() > ANSATZ_TOL:
+        raise NotReduced("F_e21 exceeds the through-thickness ansatz tolerance")
+    return F
+
+
+def first_integral(F12: np.ndarray, c: np.ndarray, F22: np.ndarray, tau1: float,
+                   params: MaterialParams, out: np.ndarray | None = None) -> np.ndarray:
+    """The solve's cell shear rates ``g = (tau1 - G S12) / mu``, the exact
+    discrete first integral of the scheme (see
+    ``quasistatic_momentum_solve_1d``), with ``S12 = c + F12 F22`` and
+    ``c = F_e11 F_e21`` and ``F22`` the cells' constants.  Five ufunc calls,
+    the last two written into ``out`` when it is given."""
+    s = F12 * F22
+    s += c
+    s *= params.G
+    g = np.subtract(tau1, s, out=out)
+    g /= params.mu
+    return g
+
+
+def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
+                    c: np.ndarray, F21: np.ndarray, F22: np.ndarray, tau: np.ndarray,
+                    params: MaterialParams, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """System and traction residuals of the solve on a stack of ``B`` levels.
+
+    Level ``b`` has ``counts[b] >= 1`` active cells; ``F12`` holds the
+    levels' shears, one level after another.  ``c = F_e11 F_e21``, ``F21``
+    and ``F22`` are the cells' constants (at least ``max(counts)`` of them)
+    and ``tau`` the ``(B, 2)`` applied top tractions.  Row ``b`` of
+    ``v_nodes`` holds the level's ``counts[b] + 1`` face velocities, the
+    running sum of ``dx g`` from 0, followed by zeros.  Returns
+    ``(system_residual, traction_residual)``, two ``(B,)`` arrays, each
+    entry what the solve reports for its level alone.
+    """
+    counts = np.asarray(counts)
+    B, m = len(counts), int(counts.max())
+    G, mu = params.G, params.mu
+    V = v_nodes[:, :m + 1]
+    rows, top = np.arange(B), counts - 1
+    tau1, tau2 = tau[:, 0], tau[:, 1]
+    # S12 = c + F12 F22 on rows zero-padded past each level's top
+    active = np.arange(m) < counts[:, None]
+    S = np.zeros((B, m))
+    S[active] = F12
+    S *= F22[:m]
+    S += c[:m]
+    S12_top = S[rows, top]
+    # Residual of the tridiagonal system, rows scaled to O(1) entries:
+    # interior face i carries the second-difference balance (entries at and
+    # past a level's top are not its own and are zeroed), the top row is the
+    # first integral at the top cell.
+    dS = S[:, 1:] - S[:, :-1]
+    dS *= (G / mu) * dx
+    dv = np.subtract(V[:, 1:], V[:, :-1], out=S)
+    resid = dv[:, 1:] - dv[:, :-1]
+    resid += dS
+    del dS
+    resid[~active[:, 1:]] = 0.0
+    np.abs(resid, out=resid)
+    resid_top = np.abs(dv[rows, top] - (dx / mu) * (tau1 - G * S12_top))
+    v_max = np.maximum(V.max(axis=1), -V.min(axis=1))
+    system = (np.maximum(resid.max(axis=1, initial=0.0), resid_top)
+              / np.maximum(1.0, v_max))
+    # The top cell's stress against the applied traction.  The normal
+    # balance there is normal_pressure's, but S22 is formed with float
+    # powers, as the solve of one level has always formed it: numpy's array
+    # square can differ from them in the last bit.
+    S22_top = np.array([a ** 2 + d ** 2
+                        for a, d in zip(F21[top].tolist(), F22[top].tolist())])
+    p_top = G * S22_top - tau2
+    g_top = (tau1 - G * S12_top) / mu
+    sigma12_top = G * S12_top + mu * g_top
+    sigma22_top = -p_top + G * S22_top
+    traction = np.maximum(np.abs(sigma12_top - tau1), np.abs(sigma22_top - tau2))
+    return system, traction
+
+
 def quasistatic_momentum_solve_1d(F12: np.ndarray, F_e0: np.ndarray, grid: Grid1D,
                                   params: MaterialParams, top_traction
                                   ) -> QuasistaticSolution:
@@ -188,62 +274,48 @@ def quasistatic_momentum_solve_1d(F12: np.ndarray, F_e0: np.ndarray, grid: Grid1
 
     for the cell gradients, which keeps the transport source accurate in
     relative terms even where the fields are exponentially small.
+
+    This is the composition, for one level, of the march's two pieces: the
+    step kernel ``first_integral`` and the residual check
+    ``solve_residuals``.
     """
     if not params.mu > 0:
         raise ValidationError("mu must be positive for the regularized solve")
     F12 = require_finite(F12, "F_e12")
-    F = require_finite(F_e0, "F_e")
     n = grid.n_cells
     dx = grid.dx
     # one cell suffices: the first integral is then the top row alone
     if n < 1 or not np.isfinite(dx) or dx <= 0:
         raise SingularSystem(f"degenerate grid: n_cells = {n}, dx = {dx}")
-    if np.abs(F[:, 1, 0]).max() > ANSATZ_TOL:
-        raise NotReduced("F_e21 exceeds the through-thickness ansatz tolerance")
-
-    tau1, tau2 = float(top_traction[0]), float(top_traction[1])
-    S12 = F[:, 0, 0] * F[:, 1, 0] + F12 * F[:, 1, 1]
-    G, mu = params.G, params.mu
-
-    # Exact discrete first integral of the scheme (see docstring).  Its
-    # running sum solves the tridiagonal system: the unknowns are v at faces
-    # 1..n (face 0 clamped), interior face i carries the second-difference
-    # balance and the top row is the first integral at the top cell.
-    g_cells = (tau1 - G * S12) / mu
-    v_nodes = np.concatenate([[0.0], (dx * g_cells).cumsum()])
-    # the normal balance at the top cell, as normal_pressure has it
-    S22_top = F[-1, 1, 0] ** 2 + F[-1, 1, 1] ** 2
-    p_top = G * S22_top - tau2
-    if not (np.isfinite(v_nodes).all() and np.isfinite(p_top)):
+    F = require_reduced(F_e0)
+    F11, F21, F22 = F[:, 0, 0], F[:, 1, 0], F[:, 1, 1]
+    tau = np.array([[float(top_traction[0]), float(top_traction[1])]])
+    g = first_integral(F12, F11 * F21, F22, tau[0, 0], params)
+    v_nodes = np.concatenate([[0.0], (dx * g).cumsum()])
+    if not np.isfinite(v_nodes).all():
         raise SingularSystem("momentum solve produced non-finite values")
-
-    # Residual of the tridiagonal system, rows scaled to O(1) entries.
-    resid = np.empty(n)
-    dv = v_nodes[1:] - v_nodes[:-1]
-    resid[:n - 1] = (dv[1:] - dv[:-1]) + (G / mu) * dx * (S12[1:] - S12[:-1])
-    resid[n - 1] = (v_nodes[n] - v_nodes[n - 1]
-                    - (dx / mu) * (tau1 - G * S12[n - 1]))
-    system_residual = (float(np.abs(resid).max())
-                       / max(1.0, float(np.abs(v_nodes).max())))
-
-    sigma12_top = G * S12[-1] + mu * g_cells[-1]
-    sigma22_top = -p_top + G * S22_top
-    traction_residual = max(abs(sigma12_top - tau1), abs(sigma22_top - tau2))
-
-    return QuasistaticSolution(v_nodes=v_nodes, g=g_cells,
-                               system_residual=system_residual,
-                               traction_residual=traction_residual)
+    normal_pressure(F[-1:], params.G, tau[0, 1])
+    system, traction = solve_residuals(F12, [n], v_nodes[None], F11 * F21, F21, F22,
+                                       tau, params, dx)
+    return QuasistaticSolution(v_nodes=v_nodes, g=g,
+                               system_residual=float(system[0]),
+                               traction_residual=float(traction[0]))
 
 
-def advance_domain(H: float, V_b_normal: float, dt: float, n_steps: int = 1) -> float:
+def advance_domain(H: float, V_b_normal: float, dt: float, n_steps=1):
     """Height update ``H + V_b_normal * (n_steps * dt)``.
 
     Composing a constant-rate march is done with the fused multiply over
-    the step count so repeated stepping stays bitwise drift-free.
+    the step count so repeated stepping stays bitwise drift-free.  An array
+    of step counts gives the heights after each, every entry bitwise the
+    call for its count alone; ``NegativeHeight`` names the first height at
+    or below zero.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     H_new = H + V_b_normal * (n_steps * dt)
-    if H_new <= 0:
-        raise NegativeHeight(f"domain ablated past extinction: H = {H_new:g}")
+    ablated = np.flatnonzero(np.asarray(H_new) <= 0)
+    if len(ablated):
+        raise NegativeHeight(f"domain ablated past extinction: "
+                             f"H = {np.ravel(H_new)[ablated[0]]:g}")
     return H_new

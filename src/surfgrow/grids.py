@@ -6,10 +6,11 @@ Eulerian grid, sized so that its ``n_cells`` cells fill the final body
 ``[0, H(t_end)]``; the growing boundary moves through it, and at each
 level only the active prefix is solved and stored: the cells whose
 centers the body height ``H(t)`` has reached.  A record's ``Grid1D`` is
-that prefix.  A record owns two scalars per cell, the shear ``F_e12`` and
-the shear rate ``g``; the rest of a level is a view of per-run constants
-or is assembled on request.  A small periodic-in-``x1`` strip grid
-supports the two-dimensional verification transports.
+that prefix.  A record holds two scalars per cell, the shear ``F_e12`` and
+the shear rate ``g``, as views of its slice of two run-wide buffers; the
+rest of a level is a view of per-run constants or is assembled on request.
+A small periodic-in-``x1`` strip grid supports the two-dimensional
+verification transports.
 """
 
 from __future__ import annotations
@@ -64,10 +65,12 @@ class StepRecord:
     ``step`` is the march step ``k`` of the level, at ``t = k dt``.  In the
     through-thickness reduction only the shear ``F_e12`` of the elastic
     deformation evolves: ``F_e11``, ``F_e21`` and ``F_e22`` keep the values
-    a cell had when it entered the run.  A record owns two arrays over the
+    a cell had when it entered the run.  A record holds two arrays over the
     level's active cells, ``F_e12`` and the cell-centered shear rate
-    ``g = v1'`` used by the transport step.  Everything else per cell is a
-    view of a read-only array shared by all records of the run:
+    ``g = v1'`` used by the transport step: views of the level's slice of
+    two buffers that hold every stored level of the run, one after another
+    (so one record keeps both buffers alive).  Everything else per cell is
+    a view of a read-only array shared by all records of the run:
 
     ``F_e0``
         each cell's ``(2, 2)`` elastic deformation when it entered the run

@@ -4,7 +4,8 @@ checksummed manifest.
 Numbers are written with 17 significant decimal digits so parsing an
 emitted file reproduces the in-memory doubles bitwise.  Identical
 (config, version) pairs produce byte-identical data files; the manifest
-additionally records the wall-clock duration when one is supplied.
+additionally records the wall-clock duration and the march's phase
+timings (``RunResult.timings``) when a duration is supplied.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ class RunManifest:
     config: dict
     grid: dict
     time: dict
+    stored_levels: int
     history_bytes: int
     duration_seconds: float | None
+    timings: dict | None
     snapshots: list
     files: list
 
@@ -95,7 +98,8 @@ def _write_metrics(path: Path, result: RunResult) -> None:
     level (``t = k dt``) and every metric and
     oracle error as its ``fmt`` string, which ``"%.17g"`` writes; the
     template lists the keys in sorted order with json's separators, and the
-    values need no escaping.
+    values need no escaping.  Rows go through the buffered file one at a
+    time, so no text of the whole stream is held.
     """
     oracle_keys = sorted(k for k in result.oracle_errors if k != "t")
     fields = list(METRIC_FIELDS) + oracle_keys
@@ -112,7 +116,7 @@ def _write_metrics(path: Path, result: RunResult) -> None:
     rows = zip(*(columns[key] for key in keys if key != "type"))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
-        f.write("".join(template % row for row in rows))
+        f.writelines(template % row for row in rows)
 
 
 def _write_pathlines(path: Path, result: RunResult) -> None:
@@ -135,8 +139,9 @@ def _write_pathlines(path: Path, result: RunResult) -> None:
 
 def _history_bytes(history) -> int:
     """Bytes of the arrays a stored run holds, from their sizes: each
-    record's own ``F_e12`` and ``g``, plus every array the records share
-    (``F_e0``, ``p``, ``rho``, held as views) once."""
+    record's ``F_e12`` and ``g`` (its slices of the run's two buffers, which
+    the levels tile), plus every array the records share (``F_e0``, ``p``,
+    ``rho``, held as views) once."""
     owned = sum(rec.F_e12.nbytes + rec.g.nbytes for rec in history)
     shared = {}
     for rec in history:
@@ -204,8 +209,11 @@ def write_fields(result: RunResult, out_dir,
             # dt over the explicit relaxation bound, G dt F_e22^2 / mu (<= 1)
             time={"dt": dt, "n_steps": n_steps, "t_end": cfg.t_end,
                   "stability_margin": dt / cfg.relaxation_bound},
+            stored_levels=len(result.history),
             history_bytes=_history_bytes(result.history),
             duration_seconds=duration_seconds,
+            # wall-clock, so written only beside the duration
+            timings=dict(result.timings) if duration_seconds is not None else None,
             snapshots=snapshots,
             files=files,
         )

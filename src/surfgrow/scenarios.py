@@ -29,37 +29,49 @@ state: the other components of each cell's F_e, its pressure and its
 density are per-run constants, built once as read-only arrays of which
 each stored level holds a view.  Levels with no active cell (a body grown
 from nothing, before the front reaches the first center) are not stored.
-The step loop only solves, checks the solve's residuals and records the
-level.  The jump, determinant and pressure metrics and the oracle errors
-are computed after the march from the stored fields, ``BLOCK_LEVELS``
-levels per numpy call, the cells of a block's levels concatenated and
-reduced level by level.
+
+The schedule is known before the march: every level's time, height and
+active cells, hence each stored level's slice of two run-wide buffers
+that hold ``F_e12`` and the shear rate ``g`` of every stored level, one
+level after another.  A step is the kernel of a few ufunc calls whose
+result feeds the next step: the first integral ``g`` (``first_integral``),
+the top-face velocity and the source update of ``F_e12``
+(``reduced_step_1d``), each written into its buffer slice.  Everything else
+is done once per block of ``BLOCK_LEVELS`` levels, as the march fills it:
+the solve's system and traction residuals (``solve_residuals``) with the
+``IncompatibleAnsatz`` guard, the jump, determinant and pressure metrics,
+the oracle errors and the records.  A non-finite value stops the march at
+the step where it appears; an offending residual is reported with its own
+step, at most ``BLOCK_LEVELS - 1`` steps later.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .balance import (GrowthInput, SideState, advance_domain,
-                      boundary_normal_velocity, growth_traction, jump_residuals,
-                      normal_pressure, quasistatic_momentum_solve_1d)
+                      boundary_normal_velocity, first_integral, growth_traction,
+                      jump_residuals, normal_pressure, require_reduced,
+                      solve_residuals)
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, total_stress)
 from .errors import (IncompatibleAnsatz, NoOracle, OutOfBody, OutOfDomain,
-                     SurfgrowError, ValidationError)
+                     SingularSystem, SurfgrowError, ValidationError)
 from .grids import Grid1D, StepRecord, interp_columns
 from .kinematics import PathlineRecord, reduced_step_1d, replay_columns
-from .tensors import det, identity
+from .tensors import identity, require_finite
 
 KINDS = ("non_normal", "fdm_shear", "thermal")
 
 # Residual levels beyond which the through-thickness reduction is deemed
 # inconsistent rather than merely inaccurate.
 ANSATZ_RESIDUAL_LIMIT = 1e-6
-# Stored levels stacked into one array per numpy call when a run is scored.
+# Stored levels the march checks, scores and records per block pass.
 BLOCK_LEVELS = 16
 
 
@@ -95,6 +107,11 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
+        for name in ("n_cells", "n_snapshots"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not self.t_end > 0:
             raise ValidationError(f"t_end must be positive, got {self.t_end}")
         if self.n_cells < 16:
@@ -213,13 +230,18 @@ class ConvergenceRow:
 
 @dataclass
 class RunResult:
-    """Full-resolution history of one run plus derived diagnostics."""
+    """Full-resolution history of one run plus derived diagnostics.
+
+    ``timings`` holds the march's wall time in seconds: ``march_s`` in the
+    step kernel and ``check_s`` in the block passes.
+    """
 
     config: ScenarioConfig
     history: list[StepRecord]
     oracle_errors: dict[str, np.ndarray] = field(default_factory=dict)
     pathlines: list[PathlineRecord] = field(default_factory=list)
     convergence: list[ConvergenceRow] = field(default_factory=list)
+    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def final(self) -> StepRecord:
@@ -275,109 +297,157 @@ def _ambient_stress(t_b: np.ndarray) -> np.ndarray:
     return np.array([[0.0, t_b[0]], [t_b[0], t_b[1]]])
 
 
-def _by_blocks(history: list[StepRecord], score) -> dict[str, np.ndarray]:
-    """Per-level columns of ``score(block)``, which maps up to
-    ``BLOCK_LEVELS`` consecutive stored levels to ``{name: (B,) array}``."""
-    parts = [score(history[start:start + BLOCK_LEVELS])
-             for start in range(0, len(history), BLOCK_LEVELS)]
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+@dataclass(eq=False, repr=False)  # never compared or printed; cheaper to import
+class _Block:
+    """Up to ``BLOCK_LEVELS`` consecutive stored levels, as the block pass
+    reads them.  Their cells lie one level after another in the run's two
+    buffers, so ``F12`` and ``g`` are views of one slice of each; the rest
+    is the kernel's running sums and the run's per-cell constants."""
+
+    t: np.ndarray          # (B,) times of the levels
+    counts: np.ndarray     # (B,) active cells, nondecreasing
+    starts: np.ndarray     # (B,) each level's first cell in F12 and g
+    active: np.ndarray     # (B, counts[-1]): the grid cells active at each level
+    cols: np.ndarray       # each cell's index on the grid
+    F12: np.ndarray        # the levels' shears
+    g: np.ndarray          # the levels' shear rates
+    v_nodes: np.ndarray    # (B, counts[-1] + 1) face velocities, zero-padded
+    v_surf: np.ndarray     # (B,) top-face velocities
+    F_e0: np.ndarray       # the run's per-cell constants
+    p: np.ndarray
+    rho: np.ndarray
+    centers: np.ndarray
+
+    @property
+    def top(self) -> np.ndarray:
+        """Each level's top cell on the grid."""
+        return self.counts - 1
+
+    def level_max(self, values: np.ndarray) -> np.ndarray:
+        """Per-level maximum of per-cell values, one level after another."""
+        return np.maximum.reduceat(values, self.starts)
+
+    def prefix_max(self, values: np.ndarray) -> np.ndarray:
+        """Per-level maximum of a per-cell constant of the run: a level holds
+        a prefix of the grid's cells, so it is the running maximum at its top
+        cell."""
+        return np.maximum.accumulate(values[:self.counts[-1]])[self.top]
 
 
-def _cells(block: list[StepRecord], name: str) -> np.ndarray:
-    """The per-cell arrays ``name`` of a block's levels, concatenated."""
-    return np.concatenate([getattr(rec, name) for rec in block])
-
-
-def _F_e_cells(block: list[StepRecord]) -> np.ndarray:
-    """The ``(2, 2)`` elastic deformations of a block's cells, concatenated,
-    assembled from the records' columns (no record's ``F_e`` is built)."""
-    F_e = _cells(block, "F_e0")
-    F_e[:, 0, 1] = _cells(block, "F_e12")
-    return F_e
-
-
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Offset of each level's first entry among the concatenated entries."""
-    return np.cumsum(counts) - counts
-
-
-def _level_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-level maximum of concatenated per-cell values (every count >= 1)."""
-    return np.maximum.reduceat(values, _starts(counts))
-
-
-def _cell_counts(block: list[StepRecord]) -> np.ndarray:
-    return np.array([rec.grid.n_cells for rec in block])
-
-
-def _score_levels(config: ScenarioConfig, history: list[StepRecord]) -> None:
-    """Add the jump, determinant and pressure metrics to every stored level.
+def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
+                   blk: _Block) -> dict[str, np.ndarray]:
+    """The jump, determinant and pressure metrics of a block's levels.
 
     The jump residuals are those of the top cell against the ambient side;
     ``det_drift``, ``max_F_e21`` and ``max_p_dev`` range over all cells.
     """
     params = config.params
     M = config.mass_rate
-    growth = config.growth_input()
     n_hat = np.array([0.0, 1.0])
-    ambient_sigma = _ambient_stress(growth.t_b)
-
-    def score(block):
-        counts = _cell_counts(block)
-        top = np.cumsum(counts) - 1
-        F_e = _F_e_cells(block)
-        p = _cells(block, "p")
-        rho_top = np.array([rec.rho[-1] for rec in block])
-        v_surf = np.zeros((len(block), 2))
-        v_surf[:, 0] = [rec.v_surf for rec in block]
-        v_a = growth.v_a if growth.v_a is not None else v_surf
-        V_b = np.zeros((len(block), 2))
-        V_b[:, 1] = boundary_normal_velocity(M, rho_top, v_surf, n_hat)
-        grad_v_top = np.zeros((len(block), 2, 2))
-        grad_v_top[:, 0, 1] = [rec.g[-1] for rec in block]
-        sigma_top = total_stress(F_e[top], grad_v_top, p[top], params)
-        body = SideState(rho=rho_top, v=v_surf, sigma=sigma_top)
-        ambient = SideState(rho=0.0, v=v_a, sigma=ambient_sigma)
-        mass_res, mom_res = jump_residuals(body, ambient, V_b, n_hat, M, v_a)
-        return {
-            "t": np.array([rec.t for rec in block]),
-            "H": np.array([rec.grid.height for rec in block]),
-            "mass_residual": np.abs(mass_res),
-            "momentum_residual": np.max(np.abs(mom_res), axis=1),
-            "det_drift": _level_max(np.abs(det(F_e) - 1.0), counts),
-            "max_F_e21": _level_max(np.abs(F_e[:, 1, 0]), counts),
-            "max_p_dev": _level_max(np.abs(p - params.G), counts),
-        }
-
-    columns = {name: col.tolist() for name, col in _by_blocks(history, score).items()}
-    for k, rec in enumerate(history):
-        rec.metrics.update((name, col[k]) for name, col in columns.items())
+    B = len(blk.t)
+    top = blk.top
+    top_cell = blk.starts + top
+    rho_top = blk.rho[top]
+    v_surf = np.zeros((B, 2))
+    v_surf[:, 0] = blk.v_surf
+    v_a = growth.v_a if growth.v_a is not None else v_surf
+    V_b = np.zeros((B, 2))
+    V_b[:, 1] = boundary_normal_velocity(M, rho_top, v_surf, n_hat)
+    grad_v_top = np.zeros((B, 2, 2))
+    grad_v_top[:, 0, 1] = blk.g[top_cell]
+    F_e_top = blk.F_e0[top]
+    F_e_top[:, 0, 1] = blk.F12[top_cell]
+    sigma_top = total_stress(F_e_top, grad_v_top, blk.p[top], params)
+    body = SideState(rho=rho_top, v=v_surf, sigma=sigma_top)
+    ambient = SideState(rho=0.0, v=v_a, sigma=_ambient_stress(growth.t_b))
+    mass_res, mom_res = jump_residuals(body, ambient, V_b, n_hat, M, v_a)
+    # det F_e = F11 F22 - F12 F21, in tensors.det's operand order
+    F_e0 = blk.F_e0[:blk.counts[-1]]
+    det_F_e = (F_e0[:, 0, 0] * F_e0[:, 1, 1])[blk.cols]
+    det_F_e -= blk.F12 * F_e0[:, 1, 0][blk.cols]
+    det_F_e -= 1.0
+    return {
+        "mass_residual": np.abs(mass_res),
+        "momentum_residual": np.max(np.abs(mom_res), axis=1),
+        "det_drift": blk.level_max(np.abs(det_F_e, out=det_F_e)),
+        "max_F_e21": blk.prefix_max(np.abs(blk.F_e0[:, 1, 0])),
+        "max_p_dev": blk.prefix_max(np.abs(blk.p - params.G)),
+    }
 
 
-def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunResult:
+def _score_non_normal(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
+    """Oracle errors of a block's levels against ``analytic_non_normal``."""
+    p = config.params
+    v1_ref, f_ref, _ = analytic_non_normal(blk.centers[blk.cols],
+                                           np.repeat(blk.t, blk.counts),
+                                           config.alpha, p.G, p.mu, config.V_G)
+    ef = blk.F12 - f_ref
+    del f_ref
+    # face averages of the running sums, at each level's own cells
+    V = blk.v_nodes
+    v1 = (V[:, :-1] + V[:, 1:])[blk.active]
+    v1 *= 0.5
+    v1 -= v1_ref
+    del v1_ref
+    ef2 = ef ** 2
+    return {"linf_F_e12": blk.level_max(np.abs(ef)),
+            # np.mean's sum per level: np.add.reduceat sums in another order
+            "rms_F_e12": np.sqrt([ef2[s:s + n].sum() / n for s, n in
+                                  zip(blk.starts.tolist(), blk.counts.tolist())]),
+            "linf_v1": blk.level_max(np.abs(v1, out=v1)),
+            # the closed-form pressure is G at every height and time
+            "linf_p": blk.prefix_max(np.abs(blk.p - p.G))}
+
+
+def _score_fdm(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
+    """Oracle errors of a block's levels against the exact uniform shear."""
+    G = config.params.G
+    M = config.mass_rate
+    gamma = M * config.v0 / G
+    s12_ref, s11_ref = M * config.v0, (M * config.v0) ** 2 / G
+    F_e = blk.F_e0[blk.cols]
+    F_e[:, 0, 1] = blk.F12
+    grad_v = np.zeros(F_e.shape)
+    grad_v[:, 0, 1] = blk.g
+    sigma = total_stress(F_e, grad_v, blk.p[blk.cols], config.params)
+    return {"linf_F_e12": blk.level_max(np.abs(blk.F12 - gamma)),
+            "linf_v1": np.abs(blk.v_nodes).max(axis=1),
+            "linf_sigma12": blk.level_max(np.abs(sigma[:, 0, 1] - s12_ref)),
+            "linf_sigma11": blk.level_max(np.abs(sigma[:, 0, 0] - s11_ref))}
+
+
+def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
+            oracle=None) -> RunResult:
+    """March a scenario and score it; ``oracle(config, block)`` gives the
+    oracle errors of a block's levels (``thermal`` has none)."""
     params = config.params
-    H0 = config.height0
-    rate = config.boundary_rate
     M = config.mass_rate
     dt, n_steps = config.resolve_dt()
     growth = config.growth_input()
     F_att = growth.F_e_attach
-    t_b = growth.t_b
     grid = config.eulerian_grid()
-    centers = grid.centers
+    n, dx = grid.n_cells, grid.dx
 
-    def n_active(H):
-        # the cells whose centers the body has reached
-        return int(np.searchsorted(centers, H, side="right"))
-
-    H = H0
-    m = n_active(H)
-    v_surf_prev = np.zeros(2)
-
-    def traction_now():
+    def traction(v_surf: float) -> np.ndarray:
+        # the attachment momentum flux lags one level behind the top velocity
         if growth.v_a is None:
-            return t_b.copy()
-        return growth_traction(M, growth.v_a, v_surf_prev, t_b)
+            return growth.t_b
+        return growth_traction(M, growth.v_a, np.array([v_surf, 0.0]), growth.t_b)
+
+    # The schedule.  Step k solves at t = k dt on the cells whose centers
+    # H(t_k) has reached and advances to (k + 1) dt; the closing solve at
+    # t_end is step n_steps.  Levels with no active cell are not stored:
+    # the stored levels are the steps from `first` on, and level i holds the
+    # slice [offsets[i], offsets[i] + m[i]) of the two buffers.
+    H = np.empty(n_steps + 1)
+    H[0] = config.height0
+    H[1:] = advance_domain(config.height0, config.boundary_rate, dt,
+                           np.arange(1, n_steps + 1))
+    m = np.searchsorted(grid.centers, H, side="right")
+    first = int(np.searchsorted(m, 1))
+    m0, H, m = int(m[0]), H[first:], m[first:]
+    levels = len(m)
+    offsets = np.cumsum(m) - m
 
     # Per-cell constants of the run, each one read-only array of which every
     # record holds a view of its active prefix.  Only F_e12 evolves: F_e0 is
@@ -387,113 +457,121 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None) -> RunRe
     # attachment value.  The pressure depends on F_e0's second row and on
     # tau2 = t_b2 (the attachment velocity has no normal component), and
     # rho keeps its attachment value (v2 = 0, no compression).
-    F_e0 = np.empty((grid.n_cells, 2, 2))
-    F_e0[:m] = identity((m,))
-    F_e0[m:] = F_att
+    F_e0 = np.empty((n, 2, 2))
+    F_e0[:m0] = identity((m0,))
+    F_e0[m0:] = F_att
     if initial_F_e12 is not None:
-        F_e0[:m, 0, 1] = initial_F_e12
-    p = normal_pressure(F_e0, params.G, traction_now()[1])
-    rho = np.full(grid.n_cells, params.rho)
+        F_e0[:m0, 0, 1] = initial_F_e12
+    p = normal_pressure(F_e0, params.G, traction(0.0)[1])
+    rho = np.full(n, params.rho)
     for constant in (F_e0, p, rho):
         constant.flags.writeable = False
-    F12 = F_e0[:m, 0, 1].copy()
-    g = np.zeros(m)
+    F21, F22 = F_e0[:, 1, 0].copy(), F_e0[:, 1, 1].copy()
+    c = F_e0[:, 0, 0] * F21
+
+    # The two run-wide buffers; a level's F_e12 and g are views of its
+    # slice.  The first stored level's cells all hold their entry value.
+    F12_all = np.empty(int(offsets[-1] + m[-1]))
+    g_all = np.empty(len(F12_all))
+    F12_all[:m[0]] = F_e0[:m[0], 0, 1]
+    # Block scratch.  Row b of v_nodes is the kernel's running sum of dx g
+    # for the block's level b, zero past its top face: cell counts never
+    # decrease, so no row keeps values of an earlier, longer level.
+    v_nodes = np.zeros((BLOCK_LEVELS, n + 1))
+    tau = np.empty((BLOCK_LEVELS, 2))
+    v_surf = np.empty(BLOCK_LEVELS)
+
     records: list[StepRecord] = []
+    oracle_errors: dict[str, np.ndarray] = {}
+    timings = {"march_s": 0.0, "check_s": 0.0}
+    k, t = first, first * dt
 
-    def solve_and_record(k, t):
-        nonlocal v_surf_prev
-        tau = traction_now()
-        level = Grid1D(m, H, grid.dx)
-        sol = quasistatic_momentum_solve_1d(F12, F_e0[:m], level, params, tau)
-        residual = max(sol.traction_residual, sol.system_residual)
-        if residual > ANSATZ_RESIDUAL_LIMIT:
-            raise IncompatibleAnsatz(
-                f"reduced solve residual {residual:.3e}; the through-thickness "
-                f"ansatz is inconsistent")
-        v_surf = float(sol.v_nodes[-1])
-        records.append(StepRecord(
-            t=t, step=k, grid=level, F_e12=F12, g=sol.g, F_e0=F_e0[:m], p=p[:m],
-            rho=rho[:m], v_surf=v_surf,
-            metrics={"traction_residual": sol.traction_residual,
-                     "system_residual": sol.system_residual}))
-        v_surf_prev = np.array([v_surf, 0.0])
-        return sol
-
-    # Step k solves at t = k dt on the cells active at H(t_k) and advances
-    # to (k + 1) dt; the closing solve at t_end is step n_steps.
-    k, t = 0, 0.0
-    try:
-        for k in range(n_steps + 1):
+    def check_block(i0: int, B: int) -> None:
+        # Everything that does not feed the next step, for levels i0 .. i0+B-1:
+        # the solve's residuals, the metrics, the oracle and the records.
+        nonlocal k, t
+        counts, bounds = m[i0:i0 + B], offsets[i0:i0 + B]
+        lo, hi = int(bounds[0]), int(bounds[-1] + counts[-1])
+        F12, g = F12_all[lo:hi], g_all[lo:hi]
+        system, traction_residual = solve_residuals(F12, counts, v_nodes[:B], c, F21,
+                                                    F22, tau[:B], params, dx)
+        residual = np.maximum(traction_residual, system)
+        bad = np.flatnonzero(residual > ANSATZ_RESIDUAL_LIMIT)
+        if len(bad):
+            k = first + i0 + int(bad[0])
             t = k * dt
-            if m:
-                g = solve_and_record(k, t).g
-            if k == n_steps:
-                break
-            H = advance_domain(H0, rate, dt, n_steps=k + 1)
-            m_next = n_active(H)
-            F12 = reduced_step_1d(F12, g, F_e0[:m, 1, 1], dt, m_next, F_att[0, 1])
-            m = m_next
+            raise IncompatibleAnsatz(
+                f"reduced solve residual {residual[bad[0]]:.3e}; the "
+                f"through-thickness ansatz is inconsistent")
+        steps = np.arange(first + i0, first + i0 + B)
+        grid_cells = np.arange(counts[-1])
+        active = grid_cells < counts[:, None]
+        blk = _Block(t=steps * dt, counts=counts, starts=bounds - lo, active=active,
+                     cols=np.broadcast_to(grid_cells, active.shape)[active],
+                     F12=F12, g=g, v_nodes=v_nodes[:B, :counts[-1] + 1],
+                     v_surf=v_surf[:B], F_e0=F_e0, p=p, rho=rho, centers=grid.centers)
+        columns = {"traction_residual": traction_residual, "system_residual": system,
+                   "t": blk.t, "H": H[i0:i0 + B], **_level_metrics(config, growth, blk)}
+        if oracle is not None:
+            for name, values in oracle(config, blk).items():
+                if name not in oracle_errors:
+                    oracle_errors[name] = np.empty(levels)
+                oracle_errors[name][i0:i0 + B] = values
+        names = list(columns)
+        for step, mi, o, height, v_top, row in zip(
+                steps.tolist(), counts.tolist(), bounds.tolist(), H[i0:i0 + B].tolist(),
+                v_surf[:B].tolist(), zip(*(columns[name].tolist() for name in names))):
+            records.append(StepRecord(
+                t=step * dt, step=step, grid=Grid1D(mi, height, dx),
+                F_e12=F12_all[o:o + mi], g=g_all[o:o + mi], F_e0=F_e0[:mi],
+                p=p[:mi], rho=rho[:mi], v_surf=v_top, metrics=dict(zip(names, row))))
+
+    v_prev = 0.0
+    try:
+        require_reduced(F_e0)
+        for i0 in range(0, levels, BLOCK_LEVELS):
+            start = time.perf_counter()
+            B, failed = min(BLOCK_LEVELS, levels - i0), None
+            for b, (mi, o) in enumerate(zip(m[i0:i0 + B].tolist(),
+                                            offsets[i0:i0 + B].tolist())):
+                k = first + i0 + b
+                t = k * dt
+                F12, g = F12_all[o:o + mi], g_all[o:o + mi]
+                tau[b] = traction(v_prev)
+                first_integral(F12, c[:mi], F22[:mi], tau[b, 0], params, out=g)
+                np.cumsum(dx * g, out=v_nodes[b, 1:mi + 1])
+                v_prev = v_surf[b] = v_nodes[b, mi]
+                # a non-finite shear or shear rate anywhere reaches the top face
+                if not math.isfinite(v_prev):
+                    failed = b
+                    break
+                if i0 + b + 1 < levels:
+                    m_next = int(m[i0 + b + 1])
+                    reduced_step_1d(F12, g, F22[:mi], dt, m_next, F_att[0, 1],
+                                    out=F12_all[o + mi:o + mi + m_next])
+            marched = time.perf_counter()
+            # the levels marched before a failure are checked first, so an
+            # error names the earliest offending step
+            if failed != 0:
+                check_block(i0, B if failed is None else failed)
+            if failed is not None:  # k, t and F12 are the failed step's
+                require_finite(F12, "F_e12")
+                raise SingularSystem("momentum solve produced non-finite values")
+            timings["march_s"] += marched - start
+            timings["check_s"] += time.perf_counter() - marched
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
-    _score_levels(config, records)
-    return RunResult(config=config, history=records)
-
-
-def _attach_oracle_errors_non_normal(result: RunResult) -> None:
-    cfg = result.config
-    p = cfg.params
-    # every level's centers are a prefix of the final level's
-    centers = result.history[-1].grid.centers
-
-    def score(block):
-        counts = _cell_counts(block)
-        t = np.repeat([rec.t for rec in block], counts)
-        x = np.concatenate([centers[:m] for m in counts])
-        v1_ref, f_ref, p_ref = analytic_non_normal(x, t, cfg.alpha, p.G, p.mu, cfg.V_G)
-        ef = _cells(block, "F_e12") - f_ref
-        # face averages, less the pairs that straddle two levels
-        v_nodes = _cells(block, "v_nodes")
-        v1 = np.delete(0.5 * (v_nodes[:-1] + v_nodes[1:]), np.cumsum(counts + 1)[:-1] - 1)
-        return {"linf_F_e12": _level_max(np.abs(ef), counts),
-                # np.mean's sum per level: np.add.reduceat sums in another order
-                "rms_F_e12": np.sqrt([e.sum() / e.size
-                                      for e in np.split(ef ** 2, _starts(counts)[1:])]),
-                "linf_v1": _level_max(np.abs(v1 - v1_ref), counts),
-                "linf_p": _level_max(np.abs(_cells(block, "p") - p_ref), counts)}
-
-    result.oracle_errors = {"t": np.array([rec.t for rec in result.history]),
-                            **_by_blocks(result.history, score)}
-
-
-def _attach_oracle_errors_fdm(result: RunResult) -> None:
-    cfg = result.config
-    G = cfg.params.G
-    M = cfg.mass_rate
-    gamma = M * cfg.v0 / G
-    s12_ref, s11_ref = M * cfg.v0, (M * cfg.v0) ** 2 / G
-
-    def score(block):
-        counts = _cell_counts(block)
-        F_e = _F_e_cells(block)
-        grad_v = np.zeros(F_e.shape)
-        grad_v[..., 0, 1] = _cells(block, "g")
-        sigma = total_stress(F_e, grad_v, _cells(block, "p"), cfg.params)
-        return {"linf_F_e12": _level_max(np.abs(F_e[..., 0, 1] - gamma), counts),
-                "linf_v1": _level_max(np.abs(_cells(block, "v_nodes")), counts + 1),
-                "linf_sigma12": _level_max(np.abs(sigma[..., 0, 1] - s12_ref), counts),
-                "linf_sigma11": _level_max(np.abs(sigma[..., 0, 0] - s11_ref), counts)}
-
-    result.oracle_errors = {"t": np.array([rec.t for rec in result.history]),
-                            **_by_blocks(result.history, score)}
+    if oracle is not None:
+        oracle_errors = {"t": np.array([rec.t for rec in records]), **oracle_errors}
+    return RunResult(config=config, history=records, oracle_errors=oracle_errors,
+                     timings=timings)
 
 
 def run_non_normal(config: ScenarioConfig) -> RunResult:
     """March the sheared-attachment scenario and score it against the oracle."""
     if config.kind != "non_normal":
         raise ValidationError(f"config.kind must be 'non_normal', got {config.kind!r}")
-    result = _run_1d(config)
-    _attach_oracle_errors_non_normal(result)
-    return result
+    return _run_1d(config, oracle=_score_non_normal)
 
 
 def run_fdm_shear(config: ScenarioConfig) -> RunResult:
@@ -506,9 +584,7 @@ def run_fdm_shear(config: ScenarioConfig) -> RunResult:
     if config.kind != "fdm_shear":
         raise ValidationError(f"config.kind must be 'fdm_shear', got {config.kind!r}")
     gamma = config.mass_rate * config.v0 / config.params.G
-    result = _run_1d(config, initial_F_e12=gamma)
-    _attach_oracle_errors_fdm(result)
-    return result
+    return _run_1d(config, initial_F_e12=gamma, oracle=_score_fdm)
 
 
 def run_thermal(config: ScenarioConfig) -> RunResult:

@@ -239,3 +239,9 @@ def test_advance_domain_examples():
 def test_advance_domain_fused_composition_is_bitwise():
     H0, rate, dt, n = 1.0, 1.0 / 3.0, 0.1, 10
     assert advance_domain(H0, rate, dt, n_steps=n) == H0 + rate * (n * dt)
+    # an array of step counts: every height bitwise the call for its count
+    counts = np.arange(1, 50)
+    heights = advance_domain(H0, rate, dt, n_steps=counts)
+    assert heights.tolist() == [advance_domain(H0, rate, dt, n_steps=k) for k in range(1, 50)]
+    with pytest.raises(NegativeHeight, match="H = -0.2$"):
+        advance_domain(1.0, -2.0, 0.3, n_steps=np.arange(1, 4))

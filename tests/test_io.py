@@ -136,6 +136,29 @@ def test_manifest_matches_directory(tmp_path):
     assert all(len(f["sha256"]) == 64 for f in parsed["files"])
 
 
+def test_manifest_timings_only_beside_a_duration(tmp_path):
+    res = run_fdm_shear(_tiny_config())
+    # the step kernel's and the block pass's wall time
+    assert sorted(res.timings) == ["check_s", "march_s"]
+    assert res.timings["march_s"] > 0 and res.timings["check_s"] > 0
+    timed = write_fields(res, tmp_path / "timed", duration_seconds=1.25)
+    parsed = json.loads((tmp_path / "timed" / "manifest.json").read_text())
+    assert parsed["timings"] == res.timings
+    assert parsed["stored_levels"] == timed.stored_levels == len(res.history)
+    untimed = write_fields(res, tmp_path / "untimed")
+    parsed = json.loads((tmp_path / "untimed" / "manifest.json").read_text())
+    assert parsed["timings"] is None and parsed["duration_seconds"] is None
+    assert parsed["stored_levels"] == len(res.history)
+    # the checksummed files do not depend on the timings, and a rerun,
+    # timed afresh, writes the same manifest bytes without a duration
+    assert timed.files == untimed.files
+    rerun = run_fdm_shear(_tiny_config())
+    assert rerun.timings != res.timings
+    write_fields(rerun, tmp_path / "again")
+    assert (tmp_path / "again" / "manifest.json").read_bytes() == \
+        (tmp_path / "untimed" / "manifest.json").read_bytes()
+
+
 @pytest.mark.parametrize("kind", ["non_normal", "fdm_shear", "thermal"])
 def test_manifest_records_stability_margin(tmp_path, kind):
     cfg = default_config(kind)
@@ -326,8 +349,9 @@ def test_manifest_size_counters(tmp_path, kind):
     write_fields(res, tmp_path / "out")
     parsed = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert parsed["grid"]["cell_steps"] == sum(len(rec.g) for rec in res.history)
-    # each record owns F_e12 and g (8 bytes a cell each); the run shares one
-    # (n, 2, 2) F_e0, one p and one rho over the fixed grid
+    # each record's F_e12 and g (8 bytes a cell each, its slices of the
+    # run's two buffers); the run shares one (n, 2, 2) F_e0, one p and one
+    # rho over the fixed grid
     n = cfg.n_cells
     owned = sum(16 * rec.grid.n_cells for rec in res.history)
     assert parsed["history_bytes"] == owned + 8 * (4 * n + n + n)

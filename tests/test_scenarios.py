@@ -22,7 +22,7 @@ from surfgrow.constitutive import total_stress
 from surfgrow.grids import interp_columns
 from surfgrow.kinematics import _transport_step_1d, reduced_step_1d, replay_reference
 from surfgrow.output import METRIC_FIELDS
-from surfgrow.scenarios import BLOCK_LEVELS, RunResult
+from surfgrow.scenarios import BLOCK_LEVELS
 from surfgrow.tensors import det, inverse
 from surfgrow.verify import verify_scenario
 
@@ -89,6 +89,26 @@ def test_config_rejects_bad_mu_sweep(sweep):
     with pytest.raises(ValidationError, match="^mu_sweep"):
         run_mu_sweep(nn_config(), mu_values=sweep)
     assert nn_config(mu_sweep=(0.1, 1e-3)).sweep_values() == (0.1, 1e-3)
+
+
+@pytest.mark.parametrize("field", ["n_cells", "n_snapshots"])
+@pytest.mark.parametrize("value", [64.0, np.float64(3.0), 3.5, True, "64"])
+def test_config_rejects_non_integral_counts(field, value):
+    # a float n_cells passed validation and died in the march with a bare
+    # TypeError; a float n_snapshots only in write_fields, after the march
+    for make in (nn_config, fdm_config, thermal_config):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            make(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("n_cells", np.int64(20)),
+                                          ("n_snapshots", np.int32(3))])
+def test_config_accepts_numpy_integers(field, value, tmp_path):
+    cfg = thermal_config(t_end=0.25, **{field: value})
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == value
+    manifest = write_fields(run_thermal(cfg), tmp_path)
+    assert manifest.config[field] == value
+    assert len(manifest.snapshots) == min(cfg.n_snapshots, manifest.stored_levels)
 
 
 def test_config_rejects_non_normal_preexisting_body():
@@ -247,6 +267,9 @@ def test_fixed_grid_march_properties(make, n_cells, t_end, dt):
         np.testing.assert_array_equal(rec.g, sol.g)
         np.testing.assert_array_equal(rec.v_nodes, sol.v_nodes)
         assert rec.v_surf == sol.v_nodes[-1]
+        # the block pass's residuals are those of the solve on the level alone
+        assert rec.metrics["traction_residual"] == sol.traction_residual
+        assert rec.metrics["system_residual"] == sol.system_residual
         v_surf = rec.v_surf
 
 
@@ -578,6 +601,15 @@ def test_rank_one_step_is_the_full_source_update(make):
                                   [-0.5, -0.5])
     with pytest.raises(ValidationError, match="shrink"):
         reduced_step_1d(T[:4, 0, 1], g[:4], 1.0, 0.3, 3, 0.0)
+    # the march writes each step into its slice of a run-wide buffer
+    buffer = np.full(10, np.nan)
+    out = reduced_step_1d(T[:4, 0, 1], g[:4], T[:4, 1, 1], 0.3, 6, -0.5, out=buffer[2:8])
+    assert out.base is buffer
+    np.testing.assert_array_equal(
+        buffer[2:8], reduced_step_1d(T[:4, 0, 1], g[:4], T[:4, 1, 1], 0.3, 6, -0.5))
+    assert np.isnan(buffer[:2]).all() and np.isnan(buffer[8:]).all()
+    with pytest.raises(ValidationError, match="out"):
+        reduced_step_1d(T[:4, 0, 1], g[:4], 1.0, 0.3, 6, 0.0, out=buffer[:5])
 
 
 def _per_level_metrics(config, rec):
@@ -651,19 +683,14 @@ def test_block_scoring_matches_per_level_reference(make, dt, levels):
     result = run_scenario(cfg)
     assert len(result.history) == 2 * BLOCK_LEVELS + 1
     _assert_scored_like_per_level_reference(result)
-    # rescore the first levels alone: one level, exactly one block, one over
-    solve_only = ("traction_residual", "system_residual")
-    history = [replace(rec, metrics={k: rec.metrics[k] for k in solve_only})
-               for rec in result.history[:levels]]
-    prefix = RunResult(config=cfg, history=history)
-    surfgrow.scenarios._score_levels(cfg, history)
-    if cfg.kind == "non_normal":
-        surfgrow.scenarios._attach_oracle_errors_non_normal(prefix)
-    elif cfg.kind == "fdm_shear":
-        surfgrow.scenarios._attach_oracle_errors_fdm(prefix)
-    _assert_scored_like_per_level_reference(prefix)
-    for rec, full in zip(prefix.history, result.history):
-        assert rec.metrics == full.metrics
+    # runs that store one level, exactly one block and one level over: a
+    # body of (almost) no height has no active cell at t = 0, and every
+    # later step reaches the first center, dx / 2 <= H_end / 64
+    H0 = 1e-6 if cfg.kind == "fdm_shear" else 0.0
+    short = run_scenario(make(n_cells=32, dt=dt, t_end=levels * dt, H0=H0))
+    assert len(short.history) == levels
+    assert short.history[0].step == 1 and short.history[0].grid.n_cells >= 1
+    _assert_scored_like_per_level_reference(short)
 
 
 def _held_by_run(cfg):
@@ -714,9 +741,21 @@ def test_no_pass_builds_a_stored_F_e(make, tmp_path):
     for rec in res.history:
         m = rec.grid.n_cells
         assert rec.F_e12.shape == rec.g.shape == (m,)
-        assert rec.F_e12.flags.owndata and rec.g.flags.owndata
         for view in (rec.F_e0, rec.p, rec.rho):
             assert view.base is not None and not view.flags.writeable
+    # a level's F_e12 and g are views of the run's two buffers, each of one
+    # float per active cell summed over the levels, at the level's offset
+    F12_all, g_all = res.history[0].F_e12.base, res.history[0].g.base
+    cell_steps = sum(rec.grid.n_cells for rec in res.history)
+    assert F12_all.shape == g_all.shape == (cell_steps,)
+    assert not np.shares_memory(F12_all, g_all)
+    offset = 0
+    for rec in res.history:
+        for view, buffer in ((rec.F_e12, F12_all), (rec.g, g_all)):
+            assert view.base is buffer and view.flags.writeable
+            assert (view.__array_interface__["data"][0]
+                    == buffer.__array_interface__["data"][0] + 8 * offset)
+        offset += rec.grid.n_cells
 
 
 @pytest.mark.parametrize("kind", ["fdm_shear", "thermal"])
@@ -753,17 +792,16 @@ def test_replayed_frames_within_one_ulp_of_inverse_reference(make):
 
 
 def test_error_mid_march_names_step_and_time(monkeypatch):
-    solve = surfgrow.scenarios.quasistatic_momentum_solve_1d
+    kernel = surfgrow.scenarios.first_integral
     calls = []
 
-    def failing_solve(*args, **kwargs):
+    def failing_kernel(*args, **kwargs):
         calls.append(1)
         if len(calls) == 6:  # fdm_shear solves at t = 0 first: step 5
             raise SingularSystem("injected")
-        return solve(*args, **kwargs)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(surfgrow.scenarios, "quasistatic_momentum_solve_1d",
-                        failing_solve)
+    monkeypatch.setattr(surfgrow.scenarios, "first_integral", failing_kernel)
     cfg = fdm_config(t_end=0.5)
     dt, _ = cfg.resolve_dt()
     with pytest.raises(SingularSystem) as info:
@@ -773,24 +811,97 @@ def test_error_mid_march_names_step_and_time(monkeypatch):
     assert str(info.value.__cause__) == "injected"
 
 
+def _offend_at(monkeypatch, level, value=1e-3):
+    """Make the block pass report a system residual of ``value`` for the
+    stored level ``level``, counting the levels it is given."""
+    residuals = surfgrow.scenarios.solve_residuals
+    seen = [0]
+
+    def inconsistent(*args, **kwargs):
+        system, traction = residuals(*args, **kwargs)
+        j = level - seen[0]
+        if 0 <= j < len(system):
+            system[j] = value
+        seen[0] += len(system)
+        return system, traction
+
+    monkeypatch.setattr(surfgrow.scenarios, "solve_residuals", inconsistent)
+
+
 def test_ansatz_residual_is_checked_for_every_kind(monkeypatch):
-    solve = surfgrow.scenarios.quasistatic_momentum_solve_1d
-    calls = []
-
-    def inconsistent_solve(*args, **kwargs):
-        calls.append(1)
-        sol = solve(*args, **kwargs)
-        # non_normal solves from step 2, when H = 2 dt reaches the first
-        # center dx / 2: the fourth solve is step 5
-        if len(calls) == 4:
-            sol = replace(sol, system_residual=1e-3)
-        return sol
-
-    monkeypatch.setattr(surfgrow.scenarios, "quasistatic_momentum_solve_1d",
-                        inconsistent_solve)
+    # non_normal solves from step 2, when H = 2 dt reaches the first
+    # center dx / 2: the fourth stored level is step 5
+    _offend_at(monkeypatch, 3)
     cfg = nn_config(n_cells=32, t_end=0.25)
     dt, _ = cfg.resolve_dt()
     with pytest.raises(IncompatibleAnsatz) as info:
         run_non_normal(cfg)
     assert str(info.value).startswith(f"step 5, t = {5 * dt:.6g}: ")
     assert "1.000e-03" in str(info.value)
+
+
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+@pytest.mark.parametrize("where", ["first", "first_in_block", "mid_block", "last"])
+def test_ansatz_guard_names_the_offending_level(monkeypatch, make, where):
+    cfg = make(n_cells=32, t_end=0.25)
+    history = run_scenario(cfg).history
+    levels = len(history)
+    assert levels % BLOCK_LEVELS != 0  # the last level is in a partial block
+    level = {"first": 0, "first_in_block": BLOCK_LEVELS,
+             "mid_block": 2 * BLOCK_LEVELS + 5, "last": levels - 1}[where]
+    kernel = surfgrow.scenarios.first_integral
+    calls = []
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(surfgrow.scenarios, "first_integral", counting_kernel)
+    _offend_at(monkeypatch, level, value=2.5e-6)
+    dt, _ = cfg.resolve_dt()
+    step = history[level].step
+    with pytest.raises(IncompatibleAnsatz) as info:
+        run_scenario(cfg)
+    assert str(info.value) == (
+        f"step {step}, t = {step * dt:.6g}: reduced solve residual 2.500e-06; "
+        f"the through-thickness ansatz is inconsistent")
+    assert isinstance(info.value.__cause__, IncompatibleAnsatz)
+    # the march stops at the end of the offending level's block
+    assert calls and len(calls) == min(levels, (level // BLOCK_LEVELS + 1) * BLOCK_LEVELS)
+
+
+@pytest.mark.parametrize("fault, error", [("nan_g", SingularSystem),
+                                          ("inf_F12", ValidationError)])
+def test_non_finite_level_stops_the_march_at_its_step(monkeypatch, fault, error):
+    cfg = nn_config(n_cells=32, t_end=0.25)
+    history = run_scenario(cfg).history
+    level = BLOCK_LEVELS + 3
+    kernel = surfgrow.scenarios.first_integral
+    calls = []
+
+    def faulty_kernel(F12, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == level + 1:
+            if fault == "inf_F12":
+                F12[-1] = np.inf
+            g = kernel(F12, *args, **kwargs)
+            if fault == "nan_g":
+                g[0] = np.nan
+            return g
+        return kernel(F12, *args, **kwargs)
+
+    monkeypatch.setattr(surfgrow.scenarios, "first_integral", faulty_kernel)
+    dt, _ = cfg.resolve_dt()
+    step = history[level].step
+    with pytest.raises(error) as info:
+        run_non_normal(cfg)
+    assert str(info.value).startswith(f"step {step}, t = {step * dt:.6g}: ")
+    assert "F_e12" in str(info.value) if error is ValidationError else \
+        "non-finite" in str(info.value)
+    assert len(calls) == level + 1
+    # an offending residual earlier in the same block is named first
+    _offend_at(monkeypatch, level - 1)
+    calls.clear()
+    with pytest.raises(IncompatibleAnsatz) as info:
+        run_non_normal(cfg)
+    assert str(info.value).startswith(f"step {step - 1}, t = {(step - 1) * dt:.6g}: ")
