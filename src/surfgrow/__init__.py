@@ -17,7 +17,7 @@ from .tensors import EPS_DET, det, identity, inverse, sym
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, neo_hookean_stress,
                            total_stress)
-from .grids import Grid1D, PeriodicStrip, StepRecord
+from .grids import Grid1D, History, PeriodicStrip, StepRecord
 from .kinematics import (PathlineRecord, ReconstructedFrame,
                          advance_deformation_strip, advance_inverse_motion,
                          deformation_from_inverse_motion,
@@ -44,7 +44,7 @@ __all__ = [
     "SingularTensor", "SurfgrowError", "UsageError", "ValidationError",
     "EPS_DET", "det", "identity", "inverse", "sym", "AttachmentSpec",
     "MaterialParams", "attach_elastic_deformation", "neo_hookean_stress",
-    "total_stress", "Grid1D", "PeriodicStrip", "StepRecord",
+    "total_stress", "Grid1D", "History", "PeriodicStrip", "StepRecord",
     "PathlineRecord", "ReconstructedFrame", "advance_deformation_strip",
     "advance_inverse_motion", "deformation_from_inverse_motion",
     "integrate_characteristics", "reconstruct_reference", "strip_row_curl",

@@ -188,17 +188,25 @@ def first_integral(F12: np.ndarray, c: np.ndarray, F22: np.ndarray, tau1: float,
     return g
 
 
+def cell_S22(F21: np.ndarray, F22: np.ndarray) -> np.ndarray:
+    """Per-cell ``S22 = F_e21^2 + F_e22^2`` formed with float powers, as the
+    solve of one level has always formed its top cell's: numpy's array
+    square can differ from them in the last bit."""
+    return np.array([a ** 2 + d ** 2 for a, d in zip(F21.tolist(), F22.tolist())])
+
+
 def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
-                    c: np.ndarray, F21: np.ndarray, F22: np.ndarray, tau: np.ndarray,
+                    c: np.ndarray, S22: np.ndarray, F22: np.ndarray, tau: np.ndarray,
                     params: MaterialParams, dx: float) -> tuple[np.ndarray, np.ndarray]:
     """System and traction residuals of the solve on a stack of ``B`` levels.
 
     Level ``b`` has ``counts[b] >= 1`` active cells; ``F12`` holds the
-    levels' shears, one level after another.  ``c = F_e11 F_e21``, ``F21``
-    and ``F22`` are the cells' constants (at least ``max(counts)`` of them)
-    and ``tau`` the ``(B, 2)`` applied top tractions.  Row ``b`` of
-    ``v_nodes`` holds the level's ``counts[b] + 1`` face velocities, the
-    running sum of ``dx g`` from 0, followed by zeros.  Returns
+    levels' shears, one level after another.  ``c = F_e11 F_e21``,
+    ``S22 = F_e21^2 + F_e22^2`` and ``F22`` are the cells' constants (at
+    least ``max(counts)`` of them; ``S22`` from ``cell_S22``) and ``tau``
+    the ``(B, 2)`` applied top tractions.  Row ``b`` of ``v_nodes`` holds
+    the level's ``counts[b] + 1`` face velocities, the running sum of
+    ``dx g`` from 0, followed by zeros.  Returns
     ``(system_residual, traction_residual)``, two ``(B,)`` arrays, each
     entry what the solve reports for its level alone.
     """
@@ -232,11 +240,8 @@ def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
     system = (np.maximum(resid.max(axis=1, initial=0.0), resid_top)
               / np.maximum(1.0, v_max))
     # The top cell's stress against the applied traction.  The normal
-    # balance there is normal_pressure's, but S22 is formed with float
-    # powers, as the solve of one level has always formed it: numpy's array
-    # square can differ from them in the last bit.
-    S22_top = np.array([a ** 2 + d ** 2
-                        for a, d in zip(F21[top].tolist(), F22[top].tolist())])
+    # balance there is normal_pressure's.
+    S22_top = S22[top]
     p_top = G * S22_top - tau2
     g_top = (tau1 - G * S12_top) / mu
     sigma12_top = G * S12_top + mu * g_top
@@ -295,8 +300,8 @@ def quasistatic_momentum_solve_1d(F12: np.ndarray, F_e0: np.ndarray, grid: Grid1
     if not np.isfinite(v_nodes).all():
         raise SingularSystem("momentum solve produced non-finite values")
     normal_pressure(F[-1:], params.G, tau[0, 1])
-    system, traction = solve_residuals(F12, [n], v_nodes[None], F11 * F21, F21, F22,
-                                       tau, params, dx)
+    system, traction = solve_residuals(F12, [n], v_nodes[None], F11 * F21,
+                                       cell_S22(F21, F22), F22, tau, params, dx)
     return QuasistaticSolution(v_nodes=v_nodes, g=g,
                                system_residual=float(system[0]),
                                traction_residual=float(traction[0]))

@@ -27,13 +27,13 @@ levels (``scenarios.trace_history_pathlines``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import (CFLViolation, GrowthNotSupported, MissingInflowBC,
                      OutOfDomain, SingularTensor, ValidationError)
-from .grids import Grid1D, PeriodicStrip, StepRecord
+from .grids import Grid1D, History, PeriodicStrip
 from .tensors import EPS_DET, identity, inverse, require_finite
 
 CFL_LIMIT = 0.9
@@ -186,12 +186,13 @@ class ReconstructedFrame:
     F_relax: np.ndarray
 
 
-def replay_columns(history: Sequence[StepRecord], t0: float | None = None,
-                   ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...], StepRecord]]:
+def replay_columns(history: History, t0: float | None = None,
+                   ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...], int]]:
     """Replay a stored run level by level, by components: yield
-    ``(f12, F_relax, record)`` from ``t0`` on (default: the earliest stored
-    time), with ``F = I + f12 e1 (x) e2`` and ``F_relax`` the tuple of its
-    components ``(11, 12, 21, 22)`` as ``(n,)`` arrays.
+    ``(f12, F_relax, j)`` for the levels ``j`` of ``history`` from ``t0`` on
+    (default: the earliest stored time), with ``F = I + f12 e1 (x) e2`` and
+    ``F_relax`` the tuple of its components ``(11, 12, 21, 22)`` as ``(n,)``
+    arrays.  The history's columns are read; no record is built.
 
     The configuration at ``t0`` is declared the reference, so ``F = I``
     there; F is then advanced by replaying the stored shear rates ``g``
@@ -199,48 +200,46 @@ def replay_columns(history: Sequence[StepRecord], t0: float | None = None,
     after ``t0`` entering with ``F = I``).  That step changes neither the
     second row of ``F`` nor ``F11``, so ``F`` stays ``I`` but for its shear
     ``f12``.  The relaxed shape ``F_relax = F_e^{-1} F`` follows from the
-    adjugate of the record's ``F_e`` columns; ``SingularTensor`` is raised
+    adjugate of the level's ``F_e`` columns; ``SingularTensor`` is raised
     when ``|det F_e| <= EPS_DET`` in any cell.
     """
     if not history:
         raise ValidationError("history is empty")
-    times = np.array([rec.t for rec in history])
+    times = history.t
     if t0 is None:
         i0 = 0
     else:
         i0 = int(np.argmin(np.abs(times - t0)))
         if abs(times[i0] - t0) > 1e-9 * max(1.0, abs(t0)):
             raise ValidationError(f"t0 = {t0:g} is not a stored time level")
-    f12 = np.zeros(history[i0].grid.n_cells)
-    prev = None
-    for cur in history[i0:]:
-        if prev is not None:
-            f12 = reduced_step_1d(f12, prev.g, 1.0, cur.t - prev.t, cur.grid.n_cells,
-                                  0.0)
-        a, b, c, d = cur.F_e_columns()
+    f12 = np.zeros(int(history.m[i0]))
+    for j in range(i0, len(history)):
+        if j > i0:
+            f12 = reduced_step_1d(f12, history.g[history.cells(j - 1)], 1.0,
+                                  times[j] - times[j - 1], int(history.m[j]), 0.0)
+        a, b, c, d = history.F_e_columns(j)
         det = a * d - b * c
         if np.any(np.abs(det) <= EPS_DET):
             raise SingularTensor(f"|det| <= {EPS_DET:g} in tensor inversion")
         # F_e^{-1} = [[d, -b], [-c, a]] / det, times [[1, f12], [0, 1]]
         i11, i12, i21, i22 = d / det, -b / det, -c / det, a / det
-        yield f12, (i11, i11 * f12 + i12, i21, i21 * f12 + i22), cur
-        prev = cur
+        yield f12, (i11, i11 * f12 + i12, i21, i21 * f12 + i22), j
 
 
-def replay_reference(history: Sequence[StepRecord], t0: float | None = None,
-                     ) -> Iterator[tuple[ReconstructedFrame, StepRecord]]:
-    """Replay a stored run level by level: yield ``(frame, record)`` from
-    ``t0`` on, the ``(n, 2, 2)`` tensors of ``replay_columns``.  Each frame
-    owns fresh arrays, so a consumer may keep or drop it.
+def replay_reference(history: History, t0: float | None = None,
+                     ) -> Iterator[tuple[ReconstructedFrame, int]]:
+    """Replay a stored run level by level: yield ``(frame, j)`` from ``t0``
+    on, the ``(n, 2, 2)`` tensors of ``replay_columns`` for level ``j``.
+    Each frame owns fresh arrays, so a consumer may keep or drop it.
     """
-    for f12, F_relax, rec in replay_columns(history, t0=t0):
+    for f12, F_relax, j in replay_columns(history, t0=t0):
         F = identity((len(f12),))
         F[:, 0, 1] = f12
-        yield ReconstructedFrame(t=rec.t, F=F,
-                                 F_relax=np.stack(F_relax, axis=1).reshape(F.shape)), rec
+        yield ReconstructedFrame(t=float(history.t[j]), F=F,
+                                 F_relax=np.stack(F_relax, axis=1).reshape(F.shape)), j
 
 
-def reconstruct_reference(history: Sequence[StepRecord],
+def reconstruct_reference(history: History,
                           t0: float | None = None) -> list[ReconstructedFrame]:
     """Recover F and F_relax from a stored run: every frame of
     ``replay_reference``, from ``t0`` on.

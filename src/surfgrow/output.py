@@ -19,12 +19,9 @@ import numpy as np
 
 from . import __version__
 from .errors import IoError
-from .scenarios import RunResult, pathline_levels
+from .scenarios import METRIC_FIELDS, RunResult, pathline_levels
 
 SNAPSHOT_COLUMNS = ("x2", "v1", "v2", "Fe11", "Fe12", "Fe21", "Fe22", "p", "rho")
-METRIC_FIELDS = ("t", "H", "mass_residual", "momentum_residual",
-                 "traction_residual", "system_residual", "det_drift",
-                 "max_F_e21", "max_p_dev")
 # Rows of a CSV table formatted and written at a time.
 BLOCK_ROWS = 1024
 
@@ -95,11 +92,11 @@ def _write_metrics(path: Path, result: RunResult) -> None:
     stored level, each step row made by one precompiled %-format.
 
     A step row holds ``"type": "step"``, the march step ``"step": k`` of the
-    level (``t = k dt``) and every metric and
-    oracle error as its ``fmt`` string, which ``"%.17g"`` writes; the
-    template lists the keys in sorted order with json's separators, and the
-    values need no escaping.  Rows go through the buffered file one at a
-    time, so no text of the whole stream is held.
+    level (``t = k dt``) and every metric and oracle error as its ``fmt``
+    string, which ``"%.17g"`` writes, each read from its per-level column;
+    the template lists the keys in sorted order with json's separators, and
+    the values need no escaping.  Rows go through the buffered file one at
+    a time, so no text of the whole stream is held.
     """
     oracle_keys = sorted(k for k in result.oracle_errors if k != "t")
     fields = list(METRIC_FIELDS) + oracle_keys
@@ -109,11 +106,11 @@ def _write_metrics(path: Path, result: RunResult) -> None:
     keys = sorted(slots)
     template = "{" + ", ".join(f'"{key}": {slots[key]}' for key in keys) + "}\n"
     history = result.history
-    columns = {"step": [rec.step for rec in history]}
-    columns.update((name, [rec.metrics[name] for rec in history])
-                   for name in METRIC_FIELDS)
-    columns.update((key, result.oracle_errors[key].tolist()) for key in oracle_keys)
-    rows = zip(*(columns[key] for key in keys if key != "type"))
+    rows = ()
+    if history:  # the rows read the history's columns
+        columns = {"step": history.step, **history.metrics}
+        columns.update((key, result.oracle_errors[key]) for key in oracle_keys)
+        rows = zip(*(columns[key].tolist() for key in keys if key != "type"))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
         f.writelines(template % row for row in rows)
@@ -121,13 +118,14 @@ def _write_metrics(path: Path, result: RunResult) -> None:
 
 def _write_pathlines(path: Path, result: RunResult) -> None:
     pathlines = result.pathlines
-    x2, groups = pathline_levels(result.history, pathlines)
+    history = result.history
+    x2, groups = pathline_levels(history, pathlines)
     v1 = np.empty(len(x2))
     p = np.empty(len(x2))
     for j, idx in groups:
-        rec = result.history[j]
-        v1[idx] = np.interp(x2[idx], rec.grid.faces, rec.v_nodes)
-        p[idx] = np.interp(x2[idx], rec.grid.centers, rec.p)
+        grid = history.grid(j)
+        v1[idx] = np.interp(x2[idx], grid.faces, history.v_nodes(j))
+        p[idx] = np.interp(x2[idx], grid.centers, history.p[:grid.n_cells])
     index = np.concatenate([np.full(len(pl.t), i) for i, pl in enumerate(pathlines)])
     t = np.concatenate([pl.t for pl in pathlines])
     x = np.concatenate([pl.x for pl in pathlines])
@@ -135,20 +133,6 @@ def _write_pathlines(path: Path, result: RunResult) -> None:
     table = np.column_stack([index, t, x, F, v1, np.zeros(len(t)), p])
     _write_table(path, "pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p",
                  "%d" + ",%.17g" * 10, table)
-
-
-def _history_bytes(history) -> int:
-    """Bytes of the arrays a stored run holds, from their sizes: each
-    record's ``F_e12`` and ``g`` (its slices of the run's two buffers, which
-    the levels tile), plus every array the records share (``F_e0``, ``p``,
-    ``rho``, held as views) once."""
-    owned = sum(rec.F_e12.nbytes + rec.g.nbytes for rec in history)
-    shared = {}
-    for rec in history:
-        for view in (rec.F_e0, rec.p, rec.rho):
-            base = view if view.base is None else view.base
-            shared[id(base)] = base.nbytes
-    return owned + sum(shared.values())
 
 
 def read_snapshot(path) -> dict:
@@ -173,10 +157,11 @@ def write_fields(result: RunResult, out_dir,
     try:
         out.mkdir(parents=True, exist_ok=True)
         cfg = result.config
+        history = result.history
         snapshots = []
-        for ordinal, idx in enumerate(_snapshot_indices(len(result.history),
+        for ordinal, idx in enumerate(_snapshot_indices(len(history),
                                                         cfg.n_snapshots)):
-            rec = result.history[idx]
+            rec = history[idx]
             name = f"snapshot_{ordinal:04d}.csv"
             _write_snapshot(out / name, rec)
             snapshots.append({"file": name, "step": rec.step, "t": fmt(rec.t),
@@ -203,14 +188,14 @@ def write_fields(result: RunResult, out_dir,
             # the fixed grid's spacing, the active cells of the last level
             # and the active cells summed over the solved levels
             grid={"n_cells": cfg.n_cells, "dx": cfg.eulerian_grid().dx,
-                  "n_active": result.history[-1].grid.n_cells if result.history else 0,
-                  "final_height": result.history[-1].grid.height if result.history else None,
-                  "cell_steps": sum(rec.grid.n_cells for rec in result.history)},
+                  "n_active": int(history.m[-1]) if history else 0,
+                  "final_height": float(history.H[-1]) if history else None,
+                  "cell_steps": int(history.m.sum())},
             # dt over the explicit relaxation bound, G dt F_e22^2 / mu (<= 1)
             time={"dt": dt, "n_steps": n_steps, "t_end": cfg.t_end,
                   "stability_margin": dt / cfg.relaxation_bound},
-            stored_levels=len(result.history),
-            history_bytes=_history_bytes(result.history),
+            stored_levels=len(history),
+            history_bytes=history.nbytes,
             duration_seconds=duration_seconds,
             # wall-clock, so written only beside the duration
             timings=dict(result.timings) if duration_seconds is not None else None,

@@ -33,16 +33,20 @@ from nothing, before the front reaches the first center) are not stored.
 The schedule is known before the march: every level's time, height and
 active cells, hence each stored level's slice of two run-wide buffers
 that hold ``F_e12`` and the shear rate ``g`` of every stored level, one
-level after another.  A step is the kernel of a few ufunc calls whose
-result feeds the next step: the first integral ``g`` (``first_integral``),
-the top-face velocity and the source update of ``F_e12``
-(``reduced_step_1d``), each written into its buffer slice.  Everything else
-is done once per block of ``BLOCK_LEVELS`` levels, as the march fills it:
-the solve's system and traction residuals (``solve_residuals``) with the
-``IncompatibleAnsatz`` guard, the jump, determinant and pressure metrics,
-the oracle errors and the records.  A non-finite value stops the march at
-the step where it appears; an offending residual is reported with its own
-step, at most ``BLOCK_LEVELS - 1`` steps later.
+level after another, and the split of the levels into blocks
+(``block_bounds``): consecutive levels while the block's level count times
+its last level's cells stays within ``BLOCK_CELLS``.  A step is the kernel
+of a few ufunc calls whose result feeds the next step: the first integral
+``g`` (``first_integral``), the top-face velocity and the source update of
+``F_e12`` (``reduced_step_1d``), each written into its buffer slice.
+Everything else is done once per block, as the march fills it: the
+solve's system and traction residuals (``solve_residuals``) with the
+``IncompatibleAnsatz`` guard, the jump and determinant metrics and the
+oracle errors, each written into its slice of a per-run column.  The run's
+result holds these columns and the buffers (``grids.History``); no
+per-level record is built.  A non-finite value stops the march at the step
+where it appears; an offending residual is reported with its own step, at
+the end of its block.
 """
 
 from __future__ import annotations
@@ -55,14 +59,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .balance import (GrowthInput, SideState, advance_domain,
-                      boundary_normal_velocity, first_integral, growth_traction,
-                      jump_residuals, normal_pressure, require_reduced,
-                      solve_residuals)
+                      boundary_normal_velocity, cell_S22, first_integral,
+                      growth_traction, jump_residuals, normal_pressure,
+                      require_reduced, solve_residuals)
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, total_stress)
 from .errors import (IncompatibleAnsatz, NoOracle, OutOfBody, OutOfDomain,
                      SingularSystem, SurfgrowError, ValidationError)
-from .grids import Grid1D, StepRecord, interp_columns
+from .grids import Grid1D, History, StepRecord, interp_columns
 from .kinematics import PathlineRecord, reduced_step_1d, replay_columns
 from .tensors import identity, require_finite
 
@@ -71,8 +75,14 @@ KINDS = ("non_normal", "fdm_shear", "thermal")
 # Residual levels beyond which the through-thickness reduction is deemed
 # inconsistent rather than merely inaccurate.
 ANSATZ_RESIDUAL_LIMIT = 1e-6
-# Stored levels the march checks, scores and records per block pass.
-BLOCK_LEVELS = 16
+# Cells a block pass checks and scores at once: a block holds consecutive
+# stored levels while their count times the last level's cells stays
+# within it (see ``block_bounds``).
+BLOCK_CELLS = 2 ** 15
+# The metric columns of a run, in the order of a metrics.jsonl header.
+METRIC_FIELDS = ("t", "H", "mass_residual", "momentum_residual",
+                 "traction_residual", "system_residual", "det_drift",
+                 "max_F_e21", "max_p_dev")
 
 
 @dataclass(frozen=True)
@@ -232,12 +242,16 @@ class ConvergenceRow:
 class RunResult:
     """Full-resolution history of one run plus derived diagnostics.
 
-    ``timings`` holds the march's wall time in seconds: ``march_s`` in the
-    step kernel and ``check_s`` in the block passes.
+    ``history`` holds every stored level as columns (``grids.History``;
+    hand-built records go through ``History.from_records``).
+    ``oracle_errors`` maps each oracle error to its per-level column, with
+    ``"t"`` the levels' times.  ``timings`` holds the march's wall time in
+    seconds: ``march_s`` in the step kernel and ``check_s`` in the block
+    passes.
     """
 
     config: ScenarioConfig
-    history: list[StepRecord]
+    history: History
     oracle_errors: dict[str, np.ndarray] = field(default_factory=dict)
     pathlines: list[PathlineRecord] = field(default_factory=list)
     convergence: list[ConvergenceRow] = field(default_factory=list)
@@ -248,23 +262,26 @@ class RunResult:
         return self.history[-1]
 
     def max_metric(self, name: str) -> float:
-        return max(rec.metrics[name] for rec in self.history)
+        """The largest value of a metric over the stored levels; NaN if any
+        level's value is NaN."""
+        return float(np.max(self.history.metrics[name]))
 
     def probe(self, x2: float, record: StepRecord | None = None) -> dict:
         """Interpolated field values at one height (clamped to the body)."""
         rec = record if record is not None else self.final
         xq = np.array([min(max(x2, 0.0), rec.grid.height)])
-        F = _interp_F_e(rec, xq)[0]
+        F = _interp_F_e(rec.F_e_columns(), rec.grid.centers, xq)[0]
         p = float(np.interp(xq, rec.grid.centers, rec.p)[0])
         v1 = float(np.interp(xq, rec.grid.faces, rec.v_nodes)[0])
         return {"F_e": F, "p": p, "v1": v1}
 
 
-def _interp_F_e(rec: StepRecord, xq: np.ndarray) -> np.ndarray:
+def _interp_F_e(columns: tuple[np.ndarray, ...], centers: np.ndarray,
+                xq: np.ndarray) -> np.ndarray:
     """A level's F_e interpolated at the heights ``xq`` from its columns
-    (the record's F_e is not built)."""
-    columns = np.stack(rec.F_e_columns(), axis=1)
-    return interp_columns(xq, rec.grid.centers, columns).reshape(len(xq), 2, 2)
+    ``(F_e11, F_e12, F_e21, F_e22)`` at its cell ``centers`` (no F_e is
+    built)."""
+    return interp_columns(xq, centers, np.stack(columns, axis=1)).reshape(len(xq), 2, 2)
 
 
 def analytic_non_normal(x2, t, alpha: float, G: float, mu: float, V_G: float):
@@ -297,12 +314,32 @@ def _ambient_stress(t_b: np.ndarray) -> np.ndarray:
     return np.array([[0.0, t_b[0]], [t_b[0], t_b[1]]])
 
 
+def block_bounds(counts: np.ndarray, cells: int) -> list[tuple[int, int]]:
+    """Split stored levels into the march's blocks, in order, as
+    ``(first level, level count)`` pairs.
+
+    ``counts`` are the levels' active cells, nondecreasing and positive.  A
+    block takes consecutive levels while its level count times its last
+    level's cells stays within ``cells``; a level wider than ``cells`` is a
+    block of its own.
+    """
+    blocks, i0, levels = [], 0, len(counts)
+    while i0 < levels:
+        span = min(levels - i0, max(1, cells // int(counts[i0])))
+        # b levels from i0 take b * counts[i0 + b - 1] cells, increasing in b
+        taken = np.arange(1, span + 1) * counts[i0:i0 + span]
+        B = max(1, int(np.searchsorted(taken, cells, side="right")))
+        blocks.append((i0, B))
+        i0 += B
+    return blocks
+
+
 @dataclass(eq=False, repr=False)  # never compared or printed; cheaper to import
 class _Block:
-    """Up to ``BLOCK_LEVELS`` consecutive stored levels, as the block pass
-    reads them.  Their cells lie one level after another in the run's two
-    buffers, so ``F12`` and ``g`` are views of one slice of each; the rest
-    is the kernel's running sums and the run's per-cell constants."""
+    """Consecutive stored levels, as the block pass reads them.  Their cells
+    lie one level after another in the run's two buffers, so ``F12`` and
+    ``g`` are views of one slice of each; the rest is the kernel's running
+    sums and the run's per-cell constants."""
 
     t: np.ndarray          # (B,) times of the levels
     counts: np.ndarray     # (B,) active cells, nondecreasing
@@ -317,6 +354,10 @@ class _Block:
     p: np.ndarray
     rho: np.ndarray
     centers: np.ndarray
+    # running maxima over the grid of |F_e21| and |p - G|: a level holds a
+    # prefix of the grid's cells, so its maximum is the entry at its top cell
+    F21_max: np.ndarray
+    p_dev_max: np.ndarray
 
     @property
     def top(self) -> np.ndarray:
@@ -326,12 +367,6 @@ class _Block:
     def level_max(self, values: np.ndarray) -> np.ndarray:
         """Per-level maximum of per-cell values, one level after another."""
         return np.maximum.reduceat(values, self.starts)
-
-    def prefix_max(self, values: np.ndarray) -> np.ndarray:
-        """Per-level maximum of a per-cell constant of the run: a level holds
-        a prefix of the grid's cells, so it is the running maximum at its top
-        cell."""
-        return np.maximum.accumulate(values[:self.counts[-1]])[self.top]
 
 
 def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
@@ -370,8 +405,8 @@ def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
         "mass_residual": np.abs(mass_res),
         "momentum_residual": np.max(np.abs(mom_res), axis=1),
         "det_drift": blk.level_max(np.abs(det_F_e, out=det_F_e)),
-        "max_F_e21": blk.prefix_max(np.abs(blk.F_e0[:, 1, 0])),
-        "max_p_dev": blk.prefix_max(np.abs(blk.p - params.G)),
+        "max_F_e21": blk.F21_max[top],
+        "max_p_dev": blk.p_dev_max[top],
     }
 
 
@@ -396,7 +431,7 @@ def _score_non_normal(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarr
                                   zip(blk.starts.tolist(), blk.counts.tolist())]),
             "linf_v1": blk.level_max(np.abs(v1, out=v1)),
             # the closed-form pressure is G at every height and time
-            "linf_p": blk.prefix_max(np.abs(blk.p - p.G))}
+            "linf_p": blk.p_dev_max[blk.top]}
 
 
 def _score_fdm(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
@@ -437,21 +472,24 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
     # The schedule.  Step k solves at t = k dt on the cells whose centers
     # H(t_k) has reached and advances to (k + 1) dt; the closing solve at
     # t_end is step n_steps.  Levels with no active cell are not stored:
-    # the stored levels are the steps from `first` on, and level i holds the
-    # slice [offsets[i], offsets[i] + m[i]) of the two buffers.
+    # the stored levels are the steps from `first` on, level i holds the
+    # slice [offsets[i], offsets[i] + m[i]) of the two buffers, and the
+    # block pass runs on each of `blocks`.
     H = np.empty(n_steps + 1)
     H[0] = config.height0
     H[1:] = advance_domain(config.height0, config.boundary_rate, dt,
                            np.arange(1, n_steps + 1))
-    m = np.searchsorted(grid.centers, H, side="right")
+    centers = grid.centers
+    m = np.searchsorted(centers, H, side="right")
     first = int(np.searchsorted(m, 1))
     m0, H, m = int(m[0]), H[first:], m[first:]
     levels = len(m)
     offsets = np.cumsum(m) - m
+    blocks = block_bounds(m, BLOCK_CELLS)
 
     # Per-cell constants of the run, each one read-only array of which every
-    # record holds a view of its active prefix.  Only F_e12 evolves: F_e0 is
-    # each cell's F_e when it entered the run, the initial body at rest (or,
+    # level holds its active prefix.  Only F_e12 evolves: F_e0 is each
+    # cell's F_e when it entered the run, the initial body at rest (or,
     # with the one-shot equilibration, in the sheared state consistent with
     # the surface momentum flux at t = 0+) and every later cell at its
     # attachment value.  The pressure depends on F_e0's second row and on
@@ -468,33 +506,41 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
         constant.flags.writeable = False
     F21, F22 = F_e0[:, 1, 0].copy(), F_e0[:, 1, 1].copy()
     c = F_e0[:, 0, 0] * F21
+    S22 = cell_S22(F21, F22)
+    F21_max = np.maximum.accumulate(np.abs(F21))
+    p_dev_max = np.maximum.accumulate(np.abs(p - params.G))
 
-    # The two run-wide buffers; a level's F_e12 and g are views of its
-    # slice.  The first stored level's cells all hold their entry value.
+    # The two run-wide buffers; a level's F_e12 and g are its slices.  The
+    # first stored level's cells all hold their entry value.
     F12_all = np.empty(int(offsets[-1] + m[-1]))
     g_all = np.empty(len(F12_all))
     F12_all[:m[0]] = F_e0[:m[0], 0, 1]
-    # Block scratch.  Row b of v_nodes is the kernel's running sum of dx g
-    # for the block's level b, zero past its top face: cell counts never
-    # decrease, so no row keeps values of an earlier, longer level.
-    v_nodes = np.zeros((BLOCK_LEVELS, n + 1))
-    tau = np.empty((BLOCK_LEVELS, 2))
-    v_surf = np.empty(BLOCK_LEVELS)
-
-    records: list[StepRecord] = []
+    # The per-level columns of the result, and the applied tractions.
+    t_levels = np.arange(first, first + levels) * dt
+    v_surf = np.empty(levels)
+    tau = np.empty((levels, 2))
+    metrics = {name: np.empty(levels) for name in METRIC_FIELDS}
+    metrics.update(t=t_levels, H=H)
     oracle_errors: dict[str, np.ndarray] = {}
+    # Block scratch, viewed as (B, m_last + 1) for each block: row b is the
+    # kernel's running sum of dx g for the block's level b, zero past its
+    # top face.
+    v_flat = np.empty(max(B * (int(m[i0 + B - 1]) + 1) for i0, B in blocks))
+
     timings = {"march_s": 0.0, "check_s": 0.0}
     k, t = first, first * dt
 
-    def check_block(i0: int, B: int) -> None:
+    def check_block(i0: int, B: int, v_nodes: np.ndarray) -> None:
         # Everything that does not feed the next step, for levels i0 .. i0+B-1:
-        # the solve's residuals, the metrics, the oracle and the records.
+        # the solve's residuals, the metrics and the oracle.
         nonlocal k, t
-        counts, bounds = m[i0:i0 + B], offsets[i0:i0 + B]
+        rows = slice(i0, i0 + B)
+        counts, bounds = m[rows], offsets[rows]
         lo, hi = int(bounds[0]), int(bounds[-1] + counts[-1])
         F12, g = F12_all[lo:hi], g_all[lo:hi]
-        system, traction_residual = solve_residuals(F12, counts, v_nodes[:B], c, F21,
-                                                    F22, tau[:B], params, dx)
+        v_nodes = v_nodes[:, :int(counts[-1]) + 1]
+        system, traction_residual = solve_residuals(F12, counts, v_nodes, c, S22,
+                                                    F22, tau[rows], params, dx)
         residual = np.maximum(traction_residual, system)
         bad = np.flatnonzero(residual > ANSATZ_RESIDUAL_LIMIT)
         if len(bad):
@@ -503,57 +549,56 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
             raise IncompatibleAnsatz(
                 f"reduced solve residual {residual[bad[0]]:.3e}; the "
                 f"through-thickness ansatz is inconsistent")
-        steps = np.arange(first + i0, first + i0 + B)
         grid_cells = np.arange(counts[-1])
         active = grid_cells < counts[:, None]
-        blk = _Block(t=steps * dt, counts=counts, starts=bounds - lo, active=active,
+        blk = _Block(t=t_levels[rows], counts=counts, starts=bounds - lo, active=active,
                      cols=np.broadcast_to(grid_cells, active.shape)[active],
-                     F12=F12, g=g, v_nodes=v_nodes[:B, :counts[-1] + 1],
-                     v_surf=v_surf[:B], F_e0=F_e0, p=p, rho=rho, centers=grid.centers)
-        columns = {"traction_residual": traction_residual, "system_residual": system,
-                   "t": blk.t, "H": H[i0:i0 + B], **_level_metrics(config, growth, blk)}
+                     F12=F12, g=g, v_nodes=v_nodes, v_surf=v_surf[rows], F_e0=F_e0,
+                     p=p, rho=rho, centers=centers, F21_max=F21_max,
+                     p_dev_max=p_dev_max)
+        metrics["traction_residual"][rows] = traction_residual
+        metrics["system_residual"][rows] = system
+        for name, values in _level_metrics(config, growth, blk).items():
+            metrics[name][rows] = values
         if oracle is not None:
             for name, values in oracle(config, blk).items():
                 if name not in oracle_errors:
                     oracle_errors[name] = np.empty(levels)
-                oracle_errors[name][i0:i0 + B] = values
-        names = list(columns)
-        for step, mi, o, height, v_top, row in zip(
-                steps.tolist(), counts.tolist(), bounds.tolist(), H[i0:i0 + B].tolist(),
-                v_surf[:B].tolist(), zip(*(columns[name].tolist() for name in names))):
-            records.append(StepRecord(
-                t=step * dt, step=step, grid=Grid1D(mi, height, dx),
-                F_e12=F12_all[o:o + mi], g=g_all[o:o + mi], F_e0=F_e0[:mi],
-                p=p[:mi], rho=rho[:mi], v_surf=v_top, metrics=dict(zip(names, row))))
+                oracle_errors[name][rows] = values
 
     v_prev = 0.0
     try:
         require_reduced(F_e0)
-        for i0 in range(0, levels, BLOCK_LEVELS):
+        for i0, B in blocks:
             start = time.perf_counter()
-            B, failed = min(BLOCK_LEVELS, levels - i0), None
+            width = int(m[i0 + B - 1]) + 1
+            v_nodes = v_flat[:B * width].reshape(B, width)
+            v_nodes.fill(0.0)
+            failed = None
             for b, (mi, o) in enumerate(zip(m[i0:i0 + B].tolist(),
                                             offsets[i0:i0 + B].tolist())):
-                k = first + i0 + b
+                i = i0 + b
+                k = first + i
                 t = k * dt
                 F12, g = F12_all[o:o + mi], g_all[o:o + mi]
-                tau[b] = traction(v_prev)
-                first_integral(F12, c[:mi], F22[:mi], tau[b, 0], params, out=g)
+                tau[i] = traction(v_prev)
+                first_integral(F12, c[:mi], F22[:mi], tau[i, 0], params, out=g)
                 np.cumsum(dx * g, out=v_nodes[b, 1:mi + 1])
-                v_prev = v_surf[b] = v_nodes[b, mi]
+                v_prev = v_surf[i] = v_nodes[b, mi]
                 # a non-finite shear or shear rate anywhere reaches the top face
                 if not math.isfinite(v_prev):
                     failed = b
                     break
-                if i0 + b + 1 < levels:
-                    m_next = int(m[i0 + b + 1])
+                if i + 1 < levels:
+                    m_next = int(m[i + 1])
                     reduced_step_1d(F12, g, F22[:mi], dt, m_next, F_att[0, 1],
                                     out=F12_all[o + mi:o + mi + m_next])
             marched = time.perf_counter()
             # the levels marched before a failure are checked first, so an
             # error names the earliest offending step
             if failed != 0:
-                check_block(i0, B if failed is None else failed)
+                B = B if failed is None else failed
+                check_block(i0, B, v_nodes[:B])
             if failed is not None:  # k, t and F12 are the failed step's
                 require_finite(F12, "F_e12")
                 raise SingularSystem("momentum solve produced non-finite values")
@@ -562,8 +607,11 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
     if oracle is not None:
-        oracle_errors = {"t": np.array([rec.t for rec in records]), **oracle_errors}
-    return RunResult(config=config, history=records, oracle_errors=oracle_errors,
+        oracle_errors = {"t": t_levels, **oracle_errors}
+    history = History(t=t_levels, step=np.arange(first, first + levels), H=H, m=m,
+                      offset=offsets, v_surf=v_surf, metrics=metrics, F_e12=F12_all,
+                      g=g_all, F_e0=F_e0, p=p, rho=rho, dx=dx)
+    return RunResult(config=config, history=history, oracle_errors=oracle_errors,
                      timings=timings)
 
 
@@ -667,8 +715,7 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
     """
     history = result.history
     last = len(history) - 1
-    times = np.array([rec.t for rec in history])
-    heights = np.array([rec.grid.height for rec in history])
+    times, heights = history.t, history.H
     x2 = (np.arange(count) + 0.5) * heights[-1] / count
     j0 = np.searchsorted(heights, x2)
     x2, j0 = x2[j0 < last], j0[j0 < last]
@@ -676,22 +723,24 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
     x1s = np.zeros((last + 1, len(x2)))
     Fs = np.zeros((last + 1, len(x2), 2, 2))
     for i, j in enumerate(j0):
-        Fs[j, i] = _interp_F_e(history[j], x2[i:i + 1])[0]
+        Fs[j, i] = _interp_F_e(history.F_e_columns(j), history.grid(j).centers,
+                               x2[i:i + 1])[0]
     for j in range(j0.min(initial=last), last):
-        rec = history[j]
         # seeds ascend in height and so in start level: the active ones
         # are a prefix
         on = slice(0, int(np.searchsorted(j0, j, side="right")))
         z = x2[on]
-        g = np.interp(z, np.concatenate([[0.0], rec.grid.centers, [rec.grid.height]]),
-                      np.concatenate([rec.g[:1], rec.g, rec.g[-1:]]))
+        grid = history.grid(j)
+        g_j = history.g[history.cells(j)]
+        g = np.interp(z, np.concatenate([[0.0], grid.centers, [grid.height]]),
+                      np.concatenate([g_j[:1], g_j, g_j[-1:]]))
         L = np.zeros((len(z), 2, 2))
         L[:, 0, 1] = g
         hj = h[on, None, None]
         F = Fs[j, on]
         F_mid = F + 0.5 * hj * (L @ F)
         Fs[j + 1, on] = F + hj * (L @ F_mid)
-        x1s[j + 1, on] = x1s[j, on] + h[on] * np.interp(z, rec.grid.faces, rec.v_nodes)
+        x1s[j + 1, on] = x1s[j, on] + h[on] * np.interp(z, grid.faces, history.v_nodes(j))
         if np.any(z > heights[j + 1] + 1e-9):
             raise OutOfDomain(f"characteristic left the body at t = {times[j + 1]:g}")
     return [PathlineRecord(t=times[j] + np.arange(last + 1 - j) * h[i],
@@ -700,7 +749,7 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
             for i, j in enumerate(j0)]
 
 
-def pathline_levels(history, pathlines):
+def pathline_levels(history: History, pathlines):
     """Stored level and clamped height of every pathline sample.
 
     The samples of all (at least one) pathlines are numbered in order, one
@@ -712,11 +761,10 @@ def pathline_levels(history, pathlines):
     """
     t = np.concatenate([pl.t for pl in pathlines])
     x2 = np.concatenate([pl.x[:, 1] for pl in pathlines])
-    t0 = history[0].t
-    dt = history[1].t - history[0].t if len(history) > 1 else 1.0
-    level = np.clip(np.rint((t - t0) / dt), 0, len(history) - 1).astype(int)
-    heights = np.array([rec.grid.height for rec in history])
-    x2 = np.minimum(np.maximum(x2, 0.0), heights[level])
+    times = history.t
+    dt = times[1] - times[0] if len(times) > 1 else 1.0
+    level = np.clip(np.rint((t - times[0]) / dt), 0, len(times) - 1).astype(int)
+    x2 = np.minimum(np.maximum(x2, 0.0), history.H[level])
     order = np.argsort(level, kind="stable")
     levels, starts = np.unique(level[order], return_index=True)
     groups = list(zip(levels.tolist(), np.split(order, starts[1:])))
@@ -727,10 +775,12 @@ def pathline_grid_discrepancy(result: RunResult, pathlines) -> float:
     """L-infinity gap between grid-transported and characteristic F_e."""
     if not pathlines:
         return 0.0
-    x2, groups = pathline_levels(result.history, pathlines)
+    history = result.history
+    x2, groups = pathline_levels(history, pathlines)
     F_grid = np.empty((len(x2), 2, 2))
     for j, idx in groups:
-        F_grid[idx] = _interp_F_e(result.history[j], x2[idx])
+        F_grid[idx] = _interp_F_e(history.F_e_columns(j), history.grid(j).centers,
+                                  x2[idx])
     F_char = np.concatenate([pl.F_e for pl in pathlines])
     return float(np.max(np.abs(F_grid - F_char), initial=0.0))
 
@@ -742,8 +792,9 @@ def reconstruction_roundtrip_error(result: RunResult, t0: float | None = None) -
     then dropped, so the check holds one level of the replay at a time.
     """
     worst = 0.0
-    for f12, (r11, r12, r21, r22), rec in replay_columns(result.history, t0=t0):
-        a, b, c, d = rec.F_e_columns()
+    history = result.history
+    for f12, (r11, r12, r21, r22), j in replay_columns(history, t0=t0):
+        a, b, c, d = history.F_e_columns(j)
         # F_e F_relax entry by entry, against F = [[1, f12], [0, 1]]
         defect = max(float(np.max(np.abs(a * r11 + b * r21 - 1.0))),
                      float(np.max(np.abs(a * r12 + b * r22 - f12))),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import surfgrow.output
-from surfgrow import (Grid1D, MaterialParams, ParseError, PathlineRecord,
+from surfgrow import (Grid1D, History, MaterialParams, ParseError, PathlineRecord,
                       RunResult, ScenarioConfig, StepRecord, ValidationError,
                       parse_config, read_snapshot, run_fdm_shear, run_non_normal,
                       run_scenario, trace_history_pathlines, write_fields)
@@ -78,7 +78,7 @@ def _tiny_config(n_cells=16):
 
 
 def test_write_fields_empty_history(tmp_path):
-    manifest = write_fields(RunResult(config=_tiny_config(), history=[]),
+    manifest = write_fields(RunResult(config=_tiny_config(), history=History.from_records([])),
                             tmp_path / "out")
     assert manifest.snapshots == []
     lines = (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()
@@ -95,7 +95,7 @@ def test_write_fields_single_snapshot_row_count(tmp_path):
                               ("t", "H", "mass_residual", "momentum_residual",
                                "traction_residual", "system_residual",
                                "det_drift", "max_F_e21", "max_p_dev")})
-    result = RunResult(config=_tiny_config(), history=[rec])
+    result = RunResult(config=_tiny_config(), history=History.from_records([rec]))
     manifest = write_fields(result, tmp_path / "out")
     lines = (tmp_path / "out" / "snapshot_0000.csv").read_text().splitlines()
     assert lines[0] == ",".join(SNAPSHOT_COLUMNS)
@@ -162,7 +162,7 @@ def test_manifest_timings_only_beside_a_duration(tmp_path):
 @pytest.mark.parametrize("kind", ["non_normal", "fdm_shear", "thermal"])
 def test_manifest_records_stability_margin(tmp_path, kind):
     cfg = default_config(kind)
-    write_fields(RunResult(config=cfg, history=[]), tmp_path / "out")
+    write_fields(RunResult(config=cfg, history=History.from_records([])), tmp_path / "out")
     time = json.loads((tmp_path / "out" / "manifest.json").read_text())["time"]
     F22 = cfg.attachment_deformation()[1, 1]
     expected = cfg.params.G * time["dt"] * max(1.0, F22) ** 2 / cfg.params.mu
@@ -201,21 +201,25 @@ def _reference_pathlines(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _odd_values_result():
+def _odd_values_result(metrics=None):
     # values whose text is easy to get wrong: signed zero, the smallest
-    # subnormal, a repeating fraction, nan and infinities
+    # subnormal, a repeating fraction, nan and infinities; three levels of
+    # 2, 3 and 4 cells on one spacing, viewing prefixes of one F_e0, p and
+    # rho (``metrics``: each level's row, zeros by default)
     odd = np.array([-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300])
+    F_e0 = odd.reshape(2, 2, 2).repeat(2, 0)
+    p = odd[3:7].copy()
+    rho = np.full(4, 1.0 / 3.0)
     history = []
     for k, H in enumerate((0.5, 0.75, 1.0)):
-        grid = Grid1D(4, H)
-        F_e0 = np.roll(odd, k).reshape(2, 2, 2).repeat(2, 0)
+        grid = Grid1D(2 + k, H, 0.25)
+        m = grid.n_cells
         # v_nodes is the running sum of dx g
-        g = np.roll(odd, k)[:4] / grid.dx
+        g = np.roll(odd, k)[:m] / grid.dx
         history.append(StepRecord(
-            t=0.5 * k, step=k, grid=grid, F_e12=np.roll(odd, 2 * k)[:4], g=g,
-            F_e0=F_e0, p=np.roll(odd, k)[:4], rho=np.full(4, 1.0 / 3.0),
-            v_surf=float(np.sum(grid.dx * g)),
-            metrics={name: 0.0 for name in METRIC_FIELDS}))
+            t=0.5 * k, step=k, grid=grid, F_e12=np.roll(odd, 2 * k)[:m], g=g,
+            F_e0=F_e0[:m], p=p[:m], rho=rho[:m], v_surf=float(np.sum(grid.dx * g)),
+            metrics=metrics[k] if metrics else {name: 0.0 for name in METRIC_FIELDS}))
     pathlines = [
         PathlineRecord(t=[-0.0, 1.0 / 3.0, 0.9, 1.4],
                        x=[[-0.0, 5e-324], [1.0 / 3.0, -0.0], [5e-324, 0.9], [0.0, 2.0]],
@@ -223,7 +227,8 @@ def _odd_values_result():
         PathlineRecord(t=[0.5, 1.0], x=[[0.0, 1.0 / 3.0], [1e300, -1.0]],
                        F_e=np.resize(odd[::-1], (2, 2, 2))),
     ]
-    return RunResult(config=_tiny_config(), history=history, pathlines=pathlines)
+    return RunResult(config=_tiny_config(), history=History.from_records(history),
+                     pathlines=pathlines)
 
 
 def test_csv_rows_match_per_value_fmt(tmp_path):
@@ -285,11 +290,10 @@ def _reference_metrics(result) -> str:
 @pytest.mark.parametrize("kind", ["non_normal", "fdm_shear", "thermal", "odd"])
 def test_metrics_rows_match_json_dumps(tmp_path, kind):
     if kind == "odd":
-        result = _odd_values_result()
         odd = [-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300, 2.0]
-        for k, rec in enumerate(result.history):
-            rec.metrics = {name: odd[(k + i) % len(odd)]
-                           for i, name in enumerate(METRIC_FIELDS)}
+        result = _odd_values_result(metrics=[
+            {name: odd[(k + i) % len(odd)] for i, name in enumerate(METRIC_FIELDS)}
+            for k in range(3)])
         result.oracle_errors = {"t": np.array([0.0, 0.5, 1.0]),
                                 "linf_F_e12": np.array(odd[3:6]),
                                 "linf_v1": np.array(odd[:3])}
@@ -356,5 +360,5 @@ def test_manifest_size_counters(tmp_path, kind):
     owned = sum(16 * rec.grid.n_cells for rec in res.history)
     assert parsed["history_bytes"] == owned + 8 * (4 * n + n + n)
     assert all("F_e" not in vars(rec) for rec in res.history)
-    assert write_fields(RunResult(config=cfg, history=[]),
+    assert write_fields(RunResult(config=cfg, history=History.from_records([])),
                         tmp_path / "empty").history_bytes == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from surfgrow import (CFLViolation, Grid1D, GrowthNotSupported,
+from surfgrow import (CFLViolation, Grid1D, GrowthNotSupported, History,
                       MissingInflowBC, OutOfDomain, PeriodicStrip,
                       SingularTensor, StepRecord, ValidationError, advance_inverse_motion,
                       deformation_from_inverse_motion, integrate_characteristics,
@@ -152,7 +152,7 @@ def _static_history(n=8, steps=5, F_e12=0.25, F_e0=None):
         recs.append(StepRecord(t=0.1 * k, step=k, grid=grid, F_e12=np.full(n, F_e12),
                                g=np.zeros(n), F_e0=F_e0, p=np.ones(n),
                                rho=np.ones(n), v_surf=0.0))
-    return recs
+    return History.from_records(recs)
 
 
 def test_reconstruct_static_body():

@@ -1,13 +1,14 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surfgrow.scenarios
-from surfgrow import (IncompatibleAnsatz, MaterialParams, NoOracle, OutOfBody,
+from surfgrow import (History, IncompatibleAnsatz, MaterialParams, NoOracle, OutOfBody,
                       PathlineRecord, ScenarioConfig, SingularSystem,
                       ValidationError, analytic_non_normal, convergence_study,
                       integrate_characteristics, reconstruct_reference,
@@ -17,14 +18,15 @@ from surfgrow import (IncompatibleAnsatz, MaterialParams, NoOracle, OutOfBody,
                       pathline_grid_discrepancy, write_fields)
 from surfgrow.balance import (SideState, advance_domain,
                               boundary_normal_velocity, growth_traction,
-                              jump_residuals, quasistatic_momentum_solve_1d)
+                              jump_residuals, normal_pressure,
+                              quasistatic_momentum_solve_1d)
 from surfgrow.constitutive import total_stress
-from surfgrow.grids import interp_columns
+from surfgrow.grids import Grid1D, StepRecord, interp_columns
 from surfgrow.kinematics import _transport_step_1d, reduced_step_1d, replay_reference
 from surfgrow.output import METRIC_FIELDS
-from surfgrow.scenarios import BLOCK_LEVELS
+from surfgrow.scenarios import BLOCK_CELLS, block_bounds
 from surfgrow.tensors import det, inverse
-from surfgrow.verify import verify_scenario
+from surfgrow.verify import _residual_rows, verify_scenario
 
 
 def nn_config(**kw):
@@ -673,16 +675,32 @@ def _assert_scored_like_per_level_reference(result):
         np.testing.assert_array_equal(result.oracle_errors[name], values, err_msg=name)
 
 
+def _block_cells(monkeypatch, cells):
+    """Let the march split its levels into blocks of ``cells``."""
+    monkeypatch.setattr(surfgrow.scenarios, "BLOCK_CELLS", cells)
+    return cells
+
+
 @pytest.mark.parametrize("make, dt", [(nn_config, 1.0 / 33), (fdm_config, 2.0 / 32),
                                       (thermal_config, 1.0 / 32)])
-@pytest.mark.parametrize("levels", [1, BLOCK_LEVELS, BLOCK_LEVELS + 1])
-def test_block_scoring_matches_per_level_reference(make, dt, levels):
-    # 33 stored levels: two full blocks and one level over (non_normal's
-    # first center, dx / 2 = 1/64, is reached at step 1)
+@pytest.mark.parametrize("levels", [1, 16, 17])
+def test_block_scoring_matches_per_level_reference(monkeypatch, make, dt, levels):
+    # 33 stored levels (non_normal's first center, dx / 2 = 1/64, is reached
+    # at step 1): one block of the default size, two blocks of 16 levels
+    # of the full grid's 32 cells at most
     cfg = make(n_cells=32, dt=dt)
+    whole = run_scenario(cfg)
+    assert len(whole.history) == 33
+    assert block_bounds(whole.history.m, BLOCK_CELLS) == [(0, 33)]
+    cells = _block_cells(monkeypatch, 16 * 32)
     result = run_scenario(cfg)
-    assert len(result.history) == 2 * BLOCK_LEVELS + 1
+    assert len(block_bounds(result.history.m, cells)) == 2
     _assert_scored_like_per_level_reference(result)
+    # the split into blocks does not show in any column
+    for name, values in whole.history.metrics.items():
+        assert values.tobytes() == result.history.metrics[name].tobytes(), name
+    for name, values in whole.oracle_errors.items():
+        assert values.tobytes() == result.oracle_errors[name].tobytes(), name
     # runs that store one level, exactly one block and one level over: a
     # body of (almost) no height has no active cell at t = 0, and every
     # later step reaches the first center, dx / 2 <= H_end / 64
@@ -690,7 +708,145 @@ def test_block_scoring_matches_per_level_reference(make, dt, levels):
     short = run_scenario(make(n_cells=32, dt=dt, t_end=levels * dt, H0=H0))
     assert len(short.history) == levels
     assert short.history[0].step == 1 and short.history[0].grid.n_cells >= 1
+    assert [B for _, B in block_bounds(short.history.m, cells)] == \
+        {1: [1], 16: [16], 17: [16, 1]}[levels]
     _assert_scored_like_per_level_reference(short)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(1, 3000), max_size=200),
+       wide=st.lists(st.integers(2 ** 15 + 1, 2 ** 17), min_size=1, max_size=3),
+       cells=st.sampled_from([BLOCK_CELLS, 4096, 7]))
+@example(counts=[1] * 40000, wide=[2 ** 15 + 1], cells=BLOCK_CELLS)
+def test_blocks_tile_the_levels_within_the_cell_budget(counts, wide, cells):
+    counts = np.array(sorted(counts + wide))
+    blocks = block_bounds(counts, cells)
+    # in order, consecutive, covering every level once
+    assert [i0 for i0, _ in blocks] == np.cumsum([0] + [B for _, B in blocks])[:-1].tolist()
+    assert sum(B for _, B in blocks) == len(counts)
+    for i0, B in blocks:
+        last = int(counts[i0 + B - 1])
+        assert B * last <= cells or B == 1
+        # a block stops only where the next level would not fit
+        if i0 + B < len(counts):
+            assert (B + 1) * int(counts[i0 + B]) > cells
+    assert all(B == 1 for i0, B in blocks if counts[i0] > cells)
+
+
+def _per_level_records(cfg):
+    """The records of a run as a march of one solve per level builds them:
+    the schedule level by level, the solve of each level alone, its
+    metrics from scalar calls, and the shear stepped to the next level."""
+    params = cfg.params
+    dt, n_steps = cfg.resolve_dt()
+    grid = cfg.eulerian_grid()
+    growth = cfg.growth_input()
+    F_att = growth.F_e_attach
+    H0, rate = cfg.height0, cfg.boundary_rate
+
+    def height(k):
+        return H0 if k == 0 else advance_domain(H0, rate, dt, n_steps=k)
+
+    def active(k):
+        return int(np.searchsorted(grid.centers, height(k), side="right"))
+
+    m0 = active(0)
+    F_e0 = np.empty((grid.n_cells, 2, 2))
+    F_e0[:m0], F_e0[m0:] = np.eye(2), F_att
+    if cfg.kind == "fdm_shear":
+        F_e0[:m0, 0, 1] = cfg.mass_rate * cfg.v0 / params.G
+    p = normal_pressure(F_e0, params.G, growth.t_b[1])
+    rho = np.full(grid.n_cells, params.rho)
+    records, F12, v_surf = [], None, 0.0
+    for k in range(n_steps + 1):
+        m = active(k)
+        if m == 0:
+            continue
+        if F12 is None:
+            F12 = F_e0[:m, 0, 1].copy()
+        tau = growth.t_b if growth.v_a is None else growth_traction(
+            cfg.mass_rate, growth.v_a, np.array([v_surf, 0.0]), growth.t_b)
+        level = Grid1D(m, height(k), grid.dx)
+        sol = quasistatic_momentum_solve_1d(F12, F_e0[:m], level, params, tau)
+        rec = StepRecord(t=k * dt, step=k, grid=level, F_e12=F12, g=sol.g,
+                         F_e0=F_e0[:m], p=p[:m], rho=rho[:m], v_surf=sol.v_nodes[-1])
+        rec.metrics = {"traction_residual": sol.traction_residual,
+                       "system_residual": sol.system_residual,
+                       **_per_level_metrics(cfg, rec)}
+        records.append(rec)
+        v_surf = rec.v_surf
+        if k < n_steps:
+            F12 = reduced_step_1d(F12, sol.g, F_e0[:m, 1, 1], dt, active(k + 1),
+                                  F_att[0, 1])
+    return records
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_built_records_are_bitwise_those_of_a_per_level_march(monkeypatch, make):
+    # several blocks, so records are built from every part of the columns
+    _block_cells(monkeypatch, 256)
+    cfg = make(n_cells=32, t_end=0.25)
+    history = run_scenario(cfg).history
+    reference = _per_level_records(cfg)
+    assert len(history) == len(reference) > 100
+    for rec, ref in zip(history, reference):
+        assert type(rec.t) is float and _bits(rec.t) == _bits(ref.t)
+        assert type(rec.step) is int and rec.step == ref.step
+        assert (rec.grid.n_cells, _bits([rec.grid.height, rec.grid.dx])) == \
+            (ref.grid.n_cells, _bits([ref.grid.height, ref.grid.dx]))
+        for name in ("F_e12", "g", "v_nodes", "F_e0", "p", "rho"):
+            assert _bits(getattr(rec, name)) == _bits(getattr(ref, name)), name
+        assert type(rec.v_surf) is float and _bits(rec.v_surf) == _bits(ref.v_surf)
+        assert list(rec.metrics) == list(history.metrics)
+        assert sorted(rec.metrics) == sorted(ref.metrics)
+        for name, value in ref.metrics.items():
+            assert type(rec.metrics[name]) is float
+            assert _bits(rec.metrics[name]) == _bits(value), name
+
+
+def test_history_indexes_like_a_list():
+    history = run_thermal(thermal_config(n_cells=16, t_end=0.25)).history
+    assert not history._records  # the march builds no record
+    records = list(history)
+    n = len(records)
+    assert len(history) == n > 10 and bool(history)
+    assert not History.from_records([]) and len(History.from_records([])) == 0
+    for k in (0, 1, n // 2, n - 1, -1, -2, -n):
+        assert history[k] is records[k]
+    for k in (n, n + 3, -n - 1):
+        with pytest.raises(IndexError):
+            history[k]
+    for s in (slice(None), slice(1, None), slice(None, -1), slice(2, 9, 3),
+              slice(None, None, -1), slice(-4, None), slice(5, 2), slice(n + 5, None),
+              slice(-n - 5, 3)):
+        view = history[s]
+        assert isinstance(view, History) and len(view) == len(records[s])
+        assert bool(view) == bool(records[s])
+        assert all(a is b for a, b in zip(view, records[s]))
+        np.testing.assert_array_equal(view.t, [rec.t for rec in records[s]])
+        np.testing.assert_array_equal(view.m, [rec.grid.n_cells for rec in records[s]])
+    assert history[2:][1:][-1] is records[-1] and history[::-1][0] is records[-1]
+    # a record is built on first access and then kept
+    fresh = run_thermal(thermal_config(n_cells=16, t_end=0.25)).history
+    assert fresh[-1] is fresh[-1] and fresh[3:][0] is fresh[3]
+    assert len(fresh._records) == 2
+
+
+def test_max_metric_propagates_a_nan_into_its_verify_row():
+    res = run_thermal(thermal_config(t_end=0.25))
+    rows = {row.name: row for row in _residual_rows(res)}
+    assert rows["traction_residual_max"].ok
+    # Python's max over [1.0, nan] returns 1.0; the column max does not
+    # skip a NaN at a later level
+    res.history.metrics["traction_residual"][5] = np.nan
+    assert math.isnan(res.max_metric("traction_residual"))
+    rows = {row.name: row for row in _residual_rows(res)}
+    assert not rows["traction_residual_max"].ok
+    assert rows["jump_mass_residual_max"].ok
 
 
 def _held_by_run(cfg):
@@ -724,6 +880,17 @@ def test_stored_history_keeps_two_scalars_per_cell():
     assert (held2 - held) / (cells2 - cells) <= 2 * 8 + 1
 
 
+def test_stored_level_costs_little_beyond_its_cells():
+    # a level is a few per-level scalars, one float per metric and per
+    # oracle error, and its cells in the two buffers; no record, grid or
+    # dict is held per level
+    n = 128
+    held, history = _held_by_run(nn_config(n_cells=n, t_end=0.25, dt=1.0 / 2048))
+    levels, cells = len(history), int(history.m.sum())
+    assert levels > 500
+    assert held <= 16 * cells + 256 * levels
+
+
 @pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
 def test_no_pass_builds_a_stored_F_e(make, tmp_path):
     # scoring, the oracles, pathlines, the gap, the round-trip, the writers,
@@ -737,6 +904,8 @@ def test_no_pass_builds_a_stored_F_e(make, tmp_path):
     reconstruct_reference(res.history)
     res.probe(0.1)
     write_fields(res, tmp_path / "out")
+    # only the snapshots and the final level are built as records
+    assert 0 < len(res.history._records) <= cfg.n_snapshots + 1
     assert not any("F_e" in vars(rec) for rec in res.history)
     for rec in res.history:
         m = rec.grid.n_cells
@@ -762,6 +931,7 @@ def test_no_pass_builds_a_stored_F_e(make, tmp_path):
 def test_verify_tables_read_the_columns(kind):
     rows, result = verify_scenario(kind)
     assert all(row.ok for row in rows)
+    assert len(result.history._records) <= 1  # the final level
     assert not any("F_e" in vars(rec) for rec in result.history)
 
 
@@ -782,7 +952,8 @@ def test_built_F_e_is_kept_and_an_edit_persists():
 def test_replayed_frames_within_one_ulp_of_inverse_reference(make):
     cfg = make(n_cells=32, t_end=0.25)
     res = run_scenario(cfg)
-    for frame, rec in replay_reference(res.history):
+    for frame, j in replay_reference(res.history):
+        rec = res.history[j]
         m = rec.grid.n_cells
         F = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
         F[:, 0, 1] = frame.F[:, 0, 1]
@@ -843,12 +1014,20 @@ def test_ansatz_residual_is_checked_for_every_kind(monkeypatch):
 @pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
 @pytest.mark.parametrize("where", ["first", "first_in_block", "mid_block", "last"])
 def test_ansatz_guard_names_the_offending_level(monkeypatch, make, where):
+    cells = _block_cells(monkeypatch, 256)
     cfg = make(n_cells=32, t_end=0.25)
     history = run_scenario(cfg).history
     levels = len(history)
-    assert levels % BLOCK_LEVELS != 0  # the last level is in a partial block
-    level = {"first": 0, "first_in_block": BLOCK_LEVELS,
-             "mid_block": 2 * BLOCK_LEVELS + 5, "last": levels - 1}[where]
+    blocks = block_bounds(history.m, cells)
+    assert len(blocks) > 3
+    # the last block is not a full one: it takes fewer levels than the one
+    # before it
+    assert blocks[-1][1] < blocks[-2][1]
+    i0, B = blocks[2]
+    assert B >= 3
+    level = {"first": 0, "first_in_block": blocks[1][0],
+             "mid_block": i0 + B // 2, "last": levels - 1}[where]
+    stop = next(i0 + B for i0, B in blocks if i0 <= level < i0 + B)
     kernel = surfgrow.scenarios.first_integral
     calls = []
 
@@ -867,15 +1046,19 @@ def test_ansatz_guard_names_the_offending_level(monkeypatch, make, where):
         f"the through-thickness ansatz is inconsistent")
     assert isinstance(info.value.__cause__, IncompatibleAnsatz)
     # the march stops at the end of the offending level's block
-    assert calls and len(calls) == min(levels, (level // BLOCK_LEVELS + 1) * BLOCK_LEVELS)
+    assert calls and len(calls) == stop
 
 
 @pytest.mark.parametrize("fault, error", [("nan_g", SingularSystem),
                                           ("inf_F12", ValidationError)])
 def test_non_finite_level_stops_the_march_at_its_step(monkeypatch, fault, error):
+    cells = _block_cells(monkeypatch, 256)
     cfg = nn_config(n_cells=32, t_end=0.25)
     history = run_scenario(cfg).history
-    level = BLOCK_LEVELS + 3
+    # the fourth level of the second block
+    i0, B = block_bounds(history.m, cells)[1]
+    assert B > 4
+    level = i0 + 3
     kernel = surfgrow.scenarios.first_integral
     calls = []
 
