@@ -9,10 +9,9 @@ the elastic deformation prescribed at attachment.
 __version__ = "0.1.0"
 
 from .errors import (CFLViolation, GrowthNotSupported, IncompatibleAnsatz,
-                     IoError, MissingInflowBC, NegativeHeight, NoInverse,
-                     NoOracle, NotReduced, OutOfBody, OutOfDomain, ParseError,
-                     SingularSystem, SingularTensor, SurfgrowError, UsageError,
-                     ValidationError)
+                     IoError, NegativeHeight, NoInverse, NoOracle, NotReduced,
+                     OutOfBody, OutOfDomain, ParseError, SingularSystem,
+                     SingularTensor, SurfgrowError, UsageError, ValidationError)
 from .tensors import EPS_DET, det, identity, inverse, sym
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, neo_hookean_stress,
@@ -23,10 +22,9 @@ from .kinematics import (PathlineRecord, ReconstructedFrame,
                          deformation_from_inverse_motion,
                          integrate_characteristics, reconstruct_reference,
                          strip_row_curl, strip_velocity_gradient)
-from .balance import (GrowthInput, QuasistaticSolution, SideState,
-                      advance_domain, boundary_normal_velocity,
-                      growth_traction, jump_residuals, normal_pressure,
-                      quasistatic_momentum_solve_1d)
+from .balance import (GrowthInput, SideState, advance_domain,
+                      boundary_normal_velocity, growth_traction,
+                      jump_residuals, normal_pressure)
 from .scenarios import (ConvergenceRow, RunResult, ScenarioConfig,
                         analytic_non_normal, convergence_study,
                         pathline_grid_discrepancy,
@@ -39,7 +37,7 @@ from .output import RunManifest, read_snapshot, write_fields
 # The public API: exactly the names imported above.
 __all__ = [
     "CFLViolation", "GrowthNotSupported", "IncompatibleAnsatz", "IoError",
-    "MissingInflowBC", "NegativeHeight", "NoInverse", "NoOracle", "NotReduced",
+    "NegativeHeight", "NoInverse", "NoOracle", "NotReduced",
     "OutOfBody", "OutOfDomain", "ParseError", "SingularSystem",
     "SingularTensor", "SurfgrowError", "UsageError", "ValidationError",
     "EPS_DET", "det", "identity", "inverse", "sym", "AttachmentSpec",
@@ -48,10 +46,9 @@ __all__ = [
     "PathlineRecord", "ReconstructedFrame", "advance_deformation_strip",
     "advance_inverse_motion", "deformation_from_inverse_motion",
     "integrate_characteristics", "reconstruct_reference", "strip_row_curl",
-    "strip_velocity_gradient", "GrowthInput", "QuasistaticSolution",
-    "SideState", "advance_domain", "boundary_normal_velocity",
-    "growth_traction", "jump_residuals", "normal_pressure",
-    "quasistatic_momentum_solve_1d",
+    "strip_velocity_gradient", "GrowthInput", "SideState", "advance_domain",
+    "boundary_normal_velocity", "growth_traction", "jump_residuals",
+    "normal_pressure",
     "ConvergenceRow", "RunResult", "ScenarioConfig", "analytic_non_normal",
     "convergence_study", "pathline_grid_discrepancy",
     "reconstruction_roundtrip_error", "run_fdm_shear", "run_mu_sweep",

@@ -1,21 +1,20 @@
 """Mass/momentum balance: growth boundary conditions, jump residuals, the
-quasistatic through-thickness momentum solve, and the domain-height update.
+quasistatic through-thickness momentum balance, and the domain-height update.
 
 Growth enters the balance laws only through the boundary: the surface
 moves with ``V_b . n = v . n + M / rho`` and develops the traction
 ``sigma n = M (v_a - v) + t_b``.  In the bulk only the (here inertia-free)
 momentum balance is solved: with ``v = v1(x2) e1`` the continuity equation
 leaves the density at its attachment value, and the velocity gradient
-``grad v = v1'(x2) e1 (x) e2`` is rank one, so the solve returns its single
+``grad v = v1'(x2) e1 (x) e2`` is rank one, so the solve gives its single
 scalar ``g = v1'`` per cell rather than a 2x2 stack.  Only the shear
 ``F_e12`` of the elastic deformation evolves, so the solve takes it as one
-array and the cells' constant components as another, and the pressure,
+array and the cells' constant components as others, and the pressure,
 which depends on the constant second row alone, is computed once per run
-(``normal_pressure``).  The solve of one level
-(``quasistatic_momentum_solve_1d``) is the composition of the two pieces a
-growth march runs apart: the first integral (``first_integral``), the
-march's step kernel, and the residuals of the solve (``solve_residuals``),
-checked for a stack of levels at a time.
+(``normal_pressure``).  The solve is two pieces that a growth march runs
+apart: the first integral (``first_integral``), the march's step kernel,
+whose running sum is the face velocity, and the residuals of the solve
+(``solve_residuals``), checked for a stack of levels at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import numpy as np
 
 from .constitutive import MaterialParams
 from .errors import NegativeHeight, NotReduced, SingularSystem, ValidationError
-from .grids import Grid1D
 from .tensors import require_finite
 
 # Largest |F_e21| the through-thickness solve accepts as in the family.
@@ -129,25 +127,6 @@ def jump_residuals(side_plus: SideState, side_minus: SideState, V_b, n,
     return _scalar_or_array(mass_res), mom_res
 
 
-@dataclass
-class QuasistaticSolution:
-    """Result of the through-thickness momentum solve.
-
-    ``v_nodes`` is the tangential velocity at the n+1 cell faces (node 0
-    clamped); ``g`` the cell-centered shear rate ``v1'``, the one nonzero
-    component ``(0, 1)`` of the velocity gradient.  ``system_residual`` is
-    the max-norm residual of the scaled tridiagonal system,
-    ``traction_residual`` the defect of the discrete surface traction
-    against the applied one.  The pressure does not change while only
-    ``F_e12`` evolves; ``normal_pressure`` gives it.
-    """
-
-    v_nodes: np.ndarray
-    g: np.ndarray
-    system_residual: float
-    traction_residual: float
-
-
 def normal_pressure(F_e0: np.ndarray, G: float, tau2: float) -> np.ndarray:
     """Per-cell pressure ``p = G S22 - tau2`` with ``S22 = F_e21^2 + F_e22^2``.
 
@@ -175,11 +154,18 @@ def require_reduced(F_e0: np.ndarray) -> np.ndarray:
 
 def first_integral(F12: np.ndarray, c: np.ndarray, F22: np.ndarray, tau1: float,
                    params: MaterialParams, out: np.ndarray | None = None) -> np.ndarray:
-    """The solve's cell shear rates ``g = (tau1 - G S12) / mu``, the exact
-    discrete first integral of the scheme (see
-    ``quasistatic_momentum_solve_1d``), with ``S12 = c + F12 F22`` and
-    ``c = F_e11 F_e21`` and ``F22`` the cells' constants.  Five ufunc calls,
-    the last two written into ``out`` when it is given."""
+    """Cell shear rates ``g = v1'`` of the inertia-free momentum balance.
+
+    With ``S = F_e F_e^T`` the tangential balance is the two-point boundary
+    value problem ``mu v1'' = -G dS12/dx2``, ``v1(0) = 0``,
+    ``mu v1'(H) = tau1 - G S12(H)``, discretized on the cell faces as a
+    tridiagonal system (``solve_residuals``).  Its solution is the running
+    sum of ``dx g`` from 0, with ``g = (tau1 - G S12) / mu`` the scheme's
+    exact discrete first integral, so no matrix is factored and the
+    transport source stays accurate in relative terms where the fields are
+    exponentially small.  ``S12 = c + F12 F22`` with ``c = F_e11 F_e21``
+    and ``F22`` the cells' constants.  Five ufunc calls, the last two
+    written into ``out`` when it is given."""
     s = F12 * F22
     s += c
     s *= params.G
@@ -189,16 +175,18 @@ def first_integral(F12: np.ndarray, c: np.ndarray, F22: np.ndarray, tau1: float,
 
 
 def cell_S22(F21: np.ndarray, F22: np.ndarray) -> np.ndarray:
-    """Per-cell ``S22 = F_e21^2 + F_e22^2`` formed with float powers, as the
-    solve of one level has always formed its top cell's: numpy's array
-    square can differ from them in the last bit."""
+    """Per-cell ``S22 = F_e21^2 + F_e22^2`` formed with float powers, which
+    the reported traction residuals are formed with: numpy's array square
+    can differ from them in the last bit."""
     return np.array([a ** 2 + d ** 2 for a, d in zip(F21.tolist(), F22.tolist())])
 
 
 def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
                     c: np.ndarray, S22: np.ndarray, F22: np.ndarray, tau: np.ndarray,
                     params: MaterialParams, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """System and traction residuals of the solve on a stack of ``B`` levels.
+    """System and traction residuals of the solve on a stack of ``B`` levels;
+    the system is ``first_integral``'s boundary value problem on a level's
+    faces, face 0 clamped.
 
     Level ``b`` has ``counts[b] >= 1`` active cells; ``F12`` holds the
     levels' shears, one level after another.  ``c = F_e11 F_e21``,
@@ -206,9 +194,10 @@ def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
     least ``max(counts)`` of them; ``S22`` from ``cell_S22``) and ``tau``
     the ``(B, 2)`` applied top tractions.  Row ``b`` of ``v_nodes`` holds
     the level's ``counts[b] + 1`` face velocities, the running sum of
-    ``dx g`` from 0, followed by zeros.  Returns
-    ``(system_residual, traction_residual)``, two ``(B,)`` arrays, each
-    entry what the solve reports for its level alone.
+    ``dx g`` from 0, followed by zeros.  Returns ``(system_residual,
+    traction_residual)``, two ``(B,)`` arrays, each entry that of its level
+    alone: the scaled system's max-norm residual over ``max(1, max |v|)``
+    and the defect of the top cell's stress against the applied traction.
     """
     counts = np.asarray(counts)
     B, m = len(counts), int(counts.max())
@@ -248,63 +237,6 @@ def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
     sigma22_top = -p_top + G * S22_top
     traction = np.maximum(np.abs(sigma12_top - tau1), np.abs(sigma22_top - tau2))
     return system, traction
-
-
-def quasistatic_momentum_solve_1d(F12: np.ndarray, F_e0: np.ndarray, grid: Grid1D,
-                                  params: MaterialParams, top_traction
-                                  ) -> QuasistaticSolution:
-    """Inertia-free momentum balance for the through-thickness reduction.
-
-    Fields depend on ``x2`` only and the velocity is ``v = v1(x2) e1``.
-    The elastic deformation is ``F_e0`` with its ``(0, 1)`` entries
-    replaced by ``F12``: in the reduction only the shear evolves, and
-    ``F_e0`` holds each cell's constant ``F_e11``, ``F_e21`` and ``F_e22``.
-    With ``S = F_e F_e^T`` the tangential balance is the two-point boundary
-    value problem
-
-        mu v1'' = -G dS12/dx2,
-        v1(0) = 0,   mu v1'(H) = tau1 - G S12(H),
-
-    discretized on the cell faces as a tridiagonal system.  Its solution is
-    the running sum of the discrete first integral below, so no matrix is
-    factored; the residual of the scaled system is still reported.  The
-    normal balance fixes the pressure (``normal_pressure``); its top cell
-    enters the traction residual.
-
-    The admissible family requires ``|F_e21| <= ANSATZ_TOL``; otherwise
-    ``NotReduced`` is raised.  The returned shear rate ``g`` is the scheme's
-    exact discrete first integral
-
-        mu v1'(x) = tau1 - G S12(x)
-
-    for the cell gradients, which keeps the transport source accurate in
-    relative terms even where the fields are exponentially small.
-
-    This is the composition, for one level, of the march's two pieces: the
-    step kernel ``first_integral`` and the residual check
-    ``solve_residuals``.
-    """
-    if not params.mu > 0:
-        raise ValidationError("mu must be positive for the regularized solve")
-    F12 = require_finite(F12, "F_e12")
-    n = grid.n_cells
-    dx = grid.dx
-    # one cell suffices: the first integral is then the top row alone
-    if n < 1 or not np.isfinite(dx) or dx <= 0:
-        raise SingularSystem(f"degenerate grid: n_cells = {n}, dx = {dx}")
-    F = require_reduced(F_e0)
-    F11, F21, F22 = F[:, 0, 0], F[:, 1, 0], F[:, 1, 1]
-    tau = np.array([[float(top_traction[0]), float(top_traction[1])]])
-    g = first_integral(F12, F11 * F21, F22, tau[0, 0], params)
-    v_nodes = np.concatenate([[0.0], (dx * g).cumsum()])
-    if not np.isfinite(v_nodes).all():
-        raise SingularSystem("momentum solve produced non-finite values")
-    normal_pressure(F[-1:], params.G, tau[0, 1])
-    system, traction = solve_residuals(F12, [n], v_nodes[None], F11 * F21,
-                                       cell_S22(F21, F22), F22, tau, params, dx)
-    return QuasistaticSolution(v_nodes=v_nodes, g=g,
-                               system_residual=float(system[0]),
-                               traction_residual=float(traction[0]))
 
 
 def advance_domain(H: float, V_b_normal: float, dt: float, n_steps=1):

@@ -2,10 +2,9 @@
 
 Grammar (documented interface): one ``key = value`` pair per line, ``#``
 starts a comment, blank lines are ignored.  No sections, no quoting.
-``mu_sweep`` takes a comma-separated list of floats.  Unknown keys and
-malformed lines raise ``ParseError`` with the offending line number;
-well-formed values violating an invariant raise ``ValidationError``
-naming the field.
+Unknown keys and malformed lines raise ``ParseError`` with the offending
+line number; well-formed values violating an invariant raise
+``ValidationError`` naming the field.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from .scenarios import KINDS, ScenarioConfig
 
 _FLOAT_KEYS = ("G", "mu", "rho", "alpha", "H0", "V_G", "h", "v0", "L", "dt", "t_end")
 _INT_KEYS = ("n_cells", "n_snapshots")
-_KNOWN_KEYS = ("kind", "mu_sweep") + _FLOAT_KEYS + _INT_KEYS
+_KNOWN_KEYS = ("kind",) + _FLOAT_KEYS + _INT_KEYS
 
 
 def _parse_scalar(key: str, raw: str, lineno: int):
@@ -51,12 +50,6 @@ def read_pairs(text: str) -> dict:
             raise ParseError(f"line {lineno}: empty value for key {key!r}")
         if key == "kind":
             pairs[key] = raw
-        elif key == "mu_sweep":
-            try:
-                pairs[key] = tuple(float(tok) for tok in raw.split(","))
-            except ValueError:
-                raise ParseError(f"line {lineno}: mu_sweep must be comma-separated "
-                                 f"floats, got {raw!r}") from None
         else:
             pairs[key] = _parse_scalar(key, raw, lineno)
         lines[key] = lineno
@@ -69,8 +62,7 @@ def config_from_pairs(pairs: dict) -> ScenarioConfig:
     params = MaterialParams(G=pairs.get("G", 1.0), mu=pairs.get("mu", 0.1),
                             rho=pairs.get("rho", 1.0))
     kwargs = {k: pairs[k] for k in ("alpha", "H0", "V_G", "h", "v0", "L",
-                                    "n_cells", "dt", "t_end", "mu_sweep",
-                                    "n_snapshots") if k in pairs}
+                                    "n_cells", "dt", "t_end", "n_snapshots") if k in pairs}
     return ScenarioConfig(kind=pairs["kind"], params=params, **kwargs)
 
 

@@ -18,10 +18,6 @@ class CFLViolation(SurfgrowError):
     """Explicit transport step exceeds the advective stability bound."""
 
 
-class MissingInflowBC(SurfgrowError):
-    """Accreting boundary advanced without an inflow tensor value."""
-
-
 class OutOfDomain(SurfgrowError):
     """A characteristic left the body other than through an outflow boundary."""
 

@@ -9,19 +9,20 @@ zero-stress shape ``F_relax`` rides along pathlines unchanged.  Accretion
 makes the growing boundary an inflow for this equation (a boundary value
 is required); ablation is an outflow (none is).
 
-Grid transport uses first-order upwinding plus forward-Euler source
-integration.  In the through-thickness reduction the advecting velocity
-``v2`` is zero, so the growth march keeps only the source update
+In the through-thickness reduction the advecting velocity ``v2`` is zero,
+so a growth step is the forward-Euler source update alone
 (``reduced_step_1d``), where the rank-one gradient ``g e1 (x) e2`` changes
 only the first row of the transported tensor, and with ``F_e21 = 0`` only
 its shear: the march and the replay step that one scalar per cell.  The
 march's grid is fixed in space: a step updates the active cells where they
 sit and appends the cells the growing boundary reached with the inflow
-value, with no interpolation.  Characteristic transport integrates the equivalent ODE
-system along pathlines with an explicit midpoint (RK2) scheme (``integrate_characteristics``, for any velocity
-sampler).  In the reduction a pathline keeps its height, so the scenarios
-trace theirs with the same scheme as one array march over the stored
-levels (``scenarios.trace_history_pathlines``).
+value, with no interpolation.  The two-dimensional strip transports add
+first-order upwinding.  Characteristic transport integrates the equivalent
+ODE system along pathlines with an explicit midpoint (RK2) scheme
+(``integrate_characteristics``, for any velocity sampler).  In the
+reduction a pathline keeps its height, so the scenarios trace theirs with
+the same scheme as one array march over the stored levels
+(``scenarios.trace_history_pathlines``).
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import (CFLViolation, GrowthNotSupported, MissingInflowBC,
-                     OutOfDomain, SingularTensor, ValidationError)
-from .grids import Grid1D, History, PeriodicStrip
+from .errors import (CFLViolation, GrowthNotSupported, OutOfDomain,
+                     SingularTensor, ValidationError)
+from .grids import History, PeriodicStrip
 from .tensors import EPS_DET, identity, inverse, require_finite
 
 CFL_LIMIT = 0.9
@@ -58,56 +59,6 @@ class PathlineRecord:
             raise ValidationError("pathline sample times must be strictly increasing")
 
 
-def _check_cfl(speed: float, dx: float, dt: float) -> None:
-    if speed * dt > CFL_LIMIT * dx * (1.0 + 1e-12):
-        raise CFLViolation(
-            f"max|v| dt / dx = {speed * dt / dx:.3f} exceeds {CFL_LIMIT}")
-
-
-def _upwind_term_1d(comps: np.ndarray, v2: np.ndarray, dx: float,
-                    top_ghost: np.ndarray | None) -> np.ndarray:
-    """(v . grad) of stacked cell components on the x2 grid.
-
-    Ghost cells extrapolate linearly from the interior (a replicated ghost
-    would zero the wall-cell gradient and leave a resolution-independent
-    kink there); the ghost above the top face is ``top_ghost`` when
-    supplied (inflow value) instead.
-    """
-    below = np.concatenate([(2.0 * comps[:1] - comps[1:2]), comps[:-1]], axis=0)
-    if top_ghost is None:
-        above = np.concatenate([comps[1:], 2.0 * comps[-1:] - comps[-2:-1]], axis=0)
-    else:
-        above = np.concatenate([comps[1:], top_ghost[None, :]], axis=0)
-    backward = (comps - below) / dx
-    forward = (above - comps) / dx
-    v2c = v2[:, None]
-    return np.where(v2c > 0, v2c * backward, v2c * forward)
-
-
-def _transport_step_1d(tensor_field: np.ndarray, v: np.ndarray, grad_v: np.ndarray,
-                       grid: Grid1D, dt: float, inflow_bc: np.ndarray | None,
-                       mass_rate: float) -> np.ndarray:
-    """General upwind/Euler transport step on the x2 grid (reference kernel).
-
-    The CFL bound is checked against ``v2``, the only advecting component;
-    ``inflow_bc`` is required while the top boundary accretes.
-    """
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    v2 = np.asarray(v, dtype=float)[:, 1]
-    _check_cfl(float(np.max(np.abs(v2))), grid.dx, dt)
-    if mass_rate > 0 and inflow_bc is None:
-        raise MissingInflowBC("accreting boundary requires an inflow tensor value")
-    T = np.asarray(tensor_field, dtype=float)
-    source = np.asarray(grad_v, dtype=float) @ T
-    comps = T.reshape(T.shape[0], 4)
-    ghost = None
-    if inflow_bc is not None:
-        ghost = np.asarray(inflow_bc, dtype=float).reshape(4)
-    adv = _upwind_term_1d(comps, v2, grid.dx, ghost).reshape(T.shape)
-    return T + dt * (source - adv)
-
-
 def reduced_step_1d(F12: np.ndarray, g: np.ndarray, F22, dt: float, n_cells: int,
                     inflow: float, out: np.ndarray | None = None) -> np.ndarray:
     """One transport step of the shear ``F12`` of a tensor in the
@@ -116,13 +67,13 @@ def reduced_step_1d(F12: np.ndarray, g: np.ndarray, F22, dt: float, n_cells: int
     reached during the step are appended with the inflow shear ``inflow``.
 
     With ``v = v1(x2) e1`` the advecting velocity ``v2`` vanishes, so the
-    upwind term of ``_transport_step_1d`` is exactly zero and the step is
-    the source update ``T + dt (grad v) T``.  The velocity gradient
-    ``g e1 (x) e2`` is rank one, so only the first row of ``T`` changes,
-    ``T[0, :] += dt g T[1, :]``; with ``T21 = 0`` that leaves ``T11``
-    as it is and makes the shear ``F12 + dt (g F22)``, bitwise the ``(0, 1)``
-    entry of the full update.  ``F22`` is the tensor's constant second
-    diagonal entry per cell, or a scalar.  The result is written into
+    transport has no upwind term and the step is the source update
+    ``T + dt (grad v) T``.  The velocity gradient ``g e1 (x) e2`` is rank
+    one, so only the first row of ``T`` changes, ``T[0, :] += dt g T[1, :]``;
+    with ``T21 = 0`` that leaves ``T11`` as it is and makes the shear
+    ``F12 + dt (g F22)``, bitwise the ``(0, 1)`` entry of the full update.
+    ``F22`` is the tensor's constant second diagonal entry per cell, or a
+    scalar.  The result is written into
     ``out``, an ``(n_cells,)`` array, when it is given (the march writes
     each level into its slice of a run-wide buffer), else into a fresh one.
     """
@@ -226,30 +177,24 @@ def replay_columns(history: History, t0: float | None = None,
         yield f12, (i11, i11 * f12 + i12, i21, i21 * f12 + i22), j
 
 
-def replay_reference(history: History, t0: float | None = None,
-                     ) -> Iterator[tuple[ReconstructedFrame, int]]:
-    """Replay a stored run level by level: yield ``(frame, j)`` from ``t0``
-    on, the ``(n, 2, 2)`` tensors of ``replay_columns`` for level ``j``.
-    Each frame owns fresh arrays, so a consumer may keep or drop it.
-    """
-    for f12, F_relax, j in replay_columns(history, t0=t0):
-        F = identity((len(f12),))
-        F[:, 0, 1] = f12
-        yield ReconstructedFrame(t=float(history.t[j]), F=F,
-                                 F_relax=np.stack(F_relax, axis=1).reshape(F.shape)), j
-
-
 def reconstruct_reference(history: History,
                           t0: float | None = None) -> list[ReconstructedFrame]:
-    """Recover F and F_relax from a stored run: every frame of
-    ``replay_reference``, from ``t0`` on.
+    """Recover F and F_relax from a stored run: every level of
+    ``replay_columns`` from ``t0`` on, as ``(n, 2, 2)`` tensors.
 
     Material accreted after ``t0`` carries ``F = I`` at its attachment
     instant (its reference is its as-deposited shape), which makes its
     recovered relaxed shape the inverse of the attachment elastic
     deformation.
     """
-    return [frame for frame, _ in replay_reference(history, t0=t0)]
+    frames = []
+    for f12, F_relax, j in replay_columns(history, t0=t0):
+        F = identity((len(f12),))
+        F[:, 0, 1] = f12
+        frames.append(ReconstructedFrame(
+            t=float(history.t[j]), F=F,
+            F_relax=np.stack(F_relax, axis=1).reshape(F.shape)))
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +211,9 @@ def strip_velocity_gradient(fld: np.ndarray, strip: PeriodicStrip) -> np.ndarray
 
 
 def _strip_upwind(comps: np.ndarray, v: np.ndarray, strip: PeriodicStrip) -> np.ndarray:
-    # Wall ghosts extrapolate linearly; see _upwind_term_1d.
+    # Wall ghosts extrapolate linearly from the interior: a replicated ghost
+    # would zero the wall-cell gradient and leave a resolution-independent
+    # kink there.
     v1 = v[..., 0][..., None]
     v2 = v[..., 1][..., None]
     bwd1 = (comps - np.roll(comps, 1, axis=0)) / strip.dx1

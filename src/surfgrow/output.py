@@ -177,7 +177,6 @@ def write_fields(result: RunResult, out_dir,
                        "H0": cfg.height0, "V_G": cfg.V_G, "h": cfg.h,
                        "v0": cfg.v0, "L": cfg.L, "n_cells": cfg.n_cells,
                        "dt": dt, "t_end": cfg.t_end,
-                       "mu_sweep": list(cfg.sweep_values()),
                        "n_snapshots": cfg.n_snapshots}
         files = sorted(({"name": name, "sha256": _sha256(out / name),
                          "bytes": (out / name).stat().st_size}

@@ -107,7 +107,6 @@ class ScenarioConfig:
     n_cells: int = 200
     dt: float | None = None
     t_end: float = 1.0
-    mu_sweep: tuple[float, ...] | None = None
     n_snapshots: int = 11
 
     def __post_init__(self):
@@ -148,11 +147,6 @@ class ScenarioConfig:
             raise ValidationError(f"H0 must be nonnegative, got {self.H0}")
         if self.n_snapshots < 1:
             raise ValidationError("n_snapshots must be >= 1")
-        if self.mu_sweep is not None and not (
-                len(self.mu_sweep) > 0
-                and all(math.isfinite(mu) and mu > 0 for mu in self.mu_sweep)):
-            raise ValidationError(f"mu_sweep must be a nonempty list of finite "
-                                  f"positive viscosities, got {self.mu_sweep}")
         if self.kind == "non_normal" and self.height0 > 0:
             raise ValidationError("H0 must be 0 for non_normal: its closed-form "
                                   "oracle assumes a body grown from nothing")
@@ -222,12 +216,6 @@ class ScenarioConfig:
         n_steps = max(1, int(math.ceil(self.t_end / base - 1e-12)))
         return self.t_end / n_steps, n_steps
 
-    def sweep_values(self) -> tuple[float, ...]:
-        if self.mu_sweep is not None:
-            return self.mu_sweep
-        scale = self.params.G * self.t_end
-        return tuple(c * scale for c in (1.0, 0.3, 0.1, 0.03, 0.01))
-
 
 @dataclass
 class ConvergenceRow:
@@ -254,7 +242,6 @@ class RunResult:
     history: History
     oracle_errors: dict[str, np.ndarray] = field(default_factory=dict)
     pathlines: list[PathlineRecord] = field(default_factory=list)
-    convergence: list[ConvergenceRow] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -266,9 +253,10 @@ class RunResult:
         level's value is NaN."""
         return float(np.max(self.history.metrics[name]))
 
-    def probe(self, x2: float, record: StepRecord | None = None) -> dict:
-        """Interpolated field values at one height (clamped to the body)."""
-        rec = record if record is not None else self.final
+    def probe(self, x2: float) -> dict:
+        """Interpolated final field values at one height (clamped to the
+        body)."""
+        rec = self.final
         xq = np.array([min(max(x2, 0.0), rec.grid.height)])
         F = _interp_F_e(rec.F_e_columns(), rec.grid.centers, xq)[0]
         p = float(np.interp(xq, rec.grid.centers, rec.p)[0])
@@ -649,7 +637,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
 def run_mu_sweep(config: ScenarioConfig, probe_x2: float = 0.25,
                  mu_values: tuple[float, ...] | None = None):
-    """Quasistatic-limit sweep: rerun ``non_normal`` over decreasing viscosity.
+    """Quasistatic-limit sweep: rerun ``non_normal`` over decreasing viscosity,
+    by default ``{1, 0.3, 0.1, 0.03, 0.01} G t_end``.
 
     Each member uses ``dt = min(mu/(2G), t_end/64)`` so the explicit
     relaxation factor ``1 - G dt / mu`` stays within the stability range and
@@ -658,9 +647,13 @@ def run_mu_sweep(config: ScenarioConfig, probe_x2: float = 0.25,
     """
     if config.kind != "non_normal":
         raise ValidationError("the viscosity sweep applies to the non_normal kind")
-    if mu_values is not None:  # validated as the config's own sweep is
-        config = replace(config, mu_sweep=tuple(mu_values))
-    mus = config.sweep_values()
+    if mu_values is None:
+        scale = config.params.G * config.t_end
+        mu_values = [c * scale for c in (1.0, 0.3, 0.1, 0.03, 0.01)]
+    mus = tuple(mu_values)
+    if not (mus and all(math.isfinite(mu) and mu > 0 for mu in mus)):
+        raise ValidationError(f"mu_sweep must be a nonempty list of finite "
+                              f"positive viscosities, got {mus}")
     out = []
     for mu in mus:
         params = replace(config.params, mu=mu)

@@ -1,13 +1,13 @@
-import types
-
 import numpy as np
 import pytest
 
 from surfgrow import (Grid1D, MaterialParams, NegativeHeight, NotReduced,
-                      SideState, SingularSystem, ValidationError, advance_domain,
-                      boundary_normal_velocity, growth_traction, jump_residuals,
-                      neo_hookean_stress, normal_pressure,
-                      quasistatic_momentum_solve_1d)
+                      ScenarioConfig, SideState, SingularSystem, ValidationError,
+                      advance_domain, boundary_normal_velocity, growth_traction,
+                      jump_residuals, neo_hookean_stress, normal_pressure,
+                      run_non_normal)
+from surfgrow.balance import (cell_S22, first_integral, require_reduced,
+                              solve_residuals)
 from surfgrow.tensors import identity
 
 E2 = np.array([0.0, 1.0])
@@ -113,14 +113,28 @@ def params():
     return MaterialParams(G=1.0, mu=0.1, rho=1.0)
 
 
+def level_solve(F12, F_e0, dx, params, traction):
+    """One level's solve as the march runs it: the first integral, its
+    running sum from the clamped base, and the residuals of the level.
+    Returns ``(g, v_nodes, system_residual, traction_residual)``."""
+    F = require_reduced(F_e0)
+    F11, F21, F22 = F[:, 0, 0], F[:, 1, 0], F[:, 1, 1]
+    tau = np.array([traction], dtype=float)
+    g = first_integral(F12, F11 * F21, F22, tau[0, 0], params)
+    v_nodes = np.concatenate([[0.0], (dx * g).cumsum()])
+    system, residual = solve_residuals(F12, [len(F12)], v_nodes[None], F11 * F21,
+                                       cell_S22(F21, F22), F22, tau, params, dx)
+    return g, v_nodes, float(system[0]), float(residual[0])
+
+
 def test_solve_equilibrium_is_static(params):
     grid = Grid1D(32, 1.0)
-    sol = quasistatic_momentum_solve_1d(np.zeros(32), identity((32,)), grid, params,
-                                        np.zeros(2))
-    np.testing.assert_array_equal(sol.v_nodes, np.zeros(33))
+    _, v_nodes, system, traction = level_solve(np.zeros(32), identity((32,)), grid.dx,
+                                               params, np.zeros(2))
+    np.testing.assert_array_equal(v_nodes, np.zeros(33))
     np.testing.assert_array_equal(normal_pressure(identity((32,)), params.G, 0.0),
                                   np.full(32, params.G))
-    assert sol.system_residual <= 1e-12 and sol.traction_residual <= 1e-12
+    assert system <= 1e-12 and traction <= 1e-12
 
 
 def test_normal_pressure_fixes_sigma22_and_rejects_non_finite(params):
@@ -141,46 +155,46 @@ def test_solve_fresh_uniform_layer_linear_profile(params):
     # G alpha / mu, the immediate post-attachment rate of the closed form
     alpha = 0.5
     grid = Grid1D(64, 1.0)
-    sol = quasistatic_momentum_solve_1d(np.full(64, -alpha), identity((64,)), grid,
-                                        params, np.zeros(2))
+    g, v_nodes, _, _ = level_solve(np.full(64, -alpha), identity((64,)), grid.dx,
+                                   params, np.zeros(2))
     slope = params.G * alpha / params.mu
-    np.testing.assert_allclose(sol.v_nodes, slope * grid.faces, rtol=1e-12,
-                               atol=1e-12)
-    np.testing.assert_allclose(sol.g, np.full(64, slope),
-                               rtol=1e-12)
+    np.testing.assert_allclose(v_nodes, slope * grid.faces, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(g, np.full(64, slope), rtol=1e-12)
 
 
 def test_solve_uniform_shear_with_matching_traction_is_steady(params):
     M, v0 = 0.1, 1.0
     gamma = M * v0 / params.G
     grid = Grid1D(48, 1.3)
-    sol = quasistatic_momentum_solve_1d(np.full(48, gamma), identity((48,)), grid,
-                                        params, np.array([M * v0, 0.0]))
-    np.testing.assert_array_equal(sol.v_nodes, np.zeros(49))
-    np.testing.assert_array_equal(sol.g, np.zeros(48))
+    g, v_nodes, _, _ = level_solve(np.full(48, gamma), identity((48,)), grid.dx,
+                                   params, np.array([M * v0, 0.0]))
+    np.testing.assert_array_equal(v_nodes, np.zeros(49))
+    np.testing.assert_array_equal(g, np.zeros(48))
 
 
-def test_solve_rejects_out_of_family_fields(params):
-    grid = Grid1D(16, 1.0)
+def test_solve_rejects_out_of_family_fields():
     F_e0 = identity((16,))
     F_e0[:, 1, 0] = 1e-3
     with pytest.raises(NotReduced):
-        quasistatic_momentum_solve_1d(np.zeros(16), F_e0, grid, params, np.zeros(2))
-    # the shear is the evolving field: a non-finite value is refused
+        require_reduced(F_e0)
+    F_e0[:, 1, 0] = 1e-9  # within ANSATZ_TOL
+    assert require_reduced(F_e0) is not None
+    # a non-finite entry is refused, naming the field
     for bad in (np.nan, np.inf):
-        F12 = np.zeros(16)
-        F12[5] = bad
-        with pytest.raises(ValidationError, match="F_e12"):
-            quasistatic_momentum_solve_1d(F12, identity((16,)), grid, params,
-                                          np.zeros(2))
+        F_e0 = identity((16,))
+        F_e0[5, 1, 1] = bad
+        with pytest.raises(ValidationError, match="F_e"):
+            require_reduced(F_e0)
 
 
-def test_solve_requires_viscosity_and_clamped_base(params):
-    grid = Grid1D(16, 1.0)
+def test_solve_requires_viscosity_and_clamped_base():
     with pytest.raises(ValidationError, match="mu"):
-        quasistatic_momentum_solve_1d(np.zeros(16), identity((16,)), grid,
-                                      MaterialParams(G=1.0, mu=0.0, rho=1.0),
-                                      np.zeros(2))
+        ScenarioConfig(kind="non_normal", params=MaterialParams(G=1.0, mu=0.0, rho=1.0))
+    # every level of a march starts its face velocities at the clamped base
+    history = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=16,
+                                            t_end=0.25)).history
+    assert any(np.abs(history.v_nodes(j)).max() > 0 for j in range(len(history)))
+    assert all(history.v_nodes(j)[0] == 0.0 for j in range(len(history)))
 
 
 def test_solve_matches_dense_tridiagonal_system(params):
@@ -191,7 +205,8 @@ def test_solve_matches_dense_tridiagonal_system(params):
     F12 = 0.4 * np.sin(3.0 * grid.centers) - 0.2 * grid.centers ** 2
     F_e0 = identity((n,))
     F_e0[:, 1, 1] = 1.0 + 0.1 * np.cos(grid.centers)
-    sol = quasistatic_momentum_solve_1d(F12, F_e0, grid, params, np.array([tau1, 0.0]))
+    _, v_nodes, system, _ = level_solve(F12, F_e0, grid.dx, params,
+                                        np.array([tau1, 0.0]))
     G, mu, dx = params.G, params.mu, grid.dx
     S12 = F12 * F_e0[:, 1, 1]
     assert np.ptp(S12) > 0.1  # non-uniform
@@ -206,27 +221,27 @@ def test_solve_matches_dense_tridiagonal_system(params):
     A[n - 1, n - 2], A[n - 1, n - 1] = -1.0, 1.0
     rhs[n - 1] = (dx / mu) * (tau1 - G * S12[-1])
     u = np.linalg.solve(A, rhs)
-    assert sol.v_nodes[0] == 0.0
-    np.testing.assert_allclose(sol.v_nodes[1:], u, rtol=0, atol=1e-12)
-    assert sol.system_residual <= 1e-12
+    assert v_nodes[0] == 0.0
+    np.testing.assert_allclose(v_nodes[1:], u, rtol=0, atol=1e-12)
+    assert system <= 1e-12
 
 
-def test_solve_degenerate_grid(params):
-    stub = types.SimpleNamespace(n_cells=0, dx=0.1)
-    with pytest.raises(SingularSystem):
-        quasistatic_momentum_solve_1d(np.zeros(0), identity((0,)), stub, params,
-                                      np.zeros(2))
+def test_solve_degenerate_grid():
+    # a level's grid holds at least one cell of positive finite width
+    for n, dx in ((0, None), (4, 0.0), (4, -0.1), (4, float("nan"))):
+        with pytest.raises(ValidationError):
+            Grid1D(n, 1.0, dx=dx)
 
 
 @pytest.mark.parametrize("grid", [Grid1D(1, 0.3), Grid1D(1, 0.0026, dx=0.005)])
 def test_solve_one_cell(params, grid):
     # the first active cell of a body grown from nothing relaxes too: the
     # solve is the first integral at the one cell, v = [0, dx g0]
-    sol = quasistatic_momentum_solve_1d(np.array([-0.5]), identity((1,)), grid,
-                                        params, np.zeros(2))
-    assert sol.g[0] == 0.5 * params.G / params.mu
-    np.testing.assert_array_equal(sol.v_nodes, [0.0, grid.dx * sol.g[0]])
-    assert sol.system_residual <= 1e-14 and sol.traction_residual <= 1e-14
+    g, v_nodes, system, traction = level_solve(np.array([-0.5]), identity((1,)), grid.dx,
+                                               params, np.zeros(2))
+    assert g[0] == 0.5 * params.G / params.mu
+    np.testing.assert_array_equal(v_nodes, [0.0, grid.dx * g[0]])
+    assert system <= 1e-14 and traction <= 1e-14
 
 
 def test_advance_domain_examples():

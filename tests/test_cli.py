@@ -68,10 +68,12 @@ def test_run_rejects_zero_fdm_shear_length(tmp_path, capsys):
 
 
 def test_run_rejects_nonpositive_sweep_viscosity(tmp_path, capsys):
+    # no command sweeps, so a configuration cannot name a sweep
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(NN_CFG + "mu_sweep = 0.1, 0.0\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert "error: ValidationError: mu_sweep" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: ParseError: " in err and "unknown key 'mu_sweep'" in err
     assert not (tmp_path / "out").exists()
 
 

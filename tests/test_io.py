@@ -66,12 +66,6 @@ def test_parse_missing_file():
         parse_config("/nonexistent/path.cfg")
 
 
-def test_parse_mu_sweep_list(tmp_path):
-    cfg = parse_config(write_cfg(tmp_path,
-                                 MINIMAL + "mu_sweep = 0.5, 0.25, 0.125\n"))
-    assert cfg.sweep_values() == (0.5, 0.25, 0.125)
-
-
 def _tiny_config(n_cells=16):
     return ScenarioConfig(kind="fdm_shear", params=MaterialParams(mu=1.0),
                           H0=1.0, n_cells=n_cells, t_end=0.5, n_snapshots=3)

@@ -4,21 +4,12 @@ import numpy as np
 import pytest
 
 from surfgrow import (CFLViolation, Grid1D, GrowthNotSupported, History,
-                      MissingInflowBC, OutOfDomain, PeriodicStrip,
-                      SingularTensor, StepRecord, ValidationError, advance_inverse_motion,
-                      deformation_from_inverse_motion, integrate_characteristics,
-                      reconstruct_reference)
-from surfgrow.kinematics import PathlineRecord, _transport_step_1d
+                      OutOfDomain, PeriodicStrip, SingularTensor, StepRecord,
+                      ValidationError, advance_deformation_strip,
+                      advance_inverse_motion, deformation_from_inverse_motion,
+                      integrate_characteristics, reconstruct_reference)
+from surfgrow.kinematics import CFL_LIMIT, PathlineRecord, reduced_step_1d
 from surfgrow.tensors import identity
-
-
-def transport(F_e, grad_v, dt, v2=0.0, inflow_bc=None, mass_rate=0.0):
-    """One general transport step on [0, 1] with uniform normal velocity v2."""
-    n = F_e.shape[0]
-    v = np.zeros((n, 2))
-    v[:, 1] = v2
-    return _transport_step_1d(F_e, v, grad_v, Grid1D(n, 1.0), dt, inflow_bc,
-                              mass_rate)
 
 
 def shear_grad(n, g):
@@ -29,38 +20,48 @@ def shear_grad(n, g):
 
 def test_zero_velocity_leaves_field_unchanged():
     rng = np.random.default_rng(0)
-    F_e = identity((8,)) + 0.1 * rng.standard_normal((8, 2, 2))
-    np.testing.assert_array_equal(transport(F_e, np.zeros((8, 2, 2)), 0.01), F_e)
+    F12 = rng.standard_normal(8)
+    np.testing.assert_array_equal(
+        reduced_step_1d(F12, np.zeros(8), rng.standard_normal(8), 0.01, 8, 0.0), F12)
 
 
 def test_reduced_shear_preserves_ansatz_bitwise():
-    # the 21 evolution is homogeneous and the diagonal stays pinned
+    # the full source update T + dt (grad v) T with grad v = g e1 (x) e2
+    # keeps the 21 entry and the diagonal bitwise, and its shear is the
+    # reduced step's, so stepping the shear alone loses nothing
     F_e = identity((16,))
     F_e[:, 0, 1] = np.linspace(-0.5, 0.0, 16)
+    F12 = F_e[:, 0, 1].copy()
     for _ in range(50):
-        F_e = transport(F_e, shear_grad(16, 3.0), 1e-3)
+        F_e = F_e + 1e-3 * (shear_grad(16, 3.0) @ F_e)
+        F12 = reduced_step_1d(F12, np.full(16, 3.0), 1.0, 1e-3, 16, 0.0)
     np.testing.assert_array_equal(F_e[:, 1, 0], np.zeros(16))
     np.testing.assert_array_equal(F_e[:, 0, 0], np.ones(16))
     np.testing.assert_array_equal(F_e[:, 1, 1], np.ones(16))
+    np.testing.assert_array_equal(F_e[:, 0, 1], F12)
 
 
 def test_constant_shear_source_one_step_exact():
     k, dt = 2.5, 1e-3
-    out = transport(identity((8,)), shear_grad(8, k), dt)
-    np.testing.assert_array_equal(out[:, 0, 1], np.full(8, k * dt))
+    out = reduced_step_1d(np.zeros(8), np.full(8, k), 1.0, dt, 8, 0.0)
+    np.testing.assert_array_equal(out, np.full(8, k * dt))
 
 
 def test_cfl_violation_raises():
-    # dx = 1/8, so v2 = 5 with dt = 0.1 gives CFL 4
+    # dx1 = dx2 = 1/8 and |v1| = 2: the CFL number is 16 dt, at the bound
+    # 0.9 for dt = 0.9/16
+    strip = PeriodicStrip(n1=8, n2=8)
+    v = np.zeros((8, 8, 2))
+    v[..., 0] = 2.0
+    F = identity((8, 8))
+    q = np.zeros((8, 8, 2))
+    at_bound = CFL_LIMIT / 16.0
+    advance_deformation_strip(F, v, np.zeros((8, 8, 2, 2)), strip, at_bound)
+    advance_inverse_motion(q, v, strip, at_bound)
     with pytest.raises(CFLViolation):
-        transport(identity((8,)), np.zeros((8, 2, 2)), 0.1, v2=5.0)
-
-
-def test_accretion_requires_inflow_value():
-    with pytest.raises(MissingInflowBC):
-        transport(identity((8,)), np.zeros((8, 2, 2)), 0.01, mass_rate=1.0)
-    transport(identity((8,)), np.zeros((8, 2, 2)), 0.01, mass_rate=1.0,
-              inflow_bc=np.eye(2))
+        advance_deformation_strip(F, v, np.zeros((8, 8, 2, 2)), strip, 1.01 * at_bound)
+    with pytest.raises(CFLViolation):
+        advance_inverse_motion(q, v, strip, 1.01 * at_bound)
 
 
 def test_characteristics_static_and_translation():
