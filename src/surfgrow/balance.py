@@ -7,14 +7,15 @@ moves with ``V_b . n = v . n + M / rho`` and develops the traction
 momentum balance is solved: with ``v = v1(x2) e1`` the continuity equation
 leaves the density at its attachment value, and the velocity gradient
 ``grad v = v1'(x2) e1 (x) e2`` is rank one, so the solve gives its single
-scalar ``g = v1'`` per cell rather than a 2x2 stack.  Only the shear
-``F_e12`` of the elastic deformation evolves, so the solve takes it as one
-array and the cells' constant components as others, and the pressure,
-which depends on the constant second row alone, is computed once per run
-(``normal_pressure``).  The solve is two pieces that a growth march runs
-apart: the first integral (``first_integral``), the march's step kernel,
-whose running sum is the face velocity, and the residuals of the solve
-(``solve_residuals``), checked for a stack of levels at a time.
+scalar ``g = v1'`` per cell rather than a 2x2 stack.  Every cell's elastic
+deformation is ``[[F11, F12], [0, F22]]`` (``require_reduced``) and only
+its shear ``F12`` evolves, so the solve takes ``F12`` as one array and the
+constant ``F22`` as another, and the pressure, which depends on ``F22``
+alone, is computed once per run (``normal_pressure``).  The solve is two
+pieces that a growth march runs apart: the first integral
+(``first_integral``), the march's step kernel, whose running sum is the
+face velocity, and the residuals of the solve (``solve_residuals``),
+checked for a stack of levels at a time.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ import numpy as np
 from .constitutive import MaterialParams
 from .errors import NegativeHeight, NotReduced, SingularSystem, ValidationError
 from .tensors import require_finite
-
-# Largest |F_e21| the through-thickness solve accepts as in the family.
-ANSATZ_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -128,15 +126,15 @@ def jump_residuals(side_plus: SideState, side_minus: SideState, V_b, n,
 
 
 def normal_pressure(F_e0: np.ndarray, G: float, tau2: float) -> np.ndarray:
-    """Per-cell pressure ``p = G S22 - tau2`` with ``S22 = F_e21^2 + F_e22^2``.
+    """Per-cell pressure ``p = G S22 - tau2`` with ``S22 = F_e22^2``
+    (``F_e21 = 0``, ``require_reduced``).
 
     The normal balance integrates to the uniform ``sigma22 = tau2``, which
-    fixes the pressure cell-wise.  It depends on the second row of ``F_e``
-    alone, which the reduction never changes, so a run computes it once.
-    Raises ``SingularSystem`` on non-finite values.
+    fixes the pressure cell-wise.  It depends on ``F_e22`` alone, which the
+    reduction never changes, so a run computes it once.  Raises
+    ``SingularSystem`` on non-finite values.
     """
-    S22 = F_e0[..., 1, 0] ** 2 + F_e0[..., 1, 1] ** 2
-    p = G * S22 - tau2
+    p = G * F_e0[..., 1, 1] ** 2 - tau2
     if not np.isfinite(p).all():
         raise SingularSystem("momentum solve produced non-finite values")
     return p
@@ -144,15 +142,15 @@ def normal_pressure(F_e0: np.ndarray, G: float, tau2: float) -> np.ndarray:
 
 def require_reduced(F_e0: np.ndarray) -> np.ndarray:
     """The cells' elastic deformations, checked to be finite and to lie in
-    the through-thickness family: ``|F_e21| <= ANSATZ_TOL``, else
+    the through-thickness family: any nonzero ``F_e21`` raises
     ``NotReduced``."""
     F = require_finite(F_e0, "F_e")
-    if len(F) and np.abs(F[:, 1, 0]).max() > ANSATZ_TOL:
-        raise NotReduced("F_e21 exceeds the through-thickness ansatz tolerance")
+    if np.any(F[:, 1, 0] != 0.0):
+        raise NotReduced("F_e21 is nonzero: outside the through-thickness family")
     return F
 
 
-def first_integral(F12: np.ndarray, c: np.ndarray, F22: np.ndarray, tau1: float,
+def first_integral(F12: np.ndarray, F22: np.ndarray, tau1: float,
                    params: MaterialParams, out: np.ndarray | None = None) -> np.ndarray:
     """Cell shear rates ``g = v1'`` of the inertia-free momentum balance.
 
@@ -163,41 +161,40 @@ def first_integral(F12: np.ndarray, c: np.ndarray, F22: np.ndarray, tau1: float,
     sum of ``dx g`` from 0, with ``g = (tau1 - G S12) / mu`` the scheme's
     exact discrete first integral, so no matrix is factored and the
     transport source stays accurate in relative terms where the fields are
-    exponentially small.  ``S12 = c + F12 F22`` with ``c = F_e11 F_e21``
-    and ``F22`` the cells' constants.  Five ufunc calls, the last two
-    written into ``out`` when it is given."""
+    exponentially small.  ``S12 = F12 F22`` (``F_e21 = 0``) with ``F22``
+    the cells' constants.  Four ufunc calls, the last two written into
+    ``out`` when it is given."""
     s = F12 * F22
-    s += c
     s *= params.G
     g = np.subtract(tau1, s, out=out)
     g /= params.mu
     return g
 
 
-def cell_S22(F21: np.ndarray, F22: np.ndarray) -> np.ndarray:
-    """Per-cell ``S22 = F_e21^2 + F_e22^2`` formed with float powers, which
-    the reported traction residuals are formed with: numpy's array square
-    can differ from them in the last bit."""
-    return np.array([a ** 2 + d ** 2 for a, d in zip(F21.tolist(), F22.tolist())])
+def cell_S22(F22: np.ndarray) -> np.ndarray:
+    """Per-cell ``S22 = F_e22^2`` formed with float powers, which the
+    reported traction residuals are formed with: numpy's array square can
+    differ from them in the last bit."""
+    return np.array([d ** 2 for d in F22.tolist()])
 
 
 def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
-                    c: np.ndarray, S22: np.ndarray, F22: np.ndarray, tau: np.ndarray,
+                    S22: np.ndarray, F22: np.ndarray, tau: np.ndarray,
                     params: MaterialParams, dx: float) -> tuple[np.ndarray, np.ndarray]:
     """System and traction residuals of the solve on a stack of ``B`` levels;
     the system is ``first_integral``'s boundary value problem on a level's
     faces, face 0 clamped.
 
     Level ``b`` has ``counts[b] >= 1`` active cells; ``F12`` holds the
-    levels' shears, one level after another.  ``c = F_e11 F_e21``,
-    ``S22 = F_e21^2 + F_e22^2`` and ``F22`` are the cells' constants (at
-    least ``max(counts)`` of them; ``S22`` from ``cell_S22``) and ``tau``
-    the ``(B, 2)`` applied top tractions.  Row ``b`` of ``v_nodes`` holds
-    the level's ``counts[b] + 1`` face velocities, the running sum of
-    ``dx g`` from 0, followed by zeros.  Returns ``(system_residual,
-    traction_residual)``, two ``(B,)`` arrays, each entry that of its level
-    alone: the scaled system's max-norm residual over ``max(1, max |v|)``
-    and the defect of the top cell's stress against the applied traction.
+    levels' shears, one level after another.  ``S22 = F_e22^2`` and
+    ``F22`` are the cells' constants (at least ``max(counts)`` of them;
+    ``S22`` from ``cell_S22``) and ``tau`` the ``(B, 2)`` applied top
+    tractions.  Row ``b`` of ``v_nodes`` holds the level's ``counts[b] + 1``
+    face velocities, the running sum of ``dx g`` from 0, followed by zeros.
+    Returns ``(system_residual, traction_residual)``, two ``(B,)`` arrays,
+    each entry that of its level alone: the scaled system's max-norm
+    residual over ``max(1, max |v|)`` and the defect of the top cell's
+    stress against the applied traction.
     """
     counts = np.asarray(counts)
     B, m = len(counts), int(counts.max())
@@ -205,12 +202,11 @@ def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
     V = v_nodes[:, :m + 1]
     rows, top = np.arange(B), counts - 1
     tau1, tau2 = tau[:, 0], tau[:, 1]
-    # S12 = c + F12 F22 on rows zero-padded past each level's top
+    # S12 = F12 F22 on rows zero-padded past each level's top
     active = np.arange(m) < counts[:, None]
     S = np.zeros((B, m))
     S[active] = F12
     S *= F22[:m]
-    S += c[:m]
     S12_top = S[rows, top]
     # Residual of the tridiagonal system, rows scaled to O(1) entries:
     # interior face i carries the second-difference balance (entries at and

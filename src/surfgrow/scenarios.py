@@ -1,52 +1,10 @@
 """End-to-end growth scenarios, their oracles, and convergence studies.
 
-Three through-thickness scenarios are bundled:
-
-``non_normal``
-    Accretion of layers whose attachment elastic deformation is a unit
-    shear ``[[1, -alpha], [0, 1]]`` on a clamped substrate, traction-free
-    surface, viscous regularization.  Has a closed-form solution used as
-    the oracle.
-
-``fdm_shear``
-    Layer-by-layer deposition with horizontal feed velocity: the momentum
-    flux of arriving material shears the body.  The steady uniform-shear
-    state is exact on any grid.
-
-``thermal``
-    Deposition with an isotropic attachment mismatch ``F_e = (1/alpha) I``
-    (material shrinks after attachment).  No closed form; verified by
-    properties.
-
-Each scenario marches on one fixed Eulerian grid whose ``n_cells`` cells
-fill the final body ``[0, H(t_end)]``.  A cell is active once the body
-height ``H(t_k)`` reaches its center.  A step solves the quasistatic
-momentum balance on the active cells, applies the explicit source update
-of F_e to them (the reduction has no advecting velocity) and appends the
-cells the boundary reached with the attachment value; nothing is
-interpolated.  Only the shear ``F_e12`` evolves, so it is the march's
-state: the other components of each cell's F_e, its pressure and its
-density are per-run constants, built once as read-only arrays of which
-each stored level holds a view.  Levels with no active cell (a body grown
-from nothing, before the front reaches the first center) are not stored.
-
-The schedule is known before the march: every level's time, height and
-active cells, hence each stored level's slice of two run-wide buffers
-that hold ``F_e12`` and the shear rate ``g`` of every stored level, one
-level after another, and the split of the levels into blocks
-(``block_bounds``): consecutive levels while the block's level count times
-its last level's cells stays within ``BLOCK_CELLS``.  A step is the kernel
-of a few ufunc calls whose result feeds the next step: the first integral
-``g`` (``first_integral``), the top-face velocity and the source update of
-``F_e12`` (``reduced_step_1d``), each written into its buffer slice.
-Everything else is done once per block, as the march fills it: the
-solve's system and traction residuals (``solve_residuals``) with the
-``IncompatibleAnsatz`` guard, the jump and determinant metrics and the
-oracle errors, each written into its slice of a per-run column.  The run's
-result holds these columns and the buffers (``grids.History``); no
-per-level record is built.  A non-finite value stops the march at the step
-where it appears; an offending residual is reported with its own step, at
-the end of its block.
+The three kinds (``non_normal``, ``fdm_shear``, ``thermal``) and the march
+they share, ``_run_1d`` (the schedule known up front, two run-wide buffers
+of ``F_e12`` and ``g``, a step kernel of a few ufunc calls and a block
+pass for the residual checks, metrics and oracle), are described in the
+README's Scenarios section.
 """
 
 from __future__ import annotations
@@ -327,7 +285,7 @@ class _Block:
     """Consecutive stored levels, as the block pass reads them.  Their cells
     lie one level after another in the run's two buffers, so ``F12`` and
     ``g`` are views of one slice of each; the rest is the kernel's running
-    sums and the run's per-cell constants."""
+    sums, the run's per-cell constants and the levels' columns."""
 
     t: np.ndarray          # (B,) times of the levels
     counts: np.ndarray     # (B,) active cells, nondecreasing
@@ -342,10 +300,7 @@ class _Block:
     p: np.ndarray
     rho: np.ndarray
     centers: np.ndarray
-    # running maxima over the grid of |F_e21| and |p - G|: a level holds a
-    # prefix of the grid's cells, so its maximum is the entry at its top cell
-    F21_max: np.ndarray
-    p_dev_max: np.ndarray
+    p_dev_max: np.ndarray  # (B,) each level's max |p - G|
 
     @property
     def top(self) -> np.ndarray:
@@ -359,11 +314,8 @@ class _Block:
 
 def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
                    blk: _Block) -> dict[str, np.ndarray]:
-    """The jump, determinant and pressure metrics of a block's levels.
-
-    The jump residuals are those of the top cell against the ambient side;
-    ``det_drift``, ``max_F_e21`` and ``max_p_dev`` range over all cells.
-    """
+    """The jump residuals of a block's levels: their top cell against the
+    ambient side."""
     params = config.params
     M = config.mass_rate
     n_hat = np.array([0.0, 1.0])
@@ -384,18 +336,8 @@ def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
     body = SideState(rho=rho_top, v=v_surf, sigma=sigma_top)
     ambient = SideState(rho=0.0, v=v_a, sigma=_ambient_stress(growth.t_b))
     mass_res, mom_res = jump_residuals(body, ambient, V_b, n_hat, M, v_a)
-    # det F_e = F11 F22 - F12 F21, in tensors.det's operand order
-    F_e0 = blk.F_e0[:blk.counts[-1]]
-    det_F_e = (F_e0[:, 0, 0] * F_e0[:, 1, 1])[blk.cols]
-    det_F_e -= blk.F12 * F_e0[:, 1, 0][blk.cols]
-    det_F_e -= 1.0
-    return {
-        "mass_residual": np.abs(mass_res),
-        "momentum_residual": np.max(np.abs(mom_res), axis=1),
-        "det_drift": blk.level_max(np.abs(det_F_e, out=det_F_e)),
-        "max_F_e21": blk.F21_max[top],
-        "max_p_dev": blk.p_dev_max[top],
-    }
+    return {"mass_residual": np.abs(mass_res),
+            "momentum_residual": np.max(np.abs(mom_res), axis=1)}
 
 
 def _score_non_normal(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
@@ -419,7 +361,7 @@ def _score_non_normal(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarr
                                   zip(blk.starts.tolist(), blk.counts.tolist())]),
             "linf_v1": blk.level_max(np.abs(v1, out=v1)),
             # the closed-form pressure is G at every height and time
-            "linf_p": blk.p_dev_max[blk.top]}
+            "linf_p": blk.p_dev_max}
 
 
 def _score_fdm(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
@@ -480,9 +422,9 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
     # cell's F_e when it entered the run, the initial body at rest (or,
     # with the one-shot equilibration, in the sheared state consistent with
     # the surface momentum flux at t = 0+) and every later cell at its
-    # attachment value.  The pressure depends on F_e0's second row and on
-    # tau2 = t_b2 (the attachment velocity has no normal component), and
-    # rho keeps its attachment value (v2 = 0, no compression).
+    # attachment value.  The pressure depends on F_e22 and on tau2 = t_b2
+    # (the attachment velocity has no normal component), and rho keeps its
+    # attachment value (v2 = 0, no compression).
     F_e0 = np.empty((n, 2, 2))
     F_e0[:m0] = identity((m0,))
     F_e0[m0:] = F_att
@@ -492,11 +434,8 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
     rho = np.full(n, params.rho)
     for constant in (F_e0, p, rho):
         constant.flags.writeable = False
-    F21, F22 = F_e0[:, 1, 0].copy(), F_e0[:, 1, 1].copy()
-    c = F_e0[:, 0, 0] * F21
-    S22 = cell_S22(F21, F22)
-    F21_max = np.maximum.accumulate(np.abs(F21))
-    p_dev_max = np.maximum.accumulate(np.abs(p - params.G))
+    F22 = F_e0[:, 1, 1].copy()
+    S22 = cell_S22(F22)
 
     # The two run-wide buffers; a level's F_e12 and g are its slices.  The
     # first stored level's cells all hold their entry value.
@@ -516,47 +455,15 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
     v_flat = np.empty(max(B * (int(m[i0 + B - 1]) + 1) for i0, B in blocks))
 
     timings = {"march_s": 0.0, "check_s": 0.0}
-    k, t = first, first * dt
-
-    def check_block(i0: int, B: int, v_nodes: np.ndarray) -> None:
-        # Everything that does not feed the next step, for levels i0 .. i0+B-1:
-        # the solve's residuals, the metrics and the oracle.
-        nonlocal k, t
-        rows = slice(i0, i0 + B)
-        counts, bounds = m[rows], offsets[rows]
-        lo, hi = int(bounds[0]), int(bounds[-1] + counts[-1])
-        F12, g = F12_all[lo:hi], g_all[lo:hi]
-        v_nodes = v_nodes[:, :int(counts[-1]) + 1]
-        system, traction_residual = solve_residuals(F12, counts, v_nodes, c, S22,
-                                                    F22, tau[rows], params, dx)
-        residual = np.maximum(traction_residual, system)
-        bad = np.flatnonzero(residual > ANSATZ_RESIDUAL_LIMIT)
-        if len(bad):
-            k = first + i0 + int(bad[0])
-            t = k * dt
-            raise IncompatibleAnsatz(
-                f"reduced solve residual {residual[bad[0]]:.3e}; the "
-                f"through-thickness ansatz is inconsistent")
-        grid_cells = np.arange(counts[-1])
-        active = grid_cells < counts[:, None]
-        blk = _Block(t=t_levels[rows], counts=counts, starts=bounds - lo, active=active,
-                     cols=np.broadcast_to(grid_cells, active.shape)[active],
-                     F12=F12, g=g, v_nodes=v_nodes, v_surf=v_surf[rows], F_e0=F_e0,
-                     p=p, rho=rho, centers=centers, F21_max=F21_max,
-                     p_dev_max=p_dev_max)
-        metrics["traction_residual"][rows] = traction_residual
-        metrics["system_residual"][rows] = system
-        for name, values in _level_metrics(config, growth, blk).items():
-            metrics[name][rows] = values
-        if oracle is not None:
-            for name, values in oracle(config, blk).items():
-                if name not in oracle_errors:
-                    oracle_errors[name] = np.empty(levels)
-                oracle_errors[name][rows] = values
-
-    v_prev = 0.0
+    k, t, v_prev = first, first * dt, 0.0
     try:
         require_reduced(F_e0)
+        # det F_e = F11 F22 (F_e21 = 0), |F_e21| and |p - G| are per-cell
+        # constants and a level holds a prefix of the grid's cells, so a
+        # level's maximum of each is their running maximum at its top cell.
+        for name, values in (("det_drift", F_e0[:, 0, 0] * F_e0[:, 1, 1] - 1.0),
+                             ("max_F_e21", F_e0[:, 1, 0]), ("max_p_dev", p - params.G)):
+            metrics[name] = np.maximum.accumulate(np.abs(values))[m - 1]
         for i0, B in blocks:
             start = time.perf_counter()
             width = int(m[i0 + B - 1]) + 1
@@ -570,7 +477,7 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
                 t = k * dt
                 F12, g = F12_all[o:o + mi], g_all[o:o + mi]
                 tau[i] = traction(v_prev)
-                first_integral(F12, c[:mi], F22[:mi], tau[i, 0], params, out=g)
+                first_integral(F12, F22[:mi], tau[i, 0], params, out=g)
                 np.cumsum(dx * g, out=v_nodes[b, 1:mi + 1])
                 v_prev = v_surf[i] = v_nodes[b, mi]
                 # a non-finite shear or shear rate anywhere reaches the top face
@@ -582,11 +489,42 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
                     reduced_step_1d(F12, g, F22[:mi], dt, m_next, F_att[0, 1],
                                     out=F12_all[o + mi:o + mi + m_next])
             marched = time.perf_counter()
-            # the levels marched before a failure are checked first, so an
-            # error names the earliest offending step
+            # The block pass: what does not feed the next step (the solve's
+            # residuals, the jump metrics and the oracle), on the levels
+            # marched before a failure, so an error names the earliest
+            # offending step.
             if failed != 0:
-                B = B if failed is None else failed
-                check_block(i0, B, v_nodes[:B])
+                rows = slice(i0, i0 + (B if failed is None else failed))
+                counts, bounds = m[rows], offsets[rows]
+                lo, hi = int(bounds[0]), int(bounds[-1] + counts[-1])
+                v_block = v_nodes[:len(counts), :int(counts[-1]) + 1]
+                system, traction_residual = solve_residuals(
+                    F12_all[lo:hi], counts, v_block, S22, F22, tau[rows], params, dx)
+                residual = np.maximum(traction_residual, system)
+                bad = np.flatnonzero(residual > ANSATZ_RESIDUAL_LIMIT)
+                if len(bad):
+                    k = first + i0 + int(bad[0])
+                    t = k * dt
+                    raise IncompatibleAnsatz(
+                        f"reduced solve residual {residual[bad[0]]:.3e}; the "
+                        f"through-thickness ansatz is inconsistent")
+                metrics["traction_residual"][rows] = traction_residual
+                metrics["system_residual"][rows] = system
+                grid_cells = np.arange(counts[-1])
+                active = grid_cells < counts[:, None]
+                blk = _Block(t=t_levels[rows], counts=counts, starts=bounds - lo,
+                             active=active,
+                             cols=np.broadcast_to(grid_cells, active.shape)[active],
+                             F12=F12_all[lo:hi], g=g_all[lo:hi], v_nodes=v_block,
+                             v_surf=v_surf[rows], F_e0=F_e0, p=p, rho=rho,
+                             centers=centers, p_dev_max=metrics["max_p_dev"][rows])
+                for name, values in _level_metrics(config, growth, blk).items():
+                    metrics[name][rows] = values
+                if oracle is not None:
+                    for name, values in oracle(config, blk).items():
+                        if name not in oracle_errors:
+                            oracle_errors[name] = np.empty(levels)
+                        oracle_errors[name][rows] = values
             if failed is not None:  # k, t and F12 are the failed step's
                 require_finite(F12, "F_e12")
                 raise SingularSystem("momentum solve produced non-finite values")
@@ -664,29 +602,38 @@ def run_mu_sweep(config: ScenarioConfig, probe_x2: float = 0.25,
     return out
 
 
-def convergence_study(config: ScenarioConfig, resolutions) -> list[ConvergenceRow]:
-    """Refinement study against the scenario oracle (dt scales with 1/n)."""
+def convergence_runs(config: ScenarioConfig, resolutions):
+    """Refinement study against the scenario oracle (dt scales with 1/n):
+    yield each resolution's ``(ConvergenceRow, RunResult)`` in turn.
+
+    A row's error is the worst over its run's levels: ``linf`` and ``l2``
+    of F_e12 for ``non_normal``; for ``fdm_shear`` the worst of its four
+    oracle errors, as both.
+    """
     if config.kind == "thermal":
         raise NoOracle("the thermal scenario has no closed-form oracle")
-    rows: list[ConvergenceRow] = []
+    previous = None
     for n in resolutions:
         cfg = replace(config, n_cells=int(n), dt=None)
         dt, _ = cfg.resolve_dt()
         res = run_scenario(cfg)
+        errors = res.oracle_errors
         if config.kind == "non_normal":
-            linf = float(np.max(res.oracle_errors["linf_F_e12"]))
-            l2 = float(np.max(res.oracle_errors["rms_F_e12"]))
+            linf = float(np.max(errors["linf_F_e12"]))
+            l2 = float(np.max(errors["rms_F_e12"]))
         else:
-            linf = max(float(np.max(res.oracle_errors[k]))
-                       for k in ("linf_F_e12", "linf_v1", "linf_sigma12",
-                                 "linf_sigma11"))
-            l2 = linf
+            linf = l2 = max(float(np.max(errors[k])) for k in
+                            ("linf_F_e12", "linf_v1", "linf_sigma12", "linf_sigma11"))
         order = None
-        if rows and rows[-1].linf > 0 and linf > 0:
-            order = math.log2(rows[-1].linf / linf)
-        rows.append(ConvergenceRow(n_cells=int(n), dt=dt, linf=linf, l2=l2,
-                                   order=order))
-    return rows
+        if previous is not None and previous.linf > 0 and linf > 0:
+            order = math.log2(previous.linf / linf)
+        previous = ConvergenceRow(n_cells=int(n), dt=dt, linf=linf, l2=l2, order=order)
+        yield previous, res
+
+
+def convergence_study(config: ScenarioConfig, resolutions) -> list[ConvergenceRow]:
+    """The rows of ``convergence_runs``, one run held at a time."""
+    return [row for row, _ in convergence_runs(config, resolutions)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ import numpy as np
 from .constitutive import MaterialParams
 from .errors import UsageError
 from .kinematics import replay_columns
-from .scenarios import (RunResult, ScenarioConfig, convergence_study,
-                        run_fdm_shear, run_mu_sweep, run_non_normal,
+from .scenarios import (RunResult, ScenarioConfig, convergence_runs, run_mu_sweep,
                         run_thermal, trace_history_pathlines)
 from .tensors import det, identity
 
@@ -68,17 +67,21 @@ def _residual_rows(result: RunResult) -> list[CheckRow]:
     ]
 
 
-def verify_non_normal(levels=(50, 100, 200, 400)):
+def verify_non_normal():
     """Oracle convergence, pressure uniformity, and the quasistatic sweep."""
     cfg = default_config("non_normal")
+    levels = (50, 100, 200, 400)
     start = time.perf_counter()
-    rows_conv = convergence_study(cfg, levels)
+    rows_conv = []
+    for row, res in convergence_runs(cfg, levels):
+        rows_conv.append(row)
+        if row.n_cells == cfg.n_cells:  # the study's run at cfg is the one reported
+            result = res
     elapsed = time.perf_counter() - start
     errors = [r.linf for r in rows_conv]
     orders = [r.order for r in rows_conv if r.order is not None]
     ratio_worst = max(e2 / e1 for e1, e2 in zip(errors, errors[1:]))
 
-    result = run_non_normal(cfg)
     result.pathlines = trace_history_pathlines(result)
 
     sweep = run_mu_sweep(cfg)
@@ -106,15 +109,9 @@ def verify_non_normal(levels=(50, 100, 200, 400)):
 def verify_fdm_shear(resolutions=(16, 50, 200)):
     """Scheme-exact steady state at every resolution."""
     rows: list[CheckRow] = []
-    result = None
     start = time.perf_counter()
-    for n in resolutions:
-        cfg = replace(default_config("fdm_shear"), n_cells=int(n))
-        result = run_fdm_shear(cfg)
-        worst = max(float(np.max(result.oracle_errors[k]))
-                    for k in ("linf_F_e12", "linf_v1", "linf_sigma12",
-                              "linf_sigma11"))
-        rows.append(CheckRow(f"steady_state_error[n={n}]", worst, 1e-10))
+    for row, result in convergence_runs(default_config("fdm_shear"), resolutions):
+        rows.append(CheckRow(f"steady_state_error[n={row.n_cells}]", row.linf, 1e-10))
     elapsed = time.perf_counter() - start
 
     cfg = result.config
@@ -167,14 +164,9 @@ def verify_thermal(alpha: float = 0.8):
 
 
 def verify_scenario(kind: str):
-    if kind == "non_normal":
-        return verify_non_normal()
-    if kind == "fdm_shear":
-        return verify_fdm_shear()
-    if kind == "thermal":
-        return verify_thermal()
-    raise UsageError(f"unknown scenario {kind!r}; choose from non_normal, "
-                     f"fdm_shear, thermal")
+    default_config(kind)  # refuses an unknown kind
+    return {"non_normal": verify_non_normal, "fdm_shear": verify_fdm_shear,
+            "thermal": verify_thermal}[kind]()
 
 
 def format_table(rows) -> str:

@@ -117,13 +117,12 @@ def level_solve(F12, F_e0, dx, params, traction):
     """One level's solve as the march runs it: the first integral, its
     running sum from the clamped base, and the residuals of the level.
     Returns ``(g, v_nodes, system_residual, traction_residual)``."""
-    F = require_reduced(F_e0)
-    F11, F21, F22 = F[:, 0, 0], F[:, 1, 0], F[:, 1, 1]
+    F22 = require_reduced(F_e0)[:, 1, 1]
     tau = np.array([traction], dtype=float)
-    g = first_integral(F12, F11 * F21, F22, tau[0, 0], params)
+    g = first_integral(F12, F22, tau[0, 0], params)
     v_nodes = np.concatenate([[0.0], (dx * g).cumsum()])
-    system, residual = solve_residuals(F12, [len(F12)], v_nodes[None], F11 * F21,
-                                       cell_S22(F21, F22), F22, tau, params, dx)
+    system, residual = solve_residuals(F12, [len(F12)], v_nodes[None], cell_S22(F22),
+                                       F22, tau, params, dx)
     return g, v_nodes, float(system[0]), float(residual[0])
 
 
@@ -177,8 +176,13 @@ def test_solve_rejects_out_of_family_fields():
     F_e0[:, 1, 0] = 1e-3
     with pytest.raises(NotReduced):
         require_reduced(F_e0)
-    F_e0[:, 1, 0] = 1e-9  # within ANSATZ_TOL
-    assert require_reduced(F_e0) is not None
+    # the family is exact: any nonzero F_e21 is refused, however small
+    F_e0[:, 1, 0] = 0.0
+    F_e0[7, 1, 0] = 1e-9
+    with pytest.raises(NotReduced):
+        require_reduced(F_e0)
+    F_e0[7, 1, 0] = -0.0
+    assert require_reduced(F_e0) is F_e0
     # a non-finite entry is refused, naming the field
     for bad in (np.nan, np.inf):
         F_e0 = identity((16,))

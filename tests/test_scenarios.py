@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from surfgrow.constitutive import total_stress
 from surfgrow.grids import Grid1D, StepRecord, interp_columns
 from surfgrow.kinematics import reduced_step_1d
 from surfgrow.output import METRIC_FIELDS
-from surfgrow.scenarios import BLOCK_CELLS, block_bounds
+from surfgrow.scenarios import BLOCK_CELLS, KINDS, block_bounds
 from surfgrow.tensors import det, inverse
 from surfgrow.verify import _residual_rows, verify_scenario
 
@@ -54,13 +55,12 @@ def _level_solve(F12, F_e0, dx, params, traction):
     """One level's solve as the march runs it: the first integral, its
     running sum from the clamped base, and the residuals of the level.
     Returns ``(g, v_nodes, system_residual, traction_residual)``."""
-    F = require_reduced(F_e0)
-    F11, F21, F22 = F[:, 0, 0], F[:, 1, 0], F[:, 1, 1]
+    F22 = require_reduced(F_e0)[:, 1, 1]
     tau = np.array([traction], dtype=float)
-    g = first_integral(F12, F11 * F21, F22, tau[0, 0], params)
+    g = first_integral(F12, F22, tau[0, 0], params)
     v_nodes = np.concatenate([[0.0], (dx * g).cumsum()])
-    system, residual = solve_residuals(F12, [len(F12)], v_nodes[None], F11 * F21,
-                                       cell_S22(F21, F22), F22, tau, params, dx)
+    system, residual = solve_residuals(F12, [len(F12)], v_nodes[None], cell_S22(F22),
+                                       F22, tau, params, dx)
     return g, v_nodes, float(system[0]), float(residual[0])
 
 
@@ -924,6 +924,25 @@ def test_no_pass_builds_a_stored_F_e(make, tmp_path):
             assert (view.__array_interface__["data"][0]
                     == buffer.__array_interface__["data"][0] + 8 * offset)
         offset += rec.grid.n_cells
+
+
+def test_verify_marches_each_configuration_once(monkeypatch):
+    # the refinement study's run at the canonical resolution is the one
+    # verify_non_normal reports: no configuration is marched twice
+    march = surfgrow.scenarios._run_1d
+    marched = Counter()
+
+    def counting_march(config, *args, **kwargs):
+        marched[config] += 1
+        return march(config, *args, **kwargs)
+
+    monkeypatch.setattr(surfgrow.scenarios, "_run_1d", counting_march)
+    for kind in KINDS:
+        marched.clear()
+        rows, result = verify_scenario(kind)
+        assert all(row.ok for row in rows)
+        assert marched[result.config] == 1
+        assert set(marched.values()) == {1}, kind
 
 
 @pytest.mark.parametrize("kind", ["fdm_shear", "thermal"])
