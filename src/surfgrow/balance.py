@@ -190,7 +190,8 @@ def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
     ``F22`` are the cells' constants (at least ``max(counts)`` of them;
     ``S22`` from ``cell_S22``) and ``tau`` the ``(B, 2)`` applied top
     tractions.  Row ``b`` of ``v_nodes`` holds the level's ``counts[b] + 1``
-    face velocities, the running sum of ``dx g`` from 0, followed by zeros.
+    face velocities, the running sum of ``dx g`` from 0, followed by zeros
+    or by its top value repeated (neither moves a residual).
     Returns ``(system_residual, traction_residual)``, two ``(B,)`` arrays,
     each entry that of its level alone: the scaled system's max-norm
     residual over ``max(1, max |v|)`` and the defect of the top cell's

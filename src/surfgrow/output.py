@@ -63,19 +63,22 @@ def _snapshot_indices(n_records: int, n_snapshots: int) -> list[int]:
     return sorted(set(np.linspace(0, n_records - 1, k).round().astype(int).tolist()))
 
 
-def _write_table(path: Path, header: str, row_format: str, table: np.ndarray) -> None:
-    """Write a CSV header and one ``row_format`` line per row of ``table``.
+def _write_table(path: Path, header: str, row_format: str, tables) -> None:
+    """Write a CSV header and one ``row_format`` line per row of each of
+    ``tables``, in order.
 
     Rows are formatted and written ``BLOCK_ROWS`` at a time through one open
-    file, so no text of the whole table is ever held.  One %-format per row:
+    file, so no text of a whole table is ever held, and ``tables`` may be
+    made one at a time as they are written.  One %-format per row:
     ``"%.17g"`` writes the same bytes as ``fmt``.
     """
     line_format = row_format + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
-        for start in range(0, len(table), BLOCK_ROWS):
-            block = table[start:start + BLOCK_ROWS].tolist()
-            f.write("".join(line_format % tuple(row) for row in block))
+        for table in tables:
+            for start in range(0, len(table), BLOCK_ROWS):
+                block = table[start:start + BLOCK_ROWS].tolist()
+                f.write("".join(line_format % tuple(row) for row in block))
 
 
 def _write_snapshot(path: Path, rec) -> None:
@@ -84,7 +87,7 @@ def _write_snapshot(path: Path, rec) -> None:
     table = np.column_stack([rec.grid.centers, v1, np.zeros(n),
                              *rec.F_e_columns(), rec.p, rec.rho])
     _write_table(path, ",".join(SNAPSHOT_COLUMNS),
-                 ",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)), table)
+                 ",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)), [table])
 
 
 def _write_metrics(path: Path, result: RunResult) -> None:
@@ -117,6 +120,9 @@ def _write_metrics(path: Path, result: RunResult) -> None:
 
 
 def _write_pathlines(path: Path, result: RunResult) -> None:
+    """Write every pathline sample with ``v1`` and ``p`` interpolated at its
+    stored level, one pathline's table at a time; the interpolation is one
+    ``np.interp`` call per level for all pathlines' samples there."""
     pathlines = result.pathlines
     history = result.history
     x2, groups = pathline_levels(history, pathlines)
@@ -126,13 +132,12 @@ def _write_pathlines(path: Path, result: RunResult) -> None:
         grid = history.grid(j)
         v1[idx] = np.interp(x2[idx], grid.faces, history.v_nodes(j))
         p[idx] = np.interp(x2[idx], grid.centers, history.p[:grid.n_cells])
-    index = np.concatenate([np.full(len(pl.t), i) for i, pl in enumerate(pathlines)])
-    t = np.concatenate([pl.t for pl in pathlines])
-    x = np.concatenate([pl.x for pl in pathlines])
-    F = np.concatenate([pl.F_e for pl in pathlines]).reshape(-1, 4)
-    table = np.column_stack([index, t, x, F, v1, np.zeros(len(t)), p])
+    bounds = np.cumsum([0] + [len(pl.t) for pl in pathlines]).tolist()
+    tables = (np.column_stack([np.full(b - a, i), pl.t, pl.x, pl.F_e.reshape(-1, 4),
+                               v1[a:b], np.zeros(b - a), p[a:b]])
+              for i, (pl, a, b) in enumerate(zip(pathlines, bounds, bounds[1:])))
     _write_table(path, "pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p",
-                 "%d" + ",%.17g" * 10, table)
+                 "%d" + ",%.17g" * 10, tables)
 
 
 def read_snapshot(path) -> dict:

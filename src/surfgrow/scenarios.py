@@ -2,9 +2,9 @@
 
 The three kinds (``non_normal``, ``fdm_shear``, ``thermal``) and the march
 they share, ``_run_1d`` (the schedule known up front, two run-wide buffers
-of ``F_e12`` and ``g``, a step kernel of a few ufunc calls and a block
-pass for the residual checks, metrics and oracle), are described in the
-README's Scenarios section.
+of ``F_e12`` and ``g``, filled by age or by a step kernel of a few ufunc
+calls, and a block pass for the residual checks, metrics and oracle), are
+described in the README's Scenarios section.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ class RunResult:
     hand-built records go through ``History.from_records``).
     ``oracle_errors`` maps each oracle error to its per-level column, with
     ``"t"`` the levels' times.  ``timings`` holds the march's wall time in
-    seconds: ``march_s`` in the step kernel and ``check_s`` in the block
-    passes.
+    seconds: ``march_s`` in the march (the age tables' build included)
+    and ``check_s`` in the block passes.
     """
 
     config: ScenarioConfig
@@ -284,7 +284,7 @@ def block_bounds(counts: np.ndarray, cells: int) -> list[tuple[int, int]]:
 class _Block:
     """Consecutive stored levels, as the block pass reads them.  Their cells
     lie one level after another in the run's two buffers, so ``F12`` and
-    ``g`` are views of one slice of each; the rest is the kernel's running
+    ``g`` are views of one slice of each; the rest is the march's running
     sums, the run's per-cell constants and the levels' columns."""
 
     t: np.ndarray          # (B,) times of the levels
@@ -294,7 +294,7 @@ class _Block:
     cols: np.ndarray       # each cell's index on the grid
     F12: np.ndarray        # the levels' shears
     g: np.ndarray          # the levels' shear rates
-    v_nodes: np.ndarray    # (B, counts[-1] + 1) face velocities, zero-padded
+    v_nodes: np.ndarray    # (B, counts[-1] + 1) face velocities, then padding
     v_surf: np.ndarray     # (B,) top-face velocities
     F_e0: np.ndarray       # the run's per-cell constants
     p: np.ndarray
@@ -355,10 +355,15 @@ def _score_non_normal(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarr
     v1 -= v1_ref
     del v1_ref
     ef2 = ef ** 2
+    # np.mean's sum per level (np.add.reduceat sums in another order), one
+    # row sum over each run of consecutive levels with equal cell counts
+    counts = blk.counts
+    runs = np.flatnonzero(np.diff(counts, prepend=0))
+    sizes = np.diff(runs, append=len(counts))
+    sums = [ef2[s:s + k * n].reshape(k, n).sum(axis=1) / n for s, k, n in
+            zip(blk.starts[runs].tolist(), sizes.tolist(), counts[runs].tolist())]
     return {"linf_F_e12": blk.level_max(np.abs(ef)),
-            # np.mean's sum per level: np.add.reduceat sums in another order
-            "rms_F_e12": np.sqrt([ef2[s:s + n].sum() / n for s, n in
-                                  zip(blk.starts.tolist(), blk.counts.tolist())]),
+            "rms_F_e12": np.sqrt(np.concatenate(sums)),
             "linf_v1": blk.level_max(np.abs(v1, out=v1)),
             # the closed-form pressure is G at every height and time
             "linf_p": blk.p_dev_max}
@@ -379,6 +384,47 @@ def _score_fdm(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
             "linf_v1": np.abs(blk.v_nodes).max(axis=1),
             "linf_sigma12": blk.level_max(np.abs(sigma[:, 0, 1] - s12_ref)),
             "linf_sigma11": blk.level_max(np.abs(sigma[:, 0, 0] - s11_ref))}
+
+
+def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
+                 dt: float, ages: int) -> tuple[list[float], list[float]]:
+    """A cell's shear ``F_e12`` and shear rate ``g`` at the ages ``0 ..
+    ages - 1`` (steps since it entered with the shear ``F12``) under the
+    constant top traction ``tau1``: the operations of ``first_integral``
+    and ``reduced_step_1d`` on floats, in their order, so each entry is
+    bitwise what the per-level kernel gives the cell at that age."""
+    G, mu = float(params.G), float(params.mu)
+    shears, rates = [], []
+    for _ in range(ages):
+        g = (tau1 - (F12 * F22) * G) / mu
+        shears.append(F12)
+        rates.append(g)
+        F12 = F12 + dt * (g * F22)
+    return shears, rates
+
+
+def _march_by_age(tables: tuple[np.ndarray, ...], base: np.ndarray,
+                  levels: np.ndarray, active: np.ndarray, F12: np.ndarray,
+                  g: np.ndarray, v_nodes: np.ndarray) -> None:
+    """Fill a block's levels from the run's age tables ``(F_e12, g, dx g)``.
+
+    Cell ``j`` of level ``i`` reads entry ``i + base[j]`` of each table;
+    ``levels`` are the block's levels, ``active`` its ``(B, m_last)`` mask
+    of active cells, ``F12`` and ``g`` its slices of the run's buffers and
+    ``v_nodes`` its ``(B, m_last + 1)`` rows of face velocities.  An
+    inactive cell reads a zero rate, so each row is the running sum of
+    ``dx g`` from 0 followed by its top value repeated."""
+    F12_table, g_table, dxg_table = tables
+    index = levels[:, None] + base[:active.shape[1]]
+    v_nodes[:, 0] = 0.0
+    rates = v_nodes[:, 1:]
+    # every index is in range by construction: "clip" only spares the
+    # buffered copy of numpy's checked "raise" mode
+    np.take(dxg_table, index, out=rates, mode="clip")
+    np.cumsum(rates, axis=1, out=rates)
+    index = index[active]
+    np.take(F12_table, index, out=F12, mode="clip")
+    np.take(g_table, index, out=g, mode="clip")
 
 
 def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
@@ -450,9 +496,13 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
     metrics.update(t=t_levels, H=H)
     oracle_errors: dict[str, np.ndarray] = {}
     # Block scratch, viewed as (B, m_last + 1) for each block: row b is the
-    # kernel's running sum of dx g for the block's level b, zero past its
-    # top face.
+    # running sum of dx g for the block's level b, past its top face zero
+    # (level by level) or its top value repeated (by age).
     v_flat = np.empty(max(B * (int(m[i0 + B - 1]) + 1) for i0, B in blocks))
+    grid_cells = np.arange(n)
+    # A traction that does not follow the body's motion makes every cell's
+    # F_e12 a function of its age alone, so the run is marched by age.
+    by_age = growth.v_a is None
 
     timings = {"march_s": 0.0, "check_s": 0.0}
     k, t, v_prev = first, first * dt, 0.0
@@ -464,30 +514,64 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
         for name, values in (("det_drift", F_e0[:, 0, 0] * F_e0[:, 1, 1] - 1.0),
                              ("max_F_e21", F_e0[:, 1, 0]), ("max_p_dev", p - params.G)):
             metrics[name] = np.maximum.accumulate(np.abs(values))[m - 1]
+        if by_age:
+            # The age tables: one per entry class (a distinct pair of entry
+            # F_e12 and F_e22, by bit pattern), each `levels` zeros for the
+            # negative ages of cells not yet active, then ages 0 .. levels-1.
+            # Cell j of level i reads entry i + base[j].
+            start = time.perf_counter()
+            tau[:] = growth.t_b
+            entry = np.stack([F_e0[:, 0, 1], F22], axis=1)
+            _, firsts, cls = np.unique(entry.view(np.int64), axis=0,
+                                       return_index=True, return_inverse=True)
+            F12_table = np.zeros((len(firsts), 2, levels))
+            g_table = np.zeros_like(F12_table)
+            for c, (f0, d) in enumerate(entry[firsts].tolist()):
+                F12_table[c, 1], g_table[c, 1] = shear_by_age(
+                    f0, d, float(tau[0, 0]), params, dt, levels)
+            tables = tuple(a.ravel() for a in (F12_table, g_table, dx * g_table))
+            base = (2 * cls.ravel() + 1) * levels - np.searchsorted(m, grid_cells,
+                                                                    side="right")
+            timings["march_s"] += time.perf_counter() - start
         for i0, B in blocks:
             start = time.perf_counter()
             width = int(m[i0 + B - 1]) + 1
             v_nodes = v_flat[:B * width].reshape(B, width)
-            v_nodes.fill(0.0)
+            active = grid_cells[:width - 1] < m[i0:i0 + B, None]
+            # a non-finite shear or shear rate anywhere reaches the top face,
+            # so the first level whose v_surf is not finite has failed
             failed = None
-            for b, (mi, o) in enumerate(zip(m[i0:i0 + B].tolist(),
-                                            offsets[i0:i0 + B].tolist())):
-                i = i0 + b
-                k = first + i
-                t = k * dt
-                F12, g = F12_all[o:o + mi], g_all[o:o + mi]
-                tau[i] = traction(v_prev)
-                first_integral(F12, F22[:mi], tau[i, 0], params, out=g)
-                np.cumsum(dx * g, out=v_nodes[b, 1:mi + 1])
-                v_prev = v_surf[i] = v_nodes[b, mi]
-                # a non-finite shear or shear rate anywhere reaches the top face
-                if not math.isfinite(v_prev):
-                    failed = b
-                    break
-                if i + 1 < levels:
-                    m_next = int(m[i + 1])
-                    reduced_step_1d(F12, g, F22[:mi], dt, m_next, F_att[0, 1],
-                                    out=F12_all[o + mi:o + mi + m_next])
+            if by_age:
+                lo, hi = int(offsets[i0]), int(offsets[i0 + B - 1] + m[i0 + B - 1])
+                _march_by_age(tables, base, np.arange(i0, i0 + B), active,
+                              F12_all[lo:hi], g_all[lo:hi], v_nodes)
+                v_surf[i0:i0 + B] = v_nodes[np.arange(B), m[i0:i0 + B]]
+                bad = np.flatnonzero(~np.isfinite(v_surf[i0:i0 + B]))
+                if len(bad):
+                    failed = int(bad[0])
+                    k = first + i0 + failed
+                    t = k * dt
+                    o = int(offsets[i0 + failed])
+                    F12 = F12_all[o:o + int(m[i0 + failed])]
+            else:
+                v_nodes.fill(0.0)
+                for b, (mi, o) in enumerate(zip(m[i0:i0 + B].tolist(),
+                                                offsets[i0:i0 + B].tolist())):
+                    i = i0 + b
+                    k = first + i
+                    t = k * dt
+                    F12, g = F12_all[o:o + mi], g_all[o:o + mi]
+                    tau[i] = traction(v_prev)
+                    first_integral(F12, F22[:mi], tau[i, 0], params, out=g)
+                    np.cumsum(dx * g, out=v_nodes[b, 1:mi + 1])
+                    v_prev = v_surf[i] = v_nodes[b, mi]
+                    if not math.isfinite(v_prev):
+                        failed = b
+                        break
+                    if i + 1 < levels:
+                        m_next = int(m[i + 1])
+                        reduced_step_1d(F12, g, F22[:mi], dt, m_next, F_att[0, 1],
+                                        out=F12_all[o + mi:o + mi + m_next])
             marched = time.perf_counter()
             # The block pass: what does not feed the next step (the solve's
             # residuals, the jump metrics and the oracle), on the levels
@@ -510,11 +594,11 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
                         f"through-thickness ansatz is inconsistent")
                 metrics["traction_residual"][rows] = traction_residual
                 metrics["system_residual"][rows] = system
-                grid_cells = np.arange(counts[-1])
-                active = grid_cells < counts[:, None]
+                active = active[:len(counts), :int(counts[-1])]
                 blk = _Block(t=t_levels[rows], counts=counts, starts=bounds - lo,
                              active=active,
-                             cols=np.broadcast_to(grid_cells, active.shape)[active],
+                             cols=np.broadcast_to(grid_cells[:active.shape[1]],
+                                                  active.shape)[active],
                              F12=F12_all[lo:hi], g=g_all[lo:hi], v_nodes=v_block,
                              v_surf=v_surf[rows], F_e0=F_e0, p=p, rho=rho,
                              centers=centers, p_dev_max=metrics["max_p_dev"][rows])
@@ -590,7 +674,7 @@ def run_mu_sweep(config: ScenarioConfig, probe_x2: float = 0.25,
         mu_values = [c * scale for c in (1.0, 0.3, 0.1, 0.03, 0.01)]
     mus = tuple(mu_values)
     if not (mus and all(math.isfinite(mu) and mu > 0 for mu in mus)):
-        raise ValidationError(f"mu_sweep must be a nonempty list of finite "
+        raise ValidationError(f"mu_values must be a nonempty list of finite "
                               f"positive viscosities, got {mus}")
     out = []
     for mu in mus:

@@ -25,7 +25,7 @@ from surfgrow.constitutive import total_stress
 from surfgrow.grids import Grid1D, StepRecord, interp_columns
 from surfgrow.kinematics import reduced_step_1d
 from surfgrow.output import METRIC_FIELDS
-from surfgrow.scenarios import BLOCK_CELLS, KINDS, block_bounds
+from surfgrow.scenarios import BLOCK_CELLS, KINDS, block_bounds, shear_by_age
 from surfgrow.tensors import det, inverse
 from surfgrow.verify import _residual_rows, verify_scenario
 
@@ -100,7 +100,7 @@ def test_config_invariants():
 def test_config_rejects_bad_mu_sweep(sweep):
     # each used to be accepted: () gave an empty sweep, and the sweep
     # marched its 0.1 member before reaching the bad one
-    with pytest.raises(ValidationError, match="^mu_sweep"):
+    with pytest.raises(ValidationError, match="^mu_values"):
         run_mu_sweep(nn_config(), mu_values=sweep)
 
 
@@ -807,6 +807,64 @@ def test_built_records_are_bitwise_those_of_a_per_level_march(monkeypatch, make)
             assert _bits(rec.metrics[name]) == _bits(value), name
 
 
+def _sweep_member(mu):
+    """The ``run_mu_sweep`` member at ``mu`` of ``nn_config(n_cells=32)``."""
+    cfg = nn_config(n_cells=32)
+    params = replace(cfg.params, mu=mu)
+    return replace(cfg, params=params, dt=min(0.5 * mu / params.G, cfg.t_end / 64.0))
+
+
+@pytest.mark.parametrize("cfg", [
+    nn_config(n_cells=32, t_end=0.25),
+    nn_config(n_cells=32, t_end=0.25, alpha=0.0),
+    nn_config(n_cells=32, params=MaterialParams(G=1.0, mu=1.0, rho=1.0), dt=1.0 / 8),
+    thermal_config(n_cells=32, t_end=0.25),
+    thermal_config(n_cells=32, dt=1.0 / 8),
+    thermal_config(n_cells=32, t_end=0.25, H0=0.0),
+    _sweep_member(1e-3),
+], ids=["non_normal", "alpha_0", "cells_per_step", "thermal_two_classes",
+        "thermal_cells_per_step", "thermal_H0_0", "sweep_mu_1e-3"])
+def test_age_march_is_bitwise_a_per_level_march(cfg):
+    # a traction that does not follow the body: the run is marched by age
+    assert cfg.growth_input().v_a is None
+    result = run_scenario(cfg)
+    history = result.history
+    reference = _per_level_records(cfg)
+    assert len(history) == len(reference)
+    assert len({rec.step for rec in reference}) == len(reference) > 7
+    for name in ("F_e12", "g"):
+        assert _bits(getattr(history, name)) == \
+            _bits(np.concatenate([getattr(rec, name) for rec in reference])), name
+    assert _bits(history.v_surf) == _bits([rec.v_surf for rec in reference])
+    assert sorted(history.metrics) == sorted(reference[0].metrics)
+    for name, column in history.metrics.items():
+        assert _bits(column) == _bits([rec.metrics[name] for rec in reference]), name
+    if cfg.kind == "thermal":
+        assert result.oracle_errors == {}
+    else:
+        oracle = _per_level_oracle(cfg, reference)
+        assert sorted(result.oracle_errors) == sorted(oracle)
+        for name, column in oracle.items():
+            assert _bits(result.oracle_errors[name]) == _bits(column), name
+
+
+@pytest.mark.parametrize("F12, F22, tau1", [(-0.5, 1.0, 0.0), (-0.0, 1.0, 0.0),
+                                            (0.3, 1.25, 0.0), (0.7, 0.8, 0.2),
+                                            (-1.1, 3.0, -0.4)])
+def test_age_recurrence_is_bitwise_the_level_kernel(F12, F22, tau1):
+    # the bundled kinds enter with F_e22 = 1 or F_e12 = 0, where a reordered
+    # product cannot show; here each step is the per-level kernel's on one cell
+    params = MaterialParams(G=1.3, mu=0.07, rho=1.0)
+    dt, ages = 0.01, 200
+    shears, rates = shear_by_age(F12, F22, tau1, params, dt, ages)
+    assert len(shears) == len(rates) == ages
+    f, d = np.array([F12]), np.array([F22])
+    for age in range(ages):
+        g = first_integral(f, d, tau1, params)
+        assert _bits(shears[age]) == _bits(f) and _bits(rates[age]) == _bits(g), age
+        f = reduced_step_1d(f, g, d, dt, 1, 0.0)
+
+
 def test_history_indexes_like_a_list():
     history = run_thermal(thermal_config(n_cells=16, t_end=0.25)).history
     assert not history._records  # the march builds no record
@@ -1016,6 +1074,25 @@ def _offend_at(monkeypatch, level, value=1e-3):
     monkeypatch.setattr(surfgrow.scenarios, "solve_residuals", inconsistent)
 
 
+def _count_marched_levels(monkeypatch):
+    """Count the levels the march fills: one per ``first_integral`` call
+    (level by level) and a block's levels per ``_march_by_age`` call."""
+    kernel, by_age = surfgrow.scenarios.first_integral, surfgrow.scenarios._march_by_age
+    calls = []
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    def counting_block(tables, base, levels, *args, **kwargs):
+        calls.extend([1] * len(levels))
+        return by_age(tables, base, levels, *args, **kwargs)
+
+    monkeypatch.setattr(surfgrow.scenarios, "first_integral", counting_kernel)
+    monkeypatch.setattr(surfgrow.scenarios, "_march_by_age", counting_block)
+    return calls
+
+
 def test_ansatz_residual_is_checked_for_every_kind(monkeypatch):
     # non_normal solves from step 2, when H = 2 dt reaches the first
     # center dx / 2: the fourth stored level is step 5
@@ -1045,14 +1122,7 @@ def test_ansatz_guard_names_the_offending_level(monkeypatch, make, where):
     level = {"first": 0, "first_in_block": blocks[1][0],
              "mid_block": i0 + B // 2, "last": levels - 1}[where]
     stop = next(i0 + B for i0, B in blocks if i0 <= level < i0 + B)
-    kernel = surfgrow.scenarios.first_integral
-    calls = []
-
-    def counting_kernel(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(surfgrow.scenarios, "first_integral", counting_kernel)
+    calls = _count_marched_levels(monkeypatch)
     _offend_at(monkeypatch, level, value=2.5e-6)
     dt, _ = cfg.resolve_dt()
     step = history[level].step
@@ -1066,13 +1136,72 @@ def test_ansatz_guard_names_the_offending_level(monkeypatch, make, where):
     assert calls and len(calls) == stop
 
 
+def _levels_checked(monkeypatch):
+    """Count the levels the block pass checks."""
+    residuals = surfgrow.scenarios.solve_residuals
+    seen = []
+
+    def counting(F12, counts, *args, **kwargs):
+        seen.extend([1] * len(counts))
+        return residuals(F12, counts, *args, **kwargs)
+
+    monkeypatch.setattr(surfgrow.scenarios, "solve_residuals", counting)
+    return seen
+
+
 @pytest.mark.parametrize("fault, error", [("nan_g", SingularSystem),
                                           ("inf_F12", ValidationError)])
 def test_non_finite_level_stops_the_march_at_its_step(monkeypatch, fault, error):
     cells = _block_cells(monkeypatch, 256)
     cfg = nn_config(n_cells=32, t_end=0.25)
     history = run_scenario(cfg).history
-    # the fourth level of the second block
+    # the fourth level of the second block; the first level's cells are
+    # the first to reach that age
+    i0, B = block_bounds(history.m, cells)[1]
+    assert B > 4 and history.m[0] == 1
+    level = i0 + 3
+    recurrence = surfgrow.scenarios.shear_by_age
+
+    def faulty_recurrence(F12, F22, tau1, params, dt, ages):
+        shears, rates = recurrence(F12, F22, tau1, params, dt, ages)
+        if fault == "inf_F12":
+            shears[level] = np.inf
+            rates[level] = float(first_integral(np.array([np.inf]), np.array([F22]),
+                                                tau1, params)[0])
+        else:
+            rates[level] = np.nan
+        return shears, rates
+
+    monkeypatch.setattr(surfgrow.scenarios, "shear_by_age", faulty_recurrence)
+    calls = _count_marched_levels(monkeypatch)
+    checked = _levels_checked(monkeypatch)
+    dt, _ = cfg.resolve_dt()
+    step = history[level].step
+    with pytest.raises(error) as info:
+        run_non_normal(cfg)
+    assert str(info.value).startswith(f"step {step}, t = {step * dt:.6g}: ")
+    assert "F_e12" in str(info.value) if error is ValidationError else \
+        "non-finite" in str(info.value)
+    # the march stops at the end of the level's block, whose levels before
+    # it are checked
+    assert len(calls) == i0 + B and len(checked) == level
+    # an offending residual earlier in the same block is named first
+    _offend_at(monkeypatch, level - 1)
+    calls.clear()
+    with pytest.raises(IncompatibleAnsatz) as info:
+        run_non_normal(cfg)
+    assert str(info.value).startswith(f"step {step - 1}, t = {(step - 1) * dt:.6g}: ")
+    assert len(calls) == i0 + B
+
+
+@pytest.mark.parametrize("fault, error", [("nan_g", SingularSystem),
+                                          ("inf_F12", ValidationError)])
+def test_non_finite_level_stops_the_level_march_at_its_step(monkeypatch, fault, error):
+    # fdm_shear's traction lags the top velocity, so it is marched level by
+    # level and stops at the offending level itself
+    cells = _block_cells(monkeypatch, 256)
+    cfg = fdm_config(n_cells=32, t_end=0.25)
+    history = run_scenario(cfg).history
     i0, B = block_bounds(history.m, cells)[1]
     assert B > 4
     level = i0 + 3
@@ -1091,17 +1220,12 @@ def test_non_finite_level_stops_the_march_at_its_step(monkeypatch, fault, error)
         return kernel(F12, *args, **kwargs)
 
     monkeypatch.setattr(surfgrow.scenarios, "first_integral", faulty_kernel)
+    checked = _levels_checked(monkeypatch)
     dt, _ = cfg.resolve_dt()
     step = history[level].step
     with pytest.raises(error) as info:
-        run_non_normal(cfg)
+        run_fdm_shear(cfg)
     assert str(info.value).startswith(f"step {step}, t = {step * dt:.6g}: ")
     assert "F_e12" in str(info.value) if error is ValidationError else \
         "non-finite" in str(info.value)
-    assert len(calls) == level + 1
-    # an offending residual earlier in the same block is named first
-    _offend_at(monkeypatch, level - 1)
-    calls.clear()
-    with pytest.raises(IncompatibleAnsatz) as info:
-        run_non_normal(cfg)
-    assert str(info.value).startswith(f"step {step - 1}, t = {(step - 1) * dt:.6g}: ")
+    assert len(calls) == level + 1 and len(checked) == level
