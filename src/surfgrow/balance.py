@@ -3,19 +3,9 @@ quasistatic through-thickness momentum balance, and the domain-height update.
 
 Growth enters the balance laws only through the boundary: the surface
 moves with ``V_b . n = v . n + M / rho`` and develops the traction
-``sigma n = M (v_a - v) + t_b``.  In the bulk only the (here inertia-free)
-momentum balance is solved: with ``v = v1(x2) e1`` the continuity equation
-leaves the density at its attachment value, and the velocity gradient
-``grad v = v1'(x2) e1 (x) e2`` is rank one, so the solve gives its single
-scalar ``g = v1'`` per cell rather than a 2x2 stack.  Every cell's elastic
-deformation is ``[[F11, F12], [0, F22]]`` (``require_reduced``) and only
-its shear ``F12`` evolves, so the solve takes ``F12`` as one array and the
-constant ``F22`` as another, and the pressure, which depends on ``F22``
-alone, is computed once per run (``normal_pressure``).  The solve is two
-pieces that a growth march runs apart: the first integral
-(``first_integral``), the march's step kernel, whose running sum is the
-face velocity, and the residuals of the solve (``solve_residuals``),
-checked for a stack of levels at a time.
+``sigma n = M (v_a - v) + t_b``.  A growth march runs the solve as two
+pieces, ``first_integral`` per level and ``solve_residuals`` per block (see
+the README's Scenarios section).
 """
 
 from __future__ import annotations

@@ -71,4 +71,8 @@ def parse_config(path) -> ScenarioConfig:
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"config file not found: {p}")
-    return config_from_pairs(read_pairs(p.read_text(encoding="utf-8")))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read config file {p}: {exc}") from None
+    return config_from_pairs(read_pairs(text))

@@ -1,17 +1,9 @@
 """Grids and the stored levels of a run (``History``, ``StepRecord``).
 
-The through-thickness grid is one-dimensional in the coordinate ``x2``,
-with cell-centered field storage.  A growth run marches on one fixed
-Eulerian grid, sized so that its ``n_cells`` cells fill the final body
-``[0, H(t_end)]``; the growing boundary moves through it, and at each
-level only the active prefix is solved and stored: the cells whose
-centers the body height ``H(t)`` has reached.  A run's stored levels are
-held as columns (``History``): a few scalars per level, one array per
-metric, two run-wide buffers that hold the shear ``F_e12`` and the shear
-rate ``g`` of every level, one level after another, and the per-run
-constants of which each level holds a prefix.  A ``StepRecord`` is one
-level built from them on request.  A small periodic-in-``x1`` strip grid
-supports the two-dimensional verification transports.
+A growth run marches on one fixed cell-centered grid in ``x2``
+(``Grid1D``) and stores each level's active prefix as columns
+(``History``), laid out as the README's Scenarios section describes.
+``PeriodicStrip`` is the two-dimensional verification grid.
 """
 
 from __future__ import annotations
@@ -63,33 +55,15 @@ class Grid1D:
 
 @dataclass
 class StepRecord:
-    """One time level of a run: geometry, solved velocity, and fields.
+    """One stored level, built by ``History`` on first access and kept.
 
-    ``History`` builds a record from its columns when the level is first
-    indexed and keeps it.  ``step`` is the march step ``k`` of the level, at
-    ``t = k dt``.  In the through-thickness reduction only the shear
-    ``F_e12`` of the elastic deformation evolves: ``F_e11``, ``F_e21`` and
-    ``F_e22`` keep the values a cell had when it entered the run.  A record
-    holds two arrays over the level's active cells, ``F_e12`` and the
-    cell-centered shear rate ``g = v1'`` used by the transport step: views
-    of the level's slice of the history's two buffers (so one record keeps
-    both buffers alive).  Everything else per cell is a view of a read-only
-    array shared by all records of the run:
-
-    ``F_e0``
-        each cell's ``(2, 2)`` elastic deformation when it entered the run
-        (on attachment, or at ``t = 0`` for the initial body); ``F_e``
-        differs from it only in the ``(0, 1)`` entry, which is ``F_e12``;
-    ``p``
-        the pressure ``G S22 - tau2``, fixed per cell by the constant
-        ``F_e22`` and the applied normal traction;
-    ``rho``
-        the uniform density.
-
-    ``v_surf`` is the velocity of the top face and ``metrics`` the level's
-    row of the history's metric columns.  ``v_nodes``, ``grad_v`` and
-    ``F_e`` are assembled on request; ``F_e`` is built once and then kept,
-    so an edit to it persists.
+    ``step`` is the march step ``k`` of the level, at ``t = k dt``.
+    ``F_e12`` and the shear rate ``g = v1'`` are views of the level's slices
+    of the run's two buffers.  ``F_e0`` (each cell's entry state, from which
+    ``F_e`` differs only in its ``(0, 1)`` entry), ``p`` and ``rho`` are
+    views of the run's read-only per-cell constants.  ``v_nodes``,
+    ``grad_v`` and ``F_e`` are assembled on request; ``F_e`` is built once
+    and then kept, so an edit to it persists.
     """
 
     t: float
@@ -134,20 +108,14 @@ class History(Sequence):
     """The stored levels of a run, as columns; a read-only sequence of
     ``StepRecord``.
 
-    Per level: ``t``, the march step ``step``, the body height ``H``, the
-    active cell count ``m``, the level's first cell ``offset`` in the two
-    buffers and the top-face velocity ``v_surf``; ``metrics`` holds one
-    float array per metric.  The buffers ``F_e12`` and ``g`` hold every
-    level's cells, level ``k`` at ``[offset[k], offset[k] + m[k])``; the
-    per-run constants ``F_e0``, ``p`` and ``rho`` (one entry per grid cell)
-    and the spacing ``dx`` are shared by all levels, each holding a prefix.
-
-    Indexing builds a level's ``StepRecord`` on first access and keeps it,
-    so ``history[-1] is history[-1]`` and an edit to a record's ``F_e``
-    persists.  A slice is a ``History`` over the same columns, buffers and
-    kept records.  The post-processing passes read the columns through
-    ``cells``, ``grid``, ``v_nodes`` and ``F_e_columns``, which take a
-    level's position and build no record.
+    Per level: ``t``, ``step``, the height ``H``, the active cell count
+    ``m``, the level's first cell ``offset`` in the buffers ``F_e12`` and
+    ``g``, ``v_surf`` and one array per metric in ``metrics``; ``F_e0``,
+    ``p``, ``rho`` and ``dx`` are shared by all levels.  Indexing builds a
+    level's record on first access and keeps it, and a slice is a
+    ``History`` over the same columns and kept records.  ``cells``,
+    ``grid``, ``v_nodes`` and ``F_e_columns`` read a level's columns without
+    building a record.
     """
 
     LEVEL_COLUMNS = ("t", "step", "H", "m", "offset", "v_surf")
@@ -162,42 +130,6 @@ class History(Sequence):
         self.F_e0, self.p, self.rho, self.dx = F_e0, p, rho, dx
         self._levels = range(len(m))
         self._records: dict[int, StepRecord] = {}
-
-    @classmethod
-    def from_records(cls, records) -> "History":
-        """The columns of hand-built records: levels on one grid spacing,
-        whose ``F_e0``, ``p`` and ``rho`` are (bitwise) prefixes of those of
-        the widest level and whose ``metrics`` share their names."""
-        records = list(records)
-        m = np.array([rec.grid.n_cells for rec in records], dtype=int)
-        if not records:
-            return cls(t=np.empty(0), step=np.empty(0, dtype=int), H=np.empty(0), m=m,
-                       offset=m.copy(), v_surf=np.empty(0), metrics={},
-                       F_e12=np.empty(0), g=np.empty(0), F_e0=np.empty((0, 2, 2)),
-                       p=np.empty(0), rho=np.empty(0), dx=1.0)
-        widest = records[int(np.argmax(m))]
-        dx, names = widest.grid.dx, list(records[0].metrics)
-        for k, rec in enumerate(records):
-            mk = rec.grid.n_cells
-            if rec.grid.dx != dx:
-                raise ValidationError(f"level {k} has dx = {rec.grid.dx}, not {dx}")
-            if sorted(rec.metrics) != sorted(names):
-                raise ValidationError(f"level {k} has metrics {sorted(rec.metrics)}, "
-                                      f"not {sorted(names)}")
-            for name in ("F_e0", "p", "rho"):
-                if getattr(rec, name).tobytes() != getattr(widest, name)[:mk].tobytes():
-                    raise ValidationError(f"level {k}'s {name} is not a prefix of "
-                                          f"the run's")
-        return cls(t=np.array([rec.t for rec in records], dtype=float),
-                   step=np.array([rec.step for rec in records], dtype=int),
-                   H=np.array([rec.grid.height for rec in records], dtype=float),
-                   m=m, offset=np.cumsum(m) - m,
-                   v_surf=np.array([rec.v_surf for rec in records], dtype=float),
-                   metrics={name: np.array([rec.metrics[name] for rec in records],
-                                           dtype=float) for name in names},
-                   F_e12=np.concatenate([rec.F_e12 for rec in records]),
-                   g=np.concatenate([rec.g for rec in records]),
-                   F_e0=widest.F_e0, p=widest.p, rho=widest.rho, dx=dx)
 
     def __len__(self) -> int:
         return len(self._levels)
@@ -245,11 +177,8 @@ class History(Sequence):
     def nbytes(self) -> int:
         """Bytes of the arrays the levels hold: each level's cells of the two
         buffers, plus the shared ``F_e0``, ``p`` and ``rho`` once."""
-        if not len(self):
-            return 0
         owned = int(self.m.sum()) * (self.F_e12.itemsize + self.g.itemsize)
-        return owned + sum(a.nbytes if a.base is None else a.base.nbytes
-                           for a in (self.F_e0, self.p, self.rho))
+        return owned + sum(a.nbytes for a in (self.F_e0, self.p, self.rho))
 
 
 def interp_columns(xq: np.ndarray, xp: np.ndarray, values: np.ndarray) -> np.ndarray:

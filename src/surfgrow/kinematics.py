@@ -1,28 +1,11 @@
 """Transport of the elastic deformation and related kinematic machinery.
 
-The elastic deformation ``F_e`` obeys the tensor advection equation
-
-    dF_e/dt + (v . grad) F_e = (grad v) F_e,
-
-the same equation satisfied by the full deformation gradient ``F``; the
-zero-stress shape ``F_relax`` rides along pathlines unchanged.  Accretion
-makes the growing boundary an inflow for this equation (a boundary value
-is required); ablation is an outflow (none is).
-
-In the through-thickness reduction the advecting velocity ``v2`` is zero,
-so a growth step is the forward-Euler source update alone
-(``reduced_step_1d``), where the rank-one gradient ``g e1 (x) e2`` changes
-only the first row of the transported tensor, and with ``F_e21 = 0`` only
-its shear: the march and the replay step that one scalar per cell.  The
-march's grid is fixed in space: a step updates the active cells where they
-sit and appends the cells the growing boundary reached with the inflow
-value, with no interpolation.  The two-dimensional strip transports add
-first-order upwinding.  Characteristic transport integrates the equivalent
-ODE system along pathlines with an explicit midpoint (RK2) scheme
-(``integrate_characteristics``, for any velocity sampler).  In the
-reduction a pathline keeps its height, so the scenarios trace theirs with
-the same scheme as one array march over the stored levels
-(``scenarios.trace_history_pathlines``).
+``F_e`` obeys ``dF_e/dt + (v . grad) F_e = (grad v) F_e``, the equation
+of the full deformation gradient ``F``; accretion makes the growing
+boundary an inflow.  In the through-thickness reduction ``v2 = 0``, so a
+growth step is the source update of the shear alone (``reduced_step_1d``).
+Here too: the RK2 characteristic integrator, the replay of a stored run
+and the two-dimensional strip transports used for verification.
 """
 
 from __future__ import annotations
@@ -154,8 +137,6 @@ def replay_columns(history: History, t0: float | None = None,
     adjugate of the level's ``F_e`` columns; ``SingularTensor`` is raised
     when ``|det F_e| <= EPS_DET`` in any cell.
     """
-    if not history:
-        raise ValidationError("history is empty")
     times = history.t
     if t0 is None:
         i0 = 0

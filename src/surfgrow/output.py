@@ -57,8 +57,6 @@ def _sha256(path: Path) -> str:
 
 
 def _snapshot_indices(n_records: int, n_snapshots: int) -> list[int]:
-    if n_records == 0:
-        return []
     k = min(n_snapshots, n_records)
     return sorted(set(np.linspace(0, n_records - 1, k).round().astype(int).tolist()))
 
@@ -101,19 +99,15 @@ def _write_metrics(path: Path, result: RunResult) -> None:
     the values need no escaping.  Rows go through the buffered file one at
     a time, so no text of the whole stream is held.
     """
-    oracle_keys = sorted(k for k in result.oracle_errors if k != "t")
-    fields = list(METRIC_FIELDS) + oracle_keys
+    fields = list(METRIC_FIELDS) + sorted(result.oracle_errors)
     header = json.dumps({"type": "header", "fields": fields}, sort_keys=True)
     slots = {name: '"%.17g"' for name in fields}
     slots.update(step="%d", type='"step"')
     keys = sorted(slots)
     template = "{" + ", ".join(f'"{key}": {slots[key]}' for key in keys) + "}\n"
     history = result.history
-    rows = ()
-    if history:  # the rows read the history's columns
-        columns = {"step": history.step, **history.metrics}
-        columns.update((key, result.oracle_errors[key]) for key in oracle_keys)
-        rows = zip(*(columns[key].tolist() for key in keys if key != "type"))
+    columns = {"step": history.step, **history.metrics, **result.oracle_errors}
+    rows = zip(*(columns[key].tolist() for key in keys if key != "type"))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
         f.writelines(template % row for row in rows)
@@ -192,8 +186,8 @@ def write_fields(result: RunResult, out_dir,
             # the fixed grid's spacing, the active cells of the last level
             # and the active cells summed over the solved levels
             grid={"n_cells": cfg.n_cells, "dx": cfg.eulerian_grid().dx,
-                  "n_active": int(history.m[-1]) if history else 0,
-                  "final_height": float(history.H[-1]) if history else None,
+                  "n_active": int(history.m[-1]),
+                  "final_height": float(history.H[-1]),
                   "cell_steps": int(history.m.sum())},
             # dt over the explicit relaxation bound, G dt F_e22^2 / mu (<= 1)
             time={"dt": dt, "n_steps": n_steps, "t_end": cfg.t_end,

@@ -26,7 +26,7 @@ from .errors import (IncompatibleAnsatz, NoOracle, OutOfBody, OutOfDomain,
                      SingularSystem, SurfgrowError, ValidationError)
 from .grids import Grid1D, History, StepRecord, interp_columns
 from .kinematics import PathlineRecord, reduced_step_1d, replay_columns
-from .tensors import identity, require_finite
+from .tensors import require_finite
 
 KINDS = ("non_normal", "fdm_shear", "thermal")
 
@@ -39,8 +39,7 @@ ANSATZ_RESIDUAL_LIMIT = 1e-6
 BLOCK_CELLS = 2 ** 15
 # The metric columns of a run, in the order of a metrics.jsonl header.
 METRIC_FIELDS = ("t", "H", "mass_residual", "momentum_residual",
-                 "traction_residual", "system_residual", "det_drift",
-                 "max_F_e21", "max_p_dev")
+                 "traction_residual", "system_residual", "det_drift", "max_p_dev")
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,11 @@ class ScenarioConfig:
         """Largest step ``mu / (G F_e22^2)`` whose explicit relaxation factor
         ``1 - G dt F_e22^2 / mu`` on F_e12 is nonnegative; thermal deposits
         carry ``F_e22^2 = max(1, alpha^-2)``, the other kinds 1."""
-        F22_sq = max(1.0, self.alpha ** -2) if self.kind == "thermal" else 1.0
+        try:
+            F22_sq = max(1.0, self.alpha ** -2) if self.kind == "thermal" else 1.0
+        except OverflowError:
+            raise ValidationError(f"alpha = {self.alpha:g} is too small for thermal: "
+                                  f"alpha^-2 overflows") from None
         return self.params.mu / (self.params.G * F22_sq)
 
     @property
@@ -151,6 +154,14 @@ class ScenarioConfig:
             AttachmentSpec.from_traction(traction, self.params), self.params)
         return F_att
 
+    def initial_deformation(self) -> np.ndarray:
+        """The entry state of the initial body: at rest, or for fdm_shear the
+        attachment state, the shear consistent with the momentum flux of
+        arriving material at ``t = 0+``."""
+        if self.kind == "fdm_shear":
+            return self.attachment_deformation()
+        return np.eye(2)
+
     def growth_input(self) -> GrowthInput:
         v_a = np.array([self.v0, 0.0]) if self.kind == "fdm_shear" else None
         return GrowthInput(M=self.mass_rate, v_a=v_a, t_b=np.zeros(2),
@@ -171,6 +182,9 @@ class ScenarioConfig:
             # half the relaxation bound keeps the per-step factor in [1/2, 1]
             base = min(self.t_end / (4.0 * self.n_cells),
                        0.5 * self.relaxation_bound)
+        if not (base > 0 and math.isfinite(self.t_end / base)):
+            raise ValidationError(f"t_end / dt = {self.t_end:g} / {base:g} is not a "
+                                  f"finite step count")
         n_steps = max(1, int(math.ceil(self.t_end / base - 1e-12)))
         return self.t_end / n_steps, n_steps
 
@@ -188,12 +202,11 @@ class ConvergenceRow:
 class RunResult:
     """Full-resolution history of one run plus derived diagnostics.
 
-    ``history`` holds every stored level as columns (``grids.History``;
-    hand-built records go through ``History.from_records``).
-    ``oracle_errors`` maps each oracle error to its per-level column, with
-    ``"t"`` the levels' times.  ``timings`` holds the march's wall time in
-    seconds: ``march_s`` in the march (the age tables' build included)
-    and ``check_s`` in the block passes.
+    ``history`` holds every stored level as columns (``grids.History``).
+    ``oracle_errors`` maps each oracle error to its per-level column.
+    ``timings`` holds the march's wall time in seconds: ``march_s`` in the
+    march (the age tables' build included) and ``check_s`` in the block
+    passes.
     """
 
     config: ScenarioConfig
@@ -300,7 +313,6 @@ class _Block:
     p: np.ndarray
     rho: np.ndarray
     centers: np.ndarray
-    p_dev_max: np.ndarray  # (B,) each level's max |p - G|
 
     @property
     def top(self) -> np.ndarray:
@@ -364,9 +376,7 @@ def _score_non_normal(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarr
             zip(blk.starts[runs].tolist(), sizes.tolist(), counts[runs].tolist())]
     return {"linf_F_e12": blk.level_max(np.abs(ef)),
             "rms_F_e12": np.sqrt(np.concatenate(sums)),
-            "linf_v1": blk.level_max(np.abs(v1, out=v1)),
-            # the closed-form pressure is G at every height and time
-            "linf_p": blk.p_dev_max}
+            "linf_v1": blk.level_max(np.abs(v1, out=v1))}
 
 
 def _score_fdm(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
@@ -427,8 +437,7 @@ def _march_by_age(tables: tuple[np.ndarray, ...], base: np.ndarray,
     np.take(g_table, index, out=g, mode="clip")
 
 
-def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
-            oracle=None) -> RunResult:
+def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
     """March a scenario and score it; ``oracle(config, block)`` gives the
     oracle errors of a block's levels (``thermal`` has none)."""
     params = config.params
@@ -438,12 +447,6 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
     F_att = growth.F_e_attach
     grid = config.eulerian_grid()
     n, dx = grid.n_cells, grid.dx
-
-    def traction(v_surf: float) -> np.ndarray:
-        # the attachment momentum flux lags one level behind the top velocity
-        if growth.v_a is None:
-            return growth.t_b
-        return growth_traction(M, growth.v_a, np.array([v_surf, 0.0]), growth.t_b)
 
     # The schedule.  Step k solves at t = k dt on the cells whose centers
     # H(t_k) has reached and advances to (k + 1) dt; the closing solve at
@@ -465,18 +468,15 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
 
     # Per-cell constants of the run, each one read-only array of which every
     # level holds its active prefix.  Only F_e12 evolves: F_e0 is each
-    # cell's F_e when it entered the run, the initial body at rest (or,
-    # with the one-shot equilibration, in the sheared state consistent with
-    # the surface momentum flux at t = 0+) and every later cell at its
-    # attachment value.  The pressure depends on F_e22 and on tau2 = t_b2
-    # (the attachment velocity has no normal component), and rho keeps its
-    # attachment value (v2 = 0, no compression).
-    F_e0 = np.empty((n, 2, 2))
-    F_e0[:m0] = identity((m0,))
-    F_e0[m0:] = F_att
-    if initial_F_e12 is not None:
-        F_e0[:m0, 0, 1] = initial_F_e12
-    p = normal_pressure(F_e0, params.G, traction(0.0)[1])
+    # cell's F_e when it entered the run, in one of two entry states, the
+    # initial body's for the m0 cells active at t = 0 and the attachment
+    # value for every later cell.  The pressure depends on F_e22 and on
+    # tau2 = t_b2 (the attachment velocity has no normal component), and
+    # rho keeps its attachment value (v2 = 0, no compression).
+    entries = [(F, cells) for F, cells in ((config.initial_deformation(), m0),
+                                           (F_att, n - m0)) if cells]
+    F_e0 = np.concatenate([np.broadcast_to(F, (cells, 2, 2)) for F, cells in entries])
+    p = normal_pressure(F_e0, params.G, growth.t_b[1])
     rho = np.full(n, params.rho)
     for constant in (F_e0, p, rho):
         constant.flags.writeable = False
@@ -508,30 +508,27 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
     k, t, v_prev = first, first * dt, 0.0
     try:
         require_reduced(F_e0)
-        # det F_e = F11 F22 (F_e21 = 0), |F_e21| and |p - G| are per-cell
-        # constants and a level holds a prefix of the grid's cells, so a
-        # level's maximum of each is their running maximum at its top cell.
+        # det F_e = F11 F22 (F_e21 = 0) and |p - G| are per-cell constants
+        # and a level holds a prefix of the grid's cells, so a level's
+        # maximum of each is their running maximum at its top cell.
         for name, values in (("det_drift", F_e0[:, 0, 0] * F_e0[:, 1, 1] - 1.0),
-                             ("max_F_e21", F_e0[:, 1, 0]), ("max_p_dev", p - params.G)):
+                             ("max_p_dev", p - params.G)):
             metrics[name] = np.maximum.accumulate(np.abs(values))[m - 1]
         if by_age:
-            # The age tables: one per entry class (a distinct pair of entry
-            # F_e12 and F_e22, by bit pattern), each `levels` zeros for the
-            # negative ages of cells not yet active, then ages 0 .. levels-1.
-            # Cell j of level i reads entry i + base[j].
+            # The age tables: one per entry state that has cells, each
+            # `levels` zeros for the negative ages of cells not yet active,
+            # then ages 0 .. levels-1.  Cell j of level i reads entry
+            # i + base[j].
             start = time.perf_counter()
             tau[:] = growth.t_b
-            entry = np.stack([F_e0[:, 0, 1], F22], axis=1)
-            _, firsts, cls = np.unique(entry.view(np.int64), axis=0,
-                                       return_index=True, return_inverse=True)
-            F12_table = np.zeros((len(firsts), 2, levels))
+            F12_table = np.zeros((len(entries), 2, levels))
             g_table = np.zeros_like(F12_table)
-            for c, (f0, d) in enumerate(entry[firsts].tolist()):
+            for c, (F, _) in enumerate(entries):
                 F12_table[c, 1], g_table[c, 1] = shear_by_age(
-                    f0, d, float(tau[0, 0]), params, dt, levels)
+                    float(F[0, 1]), float(F[1, 1]), float(tau[0, 0]), params, dt, levels)
             tables = tuple(a.ravel() for a in (F12_table, g_table, dx * g_table))
-            base = (2 * cls.ravel() + 1) * levels - np.searchsorted(m, grid_cells,
-                                                                    side="right")
+            state = np.repeat(np.arange(len(entries)), [cells for _, cells in entries])
+            base = (2 * state + 1) * levels - np.searchsorted(m, grid_cells, side="right")
             timings["march_s"] += time.perf_counter() - start
         for i0, B in blocks:
             start = time.perf_counter()
@@ -561,7 +558,10 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
                     k = first + i
                     t = k * dt
                     F12, g = F12_all[o:o + mi], g_all[o:o + mi]
-                    tau[i] = traction(v_prev)
+                    # the attachment momentum flux lags one level behind the
+                    # top velocity
+                    tau[i] = growth_traction(M, growth.v_a, np.array([v_prev, 0.0]),
+                                             growth.t_b)
                     first_integral(F12, F22[:mi], tau[i, 0], params, out=g)
                     np.cumsum(dx * g, out=v_nodes[b, 1:mi + 1])
                     v_prev = v_surf[i] = v_nodes[b, mi]
@@ -601,7 +601,7 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
                                                   active.shape)[active],
                              F12=F12_all[lo:hi], g=g_all[lo:hi], v_nodes=v_block,
                              v_surf=v_surf[rows], F_e0=F_e0, p=p, rho=rho,
-                             centers=centers, p_dev_max=metrics["max_p_dev"][rows])
+                             centers=centers)
                 for name, values in _level_metrics(config, growth, blk).items():
                     metrics[name][rows] = values
                 if oracle is not None:
@@ -616,8 +616,6 @@ def _run_1d(config: ScenarioConfig, initial_F_e12: float | None = None,
             timings["check_s"] += time.perf_counter() - marched
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
-    if oracle is not None:
-        oracle_errors = {"t": t_levels, **oracle_errors}
     history = History(t=t_levels, step=np.arange(first, first + levels), H=H, m=m,
                       offset=offsets, v_surf=v_surf, metrics=metrics, F_e12=F12_all,
                       g=g_all, F_e0=F_e0, p=p, rho=rho, dx=dx)
@@ -633,16 +631,11 @@ def run_non_normal(config: ScenarioConfig) -> RunResult:
 
 
 def run_fdm_shear(config: ScenarioConfig) -> RunResult:
-    """March the deposition-with-shear scenario.
-
-    The initial condition applies the jump equilibration: at ``t = 0+`` the
-    whole body carries the uniform shear ``M v0 / G`` consistent with the
-    momentum flux of arriving material.
-    """
+    """March the deposition-with-shear scenario; the initial body enters in
+    the attachment state (``ScenarioConfig.initial_deformation``)."""
     if config.kind != "fdm_shear":
         raise ValidationError(f"config.kind must be 'fdm_shear', got {config.kind!r}")
-    gamma = config.mass_rate * config.v0 / config.params.G
-    return _run_1d(config, initial_F_e12=gamma, oracle=_score_fdm)
+    return _run_1d(config, oracle=_score_fdm)
 
 
 def run_thermal(config: ScenarioConfig) -> RunResult:

@@ -86,6 +86,27 @@ def test_run_rejects_infinite_end_time(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alpha, field", [("1e-200", "alpha"), ("1e-154", "t_end")])
+def test_run_rejects_thermal_alpha_without_a_finite_step(tmp_path, capsys, alpha, field):
+    # alpha ** -2 in the relaxation bound overflowed (1e-200), or the bound
+    # made the step count infinite (1e-154): both died with a traceback
+    cfg = tmp_path / "thermal.cfg"
+    cfg.write_text(f"kind = thermal\nalpha = {alpha}\nn_cells = 32\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: ValidationError: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    # used to die with a UnicodeDecodeError traceback
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"kind = non_normal\n\xff\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and str(cfg) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_prints_orders(tmp_path, capsys):
     cfg = tmp_path / "nn.cfg"
     cfg.write_text(NN_CFG)

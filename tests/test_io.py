@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import surfgrow.output
-from surfgrow import (Grid1D, History, MaterialParams, ParseError, PathlineRecord,
-                      RunResult, ScenarioConfig, StepRecord, ValidationError,
-                      parse_config, read_snapshot, run_fdm_shear, run_non_normal,
-                      run_scenario, trace_history_pathlines, write_fields)
+from surfgrow import (History, MaterialParams, ParseError, PathlineRecord, RunResult,
+                      ScenarioConfig, ValidationError, parse_config, read_snapshot,
+                      run_fdm_shear, run_non_normal, run_scenario,
+                      trace_history_pathlines, write_fields)
 from surfgrow.config import read_pairs
 from surfgrow.output import METRIC_FIELDS, SNAPSHOT_COLUMNS, fmt
 from surfgrow.tensors import identity
@@ -66,30 +66,35 @@ def test_parse_missing_file():
         parse_config("/nonexistent/path.cfg")
 
 
+def test_parse_unreadable_file_names_it(tmp_path, monkeypatch):
+    # a file that is not UTF-8 used to raise UnicodeDecodeError
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"kind = non_normal\n\xff\n")
+    with pytest.raises(ParseError, match=f"^cannot read config file {path}: "):
+        parse_config(path)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("refused")
+
+    path = write_cfg(tmp_path, MINIMAL)
+    monkeypatch.setattr(type(path), "read_text", refuse)
+    with pytest.raises(ParseError, match=f"^cannot read config file {path}: refused"):
+        parse_config(path)
+
+
 def _tiny_config(n_cells=16):
     return ScenarioConfig(kind="fdm_shear", params=MaterialParams(mu=1.0),
                           H0=1.0, n_cells=n_cells, t_end=0.5, n_snapshots=3)
 
 
-def test_write_fields_empty_history(tmp_path):
-    manifest = write_fields(RunResult(config=_tiny_config(), history=History.from_records([])),
-                            tmp_path / "out")
-    assert manifest.snapshots == []
-    lines = (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()
-    header = json.loads(lines[0])
-    assert header["type"] == "header" and len(lines) == 1
-
-
 def test_write_fields_single_snapshot_row_count(tmp_path):
-    grid = Grid1D(4, 1.0)
-    rec = StepRecord(t=0.0, step=0, grid=grid, F_e12=np.zeros(4),
-                     g=np.zeros(4), F_e0=identity((4,)),
-                     p=np.ones(4), rho=np.ones(4), v_surf=0.0,
-                     metrics={k: 0.0 for k in
-                              ("t", "H", "mass_residual", "momentum_residual",
-                               "traction_residual", "system_residual",
-                               "det_drift", "max_F_e21", "max_p_dev")})
-    result = RunResult(config=_tiny_config(), history=History.from_records([rec]))
+    # one level of 4 cells
+    history = History(t=np.zeros(1), step=np.zeros(1, dtype=int), H=np.ones(1),
+                      m=np.array([4]), offset=np.zeros(1, dtype=int), v_surf=np.zeros(1),
+                      metrics={k: np.zeros(1) for k in METRIC_FIELDS},
+                      F_e12=np.zeros(4), g=np.zeros(4), F_e0=identity((4,)),
+                      p=np.ones(4), rho=np.ones(4), dx=0.25)
+    result = RunResult(config=_tiny_config(), history=history)
     manifest = write_fields(result, tmp_path / "out")
     lines = (tmp_path / "out" / "snapshot_0000.csv").read_text().splitlines()
     assert lines[0] == ",".join(SNAPSHOT_COLUMNS)
@@ -155,8 +160,8 @@ def test_manifest_timings_only_beside_a_duration(tmp_path):
 
 @pytest.mark.parametrize("kind", ["non_normal", "fdm_shear", "thermal"])
 def test_manifest_records_stability_margin(tmp_path, kind):
-    cfg = default_config(kind)
-    write_fields(RunResult(config=cfg, history=History.from_records([])), tmp_path / "out")
+    cfg = replace(default_config(kind), n_cells=16)
+    write_fields(run_scenario(cfg), tmp_path / "out")
     time = json.loads((tmp_path / "out" / "manifest.json").read_text())["time"]
     F22 = cfg.attachment_deformation()[1, 1]
     expected = cfg.params.G * time["dt"] * max(1.0, F22) ** 2 / cfg.params.mu
@@ -198,22 +203,20 @@ def _reference_pathlines(result) -> str:
 def _odd_values_result(metrics=None):
     # values whose text is easy to get wrong: signed zero, the smallest
     # subnormal, a repeating fraction, nan and infinities; three levels of
-    # 2, 3 and 4 cells on one spacing, viewing prefixes of one F_e0, p and
+    # 2, 3 and 4 cells on one spacing, holding prefixes of one F_e0, p and
     # rho (``metrics``: each level's row, zeros by default)
     odd = np.array([-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300])
-    F_e0 = odd.reshape(2, 2, 2).repeat(2, 0)
-    p = odd[3:7].copy()
-    rho = np.full(4, 1.0 / 3.0)
-    history = []
-    for k, H in enumerate((0.5, 0.75, 1.0)):
-        grid = Grid1D(2 + k, H, 0.25)
-        m = grid.n_cells
-        # v_nodes is the running sum of dx g
-        g = np.roll(odd, k)[:m] / grid.dx
-        history.append(StepRecord(
-            t=0.5 * k, step=k, grid=grid, F_e12=np.roll(odd, 2 * k)[:m], g=g,
-            F_e0=F_e0[:m], p=p[:m], rho=rho[:m], v_surf=float(np.sum(grid.dx * g)),
-            metrics=metrics[k] if metrics else {name: 0.0 for name in METRIC_FIELDS}))
+    dx, m = 0.25, np.array([2, 3, 4])
+    # v_nodes is the running sum of dx g
+    g = [np.roll(odd, k)[:mk] / dx for k, mk in enumerate(m)]
+    rows = metrics or [{name: 0.0 for name in METRIC_FIELDS}] * 3
+    history = History(
+        t=0.5 * np.arange(3), step=np.arange(3), H=np.array([0.5, 0.75, 1.0]), m=m,
+        offset=np.cumsum(m) - m, v_surf=np.array([np.sum(dx * gk) for gk in g]),
+        metrics={name: np.array([row[name] for row in rows]) for name in rows[0]},
+        F_e12=np.concatenate([np.roll(odd, 2 * k)[:mk] for k, mk in enumerate(m)]),
+        g=np.concatenate(g), F_e0=odd.reshape(2, 2, 2).repeat(2, 0), p=odd[3:7].copy(),
+        rho=np.full(4, 1.0 / 3.0), dx=dx)
     pathlines = [
         PathlineRecord(t=[-0.0, 1.0 / 3.0, 0.9, 1.4],
                        x=[[-0.0, 5e-324], [1.0 / 3.0, -0.0], [5e-324, 0.9], [0.0, 2.0]],
@@ -221,8 +224,7 @@ def _odd_values_result(metrics=None):
         PathlineRecord(t=[0.5, 1.0], x=[[0.0, 1.0 / 3.0], [1e300, -1.0]],
                        F_e=np.resize(odd[::-1], (2, 2, 2))),
     ]
-    return RunResult(config=_tiny_config(), history=History.from_records(history),
-                     pathlines=pathlines)
+    return RunResult(config=_tiny_config(), history=history, pathlines=pathlines)
 
 
 def test_csv_rows_match_per_value_fmt(tmp_path):
@@ -269,7 +271,7 @@ def test_no_pathlines_writes_no_pathline_file(tmp_path):
 
 def _reference_metrics(result) -> str:
     # one json.dumps per row
-    oracle_keys = sorted(k for k in result.oracle_errors if k != "t")
+    oracle_keys = sorted(result.oracle_errors)
     lines = [json.dumps({"type": "header", "fields": list(METRIC_FIELDS) + oracle_keys},
                         sort_keys=True)]
     for k, rec in enumerate(result.history):
@@ -288,8 +290,7 @@ def test_metrics_rows_match_json_dumps(tmp_path, kind):
         result = _odd_values_result(metrics=[
             {name: odd[(k + i) % len(odd)] for i, name in enumerate(METRIC_FIELDS)}
             for k in range(3)])
-        result.oracle_errors = {"t": np.array([0.0, 0.5, 1.0]),
-                                "linf_F_e12": np.array(odd[3:6]),
+        result.oracle_errors = {"linf_F_e12": np.array(odd[3:6]),
                                 "linf_v1": np.array(odd[:3])}
     else:
         result = run_scenario(replace(default_config(kind), n_cells=32))
@@ -354,5 +355,3 @@ def test_manifest_size_counters(tmp_path, kind):
     owned = sum(16 * rec.grid.n_cells for rec in res.history)
     assert parsed["history_bytes"] == owned + 8 * (4 * n + n + n)
     assert all("F_e" not in vars(rec) for rec in res.history)
-    assert write_fields(RunResult(config=cfg, history=History.from_records([])),
-                        tmp_path / "empty").history_bytes == 0

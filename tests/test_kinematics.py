@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from surfgrow import (CFLViolation, Grid1D, GrowthNotSupported, History,
-                      OutOfDomain, PeriodicStrip, SingularTensor, StepRecord,
-                      ValidationError, advance_deformation_strip,
-                      advance_inverse_motion, deformation_from_inverse_motion,
-                      integrate_characteristics, reconstruct_reference)
+from surfgrow import (CFLViolation, GrowthNotSupported, History, OutOfDomain,
+                      PeriodicStrip, SingularTensor, ValidationError,
+                      advance_deformation_strip, advance_inverse_motion,
+                      deformation_from_inverse_motion, integrate_characteristics,
+                      reconstruct_reference)
 from surfgrow.kinematics import CFL_LIMIT, PathlineRecord, reduced_step_1d
 from surfgrow.tensors import identity
 
@@ -146,14 +146,13 @@ def test_pathline_record_validates_times():
 
 
 def _static_history(n=8, steps=5, F_e12=0.25, F_e0=None):
-    grid = Grid1D(n, 1.0)
+    # `steps` levels of the same n cells, at rest
     F_e0 = identity((n,)) if F_e0 is None else F_e0
-    recs = []
-    for k in range(steps):
-        recs.append(StepRecord(t=0.1 * k, step=k, grid=grid, F_e12=np.full(n, F_e12),
-                               g=np.zeros(n), F_e0=F_e0, p=np.ones(n),
-                               rho=np.ones(n), v_surf=0.0))
-    return History.from_records(recs)
+    return History(t=0.1 * np.arange(steps), step=np.arange(steps), H=np.ones(steps),
+                   m=np.full(steps, n), offset=n * np.arange(steps),
+                   v_surf=np.zeros(steps), metrics={}, F_e12=np.full(n * steps, F_e12),
+                   g=np.zeros(n * steps), F_e0=F_e0, p=np.ones(n), rho=np.ones(n),
+                   dx=1.0 / n)
 
 
 def test_reconstruct_static_body():

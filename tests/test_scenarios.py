@@ -151,6 +151,21 @@ def test_config_rejects_dt_beyond_relaxation_bound():
                 make(params=MaterialParams(G=1.0, mu=0.0, rho=1.0), dt=dt)
 
 
+@pytest.mark.parametrize("make, kw, match", [
+    # alpha ** -2 overflowed with an OverflowError
+    (thermal_config, dict(alpha=1e-200), "^alpha = 1e-200 is too small"),
+    # a finite alpha ** -2 whose relaxation bound made t_end / dt infinite,
+    # a given dt that does, and a default dt of 0 (ZeroDivisionError)
+    (thermal_config, dict(alpha=1e-154), "^t_end / dt = "),
+    (nn_config, dict(dt=1e-320), "^t_end / dt = "),
+    (nn_config, dict(params=MaterialParams(G=1.0, mu=5e-324, rho=1.0)),
+     "^t_end / dt = 1 / 0 "),
+])
+def test_config_rejects_a_step_count_that_is_not_finite(make, kw, match):
+    with pytest.raises(ValidationError, match=match):
+        make(**kw)
+
+
 def test_default_dt_respects_relaxation_bound():
     # t_end / (4 n) = 0.00125 exceeds mu alpha^2 / G = 0.00025; the default
     # step takes half the bound instead
@@ -201,19 +216,20 @@ def test_non_normal_zero_alpha_stays_stress_free():
 def test_non_normal_pressure_uniform_and_ansatz_preserved():
     res = run_non_normal(nn_config())
     assert res.max_metric("max_p_dev") <= 1e-8
-    assert res.max_metric("max_F_e21") <= 1e-12
     assert res.max_metric("det_drift") <= 1e-12
     assert res.max_metric("system_residual") <= 1e-10
     for rec in res.history:
         assert abs(rec.grid.height - rec.t) <= 1e-12  # H = V_G t
         assert np.abs(rec.F_e[:, 0, 0] - 1.0).max() <= 1e-12
+        assert np.abs(rec.F_e_columns()[2]).max() <= 1e-12
         assert np.abs(rec.F_e[:, 1, 1] - 1.0).max() <= 1e-12
 
 
 def test_non_normal_error_against_closed_form():
     res = run_non_normal(nn_config(n_cells=128))
     assert res.oracle_errors["linf_F_e12"].max() <= 2e-2
-    assert res.oracle_errors["linf_p"].max() <= 1e-10
+    # the closed-form pressure is G at every height and time
+    assert res.max_metric("max_p_dev") <= 1e-10
 
 
 def test_non_normal_error_at_n400_is_below_late_attachment():
@@ -299,6 +315,26 @@ def test_fdm_shear_exact_steady_state():
     probe = res.probe(0.5)
     assert probe["F_e"][0, 1] == pytest.approx(0.1, abs=1e-14)
     assert probe["v1"] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(G=st.floats(0.1, 100.0), rho=st.floats(0.1, 10.0), h=st.floats(1e-3, 1.0),
+       v0=st.floats(0.0, 10.0), L=st.floats(0.1, 10.0))
+@example(G=49.0, rho=1.0, h=0.1, v0=1.0, L=1.0)
+def test_fdm_shear_initial_body_enters_in_the_attachment_state(G, rho, h, v0, L):
+    # the initial body carries the uniform shear M v0 / G consistent with
+    # the momentum flux of arriving material, which is the attachment state
+    cfg = fdm_config(params=MaterialParams(G=G, mu=1.0, rho=rho), h=h, v0=v0, L=L,
+                     n_cells=16, t_end=0.05)
+    initial = cfg.initial_deformation()
+    former = np.eye(2)
+    former[0, 1] = cfg.mass_rate * cfg.v0 / G
+    assert _bits(initial) == _bits(cfg.attachment_deformation()) == _bits(former)
+    history = run_fdm_shear(cfg).history
+    m0 = int(history.m[0])
+    assert history.step[0] == 0 and m0 >= 1
+    assert _bits(history.F_e0[:m0]) == _bits(np.broadcast_to(former, (m0, 2, 2)))
+    assert _bits(history.F_e12[:m0]) == _bits(np.full(m0, former[0, 1]))
 
 
 def test_fdm_shear_zero_feed_is_static():
@@ -631,7 +667,6 @@ def _per_level_metrics(config, rec):
     return {"t": rec.t, "H": rec.grid.height, "mass_residual": abs(mass_res),
             "momentum_residual": float(np.max(np.abs(mom_res))),
             "det_drift": float(np.max(np.abs(det(rec.F_e) - 1.0))),
-            "max_F_e21": float(np.max(np.abs(rec.F_e[:, 1, 0]))),
             "max_p_dev": float(np.max(np.abs(rec.p - config.params.G)))}
 
 
@@ -640,14 +675,13 @@ def _per_level_oracle(config, history):
     rows = []
     for rec in history:
         if config.kind == "non_normal":
-            v1_ref, f_ref, p_ref = analytic_non_normal(rec.grid.centers, rec.t, config.alpha,
-                                                       p.G, p.mu, config.V_G)
+            v1_ref, f_ref, _ = analytic_non_normal(rec.grid.centers, rec.t, config.alpha,
+                                                   p.G, p.mu, config.V_G)
             ef = rec.F_e[:, 0, 1] - f_ref
             v1 = 0.5 * (rec.v_nodes[:-1] + rec.v_nodes[1:])
             rows.append({"linf_F_e12": np.max(np.abs(ef)),
                          "rms_F_e12": np.sqrt(np.mean(ef ** 2)),
-                         "linf_v1": np.max(np.abs(v1 - v1_ref)),
-                         "linf_p": np.max(np.abs(rec.p - p_ref))})
+                         "linf_v1": np.max(np.abs(v1 - v1_ref))})
         else:
             M = config.mass_rate
             sigma = total_stress(rec.F_e, rec.grad_v, rec.p, p)
@@ -656,8 +690,7 @@ def _per_level_oracle(config, history):
                          "linf_sigma12": np.max(np.abs(sigma[:, 0, 1] - M * config.v0)),
                          "linf_sigma11": np.max(np.abs(sigma[:, 0, 0]
                                                        - (M * config.v0) ** 2 / p.G))})
-    return {"t": np.array([rec.t for rec in history]),
-            **{name: np.array([row[name] for row in rows]) for name in rows[0]}}
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
 
 def _assert_scored_like_per_level_reference(result):
@@ -821,14 +854,29 @@ def _sweep_member(mu):
     thermal_config(n_cells=32, t_end=0.25),
     thermal_config(n_cells=32, dt=1.0 / 8),
     thermal_config(n_cells=32, t_end=0.25, H0=0.0),
+    # the initial body and the deposit enter in equal states: two tables
+    thermal_config(n_cells=32, t_end=0.25, alpha=1.0),
     _sweep_member(1e-3),
 ], ids=["non_normal", "alpha_0", "cells_per_step", "thermal_two_classes",
-        "thermal_cells_per_step", "thermal_H0_0", "sweep_mu_1e-3"])
-def test_age_march_is_bitwise_a_per_level_march(cfg):
+        "thermal_cells_per_step", "thermal_H0_0", "thermal_equal_states",
+        "sweep_mu_1e-3"])
+def test_age_march_is_bitwise_a_per_level_march(monkeypatch, cfg):
     # a traction that does not follow the body: the run is marched by age
     assert cfg.growth_input().v_a is None
+    recurrence, tables = surfgrow.scenarios.shear_by_age, []
+
+    def recording_recurrence(F12, F22, *args):
+        tables.append((_bits(F12), _bits(F22)))
+        return recurrence(F12, F22, *args)
+
+    monkeypatch.setattr(surfgrow.scenarios, "shear_by_age", recording_recurrence)
     result = run_scenario(cfg)
     history = result.history
+    # one table per entry state that has cells: the initial body's (when a
+    # body is present at t = 0), then the deposit's
+    states = [cfg.initial_deformation()] if history.step[0] == 0 else []
+    states.append(cfg.attachment_deformation())
+    assert tables == [(_bits(F[0, 1]), _bits(F[1, 1])) for F in states]
     reference = _per_level_records(cfg)
     assert len(history) == len(reference)
     assert len({rec.step for rec in reference}) == len(reference) > 7
@@ -871,7 +919,6 @@ def test_history_indexes_like_a_list():
     records = list(history)
     n = len(records)
     assert len(history) == n > 10 and bool(history)
-    assert not History.from_records([]) and len(History.from_records([])) == 0
     for k in (0, 1, n // 2, n - 1, -1, -2, -n):
         assert history[k] is records[k]
     for k in (n, n + 3, -n - 1):
