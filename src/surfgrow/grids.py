@@ -115,7 +115,8 @@ class History(Sequence):
     level's record on first access and keeps it, and a slice is a
     ``History`` over the same columns and kept records.  ``cells``,
     ``grid``, ``v_nodes`` and ``F_e_columns`` read a level's columns without
-    building a record.
+    building a record; ``centers`` and ``faces`` are the run's grid, of
+    which every level holds a prefix.
     """
 
     LEVEL_COLUMNS = ("t", "step", "H", "m", "offset", "v_surf")
@@ -164,6 +165,16 @@ class History(Sequence):
         """Level ``k``'s active prefix of the run's grid."""
         return Grid1D(int(self.m[k]), float(self.H[k]), self.dx)
 
+    @property
+    def centers(self) -> np.ndarray:
+        """The cell centers of the run's grid; a level's are the first ``m``."""
+        return (np.arange(len(self.F_e0)) + 0.5) * self.dx
+
+    @property
+    def faces(self) -> np.ndarray:
+        """The cell faces of the run's grid; a level's are the first ``m + 1``."""
+        return np.arange(len(self.F_e0) + 1) * self.dx
+
     def v_nodes(self, k: int) -> np.ndarray:
         """Level ``k``'s face velocities, as its record computes them."""
         return np.concatenate([[0.0], (self.dx * self.g[self.cells(k)]).cumsum()])
@@ -181,17 +192,29 @@ class History(Sequence):
         return owned + sum(a.nbytes for a in (self.F_e0, self.p, self.rho))
 
 
-def interp_columns(xq: np.ndarray, xp: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Linear interpolation of each trailing component of ``values`` at ``xq``.
+def interp_prefix(x: np.ndarray, xp: np.ndarray, n, fp: np.ndarray,
+                  offset) -> np.ndarray:
+    """``np.interp(x[i], xp[:n[i]], fp[offset[i]:offset[i] + n[i]])`` for
+    every point ``i`` at once, by gathers, bitwise for finite ``fp``.
 
-    Outside ``xp`` the end values are held constant (first-order
-    extrapolation at outflow boundaries).
+    Each point interpolates on a prefix of the one increasing node array
+    ``xp``, with its own values in ``fp``.  The arithmetic is
+    ``np.interp``'s: the bracket ``k`` with ``xp[k] <= x < xp[k + 1]``,
+    then ``slope * (x - xp[k]) + fp[k]`` with ``slope = (fp[k + 1] -
+    fp[k]) / (xp[k + 1] - xp[k])``; ``fp[k]`` when ``x == xp[k]``, and the
+    end values at or beyond the ends.  A NaN ``x`` gives NaN.
     """
-    values = np.asarray(values, dtype=float)
-    flat = values.reshape(values.shape[0], -1)
-    cols = [np.interp(xq, xp, flat[:, j]) for j in range(flat.shape[1])]
-    out = np.stack(cols, axis=1)
-    return out.reshape((len(xq),) + values.shape[1:])
+    x = np.asarray(x, dtype=float)
+    k = np.minimum(np.searchsorted(xp, x, side="right") - 1, n - 1)
+    first = offset + np.maximum(k, 0)
+    out = fp[first]
+    inner = (k >= 0) & (k < n - 1)
+    inner[inner] = x[inner] != xp[k[inner]]
+    k, first, xi = k[inner], first[inner], x[inner]
+    x0, f0 = xp[k], fp[first]
+    out[inner] = (fp[first + 1] - f0) / (xp[k + 1] - x0) * (xi - x0) + f0
+    np.copyto(out, x, where=np.isnan(x))
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .errors import IoError
-from .scenarios import METRIC_FIELDS, RunResult, pathline_levels
+from .scenarios import (METRIC_FIELDS, RunResult, level_interp, level_v1,
+                        pathline_levels)
 
 SNAPSHOT_COLUMNS = ("x2", "v1", "v2", "Fe11", "Fe12", "Fe21", "Fe22", "p", "rho")
 # Rows of a CSV table formatted and written at a time.
@@ -115,17 +116,13 @@ def _write_metrics(path: Path, result: RunResult) -> None:
 
 def _write_pathlines(path: Path, result: RunResult) -> None:
     """Write every pathline sample with ``v1`` and ``p`` interpolated at its
-    stored level, one pathline's table at a time; the interpolation is one
-    ``np.interp`` call per level for all pathlines' samples there."""
+    stored level, one pathline's table at a time; both are gathered for all
+    samples at once (``level_v1``, ``level_interp``)."""
     pathlines = result.pathlines
     history = result.history
-    x2, groups = pathline_levels(history, pathlines)
-    v1 = np.empty(len(x2))
-    p = np.empty(len(x2))
-    for j, idx in groups:
-        grid = history.grid(j)
-        v1[idx] = np.interp(x2[idx], grid.faces, history.v_nodes(j))
-        p[idx] = np.interp(x2[idx], grid.centers, history.p[:grid.n_cells])
+    level, x2 = pathline_levels(history, pathlines)
+    v1 = level_v1(history, level, x2)
+    p = level_interp(history, level, x2, history.p)
     bounds = np.cumsum([0] + [len(pl.t) for pl in pathlines]).tolist()
     tables = (np.column_stack([np.full(b - a, i), pl.t, pl.x, pl.F_e.reshape(-1, 4),
                                v1[a:b], np.zeros(b - a), p[a:b]])

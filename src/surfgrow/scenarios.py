@@ -24,7 +24,7 @@ from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, total_stress)
 from .errors import (IncompatibleAnsatz, NoOracle, OutOfBody, OutOfDomain,
                      SingularSystem, SurfgrowError, ValidationError)
-from .grids import Grid1D, History, StepRecord, interp_columns
+from .grids import Grid1D, History, StepRecord, interp_prefix
 from .kinematics import PathlineRecord, reduced_step_1d, replay_columns
 from .tensors import require_finite
 
@@ -37,6 +37,10 @@ ANSATZ_RESIDUAL_LIMIT = 1e-6
 # stored levels while their count times the last level's cells stays
 # within it (see ``block_bounds``).
 BLOCK_CELLS = 2 ** 15
+# The largest (n_steps + 1) * n_cells a configuration may ask for: it bounds
+# the cells a run stores (16 bytes each in the two buffers, 4 GiB here) and
+# the length of its schedule.
+MAX_CELL_STEPS = 2 ** 28
 # The metric columns of a run, in the order of a metrics.jsonl header.
 METRIC_FIELDS = ("t", "H", "mass_residual", "momentum_residual",
                  "traction_residual", "system_residual", "det_drift", "max_p_dev")
@@ -107,11 +111,15 @@ class ScenarioConfig:
         if self.kind == "non_normal" and self.height0 > 0:
             raise ValidationError("H0 must be 0 for non_normal: its closed-form "
                                   "oracle assumes a body grown from nothing")
-        dt, _ = self.resolve_dt()
+        dt, n_steps = self.resolve_dt()
         if dt > self.relaxation_bound:
             raise ValidationError(
                 f"dt = {dt:g} exceeds the explicit relaxation bound "
                 f"mu / (G F_e22^2) = {self.relaxation_bound:g}")
+        if (n_steps + 1) * self.n_cells > MAX_CELL_STEPS:
+            raise ValidationError(
+                f"n_steps = {n_steps:.3g} (dt = {dt:g}) on n_cells = {self.n_cells} "
+                f"exceeds the budget (n_steps + 1) n_cells <= {MAX_CELL_STEPS}")
 
     @property
     def height0(self) -> float:
@@ -227,20 +235,12 @@ class RunResult:
     def probe(self, x2: float) -> dict:
         """Interpolated final field values at one height (clamped to the
         body)."""
-        rec = self.final
-        xq = np.array([min(max(x2, 0.0), rec.grid.height)])
-        F = _interp_F_e(rec.F_e_columns(), rec.grid.centers, xq)[0]
-        p = float(np.interp(xq, rec.grid.centers, rec.p)[0])
-        v1 = float(np.interp(xq, rec.grid.faces, rec.v_nodes)[0])
-        return {"F_e": F, "p": p, "v1": v1}
-
-
-def _interp_F_e(columns: tuple[np.ndarray, ...], centers: np.ndarray,
-                xq: np.ndarray) -> np.ndarray:
-    """A level's F_e interpolated at the heights ``xq`` from its columns
-    ``(F_e11, F_e12, F_e21, F_e22)`` at its cell ``centers`` (no F_e is
-    built)."""
-    return interp_columns(xq, centers, np.stack(columns, axis=1)).reshape(len(xq), 2, 2)
+        history = self.history
+        level = np.array([len(history) - 1])
+        xq = np.array([min(max(x2, 0.0), float(history.H[-1]))])
+        return {"F_e": level_F_e(history, level, xq)[0],
+                "p": float(level_interp(history, level, xq, history.p)[0]),
+                "v1": float(level_v1(history, level, xq)[0])}
 
 
 def analytic_non_normal(x2, t, alpha: float, G: float, mu: float, V_G: float):
@@ -505,7 +505,7 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
     by_age = growth.v_a is None
 
     timings = {"march_s": 0.0, "check_s": 0.0}
-    k, t, v_prev = first, first * dt, 0.0
+    k, t = first, first * dt
     try:
         require_reduced(F_e0)
         # det F_e = F11 F22 (F_e21 = 0) and |p - G| are per-cell constants
@@ -558,14 +558,20 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
                     k = first + i
                     t = k * dt
                     F12, g = F12_all[o:o + mi], g_all[o:o + mi]
-                    # the attachment momentum flux lags one level behind the
-                    # top velocity
-                    tau[i] = growth_traction(M, growth.v_a, np.array([v_prev, 0.0]),
+                    # the top velocity v = sum(dx g) and the attachment
+                    # traction M (v_a - v) + t_b it sets, solved together:
+                    # with W = m dx, v = (W (M v_a1 + t_b1) - G dx sum(S12))
+                    # / (mu + W M)
+                    W = mi * dx
+                    v_top = ((W * (M * growth.v_a[0] + growth.t_b[0])
+                              - params.G * dx * float((F12 * F22[:mi]).sum()))
+                             / (params.mu + W * M))
+                    tau[i] = growth_traction(M, growth.v_a, np.array([v_top, 0.0]),
                                              growth.t_b)
                     first_integral(F12, F22[:mi], tau[i, 0], params, out=g)
                     np.cumsum(dx * g, out=v_nodes[b, 1:mi + 1])
-                    v_prev = v_surf[i] = v_nodes[b, mi]
-                    if not math.isfinite(v_prev):
+                    v_surf[i] = v_nodes[b, mi]
+                    if not math.isfinite(v_surf[i]):
                         failed = b
                         break
                     if i + 1 < levels:
@@ -717,6 +723,68 @@ def convergence_study(config: ScenarioConfig, resolutions) -> list[ConvergenceRo
 # Pathlines against a stored run
 # ---------------------------------------------------------------------------
 
+def level_interp(history: History, level: np.ndarray, x2: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """A per-cell constant of the run (``F_e0``'s entries, ``p``) at the
+    heights ``x2`` of the stored levels ``level``: ``np.interp`` over each
+    level's cell centers, bitwise.  Every level holds a prefix of the run's
+    cells, so this is one ``np.interp`` over the whole column at each
+    height clamped to its level's top center."""
+    centers = history.centers
+    return np.interp(np.minimum(x2, centers[history.m[level] - 1]), centers, values)
+
+
+def level_F_e(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """``F_e`` at the heights ``x2`` of the stored levels ``level``, as
+    ``(len(x2), 2, 2)``: each component ``np.interp``-ed over its level's
+    cell centers, bitwise, with no level's ``F_e`` built.  ``F_e12`` is
+    gathered from the level's slice of its buffer (``interp_prefix``)."""
+    F = np.empty((len(x2), 2, 2))
+    for i, j in ((0, 0), (1, 0), (1, 1)):
+        F[:, i, j] = level_interp(history, level, x2, history.F_e0[:, i, j])
+    F[:, 0, 1] = interp_prefix(x2, history.centers, history.m[level], history.F_e12,
+                               history.offset[level])
+    return F
+
+
+def level_v1(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """``v1`` at the heights ``x2`` of the stored levels ``level``:
+    ``np.interp(x2, faces, History.v_nodes(level))``, bitwise.
+
+    The face velocities are the running sums of ``dx g``, made for a block
+    of levels (``block_bounds`` over the sampled levels' span) at a time by
+    one ``cumsum`` along the cells, as the march's block pass makes them,
+    and only for blocks that hold a sample; no scratch exceeds a block's
+    ``BLOCK_CELLS`` cells.
+    """
+    m, offset = history.m, history.offset
+    faces = history.faces
+    v1 = np.empty(len(x2))
+    order = np.argsort(level, kind="stable")
+    if not len(order):
+        return v1
+    span = int(level[order[0]]), int(level[order[-1]]) + 1
+    for i0, B in block_bounds(m[span[0]:span[1]], BLOCK_CELLS):
+        i0 += span[0]
+        a, b = np.searchsorted(level, [i0, i0 + B], sorter=order)
+        if a == b:
+            continue
+        width = int(m[i0 + B - 1]) + 1
+        lo, hi = int(offset[i0]), int(offset[i0 + B - 1]) + width - 1
+        # row r: 0, then the running sums of dx g over level i0 + r's cells
+        # (its face velocities), then its top one repeated
+        v_nodes = np.zeros((B, width))
+        rates = v_nodes[:, 1:]
+        rates[np.arange(width - 1) < m[i0:i0 + B, None]] = history.g[lo:hi]
+        rates *= history.dx
+        np.cumsum(rates, axis=1, out=rates)
+        idx = order[a:b]
+        rows = level[idx]
+        v1[idx] = interp_prefix(x2[idx], faces, m[rows] + 1, v_nodes.ravel(),
+                                (rows - i0) * width)
+    return v1
+
+
 def trace_history_pathlines(result: RunResult, count: int = 20) -> list[PathlineRecord]:
     """Integrate characteristics through the stored velocity history.
 
@@ -724,10 +792,14 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
     first stored level whose body contains the seed height, with the grid
     field interpolated there as its starting F_e.  With ``v = v1(x2) e1`` a
     pathline keeps its height, so each explicit midpoint (RK2) step samples
-    one stored level (``v1`` at the faces, the shear rate ``g`` at the
-    face-padded cell centers) and lands on the next: all seeds advance
-    together, one array step per level, and sample times coincide with the
-    stored levels.
+    one stored level (``v1`` at the faces, the shear rate ``g`` at the cell
+    centers, its end values held) and lands on the next, and sample times
+    coincide with the stored levels.  With ``L = g e1 (x) e2`` the step
+    leaves ``F_e11``, ``F_e21`` and ``F_e22`` as they are and adds
+    ``h (g F_e22)`` to ``F_e12``, and ``x1`` gains ``h v1``: both are
+    running sums over the levels.  So every step's ``g`` and ``v1`` are
+    gathered at once (``interp_prefix``, ``level_v1``) and each pathline is
+    two ``cumsum`` calls.
     A seed first reached at the last level has no step and is skipped.
     """
     history = result.history
@@ -737,67 +809,59 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
     j0 = np.searchsorted(heights, x2)
     x2, j0 = x2[j0 < last], j0[j0 < last]
     h = (times[-1] - times[j0]) / (last - j0)
-    x1s = np.zeros((last + 1, len(x2)))
-    Fs = np.zeros((last + 1, len(x2), 2, 2))
-    for i, j in enumerate(j0):
-        Fs[j, i] = _interp_F_e(history.F_e_columns(j), history.grid(j).centers,
-                               x2[i:i + 1])[0]
-    for j in range(j0.min(initial=last), last):
-        # seeds ascend in height and so in start level: the active ones
-        # are a prefix
-        on = slice(0, int(np.searchsorted(j0, j, side="right")))
-        z = x2[on]
-        grid = history.grid(j)
-        g_j = history.g[history.cells(j)]
-        g = np.interp(z, np.concatenate([[0.0], grid.centers, [grid.height]]),
-                      np.concatenate([g_j[:1], g_j, g_j[-1:]]))
-        L = np.zeros((len(z), 2, 2))
-        L[:, 0, 1] = g
-        hj = h[on, None, None]
-        F = Fs[j, on]
-        F_mid = F + 0.5 * hj * (L @ F)
-        Fs[j + 1, on] = F + hj * (L @ F_mid)
-        x1s[j + 1, on] = x1s[j, on] + h[on] * np.interp(z, grid.faces, history.v_nodes(j))
-        if np.any(z > heights[j + 1] + 1e-9):
-            raise OutOfDomain(f"characteristic left the body at t = {times[j + 1]:g}")
-    return [PathlineRecord(t=times[j] + np.arange(last + 1 - j) * h[i],
-                           x=np.column_stack([x1s[j:, i], np.full(last + 1 - j, x2[i])]),
-                           F_e=Fs[j:, i].copy())
-            for i, j in enumerate(j0)]
+    # every step of every pathline, one pathline after another: pathline i
+    # steps from the levels j0[i] .. last - 1
+    steps = last - j0
+    starts = np.cumsum(steps) - steps
+    seed = np.repeat(np.arange(len(x2)), steps)
+    level = np.arange(len(seed)) - np.repeat(starts - j0, steps)
+    z = x2[seed]
+    left = z > heights[level + 1] + 1e-9
+    if np.any(left):
+        raise OutOfDomain(f"characteristic left the body at t = "
+                          f"{times[level[left].min() + 1]:g}")
+    F0 = level_F_e(history, j0, x2)
+    g = interp_prefix(z, history.centers, history.m[level], history.g,
+                      history.offset[level])
+    dF12 = h[seed] * (g * F0[seed, 1, 1])
+    dx1 = h[seed] * level_v1(history, level, z)
+    pathlines = []
+    for i, (j, a, n) in enumerate(zip(j0.tolist(), starts.tolist(), steps.tolist())):
+        F = np.empty((n + 1, 2, 2))
+        F[:] = F0[i]
+        F12 = F[:, 0, 1]
+        F12[1:] = dF12[a:a + n]
+        np.cumsum(F12, out=F12)
+        x1 = np.zeros(n + 1)
+        x1[1:] = dx1[a:a + n]
+        pathlines.append(PathlineRecord(
+            t=times[j] + np.arange(n + 1) * h[i],
+            x=np.column_stack([np.cumsum(x1), np.full(n + 1, x2[i])]), F_e=F))
+    return pathlines
 
 
-def pathline_levels(history: History, pathlines):
+def pathline_levels(history: History, pathlines) -> tuple[np.ndarray, np.ndarray]:
     """Stored level and clamped height of every pathline sample.
 
     The samples of all (at least one) pathlines are numbered in order, one
     pathline after another.  A sample's level is the stored level at its
     time, ``rint((t - t0)/dt)`` clamped to the history, and its height is
-    clamped to that level's body.  Returns ``(x2, groups)``: the clamped
-    heights and, for each level that holds samples, in ascending order,
-    ``(level, sample indices)``.
+    clamped to that level's body.  Returns ``(level, x2)``.
     """
     t = np.concatenate([pl.t for pl in pathlines])
     x2 = np.concatenate([pl.x[:, 1] for pl in pathlines])
     times = history.t
     dt = times[1] - times[0] if len(times) > 1 else 1.0
     level = np.clip(np.rint((t - times[0]) / dt), 0, len(times) - 1).astype(int)
-    x2 = np.minimum(np.maximum(x2, 0.0), history.H[level])
-    order = np.argsort(level, kind="stable")
-    levels, starts = np.unique(level[order], return_index=True)
-    groups = list(zip(levels.tolist(), np.split(order, starts[1:])))
-    return x2, groups
+    return level, np.minimum(np.maximum(x2, 0.0), history.H[level])
 
 
 def pathline_grid_discrepancy(result: RunResult, pathlines) -> float:
     """L-infinity gap between grid-transported and characteristic F_e."""
     if not pathlines:
         return 0.0
-    history = result.history
-    x2, groups = pathline_levels(history, pathlines)
-    F_grid = np.empty((len(x2), 2, 2))
-    for j, idx in groups:
-        F_grid[idx] = _interp_F_e(history.F_e_columns(j), history.grid(j).centers,
-                                  x2[idx])
+    level, x2 = pathline_levels(result.history, pathlines)
+    F_grid = level_F_e(result.history, level, x2)
     F_char = np.concatenate([pl.F_e for pl in pathlines])
     return float(np.max(np.abs(F_grid - F_char), initial=0.0))
 

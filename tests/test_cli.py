@@ -97,6 +97,24 @@ def test_run_rejects_thermal_alpha_without_a_finite_step(tmp_path, capsys, alpha
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", [
+    # mu sets about 2e300 steps: np.empty(n_steps + 1) died with a
+    # ValueError traceback after validation
+    "kind = non_normal\nmu = 1e-300\nn_cells = 16\n",
+    # a finite step count whose buffers could not be allocated
+    "kind = non_normal\ndt = 1e-9\nn_cells = 16\n",
+    "kind = thermal\nn_cells = 100000000\n",
+])
+def test_run_refuses_a_run_beyond_the_cell_step_budget(tmp_path, capsys, text):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: n_steps = ") and "budget" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     # used to die with a UnicodeDecodeError traceback
     cfg = tmp_path / "latin1.cfg"

@@ -22,12 +22,21 @@ from surfgrow.balance import (SideState, advance_domain,
                               growth_traction, jump_residuals, normal_pressure,
                               require_reduced, solve_residuals)
 from surfgrow.constitutive import total_stress
-from surfgrow.grids import Grid1D, StepRecord, interp_columns
+from surfgrow.grids import Grid1D, StepRecord
 from surfgrow.kinematics import reduced_step_1d
 from surfgrow.output import METRIC_FIELDS
 from surfgrow.scenarios import BLOCK_CELLS, KINDS, block_bounds, shear_by_age
 from surfgrow.tensors import det, inverse
 from surfgrow.verify import _residual_rows, verify_scenario
+
+
+def interp_columns(xq, xp, values):
+    """Each trailing component of ``values`` interpolated at ``xq`` by its
+    own ``np.interp`` call, end values held: the reference for a level's
+    fields at a point."""
+    flat = np.asarray(values, dtype=float).reshape(len(values), -1)
+    cols = [np.interp(xq, xp, flat[:, j]) for j in range(flat.shape[1])]
+    return np.stack(cols, axis=1).reshape((len(xq),) + np.shape(values)[1:])
 
 
 def nn_config(**kw):
@@ -62,6 +71,19 @@ def _level_solve(F12, F_e0, dx, params, traction):
     system, residual = solve_residuals(F12, [len(F12)], v_nodes[None], cell_S22(F22),
                                        F22, tau, params, dx)
     return g, v_nodes, float(system[0]), float(residual[0])
+
+
+def test_config_budget_bounds_cells_times_steps():
+    from surfgrow.scenarios import MAX_CELL_STEPS
+    # just within and just beyond: (n_steps + 1) n_cells against the budget
+    n = 64
+    steps = MAX_CELL_STEPS // n - 1
+    ok = nn_config(n_cells=n, dt=1.0 / steps, params=MaterialParams(G=1.0, mu=1.0))
+    assert (ok.resolve_dt()[1] + 1) * n == MAX_CELL_STEPS
+    with pytest.raises(ValidationError, match="budget"):
+        nn_config(n_cells=n, dt=1.0 / (steps + 1), params=MaterialParams(G=1.0, mu=1.0))
+    with pytest.raises(ValidationError, match="budget"):
+        nn_config(n_cells=16, params=MaterialParams(G=1.0, mu=1e-300))
 
 
 def test_config_invariants():
@@ -286,12 +308,18 @@ def test_fixed_grid_march_properties(make, n_cells, t_end, dt):
         np.testing.assert_array_equal(b.F_e[:m], a.F_e + dt * (a.grad_v @ a.F_e))
         np.testing.assert_array_equal(b.F_e[m:],
                                       np.broadcast_to(F_att, b.F_e[m:].shape))
-    # a record's velocities are bitwise those of the solve at its level
+    # a record's velocities are bitwise those of the solve at its level;
+    # an attachment traction M (v_a - v) + t_b takes the level's own top
+    # velocity v = (W (M v_a1 + t_b1) - G dx sum(S12)) / (mu + W M)
     growth = cfg.growth_input()
-    v_surf = 0.0
+    M, G, mu = cfg.mass_rate, cfg.params.G, cfg.params.mu
     for rec in history:
-        tau = growth.t_b if growth.v_a is None else growth_traction(
-            cfg.mass_rate, growth.v_a, np.array([v_surf, 0.0]), growth.t_b)
+        tau = growth.t_b
+        if growth.v_a is not None:
+            W, dx = rec.grid.n_cells * rec.grid.dx, rec.grid.dx
+            S12 = float((rec.F_e12 * rec.F_e0[:, 1, 1].copy()).sum())
+            v_top = (W * (M * growth.v_a[0] + growth.t_b[0]) - G * dx * S12) / (mu + W * M)
+            tau = growth_traction(M, growth.v_a, np.array([v_top, 0.0]), growth.t_b)
         g, v_nodes, system, traction = _level_solve(rec.F_e12, rec.F_e0, rec.grid.dx,
                                                     cfg.params, tau)
         np.testing.assert_array_equal(rec.g, g)
@@ -300,7 +328,6 @@ def test_fixed_grid_march_properties(make, n_cells, t_end, dt):
         # the block pass's residuals are those of the solve on the level alone
         assert rec.metrics["traction_residual"] == traction
         assert rec.metrics["system_residual"] == system
-        v_surf = rec.v_surf
 
 
 def test_fdm_shear_exact_steady_state():
@@ -315,6 +342,47 @@ def test_fdm_shear_exact_steady_state():
     probe = res.probe(0.5)
     assert probe["F_e"][0, 1] == pytest.approx(0.1, abs=1e-14)
     assert probe["v1"] == 0.0
+
+
+def _fdm_oracle_bounds(res, rel=1e-10):
+    """Each fdm_shear oracle error against ``rel`` times its own scale."""
+    cfg = res.config
+    M, G = cfg.mass_rate, cfg.params.G
+    scales = {"linf_F_e12": M * cfg.v0 / G, "linf_v1": cfg.v0,
+              "linf_sigma12": M * cfg.v0, "linf_sigma11": (M * cfg.v0) ** 2 / G}
+    return {key: (float(res.oracle_errors[key].max()), rel * max(1.0, scale))
+            for key, scale in scales.items()}
+
+
+@pytest.mark.parametrize("keys", [
+    # M H / mu 1.49 -> 1.80: the lagged traction grew 1.8x a level, to
+    # linf_v1 = 2.4e12
+    dict(params=MaterialParams(G=0.02941285438222576, mu=0.2760076209734939),
+         v0=2.3837489151317275, h=0.17294271311763118, n_cells=32, t_end=0.5),
+    # M H / mu 1.11 -> 1.22: linf_v1 = 0.035 with a zero exact value
+    dict(params=MaterialParams(G=2.9, mu=0.09)),
+], ids=["growth-1.8", "growth-1.2"])
+def test_fdm_shear_traction_of_the_same_level_keeps_the_steady_state(keys):
+    res = run_fdm_shear(ScenarioConfig(kind="fdm_shear", **keys))
+    for key, (error, _) in _fdm_oracle_bounds(res).items():
+        assert error <= 1e-10, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.floats(0.01, 1.0), v0=st.floats(0.1, 10.0), L=st.floats(0.1, 10.0),
+       feed=st.floats(0.05, 10.0), rate=st.floats(0.1, 100.0))
+@example(h=0.1, v0=1.0, L=1.0, feed=10.0, rate=100.0)
+def test_fdm_shear_steady_state_holds_for_any_feed(h, v0, L, feed, rate):
+    # feed = M H / mu at t_end, up to 10, and rate = G / mu: the march stays
+    # on the exact uniform shear M v0 / G, whatever amplifies a defect in
+    # the top velocity
+    M = h * v0 / L
+    mu = M * (1.0 + M * 0.5) / feed
+    cfg = ScenarioConfig(kind="fdm_shear", params=MaterialParams(G=rate * mu, mu=mu),
+                         h=h, v0=v0, L=L, H0=1.0, n_cells=16, t_end=0.5)
+    assert cfg.mass_rate * cfg.eulerian_grid().height / mu == pytest.approx(feed)
+    for key, (error, bound) in _fdm_oracle_bounds(run_fdm_shear(cfg)).items():
+        assert error <= bound, key
 
 
 @settings(max_examples=100, deadline=None)
