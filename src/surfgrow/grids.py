@@ -1,9 +1,9 @@
 """Grids and the stored levels of a run (``History``, ``StepRecord``).
 
 A growth run marches on one fixed cell-centered grid in ``x2``
-(``Grid1D``) and stores each level's active prefix as columns
-(``History``), laid out as the README's Scenarios section describes.
-``PeriodicStrip`` is the two-dimensional verification grid.
+(``Grid1D``) and stores each level's active prefix as columns read
+through one map (``History``), as the README's Scenarios section
+describes.  ``PeriodicStrip`` is the two-dimensional verification grid.
 """
 
 from __future__ import annotations
@@ -58,12 +58,13 @@ class StepRecord:
     """One stored level, built by ``History`` on first access and kept.
 
     ``step`` is the march step ``k`` of the level, at ``t = k dt``.
-    ``F_e12`` and the shear rate ``g = v1'`` are views of the level's slices
-    of the run's two buffers.  ``F_e0`` (each cell's entry state, from which
-    ``F_e`` differs only in its ``(0, 1)`` entry), ``p`` and ``rho`` are
-    views of the run's read-only per-cell constants.  ``v_nodes``,
-    ``grad_v`` and ``F_e`` are assembled on request; ``F_e`` is built once
-    and then kept, so an edit to it persists.
+    ``F_e12`` and the shear rate ``g`` are the level's values, gathered
+    from the run's sources when the record is built (``History.columns``).
+    ``F_e0`` (each cell's entry state, from which ``F_e`` differs only in
+    its ``(0, 1)`` entry), ``p`` and ``rho`` are views of the run's
+    read-only per-cell constants.  ``v_nodes``, ``grad_v`` and ``F_e`` are
+    assembled on request; ``F_e`` is built once and then kept, so an edit
+    to it persists.
     """
 
     t: float
@@ -109,25 +110,29 @@ class History(Sequence):
     ``StepRecord``.
 
     Per level: ``t``, ``step``, the height ``H``, the active cell count
-    ``m``, the level's first cell ``offset`` in the buffers ``F_e12`` and
-    ``g``, ``v_surf`` and one array per metric in ``metrics``; ``F_e0``,
-    ``p``, ``rho`` and ``dx`` are shared by all levels.  Indexing builds a
-    level's record on first access and keeps it, and a slice is a
-    ``History`` over the same columns and kept records.  ``cells``,
-    ``grid``, ``v_nodes`` and ``F_e_columns`` read a level's columns without
-    building a record; ``centers`` and ``faces`` are the run's grid, of
-    which every level holds a prefix.
+    ``m``, ``start``, ``v_surf`` and one array per metric in ``metrics``.
+    The levels' ``F_e12`` and ``g`` are the two rows of ``source``, read
+    through one map: cell ``j`` of level ``k`` is entry ``start[k] +
+    col[j]``.  An age-marched run keeps its age tables (``start`` the
+    level, ``col`` each cell's entry offset), a level-marched run one
+    buffer of every level's cells (``start`` the level's first cell,
+    ``col`` the cell).  ``source``, ``col``, ``F_e0``, ``p``, ``rho`` and
+    ``dx`` are shared by all levels.  Indexing builds a level's record on
+    first access and keeps it, and a slice is a ``History`` over the same
+    columns and kept records.  ``columns``, ``grid``, ``v_nodes`` and
+    ``F_e_columns`` read a level without building a record; ``centers``
+    and ``faces`` are the run's grid, of which every level holds a prefix.
     """
 
-    LEVEL_COLUMNS = ("t", "step", "H", "m", "offset", "v_surf")
+    LEVEL_COLUMNS = ("t", "step", "H", "m", "start", "v_surf")
 
-    def __init__(self, *, t, step, H, m, offset, v_surf, metrics: dict,
-                 F_e12: np.ndarray, g: np.ndarray, F_e0: np.ndarray, p: np.ndarray,
+    def __init__(self, *, t, step, H, m, start, v_surf, metrics: dict,
+                 source: np.ndarray, col: np.ndarray, F_e0: np.ndarray, p: np.ndarray,
                  rho: np.ndarray, dx: float):
         self.t, self.step, self.H = t, step, H
-        self.m, self.offset, self.v_surf = m, offset, v_surf
+        self.m, self.start, self.v_surf = m, start, v_surf
         self.metrics = metrics
-        self.F_e12, self.g = F_e12, g
+        self.source, self.col = source, col
         self.F_e0, self.p, self.rho, self.dx = F_e0, p, rho, dx
         self._levels = range(len(m))
         self._records: dict[int, StepRecord] = {}
@@ -148,18 +153,19 @@ class History(Sequence):
         rec = self._records.get(level)
         if rec is None:
             mk = int(self.m[k])
-            cells = self.cells(k)
+            F_e12, g = self.columns(k)
             rec = self._records[level] = StepRecord(
                 t=float(self.t[k]), step=int(self.step[k]), grid=self.grid(k),
-                F_e12=self.F_e12[cells], g=self.g[cells], F_e0=self.F_e0[:mk],
-                p=self.p[:mk], rho=self.rho[:mk], v_surf=float(self.v_surf[k]),
+                F_e12=F_e12, g=g, F_e0=self.F_e0[:mk], p=self.p[:mk],
+                rho=self.rho[:mk], v_surf=float(self.v_surf[k]),
                 metrics={name: float(col[k]) for name, col in self.metrics.items()})
         return rec
 
-    def cells(self, k: int) -> slice:
-        """Level ``k``'s slice of the buffers ``F_e12`` and ``g``."""
-        o = int(self.offset[k])
-        return slice(o, o + int(self.m[k]))
+    def columns(self, k: int, rows=slice(None)) -> np.ndarray:
+        """Level ``k``'s ``F_e12`` and ``g`` as the rows of a fresh ``(2, m)``
+        array, gathered through the map; ``rows=0`` or ``1`` gathers one."""
+        index = self.start[k] + self.col[:int(self.m[k])]  # in range: "clip" skips a check
+        return np.take(self.source[rows], index, axis=-1, mode="clip")
 
     def grid(self, k: int) -> Grid1D:
         """Level ``k``'s active prefix of the run's grid."""
@@ -177,42 +183,43 @@ class History(Sequence):
 
     def v_nodes(self, k: int) -> np.ndarray:
         """Level ``k``'s face velocities, as its record computes them."""
-        return np.concatenate([[0.0], (self.dx * self.g[self.cells(k)]).cumsum()])
+        return np.concatenate([[0.0], (self.dx * self.columns(k, 1)).cumsum()])
 
     def F_e_columns(self, k: int) -> tuple[np.ndarray, ...]:
         """Level ``k``'s ``(F_e11, F_e12, F_e21, F_e22)`` as ``(m,)`` arrays."""
         F_e0 = self.F_e0[:int(self.m[k])]
-        return F_e0[:, 0, 0], self.F_e12[self.cells(k)], F_e0[:, 1, 0], F_e0[:, 1, 1]
+        return F_e0[:, 0, 0], self.columns(k, 0), F_e0[:, 1, 0], F_e0[:, 1, 1]
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays the levels hold: each level's cells of the two
-        buffers, plus the shared ``F_e0``, ``p`` and ``rho`` once."""
-        owned = int(self.m.sum()) * (self.F_e12.itemsize + self.g.itemsize)
-        return owned + sum(a.nbytes for a in (self.F_e0, self.p, self.rho))
+        """Bytes of the arrays the history holds: the sources of ``F_e12``
+        and ``g``, the map (``start``, ``col``) and the shared ``F_e0``,
+        ``p`` and ``rho``, each once."""
+        return sum(a.nbytes for a in (self.source, self.start, self.col, self.F_e0,
+                                      self.p, self.rho))
 
 
-def interp_prefix(x: np.ndarray, xp: np.ndarray, n, fp: np.ndarray,
-                  offset) -> np.ndarray:
-    """``np.interp(x[i], xp[:n[i]], fp[offset[i]:offset[i] + n[i]])`` for
-    every point ``i`` at once, by gathers, bitwise for finite ``fp``.
+def interp_prefix(x: np.ndarray, xp: np.ndarray, n, fp: np.ndarray, start,
+                  col: np.ndarray) -> np.ndarray:
+    """``np.interp(x[i], xp[:n[i]], fp[start[i] + col[:n[i]]])`` for every
+    point ``i`` at once, by gathers, bitwise for finite ``fp``.
 
     Each point interpolates on a prefix of the one increasing node array
-    ``xp``, with its own values in ``fp``.  The arithmetic is
-    ``np.interp``'s: the bracket ``k`` with ``xp[k] <= x < xp[k + 1]``,
-    then ``slope * (x - xp[k]) + fp[k]`` with ``slope = (fp[k + 1] -
-    fp[k]) / (xp[k + 1] - xp[k])``; ``fp[k]`` when ``x == xp[k]``, and the
-    end values at or beyond the ends.  A NaN ``x`` gives NaN.
+    ``xp``, with its own values, node ``k``'s at ``fp[start[i] +
+    col[k]]``.  The arithmetic is ``np.interp``'s: the bracket ``k`` with
+    ``xp[k] <= x < xp[k + 1]``, then ``slope * (x - xp[k]) + f0`` with
+    ``slope = (f1 - f0) / (xp[k + 1] - xp[k])`` for the node values
+    ``f0``, ``f1``; ``f0`` when ``x == xp[k]``, and the end values at or
+    beyond the ends.  A NaN ``x`` gives NaN.
     """
     x = np.asarray(x, dtype=float)
     k = np.minimum(np.searchsorted(xp, x, side="right") - 1, n - 1)
-    first = offset + np.maximum(k, 0)
-    out = fp[first]
+    out = fp[start + col[np.maximum(k, 0)]]
     inner = (k >= 0) & (k < n - 1)
     inner[inner] = x[inner] != xp[k[inner]]
-    k, first, xi = k[inner], first[inner], x[inner]
-    x0, f0 = xp[k], fp[first]
-    out[inner] = (fp[first + 1] - f0) / (xp[k + 1] - x0) * (xi - x0) + f0
+    k, xi, f0 = k[inner], x[inner], out[inner]
+    x0 = xp[k]
+    out[inner] = (fp[start[inner] + col[k + 1]] - f0) / (xp[k + 1] - x0) * (xi - x0) + f0
     np.copyto(out, x, where=np.isnan(x))
     return out
 

@@ -121,12 +121,14 @@ class ReconstructedFrame:
 
 
 def replay_columns(history: History, t0: float | None = None,
-                   ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...], int]]:
+                   ) -> Iterator[tuple[np.ndarray, tuple, tuple, int]]:
     """Replay a stored run level by level, by components: yield
-    ``(f12, F_relax, j)`` for the levels ``j`` of ``history`` from ``t0`` on
-    (default: the earliest stored time), with ``F = I + f12 e1 (x) e2`` and
-    ``F_relax`` the tuple of its components ``(11, 12, 21, 22)`` as ``(n,)``
-    arrays.  The history's columns are read; no record is built.
+    ``(f12, F_relax, F_e, j)`` for the levels ``j`` of ``history`` from
+    ``t0`` on (default: the earliest stored time), with ``F = I + f12 e1
+    (x) e2`` and ``F_relax`` and the level's ``F_e`` the tuples of their
+    components ``(11, 12, 21, 22)`` as ``(n,)`` arrays.  Each level's
+    ``F_e12`` and ``g`` are gathered once (``History.columns``); no record
+    is built.
 
     The configuration at ``t0`` is declared the reference, so ``F = I``
     there; F is then advanced by replaying the stored shear rates ``g``
@@ -146,16 +148,19 @@ def replay_columns(history: History, t0: float | None = None,
             raise ValidationError(f"t0 = {t0:g} is not a stored time level")
     f12 = np.zeros(int(history.m[i0]))
     for j in range(i0, len(history)):
+        # one gather of the level's F_e12 and g; g steps the next level
+        b, g_next = history.columns(j)
         if j > i0:
-            f12 = reduced_step_1d(f12, history.g[history.cells(j - 1)], 1.0,
-                                  times[j] - times[j - 1], int(history.m[j]), 0.0)
-        a, b, c, d = history.F_e_columns(j)
+            f12 = reduced_step_1d(f12, g, 1.0, times[j] - times[j - 1], len(b), 0.0)
+        g = g_next
+        F_e0 = history.F_e0[:len(b)]
+        a, c, d = F_e0[:, 0, 0], F_e0[:, 1, 0], F_e0[:, 1, 1]
         det = a * d - b * c
         if np.any(np.abs(det) <= EPS_DET):
             raise SingularTensor(f"|det| <= {EPS_DET:g} in tensor inversion")
         # F_e^{-1} = [[d, -b], [-c, a]] / det, times [[1, f12], [0, 1]]
         i11, i12, i21, i22 = d / det, -b / det, -c / det, a / det
-        yield f12, (i11, i11 * f12 + i12, i21, i21 * f12 + i22), j
+        yield f12, (i11, i11 * f12 + i12, i21, i21 * f12 + i22), (a, b, c, d), j
 
 
 def reconstruct_reference(history: History,
@@ -169,7 +174,7 @@ def reconstruct_reference(history: History,
     deformation.
     """
     frames = []
-    for f12, F_relax, j in replay_columns(history, t0=t0):
+    for f12, F_relax, _, j in replay_columns(history, t0=t0):
         F = identity((len(f12),))
         F[:, 0, 1] = f12
         frames.append(ReconstructedFrame(

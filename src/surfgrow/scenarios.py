@@ -1,10 +1,10 @@
 """End-to-end growth scenarios, their oracles, and convergence studies.
 
 The three kinds (``non_normal``, ``fdm_shear``, ``thermal``) and the march
-they share, ``_run_1d`` (the schedule known up front, two run-wide buffers
-of ``F_e12`` and ``g``, filled by age or by a step kernel of a few ufunc
-calls, and a block pass for the residual checks, metrics and oracle), are
-described in the README's Scenarios section.
+they share, ``_run_1d`` (the schedule known up front, ``F_e12`` and ``g``
+from age tables or from a step kernel of a few ufunc calls, and a block
+pass for the residual checks, metrics and oracle), are described in the
+README's Scenarios section.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ ANSATZ_RESIDUAL_LIMIT = 1e-6
 # within it (see ``block_bounds``).
 BLOCK_CELLS = 2 ** 15
 # The largest (n_steps + 1) * n_cells a configuration may ask for: it bounds
-# the cells a run stores (16 bytes each in the two buffers, 4 GiB here) and
-# the length of its schedule.
+# the cells a level-marched run stores (16 bytes each in its buffer, 4 GiB
+# here) and the length of its schedule.
 MAX_CELL_STEPS = 2 ** 28
 # The metric columns of a run, in the order of a metrics.jsonl header.
 METRIC_FIELDS = ("t", "H", "mass_residual", "momentum_residual",
@@ -233,14 +233,20 @@ class RunResult:
         return float(np.max(self.history.metrics[name]))
 
     def probe(self, x2: float) -> dict:
-        """Interpolated final field values at one height (clamped to the
-        body)."""
+        """Interpolated final field values at one finite height (clamped to
+        the body)."""
+        _require_finite_height(x2, "x2")
         history = self.history
         level = np.array([len(history) - 1])
         xq = np.array([min(max(x2, 0.0), float(history.H[-1]))])
         return {"F_e": level_F_e(history, level, xq)[0],
                 "p": float(level_interp(history, level, xq, history.p)[0]),
                 "v1": float(level_v1(history, level, xq)[0])}
+
+
+def _require_finite_height(x2: float, name: str) -> None:
+    if not math.isfinite(x2):
+        raise ValidationError(f"{name} must be a finite height, got {x2}")
 
 
 def analytic_non_normal(x2, t, alpha: float, G: float, mu: float, V_G: float):
@@ -296,9 +302,10 @@ def block_bounds(counts: np.ndarray, cells: int) -> list[tuple[int, int]]:
 @dataclass(eq=False, repr=False)  # never compared or printed; cheaper to import
 class _Block:
     """Consecutive stored levels, as the block pass reads them.  Their cells
-    lie one level after another in the run's two buffers, so ``F12`` and
-    ``g`` are views of one slice of each; the rest is the march's running
-    sums, the run's per-cell constants and the levels' columns."""
+    lie one level after another in ``F12`` and ``g``: views of one slice of
+    a level-marched run's buffer, or of the march's block scratch, which an
+    age-marched run gathers from its tables; the rest is the march's
+    running sums, the run's per-cell constants and the levels' columns."""
 
     t: np.ndarray          # (B,) times of the levels
     counts: np.ndarray     # (B,) active cells, nondecreasing
@@ -420,10 +427,10 @@ def _march_by_age(tables: tuple[np.ndarray, ...], base: np.ndarray,
 
     Cell ``j`` of level ``i`` reads entry ``i + base[j]`` of each table;
     ``levels`` are the block's levels, ``active`` its ``(B, m_last)`` mask
-    of active cells, ``F12`` and ``g`` its slices of the run's buffers and
-    ``v_nodes`` its ``(B, m_last + 1)`` rows of face velocities.  An
-    inactive cell reads a zero rate, so each row is the running sum of
-    ``dx g`` from 0 followed by its top value repeated."""
+    of active cells, ``F12`` and ``g`` the block scratch for its cells, one
+    level after another, and ``v_nodes`` its ``(B, m_last + 1)`` rows of
+    face velocities.  An inactive cell reads a zero rate, so each row is
+    the running sum of ``dx g`` from 0 followed by its top value repeated."""
     F12_table, g_table, dxg_table = tables
     index = levels[:, None] + base[:active.shape[1]]
     v_nodes[:, 0] = 0.0
@@ -451,9 +458,9 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
     # The schedule.  Step k solves at t = k dt on the cells whose centers
     # H(t_k) has reached and advances to (k + 1) dt; the closing solve at
     # t_end is step n_steps.  Levels with no active cell are not stored:
-    # the stored levels are the steps from `first` on, level i holds the
-    # slice [offsets[i], offsets[i] + m[i]) of the two buffers, and the
-    # block pass runs on each of `blocks`.
+    # the stored levels are the steps from `first` on, level i's cells are
+    # [offsets[i], offsets[i] + m[i]) of all levels' cells laid one after
+    # another, and the block pass runs on each of `blocks`.
     H = np.empty(n_steps + 1)
     H[0] = config.height0
     H[1:] = advance_domain(config.height0, config.boundary_rate, dt,
@@ -483,11 +490,6 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
     F22 = F_e0[:, 1, 1].copy()
     S22 = cell_S22(F22)
 
-    # The two run-wide buffers; a level's F_e12 and g are its slices.  The
-    # first stored level's cells all hold their entry value.
-    F12_all = np.empty(int(offsets[-1] + m[-1]))
-    g_all = np.empty(len(F12_all))
-    F12_all[:m[0]] = F_e0[:m[0], 0, 1]
     # The per-level columns of the result, and the applied tractions.
     t_levels = np.arange(first, first + levels) * dt
     v_surf = np.empty(levels)
@@ -514,50 +516,61 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
         for name, values in (("det_drift", F_e0[:, 0, 0] * F_e0[:, 1, 1] - 1.0),
                              ("max_p_dev", p - params.G)):
             metrics[name] = np.maximum.accumulate(np.abs(values))[m - 1]
+        start = time.perf_counter()
         if by_age:
-            # The age tables: one per entry state that has cells, each
-            # `levels` zeros for the negative ages of cells not yet active,
-            # then ages 0 .. levels-1.  Cell j of level i reads entry
-            # i + base[j].
-            start = time.perf_counter()
+            # The age tables, the rows of `source`: per entry state that has
+            # cells, `levels` zeros for the negative ages of cells not yet
+            # active, then ages 0 .. levels-1.  Cell j of level i reads entry
+            # i + col[j]; each block gathers its cells into `scratch`.
             tau[:] = growth.t_b
-            F12_table = np.zeros((len(entries), 2, levels))
-            g_table = np.zeros_like(F12_table)
+            tables = np.zeros((2, len(entries), 2, levels))
             for c, (F, _) in enumerate(entries):
-                F12_table[c, 1], g_table[c, 1] = shear_by_age(
+                tables[:, c, 1] = shear_by_age(
                     float(F[0, 1]), float(F[1, 1]), float(tau[0, 0]), params, dt, levels)
-            tables = tuple(a.ravel() for a in (F12_table, g_table, dx * g_table))
+            source = tables.reshape(2, -1)
+            age_tables = (source[0], source[1], dx * source[1])
             state = np.repeat(np.arange(len(entries)), [cells for _, cells in entries])
-            base = (2 * state + 1) * levels - np.searchsorted(m, grid_cells, side="right")
-            timings["march_s"] += time.perf_counter() - start
+            col = (2 * state + 1) * levels - np.searchsorted(m, grid_cells, side="right")
+            level_start = np.arange(levels)
+            scratch = np.empty((2, max(int(offsets[i0 + B - 1] + m[i0 + B - 1]
+                                           - offsets[i0]) for i0, B in blocks)))
+        else:
+            # One buffer of every level's cells, level i from offsets[i];
+            # the first stored level's cells all hold their entry value.
+            source = np.empty((2, int(offsets[-1] + m[-1])))
+            source[0, :m[0]] = F_e0[:m[0], 0, 1]
+            col, level_start = grid_cells, offsets
+        timings["march_s"] += time.perf_counter() - start
         for i0, B in blocks:
             start = time.perf_counter()
             width = int(m[i0 + B - 1]) + 1
             v_nodes = v_flat[:B * width].reshape(B, width)
             active = grid_cells[:width - 1] < m[i0:i0 + B, None]
+            lo, hi = int(offsets[i0]), int(offsets[i0 + B - 1] + m[i0 + B - 1])
             # a non-finite shear or shear rate anywhere reaches the top face,
             # so the first level whose v_surf is not finite has failed
             failed = None
             if by_age:
-                lo, hi = int(offsets[i0]), int(offsets[i0 + B - 1] + m[i0 + B - 1])
-                _march_by_age(tables, base, np.arange(i0, i0 + B), active,
-                              F12_all[lo:hi], g_all[lo:hi], v_nodes)
+                F12_block, g_block = scratch[:, :hi - lo]
+                _march_by_age(age_tables, col, np.arange(i0, i0 + B), active,
+                              F12_block, g_block, v_nodes)
                 v_surf[i0:i0 + B] = v_nodes[np.arange(B), m[i0:i0 + B]]
                 bad = np.flatnonzero(~np.isfinite(v_surf[i0:i0 + B]))
                 if len(bad):
                     failed = int(bad[0])
                     k = first + i0 + failed
                     t = k * dt
-                    o = int(offsets[i0 + failed])
-                    F12 = F12_all[o:o + int(m[i0 + failed])]
+                    o = int(offsets[i0 + failed]) - lo
+                    F12 = F12_block[o:o + int(m[i0 + failed])]
             else:
+                F12_block, g_block = source[:, lo:hi]
                 v_nodes.fill(0.0)
                 for b, (mi, o) in enumerate(zip(m[i0:i0 + B].tolist(),
                                                 offsets[i0:i0 + B].tolist())):
                     i = i0 + b
                     k = first + i
                     t = k * dt
-                    F12, g = F12_all[o:o + mi], g_all[o:o + mi]
+                    F12, g = source[:, o:o + mi]
                     # the top velocity v = sum(dx g) and the attachment
                     # traction M (v_a - v) + t_b it sets, solved together:
                     # with W = m dx, v = (W (M v_a1 + t_b1) - G dx sum(S12))
@@ -577,7 +590,7 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
                     if i + 1 < levels:
                         m_next = int(m[i + 1])
                         reduced_step_1d(F12, g, F22[:mi], dt, m_next, F_att[0, 1],
-                                        out=F12_all[o + mi:o + mi + m_next])
+                                        out=source[0, o + mi:o + mi + m_next])
             marched = time.perf_counter()
             # The block pass: what does not feed the next step (the solve's
             # residuals, the jump metrics and the oracle), on the levels
@@ -585,11 +598,11 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
             # offending step.
             if failed != 0:
                 rows = slice(i0, i0 + (B if failed is None else failed))
-                counts, bounds = m[rows], offsets[rows]
-                lo, hi = int(bounds[0]), int(bounds[-1] + counts[-1])
+                counts, bounds = m[rows], offsets[rows] - lo
+                cells = int(bounds[-1] + counts[-1])
                 v_block = v_nodes[:len(counts), :int(counts[-1]) + 1]
                 system, traction_residual = solve_residuals(
-                    F12_all[lo:hi], counts, v_block, S22, F22, tau[rows], params, dx)
+                    F12_block[:cells], counts, v_block, S22, F22, tau[rows], params, dx)
                 residual = np.maximum(traction_residual, system)
                 bad = np.flatnonzero(residual > ANSATZ_RESIDUAL_LIMIT)
                 if len(bad):
@@ -601,11 +614,11 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
                 metrics["traction_residual"][rows] = traction_residual
                 metrics["system_residual"][rows] = system
                 active = active[:len(counts), :int(counts[-1])]
-                blk = _Block(t=t_levels[rows], counts=counts, starts=bounds - lo,
+                blk = _Block(t=t_levels[rows], counts=counts, starts=bounds,
                              active=active,
                              cols=np.broadcast_to(grid_cells[:active.shape[1]],
                                                   active.shape)[active],
-                             F12=F12_all[lo:hi], g=g_all[lo:hi], v_nodes=v_block,
+                             F12=F12_block[:cells], g=g_block[:cells], v_nodes=v_block,
                              v_surf=v_surf[rows], F_e0=F_e0, p=p, rho=rho,
                              centers=centers)
                 for name, values in _level_metrics(config, growth, blk).items():
@@ -623,8 +636,8 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
     history = History(t=t_levels, step=np.arange(first, first + levels), H=H, m=m,
-                      offset=offsets, v_surf=v_surf, metrics=metrics, F_e12=F12_all,
-                      g=g_all, F_e0=F_e0, p=p, rho=rho, dx=dx)
+                      start=level_start, v_surf=v_surf, metrics=metrics, source=source,
+                      col=col, F_e0=F_e0, p=p, rho=rho, dx=dx)
     return RunResult(config=config, history=history, oracle_errors=oracle_errors,
                      timings=timings)
 
@@ -668,6 +681,7 @@ def run_mu_sweep(config: ScenarioConfig, probe_x2: float = 0.25,
     """
     if config.kind != "non_normal":
         raise ValidationError("the viscosity sweep applies to the non_normal kind")
+    _require_finite_height(probe_x2, "probe_x2")
     if mu_values is None:
         scale = config.params.G * config.t_end
         mu_values = [c * scale for c in (1.0, 0.3, 0.1, 0.03, 0.01)]
@@ -695,9 +709,10 @@ def convergence_runs(config: ScenarioConfig, resolutions):
     """
     if config.kind == "thermal":
         raise NoOracle("the thermal scenario has no closed-form oracle")
+    # every resolution is validated before the first is marched
+    configs = [replace(config, n_cells=int(n), dt=None) for n in resolutions]
     previous = None
-    for n in resolutions:
-        cfg = replace(config, n_cells=int(n), dt=None)
+    for cfg in configs:
         dt, _ = cfg.resolve_dt()
         res = run_scenario(cfg)
         errors = res.oracle_errors
@@ -710,7 +725,7 @@ def convergence_runs(config: ScenarioConfig, resolutions):
         order = None
         if previous is not None and previous.linf > 0 and linf > 0:
             order = math.log2(previous.linf / linf)
-        previous = ConvergenceRow(n_cells=int(n), dt=dt, linf=linf, l2=l2, order=order)
+        previous = ConvergenceRow(n_cells=cfg.n_cells, dt=dt, linf=linf, l2=l2, order=order)
         yield previous, res
 
 
@@ -738,12 +753,12 @@ def level_F_e(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray
     """``F_e`` at the heights ``x2`` of the stored levels ``level``, as
     ``(len(x2), 2, 2)``: each component ``np.interp``-ed over its level's
     cell centers, bitwise, with no level's ``F_e`` built.  ``F_e12`` is
-    gathered from the level's slice of its buffer (``interp_prefix``)."""
+    gathered through the history's map (``interp_prefix``)."""
     F = np.empty((len(x2), 2, 2))
     for i, j in ((0, 0), (1, 0), (1, 1)):
         F[:, i, j] = level_interp(history, level, x2, history.F_e0[:, i, j])
-    F[:, 0, 1] = interp_prefix(x2, history.centers, history.m[level], history.F_e12,
-                               history.offset[level])
+    F[:, 0, 1] = interp_prefix(x2, history.centers, history.m[level], history.source[0],
+                               history.start[level], history.col)
     return F
 
 
@@ -757,7 +772,7 @@ def level_v1(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
     and only for blocks that hold a sample; no scratch exceeds a block's
     ``BLOCK_CELLS`` cells.
     """
-    m, offset = history.m, history.offset
+    m, start, col = history.m, history.start, history.col
     faces = history.faces
     v1 = np.empty(len(x2))
     order = np.argsort(level, kind="stable")
@@ -770,18 +785,21 @@ def level_v1(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
         if a == b:
             continue
         width = int(m[i0 + B - 1]) + 1
-        lo, hi = int(offset[i0]), int(offset[i0 + B - 1]) + width - 1
         # row r: 0, then the running sums of dx g over level i0 + r's cells
         # (its face velocities), then its top one repeated
-        v_nodes = np.zeros((B, width))
+        v_nodes = np.empty((B, width))
+        v_nodes[:, 0] = 0.0
         rates = v_nodes[:, 1:]
-        rates[np.arange(width - 1) < m[i0:i0 + B, None]] = history.g[lo:hi]
+        # "clip": every index is in range by construction
+        np.take(history.source[1], start[i0:i0 + B, None] + col[:width - 1], out=rates,
+                mode="clip")
+        np.copyto(rates, 0.0, where=np.arange(width - 1) >= m[i0:i0 + B, None])
         rates *= history.dx
         np.cumsum(rates, axis=1, out=rates)
         idx = order[a:b]
         rows = level[idx]
         v1[idx] = interp_prefix(x2[idx], faces, m[rows] + 1, v_nodes.ravel(),
-                                (rows - i0) * width)
+                                (rows - i0) * width, np.arange(width))
     return v1
 
 
@@ -821,8 +839,8 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
         raise OutOfDomain(f"characteristic left the body at t = "
                           f"{times[level[left].min() + 1]:g}")
     F0 = level_F_e(history, j0, x2)
-    g = interp_prefix(z, history.centers, history.m[level], history.g,
-                      history.offset[level])
+    g = interp_prefix(z, history.centers, history.m[level], history.source[1],
+                      history.start[level], history.col)
     dF12 = h[seed] * (g * F0[seed, 1, 1])
     dx1 = h[seed] * level_v1(history, level, z)
     pathlines = []
@@ -874,8 +892,7 @@ def reconstruction_roundtrip_error(result: RunResult, t0: float | None = None) -
     """
     worst = 0.0
     history = result.history
-    for f12, (r11, r12, r21, r22), j in replay_columns(history, t0=t0):
-        a, b, c, d = history.F_e_columns(j)
+    for f12, (r11, r12, r21, r22), (a, b, c, d), _ in replay_columns(history, t0=t0):
         # F_e F_relax entry by entry, against F = [[1, f12], [0, 1]]
         defect = max(float(np.max(np.abs(a * r11 + b * r21 - 1.0))),
                      float(np.max(np.abs(a * r12 + b * r22 - f12))),

@@ -90,9 +90,9 @@ def _tiny_config(n_cells=16):
 def test_write_fields_single_snapshot_row_count(tmp_path):
     # one level of 4 cells
     history = History(t=np.zeros(1), step=np.zeros(1, dtype=int), H=np.ones(1),
-                      m=np.array([4]), offset=np.zeros(1, dtype=int), v_surf=np.zeros(1),
+                      m=np.array([4]), start=np.zeros(1, dtype=int), v_surf=np.zeros(1),
                       metrics={k: np.zeros(1) for k in METRIC_FIELDS},
-                      F_e12=np.zeros(4), g=np.zeros(4), F_e0=identity((4,)),
+                      source=np.zeros((2, 4)), col=np.arange(4), F_e0=identity((4,)),
                       p=np.ones(4), rho=np.ones(4), dx=0.25)
     result = RunResult(config=_tiny_config(), history=history)
     manifest = write_fields(result, tmp_path / "out")
@@ -212,10 +212,11 @@ def _odd_values_result(metrics=None):
     rows = metrics or [{name: 0.0 for name in METRIC_FIELDS}] * 3
     history = History(
         t=0.5 * np.arange(3), step=np.arange(3), H=np.array([0.5, 0.75, 1.0]), m=m,
-        offset=np.cumsum(m) - m, v_surf=np.array([np.sum(dx * gk) for gk in g]),
+        start=np.cumsum(m) - m, v_surf=np.array([np.sum(dx * gk) for gk in g]),
         metrics={name: np.array([row[name] for row in rows]) for name in rows[0]},
-        F_e12=np.concatenate([np.roll(odd, 2 * k)[:mk] for k, mk in enumerate(m)]),
-        g=np.concatenate(g), F_e0=odd.reshape(2, 2, 2).repeat(2, 0), p=odd[3:7].copy(),
+        source=np.stack([np.concatenate([np.roll(odd, 2 * k)[:mk]
+                                         for k, mk in enumerate(m)]), np.concatenate(g)]),
+        col=np.arange(4), F_e0=odd.reshape(2, 2, 2).repeat(2, 0), p=odd[3:7].copy(),
         rho=np.full(4, 1.0 / 3.0), dx=dx)
     pathlines = [
         PathlineRecord(t=[-0.0, 1.0 / 3.0, 0.9, 1.4],
@@ -348,10 +349,13 @@ def test_manifest_size_counters(tmp_path, kind):
     write_fields(res, tmp_path / "out")
     parsed = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert parsed["grid"]["cell_steps"] == sum(len(rec.g) for rec in res.history)
-    # each record's F_e12 and g (8 bytes a cell each, its slices of the
-    # run's two buffers); the run shares one (n, 2, 2) F_e0, one p and one
-    # rho over the fixed grid
-    n = cfg.n_cells
-    owned = sum(16 * rec.grid.n_cells for rec in res.history)
-    assert parsed["history_bytes"] == owned + 8 * (4 * n + n + n)
+    # the sources of F_e12 and g: fdm_shear's every level's cells, an
+    # age-marched run's tables, `levels` zeros then `levels` ages for each
+    # entry state (thermal's initial body and deposit, non_normal's
+    # deposit); the map, one start per level and one col per cell; and one
+    # (n, 2, 2) F_e0, one p and one rho over the fixed grid, 8 bytes a float
+    n, levels = cfg.n_cells, len(res.history)
+    cells = {"fdm_shear": parsed["grid"]["cell_steps"], "non_normal": 2 * levels,
+             "thermal": 2 * 2 * levels}[kind]
+    assert parsed["history_bytes"] == 8 * (2 * cells + levels + n + 4 * n + n + n)
     assert all("F_e" not in vars(rec) for rec in res.history)

@@ -148,11 +148,12 @@ def test_pathline_record_validates_times():
 def _static_history(n=8, steps=5, F_e12=0.25, F_e0=None):
     # `steps` levels of the same n cells, at rest
     F_e0 = identity((n,)) if F_e0 is None else F_e0
+    # every level reads the same n cells of one source
     return History(t=0.1 * np.arange(steps), step=np.arange(steps), H=np.ones(steps),
-                   m=np.full(steps, n), offset=n * np.arange(steps),
-                   v_surf=np.zeros(steps), metrics={}, F_e12=np.full(n * steps, F_e12),
-                   g=np.zeros(n * steps), F_e0=F_e0, p=np.ones(n), rho=np.ones(n),
-                   dx=1.0 / n)
+                   m=np.full(steps, n), start=np.zeros(steps, dtype=int),
+                   v_surf=np.zeros(steps), metrics={},
+                   source=np.stack([np.full(n, F_e12), np.zeros(n)]), col=np.arange(n),
+                   F_e0=F_e0, p=np.ones(n), rho=np.ones(n), dx=1.0 / n)
 
 
 def test_reconstruct_static_body():

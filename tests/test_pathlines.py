@@ -1,8 +1,8 @@
 """The stored-run pathline passes against per-level reference loops.
 
 ``trace_history_pathlines``, ``pathline_grid_discrepancy`` and the
-``pathlines.csv`` writer gather every sample's values from the run's
-buffers.  The references below are the per-level loops they replace (one
+``pathlines.csv`` writer gather every sample's values through the run's
+map (``History.source``, ``start``, ``col``).  The references below are the per-level loops they replace (one
 ``np.interp`` call per level and component, one array RK2 step per level),
 and every comparison is bitwise.
 """
@@ -50,7 +50,7 @@ def reference_trace(result, count=20):
         on = slice(0, int(np.searchsorted(j0, j, side="right")))
         z = x2[on]
         grid = history.grid(j)
-        g_j = history.g[history.cells(j)]
+        g_j = history.columns(j, 1)
         g = np.interp(z, np.concatenate([[0.0], grid.centers, [grid.height]]),
                       np.concatenate([g_j[:1], g_j, g_j[-1:]]))
         L = np.zeros((len(z), 2, 2))
@@ -265,16 +265,25 @@ def test_trace_and_gap_scratch_is_sized_by_blocks():
 @st.composite
 def _prefix_problem(draw):
     """Increasing nodes, each point's prefix of them and its own values,
-    and points below the first node, on nodes, between nodes, on its last
-    node and beyond it."""
+    node ``k``'s at ``fp[start + col[k]]`` through the identity map (each
+    point's values one block of ``fp``) or another (repeats allowed), and
+    points below the first node, on nodes, between nodes, on its last node
+    and beyond it."""
     size = draw(st.integers(1, 8))
     gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=size, max_size=size))
     xp = draw(st.floats(-10.0, 10.0)) + np.cumsum(gaps)
     points = draw(st.integers(1, 12))
     values = st.floats(-1e6, 1e6, allow_subnormal=True)
     n = np.array(draw(st.lists(st.integers(1, size), min_size=points, max_size=points)))
-    fp = np.array(draw(st.lists(values, min_size=int(n.sum()), max_size=int(n.sum()))))
-    offset = np.cumsum(n) - n
+    if draw(st.booleans()):
+        start, col, length = np.cumsum(n) - n, np.arange(size), int(n.sum())
+    else:
+        col = np.array(draw(st.lists(st.integers(0, 2 * size), min_size=size,
+                                     max_size=size)))
+        start = np.array(draw(st.lists(st.integers(0, 8), min_size=points,
+                                       max_size=points)))
+        length = 9 + 2 * size
+    fp = np.array(draw(st.lists(values, min_size=length, max_size=length)))
     x = []
     for ni in n.tolist():
         k = draw(st.integers(0, ni - 1))
@@ -287,25 +296,27 @@ def _prefix_problem(draw):
             xp[ni - 1],                               # on its last node
             xp[ni - 1] + draw(st.floats(1e-6, 5.0)),  # beyond it
         ])))
-    return np.array(x), xp, n, fp, offset
+    return np.array(x), xp, n, fp, start, col
 
 
 @settings(max_examples=300, deadline=None)
 @given(_prefix_problem())
 @example((np.array([0.3]), np.array([0.5]), np.array([1]), np.array([-2.0]),
-          np.array([0])))
+          np.array([0]), np.array([0])))
+@example((np.array([0.25, 1.5, 2.0]), np.array([0.0, 1.0, 2.0]), np.array([3, 2, 3]),
+          np.arange(10.0) ** 2, np.array([0, 4, 1]), np.array([5, 0, 3])))
 def test_interp_prefix_is_np_interp(problem):
-    x, xp, n, fp, offset = problem
-    got = interp_prefix(x, xp, n, fp, offset)
-    expected = [np.interp(xi, xp[:ni], fp[oi:oi + ni])
-                for xi, ni, oi in zip(x, n.tolist(), offset.tolist())]
+    x, xp, n, fp, start, col = problem
+    got = interp_prefix(x, xp, n, fp, start, col)
+    expected = [np.interp(xi, xp[:ni], fp[si + col[:ni]])
+                for xi, ni, si in zip(x, n.tolist(), start.tolist())]
     assert np.array_equal(_bits(got), _bits(expected))
 
 
 def test_interp_prefix_passes_nan_heights_through():
     xp = np.array([0.0, 1.0, 2.0])
     got = interp_prefix(np.array([np.nan, 0.5]), xp, np.array([3, 2]),
-                        np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0, 3]))
+                        np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0, 3]), np.arange(3))
     assert np.isnan(got[0]) and got[1] == np.interp(0.5, xp[:2], [4.0, 5.0])
 
 

@@ -402,7 +402,7 @@ def test_fdm_shear_initial_body_enters_in_the_attachment_state(G, rho, h, v0, L)
     m0 = int(history.m[0])
     assert history.step[0] == 0 and m0 >= 1
     assert _bits(history.F_e0[:m0]) == _bits(np.broadcast_to(former, (m0, 2, 2)))
-    assert _bits(history.F_e12[:m0]) == _bits(np.full(m0, former[0, 1]))
+    assert _bits(history.columns(0, 0)) == _bits(np.full(m0, former[0, 1]))
 
 
 def test_fdm_shear_zero_feed_is_static():
@@ -622,6 +622,41 @@ def test_convergence_study_single_row_has_no_order():
 def test_convergence_study_thermal_has_no_oracle():
     with pytest.raises(NoOracle):
         convergence_study(thermal_config(), [32, 64])
+
+
+def _counting_marches(monkeypatch):
+    """Count the configurations ``_run_1d`` marches."""
+    march, marched = surfgrow.scenarios._run_1d, []
+
+    def counting_march(config, *args, **kwargs):
+        marched.append(config)
+        return march(config, *args, **kwargs)
+
+    monkeypatch.setattr(surfgrow.scenarios, "_run_1d", counting_march)
+    return marched
+
+
+def test_convergence_refuses_a_bad_ladder_before_marching(monkeypatch):
+    # n = 12,800 takes 51,200 default steps, beyond the cell-step budget;
+    # the six resolutions below it used to be marched first
+    marched = _counting_marches(monkeypatch)
+    ladder = [200 * 2 ** i for i in range(7)]
+    with pytest.raises(ValidationError, match="n_cells = 12800 exceeds the budget"):
+        convergence_study(nn_config(n_cells=200), ladder)
+    assert marched == []
+    rows = convergence_study(nn_config(t_end=0.25), [16, 32])
+    assert [row.n_cells for row in rows] == [16, 32] and len(marched) == 2
+
+
+@pytest.mark.parametrize("x2", [math.nan, math.inf, -math.inf])
+def test_probe_refuses_a_non_finite_height(monkeypatch, x2):
+    result = run_non_normal(nn_config(n_cells=16, t_end=0.25))
+    with pytest.raises(ValidationError, match=f"^x2 must be a finite height, got {x2}$"):
+        result.probe(x2)
+    marched = _counting_marches(monkeypatch)
+    with pytest.raises(ValidationError, match=f"^probe_x2 must be a finite height, got {x2}$"):
+        run_mu_sweep(nn_config(n_cells=16, t_end=0.25), probe_x2=x2)
+    assert marched == []
 
 
 def test_mu_sweep_defaults():
@@ -948,9 +983,9 @@ def test_age_march_is_bitwise_a_per_level_march(monkeypatch, cfg):
     reference = _per_level_records(cfg)
     assert len(history) == len(reference)
     assert len({rec.step for rec in reference}) == len(reference) > 7
-    for name in ("F_e12", "g"):
-        assert _bits(getattr(history, name)) == \
-            _bits(np.concatenate([getattr(rec, name) for rec in reference])), name
+    for row, name in enumerate(("F_e12", "g")):
+        assert _bits(np.concatenate([history.columns(k, row) for k in range(len(history))])) \
+            == _bits(np.concatenate([getattr(rec, name) for rec in reference])), name
     assert _bits(history.v_surf) == _bits([rec.v_surf for rec in reference])
     assert sorted(history.metrics) == sorted(reference[0].metrics)
     for name, column in history.metrics.items():
@@ -1034,10 +1069,10 @@ def _held_by_run(cfg):
 
 
 def test_stored_history_keeps_two_scalars_per_cell():
-    # per level: the owned F_e12 and g (2 floats a cell) and a small
-    # constant for the record, its grid, its metrics and its views of the
-    # run's constants; an owned (n, 2, 2) F_e stack would add 4 floats a
-    # cell, and owned p and v_nodes 2 more
+    # at most, per level, F_e12 and g (2 floats a cell, as a level-marched
+    # run's buffer holds them; an age-marched run holds its tables, a few
+    # floats a level) and a small constant; an owned (n, 2, 2) F_e stack
+    # would add 4 floats a cell, and owned p and v_nodes 2 more
     n = 128
     held, history = _held_by_run(nn_config(n_cells=n, t_end=0.25, dt=1.0 / 2048))
     levels = len(history)
@@ -1054,13 +1089,83 @@ def test_stored_history_keeps_two_scalars_per_cell():
 
 def test_stored_level_costs_little_beyond_its_cells():
     # a level is a few per-level scalars, one float per metric and per
-    # oracle error, and its cells in the two buffers; no record, grid or
+    # oracle error, and at most its cells' F_e12 and g; no record, grid or
     # dict is held per level
     n = 128
     held, history = _held_by_run(nn_config(n_cells=n, t_end=0.25, dt=1.0 / 2048))
     levels, cells = len(history), int(history.m.sum())
     assert levels > 500
     assert held <= 16 * cells + 256 * levels
+
+
+def _by_age_reference(cfg, history):
+    """Each stored level's ``(F_e12, g)`` rebuilt from ``shear_by_age``: a
+    cell enters at the first stored level that holds it, in the initial
+    body's state if it is active at t = 0 and the deposit's otherwise, and
+    at level ``i`` it is ``i`` minus that level steps old."""
+    dt, _ = cfg.resolve_dt()
+    levels, tau1 = len(history), float(cfg.growth_input().t_b[0])
+    tables = [np.array(shear_by_age(float(F[0, 1]), float(F[1, 1]), tau1, cfg.params,
+                                    dt, levels))
+              for F in (cfg.initial_deformation(), cfg.attachment_deformation())]
+    m0 = int(history.m[0]) if history.step[0] == 0 else 0
+    reference = []
+    for i, m in enumerate(history.m.tolist()):
+        cells = np.arange(m)
+        ages = i - np.searchsorted(history.m, cells, side="right")
+        reference.append(np.where(cells < m0, tables[0][:, ages], tables[1][:, ages]))
+    return reference
+
+
+@pytest.mark.parametrize("cfg", [
+    nn_config(n_cells=32, t_end=0.25),
+    fdm_config(n_cells=32, t_end=0.25),
+    thermal_config(n_cells=32, t_end=0.25),
+    thermal_config(n_cells=32, t_end=0.25, alpha=1.0),
+], ids=["non_normal", "fdm_shear", "thermal_H0", "thermal_alpha_1"])
+def test_every_level_reads_its_cells_through_the_map(monkeypatch, cfg):
+    # several blocks, so the march's block scratch is reused
+    _block_cells(monkeypatch, 256)
+    history = run_scenario(cfg).history
+    levels = len(history)
+    if cfg.kind == "fdm_shear":
+        # one buffer of every level's cells, against the level kernel
+        assert history.source.shape == (2, int(history.m.sum()))
+        reference = [np.array([rec.F_e12, rec.g]) for rec in _per_level_records(cfg)]
+    else:
+        # the age tables: per entry state, `levels` zeros then `levels` ages
+        states = 2 if history.step[0] == 0 else 1
+        assert history.source.shape == (2, states * 2 * levels)
+        reference = _by_age_reference(cfg, history)
+    assert len(reference) == levels > 100
+    for s in (slice(None), slice(5, None), slice(None, None, -7)):
+        view = history[s]
+        for k, i in enumerate(range(levels)[s]):
+            F12, g = reference[i]
+            v_nodes = np.concatenate([[0.0], (history.dx * g).cumsum()])
+            assert _bits(view.columns(k)) == _bits(reference[i])
+            assert _bits(view.F_e_columns(k)[1]) == _bits(F12)
+            assert _bits(view.v_nodes(k)) == _bits(v_nodes)
+            assert _bits(view.v_surf[k]) == _bits(v_nodes[-1])
+            rec = view[k]
+            assert _bits(rec.F_e12) == _bits(F12) and _bits(rec.g) == _bits(g)
+            assert _bits(rec.v_nodes) == _bits(v_nodes)
+
+
+def test_age_marched_run_peaks_far_below_its_cells():
+    # n = 1600 marches 6,400 steps over 5.1e6 cell-levels: 82 MB as two
+    # buffers of F_e12 and g; the tables, the map and the block pass's
+    # scratch are a few MB
+    cfg = nn_config(n_cells=1600, t_end=1.0)
+    _, n_steps = cfg.resolve_dt()
+    tracemalloc.start()
+    try:
+        history = run_scenario(cfg).history
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_steps == 6400 and 16 * int(history.m.sum()) > 80e6
+    assert peak < 12e6
 
 
 @pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
@@ -1084,19 +1189,15 @@ def test_no_pass_builds_a_stored_F_e(make, tmp_path):
         assert rec.F_e12.shape == rec.g.shape == (m,)
         for view in (rec.F_e0, rec.p, rec.rho):
             assert view.base is not None and not view.flags.writeable
-    # a level's F_e12 and g are views of the run's two buffers, each of one
-    # float per active cell summed over the levels, at the level's offset
-    F12_all, g_all = res.history[0].F_e12.base, res.history[0].g.base
-    cell_steps = sum(rec.grid.n_cells for rec in res.history)
-    assert F12_all.shape == g_all.shape == (cell_steps,)
-    assert not np.shares_memory(F12_all, g_all)
-    offset = 0
-    for rec in res.history:
-        for view, buffer in ((rec.F_e12, F12_all), (rec.g, g_all)):
-            assert view.base is buffer and view.flags.writeable
-            assert (view.__array_interface__["data"][0]
-                    == buffer.__array_interface__["data"][0] + 8 * offset)
-        offset += rec.grid.n_cells
+    # a record's F_e12 and g are gathered through the history's map, each
+    # level's cells from entry start[k] + col[j] of the two source rows,
+    # into arrays of the record's own
+    history = res.history
+    for k, rec in enumerate(history):
+        index = history.start[k] + history.col[:rec.grid.n_cells]
+        for row, values in enumerate((rec.F_e12, rec.g)):
+            assert _bits(values) == _bits(history.source[row, index])
+            assert not np.shares_memory(values, history.source)
 
 
 def test_verify_marches_each_configuration_once(monkeypatch):
