@@ -1203,20 +1203,14 @@ def test_no_pass_builds_a_stored_F_e(make, tmp_path):
 def test_verify_marches_each_configuration_once(monkeypatch):
     # the refinement study's run at the canonical resolution is the one
     # verify_non_normal reports: no configuration is marched twice
-    march = surfgrow.scenarios._run_1d
-    marched = Counter()
-
-    def counting_march(config, *args, **kwargs):
-        marched[config] += 1
-        return march(config, *args, **kwargs)
-
-    monkeypatch.setattr(surfgrow.scenarios, "_run_1d", counting_march)
+    marched = _counting_marches(monkeypatch)
     for kind in KINDS:
         marched.clear()
         rows, result = verify_scenario(kind)
         assert all(row.ok for row in rows)
-        assert marched[result.config] == 1
-        assert set(marched.values()) == {1}, kind
+        counts = Counter(marched)
+        assert counts[result.config] == 1
+        assert set(counts.values()) == {1}, kind
 
 
 @pytest.mark.parametrize("kind", ["fdm_shear", "thermal"])
