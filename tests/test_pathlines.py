@@ -2,9 +2,9 @@
 
 ``trace_history_pathlines``, ``pathline_grid_discrepancy`` and the
 ``pathlines.csv`` writer gather every sample's values through the run's
-map (``History.source``, ``start``, ``col``).  The references below are the per-level loops they replace (one
-``np.interp`` call per level and component, one array RK2 step per level),
-and every comparison is bitwise.
+map (``History.source``, ``start``, ``col``).  The references below are
+the per-level loops they replace (one ``np.interp`` call per level and
+component, one array RK2 step per level), and every comparison is bitwise.
 """
 
 import tracemalloc

@@ -637,8 +637,8 @@ def _counting_marches(monkeypatch):
 
 
 def test_convergence_refuses_a_bad_ladder_before_marching(monkeypatch):
-    # n = 12,800 takes 51,200 default steps, beyond the cell-step budget;
-    # the six resolutions below it used to be marched first
+    # n = 12,800 takes 51,200 default steps, beyond the cell-step budget:
+    # refused before any resolution of the ladder is marched
     marched = _counting_marches(monkeypatch)
     ladder = [200 * 2 ** i for i in range(7)]
     with pytest.raises(ValidationError, match="n_cells = 12800 exceeds the budget"):
@@ -1153,9 +1153,9 @@ def test_every_level_reads_its_cells_through_the_map(monkeypatch, cfg):
 
 
 def test_age_marched_run_peaks_far_below_its_cells():
-    # n = 1600 marches 6,400 steps over 5.1e6 cell-levels: 82 MB as two
-    # buffers of F_e12 and g; the tables, the map and the block pass's
-    # scratch are a few MB
+    # n = 1600 marches 6,400 steps over 5.1e6 cell-levels, which would take
+    # 82 MB as buffers of every level's F_e12 and g; the tables, the map and
+    # the block pass's scratch are a few MB
     cfg = nn_config(n_cells=1600, t_end=1.0)
     _, n_steps = cfg.resolve_dt()
     tracemalloc.start()
