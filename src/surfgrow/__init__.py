@@ -9,9 +9,9 @@ the elastic deformation prescribed at attachment.
 __version__ = "0.1.0"
 
 from .errors import (CFLViolation, GrowthNotSupported, IncompatibleAnsatz,
-                     IoError, NegativeHeight, NoInverse, NoOracle, NotReduced,
-                     OutOfBody, OutOfDomain, ParseError, SingularSystem,
-                     SingularTensor, SurfgrowError, UsageError, ValidationError)
+                     IoError, NegativeHeight, NoInverse, NotReduced, OutOfBody,
+                     OutOfDomain, ParseError, SingularSystem, SingularTensor,
+                     SurfgrowError, UsageError, ValidationError)
 from .tensors import EPS_DET, det, identity, inverse, sym
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, neo_hookean_stress,
@@ -37,7 +37,7 @@ from .output import RunManifest, read_snapshot, write_fields
 # The public API: exactly the names imported above.
 __all__ = [
     "CFLViolation", "GrowthNotSupported", "IncompatibleAnsatz", "IoError",
-    "NegativeHeight", "NoInverse", "NoOracle", "NotReduced",
+    "NegativeHeight", "NoInverse", "NotReduced",
     "OutOfBody", "OutOfDomain", "ParseError", "SingularSystem",
     "SingularTensor", "SurfgrowError", "UsageError", "ValidationError",
     "EPS_DET", "det", "identity", "inverse", "sym", "AttachmentSpec",

@@ -42,10 +42,6 @@ class OutOfBody(SurfgrowError):
     """Closed-form solution queried above the growth front."""
 
 
-class NoOracle(SurfgrowError):
-    """Convergence study requested for a scenario without a closed form."""
-
-
 class IncompatibleAnsatz(SurfgrowError):
     """Through-thickness reduction produced inconsistent constraints."""
 

@@ -15,6 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .balance import require_reduced
 from .errors import (CFLViolation, GrowthNotSupported, OutOfDomain,
                      SingularTensor, ValidationError)
 from .grids import History, PeriodicStrip
@@ -126,9 +127,9 @@ def replay_columns(history: History, t0: float | None = None,
     ``(f12, F_relax, F_e, j)`` for the levels ``j`` of ``history`` from
     ``t0`` on (default: the earliest stored time), with ``F = I + f12 e1
     (x) e2`` and ``F_relax`` and the level's ``F_e`` the tuples of their
-    components ``(11, 12, 21, 22)`` as ``(n,)`` arrays.  Each level's
-    ``F_e12`` and ``g`` are gathered once (``History.columns``); no record
-    is built.
+    components ``(11, 12, 22)`` as ``(n,)`` arrays; both 21 components are
+    0.  Each level's ``F_e12`` and ``g`` are gathered once
+    (``History.columns``); no record is built.
 
     The configuration at ``t0`` is declared the reference, so ``F = I``
     there; F is then advanced by replaying the stored shear rates ``g``
@@ -136,8 +137,10 @@ def replay_columns(history: History, t0: float | None = None,
     after ``t0`` entering with ``F = I``).  That step changes neither the
     second row of ``F`` nor ``F11``, so ``F`` stays ``I`` but for its shear
     ``f12``.  The relaxed shape ``F_relax = F_e^{-1} F`` follows from the
-    adjugate of the level's ``F_e`` columns; ``SingularTensor`` is raised
-    when ``|det F_e| <= EPS_DET`` in any cell.
+    adjugate of the level's ``F_e`` columns.  ``NotReduced`` is raised when
+    any cell's ``F_e21`` is not 0 (``require_reduced``), and
+    ``SingularTensor`` at the first level with ``|det F_e| <= EPS_DET`` in
+    one of its cells.
     """
     times = history.t
     if t0 is None:
@@ -146,21 +149,26 @@ def replay_columns(history: History, t0: float | None = None,
         i0 = int(np.argmin(np.abs(times - t0)))
         if abs(times[i0] - t0) > 1e-9 * max(1.0, abs(t0)):
             raise ValidationError(f"t0 = {t0:g} is not a stored time level")
+    F_e0 = require_reduced(history.F_e0)
+    # F11, F22 and det F_e = F11 F22 are per-cell constants, of which a
+    # level holds a prefix: it is singular if it holds a singular cell
+    a, d = F_e0[:, 0, 0], F_e0[:, 1, 1]
+    det = a * d
+    regular = int(np.argmax(np.append(np.abs(det) <= EPS_DET, True)))  # the first singular
+    i11, i22 = d[:regular] / det[:regular], a[:regular] / det[:regular]
     f12 = np.zeros(int(history.m[i0]))
     for j in range(i0, len(history)):
         # one gather of the level's F_e12 and g; g steps the next level
         b, g_next = history.columns(j)
-        if j > i0:
-            f12 = reduced_step_1d(f12, g, 1.0, times[j] - times[j - 1], len(b), 0.0)
-        g = g_next
-        F_e0 = history.F_e0[:len(b)]
-        a, c, d = F_e0[:, 0, 0], F_e0[:, 1, 0], F_e0[:, 1, 1]
-        det = a * d - b * c
-        if np.any(np.abs(det) <= EPS_DET):
+        m = len(b)
+        if m > regular:
             raise SingularTensor(f"|det| <= {EPS_DET:g} in tensor inversion")
-        # F_e^{-1} = [[d, -b], [-c, a]] / det, times [[1, f12], [0, 1]]
-        i11, i12, i21, i22 = d / det, -b / det, -c / det, a / det
-        yield f12, (i11, i11 * f12 + i12, i21, i21 * f12 + i22), (a, b, c, d), j
+        if j > i0:
+            f12 = reduced_step_1d(f12, g, 1.0, times[j] - times[j - 1], m, 0.0)
+        g = g_next
+        # F_e^{-1} = [[d, -b], [0, a]] / det, times [[1, f12], [0, 1]]
+        r11 = i11[:m]
+        yield f12, (r11, r11 * f12 + -b / det[:m], i22[:m]), (a[:m], b, d[:m]), j
 
 
 def reconstruct_reference(history: History,
@@ -174,12 +182,11 @@ def reconstruct_reference(history: History,
     deformation.
     """
     frames = []
-    for f12, F_relax, _, j in replay_columns(history, t0=t0):
+    for f12, (r11, r12, r22), _, j in replay_columns(history, t0=t0):
         F = identity((len(f12),))
         F[:, 0, 1] = f12
-        frames.append(ReconstructedFrame(
-            t=float(history.t[j]), F=F,
-            F_relax=np.stack(F_relax, axis=1).reshape(F.shape)))
+        frames.append(ReconstructedFrame(t=float(history.t[j]), F=F, F_relax=np.stack(
+            [r11, r12, np.zeros(len(f12)), r22], axis=1).reshape(F.shape)))
     return frames
 
 

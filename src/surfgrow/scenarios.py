@@ -22,8 +22,8 @@ from .balance import (GrowthInput, SideState, advance_domain,
                       require_reduced, solve_residuals)
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, total_stress)
-from .errors import (IncompatibleAnsatz, NoOracle, OutOfBody, OutOfDomain,
-                     SingularSystem, SurfgrowError, ValidationError)
+from .errors import (IncompatibleAnsatz, OutOfBody, OutOfDomain, SingularSystem,
+                     SurfgrowError, ValidationError)
 from .grids import Grid1D, History, StepRecord, interp_prefix
 from .kinematics import PathlineRecord, reduced_step_1d, replay_columns
 from .tensors import require_finite
@@ -102,8 +102,13 @@ class ScenarioConfig:
                 raise ValidationError(f"v0 must be nonnegative for fdm_shear, got {self.v0}")
         if self.kind != "fdm_shear" and not self.V_G > 0:
             raise ValidationError(f"V_G must be positive, got {self.V_G}")
-        if self.kind == "thermal" and not self.alpha > 0:
-            raise ValidationError(f"alpha must be positive for thermal, got {self.alpha}")
+        if self.kind == "thermal":
+            if not self.alpha > 0:
+                raise ValidationError(f"alpha must be positive for thermal, got {self.alpha}")
+            F22 = 1.0 / self.alpha  # the deposit's, at the pressure G F22^2
+            if not math.isfinite(self.params.G * (F22 * F22)):
+                raise ValidationError(f"alpha = {self.alpha:g} is too small for thermal: "
+                                      f"G alpha^-2 overflows")
         if self.height0 < 0:
             raise ValidationError(f"H0 must be nonnegative, got {self.H0}")
         if self.n_snapshots < 1:
@@ -115,7 +120,7 @@ class ScenarioConfig:
         if dt > self.relaxation_bound:
             raise ValidationError(
                 f"dt = {dt:g} exceeds the explicit relaxation bound "
-                f"mu / (G F_e22^2) = {self.relaxation_bound:g}")
+                f"mu / G = {self.relaxation_bound:g}")
         if (n_steps + 1) * self.n_cells > MAX_CELL_STEPS:
             raise ValidationError(
                 f"n_steps = {n_steps:.3g} (dt = {dt:g}) on n_cells = {self.n_cells} "
@@ -129,15 +134,10 @@ class ScenarioConfig:
 
     @property
     def relaxation_bound(self) -> float:
-        """Largest step ``mu / (G F_e22^2)`` whose explicit relaxation factor
-        ``1 - G dt F_e22^2 / mu`` on F_e12 is nonnegative; thermal deposits
-        carry ``F_e22^2 = max(1, alpha^-2)``, the other kinds 1."""
-        try:
-            F22_sq = max(1.0, self.alpha ** -2) if self.kind == "thermal" else 1.0
-        except OverflowError:
-            raise ValidationError(f"alpha = {self.alpha:g} is too small for thermal: "
-                                  f"alpha^-2 overflows") from None
-        return self.params.mu / (self.params.G * F22_sq)
+        """Largest step ``mu / G`` whose explicit relaxation factor ``1 - G dt
+        F_e22^2 / mu`` on a nonzero F_e12 is nonnegative: ``F_e22 = 1`` but in
+        ``thermal``'s deposit, which keeps ``F_e12 = 0``."""
+        return self.params.mu / self.params.G
 
     @property
     def mass_rate(self) -> float:
@@ -302,10 +302,9 @@ def block_bounds(counts: np.ndarray, cells: int) -> list[tuple[int, int]]:
 @dataclass(eq=False, repr=False)  # never compared or printed; cheaper to import
 class _Block:
     """Consecutive stored levels, as the block pass reads them.  Their cells
-    lie one level after another in ``F12`` and ``g``: views of one slice of
-    a level-marched run's buffer, or of the march's block scratch, which an
-    age-marched run gathers from its tables; the rest is the march's
-    running sums, the run's per-cell constants and the levels' columns."""
+    lie one level after another in ``F12`` and ``g``, views of the march's
+    block scratch (``_fill_block``); the rest is the march's running sums,
+    the run's per-cell constants and the levels' columns."""
 
     t: np.ndarray          # (B,) times of the levels
     counts: np.ndarray     # (B,) active cells, nondecreasing
@@ -386,21 +385,22 @@ def _score_non_normal(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarr
             "linf_v1": blk.level_max(np.abs(v1, out=v1))}
 
 
-def _score_fdm(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
-    """Oracle errors of a block's levels against the exact uniform shear."""
-    G = config.params.G
-    M = config.mass_rate
-    gamma = M * config.v0 / G
-    s12_ref, s11_ref = M * config.v0, (M * config.v0) ** 2 / G
-    F_e = blk.F_e0[blk.cols]
-    F_e[:, 0, 1] = blk.F12
-    grad_v = np.zeros(F_e.shape)
-    grad_v[:, 0, 1] = blk.g
-    sigma = total_stress(F_e, grad_v, blk.p[blk.cols], config.params)
-    return {"linf_F_e12": blk.level_max(np.abs(blk.F12 - gamma)),
+def _score_steady(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
+    """Oracle errors of a block's levels against the exact steady state: at
+    rest under the attachment traction ``tau1`` (``M v0`` for
+    ``fdm_shear``, 0 for ``thermal``), every cell holds the uniform shear
+    ``tau1 / G`` with ``sigma12 = tau1`` and ``sigma11 = tau1^2 / G``."""
+    G, mu = config.params.G, config.params.mu
+    tau1 = config.mass_rate * config.v0 if config.kind == "fdm_shear" else 0.0
+    # total_stress's 11 and 12 entries, in its operations, with F_e21 = 0 and
+    # grad v = g e1 (x) e2 (they differ from it only in the sign of a zero)
+    F11, F12, F22 = blk.F_e0[blk.cols, 0, 0], blk.F12, blk.F_e0[blk.cols, 1, 1]
+    sigma11 = G * (F11 * F11 + F12 * F12) - blk.p[blk.cols]
+    sigma12 = G * (F12 * F22) + 2.0 * mu * (0.5 * blk.g)
+    return {"linf_F_e12": blk.level_max(np.abs(F12 - tau1 / G)),
             "linf_v1": np.abs(blk.v_nodes).max(axis=1),
-            "linf_sigma12": blk.level_max(np.abs(sigma[:, 0, 1] - s12_ref)),
-            "linf_sigma11": blk.level_max(np.abs(sigma[:, 0, 0] - s11_ref))}
+            "linf_sigma12": blk.level_max(np.abs(sigma12 - tau1)),
+            "linf_sigma11": blk.level_max(np.abs(sigma11 - tau1 ** 2 / G))}
 
 
 def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
@@ -420,33 +420,45 @@ def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
     return shears, rates
 
 
-def _march_by_age(tables: tuple[np.ndarray, ...], base: np.ndarray,
-                  levels: np.ndarray, active: np.ndarray, F12: np.ndarray,
-                  g: np.ndarray, v_nodes: np.ndarray) -> None:
-    """Fill a block's levels from the run's age tables ``(F_e12, g, dx g)``.
+def _fill_block(source: np.ndarray, start: np.ndarray, col: np.ndarray,
+                levels: np.ndarray, v_nodes: np.ndarray, dx: float,
+                active: np.ndarray | None = None, work: np.ndarray | None = None,
+                pad: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
+    """Read a block of stored levels through a run's map, ``source[:,
+    start[k] + col[j]]`` for cell ``j`` of level ``k`` (``History``).
 
-    Cell ``j`` of level ``i`` reads entry ``i + base[j]`` of each table;
-    ``levels`` are the block's levels, ``active`` its ``(B, m_last)`` mask
-    of active cells, ``F12`` and ``g`` the block scratch for its cells, one
-    level after another, and ``v_nodes`` its ``(B, m_last + 1)`` rows of
-    face velocities.  An inactive cell reads a zero rate, so each row is
-    the running sum of ``dx g`` from 0 followed by its top value repeated."""
-    F12_table, g_table, dxg_table = tables
-    index = levels[:, None] + base[:active.shape[1]]
-    v_nodes[:, 0] = 0.0
-    rates = v_nodes[:, 1:]
+    Row ``b`` of ``v_nodes``, ``(B, width)``, becomes level ``levels[b]``'s
+    face velocities: 0, the running sums of ``dx g`` over its cells, then
+    its top value repeated where the map reads zeros past its top (an age
+    table's negative ages) or ``pad`` zeroes what it reads there (a level
+    buffer's next cells).  Given ``active``, the ``(B, width - 1)`` mask of
+    each level's cells, returns their ``F_e12`` and ``g``, one level after
+    another, as two views of ``work``: a flat scratch of at least ``B
+    (width - 1)`` entries and twice the cells, whose front holds the rates
+    first."""
+    index = start[levels, None] + col[:v_nodes.shape[1] - 1]
     # every index is in range by construction: "clip" only spares the
-    # buffered copy of numpy's checked "raise" mode
-    np.take(dxg_table, index, out=rates, mode="clip")
-    np.cumsum(rates, axis=1, out=rates)
+    # buffered copy of "raise" mode.  take fills a contiguous `out` in
+    # place, but the strided rows of v_nodes only through a copy.
+    rates = np.take(source[1], index, mode="clip",
+                    out=None if work is None else work[:index.size].reshape(index.shape))
+    if pad:
+        np.copyto(rates, 0.0, where=~active)
+    rates *= dx
+    v_nodes[:, 0] = 0.0
+    np.cumsum(rates, axis=1, out=v_nodes[:, 1:])
+    if active is None:
+        return None
     index = index[active]
-    np.take(F12_table, index, out=F12, mode="clip")
-    np.take(g_table, index, out=g, mode="clip")
+    F12, g = work[:2 * len(index)].reshape(2, -1)
+    np.take(source[0], index, out=F12, mode="clip")
+    np.take(source[1], index, out=g, mode="clip")
+    return F12, g
 
 
-def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
+def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     """March a scenario and score it; ``oracle(config, block)`` gives the
-    oracle errors of a block's levels (``thermal`` has none)."""
+    oracle errors of a block's levels."""
     params = config.params
     M = config.mass_rate
     dt, n_steps = config.resolve_dt()
@@ -497,10 +509,14 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
     metrics = {name: np.empty(levels) for name in METRIC_FIELDS}
     metrics.update(t=t_levels, H=H)
     oracle_errors: dict[str, np.ndarray] = {}
-    # Block scratch, viewed as (B, m_last + 1) for each block: row b is the
-    # running sum of dx g for the block's level b, past its top face zero
-    # (level by level) or its top value repeated (by age).
+    # Block scratch for the widest block (``_fill_block``): `v_flat` viewed
+    # as (B, m_last + 1), row b the face velocities of the block's level b
+    # and then its top one repeated, and `scratch` for its rates and then its
+    # cells.
     v_flat = np.empty(max(B * (int(m[i0 + B - 1]) + 1) for i0, B in blocks))
+    scratch = np.empty(max(max(B * int(m[i0 + B - 1]),
+                               2 * int(offsets[i0 + B - 1] + m[i0 + B - 1] - offsets[i0]))
+                           for i0, B in blocks))
     grid_cells = np.arange(n)
     # A traction that does not follow the body's motion makes every cell's
     # F_e12 a function of its age alone, so the run is marched by age.
@@ -521,19 +537,16 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
             # The age tables, the rows of `source`: per entry state that has
             # cells, `levels` zeros for the negative ages of cells not yet
             # active, then ages 0 .. levels-1.  Cell j of level i reads entry
-            # i + col[j]; each block gathers its cells into `scratch`.
+            # i + col[j].
             tau[:] = growth.t_b
             tables = np.zeros((2, len(entries), 2, levels))
             for c, (F, _) in enumerate(entries):
                 tables[:, c, 1] = shear_by_age(
                     float(F[0, 1]), float(F[1, 1]), float(tau[0, 0]), params, dt, levels)
             source = tables.reshape(2, -1)
-            age_tables = (source[0], source[1], dx * source[1])
             state = np.repeat(np.arange(len(entries)), [cells for _, cells in entries])
             col = (2 * state + 1) * levels - np.searchsorted(m, grid_cells, side="right")
             level_start = np.arange(levels)
-            scratch = np.empty((2, max(int(offsets[i0 + B - 1] + m[i0 + B - 1]
-                                           - offsets[i0]) for i0, B in blocks)))
         else:
             # One buffer of every level's cells, level i from offsets[i];
             # the first stored level's cells all hold their entry value.
@@ -543,31 +556,11 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
         timings["march_s"] += time.perf_counter() - start
         for i0, B in blocks:
             start = time.perf_counter()
-            width = int(m[i0 + B - 1]) + 1
-            v_nodes = v_flat[:B * width].reshape(B, width)
-            active = grid_cells[:width - 1] < m[i0:i0 + B, None]
-            lo, hi = int(offsets[i0]), int(offsets[i0 + B - 1] + m[i0 + B - 1])
-            # a non-finite shear or shear rate anywhere reaches the top face,
-            # so the first level whose v_surf is not finite has failed
-            failed = None
-            if by_age:
-                F12_block, g_block = scratch[:, :hi - lo]
-                _march_by_age(age_tables, col, np.arange(i0, i0 + B), active,
-                              F12_block, g_block, v_nodes)
-                v_surf[i0:i0 + B] = v_nodes[np.arange(B), m[i0:i0 + B]]
-                bad = np.flatnonzero(~np.isfinite(v_surf[i0:i0 + B]))
-                if len(bad):
-                    failed = int(bad[0])
-                    k = first + i0 + failed
-                    t = k * dt
-                    o = int(offsets[i0 + failed]) - lo
-                    F12 = F12_block[o:o + int(m[i0 + failed])]
-            else:
-                F12_block, g_block = source[:, lo:hi]
-                v_nodes.fill(0.0)
-                for b, (mi, o) in enumerate(zip(m[i0:i0 + B].tolist(),
-                                                offsets[i0:i0 + B].tolist())):
-                    i = i0 + b
+            if not by_age:
+                # the level kernel marches the block's levels into the
+                # buffer and stops after one whose shear rate is not finite
+                for i, (mi, o) in enumerate(zip(m[i0:i0 + B].tolist(),
+                                                offsets[i0:i0 + B].tolist()), i0):
                     k = first + i
                     t = k * dt
                     F12, g = source[:, o:o + mi]
@@ -582,15 +575,30 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
                     tau[i] = growth_traction(M, growth.v_a, np.array([v_top, 0.0]),
                                              growth.t_b)
                     first_integral(F12, F22[:mi], tau[i, 0], params, out=g)
-                    np.cumsum(dx * g, out=v_nodes[b, 1:mi + 1])
-                    v_surf[i] = v_nodes[b, mi]
-                    if not math.isfinite(v_surf[i]):
-                        failed = b
+                    if not np.isfinite(g).all():
+                        B = i - i0 + 1
                         break
                     if i + 1 < levels:
                         m_next = int(m[i + 1])
                         reduced_step_1d(F12, g, F22[:mi], dt, m_next, F_att[0, 1],
                                         out=source[0, o + mi:o + mi + m_next])
+            width = int(m[i0 + B - 1]) + 1
+            v_nodes = v_flat[:B * width].reshape(B, width)
+            active = grid_cells[:width - 1] < m[i0:i0 + B, None]
+            lo = int(offsets[i0])
+            F12_block, g_block = _fill_block(source, level_start, col, np.arange(i0, i0 + B),
+                                             v_nodes, dx, active, scratch, pad=not by_age)
+            v_surf[i0:i0 + B] = v_nodes[np.arange(B), m[i0:i0 + B]]
+            # a non-finite shear or shear rate anywhere reaches the top face,
+            # so the first level whose v_surf is not finite has failed
+            failed = None
+            bad = np.flatnonzero(~np.isfinite(v_surf[i0:i0 + B]))
+            if len(bad):
+                failed = int(bad[0])
+                k = first + i0 + failed
+                t = k * dt
+                o = int(offsets[i0 + failed]) - lo
+                F12 = F12_block[o:o + int(m[i0 + failed])]
             marched = time.perf_counter()
             # The block pass: what does not feed the next step (the solve's
             # residuals, the jump metrics and the oracle), on the levels
@@ -623,11 +631,10 @@ def _run_1d(config: ScenarioConfig, oracle=None) -> RunResult:
                              centers=centers)
                 for name, values in _level_metrics(config, growth, blk).items():
                     metrics[name][rows] = values
-                if oracle is not None:
-                    for name, values in oracle(config, blk).items():
-                        if name not in oracle_errors:
-                            oracle_errors[name] = np.empty(levels)
-                        oracle_errors[name][rows] = values
+                for name, values in oracle(config, blk).items():
+                    if name not in oracle_errors:
+                        oracle_errors[name] = np.empty(levels)
+                    oracle_errors[name][rows] = values
             if failed is not None:  # k, t and F12 are the failed step's
                 require_finite(F12, "F_e12")
                 raise SingularSystem("momentum solve produced non-finite values")
@@ -654,14 +661,15 @@ def run_fdm_shear(config: ScenarioConfig) -> RunResult:
     the attachment state (``ScenarioConfig.initial_deformation``)."""
     if config.kind != "fdm_shear":
         raise ValidationError(f"config.kind must be 'fdm_shear', got {config.kind!r}")
-    return _run_1d(config, oracle=_score_fdm)
+    return _run_1d(config, oracle=_score_steady)
 
 
 def run_thermal(config: ScenarioConfig) -> RunResult:
-    """March deposition with isotropic attachment mismatch (property-verified)."""
+    """March deposition with isotropic attachment mismatch and score it
+    against its exact rest state (``F_e12``, ``v1`` and the stress all 0)."""
     if config.kind != "thermal":
         raise ValidationError(f"config.kind must be 'thermal', got {config.kind!r}")
-    return _run_1d(config)
+    return _run_1d(config, oracle=_score_steady)
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
@@ -704,11 +712,10 @@ def convergence_runs(config: ScenarioConfig, resolutions):
     yield each resolution's ``(ConvergenceRow, RunResult)`` in turn.
 
     A row's error is the worst over its run's levels: ``linf`` and ``l2``
-    of F_e12 for ``non_normal``; for ``fdm_shear`` the worst of its four
-    oracle errors, as both.
+    of F_e12 for ``non_normal``; for ``fdm_shear`` and ``thermal`` the
+    worst of their four oracle errors, as both.  A row has no order when its
+    ``linf`` or its predecessor's is 0, as ``thermal``'s are.
     """
-    if config.kind == "thermal":
-        raise NoOracle("the thermal scenario has no closed-form oracle")
     # every resolution is validated before the first is marched
     configs = [replace(config, n_cells=int(n), dt=None) for n in resolutions]
     previous = None
@@ -717,11 +724,9 @@ def convergence_runs(config: ScenarioConfig, resolutions):
         res = run_scenario(cfg)
         errors = res.oracle_errors
         if config.kind == "non_normal":
-            linf = float(np.max(errors["linf_F_e12"]))
-            l2 = float(np.max(errors["rms_F_e12"]))
-        else:
-            linf = l2 = max(float(np.max(errors[k])) for k in
-                            ("linf_F_e12", "linf_v1", "linf_sigma12", "linf_sigma11"))
+            linf, l2 = (float(np.max(errors[k])) for k in ("linf_F_e12", "rms_F_e12"))
+        else:  # the steady state's four errors
+            linf = l2 = max(float(np.max(column)) for column in errors.values())
         order = None
         if previous is not None and previous.linf > 0 and linf > 0:
             order = math.log2(previous.linf / linf)
@@ -768,12 +773,11 @@ def level_v1(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
 
     The face velocities are the running sums of ``dx g``, made for a block
     of levels (``block_bounds`` over the sampled levels' span) at a time by
-    one ``cumsum`` along the cells, as the march's block pass makes them,
-    and only for blocks that hold a sample; no scratch exceeds a block's
-    ``BLOCK_CELLS`` cells.
+    the march's ``_fill_block``, and only for blocks that hold a sample; no
+    scratch exceeds a block's ``BLOCK_CELLS`` cells, and no row is read
+    past its level's top face.
     """
-    m, start, col = history.m, history.start, history.col
-    faces = history.faces
+    m, faces = history.m, history.faces
     v1 = np.empty(len(x2))
     order = np.argsort(level, kind="stable")
     if not len(order):
@@ -785,17 +789,9 @@ def level_v1(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
         if a == b:
             continue
         width = int(m[i0 + B - 1]) + 1
-        # row r: 0, then the running sums of dx g over level i0 + r's cells
-        # (its face velocities), then its top one repeated
         v_nodes = np.empty((B, width))
-        v_nodes[:, 0] = 0.0
-        rates = v_nodes[:, 1:]
-        # "clip": every index is in range by construction
-        np.take(history.source[1], start[i0:i0 + B, None] + col[:width - 1], out=rates,
-                mode="clip")
-        np.copyto(rates, 0.0, where=np.arange(width - 1) >= m[i0:i0 + B, None])
-        rates *= history.dx
-        np.cumsum(rates, axis=1, out=rates)
+        _fill_block(history.source, history.start, history.col, np.arange(i0, i0 + B),
+                    v_nodes, history.dx)
         idx = order[a:b]
         rows = level[idx]
         v1[idx] = interp_prefix(x2[idx], faces, m[rows] + 1, v_nodes.ravel(),
@@ -892,11 +888,11 @@ def reconstruction_roundtrip_error(result: RunResult, t0: float | None = None) -
     """
     worst = 0.0
     history = result.history
-    for f12, (r11, r12, r21, r22), (a, b, c, d), _ in replay_columns(history, t0=t0):
-        # F_e F_relax entry by entry, against F = [[1, f12], [0, 1]]
-        defect = max(float(np.max(np.abs(a * r11 + b * r21 - 1.0))),
+    for f12, (r11, r12, r22), (a, b, d), _ in replay_columns(history, t0=t0):
+        # F_e F_relax entry by entry, against F = [[1, f12], [0, 1]]; both
+        # 21 entries are 0
+        defect = max(float(np.max(np.abs(a * r11 - 1.0))),
                      float(np.max(np.abs(a * r12 + b * r22 - f12))),
-                     float(np.max(np.abs(c * r11 + d * r21))),
-                     float(np.max(np.abs(c * r12 + d * r22 - 1.0))))
+                     float(np.max(np.abs(d * r22 - 1.0))))
         worst = max(worst, defect / max(1.0, float(np.max(np.abs(f12)))))
     return worst

@@ -86,12 +86,14 @@ def test_run_rejects_infinite_end_time(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("alpha, field", [("1e-200", "alpha"), ("1e-154", "t_end")])
+@pytest.mark.parametrize("alpha, field", [("1e-200", "alpha"), ("1e-154", "alpha")])
 def test_run_rejects_thermal_alpha_without_a_finite_step(tmp_path, capsys, alpha, field):
-    # alpha ** -2 in the relaxation bound overflowed (1e-200), or the bound
-    # made the step count infinite (1e-154): both died with a traceback
+    # at G = 2 the deposit's pressure G alpha^-2 overflows for both:
+    # alpha ** -2 died with an OverflowError traceback (1e-200), and 1e-154
+    # reaches an overflow RuntimeWarning in normal_pressure once its step
+    # is not capped by alpha
     cfg = tmp_path / "thermal.cfg"
-    cfg.write_text(f"kind = thermal\nalpha = {alpha}\nn_cells = 32\n")
+    cfg.write_text(f"kind = thermal\nalpha = {alpha}\nG = 2\nn_cells = 32\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert f"error: ValidationError: {field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -134,12 +136,15 @@ def test_converge_prints_orders(tmp_path, capsys):
     assert "order" in lines[0] and lines[1].strip().startswith("32")
 
 
-def test_converge_thermal_has_no_oracle(tmp_path, capsys):
+def test_converge_thermal_scores_its_rest_state(tmp_path, capsys):
     cfg = tmp_path / "th.cfg"
     cfg.write_text("kind = thermal\nalpha = 0.8\nmu = 1.0\nH0 = 0.5\n"
                    "t_end = 0.5\nn_cells = 32\n")
-    assert main(["converge", str(cfg), "--levels", "2"]) == 1
-    assert "NoOracle" in capsys.readouterr().err
+    assert main(["converge", str(cfg), "--levels", "2"]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:]]
+    # exact at both resolutions: zero errors and no order
+    assert [(r[0], r[2], r[3], r[4]) for r in rows] == \
+        [(n, "0.000000e+00", "0.000000e+00", "-") for n in ("32", "64")]
 
 
 def test_unknown_scenario_is_usage_error(capsys):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from surfgrow import (CFLViolation, GrowthNotSupported, History, OutOfDomain,
-                      PeriodicStrip, SingularTensor, ValidationError,
+from surfgrow import (CFLViolation, GrowthNotSupported, History, NotReduced,
+                      OutOfDomain, PeriodicStrip, SingularTensor, ValidationError,
                       advance_deformation_strip, advance_inverse_motion,
                       deformation_from_inverse_motion, integrate_characteristics,
                       reconstruct_reference)
@@ -167,12 +167,19 @@ def test_reconstruct_static_body():
 
 
 def test_replay_refuses_a_singular_elastic_deformation():
-    # det F_e = F11 F22 - F12 F21 = 0 in one cell: F_relax = F_e^{-1} F
-    # does not exist
+    # det F_e = F11 F22 = 0 in one cell: F_relax = F_e^{-1} F does not exist
     F_e0 = identity((8,))
-    F_e0[3] = [[2.0, 0.0], [0.0, 1.0]]
-    F_e0[3, 1, 0] = 8.0  # with F12 = 0.25: det = 2 - 0.25 * 8 = 0
+    F_e0[3, 0, 0] = 0.0
     with pytest.raises(SingularTensor):
+        reconstruct_reference(_static_history(F_e0=F_e0))
+
+
+def test_replay_refuses_a_history_outside_the_reduction():
+    # the replay drops the F_e21 terms, so a history with a nonzero one is
+    # refused rather than given a wrong F_relax
+    F_e0 = identity((8,))
+    F_e0[3, 1, 0] = 0.5
+    with pytest.raises(NotReduced, match="F_e21"):
         reconstruct_reference(_static_history(F_e0=F_e0))
 
 

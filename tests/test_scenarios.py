@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surfgrow.scenarios
-from surfgrow import (History, IncompatibleAnsatz, MaterialParams, NoOracle, OutOfBody,
+from surfgrow import (History, IncompatibleAnsatz, MaterialParams, OutOfBody,
                       PathlineRecord, ScenarioConfig, SingularSystem,
                       ValidationError, analytic_non_normal, convergence_study,
                       integrate_characteristics, reconstruct_reference,
@@ -27,7 +27,7 @@ from surfgrow.kinematics import reduced_step_1d
 from surfgrow.output import METRIC_FIELDS
 from surfgrow.scenarios import BLOCK_CELLS, KINDS, block_bounds, shear_by_age
 from surfgrow.tensors import det, inverse
-from surfgrow.verify import _residual_rows, verify_scenario
+from surfgrow.verify import _residual_rows, default_config, verify_scenario
 
 
 def interp_columns(xq, xp, values):
@@ -157,11 +157,13 @@ def test_config_rejects_dt_beyond_relaxation_bound():
     # 1 - G dt / mu = -4: marched, this gave an L-inf F_e12 error of 2.0
     with pytest.raises(ValidationError, match="relaxation"):
         nn_config(dt=0.5)
-    # thermal deposits carry F_e22 = 1/alpha, tightening the bound to
-    # dt <= mu alpha^2 / G = 0.25
-    with pytest.raises(ValidationError, match="relaxation"):
-        thermal_config(alpha=0.5, dt=0.4)
-    thermal_config(alpha=0.5, dt=0.2)
+    # thermal's bound is mu / G too: its deposit (F_e22 = 1/alpha) enters
+    # and stays at F_e12 = 0, so alpha does not tighten it
+    thermal_config(alpha=0.5, dt=0.4)
+    thin = MaterialParams(G=1.0, mu=0.1, rho=1.0)
+    with pytest.raises(ValidationError, match="relaxation bound mu / G = 0.1$"):
+        thermal_config(params=thin, alpha=0.5, dt=0.2)
+    thermal_config(params=thin, alpha=0.5, dt=0.1)
     fdm_config(dt=1.0)
     # the default step and the sweep's dt = mu / (2G) are inside the bound
     nn_config(params=MaterialParams(G=1.0, mu=1e-3, rho=1.0))
@@ -176,9 +178,10 @@ def test_config_rejects_dt_beyond_relaxation_bound():
 @pytest.mark.parametrize("make, kw, match", [
     # alpha ** -2 overflowed with an OverflowError
     (thermal_config, dict(alpha=1e-200), "^alpha = 1e-200 is too small"),
-    # a finite alpha ** -2 whose relaxation bound made t_end / dt infinite,
-    # a given dt that does, and a default dt of 0 (ZeroDivisionError)
-    (thermal_config, dict(alpha=1e-154), "^t_end / dt = "),
+    # a relaxation bound that makes t_end / dt infinite, a given dt that
+    # does, and a default dt of 0 (ZeroDivisionError)
+    (thermal_config, dict(params=MaterialParams(G=1.0, mu=1e-320, rho=1.0)),
+     "^t_end / dt = "),
     (nn_config, dict(dt=1e-320), "^t_end / dt = "),
     (nn_config, dict(params=MaterialParams(G=1.0, mu=5e-324, rho=1.0)),
      "^t_end / dt = 1 / 0 "),
@@ -189,14 +192,16 @@ def test_config_rejects_a_step_count_that_is_not_finite(make, kw, match):
 
 
 def test_default_dt_respects_relaxation_bound():
-    # t_end / (4 n) = 0.00125 exceeds mu alpha^2 / G = 0.00025; the default
-    # step takes half the bound instead
-    cfg = thermal_config(params=MaterialParams(G=1.0, mu=1e-3, rho=1.0),
-                         alpha=0.5, n_cells=200)
-    dt, n_steps = cfg.resolve_dt()
-    assert cfg.relaxation_bound == pytest.approx(2.5e-4, rel=1e-12)
-    assert dt <= 0.5 * cfg.relaxation_bound * (1 + 1e-12)
-    assert n_steps * dt == pytest.approx(cfg.t_end, rel=1e-12)
+    # t_end / (4 n) = 0.00125 exceeds mu / G = 0.001 for every kind; the
+    # default step takes half the bound instead, whatever thermal's alpha
+    slow = MaterialParams(G=1.0, mu=1e-3, rho=1.0)
+    for cfg in (nn_config(params=slow, n_cells=200),
+                thermal_config(params=slow, alpha=0.5, n_cells=200),
+                thermal_config(params=slow, alpha=0.01, n_cells=200)):
+        dt, n_steps = cfg.resolve_dt()
+        assert cfg.relaxation_bound == 1e-3
+        assert dt <= 0.5 * cfg.relaxation_bound * (1 + 1e-12)
+        assert n_steps * dt == pytest.approx(cfg.t_end, rel=1e-12)
     # fdm_shear and thermal keep t_end / (4 n) when mu is large
     assert fdm_config().resolve_dt()[0] == 2.0 / (4 * 32)
     assert thermal_config().resolve_dt()[0] == 1.0 / (4 * 32)
@@ -420,6 +425,59 @@ def test_thermal_alpha_one_is_trivial():
         assert np.abs(rec.v_nodes).max() <= 1e-12
 
 
+THERMAL_ORACLE = ("linf_F_e12", "linf_sigma11", "linf_sigma12", "linf_v1")
+
+
+@pytest.mark.parametrize("cfg", [
+    default_config("thermal"),
+    # the CI smoke run's config
+    thermal_config(alpha=0.8, H0=0.5, n_cells=32, t_end=0.5),
+    thermal_config(alpha=1.7, H0=0.0),
+], ids=["verify", "ci", "alpha_1.7_H0_0"])
+def test_thermal_rest_state_is_exact(cfg):
+    # zero traction and zero shear on entry: F_e12, v1 and the stress are 0
+    # at every level, and the oracle scores exactly that
+    res = run_thermal(cfg)
+    assert sorted(res.oracle_errors) == list(THERMAL_ORACLE)
+    for name in THERMAL_ORACLE:
+        errors = res.oracle_errors[name]
+        assert len(errors) == len(res.history) and not errors.any(), name
+
+
+def test_thermal_small_alpha_marches_at_the_shear_bound():
+    # alpha^-2 no longer caps the step: 2,000 steps of mu / (2G) where the
+    # cap asked for 2e7, beyond the cell-step budget
+    cfg = thermal_config(params=MaterialParams(G=1.0, mu=1e-3, rho=1.0), alpha=0.01,
+                         n_cells=200)
+    assert cfg.resolve_dt() == (5e-4, 2000)
+    res = run_thermal(cfg)
+    assert res.history.step[-1] == 2000
+    assert not res.history.source[0].any()
+    for name in THERMAL_ORACLE:
+        assert not res.oracle_errors[name].any(), name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha, G", [(1e-200, 1.0), (1e-154, 2.0), (1e-155, 1e-3)])
+def test_config_rejects_a_thermal_alpha_whose_pressure_overflows(alpha, G):
+    # alpha^-2 (1e-200, and 1e-155 although G alpha^-2 would be 1e307) or
+    # the deposit's pressure G alpha^-2 (1e-154 at G = 2) overflows; the
+    # latter raised an overflow RuntimeWarning in normal_pressure
+    with pytest.raises(ValidationError, match=f"^alpha = {alpha:g} is too small"):
+        thermal_config(alpha=alpha, params=MaterialParams(G=G, mu=1.0, rho=1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_thermal_runs_at_the_smallest_alpha_its_pressure_allows(tmp_path):
+    # G alpha^-2 = 1e308 is finite: the run and its outputs need no
+    # larger number
+    res = run_thermal(thermal_config(alpha=1e-154))
+    assert float(res.history.p[-1]) == 1e308
+    for name in THERMAL_ORACLE:
+        assert not res.oracle_errors[name].any(), name
+    write_fields(res, tmp_path)
+
+
 def test_thermal_properties_and_reconstruction():
     cfg = thermal_config()
     res = run_thermal(cfg)
@@ -619,9 +677,11 @@ def test_convergence_study_single_row_has_no_order():
     assert len(rows) == 1 and rows[0].order is None
 
 
-def test_convergence_study_thermal_has_no_oracle():
-    with pytest.raises(NoOracle):
-        convergence_study(thermal_config(), [32, 64])
+def test_convergence_study_thermal_is_exact():
+    # its rest state is reproduced exactly: no error, so no order
+    rows = convergence_study(thermal_config(), [32, 64])
+    assert [(r.n_cells, r.linf, r.l2, r.order) for r in rows] == \
+        [(32, 0.0, 0.0, None), (64, 0.0, 0.0, None)]
 
 
 def _counting_marches(monkeypatch):
@@ -786,13 +846,14 @@ def _per_level_oracle(config, history):
                          "rms_F_e12": np.sqrt(np.mean(ef ** 2)),
                          "linf_v1": np.max(np.abs(v1 - v1_ref))})
         else:
-            M = config.mass_rate
+            # at rest under the attachment traction: the feed's momentum
+            # flux for fdm_shear, none for thermal
+            tau1 = config.mass_rate * config.v0 if config.kind == "fdm_shear" else 0.0
             sigma = total_stress(rec.F_e, rec.grad_v, rec.p, p)
-            rows.append({"linf_F_e12": np.max(np.abs(rec.F_e[:, 0, 1] - M * config.v0 / p.G)),
+            rows.append({"linf_F_e12": np.max(np.abs(rec.F_e[:, 0, 1] - tau1 / p.G)),
                          "linf_v1": np.max(np.abs(rec.v_nodes)),
-                         "linf_sigma12": np.max(np.abs(sigma[:, 0, 1] - M * config.v0)),
-                         "linf_sigma11": np.max(np.abs(sigma[:, 0, 0]
-                                                       - (M * config.v0) ** 2 / p.G))})
+                         "linf_sigma12": np.max(np.abs(sigma[:, 0, 1] - tau1)),
+                         "linf_sigma11": np.max(np.abs(sigma[:, 0, 0] - tau1 ** 2 / p.G))})
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
 
@@ -802,9 +863,6 @@ def _assert_scored_like_per_level_reference(result):
         for name, value in _per_level_metrics(result.config, rec).items():
             assert type(rec.metrics[name]) is float
             assert rec.metrics[name] == value, name
-    if result.config.kind == "thermal":
-        assert result.oracle_errors == {}
-        return
     reference = _per_level_oracle(result.config, result.history)
     assert sorted(result.oracle_errors) == sorted(reference)
     for name, values in reference.items():
@@ -847,6 +905,18 @@ def test_block_scoring_matches_per_level_reference(monkeypatch, make, dt, levels
     assert [B for _, B in block_bounds(short.history.m, cells)] == \
         {1: [1], 16: [16], 17: [16, 1]}[levels]
     _assert_scored_like_per_level_reference(short)
+
+
+def test_level_march_zeroes_what_its_map_reads_past_each_top():
+    # beyond M H / mu = 1 fdm_shear's shear rates are round-off rather than
+    # 0, and past a level's top its buffer's map reads the next level's
+    # cells: the block pass zeroes them, so each level is scored alone
+    cfg = fdm_config(params=MaterialParams(G=2.9, mu=0.09, rho=1.0), n_cells=64,
+                     t_end=0.5)
+    assert cfg.mass_rate * cfg.eulerian_grid().height / cfg.params.mu > 1
+    result = run_fdm_shear(cfg)
+    assert np.any(result.history.source[1] != 0.0)
+    _assert_scored_like_per_level_reference(result)
 
 
 @settings(max_examples=200, deadline=None)
@@ -990,13 +1060,10 @@ def test_age_march_is_bitwise_a_per_level_march(monkeypatch, cfg):
     assert sorted(history.metrics) == sorted(reference[0].metrics)
     for name, column in history.metrics.items():
         assert _bits(column) == _bits([rec.metrics[name] for rec in reference]), name
-    if cfg.kind == "thermal":
-        assert result.oracle_errors == {}
-    else:
-        oracle = _per_level_oracle(cfg, reference)
-        assert sorted(result.oracle_errors) == sorted(oracle)
-        for name, column in oracle.items():
-            assert _bits(result.oracle_errors[name]) == _bits(column), name
+    oracle = _per_level_oracle(cfg, reference)
+    assert sorted(result.oracle_errors) == sorted(oracle)
+    for name, column in oracle.items():
+        assert _bits(result.oracle_errors[name]) == _bits(column), name
 
 
 @pytest.mark.parametrize("F12, F22, tau1", [(-0.5, 1.0, 0.0), (-0.0, 1.0, 0.0),
@@ -1285,21 +1352,17 @@ def _offend_at(monkeypatch, level, value=1e-3):
 
 
 def _count_marched_levels(monkeypatch):
-    """Count the levels the march fills: one per ``first_integral`` call
-    (level by level) and a block's levels per ``_march_by_age`` call."""
-    kernel, by_age = surfgrow.scenarios.first_integral, surfgrow.scenarios._march_by_age
+    """Count the levels the march fills: a block's levels per
+    ``_fill_block`` call, which every kind makes once for each block it
+    marches (``fdm_shear`` after its level kernel)."""
+    fill = surfgrow.scenarios._fill_block
     calls = []
 
-    def counting_kernel(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
-
-    def counting_block(tables, base, levels, *args, **kwargs):
+    def counting_block(source, start, col, levels, *args, **kwargs):
         calls.extend([1] * len(levels))
-        return by_age(tables, base, levels, *args, **kwargs)
+        return fill(source, start, col, levels, *args, **kwargs)
 
-    monkeypatch.setattr(surfgrow.scenarios, "first_integral", counting_kernel)
-    monkeypatch.setattr(surfgrow.scenarios, "_march_by_age", counting_block)
+    monkeypatch.setattr(surfgrow.scenarios, "_fill_block", counting_block)
     return calls
 
 
@@ -1407,8 +1470,8 @@ def test_non_finite_level_stops_the_march_at_its_step(monkeypatch, fault, error)
 @pytest.mark.parametrize("fault, error", [("nan_g", SingularSystem),
                                           ("inf_F12", ValidationError)])
 def test_non_finite_level_stops_the_level_march_at_its_step(monkeypatch, fault, error):
-    # fdm_shear's traction lags the top velocity, so it is marched level by
-    # level and stops at the offending level itself
+    # fdm_shear's traction follows the top velocity, so it is marched level
+    # by level and its kernel stops at the offending level itself
     cells = _block_cells(monkeypatch, 256)
     cfg = fdm_config(n_cells=32, t_end=0.25)
     history = run_scenario(cfg).history
