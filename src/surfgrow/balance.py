@@ -170,18 +170,22 @@ def cell_S22(F22: np.ndarray) -> np.ndarray:
 
 def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
                     S22: np.ndarray, F22: np.ndarray, tau: np.ndarray,
-                    params: MaterialParams, dx: float) -> tuple[np.ndarray, np.ndarray]:
+                    params: MaterialParams, dx: float, *,
+                    work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """System and traction residuals of the solve on a stack of ``B`` levels;
     the system is ``first_integral``'s boundary value problem on a level's
     faces, face 0 clamped.
 
-    Level ``b`` has ``counts[b] >= 1`` active cells; ``F12`` holds the
-    levels' shears, one level after another.  ``S22 = F_e22^2`` and
-    ``F22`` are the cells' constants (at least ``max(counts)`` of them;
-    ``S22`` from ``cell_S22``) and ``tau`` the ``(B, 2)`` applied top
-    tractions.  Row ``b`` of ``v_nodes`` holds the level's ``counts[b] + 1``
+    Level ``b`` has ``counts[b] >= 1`` active cells; row ``b`` of ``F12``,
+    ``(B, max(counts))``, holds the level's shears and then zeros.  ``S22 =
+    F_e22^2`` and ``F22`` are the cells' constants (at least ``max(counts)``
+    of them; ``S22`` from ``cell_S22``) and ``tau`` the ``(B, 2)`` applied
+    top tractions.  Row ``b`` of ``v_nodes`` holds the level's ``counts[b] + 1``
     face velocities, the running sum of ``dx g`` from 0, followed by zeros
-    or by its top value repeated (neither moves a residual).
+    or by its top value repeated (neither moves a residual).  ``work``,
+    when given, is three float arrays and one boolean array, flat and of at
+    least ``B max(counts)`` entries, that the solve writes in place of its
+    temporaries.
     Returns ``(system_residual, traction_residual)``, two ``(B,)`` arrays,
     each entry that of its level alone: the scaled system's max-norm
     residual over ``max(1, max |v|)`` and the defect of the top cell's
@@ -193,27 +197,29 @@ def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
     V = v_nodes[:, :m + 1]
     rows, top = np.arange(B), counts - 1
     tau1, tau2 = tau[:, 0], tau[:, 1]
+    # the temporaries hold B rows of m, laid end to end
+    S, dS, resid, past = ((a[:B * m] for a in work) if work else
+                          (*np.empty((3, B * m)), np.empty(B * m, bool)))
     # S12 = F12 F22 on rows zero-padded past each level's top
-    active = np.arange(m) < counts[:, None]
-    S = np.zeros((B, m))
-    S[active] = F12
-    S *= F22[:m]
-    S12_top = S[rows, top]
+    np.greater_equal(np.arange(m), counts[:, None], out=past.reshape(B, m))
+    np.multiply(np.reshape(F12, (B, m)), F22[:m], out=S.reshape(B, m))
+    S12_top = S[rows * m + top]
     # Residual of the tridiagonal system, rows scaled to O(1) entries:
     # interior face i carries the second-difference balance (entries at and
     # past a level's top are not its own and are zeroed), the top row is the
-    # first integral at the top cell.
-    dS = S[:, 1:] - S[:, :-1]
+    # first integral at the top cell.  Differences along the rows are taken
+    # over the rows end to end: the last entry of each row spans two rows,
+    # and no residual reads it.
+    dS = np.subtract(S[1:], S[:-1], out=dS[:-1])
     dS *= (G / mu) * dx
-    dv = np.subtract(V[:, 1:], V[:, :-1], out=S)
-    resid = dv[:, 1:] - dv[:, :-1]
-    resid += dS
-    del dS
-    resid[~active[:, 1:]] = 0.0
-    np.abs(resid, out=resid)
+    dv = np.subtract(V[:, 1:], V[:, :-1], out=S.reshape(B, m))
+    interior = np.subtract(S[1:], S[:-1], out=resid[:-1])
+    interior += dS
+    np.copyto(interior, 0.0, where=past[1:])
+    np.abs(interior, out=interior)
     resid_top = np.abs(dv[rows, top] - (dx / mu) * (tau1 - G * S12_top))
     v_max = np.maximum(V.max(axis=1), -V.min(axis=1))
-    system = (np.maximum(resid.max(axis=1, initial=0.0), resid_top)
+    system = (np.maximum(resid.reshape(B, m)[:, :-1].max(axis=1, initial=0.0), resid_top)
               / np.maximum(1.0, v_max))
     # The top cell's stress against the applied traction.  The normal
     # balance there is normal_pressure's.

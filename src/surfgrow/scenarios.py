@@ -261,17 +261,43 @@ def analytic_non_normal(x2, t, alpha: float, G: float, mu: float, V_G: float):
     if not mu > 0:
         raise ValidationError(f"mu must be positive, got {mu}")
     x2a = np.asarray(x2, dtype=float)
-    top = V_G * t
-    if np.any(x2a < -1e-12) or np.any(x2a > top * (1 + 1e-12) + 1e-15):
-        raise OutOfBody(f"x2 outside [0, V_G t] = [0, {np.max(top):g}]")
-    lam = G / mu
-    age = t - x2a / V_G
-    decay = np.exp(-lam * age)
-    F_e12 = -alpha * decay
-    v1 = V_G * alpha * (decay - np.exp(-lam * t))
+    _require_in_body(x2a, t, V_G)
+    shape = np.broadcast(x2a, t).shape
+    v1, F_e12 = _closed_form(x2a, t, alpha, G / mu, V_G,
+                             (np.empty(shape), np.empty(shape), np.empty(shape, bool)))
     if np.ndim(v1) == 0:
         return float(v1), float(F_e12), float(G)
     return v1, F_e12, np.full_like(v1, float(G))
+
+
+def _require_in_body(x2: np.ndarray, t, V_G: float) -> None:
+    top = V_G * t
+    if np.any(x2 < -1e-12) or np.any(x2 > top * (1 + 1e-12) + 1e-15):
+        raise OutOfBody(f"x2 outside [0, V_G t] = [0, {np.max(top):g}]")
+
+
+def _closed_form(x2, t, alpha: float, lam: float, V_G: float, out: tuple,
+                 past: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``analytic_non_normal``'s ``(v1, F_e12)`` at the heights ``x2`` and
+    times ``t``, broadcast, written into ``out``: two float arrays and one
+    boolean array of their shape.  Cells where ``past`` is set get no value.
+
+    ``exp(-lam t)`` is taken once per time, and ``exp(-lam age)`` only where
+    its argument is above -746: below it is +0.0, which numpy returns too,
+    but off its vector path, an order of magnitude slower.
+    """
+    v1, F_e12, keep = out
+    arg = np.subtract(t, x2 / V_G, out=v1)
+    arg *= -lam
+    if past is not None:
+        np.copyto(arg, -np.inf, where=past)
+    np.greater(arg, -746.0, out=keep)
+    F_e12.fill(0.0)
+    decay = np.exp(arg, out=F_e12, where=keep)
+    np.subtract(decay, np.exp(-lam * t), out=v1)
+    v1 *= V_G * alpha
+    decay *= -alpha
+    return v1, decay
 
 
 def _ambient_stress(t_b: np.ndarray) -> np.ndarray:
@@ -301,24 +327,23 @@ def block_bounds(counts: np.ndarray, cells: int) -> list[tuple[int, int]]:
 
 @dataclass(eq=False, repr=False)  # never compared or printed; cheaper to import
 class _Block:
-    """Consecutive stored levels, as the block pass reads them.  Their cells
-    lie one level after another in ``F12`` and ``g``, views of the march's
-    block scratch (``_fill_block``); the rest is the march's running sums,
-    the run's per-cell constants and the levels' columns."""
+    """Consecutive stored levels, as the block pass reads them.  Row ``b`` of
+    ``F12`` and ``g``, views of the run's work arrays (``_fill_block``), is
+    level ``b``'s cells and then zeros; the rest is the march's running
+    sums, the run's per-cell constants and the levels' columns."""
 
     t: np.ndarray          # (B,) times of the levels
     counts: np.ndarray     # (B,) active cells, nondecreasing
-    starts: np.ndarray     # (B,) each level's first cell in F12 and g
-    active: np.ndarray     # (B, counts[-1]): the grid cells active at each level
-    cols: np.ndarray       # each cell's index on the grid
-    F12: np.ndarray        # the levels' shears
-    g: np.ndarray          # the levels' shear rates
+    past: np.ndarray       # (B, counts[-1]): the cells past each level's top
+    F12: np.ndarray        # (B, counts[-1]) the levels' shears
+    g: np.ndarray          # (B, counts[-1]) the levels' shear rates
     v_nodes: np.ndarray    # (B, counts[-1] + 1) face velocities, then padding
     v_surf: np.ndarray     # (B,) top-face velocities
     F_e0: np.ndarray       # the run's per-cell constants
     p: np.ndarray
     rho: np.ndarray
     centers: np.ndarray
+    work: tuple            # three float and one boolean flat scratch
 
     @property
     def top(self) -> np.ndarray:
@@ -326,8 +351,10 @@ class _Block:
         return self.counts - 1
 
     def level_max(self, values: np.ndarray) -> np.ndarray:
-        """Per-level maximum of per-cell values, one level after another."""
-        return np.maximum.reduceat(values, self.starts)
+        """Per-level maximum of nonnegative per-cell values on the block's
+        rows; ``values`` is zeroed past each level's top."""
+        np.copyto(values, 0.0, where=self.past)
+        return values.max(axis=1)
 
 
 def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
@@ -339,7 +366,7 @@ def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
     n_hat = np.array([0.0, 1.0])
     B = len(blk.t)
     top = blk.top
-    top_cell = blk.starts + top
+    top_cell = np.arange(B), top
     rho_top = blk.rho[top]
     v_surf = np.zeros((B, 2))
     v_surf[:, 0] = blk.v_surf
@@ -359,28 +386,30 @@ def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
 
 
 def _score_non_normal(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
-    """Oracle errors of a block's levels against ``analytic_non_normal``."""
+    """Oracle errors of a block's levels against ``analytic_non_normal``'s
+    closed form, formed in the block's scratch."""
     p = config.params
-    v1_ref, f_ref, _ = analytic_non_normal(blk.centers[blk.cols],
-                                           np.repeat(blk.t, blk.counts),
-                                           config.alpha, p.G, p.mu, config.V_G)
-    ef = blk.F12 - f_ref
-    del f_ref
-    # face averages of the running sums, at each level's own cells
+    # the centers ascend, so each level's top cell is its highest
+    _require_in_body(blk.centers[blk.top], blk.t, config.V_G)
+    ref, ef, v1, keep = (a[:blk.F12.size].reshape(blk.F12.shape) for a in blk.work)
+    v1_ref, f_ref = _closed_form(blk.centers[:ef.shape[1]], blk.t[:, None], config.alpha,
+                                 p.G / p.mu, config.V_G, (ref, ef, keep), past=blk.past)
+    ef = np.subtract(blk.F12, f_ref, out=f_ref)
+    # face averages of the running sums
     V = blk.v_nodes
-    v1 = (V[:, :-1] + V[:, 1:])[blk.active]
+    np.add(V[:, :-1], V[:, 1:], out=v1)
     v1 *= 0.5
     v1 -= v1_ref
-    del v1_ref
-    ef2 = ef ** 2
-    # np.mean's sum per level (np.add.reduceat sums in another order), one
-    # row sum over each run of consecutive levels with equal cell counts
+    ef2 = np.square(ef, out=ref)
+    # np.mean's sum per level (a row sum over padded rows sums in another
+    # order), one row sum over each run of consecutive levels with equal
+    # cell counts
     counts = blk.counts
     runs = np.flatnonzero(np.diff(counts, prepend=0))
     sizes = np.diff(runs, append=len(counts))
-    sums = [ef2[s:s + k * n].reshape(k, n).sum(axis=1) / n for s, k, n in
-            zip(blk.starts[runs].tolist(), sizes.tolist(), counts[runs].tolist())]
-    return {"linf_F_e12": blk.level_max(np.abs(ef)),
+    sums = [np.add.reduce(ef2[s:s + k, :n], axis=1) / n for s, k, n in
+            zip(runs.tolist(), sizes.tolist(), counts[runs].tolist())]
+    return {"linf_F_e12": blk.level_max(np.abs(ef, out=ef)),
             "rms_F_e12": np.sqrt(np.concatenate(sums)),
             "linf_v1": blk.level_max(np.abs(v1, out=v1))}
 
@@ -394,8 +423,9 @@ def _score_steady(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
     tau1 = config.mass_rate * config.v0 if config.kind == "fdm_shear" else 0.0
     # total_stress's 11 and 12 entries, in its operations, with F_e21 = 0 and
     # grad v = g e1 (x) e2 (they differ from it only in the sign of a zero)
-    F11, F12, F22 = blk.F_e0[blk.cols, 0, 0], blk.F12, blk.F_e0[blk.cols, 1, 1]
-    sigma11 = G * (F11 * F11 + F12 * F12) - blk.p[blk.cols]
+    m = blk.F12.shape[1]
+    F11, F12, F22 = blk.F_e0[:m, 0, 0], blk.F12, blk.F_e0[:m, 1, 1]
+    sigma11 = G * (F11 * F11 + F12 * F12) - blk.p[:m]
     sigma12 = G * (F12 * F22) + 2.0 * mu * (0.5 * blk.g)
     return {"linf_F_e12": blk.level_max(np.abs(F12 - tau1 / G)),
             "linf_v1": np.abs(blk.v_nodes).max(axis=1),
@@ -422,7 +452,7 @@ def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
 
 def _fill_block(source: np.ndarray, start: np.ndarray, col: np.ndarray,
                 levels: np.ndarray, v_nodes: np.ndarray, dx: float,
-                active: np.ndarray | None = None, work: np.ndarray | None = None,
+                past: np.ndarray | None = None, work: tuple | None = None,
                 pad: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
     """Read a block of stored levels through a run's map, ``source[:,
     start[k] + col[j]]`` for cell ``j`` of level ``k`` (``History``).
@@ -431,28 +461,28 @@ def _fill_block(source: np.ndarray, start: np.ndarray, col: np.ndarray,
     face velocities: 0, the running sums of ``dx g`` over its cells, then
     its top value repeated where the map reads zeros past its top (an age
     table's negative ages) or ``pad`` zeroes what it reads there (a level
-    buffer's next cells).  Given ``active``, the ``(B, width - 1)`` mask of
-    each level's cells, returns their ``F_e12`` and ``g``, one level after
-    another, as two views of ``work``: a flat scratch of at least ``B
-    (width - 1)`` entries and twice the cells, whose front holds the rates
-    first."""
-    index = start[levels, None] + col[:v_nodes.shape[1] - 1]
+    buffer's next cells), the ``(B, width - 1)`` mask ``past``.  Given
+    ``work``, contiguous ``(B, width - 1)`` arrays for the levels'
+    ``F_e12`` and ``g`` and the map's indices, returns the first two, each
+    row a level's cells and then zeros."""
+    F12, g, index = work or (None, None, None)
+    index = np.add(start[levels, None], col[:v_nodes.shape[1] - 1], out=index)
     # every index is in range by construction: "clip" only spares the
     # buffered copy of "raise" mode.  take fills a contiguous `out` in
     # place, but the strided rows of v_nodes only through a copy.
-    rates = np.take(source[1], index, mode="clip",
-                    out=None if work is None else work[:index.size].reshape(index.shape))
+    g = np.take(source[1], index, mode="clip", out=g)
     if pad:
-        np.copyto(rates, 0.0, where=~active)
-    rates *= dx
+        np.copyto(g, 0.0, where=past)
     v_nodes[:, 0] = 0.0
-    np.cumsum(rates, axis=1, out=v_nodes[:, 1:])
-    if active is None:
+    # both infinities in a level's rates sum to NaN, which its v_surf shows
+    with np.errstate(invalid="ignore"):
+        np.cumsum(np.multiply(g, dx, out=g if F12 is None else F12), axis=1,
+                  out=v_nodes[:, 1:])
+    if F12 is None:
         return None
-    index = index[active]
-    F12, g = work[:2 * len(index)].reshape(2, -1)
-    np.take(source[0], index, out=F12, mode="clip")
-    np.take(source[1], index, out=g, mode="clip")
+    np.take(source[0], index, mode="clip", out=F12)
+    if pad:
+        np.copyto(F12, 0.0, where=past)
     return F12, g
 
 
@@ -509,14 +539,19 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     metrics = {name: np.empty(levels) for name in METRIC_FIELDS}
     metrics.update(t=t_levels, H=H)
     oracle_errors: dict[str, np.ndarray] = {}
-    # Block scratch for the widest block (``_fill_block``): `v_flat` viewed
-    # as (B, m_last + 1), row b the face velocities of the block's level b
-    # and then its top one repeated, and `scratch` for its rates and then its
-    # cells.
+    # Work arrays of the widest block, held for the run: `v_flat` viewed as
+    # (B, m_last + 1), row b the face velocities of the block's level b and
+    # then its top one repeated; in `work`, the levels' F_e12 and g, the
+    # map's indices and the mask of the cells past each level's top, viewed
+    # as (B, m_last) (``_fill_block``), and `scratch` for ``solve_residuals``
+    # and then the oracle.  The floats are one allocation: once freed, it
+    # raises glibc's trim threshold above the run's work, so the next run
+    # reuses the heap instead of faulting it in again.
     v_flat = np.empty(max(B * (int(m[i0 + B - 1]) + 1) for i0, B in blocks))
-    scratch = np.empty(max(max(B * int(m[i0 + B - 1]),
-                               2 * int(offsets[i0 + B - 1] + m[i0 + B - 1] - offsets[i0]))
-                           for i0, B in blocks))
+    cells = max(B * int(m[i0 + B - 1]) for i0, B in blocks)
+    floats, flags = np.empty((5, cells)), np.empty((2, cells), bool)
+    work = (*floats[:2], np.empty(cells, np.intp), flags[0])
+    scratch = (*floats[2:], flags[1])
     grid_cells = np.arange(n)
     # A traction that does not follow the body's motion makes every cell's
     # F_e12 a function of its age alone, so the run is marched by age.
@@ -582,12 +617,12 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
                         m_next = int(m[i + 1])
                         reduced_step_1d(F12, g, F22[:mi], dt, m_next, F_att[0, 1],
                                         out=source[0, o + mi:o + mi + m_next])
-            width = int(m[i0 + B - 1]) + 1
-            v_nodes = v_flat[:B * width].reshape(B, width)
-            active = grid_cells[:width - 1] < m[i0:i0 + B, None]
-            lo = int(offsets[i0])
-            F12_block, g_block = _fill_block(source, level_start, col, np.arange(i0, i0 + B),
-                                             v_nodes, dx, active, scratch, pad=not by_age)
+            shape = B, int(m[i0 + B - 1])
+            v_nodes = v_flat[:B * (shape[1] + 1)].reshape(B, -1)
+            F12_block, g_block, index, past = (a[:B * shape[1]].reshape(shape) for a in work)
+            np.greater_equal(grid_cells[:shape[1]], m[i0:i0 + B, None], out=past)
+            _fill_block(source, level_start, col, np.arange(i0, i0 + B), v_nodes, dx, past,
+                        (F12_block, g_block, index), pad=not by_age)
             v_surf[i0:i0 + B] = v_nodes[np.arange(B), m[i0:i0 + B]]
             # a non-finite shear or shear rate anywhere reaches the top face,
             # so the first level whose v_surf is not finite has failed
@@ -597,8 +632,7 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
                 failed = int(bad[0])
                 k = first + i0 + failed
                 t = k * dt
-                o = int(offsets[i0 + failed]) - lo
-                F12 = F12_block[o:o + int(m[i0 + failed])]
+                F12 = F12_block[failed, :int(m[i0 + failed])]
             marched = time.perf_counter()
             # The block pass: what does not feed the next step (the solve's
             # residuals, the jump metrics and the oracle), on the levels
@@ -606,11 +640,12 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
             # offending step.
             if failed != 0:
                 rows = slice(i0, i0 + (B if failed is None else failed))
-                counts, bounds = m[rows], offsets[rows] - lo
-                cells = int(bounds[-1] + counts[-1])
+                counts = m[rows]
+                cut = np.s_[:len(counts), :int(counts[-1])]
                 v_block = v_nodes[:len(counts), :int(counts[-1]) + 1]
                 system, traction_residual = solve_residuals(
-                    F12_block[:cells], counts, v_block, S22, F22, tau[rows], params, dx)
+                    F12_block[cut], counts, v_block, S22, F22, tau[rows], params, dx,
+                    work=scratch)
                 residual = np.maximum(traction_residual, system)
                 bad = np.flatnonzero(residual > ANSATZ_RESIDUAL_LIMIT)
                 if len(bad):
@@ -621,14 +656,10 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
                         f"through-thickness ansatz is inconsistent")
                 metrics["traction_residual"][rows] = traction_residual
                 metrics["system_residual"][rows] = system
-                active = active[:len(counts), :int(counts[-1])]
-                blk = _Block(t=t_levels[rows], counts=counts, starts=bounds,
-                             active=active,
-                             cols=np.broadcast_to(grid_cells[:active.shape[1]],
-                                                  active.shape)[active],
-                             F12=F12_block[:cells], g=g_block[:cells], v_nodes=v_block,
+                blk = _Block(t=t_levels[rows], counts=counts, past=past[cut],
+                             F12=F12_block[cut], g=g_block[cut], v_nodes=v_block,
                              v_surf=v_surf[rows], F_e0=F_e0, p=p, rho=rho,
-                             centers=centers)
+                             centers=centers, work=scratch)
                 for name, values in _level_metrics(config, growth, blk).items():
                     metrics[name][rows] = values
                 for name, values in oracle(config, blk).items():

@@ -126,6 +126,32 @@ def level_solve(F12, F_e0, dx, params, traction):
     return g, v_nodes, float(system[0]), float(residual[0])
 
 
+def test_stacked_solve_is_each_level_alone(params):
+    # levels of 3, 5, 5 and 8 cells as zero-padded rows, with face
+    # velocities padded by the top value or by zeros, and with work arrays
+    # of stale values: every level's residuals are bitwise those of its own
+    # solve
+    rng = np.random.default_rng(3)
+    counts, dx = np.array([3, 5, 5, 8]), 0.125
+    F22 = rng.uniform(0.5, 2.0, 8)
+    F_e0 = identity((8,))
+    F_e0[:, 1, 1] = F22
+    tau = rng.standard_normal((4, 2))
+    alone, rows, V, V0 = [], np.zeros((4, 8)), np.empty((4, 9)), np.zeros((4, 9))
+    for b, m in enumerate(counts):
+        rows[b, :m] = rng.standard_normal(m)
+        _, v_nodes, system, traction = level_solve(rows[b, :m], F_e0[:m], dx, params,
+                                                   tau[b])
+        alone.append((system, traction))
+        V[b] = v_nodes[-1]
+        V[b, :m + 1] = V0[b, :m + 1] = v_nodes
+    stale = (*np.full((3, 40), np.nan), np.ones(40, bool))
+    for v_nodes, work in ((V, None), (V0, None), (V, stale), (V0, stale)):
+        system, traction = solve_residuals(rows, counts, v_nodes, cell_S22(F22), F22, tau,
+                                           params, dx, work=work)
+        assert [(s, t) for s, t in zip(system.tolist(), traction.tolist())] == alone
+
+
 def test_solve_equilibrium_is_static(params):
     grid = Grid1D(32, 1.0)
     _, v_nodes, system, traction = level_solve(np.zeros(32), identity((32,)), grid.dx,

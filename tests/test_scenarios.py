@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -230,6 +232,42 @@ def test_analytic_out_of_body():
         analytic_non_normal(1.5, 1.0, 0.5, 1.0, 0.1, 1.0)
     with pytest.raises(ValidationError):
         analytic_non_normal(0.5, 1.0, 0.5, 1.0, 0.0, 1.0)
+    # below the base and above the front V_G t, alone or among valid heights
+    for x2 in (-1e-6, 2.0 + 1e-6):
+        with pytest.raises(OutOfBody):
+            analytic_non_normal(x2, 1.0, 0.5, 2.0, 0.1, 2.0)
+        with pytest.raises(OutOfBody):
+            analytic_non_normal(np.array([0.0, 1.0, x2]), 1.0, 0.5, 2.0, 0.1, 2.0)
+    assert analytic_non_normal(np.array([0.0, 2.0]), 1.0, 0.5, 2.0, 0.1, 2.0)[1][1] == -0.5
+
+
+def test_analytic_matches_exp_where_it_underflows():
+    # exp(-lam age) is normal above -708.4, subnormal down to -745.13 and
+    # +0.0 below; the closed form skips the exponential below -746 and must
+    # give np.exp's values at every argument.  lam = 1024 and t = 16 make
+    # every argument -lam (t - x2 / V_G) but -745.1 and -745.2 exact.
+    G, mu, alpha, V_G, t = 1.0, 2.0 ** -10, 0.5, 1.0, 16.0
+    args = np.array([-708.0, -708.5, -745.1, -745.2, -746.0, -1e4])
+    x2 = t - (-args) / 1024.0
+    lam = G / mu
+    assert lam == 1024.0 and np.all(np.abs(-lam * (t - x2 / V_G) - args) <= 1e-12)
+    decay = np.exp(-lam * (t - x2 / V_G))
+    F_ref = -alpha * decay
+    v1_ref = V_G * alpha * (decay - np.exp(-lam * t))
+    tiny = np.finfo(float).tiny
+    assert decay[0] > tiny > decay[1] > decay[2] > 0.0
+    assert np.all(decay[3:] == 0.0)
+    v1, F_e12, p = analytic_non_normal(x2, t, alpha, G, mu, V_G)
+    assert _bits(F_e12) == _bits(F_ref) and _bits(v1) == _bits(v1_ref)
+    np.testing.assert_array_equal(p, np.full(6, G))
+    # one level of heights against a stack of times, and scalars
+    v1, F_e12, _ = analytic_non_normal(x2[None, :], np.full((2, 1), t), alpha, G, mu, V_G)
+    assert _bits(F_e12) == _bits(np.stack([F_ref] * 2))
+    assert _bits(v1) == _bits(np.stack([v1_ref] * 2))
+    for j, x in enumerate(x2.tolist()):
+        v1, F_e12, p = analytic_non_normal(x, t, alpha, G, mu, V_G)
+        assert type(v1) is float and type(F_e12) is float and p == G
+        assert _bits(F_e12) == _bits(F_ref[j]) and _bits(v1) == _bits(v1_ref[j])
 
 
 def test_non_normal_zero_alpha_stays_stress_free():
@@ -919,6 +957,85 @@ def test_level_march_zeroes_what_its_map_reads_past_each_top():
     _assert_scored_like_per_level_reference(result)
 
 
+def test_block_scoring_matches_per_level_reference_where_exp_underflows(monkeypatch):
+    # at mu = 1e-3 (lam = 1000) the closed form's exp(-lam age) is subnormal
+    # past age 0.708 and +0.0 past 0.746, and the stored F_e12, halved at
+    # each step (1 - lam dt = 1/2), passes through subnormals to 0
+    cells = _block_cells(monkeypatch, 16 * 32)
+    cfg = nn_config(params=MaterialParams(G=1.0, mu=1e-3, rho=1.0), n_cells=32, dt=5e-4)
+    result = run_non_normal(cfg)
+    assert len(result.history) > 1900 and len(block_bounds(result.history.m, cells)) > 50
+    stored = result.history.source[0]
+    assert np.any((stored != 0.0) & (np.abs(stored) < np.finfo(float).tiny))
+    assert result.history[-1].F_e12[0] == 0.0
+    _assert_scored_like_per_level_reference(result)
+
+
+def _record_work(monkeypatch):
+    """Record the arrays the march hands ``_fill_block`` and
+    ``solve_residuals`` to write into: each block's face velocities, mask
+    and views of the run's work arrays, and the solve's scratch."""
+    fill, residuals = surfgrow.scenarios._fill_block, surfgrow.scenarios.solve_residuals
+    seen = []
+
+    def recording_fill(source, start, col, levels, v_nodes, dx, past, work, **kwargs):
+        seen.extend([v_nodes, past, *work])
+        return fill(source, start, col, levels, v_nodes, dx, past, work, **kwargs)
+
+    def recording_residuals(*args, work, **kwargs):
+        seen.extend(work)
+        return residuals(*args, work=work, **kwargs)
+
+    monkeypatch.setattr(surfgrow.scenarios, "_fill_block", recording_fill)
+    monkeypatch.setattr(surfgrow.scenarios, "solve_residuals", recording_residuals)
+    return seen
+
+
+def _columns(result):
+    return [result.history.v_surf, *result.history.metrics.values(),
+            *result.oracle_errors.values()]
+
+
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_work_arrays_stay_out_of_the_results(monkeypatch, make):
+    # the block pass writes into work arrays held for the run; no column
+    # of a result is one of them, and a second run writes into its own
+    work = _record_work(monkeypatch)
+    _block_cells(monkeypatch, 256)
+    first = run_scenario(make(n_cells=32, t_end=0.25))
+    first_work = list(work)
+    assert len(first_work) > 20
+    for column in _columns(first):
+        assert not any(np.shares_memory(column, w) for w in first_work)
+    before = [column.tobytes() for column in _columns(first)]
+    work.clear()
+    second = run_scenario(make(n_cells=48, t_end=0.25))
+    assert [column.tobytes() for column in _columns(first)] == before
+    for column in _columns(second):
+        assert not any(np.shares_memory(column, w) for w in first_work + work)
+    assert not any(np.shares_memory(a, b) for a in work for b in first_work)
+
+
+def test_work_arrays_are_freed_with_their_run(monkeypatch):
+    # nothing outlives the run that allocated its work arrays: not the
+    # module, not the result
+    def root(array):
+        while array.base is not None:
+            array = array.base
+        return array
+
+    work = _record_work(monkeypatch)
+    result = run_non_normal(nn_config(n_cells=32, t_end=0.25))
+    owners = {id(root(w)): weakref.ref(root(w)) for w in work}
+    work.clear()
+    gc.collect()
+    assert len(owners) >= 4 and all(ref() is None for ref in owners.values())
+    assert len(result.history) > 0
+    for module in (surfgrow.scenarios, surfgrow.balance):
+        assert not [name for name, value in vars(module).items()
+                    if isinstance(value, np.ndarray)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(counts=st.lists(st.integers(1, 3000), max_size=200),
        wide=st.lists(st.integers(2 ** 15 + 1, 2 ** 17), min_size=1, max_size=3),
@@ -1502,3 +1619,33 @@ def test_non_finite_level_stops_the_level_march_at_its_step(monkeypatch, fault, 
     assert "F_e12" in str(info.value) if error is ValidationError else \
         "non-finite" in str(info.value)
     assert len(calls) == level + 1 and len(checked) == level
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fault, error", [("rates", SingularSystem),
+                                          ("F12", ValidationError)])
+def test_both_infinities_in_a_level_name_its_step(monkeypatch, fault, error):
+    # a level whose shear rates hold +inf and -inf sums them to NaN in its
+    # face velocities: the march names the step instead of ending with
+    # numpy's invalid-value warning
+    kernel = surfgrow.scenarios.first_integral
+    calls = []
+
+    def faulty_kernel(F12, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 20 and fault == "F12":
+            F12[0], F12[1] = np.inf, -np.inf
+        g = kernel(F12, *args, **kwargs)
+        if len(calls) == 20 and fault == "rates":
+            g[0], g[1] = np.inf, -np.inf
+        return g
+
+    monkeypatch.setattr(surfgrow.scenarios, "first_integral", faulty_kernel)
+    cfg = fdm_config(n_cells=32, t_end=0.25)
+    dt, _ = cfg.resolve_dt()
+    with pytest.raises(error) as info:
+        run_fdm_shear(cfg)
+    # fdm_shear solves at t = 0 first: the 20th solve is step 19
+    assert str(info.value).startswith(f"step 19, t = {19 * dt:.6g}: ")
+    # the F12 fault gives the level's rates both infinities too
+    assert np.isinf(kernel(np.array([np.inf, -np.inf]), np.ones(2), 0.0, cfg.params)).all()
