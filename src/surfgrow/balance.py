@@ -3,9 +3,10 @@ quasistatic through-thickness momentum balance, and the domain-height update.
 
 Growth enters the balance laws only through the boundary: the surface
 moves with ``V_b . n = v . n + M / rho`` and develops the traction
-``sigma n = M (v_a - v) + t_b``.  A growth march runs the solve as two
-pieces, ``first_integral`` per level and ``solve_residuals`` per block (see
-the README's Scenarios section).
+``sigma n = M (v_a - v) + t_b``.  The solve is two pieces: the cells'
+shear rates, ``first_integral`` (which a growth march evaluates per cell
+age, ``scenarios.shear_by_age``), and the residuals of a block of levels,
+``solve_residuals`` (see the README's Scenarios section).
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def require_reduced(F_e0: np.ndarray) -> np.ndarray:
 
 
 def first_integral(F12: np.ndarray, F22: np.ndarray, tau1: float,
-                   params: MaterialParams, out: np.ndarray | None = None) -> np.ndarray:
+                   params: MaterialParams) -> np.ndarray:
     """Cell shear rates ``g = v1'`` of the inertia-free momentum balance.
 
     With ``S = F_e F_e^T`` the tangential balance is the two-point boundary
@@ -152,13 +153,8 @@ def first_integral(F12: np.ndarray, F22: np.ndarray, tau1: float,
     exact discrete first integral, so no matrix is factored and the
     transport source stays accurate in relative terms where the fields are
     exponentially small.  ``S12 = F12 F22`` (``F_e21 = 0``) with ``F22``
-    the cells' constants.  Four ufunc calls, the last two written into
-    ``out`` when it is given."""
-    s = F12 * F22
-    s *= params.G
-    g = np.subtract(tau1, s, out=out)
-    g /= params.mu
-    return g
+    the cells' constants."""
+    return (tau1 - (F12 * F22) * params.G) / params.mu
 
 
 def cell_S22(F22: np.ndarray) -> np.ndarray:

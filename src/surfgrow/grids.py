@@ -111,17 +111,16 @@ class History(Sequence):
 
     Per level: ``t``, ``step``, the height ``H``, the active cell count
     ``m``, ``start``, ``v_surf`` and one array per metric in ``metrics``.
-    The levels' ``F_e12`` and ``g`` are the two rows of ``source``, read
-    through one map: cell ``j`` of level ``k`` is entry ``start[k] +
-    col[j]``.  An age-marched run keeps its age tables (``start`` the
-    level, ``col`` each cell's entry offset), a level-marched run one
-    buffer of every level's cells (``start`` the level's first cell,
-    ``col`` the cell).  ``source``, ``col``, ``F_e0``, ``p``, ``rho`` and
-    ``dx`` are shared by all levels.  Indexing builds a level's record on
-    first access and keeps it, and a slice is a ``History`` over the same
-    columns and kept records.  ``columns``, ``grid``, ``v_nodes`` and
-    ``F_e_columns`` read a level without building a record; ``centers``
-    and ``faces`` are the run's grid, of which every level holds a prefix.
+    The levels' ``F_e12`` and ``g`` are the two rows of ``source``, the
+    run's age tables, read through one map: cell ``j`` of level ``k`` is
+    entry ``start[k] + col[j]``, with ``start`` the level's index in the
+    run and ``col`` each cell's entry offset.  ``source``, ``col``,
+    ``F_e0``, ``p``, ``rho`` and ``dx`` are shared by all levels.  Indexing
+    builds a level's record on first access and keeps it, and a slice is a
+    ``History`` over the same columns and kept records.  ``columns``,
+    ``grid``, ``v_nodes`` and ``F_e_columns`` read a level without building
+    a record; ``centers`` and ``faces`` are the run's grid, of which every
+    level holds a prefix.
     """
 
     LEVEL_COLUMNS = ("t", "step", "H", "m", "start", "v_surf")

@@ -44,7 +44,7 @@ class PathlineRecord:
 
 
 def reduced_step_1d(F12: np.ndarray, g: np.ndarray, F22, dt: float, n_cells: int,
-                    inflow: float, out: np.ndarray | None = None) -> np.ndarray:
+                    inflow: float) -> np.ndarray:
     """One transport step of the shear ``F12`` of a tensor in the
     through-thickness reduction on the fixed grid: the ``len(F12)`` active
     cells are stepped, and the cells up to ``n_cells`` that the boundary
@@ -57,19 +57,14 @@ def reduced_step_1d(F12: np.ndarray, g: np.ndarray, F22, dt: float, n_cells: int
     with ``T21 = 0`` that leaves ``T11`` as it is and makes the shear
     ``F12 + dt (g F22)``, bitwise the ``(0, 1)`` entry of the full update.
     ``F22`` is the tensor's constant second diagonal entry per cell, or a
-    scalar.  The result is written into
-    ``out``, an ``(n_cells,)`` array, when it is given (the march writes
-    each level into its slice of a run-wide buffer), else into a fresh one.
+    scalar.  Returns a fresh ``(n_cells,)`` array.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     m = len(F12)
     if n_cells < m:
         raise ValidationError(f"the active cells cannot shrink: {m} -> {n_cells}")
-    if out is None:
-        out = np.empty(n_cells)
-    elif out.shape != (n_cells,):
-        raise ValidationError(f"out must have shape ({n_cells},), got {out.shape}")
+    out = np.empty(n_cells)
     out[:m] = F12 + dt * (g * F22)
     out[m:] = inflow
     return out

@@ -2,9 +2,8 @@
 
 The three kinds (``non_normal``, ``fdm_shear``, ``thermal``) and the march
 they share, ``_run_1d`` (the schedule known up front, ``F_e12`` and ``g``
-from age tables or from a step kernel of a few ufunc calls, and a block
-pass for the residual checks, metrics and oracle), are described in the
-README's Scenarios section.
+from age tables, and a block pass for the residual checks, metrics and
+oracle), are described in the README's Scenarios section.
 """
 
 from __future__ import annotations
@@ -17,15 +16,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .balance import (GrowthInput, SideState, advance_domain,
-                      boundary_normal_velocity, cell_S22, first_integral,
-                      growth_traction, jump_residuals, normal_pressure,
-                      require_reduced, solve_residuals)
+                      boundary_normal_velocity, cell_S22, growth_traction,
+                      jump_residuals, normal_pressure, require_reduced,
+                      solve_residuals)
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, total_stress)
 from .errors import (IncompatibleAnsatz, OutOfBody, OutOfDomain, SingularSystem,
                      SurfgrowError, ValidationError)
 from .grids import Grid1D, History, StepRecord, interp_prefix
-from .kinematics import PathlineRecord, reduced_step_1d, replay_columns
+from .kinematics import PathlineRecord, replay_columns
 from .tensors import require_finite
 
 KINDS = ("non_normal", "fdm_shear", "thermal")
@@ -38,8 +37,9 @@ ANSATZ_RESIDUAL_LIMIT = 1e-6
 # within it (see ``block_bounds``).
 BLOCK_CELLS = 2 ** 15
 # The largest (n_steps + 1) * n_cells a configuration may ask for: it bounds
-# the cells a level-marched run stores (16 bytes each in its buffer, 4 GiB
-# here) and the length of its schedule.
+# the schedule (a few floats a step) and the cell-levels the block pass
+# scores, so a step count that cannot be marched is refused before
+# anything is allocated.
 MAX_CELL_STEPS = 2 ** 28
 # The metric columns of a run, in the order of a metrics.jsonl header.
 METRIC_FIELDS = ("t", "H", "mass_residual", "momentum_residual",
@@ -439,7 +439,7 @@ def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
     ages - 1`` (steps since it entered with the shear ``F12``) under the
     constant top traction ``tau1``: the operations of ``first_integral``
     and ``reduced_step_1d`` on floats, in their order, so each entry is
-    bitwise what the per-level kernel gives the cell at that age."""
+    bitwise what a march of those kernels gives the cell at that age."""
     G, mu = float(params.G), float(params.mu)
     shears, rates = [], []
     for _ in range(ages):
@@ -452,27 +452,22 @@ def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
 
 def _fill_block(source: np.ndarray, start: np.ndarray, col: np.ndarray,
                 levels: np.ndarray, v_nodes: np.ndarray, dx: float,
-                past: np.ndarray | None = None, work: tuple | None = None,
-                pad: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
+                work: tuple | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """Read a block of stored levels through a run's map, ``source[:,
     start[k] + col[j]]`` for cell ``j`` of level ``k`` (``History``).
 
     Row ``b`` of ``v_nodes``, ``(B, width)``, becomes level ``levels[b]``'s
     face velocities: 0, the running sums of ``dx g`` over its cells, then
     its top value repeated where the map reads zeros past its top (an age
-    table's negative ages) or ``pad`` zeroes what it reads there (a level
-    buffer's next cells), the ``(B, width - 1)`` mask ``past``.  Given
-    ``work``, contiguous ``(B, width - 1)`` arrays for the levels'
-    ``F_e12`` and ``g`` and the map's indices, returns the first two, each
-    row a level's cells and then zeros."""
+    table's negative ages).  Given ``work``, contiguous ``(B, width - 1)``
+    arrays for the levels' ``F_e12`` and ``g`` and the map's indices,
+    returns the first two, each row a level's cells and then zeros."""
     F12, g, index = work or (None, None, None)
     index = np.add(start[levels, None], col[:v_nodes.shape[1] - 1], out=index)
     # every index is in range by construction: "clip" only spares the
     # buffered copy of "raise" mode.  take fills a contiguous `out` in
     # place, but the strided rows of v_nodes only through a copy.
     g = np.take(source[1], index, mode="clip", out=g)
-    if pad:
-        np.copyto(g, 0.0, where=past)
     v_nodes[:, 0] = 0.0
     # both infinities in a level's rates sum to NaN, which its v_surf shows
     with np.errstate(invalid="ignore"):
@@ -480,10 +475,7 @@ def _fill_block(source: np.ndarray, start: np.ndarray, col: np.ndarray,
                   out=v_nodes[:, 1:])
     if F12 is None:
         return None
-    np.take(source[0], index, mode="clip", out=F12)
-    if pad:
-        np.copyto(F12, 0.0, where=past)
-    return F12, g
+    return np.take(source[0], index, mode="clip", out=F12), g
 
 
 def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
@@ -493,16 +485,14 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     M = config.mass_rate
     dt, n_steps = config.resolve_dt()
     growth = config.growth_input()
-    F_att = growth.F_e_attach
     grid = config.eulerian_grid()
     n, dx = grid.n_cells, grid.dx
 
     # The schedule.  Step k solves at t = k dt on the cells whose centers
     # H(t_k) has reached and advances to (k + 1) dt; the closing solve at
     # t_end is step n_steps.  Levels with no active cell are not stored:
-    # the stored levels are the steps from `first` on, level i's cells are
-    # [offsets[i], offsets[i] + m[i]) of all levels' cells laid one after
-    # another, and the block pass runs on each of `blocks`.
+    # the stored levels are the steps from `first` on, level i holds the
+    # first m[i] cells, and the block pass runs on each of `blocks`.
     H = np.empty(n_steps + 1)
     H[0] = config.height0
     H[1:] = advance_domain(config.height0, config.boundary_rate, dt,
@@ -512,7 +502,6 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     first = int(np.searchsorted(m, 1))
     m0, H, m = int(m[0]), H[first:], m[first:]
     levels = len(m)
-    offsets = np.cumsum(m) - m
     blocks = block_bounds(m, BLOCK_CELLS)
 
     # Per-cell constants of the run, each one read-only array of which every
@@ -523,7 +512,7 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     # tau2 = t_b2 (the attachment velocity has no normal component), and
     # rho keeps its attachment value (v2 = 0, no compression).
     entries = [(F, cells) for F, cells in ((config.initial_deformation(), m0),
-                                           (F_att, n - m0)) if cells]
+                                           (growth.F_e_attach, n - m0)) if cells]
     F_e0 = np.concatenate([np.broadcast_to(F, (cells, 2, 2)) for F, cells in entries])
     p = normal_pressure(F_e0, params.G, growth.t_b[1])
     rho = np.full(n, params.rho)
@@ -541,21 +530,19 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     oracle_errors: dict[str, np.ndarray] = {}
     # Work arrays of the widest block, held for the run: `v_flat` viewed as
     # (B, m_last + 1), row b the face velocities of the block's level b and
-    # then its top one repeated; in `work`, the levels' F_e12 and g, the
-    # map's indices and the mask of the cells past each level's top, viewed
-    # as (B, m_last) (``_fill_block``), and `scratch` for ``solve_residuals``
-    # and then the oracle.  The floats are one allocation: once freed, it
-    # raises glibc's trim threshold above the run's work, so the next run
-    # reuses the heap instead of faulting it in again.
+    # then its top one repeated; in `work`, the levels' F_e12 and g and the
+    # map's indices (``_fill_block``) and the mask of the cells past each
+    # level's top, viewed as (B, m_last), and `scratch` for
+    # ``solve_residuals`` and then the oracle.  The floats are one
+    # allocation: once freed, it raises glibc's trim threshold above the
+    # run's work, so the next run reuses the heap instead of faulting it in
+    # again.
     v_flat = np.empty(max(B * (int(m[i0 + B - 1]) + 1) for i0, B in blocks))
     cells = max(B * int(m[i0 + B - 1]) for i0, B in blocks)
     floats, flags = np.empty((5, cells)), np.empty((2, cells), bool)
     work = (*floats[:2], np.empty(cells, np.intp), flags[0])
     scratch = (*floats[2:], flags[1])
     grid_cells = np.arange(n)
-    # A traction that does not follow the body's motion makes every cell's
-    # F_e12 a function of its age alone, so the run is marched by age.
-    by_age = growth.v_a is None
 
     timings = {"march_s": 0.0, "check_s": 0.0}
     k, t = first, first * dt
@@ -568,61 +555,32 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
                              ("max_p_dev", p - params.G)):
             metrics[name] = np.maximum.accumulate(np.abs(values))[m - 1]
         start = time.perf_counter()
-        if by_age:
-            # The age tables, the rows of `source`: per entry state that has
-            # cells, `levels` zeros for the negative ages of cells not yet
-            # active, then ages 0 .. levels-1.  Cell j of level i reads entry
-            # i + col[j].
-            tau[:] = growth.t_b
-            tables = np.zeros((2, len(entries), 2, levels))
-            for c, (F, _) in enumerate(entries):
-                tables[:, c, 1] = shear_by_age(
-                    float(F[0, 1]), float(F[1, 1]), float(tau[0, 0]), params, dt, levels)
-            source = tables.reshape(2, -1)
-            state = np.repeat(np.arange(len(entries)), [cells for _, cells in entries])
-            col = (2 * state + 1) * levels - np.searchsorted(m, grid_cells, side="right")
-            level_start = np.arange(levels)
-        else:
-            # One buffer of every level's cells, level i from offsets[i];
-            # the first stored level's cells all hold their entry value.
-            source = np.empty((2, int(offsets[-1] + m[-1])))
-            source[0, :m[0]] = F_e0[:m[0], 0, 1]
-            col, level_start = grid_cells, offsets
+        # Every cell is marched under the traction that arriving material
+        # sets on a body at rest, M v_a + t_b (t_b where it attaches at the
+        # body's velocity), so its F_e12 is a function of its age alone.
+        # The age tables, the rows of `source`: per entry state that has
+        # cells, `levels` zeros for the negative ages of cells not yet
+        # active, then ages 0 .. levels-1.  Cell j of level i reads entry
+        # i + col[j].
+        tau[:] = growth.t_b if growth.v_a is None else growth_traction(
+            M, growth.v_a, np.zeros(2), growth.t_b)
+        tables = np.zeros((2, len(entries), 2, levels))
+        for c, (F, _) in enumerate(entries):
+            tables[:, c, 1] = shear_by_age(
+                float(F[0, 1]), float(F[1, 1]), float(tau[0, 0]), params, dt, levels)
+        source = tables.reshape(2, -1)
+        state = np.repeat(np.arange(len(entries)), [cells for _, cells in entries])
+        col = (2 * state + 1) * levels - np.searchsorted(m, grid_cells, side="right")
+        level_start = np.arange(levels)
         timings["march_s"] += time.perf_counter() - start
         for i0, B in blocks:
             start = time.perf_counter()
-            if not by_age:
-                # the level kernel marches the block's levels into the
-                # buffer and stops after one whose shear rate is not finite
-                for i, (mi, o) in enumerate(zip(m[i0:i0 + B].tolist(),
-                                                offsets[i0:i0 + B].tolist()), i0):
-                    k = first + i
-                    t = k * dt
-                    F12, g = source[:, o:o + mi]
-                    # the top velocity v = sum(dx g) and the attachment
-                    # traction M (v_a - v) + t_b it sets, solved together:
-                    # with W = m dx, v = (W (M v_a1 + t_b1) - G dx sum(S12))
-                    # / (mu + W M)
-                    W = mi * dx
-                    v_top = ((W * (M * growth.v_a[0] + growth.t_b[0])
-                              - params.G * dx * float((F12 * F22[:mi]).sum()))
-                             / (params.mu + W * M))
-                    tau[i] = growth_traction(M, growth.v_a, np.array([v_top, 0.0]),
-                                             growth.t_b)
-                    first_integral(F12, F22[:mi], tau[i, 0], params, out=g)
-                    if not np.isfinite(g).all():
-                        B = i - i0 + 1
-                        break
-                    if i + 1 < levels:
-                        m_next = int(m[i + 1])
-                        reduced_step_1d(F12, g, F22[:mi], dt, m_next, F_att[0, 1],
-                                        out=source[0, o + mi:o + mi + m_next])
             shape = B, int(m[i0 + B - 1])
             v_nodes = v_flat[:B * (shape[1] + 1)].reshape(B, -1)
             F12_block, g_block, index, past = (a[:B * shape[1]].reshape(shape) for a in work)
             np.greater_equal(grid_cells[:shape[1]], m[i0:i0 + B, None], out=past)
-            _fill_block(source, level_start, col, np.arange(i0, i0 + B), v_nodes, dx, past,
-                        (F12_block, g_block, index), pad=not by_age)
+            _fill_block(source, level_start, col, np.arange(i0, i0 + B), v_nodes, dx,
+                        (F12_block, g_block, index))
             v_surf[i0:i0 + B] = v_nodes[np.arange(B), m[i0:i0 + B]]
             # a non-finite shear or shear rate anywhere reaches the top face,
             # so the first level whose v_surf is not finite has failed
@@ -640,6 +598,13 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
             # offending step.
             if failed != 0:
                 rows = slice(i0, i0 + (B if failed is None else failed))
+                if growth.v_a is not None:
+                    # each level is checked against the traction M (v_a - v)
+                    # + t_b that its own top velocity v sets: the top row of
+                    # its system residual reads dx M |v| / mu, how far the
+                    # body moves from the rest the march assumed
+                    tau[rows, 0] = growth_traction(M, growth.v_a[0], v_surf[rows],
+                                                   growth.t_b[0])
                 counts = m[rows]
                 cut = np.s_[:len(counts), :int(counts[-1])]
                 v_block = v_nodes[:len(counts), :int(counts[-1]) + 1]

@@ -103,7 +103,7 @@ def test_run_rejects_thermal_alpha_without_a_finite_step(tmp_path, capsys, alpha
     # mu sets about 2e300 steps: np.empty(n_steps + 1) died with a
     # ValueError traceback after validation
     "kind = non_normal\nmu = 1e-300\nn_cells = 16\n",
-    # a finite step count whose buffers could not be allocated
+    # a finite step count whose arrays could not be allocated
     "kind = non_normal\ndt = 1e-9\nn_cells = 16\n",
     "kind = thermal\nn_cells = 100000000\n",
 ])

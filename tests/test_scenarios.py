@@ -62,16 +62,27 @@ def thermal_config(**kw):
     return ScenarioConfig(**base)
 
 
-def _level_solve(F12, F_e0, dx, params, traction):
-    """One level's solve as the march runs it: the first integral, its
-    running sum from the clamped base, and the residuals of the level.
-    Returns ``(g, v_nodes, system_residual, traction_residual)``."""
+def _traction(cfg, v_surf):
+    """The top traction that arriving material sets on a body whose top
+    moves at ``v_surf``: ``M (v_a - v) + t_b``, or ``t_b`` where it
+    attaches at the body's velocity."""
+    growth = cfg.growth_input()
+    if growth.v_a is None:
+        return growth.t_b
+    return growth_traction(cfg.mass_rate, growth.v_a, np.array([v_surf, 0.0]), growth.t_b)
+
+
+def _level_solve(cfg, F12, F_e0, dx):
+    """One level's solve as the march runs it: the first integral under the
+    traction on a body at rest, its running sum from the clamped base, and
+    the residuals of the level against the traction its own top velocity
+    sets.  Returns ``(g, v_nodes, system_residual, traction_residual)``."""
     F22 = require_reduced(F_e0)[:, 1, 1]
-    tau = np.array([traction], dtype=float)
-    g = first_integral(F12, F22, tau[0, 0], params)
+    g = first_integral(F12, F22, _traction(cfg, 0.0)[0], cfg.params)
     v_nodes = np.concatenate([[0.0], (dx * g).cumsum()])
+    tau = np.array([_traction(cfg, v_nodes[-1])], dtype=float)
     system, residual = solve_residuals(F12, [len(F12)], v_nodes[None], cell_S22(F22),
-                                       F22, tau, params, dx)
+                                       F22, tau, cfg.params, dx)
     return g, v_nodes, float(system[0]), float(residual[0])
 
 
@@ -351,20 +362,11 @@ def test_fixed_grid_march_properties(make, n_cells, t_end, dt):
         np.testing.assert_array_equal(b.F_e[:m], a.F_e + dt * (a.grad_v @ a.F_e))
         np.testing.assert_array_equal(b.F_e[m:],
                                       np.broadcast_to(F_att, b.F_e[m:].shape))
-    # a record's velocities are bitwise those of the solve at its level;
-    # an attachment traction M (v_a - v) + t_b takes the level's own top
-    # velocity v = (W (M v_a1 + t_b1) - G dx sum(S12)) / (mu + W M)
-    growth = cfg.growth_input()
-    M, G, mu = cfg.mass_rate, cfg.params.G, cfg.params.mu
+    # a record's velocities are bitwise those of the solve at its level
+    # under the traction on a body at rest, and its residuals those against
+    # the traction M (v_a - v) + t_b of the level's own top velocity
     for rec in history:
-        tau = growth.t_b
-        if growth.v_a is not None:
-            W, dx = rec.grid.n_cells * rec.grid.dx, rec.grid.dx
-            S12 = float((rec.F_e12 * rec.F_e0[:, 1, 1].copy()).sum())
-            v_top = (W * (M * growth.v_a[0] + growth.t_b[0]) - G * dx * S12) / (mu + W * M)
-            tau = growth_traction(M, growth.v_a, np.array([v_top, 0.0]), growth.t_b)
-        g, v_nodes, system, traction = _level_solve(rec.F_e12, rec.F_e0, rec.grid.dx,
-                                                    cfg.params, tau)
+        g, v_nodes, system, traction = _level_solve(cfg, rec.F_e12, rec.F_e0, rec.grid.dx)
         np.testing.assert_array_equal(rec.g, g)
         np.testing.assert_array_equal(rec.v_nodes, v_nodes)
         assert rec.v_surf == v_nodes[-1]
@@ -840,15 +842,6 @@ def test_rank_one_step_is_the_full_source_update(make):
                                   [-0.5, -0.5])
     with pytest.raises(ValidationError, match="shrink"):
         reduced_step_1d(T[:4, 0, 1], g[:4], 1.0, 0.3, 3, 0.0)
-    # the march writes each step into its slice of a run-wide buffer
-    buffer = np.full(10, np.nan)
-    out = reduced_step_1d(T[:4, 0, 1], g[:4], T[:4, 1, 1], 0.3, 6, -0.5, out=buffer[2:8])
-    assert out.base is buffer
-    np.testing.assert_array_equal(
-        buffer[2:8], reduced_step_1d(T[:4, 0, 1], g[:4], T[:4, 1, 1], 0.3, 6, -0.5))
-    assert np.isnan(buffer[:2]).all() and np.isnan(buffer[8:]).all()
-    with pytest.raises(ValidationError, match="out"):
-        reduced_step_1d(T[:4, 0, 1], g[:4], 1.0, 0.3, 6, 0.0, out=buffer[:5])
 
 
 def _per_level_metrics(config, rec):
@@ -945,18 +938,6 @@ def test_block_scoring_matches_per_level_reference(monkeypatch, make, dt, levels
     _assert_scored_like_per_level_reference(short)
 
 
-def test_level_march_zeroes_what_its_map_reads_past_each_top():
-    # beyond M H / mu = 1 fdm_shear's shear rates are round-off rather than
-    # 0, and past a level's top its buffer's map reads the next level's
-    # cells: the block pass zeroes them, so each level is scored alone
-    cfg = fdm_config(params=MaterialParams(G=2.9, mu=0.09, rho=1.0), n_cells=64,
-                     t_end=0.5)
-    assert cfg.mass_rate * cfg.eulerian_grid().height / cfg.params.mu > 1
-    result = run_fdm_shear(cfg)
-    assert np.any(result.history.source[1] != 0.0)
-    _assert_scored_like_per_level_reference(result)
-
-
 def test_block_scoring_matches_per_level_reference_where_exp_underflows(monkeypatch):
     # at mu = 1e-3 (lam = 1000) the closed form's exp(-lam age) is subnormal
     # past age 0.708 and +0.0 past 0.746, and the stored F_e12, halved at
@@ -973,14 +954,14 @@ def test_block_scoring_matches_per_level_reference_where_exp_underflows(monkeypa
 
 def _record_work(monkeypatch):
     """Record the arrays the march hands ``_fill_block`` and
-    ``solve_residuals`` to write into: each block's face velocities, mask
-    and views of the run's work arrays, and the solve's scratch."""
+    ``solve_residuals`` to write into: each block's face velocities and
+    views of the run's work arrays, and the solve's scratch."""
     fill, residuals = surfgrow.scenarios._fill_block, surfgrow.scenarios.solve_residuals
     seen = []
 
-    def recording_fill(source, start, col, levels, v_nodes, dx, past, work, **kwargs):
-        seen.extend([v_nodes, past, *work])
-        return fill(source, start, col, levels, v_nodes, dx, past, work, **kwargs)
+    def recording_fill(source, start, col, levels, v_nodes, dx, work):
+        seen.extend([v_nodes, *work])
+        return fill(source, start, col, levels, v_nodes, dx, work)
 
     def recording_residuals(*args, work, **kwargs):
         seen.extend(work)
@@ -1058,8 +1039,9 @@ def test_blocks_tile_the_levels_within_the_cell_budget(counts, wide, cells):
 
 def _per_level_records(cfg):
     """The records of a run as a march of one solve per level builds them:
-    the schedule level by level, the solve of each level alone, its
-    metrics from scalar calls, and the shear stepped to the next level."""
+    the schedule level by level, the solve of each level alone
+    (``_level_solve``), its metrics from scalar calls, and the shear
+    stepped to the next level."""
     params = cfg.params
     dt, n_steps = cfg.resolve_dt()
     grid = cfg.eulerian_grid()
@@ -1080,23 +1062,20 @@ def _per_level_records(cfg):
         F_e0[:m0, 0, 1] = cfg.mass_rate * cfg.v0 / params.G
     p = normal_pressure(F_e0, params.G, growth.t_b[1])
     rho = np.full(grid.n_cells, params.rho)
-    records, F12, v_surf = [], None, 0.0
+    records, F12 = [], None
     for k in range(n_steps + 1):
         m = active(k)
         if m == 0:
             continue
         if F12 is None:
             F12 = F_e0[:m, 0, 1].copy()
-        tau = growth.t_b if growth.v_a is None else growth_traction(
-            cfg.mass_rate, growth.v_a, np.array([v_surf, 0.0]), growth.t_b)
         level = Grid1D(m, height(k), grid.dx)
-        g, v_nodes, system, traction = _level_solve(F12, F_e0[:m], grid.dx, params, tau)
+        g, v_nodes, system, traction = _level_solve(cfg, F12, F_e0[:m], grid.dx)
         rec = StepRecord(t=k * dt, step=k, grid=level, F_e12=F12, g=g,
                          F_e0=F_e0[:m], p=p[:m], rho=rho[:m], v_surf=v_nodes[-1])
         rec.metrics = {"traction_residual": traction, "system_residual": system,
                        **_per_level_metrics(cfg, rec)}
         records.append(rec)
-        v_surf = rec.v_surf
         if k < n_steps:
             F12 = reduced_step_1d(F12, g, F_e0[:m, 1, 1], dt, active(k + 1),
                                   F_att[0, 1])
@@ -1188,7 +1167,8 @@ def test_age_march_is_bitwise_a_per_level_march(monkeypatch, cfg):
                                             (-1.1, 3.0, -0.4)])
 def test_age_recurrence_is_bitwise_the_level_kernel(F12, F22, tau1):
     # the bundled kinds enter with F_e22 = 1 or F_e12 = 0, where a reordered
-    # product cannot show; here each step is the per-level kernel's on one cell
+    # product cannot show; here each step is first_integral's and
+    # reduced_step_1d's on one cell
     params = MaterialParams(G=1.3, mu=0.07, rho=1.0)
     dt, ages = 0.01, 200
     shears, rates = shear_by_age(F12, F22, tau1, params, dt, ages)
@@ -1253,8 +1233,8 @@ def _held_by_run(cfg):
 
 
 def test_stored_history_keeps_two_scalars_per_cell():
-    # at most, per level, F_e12 and g (2 floats a cell, as a level-marched
-    # run's buffer holds them; an age-marched run holds its tables, a few
+    # at most, per level, F_e12 and g (2 floats a cell, as buffers of every
+    # level's cells would hold them; a run holds its age tables, a few
     # floats a level) and a small constant; an owned (n, 2, 2) F_e stack
     # would add 4 floats a cell, and owned p and v_nodes 2 more
     n = 128
@@ -1288,7 +1268,7 @@ def _by_age_reference(cfg, history):
     body's state if it is active at t = 0 and the deposit's otherwise, and
     at level ``i`` it is ``i`` minus that level steps old."""
     dt, _ = cfg.resolve_dt()
-    levels, tau1 = len(history), float(cfg.growth_input().t_b[0])
+    levels, tau1 = len(history), float(_traction(cfg, 0.0)[0])
     tables = [np.array(shear_by_age(float(F[0, 1]), float(F[1, 1]), tau1, cfg.params,
                                     dt, levels))
               for F in (cfg.initial_deformation(), cfg.attachment_deformation())]
@@ -1312,15 +1292,10 @@ def test_every_level_reads_its_cells_through_the_map(monkeypatch, cfg):
     _block_cells(monkeypatch, 256)
     history = run_scenario(cfg).history
     levels = len(history)
-    if cfg.kind == "fdm_shear":
-        # one buffer of every level's cells, against the level kernel
-        assert history.source.shape == (2, int(history.m.sum()))
-        reference = [np.array([rec.F_e12, rec.g]) for rec in _per_level_records(cfg)]
-    else:
-        # the age tables: per entry state, `levels` zeros then `levels` ages
-        states = 2 if history.step[0] == 0 else 1
-        assert history.source.shape == (2, states * 2 * levels)
-        reference = _by_age_reference(cfg, history)
+    # the age tables: per entry state, `levels` zeros then `levels` ages
+    states = 2 if history.step[0] == 0 else 1
+    assert history.source.shape == (2, states * 2 * levels)
+    reference = _by_age_reference(cfg, history)
     assert len(reference) == levels > 100
     for s in (slice(None), slice(5, None), slice(None, None, -7)):
         view = history[s]
@@ -1336,11 +1311,13 @@ def test_every_level_reads_its_cells_through_the_map(monkeypatch, cfg):
             assert _bits(rec.v_nodes) == _bits(v_nodes)
 
 
-def test_age_marched_run_peaks_far_below_its_cells():
-    # n = 1600 marches 6,400 steps over 5.1e6 cell-levels, which would take
-    # 82 MB as buffers of every level's F_e12 and g; the tables, the map and
-    # the block pass's scratch are a few MB
-    cfg = nn_config(n_cells=1600, t_end=1.0)
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_age_marched_run_peaks_far_below_its_cells(make):
+    # n = 1600 marches 6,400 steps over 5.1e6 (non_normal) to 9.4e6
+    # (fdm_shear) cell-levels, which would take 82 to 150 MB as buffers of
+    # every level's F_e12 and g; the tables, the map and the block pass's
+    # scratch are a few MB
+    cfg = make(n_cells=1600)
     _, n_steps = cfg.resolve_dt()
     tracemalloc.start()
     try:
@@ -1431,24 +1408,82 @@ def test_replayed_frames_within_one_ulp_of_inverse_reference(make):
         assert np.all(np.abs(frame.F_relax - reference) <= np.spacing(np.abs(reference)))
 
 
+def _entered(history):
+    """The first stored level that holds a deposited cell."""
+    return int(np.searchsorted(history.m, history.m[0], side="right"))
+
+
 def test_error_mid_march_names_step_and_time(monkeypatch):
-    kernel = surfgrow.scenarios.first_integral
-    calls = []
+    # a non-finite rate at age 5 of every table: fdm_shear's initial body,
+    # active from step 0, reaches it first, at step 5
+    recurrence = surfgrow.scenarios.shear_by_age
 
-    def failing_kernel(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 6:  # fdm_shear solves at t = 0 first: step 5
-            raise SingularSystem("injected")
-        return kernel(*args, **kwargs)
+    def failing_recurrence(*args):
+        shears, rates = recurrence(*args)
+        rates[5] = np.nan
+        return shears, rates
 
-    monkeypatch.setattr(surfgrow.scenarios, "first_integral", failing_kernel)
+    monkeypatch.setattr(surfgrow.scenarios, "shear_by_age", failing_recurrence)
     cfg = fdm_config(t_end=0.5)
     dt, _ = cfg.resolve_dt()
     with pytest.raises(SingularSystem) as info:
         run_fdm_shear(cfg)
-    assert str(info.value) == f"step 5, t = {5 * dt:.6g}: injected"
+    assert str(info.value) == (f"step 5, t = {5 * dt:.6g}: "
+                               f"momentum solve produced non-finite values")
     assert isinstance(info.value.__cause__, SingularSystem)
-    assert str(info.value.__cause__) == "injected"
+    assert str(info.value.__cause__) == "momentum solve produced non-finite values"
+
+
+def test_march_checks_the_body_stays_at_the_rest_it_assumed(monkeypatch):
+    # fdm_shear is marched under the traction M v0 its feed sets on a body
+    # at rest, and each level is checked against the traction M (v0 - v)
+    # its own top velocity v sets.  A shear offset from age 10 on, with the
+    # rates the march's traction gives it, keeps every level's first
+    # integral exact but moves the top from step 10, where only the initial
+    # body is that old: the top row of the system residual reads
+    # dx M |v_surf| / mu (over max(1, max |v|)), the momentum jump residual
+    # M |v_surf|
+    cfg = fdm_config(n_cells=32, t_end=0.25)
+    M, mu, age = cfg.mass_rate, cfg.params.mu, 10
+    recurrence = surfgrow.scenarios.shear_by_age
+
+    def offset_by(delta):
+        def shifted(F12, F22, tau1, params, dt, ages):
+            shears, rates = recurrence(F12, F22, tau1, params, dt, ages)
+            for a in range(age, ages):
+                shears[a] += delta
+                rates[a] = float(first_integral(np.array([shears[a]]), np.array([F22]),
+                                                tau1, params)[0])
+            return shears, rates
+
+        monkeypatch.setattr(surfgrow.scenarios, "shear_by_age", shifted)
+
+    offset_by(1e-6)
+    history = run_fdm_shear(cfg).history
+    assert history.step[0] == 0 and _entered(history) > age
+    v_surf, dx = history.v_surf, history.dx
+    system = history.metrics["system_residual"]
+    assert np.abs(v_surf[:age]).max() <= 1e-15 and system[:age].max() <= 1e-15
+    moved = v_surf[age]
+    assert 1e-7 < abs(moved) < 1e-5
+    assert system[age] == pytest.approx(dx * M * abs(moved) / mu, rel=1e-6)
+    assert history.metrics["momentum_residual"][age] == pytest.approx(M * abs(moved),
+                                                                       rel=1e-6)
+    # against the march's own traction the level is consistent: only the
+    # traction of its own top velocity shows the motion
+    rec, rest = history[age], np.array([_traction(cfg, 0.0)])
+    F22 = rec.F_e0[:, 1, 1].copy()
+    at_rest, _ = solve_residuals(rec.F_e12, [len(F22)], rec.v_nodes[None], cell_S22(F22),
+                                 F22, rest, cfg.params, dx)
+    assert at_rest[0] <= 1e-15
+    # an offset that moves the top past the limit is refused at that step
+    offset_by(0.1)
+    dt, _ = cfg.resolve_dt()
+    with pytest.raises(IncompatibleAnsatz) as info:
+        run_fdm_shear(cfg)
+    assert str(info.value).startswith(f"step {age}, t = {age * dt:.6g}: reduced solve "
+                                      f"residual ")
+    assert str(info.value).endswith("the through-thickness ansatz is inconsistent")
 
 
 def _offend_at(monkeypatch, level, value=1e-3):
@@ -1470,8 +1505,7 @@ def _offend_at(monkeypatch, level, value=1e-3):
 
 def _count_marched_levels(monkeypatch):
     """Count the levels the march fills: a block's levels per
-    ``_fill_block`` call, which every kind makes once for each block it
-    marches (``fdm_shear`` after its level kernel)."""
+    ``_fill_block`` call, which the march makes once for each block."""
     fill = surfgrow.scenarios._fill_block
     calls = []
 
@@ -1539,16 +1573,14 @@ def _levels_checked(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("fault, error", [("nan_g", SingularSystem),
-                                          ("inf_F12", ValidationError)])
-def test_non_finite_level_stops_the_march_at_its_step(monkeypatch, fault, error):
+def _assert_non_finite_level_stops_the_march(monkeypatch, make, fault, error):
     cells = _block_cells(monkeypatch, 256)
-    cfg = nn_config(n_cells=32, t_end=0.25)
+    cfg = make(n_cells=32, t_end=0.25)
     history = run_scenario(cfg).history
     # the fourth level of the second block; the first level's cells are
     # the first to reach that age
     i0, B = block_bounds(history.m, cells)[1]
-    assert B > 4 and history.m[0] == 1
+    assert B > 4
     level = i0 + 3
     recurrence = surfgrow.scenarios.shear_by_age
 
@@ -1568,7 +1600,7 @@ def test_non_finite_level_stops_the_march_at_its_step(monkeypatch, fault, error)
     dt, _ = cfg.resolve_dt()
     step = history[level].step
     with pytest.raises(error) as info:
-        run_non_normal(cfg)
+        run_scenario(cfg)
     assert str(info.value).startswith(f"step {step}, t = {step * dt:.6g}: ")
     assert "F_e12" in str(info.value) if error is ValidationError else \
         "non-finite" in str(info.value)
@@ -1579,46 +1611,24 @@ def test_non_finite_level_stops_the_march_at_its_step(monkeypatch, fault, error)
     _offend_at(monkeypatch, level - 1)
     calls.clear()
     with pytest.raises(IncompatibleAnsatz) as info:
-        run_non_normal(cfg)
+        run_scenario(cfg)
     assert str(info.value).startswith(f"step {step - 1}, t = {(step - 1) * dt:.6g}: ")
     assert len(calls) == i0 + B
 
 
 @pytest.mark.parametrize("fault, error", [("nan_g", SingularSystem),
                                           ("inf_F12", ValidationError)])
+def test_non_finite_level_stops_the_march_at_its_step(monkeypatch, fault, error):
+    _assert_non_finite_level_stops_the_march(monkeypatch, nn_config, fault, error)
+
+
+@pytest.mark.parametrize("fault, error", [("nan_g", SingularSystem),
+                                          ("inf_F12", ValidationError)])
 def test_non_finite_level_stops_the_level_march_at_its_step(monkeypatch, fault, error):
-    # fdm_shear's traction follows the top velocity, so it is marched level
-    # by level and its kernel stops at the offending level itself
-    cells = _block_cells(monkeypatch, 256)
-    cfg = fdm_config(n_cells=32, t_end=0.25)
-    history = run_scenario(cfg).history
-    i0, B = block_bounds(history.m, cells)[1]
-    assert B > 4
-    level = i0 + 3
-    kernel = surfgrow.scenarios.first_integral
-    calls = []
-
-    def faulty_kernel(F12, *args, **kwargs):
-        calls.append(1)
-        if len(calls) == level + 1:
-            if fault == "inf_F12":
-                F12[-1] = np.inf
-            g = kernel(F12, *args, **kwargs)
-            if fault == "nan_g":
-                g[0] = np.nan
-            return g
-        return kernel(F12, *args, **kwargs)
-
-    monkeypatch.setattr(surfgrow.scenarios, "first_integral", faulty_kernel)
-    checked = _levels_checked(monkeypatch)
-    dt, _ = cfg.resolve_dt()
-    step = history[level].step
-    with pytest.raises(error) as info:
-        run_fdm_shear(cfg)
-    assert str(info.value).startswith(f"step {step}, t = {step * dt:.6g}: ")
-    assert "F_e12" in str(info.value) if error is ValidationError else \
-        "non-finite" in str(info.value)
-    assert len(calls) == level + 1 and len(checked) == level
+    # fdm_shear's traction follows the top velocity, and it is marched by
+    # age like the other kinds: a fault in its initial body's table stops
+    # the march at the end of the faulty level's block
+    _assert_non_finite_level_stops_the_march(monkeypatch, fdm_config, fault, error)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1627,25 +1637,30 @@ def test_non_finite_level_stops_the_level_march_at_its_step(monkeypatch, fault, 
 def test_both_infinities_in_a_level_name_its_step(monkeypatch, fault, error):
     # a level whose shear rates hold +inf and -inf sums them to NaN in its
     # face velocities: the march names the step instead of ending with
-    # numpy's invalid-value warning
-    kernel = surfgrow.scenarios.first_integral
-    calls = []
-
-    def faulty_kernel(F12, *args, **kwargs):
-        calls.append(1)
-        if len(calls) == 20 and fault == "F12":
-            F12[0], F12[1] = np.inf, -np.inf
-        g = kernel(F12, *args, **kwargs)
-        if len(calls) == 20 and fault == "rates":
-            g[0], g[1] = np.inf, -np.inf
-        return g
-
-    monkeypatch.setattr(surfgrow.scenarios, "first_integral", faulty_kernel)
+    # numpy's invalid-value warning.  Three steps after fdm_shear's first
+    # deposited cell enters, its initial body's table gets +inf and its
+    # deposit's table -inf, at the ages those cells first reach there.
     cfg = fdm_config(n_cells=32, t_end=0.25)
+    step = _entered(run_fdm_shear(cfg).history) + 3
+    faults = iter([(step, np.inf), (3, -np.inf)])
+    recurrence = surfgrow.scenarios.shear_by_age
+
+    def faulty_recurrence(F12, F22, tau1, params, dt, ages):
+        shears, rates = recurrence(F12, F22, tau1, params, dt, ages)
+        age, value = next(faults)
+        if fault == "F12":
+            shears[age] = value
+            rates[age] = float(first_integral(np.array([value]), np.array([F22]),
+                                              tau1, params)[0])
+        else:
+            rates[age] = value
+        return shears, rates
+
+    monkeypatch.setattr(surfgrow.scenarios, "shear_by_age", faulty_recurrence)
     dt, _ = cfg.resolve_dt()
     with pytest.raises(error) as info:
         run_fdm_shear(cfg)
-    # fdm_shear solves at t = 0 first: the 20th solve is step 19
-    assert str(info.value).startswith(f"step 19, t = {19 * dt:.6g}: ")
+    assert str(info.value).startswith(f"step {step}, t = {step * dt:.6g}: ")
     # the F12 fault gives the level's rates both infinities too
-    assert np.isinf(kernel(np.array([np.inf, -np.inf]), np.ones(2), 0.0, cfg.params)).all()
+    assert np.isinf(first_integral(np.array([np.inf, -np.inf]), np.ones(2), 0.0,
+                                   cfg.params)).all()
