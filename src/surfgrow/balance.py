@@ -4,9 +4,9 @@ quasistatic through-thickness momentum balance, and the domain-height update.
 Growth enters the balance laws only through the boundary: the surface
 moves with ``V_b . n = v . n + M / rho`` and develops the traction
 ``sigma n = M (v_a - v) + t_b``.  The solve is two pieces: the cells'
-shear rates, ``first_integral`` (which a growth march evaluates per cell
-age, ``scenarios.shear_by_age``), and the residuals of a block of levels,
-``solve_residuals`` (see the README's Scenarios section).
+shear rates, the first integral ``g = (tau1 - G S12) / mu`` that a march
+evaluates per cell age (``scenarios.shear_by_age``), and the residuals of
+a block of levels, ``solve_residuals`` (see the README's Scenarios section).
 """
 
 from __future__ import annotations
@@ -141,22 +141,6 @@ def require_reduced(F_e0: np.ndarray) -> np.ndarray:
     return F
 
 
-def first_integral(F12: np.ndarray, F22: np.ndarray, tau1: float,
-                   params: MaterialParams) -> np.ndarray:
-    """Cell shear rates ``g = v1'`` of the inertia-free momentum balance.
-
-    With ``S = F_e F_e^T`` the tangential balance is the two-point boundary
-    value problem ``mu v1'' = -G dS12/dx2``, ``v1(0) = 0``,
-    ``mu v1'(H) = tau1 - G S12(H)``, discretized on the cell faces as a
-    tridiagonal system (``solve_residuals``).  Its solution is the running
-    sum of ``dx g`` from 0, with ``g = (tau1 - G S12) / mu`` the scheme's
-    exact discrete first integral, so no matrix is factored and the
-    transport source stays accurate in relative terms where the fields are
-    exponentially small.  ``S12 = F12 F22`` (``F_e21 = 0``) with ``F22``
-    the cells' constants."""
-    return (tau1 - (F12 * F22) * params.G) / params.mu
-
-
 def cell_S22(F22: np.ndarray) -> np.ndarray:
     """Per-cell ``S22 = F_e22^2`` formed with float powers, which the
     reported traction residuals are formed with: numpy's array square can
@@ -169,8 +153,8 @@ def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
                     params: MaterialParams, dx: float, *,
                     work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """System and traction residuals of the solve on a stack of ``B`` levels;
-    the system is ``first_integral``'s boundary value problem on a level's
-    faces, face 0 clamped.
+    the system is ``mu v1'' = -G dS12/dx2``, ``v1(0) = 0``, ``mu v1'(H) = tau1
+    - G S12(H)`` on a level's faces, solved by its first integral ``g``.
 
     Level ``b`` has ``counts[b] >= 1`` active cells; row ``b`` of ``F12``,
     ``(B, max(counts))``, holds the level's shears and then zeros.  ``S22 =

@@ -117,14 +117,13 @@ class ReconstructedFrame:
 
 
 def replay_columns(history: History, t0: float | None = None,
-                   ) -> Iterator[tuple[np.ndarray, tuple, tuple, int]]:
-    """Replay a stored run level by level, by components: yield
-    ``(f12, F_relax, F_e, j)`` for the levels ``j`` of ``history`` from
-    ``t0`` on (default: the earliest stored time), with ``F = I + f12 e1
-    (x) e2`` and ``F_relax`` and the level's ``F_e`` the tuples of their
-    components ``(11, 12, 22)`` as ``(n,)`` arrays; both 21 components are
-    0.  Each level's ``F_e12`` and ``g`` are gathered once
-    (``History.columns``); no record is built.
+                   ) -> Iterator[tuple[np.ndarray, tuple, int]]:
+    """Replay a stored run level by level, by components: yield ``(f12,
+    F_relax, j)`` for the levels ``j`` of ``history`` from ``t0`` on
+    (default: the earliest stored time), with ``F = I + f12 e1 (x) e2`` and
+    ``F_relax`` the tuple of its components ``(11, 12, 22)`` as ``(n,)``
+    arrays; its 21 component is 0.  Each level's ``F_e12`` and ``g`` are
+    gathered once (``History.columns``); no record is built.
 
     The configuration at ``t0`` is declared the reference, so ``F = I``
     there; F is then advanced by replaying the stored shear rates ``g``
@@ -163,7 +162,7 @@ def replay_columns(history: History, t0: float | None = None,
         g = g_next
         # F_e^{-1} = [[d, -b], [0, a]] / det, times [[1, f12], [0, 1]]
         r11 = i11[:m]
-        yield f12, (r11, r11 * f12 + -b / det[:m], i22[:m]), (a[:m], b, d[:m]), j
+        yield f12, (r11, r11 * f12 + -b / det[:m], i22[:m]), j
 
 
 def reconstruct_reference(history: History,
@@ -177,7 +176,7 @@ def reconstruct_reference(history: History,
     deformation.
     """
     frames = []
-    for f12, (r11, r12, r22), _, j in replay_columns(history, t0=t0):
+    for f12, (r11, r12, r22), j in replay_columns(history, t0=t0):
         F = identity((len(f12),))
         F[:, 0, 1] = f12
         frames.append(ReconstructedFrame(t=float(history.t[j]), F=F, F_relax=np.stack(

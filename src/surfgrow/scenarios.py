@@ -22,10 +22,10 @@ from .balance import (GrowthInput, SideState, advance_domain,
 from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, total_stress)
 from .errors import (IncompatibleAnsatz, OutOfBody, OutOfDomain, SingularSystem,
-                     SurfgrowError, ValidationError)
+                     SingularTensor, SurfgrowError, ValidationError)
 from .grids import Grid1D, History, StepRecord, interp_prefix
-from .kinematics import PathlineRecord, replay_columns
-from .tensors import require_finite
+from .kinematics import PathlineRecord
+from .tensors import EPS_DET, require_finite
 
 KINDS = ("non_normal", "fdm_shear", "thermal")
 
@@ -300,11 +300,6 @@ def _closed_form(x2, t, alpha: float, lam: float, V_G: float, out: tuple,
     return v1, decay
 
 
-def _ambient_stress(t_b: np.ndarray) -> np.ndarray:
-    # Symmetric ambient stress whose traction on n = e2 is t_b.
-    return np.array([[0.0, t_b[0]], [t_b[0], t_b[1]]])
-
-
 def block_bounds(counts: np.ndarray, cells: int) -> list[tuple[int, int]]:
     """Split stored levels into the march's blocks, in order, as
     ``(first level, level count)`` pairs.
@@ -379,7 +374,8 @@ def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
     F_e_top[:, 0, 1] = blk.F12[top_cell]
     sigma_top = total_stress(F_e_top, grad_v_top, blk.p[top], params)
     body = SideState(rho=rho_top, v=v_surf, sigma=sigma_top)
-    ambient = SideState(rho=0.0, v=v_a, sigma=_ambient_stress(growth.t_b))
+    t_b1, t_b2 = growth.t_b  # the symmetric ambient stress's traction on n = e2
+    ambient = SideState(rho=0.0, v=v_a, sigma=np.array([[0.0, t_b1], [t_b1, t_b2]]))
     mass_res, mom_res = jump_residuals(body, ambient, V_b, n_hat, M, v_a)
     return {"mass_residual": np.abs(mass_res),
             "momentum_residual": np.max(np.abs(mom_res), axis=1)}
@@ -437,9 +433,9 @@ def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
                  dt: float, ages: int) -> tuple[list[float], list[float]]:
     """A cell's shear ``F_e12`` and shear rate ``g`` at the ages ``0 ..
     ages - 1`` (steps since it entered with the shear ``F12``) under the
-    constant top traction ``tau1``: the operations of ``first_integral``
-    and ``reduced_step_1d`` on floats, in their order, so each entry is
-    bitwise what a march of those kernels gives the cell at that age."""
+    constant top traction ``tau1``: the operations of the solve's first
+    integral ``g = (tau1 - G S12) / mu`` and of ``reduced_step_1d`` on floats,
+    in their order, so each entry is bitwise what they give it at that age."""
     G, mu = float(params.G), float(params.mu)
     shears, rates = [], []
     for _ in range(ages):
@@ -612,13 +608,6 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
                     F12_block[cut], counts, v_block, S22, F22, tau[rows], params, dx,
                     work=scratch)
                 residual = np.maximum(traction_residual, system)
-                bad = np.flatnonzero(residual > ANSATZ_RESIDUAL_LIMIT)
-                if len(bad):
-                    k = first + i0 + int(bad[0])
-                    t = k * dt
-                    raise IncompatibleAnsatz(
-                        f"reduced solve residual {residual[bad[0]]:.3e}; the "
-                        f"through-thickness ansatz is inconsistent")
                 metrics["traction_residual"][rows] = traction_residual
                 metrics["system_residual"][rows] = system
                 blk = _Block(t=t_levels[rows], counts=counts, past=past[cut],
@@ -627,6 +616,17 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
                              centers=centers, work=scratch)
                 for name, values in _level_metrics(config, growth, blk).items():
                     metrics[name][rows] = values
+                # the jump residual reads M |v_surf| unscaled, the system's top row times dx / mu
+                momentum = metrics["momentum_residual"]
+                bad = np.flatnonzero(np.maximum(residual, momentum[rows]) > ANSATZ_RESIDUAL_LIMIT)
+                if len(bad):
+                    k = first + i0 + int(bad[0])
+                    t = k * dt
+                    solve = residual[bad[0]] > ANSATZ_RESIDUAL_LIMIT
+                    raise IncompatibleAnsatz(
+                        f"{'reduced solve' if solve else 'momentum jump'} residual "
+                        f"{residual[bad[0]] if solve else momentum[i0 + bad[0]]:.3e}; "
+                        f"the through-thickness ansatz is inconsistent")
                 for name, values in oracle(config, blk).items():
                     if name not in oracle_errors:
                         oracle_errors[name] = np.empty(levels)
@@ -643,6 +643,16 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
                       col=col, F_e0=F_e0, p=p, rho=rho, dx=dx)
     return RunResult(config=config, history=history, oracle_errors=oracle_errors,
                      timings=timings)
+
+
+def _age_rows(history: History) -> list[tuple[int, np.ndarray]]:
+    """``_run_1d``'s age tables: per entry state, its first cell and a ``(2,
+    oldest + 1)`` view of ``source``, its ``F_e12`` and ``g`` at the ages up
+    to that cell's at the last level, which holds every cell."""
+    col, levels = history.col, len(history)
+    firsts = np.flatnonzero(np.diff(col, prepend=-1) > 0).tolist()
+    return [(j, history.source[:, (2 * c + 1) * levels:][:, :col[j] - 2 * c * levels])
+            for c, j in enumerate(firsts)]
 
 
 def run_non_normal(config: ScenarioConfig) -> RunResult:
@@ -876,19 +886,25 @@ def pathline_grid_discrepancy(result: RunResult, pathlines) -> float:
     return float(np.max(np.abs(F_grid - F_char), initial=0.0))
 
 
-def reconstruction_roundtrip_error(result: RunResult, t0: float | None = None) -> float:
-    """Max relative defect of F_e F_relax against the replayed F.
-
-    Each replayed level is scored from its components as it arrives and
-    then dropped, so the check holds one level of the replay at a time.
-    """
+def reconstruction_roundtrip_error(result: RunResult) -> float:
+    """Max defect of ``F_e F_relax`` against the replayed ``F``
+    (``kinematics.replay_columns``) over every cell of every level, each
+    over its own ``max(1, |F12|)``, taken over the age tables (``_age_rows``;
+    see the README's round trip).  Raises ``NotReduced`` for a nonzero
+    ``F_e21`` and ``SingularTensor`` for a state with ``|det F_e| <= EPS_DET``."""
+    F_e0 = require_reduced(result.history.F_e0)
+    dt, _ = result.config.resolve_dt()
     worst = 0.0
-    history = result.history
-    for f12, (r11, r12, r22), (a, b, d), _ in replay_columns(history, t0=t0):
-        # F_e F_relax entry by entry, against F = [[1, f12], [0, 1]]; both
-        # 21 entries are 0
-        defect = max(float(np.max(np.abs(a * r11 - 1.0))),
-                     float(np.max(np.abs(a * r12 + b * r22 - f12))),
-                     float(np.max(np.abs(d * r22 - 1.0))))
-        worst = max(worst, defect / max(1.0, float(np.max(np.abs(f12)))))
+    for first, (b, g) in _age_rows(result.history):
+        a, d = F_e0[first, 0, 0], F_e0[first, 1, 1]
+        det = a * d
+        if abs(det) <= EPS_DET:
+            raise SingularTensor(f"|det| <= {EPS_DET:g} in tensor inversion")
+        f12 = np.concatenate([[0.0], np.cumsum(dt * g[:-1])])
+        # F_e F_relax entry by entry against F = [[1, f12], [0, 1]], with
+        # F_relax = F_e^{-1} F from the adjugate; both 21 entries are 0
+        r11, r22 = d / det, a / det
+        defect = np.maximum(np.abs(a * (r11 * f12 + -b / det) + b * r22 - f12),
+                            max(abs(a * r11 - 1.0), abs(d * r22 - 1.0)))
+        worst = max(worst, float(np.max(defect / np.maximum(1.0, np.abs(f12)))))
     return worst

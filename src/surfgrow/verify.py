@@ -150,7 +150,7 @@ def verify_thermal(alpha: float = 0.8):
     rows.append(CheckRow("alpha1_trivial_deviation", dev, 1e-12))
 
     # only the last level is read: keep one level of the replay at a time
-    f12, F_relax, _, _ = deque(replay_columns(result.history), maxlen=1)[0]
+    f12, F_relax, _ = deque(replay_columns(result.history), maxlen=1)[0]
     grown = result.final.grid.centers > cfg.height0 + 0.2 * (
         result.final.grid.height - cfg.height0)
     relax_dev = max(float(np.max(np.abs(x[grown] - e)))

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surfgrow.scenarios
-from surfgrow import (History, IncompatibleAnsatz, MaterialParams, OutOfBody,
-                      PathlineRecord, ScenarioConfig, SingularSystem,
+from surfgrow import (History, IncompatibleAnsatz, MaterialParams, NotReduced,
+                      OutOfBody, PathlineRecord, ScenarioConfig, SingularSystem,
+                      SingularTensor,
                       ValidationError, analytic_non_normal, convergence_study,
                       integrate_characteristics, reconstruct_reference,
                       reconstruction_roundtrip_error,
@@ -20,16 +21,18 @@ from surfgrow import (History, IncompatibleAnsatz, MaterialParams, OutOfBody,
                       run_thermal, trace_history_pathlines,
                       pathline_grid_discrepancy, write_fields)
 from surfgrow.balance import (SideState, advance_domain,
-                              boundary_normal_velocity, cell_S22, first_integral,
-                              growth_traction, jump_residuals, normal_pressure,
-                              require_reduced, solve_residuals)
+                              boundary_normal_velocity, cell_S22, growth_traction,
+                              jump_residuals, normal_pressure, require_reduced,
+                              solve_residuals)
 from surfgrow.constitutive import total_stress
 from surfgrow.grids import Grid1D, StepRecord
-from surfgrow.kinematics import reduced_step_1d
+from surfgrow.kinematics import reduced_step_1d, replay_columns
 from surfgrow.output import METRIC_FIELDS
 from surfgrow.scenarios import BLOCK_CELLS, KINDS, block_bounds, shear_by_age
 from surfgrow.tensors import det, inverse
 from surfgrow.verify import _residual_rows, default_config, verify_scenario
+
+from references import first_integral
 
 
 def interp_columns(xq, xp, values):
@@ -631,7 +634,28 @@ def test_discrepancy_of_no_pathlines_is_zero():
     assert pathline_grid_discrepancy(res, []) == 0.0
 
 
-def test_roundtrip_keeps_one_level_of_the_replay():
+# The by-age round trip sums each cell's shear rates with the march's dt,
+# where the replay steps by t_j - t_{j-1}, which differs from dt in its last
+# bits; the two values agree to within four ulps of 1.
+ROUNDTRIP_TOL = 4 * np.finfo(float).eps
+
+
+def _roundtrip_by_level(result):
+    """The round trip scored level by level over the replay, each level's
+    defect over ``max(1, max |f12|)`` of the level: the reference for the
+    by-age score."""
+    history = result.history
+    worst = 0.0
+    for f12, (r11, r12, r22), j in replay_columns(history):
+        a, b, _, d = history.F_e_columns(j)
+        defect = max(float(np.max(np.abs(a * r11 - 1.0))),
+                     float(np.max(np.abs(a * r12 + b * r22 - f12))),
+                     float(np.max(np.abs(d * r22 - 1.0))))
+        worst = max(worst, defect / max(1.0, float(np.max(np.abs(f12)))))
+    return worst
+
+
+def test_roundtrip_agrees_with_the_frames_and_holds_under_ten_frames():
     res = run_non_normal(nn_config())
     frames = reconstruct_reference(res.history)
     expected = max(
@@ -648,9 +672,64 @@ def test_roundtrip_keeps_one_level_of_the_replay():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert value == expected
+    assert expected - ROUNDTRIP_TOL <= value <= expected + ROUNDTRIP_TOL
     # holding every frame would take len(history) frames' worth
     assert peak < 10 * frame_bytes
+
+
+@pytest.mark.parametrize("alpha", [0.5, 3.0])
+@pytest.mark.parametrize("mu", [1.0, 0.1, 1e-3])
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_roundtrip_by_age_agrees_with_the_replay_by_level(make, mu, alpha):
+    # alpha = 3 gives non_normal shears |f12| > 1, where the by-age score
+    # divides by each cell's own scale and the reference by its level's
+    cfg = make(params=MaterialParams(G=1.0, mu=mu, rho=1.0), alpha=alpha,
+               n_cells=32, t_end=0.25)
+    res = run_scenario(cfg)
+    reference = _roundtrip_by_level(res)
+    value = reconstruction_roundtrip_error(res)
+    assert reference - ROUNDTRIP_TOL <= value <= reference + ROUNDTRIP_TOL
+    assert value <= 1e-8
+
+
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_age_rows_hold_every_level_s_columns(make):
+    history = run_scenario(make(n_cells=32, t_end=0.25)).history
+    states = surfgrow.scenarios._age_rows(history)
+    n = len(history.F_e0)
+    firsts = [first for first, _ in states]
+    assert firsts[0] == 0 and len(states) == (1 if make is nn_config else 2)
+    # a cell enters at the first level that holds it, in its state's F_e0
+    entered = np.searchsorted(history.m, np.arange(n), side="right")
+    for (first, rows), end in zip(states, firsts[1:] + [n]):
+        assert (history.F_e0[first:end] == history.F_e0[first]).all()
+        assert rows.shape == (2, len(history) - entered[first])
+    for k in range(len(history)):
+        cells = np.arange(history.m[k])
+        state = np.searchsorted(firsts, cells, side="right") - 1
+        expected = np.stack([states[s][1][:, k - entered[j]]
+                             for j, s in zip(cells.tolist(), state.tolist())], axis=1)
+        assert _bits(history.columns(k)) == _bits(expected), k
+
+
+def test_roundtrip_refuses_a_singular_or_unreduced_entry_state():
+    # the deposit's F_e = I / alpha has det alpha^-2 = 1e-14 <= EPS_DET; the
+    # initial body's is I
+    res = run_thermal(thermal_config(alpha=1e7, n_cells=16, t_end=0.25))
+    for score in (_roundtrip_by_level, reconstruction_roundtrip_error):
+        with pytest.raises(SingularTensor):
+            score(res)
+    # the initial body's state made singular, then one cell's F_e21 nonzero
+    res = run_thermal(thermal_config(n_cells=16, t_end=0.25))
+    history = res.history
+    singular, unreduced = history.F_e0.copy(), history.F_e0.copy()
+    singular[:int(history.m[0]), 0, 0] = 0.0
+    unreduced[3, 1, 0] = 0.5
+    for F_e0, error in ((singular, SingularTensor), (unreduced, NotReduced)):
+        history.F_e0 = F_e0
+        for score in (_roundtrip_by_level, reconstruction_roundtrip_error):
+            with pytest.raises(error):
+                score(res)
 
 
 def _stored_level_sampler(history):
@@ -1476,9 +1555,24 @@ def test_march_checks_the_body_stays_at_the_rest_it_assumed(monkeypatch):
     at_rest, _ = solve_residuals(rec.F_e12, [len(F22)], rec.v_nodes[None], cell_S22(F22),
                                  F22, rest, cfg.params, dx)
     assert at_rest[0] <= 1e-15
-    # an offset that moves the top past the limit is refused at that step
-    offset_by(0.1)
+    assert history.metrics["momentum_residual"][age] < 1e-6
     dt, _ = cfg.resolve_dt()
+    # 200 times that offset moves the top 200 times as fast: its system
+    # residual, dx M |v_surf| / mu = 6.4e-7, stays within the limit, and the
+    # momentum jump residual, which reads M |v_surf| = 1.99e-5 unscaled,
+    # refuses the run at that step
+    offset_by(2e-4)
+    with pytest.raises(IncompatibleAnsatz) as info:
+        run_fdm_shear(cfg)
+    message = str(info.value)
+    assert message.startswith(f"step {age}, t = {age * dt:.6g}: momentum jump residual ")
+    assert message.endswith("; the through-thickness ansatz is inconsistent")
+    assert float(message.split("residual ")[1].split(";")[0]) == pytest.approx(
+        200 * M * abs(moved), rel=1e-3)
+    assert dx * 200 * M * abs(moved) / mu < 1e-6
+    # an offset that moves the top past the limit of both is named by the
+    # solve's residual
+    offset_by(0.1)
     with pytest.raises(IncompatibleAnsatz) as info:
         run_fdm_shear(cfg)
     assert str(info.value).startswith(f"step {age}, t = {age * dt:.6g}: reduced solve "
