@@ -17,17 +17,16 @@ from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, neo_hookean_stress,
                            total_stress)
 from .grids import Grid1D, History, PeriodicStrip, StepRecord
-from .kinematics import (PathlineRecord, ReconstructedFrame,
-                         advance_deformation_strip, advance_inverse_motion,
-                         deformation_from_inverse_motion,
-                         integrate_characteristics, reconstruct_reference,
-                         strip_row_curl, strip_velocity_gradient)
+from .kinematics import (PathlineRecord, advance_deformation_strip,
+                         advance_inverse_motion, deformation_from_inverse_motion,
+                         integrate_characteristics, strip_row_curl,
+                         strip_velocity_gradient)
 from .balance import (GrowthInput, SideState, advance_domain,
                       boundary_normal_velocity, growth_traction,
                       jump_residuals, normal_pressure)
-from .scenarios import (ConvergenceRow, RunResult, ScenarioConfig,
-                        analytic_non_normal, convergence_study,
-                        pathline_grid_discrepancy,
+from .scenarios import (ConvergenceRow, ReconstructedFrame, RunResult,
+                        ScenarioConfig, analytic_non_normal, convergence_study,
+                        pathline_grid_discrepancy, reconstruct_reference,
                         reconstruction_roundtrip_error, run_fdm_shear,
                         run_mu_sweep, run_non_normal, run_scenario, run_thermal,
                         trace_history_pathlines)

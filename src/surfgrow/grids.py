@@ -115,7 +115,8 @@ class History(Sequence):
     run's age tables, read through one map: cell ``j`` of level ``k`` is
     entry ``start[k] + col[j]``, with ``start`` the level's index in the
     run and ``col`` each cell's entry offset.  ``source``, ``col``,
-    ``F_e0``, ``p``, ``rho`` and ``dx`` are shared by all levels.  Indexing
+    ``F_e0``, ``p``, ``rho``, ``dx`` and the march's step ``dt`` (a level
+    sits at ``t = step dt``) are shared by all levels.  Indexing
     builds a level's record on first access and keeps it, and a slice is a
     ``History`` over the same columns and kept records.  ``columns``,
     ``grid``, ``v_nodes`` and ``F_e_columns`` read a level without building
@@ -127,12 +128,12 @@ class History(Sequence):
 
     def __init__(self, *, t, step, H, m, start, v_surf, metrics: dict,
                  source: np.ndarray, col: np.ndarray, F_e0: np.ndarray, p: np.ndarray,
-                 rho: np.ndarray, dx: float):
+                 rho: np.ndarray, dx: float, dt: float):
         self.t, self.step, self.H = t, step, H
         self.m, self.start, self.v_surf = m, start, v_surf
         self.metrics = metrics
         self.source, self.col = source, col
-        self.F_e0, self.p, self.rho, self.dx = F_e0, p, rho, dx
+        self.F_e0, self.p, self.rho, self.dx, self.dt = F_e0, p, rho, dx, dt
         self._levels = range(len(m))
         self._records: dict[int, StepRecord] = {}
 

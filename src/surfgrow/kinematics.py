@@ -1,25 +1,24 @@
-"""Transport of the elastic deformation and related kinematic machinery.
+"""Transport of the elastic deformation along characteristics and on a strip.
 
 ``F_e`` obeys ``dF_e/dt + (v . grad) F_e = (grad v) F_e``, the equation
 of the full deformation gradient ``F``; accretion makes the growing
-boundary an inflow.  In the through-thickness reduction ``v2 = 0``, so a
-growth step is the source update of the shear alone (``reduced_step_1d``).
-Here too: the RK2 characteristic integrator, the replay of a stored run
-and the two-dimensional strip transports used for verification.
+boundary an inflow.  Here: the RK2 characteristic integrator and the
+two-dimensional strip transports used for verification.  A growth run
+marches its shear by age (``scenarios._run_1d``), and ``F`` and the
+relaxed shape are recovered from its age tables afterwards
+(``scenarios.reconstruct_reference``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from .balance import require_reduced
-from .errors import (CFLViolation, GrowthNotSupported, OutOfDomain,
-                     SingularTensor, ValidationError)
-from .grids import History, PeriodicStrip
-from .tensors import EPS_DET, identity, inverse, require_finite
+from .errors import CFLViolation, GrowthNotSupported, OutOfDomain, ValidationError
+from .grids import PeriodicStrip
+from .tensors import inverse, require_finite
 
 CFL_LIMIT = 0.9
 
@@ -41,33 +40,6 @@ class PathlineRecord:
         self.F_e = np.asarray(self.F_e, dtype=float)
         if np.any(np.diff(self.t) <= 0):
             raise ValidationError("pathline sample times must be strictly increasing")
-
-
-def reduced_step_1d(F12: np.ndarray, g: np.ndarray, F22, dt: float, n_cells: int,
-                    inflow: float) -> np.ndarray:
-    """One transport step of the shear ``F12`` of a tensor in the
-    through-thickness reduction on the fixed grid: the ``len(F12)`` active
-    cells are stepped, and the cells up to ``n_cells`` that the boundary
-    reached during the step are appended with the inflow shear ``inflow``.
-
-    With ``v = v1(x2) e1`` the advecting velocity ``v2`` vanishes, so the
-    transport has no upwind term and the step is the source update
-    ``T + dt (grad v) T``.  The velocity gradient ``g e1 (x) e2`` is rank
-    one, so only the first row of ``T`` changes, ``T[0, :] += dt g T[1, :]``;
-    with ``T21 = 0`` that leaves ``T11`` as it is and makes the shear
-    ``F12 + dt (g F22)``, bitwise the ``(0, 1)`` entry of the full update.
-    ``F22`` is the tensor's constant second diagonal entry per cell, or a
-    scalar.  Returns a fresh ``(n_cells,)`` array.
-    """
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    m = len(F12)
-    if n_cells < m:
-        raise ValidationError(f"the active cells cannot shrink: {m} -> {n_cells}")
-    out = np.empty(n_cells)
-    out[:m] = F12 + dt * (g * F22)
-    out[m:] = inflow
-    return out
 
 
 def integrate_characteristics(velocity_sampler: VelocitySampler, seed, t0: float,
@@ -105,83 +77,6 @@ def integrate_characteristics(velocity_sampler: VelocitySampler, seed, t0: float
             raise OutOfDomain(f"characteristic left the body at t = {t:g}, x = {x}")
         ts[k + 1], xs[k + 1], Fs[k + 1] = t, x, F
     return PathlineRecord(t=ts, x=xs, F_e=Fs)
-
-
-@dataclass
-class ReconstructedFrame:
-    """Deformation gradient and relaxed shape recovered at one time level."""
-
-    t: float
-    F: np.ndarray
-    F_relax: np.ndarray
-
-
-def replay_columns(history: History, t0: float | None = None,
-                   ) -> Iterator[tuple[np.ndarray, tuple, int]]:
-    """Replay a stored run level by level, by components: yield ``(f12,
-    F_relax, j)`` for the levels ``j`` of ``history`` from ``t0`` on
-    (default: the earliest stored time), with ``F = I + f12 e1 (x) e2`` and
-    ``F_relax`` the tuple of its components ``(11, 12, 22)`` as ``(n,)``
-    arrays; its 21 component is 0.  Each level's ``F_e12`` and ``g`` are
-    gathered once (``History.columns``); no record is built.
-
-    The configuration at ``t0`` is declared the reference, so ``F = I``
-    there; F is then advanced by replaying the stored shear rates ``g``
-    through the march's own step (``reduced_step_1d``, cells attached
-    after ``t0`` entering with ``F = I``).  That step changes neither the
-    second row of ``F`` nor ``F11``, so ``F`` stays ``I`` but for its shear
-    ``f12``.  The relaxed shape ``F_relax = F_e^{-1} F`` follows from the
-    adjugate of the level's ``F_e`` columns.  ``NotReduced`` is raised when
-    any cell's ``F_e21`` is not 0 (``require_reduced``), and
-    ``SingularTensor`` at the first level with ``|det F_e| <= EPS_DET`` in
-    one of its cells.
-    """
-    times = history.t
-    if t0 is None:
-        i0 = 0
-    else:
-        i0 = int(np.argmin(np.abs(times - t0)))
-        if abs(times[i0] - t0) > 1e-9 * max(1.0, abs(t0)):
-            raise ValidationError(f"t0 = {t0:g} is not a stored time level")
-    F_e0 = require_reduced(history.F_e0)
-    # F11, F22 and det F_e = F11 F22 are per-cell constants, of which a
-    # level holds a prefix: it is singular if it holds a singular cell
-    a, d = F_e0[:, 0, 0], F_e0[:, 1, 1]
-    det = a * d
-    regular = int(np.argmax(np.append(np.abs(det) <= EPS_DET, True)))  # the first singular
-    i11, i22 = d[:regular] / det[:regular], a[:regular] / det[:regular]
-    f12 = np.zeros(int(history.m[i0]))
-    for j in range(i0, len(history)):
-        # one gather of the level's F_e12 and g; g steps the next level
-        b, g_next = history.columns(j)
-        m = len(b)
-        if m > regular:
-            raise SingularTensor(f"|det| <= {EPS_DET:g} in tensor inversion")
-        if j > i0:
-            f12 = reduced_step_1d(f12, g, 1.0, times[j] - times[j - 1], m, 0.0)
-        g = g_next
-        # F_e^{-1} = [[d, -b], [0, a]] / det, times [[1, f12], [0, 1]]
-        r11 = i11[:m]
-        yield f12, (r11, r11 * f12 + -b / det[:m], i22[:m]), j
-
-
-def reconstruct_reference(history: History,
-                          t0: float | None = None) -> list[ReconstructedFrame]:
-    """Recover F and F_relax from a stored run: every level of
-    ``replay_columns`` from ``t0`` on, as ``(n, 2, 2)`` tensors.
-
-    Material accreted after ``t0`` carries ``F = I`` at its attachment
-    instant (its reference is its as-deposited shape), which makes its
-    recovered relaxed shape the inverse of the attachment elastic
-    deformation.
-    """
-    frames = []
-    for f12, (r11, r12, r22), j in replay_columns(history, t0=t0):
-        F = identity((len(f12),))
-        F[:, 0, 1] = f12
-        frames.append(ReconstructedFrame(t=float(history.t[j]), F=F, F_relax=np.stack(
-            [r11, r12, np.zeros(len(f12)), r22], axis=1).reshape(F.shape)))
-    return frames
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (IncompatibleAnsatz, OutOfBody, OutOfDomain, SingularSystem,
                      SingularTensor, SurfgrowError, ValidationError)
 from .grids import Grid1D, History, StepRecord, interp_prefix
 from .kinematics import PathlineRecord
-from .tensors import EPS_DET, require_finite
+from .tensors import EPS_DET, identity, require_finite
 
 KINDS = ("non_normal", "fdm_shear", "thermal")
 
@@ -434,8 +434,9 @@ def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
     """A cell's shear ``F_e12`` and shear rate ``g`` at the ages ``0 ..
     ages - 1`` (steps since it entered with the shear ``F12``) under the
     constant top traction ``tau1``: the operations of the solve's first
-    integral ``g = (tau1 - G S12) / mu`` and of ``reduced_step_1d`` on floats,
-    in their order, so each entry is bitwise what they give it at that age."""
+    integral ``g = (tau1 - G S12) / mu`` and of the transport step ``F12 + dt
+    (g F22)`` on floats, in their order, so each entry is bitwise what a
+    march of the two per cell gives it at that age."""
     G, mu = float(params.G), float(params.mu)
     shears, rates = [], []
     for _ in range(ages):
@@ -640,19 +641,36 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
     history = History(t=t_levels, step=np.arange(first, first + levels), H=H, m=m,
                       start=level_start, v_surf=v_surf, metrics=metrics, source=source,
-                      col=col, F_e0=F_e0, p=p, rho=rho, dx=dx)
+                      col=col, F_e0=F_e0, p=p, rho=rho, dx=dx, dt=dt)
     return RunResult(config=config, history=history, oracle_errors=oracle_errors,
                      timings=timings)
 
 
-def _age_rows(history: History) -> list[tuple[int, np.ndarray]]:
-    """``_run_1d``'s age tables: per entry state, its first cell and a ``(2,
-    oldest + 1)`` view of ``source``, its ``F_e12`` and ``g`` at the ages up
-    to that cell's at the last level, which holds every cell."""
-    col, levels = history.col, len(history)
-    firsts = np.flatnonzero(np.diff(col, prepend=-1) > 0).tolist()
-    return [(j, history.source[:, (2 * c + 1) * levels:][:, :col[j] - 2 * c * levels])
-            for c, j in enumerate(firsts)]
+def _age_rows(history: History) -> list[tuple[int, slice]]:
+    """``_run_1d``'s age tables: per entry state active at the history's last
+    level, its first cell and the slice of a ``source`` row holding its ages
+    ``0`` to that cell's age there, every age the state has reached."""
+    col, last = history.col, int(history.start[-1])
+    levels = int(col[0])  # cell 0 enters at the run's first level, at age 0
+    firsts = np.flatnonzero(np.diff(col, prepend=-1) > 0)
+    return [(j, slice((2 * c + 1) * levels, last + int(col[j]) + 1))
+            for c, j in enumerate(firsts.tolist()) if j < history.m[-1]]
+
+
+def _shear_since_entry(history: History) -> np.ndarray:
+    """Each cell's shear ``F12`` of ``F = I + F12 e1 (x) e2`` since it entered
+    the run, laid out like a row of ``source``, so a level's is gathered
+    through the map as ``History.columns`` gathers its ``F_e12``: per entry
+    state, 0 at the negative ages and then the running sum of ``dt g`` over
+    the ages before each one, summed from 0 in order as a march of ``F12 +
+    dt g`` level by level sums it."""
+    levels = int(history.col[0])
+    F12 = np.zeros_like(history.source[1]).reshape(-1, 2, levels)
+    by_age = F12[:, 1]
+    np.multiply(history.dt, history.source[1].reshape(F12.shape)[:, 1, :-1],
+                out=by_age[:, 1:])
+    np.cumsum(by_age, axis=1, out=by_age)
+    return F12.reshape(-1)
 
 
 def run_non_normal(config: ScenarioConfig) -> RunResult:
@@ -886,24 +904,75 @@ def pathline_grid_discrepancy(result: RunResult, pathlines) -> float:
     return float(np.max(np.abs(F_grid - F_char), initial=0.0))
 
 
+# ---------------------------------------------------------------------------
+# The reference configuration recovered from a stored run
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ReconstructedFrame:
+    """Deformation gradient and relaxed shape recovered at one time level."""
+
+    t: float
+    F: np.ndarray
+    F_relax: np.ndarray
+
+
+def _inverse_entry_states(history: History) -> tuple[np.ndarray, ...]:
+    """``(F_e11, F_e22, det F_e)`` of the entry states of the cells that the
+    history's levels hold, and the diagonal of their inverse; ``NotReduced``
+    for a nonzero ``F_e21``, and ``SingularTensor`` when one of them has
+    ``|det F_e| <= EPS_DET``."""
+    F_e0 = require_reduced(history.F_e0)[:int(np.max(history.m, initial=0))]
+    a, d = F_e0[:, 0, 0], F_e0[:, 1, 1]
+    det = a * d
+    if np.any(np.abs(det) <= EPS_DET):
+        raise SingularTensor(f"|det| <= {EPS_DET:g} in tensor inversion")
+    return a, d, det, d / det, a / det
+
+
+def reconstruct_reference(history: History) -> list[ReconstructedFrame]:
+    """Recover ``F`` and ``F_relax`` at every level of a stored run (or of a
+    slice of it), as ``(m, 2, 2)`` frames.
+
+    Each cell's reference is its shape when it entered the run, so ``F =
+    I`` there (accreted material's reference is its as-deposited shape), and
+    ``F = I + F12 e1 (x) e2`` after, ``F12`` read from the age tables
+    (``_shear_since_entry``).  ``F_relax = F_e^{-1} F`` comes from the
+    adjugate, and its 21 entry is 0.  ``NotReduced`` is raised for a nonzero
+    ``F_e21``, and ``SingularTensor`` when a level holds a cell with ``|det
+    F_e| <= EPS_DET``.
+    """
+    _, _, det, r11, r22 = _inverse_entry_states(history)
+    shear = _shear_since_entry(history)
+    frames = []
+    for k in range(len(history)):
+        m = int(history.m[k])
+        index = history.start[k] + history.col[:m]
+        f12, b = shear[index], history.source[0, index]
+        F = identity((m,))
+        F[:, 0, 1] = f12
+        F_relax = np.zeros((m, 2, 2))
+        F_relax[:, 0, 0], F_relax[:, 1, 1] = r11[:m], r22[:m]
+        F_relax[:, 0, 1] = r11[:m] * f12 + -b / det[:m]
+        frames.append(ReconstructedFrame(t=float(history.t[k]), F=F, F_relax=F_relax))
+    return frames
+
+
 def reconstruction_roundtrip_error(result: RunResult) -> float:
-    """Max defect of ``F_e F_relax`` against the replayed ``F``
-    (``kinematics.replay_columns``) over every cell of every level, each
-    over its own ``max(1, |F12|)``, taken over the age tables (``_age_rows``;
-    see the README's round trip).  Raises ``NotReduced`` for a nonzero
-    ``F_e21`` and ``SingularTensor`` for a state with ``|det F_e| <= EPS_DET``."""
-    F_e0 = require_reduced(result.history.F_e0)
-    dt, _ = result.config.resolve_dt()
+    """Max defect of ``F_e F_relax`` against ``F`` (``reconstruct_reference``)
+    over every cell of every level, each over its own ``max(1, |F12|)``.
+    A cell's defect depends on its entry state and age alone, so it is taken
+    over the age tables (``_age_rows``; see the README's round trip).
+    Raises as ``reconstruct_reference`` does."""
+    history = result.history
+    states = _inverse_entry_states(history)
+    shear = _shear_since_entry(history)
     worst = 0.0
-    for first, (b, g) in _age_rows(result.history):
-        a, d = F_e0[first, 0, 0], F_e0[first, 1, 1]
-        det = a * d
-        if abs(det) <= EPS_DET:
-            raise SingularTensor(f"|det| <= {EPS_DET:g} in tensor inversion")
-        f12 = np.concatenate([[0.0], np.cumsum(dt * g[:-1])])
-        # F_e F_relax entry by entry against F = [[1, f12], [0, 1]], with
-        # F_relax = F_e^{-1} F from the adjugate; both 21 entries are 0
-        r11, r22 = d / det, a / det
+    for first, ages in _age_rows(history):
+        a, d, det, r11, r22 = (float(x[first]) for x in states)
+        b, f12 = history.source[0, ages], shear[ages]
+        # F_e F_relax entry by entry against F = [[1, f12], [0, 1]]; both 21
+        # entries are 0
         defect = np.maximum(np.abs(a * (r11 * f12 + -b / det) + b * r22 - f12),
                             max(abs(a * r11 - 1.0), abs(d * r22 - 1.0)))
         worst = max(worst, float(np.max(defect / np.maximum(1.0, np.abs(f12)))))

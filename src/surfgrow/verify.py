@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constitutive import MaterialParams
 from .errors import UsageError
-from .kinematics import replay_columns
-from .scenarios import (RunResult, ScenarioConfig, convergence_runs, run_mu_sweep,
-                        run_thermal, trace_history_pathlines)
-from .tensors import det, identity
+from .scenarios import (RunResult, ScenarioConfig, _age_rows, convergence_runs,
+                        reconstruct_reference, run_mu_sweep, run_thermal,
+                        trace_history_pathlines)
+from .tensors import det
 
 
 @dataclass
@@ -119,12 +118,12 @@ def verify_fdm_shear(resolutions=(16, 50, 200)):
     rows.append(CheckRow("H_end_error", abs(result.final.grid.height - H_ref),
                          8 * np.finfo(float).eps * max(1.0, H_ref)))
     # each level's cells against the same cells at the next level; only
-    # F_e12 evolves, the other components are per-cell constants
-    history = result.history
-    drift, F12 = 0.0, history.columns(0, 0)
-    for j in range(1, len(history)):
-        F12_prev, F12 = F12, history.columns(j, 0)
-        drift = max(drift, float(np.max(np.abs(F12_prev - F12[:len(F12_prev)]))))
+    # F_e12 evolves, the other components are per-cell constants.  A cell's
+    # consecutive levels are consecutive ages of its entry state, and every
+    # such pair occurs, so the drift is the largest step along the age rows.
+    F12 = result.history.source[0]
+    drift = max(float(np.max(np.abs(np.diff(F12[ages])), initial=0.0))
+                for _, ages in _age_rows(result.history))
     rows.append(CheckRow("steady_step_to_step_drift", drift, 1e-12))
     rows.append(CheckRow("runtime_s", elapsed, 5.0))
     rows += _residual_rows(result)
@@ -149,17 +148,13 @@ def verify_thermal(alpha: float = 0.8):
                   float(np.max(np.abs(trivial.v_nodes(j)))))
     rows.append(CheckRow("alpha1_trivial_deviation", dev, 1e-12))
 
-    # only the last level is read: keep one level of the replay at a time
-    f12, F_relax, _ = deque(replay_columns(result.history), maxlen=1)[0]
+    frame = reconstruct_reference(history[-1:])[0]
     grown = result.final.grid.centers > cfg.height0 + 0.2 * (
         result.final.grid.height - cfg.height0)
-    relax_dev = max(float(np.max(np.abs(x[grown] - e)))
-                    for x, e in zip(F_relax, (1.0, 0.0, 1.0)))
+    relax_dev = float(np.max(np.abs(frame.F_relax[grown] - np.eye(2))))
     rows.append(CheckRow("relaxed_shape_dev_in_grown_region", relax_dev,
                          0.5 * abs(alpha - 1.0), direction="min"))
-    F = identity((len(f12),))
-    F[:, 0, 1] = f12
-    detF_dev = float(np.max(np.abs(det(F) - 1.0)))
+    detF_dev = float(np.max(np.abs(det(frame.F) - 1.0)))
     rows.append(CheckRow("det_F_reconstructed_dev", detF_dev, 1e-8))
     return rows, result
 

@@ -93,7 +93,7 @@ def test_write_fields_single_snapshot_row_count(tmp_path):
                       m=np.array([4]), start=np.zeros(1, dtype=int), v_surf=np.zeros(1),
                       metrics={k: np.zeros(1) for k in METRIC_FIELDS},
                       source=np.zeros((2, 4)), col=np.arange(4), F_e0=identity((4,)),
-                      p=np.ones(4), rho=np.ones(4), dx=0.25)
+                      p=np.ones(4), rho=np.ones(4), dx=0.25, dt=0.5)
     result = RunResult(config=_tiny_config(), history=history)
     manifest = write_fields(result, tmp_path / "out")
     lines = (tmp_path / "out" / "snapshot_0000.csv").read_text().splitlines()
@@ -218,7 +218,7 @@ def _odd_values_result(metrics=None):
         source=np.stack([np.concatenate([np.roll(odd, 2 * k)[:mk]
                                          for k, mk in enumerate(m)]), np.concatenate(g)]),
         col=np.arange(4), F_e0=odd.reshape(2, 2, 2).repeat(2, 0), p=odd[3:7].copy(),
-        rho=np.full(4, 1.0 / 3.0), dx=dx)
+        rho=np.full(4, 1.0 / 3.0), dx=dx, dt=0.5)
     pathlines = [
         PathlineRecord(t=[-0.0, 1.0 / 3.0, 0.9, 1.4],
                        x=[[-0.0, 5e-324], [1.0 / 3.0, -0.0], [5e-324, 0.9], [0.0, 2.0]],

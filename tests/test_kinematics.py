@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from surfgrow import (CFLViolation, GrowthNotSupported, History, NotReduced,
-                      OutOfDomain, PeriodicStrip, SingularTensor, ValidationError,
-                      advance_deformation_strip, advance_inverse_motion,
+from surfgrow import (CFLViolation, GrowthNotSupported, MaterialParams, NotReduced,
+                      OutOfDomain, PeriodicStrip, ScenarioConfig, SingularTensor,
+                      ValidationError, advance_deformation_strip, advance_inverse_motion,
                       deformation_from_inverse_motion, integrate_characteristics,
-                      reconstruct_reference)
-from surfgrow.kinematics import CFL_LIMIT, PathlineRecord, reduced_step_1d
+                      reconstruct_reference, run_thermal)
+from surfgrow.kinematics import CFL_LIMIT, PathlineRecord
 from surfgrow.tensors import identity
+
+from references import reduced_step_1d
 
 
 def shear_grad(n, g):
@@ -145,50 +147,49 @@ def test_pathline_record_validates_times():
         PathlineRecord(t=[0.0, 0.0], x=np.zeros((2, 2)), F_e=identity((2,)))
 
 
-def _static_history(n=8, steps=5, F_e12=0.25, F_e0=None):
-    # `steps` levels of the same n cells, at rest
-    F_e0 = identity((n,)) if F_e0 is None else F_e0
-    # every level reads the same n cells of one source
-    return History(t=0.1 * np.arange(steps), step=np.arange(steps), H=np.ones(steps),
-                   m=np.full(steps, n), start=np.zeros(steps, dtype=int),
-                   v_surf=np.zeros(steps), metrics={},
-                   source=np.stack([np.full(n, F_e12), np.zeros(n)]), col=np.arange(n),
-                   F_e0=F_e0, p=np.ones(n), rho=np.ones(n), dx=1.0 / n)
+def _thermal_history(alpha):
+    # a body at rest: an initial body in F_e = I and a deposit in F_e = I / alpha
+    cfg = ScenarioConfig(kind="thermal", params=MaterialParams(G=1.0, mu=1.0, rho=1.0),
+                         alpha=alpha, H0=0.5, n_cells=16, t_end=0.25)
+    return run_thermal(cfg).history
 
 
 def test_reconstruct_static_body():
-    history = _static_history()
-    frames = reconstruct_reference(history)
-    for frame, rec in zip(frames, history):
-        np.testing.assert_array_equal(frame.F, identity((8,)))
-        np.testing.assert_allclose(frame.F_relax,
-                                   np.linalg.inv(rec.F_e), atol=1e-14)
-        np.testing.assert_allclose(rec.F_e @ frame.F_relax, frame.F, atol=1e-14)
+    # nothing moves, so F = I; alpha = 1 enters every cell in F_e = I, and
+    # alpha = 0.8 the deposit in F_e = I / 0.8, whose relaxed shape is 0.8 I
+    for alpha in (1.0, 0.8):
+        history = _thermal_history(alpha)
+        frames = reconstruct_reference(history)
+        assert len(frames) == len(history) > 10
+        for frame, rec in zip(frames, history):
+            m = rec.grid.n_cells
+            assert frame.t == rec.t
+            np.testing.assert_array_equal(frame.F, identity((m,)))
+            np.testing.assert_allclose(frame.F_relax, np.linalg.inv(rec.F_e), atol=1e-14)
+            np.testing.assert_allclose(rec.F_e @ frame.F_relax, frame.F, atol=1e-14)
+            if alpha == 1.0:
+                np.testing.assert_array_equal(frame.F_relax, identity((m,)))
 
 
 def test_replay_refuses_a_singular_elastic_deformation():
-    # det F_e = F11 F22 = 0 in one cell: F_relax = F_e^{-1} F does not exist
-    F_e0 = identity((8,))
-    F_e0[3, 0, 0] = 0.0
+    # the deposit's det F_e = alpha^-2 = 1e-14 <= EPS_DET: F_relax = F_e^{-1} F
+    # does not exist; a slice of the levels before the deposit holds none
+    history = _thermal_history(1e7)
     with pytest.raises(SingularTensor):
-        reconstruct_reference(_static_history(F_e0=F_e0))
+        reconstruct_reference(history)
+    before = int(np.searchsorted(history.m, history.m[0], side="right"))
+    assert len(reconstruct_reference(history[:before])) == before
 
 
 def test_replay_refuses_a_history_outside_the_reduction():
-    # the replay drops the F_e21 terms, so a history with a nonzero one is
-    # refused rather than given a wrong F_relax
-    F_e0 = identity((8,))
+    # the reconstruction drops the F_e21 terms, so a history with a nonzero
+    # one is refused rather than given a wrong F_relax
+    history = _thermal_history(0.8)
+    F_e0 = history.F_e0.copy()
     F_e0[3, 1, 0] = 0.5
+    history.F_e0 = F_e0
     with pytest.raises(NotReduced, match="F_e21"):
-        reconstruct_reference(_static_history(F_e0=F_e0))
-
-
-def test_reconstruct_accepts_interior_reference_time():
-    history = _static_history()
-    frames = reconstruct_reference(history, t0=0.2)
-    assert len(frames) == 3 and frames[0].t == 0.2
-    with pytest.raises(ValidationError):
-        reconstruct_reference(history, t0=0.123)
+        reconstruct_reference(history)
 
 
 def test_inverse_motion_static_and_translation():

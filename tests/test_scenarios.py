@@ -26,13 +26,12 @@ from surfgrow.balance import (SideState, advance_domain,
                               solve_residuals)
 from surfgrow.constitutive import total_stress
 from surfgrow.grids import Grid1D, StepRecord
-from surfgrow.kinematics import reduced_step_1d, replay_columns
 from surfgrow.output import METRIC_FIELDS
 from surfgrow.scenarios import BLOCK_CELLS, KINDS, block_bounds, shear_by_age
 from surfgrow.tensors import det, inverse
 from surfgrow.verify import _residual_rows, default_config, verify_scenario
 
-from references import first_integral
+from references import first_integral, reduced_step_1d, replay_columns
 
 
 def interp_columns(xq, xp, values):
@@ -549,8 +548,8 @@ def test_reconstruction_roundtrip_both_oracle_scenarios():
     assert reconstruction_roundtrip_error(run_non_normal(nn_config())) <= 1e-8
     res = run_fdm_shear(fdm_config())
     assert reconstruction_roundtrip_error(res) <= 1e-8
-    # steady deposition: nothing moves after the jump, so the replayed F is
-    # the identity and the relaxed shape is the attachment inverse
+    # steady deposition: nothing moves after the jump, so the reconstructed
+    # F is the identity and the relaxed shape is the attachment inverse
     frames = reconstruct_reference(res.history)
     np.testing.assert_allclose(frames[-1].F,
                                np.broadcast_to(np.eye(2), frames[-1].F.shape),
@@ -634,10 +633,14 @@ def test_discrepancy_of_no_pathlines_is_zero():
     assert pathline_grid_discrepancy(res, []) == 0.0
 
 
-# The by-age round trip sums each cell's shear rates with the march's dt,
-# where the replay steps by t_j - t_{j-1}, which differs from dt in its last
-# bits; the two values agree to within four ulps of 1.
+# The by-age round trip divides each cell's defect by its own max(1, |f12|),
+# the per-level reference by its level's; the two values agree to within
+# four ulps of 1.
 ROUNDTRIP_TOL = 4 * np.finfo(float).eps
+# F_relax = F_e^{-1} F has zero material derivative, so it stays the inverse
+# of each cell's entry state; F_e12 and F's shear are two running sums of the
+# same rates from different starts, which round apart by a few ulps.
+RELAX_TOL = 8 * np.finfo(float).eps
 
 
 def _roundtrip_by_level(result):
@@ -695,7 +698,8 @@ def test_roundtrip_by_age_agrees_with_the_replay_by_level(make, mu, alpha):
 @pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
 def test_age_rows_hold_every_level_s_columns(make):
     history = run_scenario(make(n_cells=32, t_end=0.25)).history
-    states = surfgrow.scenarios._age_rows(history)
+    states = [(first, history.source[:, ages])
+              for first, ages in surfgrow.scenarios._age_rows(history)]
     n = len(history.F_e0)
     firsts = [first for first, _ in states]
     assert firsts[0] == 0 and len(states) == (1 if make is nn_config else 2)
@@ -710,6 +714,72 @@ def test_age_rows_hold_every_level_s_columns(make):
         expected = np.stack([states[s][1][:, k - entered[j]]
                              for j, s in zip(cells.tolist(), state.tolist())], axis=1)
         assert _bits(history.columns(k)) == _bits(expected), k
+
+
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_reconstruction_of_a_slice_is_the_slice_of_the_reconstruction(make):
+    # F is measured from each cell's entry into the run whatever levels a
+    # slice holds; the age rows of a slice are those of its run up to its
+    # last level (the deposit's rows of fdm_shear's history[5:] once started
+    # 15 entries before its age 0, taking the slice's length for the run's,
+    # and its round trip still read 0.0)
+    res = run_scenario(make(n_cells=32, t_end=0.25))
+    history = res.history
+    frames = reconstruct_reference(history)
+    roundtrip = reconstruction_roundtrip_error(res)
+    rows = surfgrow.scenarios._age_rows(history)
+    entered = _entered(history)
+    for k in (1, 5, entered, len(history) // 2, len(history) - 1):
+        part = reconstruct_reference(history[k:])
+        assert len(part) == len(history) - k
+        for frame, ref in zip(part, frames[k:], strict=True):
+            assert frame.t == ref.t
+            assert _bits(frame.F) == _bits(ref.F) and _bits(frame.F_relax) == _bits(ref.F_relax)
+        assert surfgrow.scenarios._age_rows(history[k:]) == rows
+        sliced = replace(res, history=history[k:])
+        assert _bits(reconstruction_roundtrip_error(sliced)) == _bits(roundtrip), k
+    for k, j in ((0, entered), (3, entered + 7), (entered, len(history) - 2)):
+        for frame, ref in zip(reconstruct_reference(history[k:j]), frames[k:j], strict=True):
+            assert _bits(frame.F) == _bits(ref.F) and _bits(frame.F_relax) == _bits(ref.F_relax)
+    assert reconstruct_reference(history[3:3]) == []
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.1, 1e-3])
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_frames_are_bitwise_a_replay_by_the_march_s_dt(make, mu):
+    # the level-by-level replay, F12 + dt g through reduced_step_1d with
+    # F = I for each cell as it enters, gives every frame bit for bit
+    res = run_scenario(make(params=MaterialParams(G=1.0, mu=mu, rho=1.0),
+                            n_cells=32, t_end=0.25))
+    frames = reconstruct_reference(res.history)
+    replayed = list(replay_columns(res.history))
+    assert len(frames) == len(replayed) == len(res.history)
+    for frame, (f12, (r11, r12, r22), j) in zip(frames, replayed):
+        assert frame.t == res.history.t[j]
+        F = np.broadcast_to(np.eye(2), frame.F.shape).copy()
+        F[:, 0, 1] = f12
+        F_relax = np.stack([r11, r12, np.zeros(len(f12)), r22], axis=1).reshape(F.shape)
+        assert _bits(frame.F) == _bits(F) and _bits(frame.F_relax) == _bits(F_relax), j
+
+
+@pytest.mark.parametrize("alpha", [0.5, 3.0])
+@pytest.mark.parametrize("mu", [1.0, 0.1, 1e-3])
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_relaxed_shape_is_the_inverse_entry_state(make, mu, alpha):
+    # F_e = F F_e0 for the F accumulated since entry, so F_relax = F_e^{-1} F
+    # is inv(F_e0) of the cell at every level: a check that reads F_e and F
+    # apart, where the round trip forms F_relax from the same F_e
+    res = run_scenario(make(params=MaterialParams(G=1.0, mu=mu, rho=1.0), alpha=alpha,
+                            n_cells=32, t_end=0.25))
+    inv = np.linalg.inv(res.history.F_e0)
+    moved = 0.0
+    for frame in reconstruct_reference(res.history):
+        m = len(frame.F)
+        scale = np.maximum(1.0, np.abs(frame.F[:, 0, 1]))[:, None, None]
+        assert np.all(np.abs(frame.F_relax - inv[:m]) <= RELAX_TOL * scale), frame.t
+        moved = max(moved, float(np.max(np.abs(frame.F[:, 0, 1]))))
+    # F moves where the shear relaxes, so the check reads two different sums
+    assert (moved > 0.1 * alpha) == (make is nn_config)
 
 
 def test_roundtrip_refuses_a_singular_or_unreduced_entry_state():
@@ -872,13 +942,15 @@ def test_reduced_step_reproduces_general_transport(make):
     # rho never leaves its attachment value
     for rec in res.history:
         assert np.all(rec.rho == cfg.params.rho)
-    # the replay matches the full update that appends F = I for attached cells
+    # the reconstruction matches the full update by the march's dt that
+    # appends F = I for attached cells
+    assert res.history.dt == dt
     F = np.broadcast_to(np.eye(2), res.history[0].F_e.shape).copy()
     frames = reconstruct_reference(res.history)
     np.testing.assert_array_equal(frames[0].F, F)
     for a, b, frame in zip(res.history, res.history[1:], frames[1:]):
         fresh = b.grid.n_cells - a.grid.n_cells
-        F = np.concatenate([F + (b.t - a.t) * (a.grad_v @ F),
+        F = np.concatenate([F + dt * (a.grad_v @ F),
                             np.broadcast_to(np.eye(2), (fresh, 2, 2))])
         np.testing.assert_array_equal(frame.F, F)
 
@@ -887,7 +959,7 @@ def test_reduced_step_reproduces_general_transport(make):
 def test_rank_one_step_is_the_full_source_update(make):
     # grad v = g e1 (x) e2 and T21 = 0: the shear update F12 + dt (g F22) is
     # bitwise the (0, 1) entry of T + dt (grad_v @ T), whose other entries
-    # leave T as it is, on every stored level and every replayed frame
+    # leave T as it is, on every stored level and every reconstructed frame
     cfg = make(n_cells=32, t_end=0.25)
     res = run_scenario(cfg)
     dt, _ = cfg.resolve_dt()
