@@ -1,9 +1,15 @@
 """Deterministic run serialization: snapshot CSVs, a metrics stream, and a
 checksummed manifest.
 
-Numbers are written with 17 significant decimal digits so parsing an
-emitted file reproduces the in-memory doubles bitwise.  Identical
-(config, version) pairs produce byte-identical data files; the manifest
+Numbers are written with 17 significant decimal digits (``%.17g``, the
+bytes of ``fmt``) so parsing an emitted file reproduces the in-memory
+doubles bitwise.  Each distinct value is formatted as few times as the
+layout allows: a column that holds one bit pattern over a table is written
+once into the table's row format, and the snapshots' centers, per-cell
+constants and ``F_e12`` values are formatted once per call, each distinct
+bit pattern once, and their text gathered through the ``History`` map; only
+the columns that vary go through ``%`` per row.  Identical (config,
+version) pairs produce byte-identical data files; the manifest
 additionally records the wall-clock duration and the march's phase
 timings (``RunResult.timings``) when a duration is supplied.
 """
@@ -13,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,73 +69,168 @@ def _snapshot_indices(n_records: int, n_snapshots: int) -> list[int]:
     return sorted(set(np.linspace(0, n_records - 1, k).round().astype(int).tolist()))
 
 
-def _write_table(path: Path, header: str, row_format: str, tables) -> None:
-    """Write a CSV header and one ``row_format`` line per row of each of
-    ``tables``, in order.
+class _Text:
+    """A column of text: row ``i`` reads ``texts[index[i]]``, and a slice
+    gathers its rows' text."""
 
-    Rows are formatted and written ``BLOCK_ROWS`` at a time through one open
-    file, so no text of a whole table is ever held, and ``tables`` may be
-    made one at a time as they are written.  One %-format per row:
-    ``"%.17g"`` writes the same bytes as ``fmt``.
+    def __init__(self, texts: np.ndarray, index: np.ndarray):
+        self.texts, self.index = texts, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self.texts[self.index[rows]]
+
+
+def _format_once(values: np.ndarray) -> _Text:
+    """``values`` as text, each distinct bit pattern formatted once (found by
+    sorting the bits, as ``np.unique`` would without importing ``numpy.ma``)."""
+    bits = values.view(np.uint64)
+    order = np.argsort(bits)
+    first = np.empty(len(bits), bool)  # where a new bit pattern starts, in order
+    first[:1] = True
+    np.not_equal(bits[order[1:]], bits[order[:-1]], out=first[1:])
+    index = np.empty(len(bits), np.intp)
+    index[order] = np.cumsum(first) - 1
+    texts = np.array(list(map("%.17g".__mod__, values[order[first]].tolist())),
+                     dtype=object)
+    return _Text(texts, index)
+
+
+def _constant(column) -> bool:
+    """Whether every row of a nonempty ``column`` holds its first row's bits
+    (a ``_Text``: its first row's text index), so ``-0.0`` and ``0.0``, or
+    two NaN payloads, never count as one value."""
+    bits = (column.index if isinstance(column, _Text) else column).view(np.uint64)
+    return len(bits) > 0 and bool((bits == bits[0]).all())
+
+
+def _row_format(slots: list[str], columns: list) -> tuple[list[str], list]:
+    """The parts of a row's %-format and the columns it reads per row.
+
+    ``slots[i]`` is column ``i``'s text with one %-conversion for its value,
+    or fixed text where the column is ``None``.  A constant column's slot
+    is formatted once, with its first value, into its part."""
+    parts, varying = [], []
+    for slot, column in zip(slots, columns):
+        if column is not None and _constant(column):
+            slot = slot % column[:1].tolist()[0]
+        elif column is not None:
+            varying.append(column)
+        parts.append(slot)
+    return parts, varying
+
+
+def _write_rows(f, line: str, columns: list, n: int) -> None:
+    """Write ``n`` rows ``line % row`` to the open file ``f``, ``row`` the next
+    value of each of ``columns``, ``BLOCK_ROWS`` rows at a time, so no text
+    of more rows is ever held."""
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        rows = (zip(*(column[start:stop].tolist() for column in columns)) if columns
+                else repeat((), stop - start))
+        f.write("".join(map(line.__mod__, rows)))
+
+
+def _write_table(path: Path, header: str, slots: list[str], tables) -> None:
+    """Write a CSV header and the rows of each of ``tables``, in order, through
+    one open file; ``tables`` may be made one at a time as they are written.
+
+    A table is a list of equal-length columns, each an array of numbers or a
+    ``_Text``, written with its slot of ``slots`` (``"%.17g"`` writes the
+    bytes of ``fmt``; ``"%s"`` for text; fixed text for a ``None`` column).
+    A column that holds one value over the table is written once into the
+    table's row format, so only the columns that vary go through ``%`` per
+    row (``_row_format``, ``_write_rows``).
     """
-    line_format = row_format + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
-        for table in tables:
-            for start in range(0, len(table), BLOCK_ROWS):
-                block = table[start:start + BLOCK_ROWS].tolist()
-                f.write("".join(line_format % tuple(row) for row in block))
+        for columns in tables:
+            parts, varying = _row_format(slots, columns)
+            _write_rows(f, ",".join(parts) + "\n", varying, len(columns[0]))
 
 
-def _write_snapshot(path: Path, rec) -> None:
-    v1 = 0.5 * (rec.v_nodes[:-1] + rec.v_nodes[1:])
-    n = rec.grid.n_cells
-    table = np.column_stack([rec.grid.centers, v1, np.zeros(n),
-                             *rec.F_e_columns(), rec.p, rec.rho])
-    _write_table(path, ",".join(SNAPSHOT_COLUMNS),
-                 ",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)), [table])
+def _write_snapshots(out: Path, history, levels: list[int]) -> list[dict]:
+    """Write level ``levels[i]``'s cells to ``snapshot_{i:04d}.csv`` and return
+    the manifest's snapshot entries, reading each level through the
+    history's map without building its record.
+
+    ``x2`` is a prefix of the run's centers; ``Fe11``, ``Fe21``, ``Fe22``,
+    ``p`` and ``rho`` are prefixes of its per-cell constants; ``Fe12`` is
+    ``source[0, start[k] + col[:m]]``; ``v2`` is 0.  The centers and
+    constants of the cells that the snapshots hold and the ``F_e12`` values
+    that they read are formatted once per call, each distinct bit pattern
+    once (``_format_once``), and their text gathered by index; only ``v1``
+    is formatted per row.
+    """
+    m = history.m[levels].tolist()
+    cells = max(m)
+    F_e0 = history.F_e0[:cells]
+    per_cell = [_format_once(values) for values in (
+        history.centers[:cells], F_e0[:, 0, 0], F_e0[:, 1, 0], F_e0[:, 1, 1],
+        history.p[:cells], history.rho[:cells])]
+    F12 = _format_once(history.source[0, np.concatenate(
+        [history.start[k] + history.col[:mk] for k, mk in zip(levels, m)])])
+    slots = ["%s", "%.17g", "0"] + ["%s"] * 6
+    snapshots = []
+    for ordinal, (k, mk, row) in enumerate(zip(levels, m, np.cumsum([0] + m).tolist())):
+        x2, F11, F21, F22, p, rho = (_Text(c.texts, c.index[:mk]) for c in per_cell)
+        v_nodes = history.v_nodes(k)
+        name = f"snapshot_{ordinal:04d}.csv"
+        _write_table(out / name, ",".join(SNAPSHOT_COLUMNS), slots,
+                     [[x2, 0.5 * (v_nodes[:-1] + v_nodes[1:]), None, F11,
+                       _Text(F12.texts, F12.index[row:row + mk]),
+                       F21, F22, p, rho]])
+        snapshots.append({"file": name, "step": int(history.step[k]),
+                          "t": fmt(history.t[k]), "n_active": mk})
+    return snapshots
 
 
 def _write_metrics(path: Path, result: RunResult) -> None:
     """Write the header and one ``json.dumps(row, sort_keys=True)`` line per
-    stored level, each step row made by one precompiled %-format.
+    stored level, each step row made by one %-format.
 
     A step row holds ``"type": "step"``, the march step ``"step": k`` of the
     level (``t = k dt``) and every metric and oracle error as its ``fmt``
     string, which ``"%.17g"`` writes, each read from its per-level column;
-    the template lists the keys in sorted order with json's separators, and
-    the values need no escaping.  Rows go through the buffered file one at
-    a time, so no text of the whole stream is held.
+    the format lists the keys in sorted order with json's separators, and
+    the values need no escaping.  A column that holds one value over the
+    run is written once into the format (``_row_format``), and the rows go
+    through the file ``BLOCK_ROWS`` at a time.
     """
     fields = list(METRIC_FIELDS) + sorted(result.oracle_errors)
     header = json.dumps({"type": "header", "fields": fields}, sort_keys=True)
     slots = {name: '"%.17g"' for name in fields}
     slots.update(step="%d", type='"step"')
     keys = sorted(slots)
-    template = "{" + ", ".join(f'"{key}": {slots[key]}' for key in keys) + "}\n"
     history = result.history
-    columns = {"step": history.step, **history.metrics, **result.oracle_errors}
-    rows = zip(*(columns[key].tolist() for key in keys if key != "type"))
+    columns = {"step": history.step, **history.metrics, **result.oracle_errors,
+               "type": None}
+    parts, varying = _row_format([f'"{key}": {slots[key]}' for key in keys],
+                                 [columns[key] for key in keys])
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
-        f.writelines(template % row for row in rows)
+        _write_rows(f, "{" + ", ".join(parts) + "}\n", varying, len(history))
 
 
 def _write_pathlines(path: Path, result: RunResult) -> None:
     """Write every pathline sample with ``v1`` and ``p`` interpolated at its
     stored level, one pathline's table at a time; both are gathered for all
-    samples at once (``level_v1``, ``level_interp``)."""
+    samples at once (``level_v1``, ``level_interp``).  A pathline keeps its
+    index, height, ``Fe11``, ``Fe21``, ``Fe22`` and, on a uniform ``p``, its
+    pressure, which its table's row format then holds."""
     pathlines = result.pathlines
     history = result.history
     level, x2 = pathline_levels(history, pathlines)
     v1 = level_v1(history, level, x2)
     p = level_interp(history, level, x2, history.p)
     bounds = np.cumsum([0] + [len(pl.t) for pl in pathlines]).tolist()
-    tables = (np.column_stack([np.full(b - a, i), pl.t, pl.x, pl.F_e.reshape(-1, 4),
-                               v1[a:b], np.zeros(b - a), p[a:b]])
+    tables = ([np.full(b - a, i), pl.t, *pl.x.T, *pl.F_e.reshape(-1, 4).T,
+               v1[a:b], None, p[a:b]]
               for i, (pl, a, b) in enumerate(zip(pathlines, bounds, bounds[1:])))
     _write_table(path, "pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p",
-                 "%d" + ",%.17g" * 10, tables)
+                 ["%d"] + ["%.17g"] * 8 + ["0", "%.17g"], tables)
 
 
 def read_snapshot(path) -> dict:
@@ -154,14 +256,8 @@ def write_fields(result: RunResult, out_dir,
         out.mkdir(parents=True, exist_ok=True)
         cfg = result.config
         history = result.history
-        snapshots = []
-        for ordinal, idx in enumerate(_snapshot_indices(len(history),
-                                                        cfg.n_snapshots)):
-            rec = history[idx]
-            name = f"snapshot_{ordinal:04d}.csv"
-            _write_snapshot(out / name, rec)
-            snapshots.append({"file": name, "step": rec.step, "t": fmt(rec.t),
-                              "n_active": rec.grid.n_cells})
+        snapshots = _write_snapshots(
+            out, history, _snapshot_indices(len(history), cfg.n_snapshots))
         _write_metrics(out / "metrics.jsonl", result)
         written = [s["file"] for s in snapshots] + ["metrics.jsonl"]
         if result.pathlines:

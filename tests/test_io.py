@@ -203,28 +203,38 @@ def _reference_pathlines(result) -> str:
 
 def _odd_values_result(metrics=None):
     # values whose text is easy to get wrong: signed zero, the smallest
-    # subnormal, a repeating fraction, nan and infinities; three levels of
-    # 2, 3 and 4 cells on one spacing, holding prefixes of one F_e0, p and
-    # rho (``metrics``: each level's row, zeros by default)
+    # subnormal, a repeating fraction, nan (two payloads) and infinities;
+    # three levels of 1, 3 and 4 cells on one spacing (a one-row snapshot),
+    # holding prefixes of one F_e0, p and rho (rho: zeros but for one -0.0);
+    # pathlines with a column constant but for a zero's sign and one of two
+    # NaN payloads, and one of a single sample, whose every column is
+    # constant (``metrics``: each level's row, zeros by default)
+    nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)
     odd = np.array([-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300])
-    dx, m = 0.25, np.array([2, 3, 4])
+    dx, m = 0.25, np.array([1, 3, 4])
     # v_nodes is the running sum of dx g
     g = [np.roll(odd, k)[:mk] / dx for k, mk in enumerate(m)]
+    F_e12 = [np.roll(odd, 2 * k)[:mk] for k, mk in enumerate(m)]
+    F_e12[2][:2] = np.nan, nan2[0]
     rows = metrics or [{name: 0.0 for name in METRIC_FIELDS}] * 3
     history = History(
         t=0.5 * np.arange(3), step=np.arange(3), H=np.array([0.5, 0.75, 1.0]), m=m,
         start=np.cumsum(m) - m, v_surf=np.array([np.sum(dx * gk) for gk in g]),
         metrics={name: np.array([row[name] for row in rows]) for name in rows[0]},
-        source=np.stack([np.concatenate([np.roll(odd, 2 * k)[:mk]
-                                         for k, mk in enumerate(m)]), np.concatenate(g)]),
+        source=np.stack([np.concatenate(F_e12), np.concatenate(g)]),
         col=np.arange(4), F_e0=odd.reshape(2, 2, 2).repeat(2, 0), p=odd[3:7].copy(),
-        rho=np.full(4, 1.0 / 3.0), dx=dx, dt=0.5)
+        rho=np.array([0.0, 0.0, -0.0, 0.0]), dx=dx, dt=0.5)
+    sign_and_payload = np.resize([1.0, 0.0, 0.0, 1.0], (3, 2, 2))
+    sign_and_payload[:, 1, 0] = [np.nan, nan2[0], np.nan]
     pathlines = [
         PathlineRecord(t=[-0.0, 1.0 / 3.0, 0.9, 1.4],
                        x=[[-0.0, 5e-324], [1.0 / 3.0, -0.0], [5e-324, 0.9], [0.0, 2.0]],
                        F_e=np.resize(odd, (4, 2, 2))),
         PathlineRecord(t=[0.5, 1.0], x=[[0.0, 1.0 / 3.0], [1e300, -1.0]],
                        F_e=np.resize(odd[::-1], (2, 2, 2))),
+        PathlineRecord(t=[0.7], x=[[-0.0, 0.6]], F_e=np.resize(odd[2:6], (1, 2, 2))),
+        PathlineRecord(t=[0.1, 0.6, 1.1], x=[[0.0, 0.3], [-0.0, 0.3], [0.0, 0.3]],
+                       F_e=sign_and_payload),
     ]
     return RunResult(config=_tiny_config(), history=history, pathlines=pathlines)
 
@@ -235,7 +245,11 @@ def test_csv_rows_match_per_value_fmt(tmp_path):
     res.pathlines = trace_history_pathlines(res, count=5)
     for name, result in (("run", res), ("odd", _odd_values_result())):
         out = tmp_path / name
+        result.final  # a kept record, which the writers must leave as it is
+        found = dict(result.history._records)
         manifest = write_fields(result, out)
+        kept = result.history._records
+        assert kept.keys() == found.keys() and all(kept[k] is found[k] for k in found)
         assert manifest.snapshots
         by_step = {rec.step: rec for rec in result.history}
         for snap in manifest.snapshots:
@@ -246,6 +260,11 @@ def test_csv_rows_match_per_value_fmt(tmp_path):
     text = (tmp_path / "odd" / "pathlines.csv").read_text()
     for token in ("-0", "4.9406564584124654e-324", "0.33333333333333331", "nan", "-inf"):
         assert token in text.replace("\n", ",").split(","), token
+    snapshots = [(tmp_path / "odd" / f"snapshot_{i:04d}.csv").read_text().splitlines()
+                 for i in range(3)]
+    assert [len(lines) - 1 for lines in snapshots] == [1, 3, 4]
+    assert [line.split(",")[-1] for line in snapshots[2][1:]] == ["0", "0", "-0", "0"]
+    assert [line.split(",")[4] for line in snapshots[2][1:3]] == ["nan", "nan"]
 
 
 def test_csv_blocks_write_the_same_bytes(tmp_path, monkeypatch):

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import surfgrow.output
+import surfgrow.scenarios
 from surfgrow import (MaterialParams, OutOfDomain, PathlineRecord, ScenarioConfig,
                       pathline_grid_discrepancy, run_scenario, trace_history_pathlines,
                       write_fields)
 from surfgrow.grids import interp_prefix
+from surfgrow.output import fmt
 from surfgrow.scenarios import BLOCK_CELLS, block_bounds, level_v1
 
 
@@ -106,16 +107,17 @@ def reference_v1_p(result):
 
 
 def reference_pathlines_csv(result, path):
-    """``pathlines.csv`` from the reference values, through the writer's
-    own table formatter."""
+    """``pathlines.csv`` from the reference values, one ``fmt`` call per
+    value, independent of the writer's formatter."""
     v1, p = reference_v1_p(result)
-    pathlines = result.pathlines
-    bounds = np.cumsum([0] + [len(pl.t) for pl in pathlines]).tolist()
-    tables = [np.column_stack([np.full(b - a, i), pl.t, pl.x, pl.F_e.reshape(-1, 4),
-                               v1[a:b], np.zeros(b - a), p[a:b]])
-              for i, (pl, a, b) in enumerate(zip(pathlines, bounds, bounds[1:]))]
-    surfgrow.output._write_table(path, "pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p",
-                                 "%d" + ",%.17g" * 10, tables)
+    lines = ["pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p"]
+    k = 0
+    for i, pl in enumerate(result.pathlines):
+        for t, x, F in zip(pl.t, pl.x, pl.F_e.reshape(-1, 4)):
+            lines.append(",".join([str(i)] + [fmt(v) for v in
+                                              (t, *x, *F, v1[k], 0.0, p[k])]))
+            k += 1
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _config(kind, **kw):

@@ -29,7 +29,8 @@ from surfgrow.grids import Grid1D, StepRecord
 from surfgrow.output import METRIC_FIELDS
 from surfgrow.scenarios import BLOCK_CELLS, KINDS, block_bounds, shear_by_age
 from surfgrow.tensors import det, inverse
-from surfgrow.verify import _residual_rows, default_config, verify_scenario
+from surfgrow.verify import (_residual_rows, _rest_deviation, default_config,
+                             verify_scenario)
 
 from references import first_integral, reduced_step_1d, replay_columns
 
@@ -1493,8 +1494,8 @@ def test_no_pass_builds_a_stored_F_e(make, tmp_path):
     reconstruct_reference(res.history)
     res.probe(0.1)
     write_fields(res, tmp_path / "out")
-    # only the snapshots and the final level are built as records
-    assert 0 < len(res.history._records) <= cfg.n_snapshots + 1
+    # none of them builds a record
+    assert not res.history._records
     assert not any("F_e" in vars(rec) for rec in res.history)
     for rec in res.history:
         m = rec.grid.n_cells
@@ -1531,6 +1532,25 @@ def test_verify_tables_read_the_columns(kind):
     assert all(row.ok for row in rows)
     assert len(result.history._records) <= 1  # the final level
     assert not any("F_e" in vars(rec) for rec in result.history)
+
+
+@pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
+def test_rest_deviation_reads_every_level(make):
+    # verify_thermal's alpha = 1 deviation, read from the age rows and the
+    # per-cell constants, against a loop over every stored level: F_e's
+    # deviation exactly, v1's through its bound dx m max|g|
+    history = run_scenario(make(n_cells=32, t_end=0.25)).history
+    F_dev = v_dev = g_max = 0.0
+    for j in range(len(history)):
+        F11, F12, F21, F22 = history.F_e_columns(j)
+        F_dev = max(F_dev, *(float(np.max(np.abs(x)))
+                             for x in (F11 - 1.0, F12, F21, F22 - 1.0)))
+        v_dev = max(v_dev, float(np.max(np.abs(history.v_nodes(j)))))
+        g_max = max(g_max, float(np.max(np.abs(history.columns(j, 1)))))
+    dev = _rest_deviation(history)
+    assert max(F_dev, v_dev) <= dev == max(F_dev, history.dx * int(history.m[-1]) * g_max)
+    at_rest = run_scenario(thermal_config(n_cells=32, t_end=0.25, alpha=1.0)).history
+    assert _rest_deviation(at_rest) == 0.0
 
 
 def test_built_F_e_is_kept_and_an_edit_persists():
