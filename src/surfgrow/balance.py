@@ -148,28 +148,30 @@ def cell_S22(F22: np.ndarray) -> np.ndarray:
     return np.array([d ** 2 for d in F22.tolist()])
 
 
-def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
-                    S22: np.ndarray, F22: np.ndarray, tau: np.ndarray,
-                    params: MaterialParams, dx: float, *,
+def solve_residuals(F12: np.ndarray, g: np.ndarray, counts: np.ndarray,
+                    v_nodes: np.ndarray, S22: np.ndarray, F22: np.ndarray,
+                    tau: np.ndarray, params: MaterialParams, dx: float, *,
                     work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """System and traction residuals of the solve on a stack of ``B`` levels;
     the system is ``mu v1'' = -G dS12/dx2``, ``v1(0) = 0``, ``mu v1'(H) = tau1
     - G S12(H)`` on a level's faces, solved by its first integral ``g``.
 
     Level ``b`` has ``counts[b] >= 1`` active cells; row ``b`` of ``F12``,
-    ``(B, max(counts))``, holds the level's shears and then zeros.  ``S22 =
-    F_e22^2`` and ``F22`` are the cells' constants (at least ``max(counts)``
-    of them; ``S22`` from ``cell_S22``) and ``tau`` the ``(B, 2)`` applied
-    top tractions.  Row ``b`` of ``v_nodes`` holds the level's ``counts[b] + 1``
-    face velocities, the running sum of ``dx g`` from 0, followed by zeros
-    or by its top value repeated (neither moves a residual).  ``work``,
-    when given, is three float arrays and one boolean array, flat and of at
-    least ``B max(counts)`` entries, that the solve writes in place of its
-    temporaries.
+    ``(B, max(counts))``, holds the level's shears and then zeros, and row
+    ``b`` of ``g``, two-dimensional and at least as large, the shear rates
+    the march stored for the level, of which only the top cell's is read.
+    ``S22 = F_e22^2`` and ``F22`` are the cells' constants (at least
+    ``max(counts)`` of them; ``S22`` from ``cell_S22``) and ``tau`` the
+    ``(B, 2)`` applied top tractions.  Row ``b`` of ``v_nodes`` holds the
+    level's ``counts[b] + 1`` face velocities, the running sum of ``dx g``
+    from 0, followed by zeros or by its top value repeated (neither moves a
+    residual).  ``work``, when given, is three float arrays and one boolean
+    array, flat and of at least ``B max(counts)`` entries, that the solve
+    writes in place of its temporaries.
     Returns ``(system_residual, traction_residual)``, two ``(B,)`` arrays,
     each entry that of its level alone: the scaled system's max-norm
     residual over ``max(1, max |v|)`` and the defect of the top cell's
-    stress against the applied traction.
+    stress, formed from its stored ``g``, against the applied traction.
     """
     counts = np.asarray(counts)
     B, m = len(counts), int(counts.max())
@@ -201,12 +203,11 @@ def solve_residuals(F12: np.ndarray, counts: np.ndarray, v_nodes: np.ndarray,
     v_max = np.maximum(V.max(axis=1), -V.min(axis=1))
     system = (np.maximum(resid.reshape(B, m)[:, :-1].max(axis=1, initial=0.0), resid_top)
               / np.maximum(1.0, v_max))
-    # The top cell's stress against the applied traction.  The normal
-    # balance there is normal_pressure's.
+    # The top cell's stress, from the rate the march stored, against the
+    # applied traction.  The normal balance there is normal_pressure's.
     S22_top = S22[top]
     p_top = G * S22_top - tau2
-    g_top = (tau1 - G * S12_top) / mu
-    sigma12_top = G * S12_top + mu * g_top
+    sigma12_top = G * S12_top + mu * g[rows, top]
     sigma22_top = -p_top + G * S22_top
     traction = np.maximum(np.abs(sigma12_top - tau1), np.abs(sigma22_top - tau2))
     return system, traction

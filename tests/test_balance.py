@@ -122,8 +122,8 @@ def level_solve(F12, F_e0, dx, params, traction):
     tau = np.array([traction], dtype=float)
     g = first_integral(F12, F22, tau[0, 0], params)
     v_nodes = np.concatenate([[0.0], (dx * g).cumsum()])
-    system, residual = solve_residuals(F12, [len(F12)], v_nodes[None], cell_S22(F22),
-                                       F22, tau, params, dx)
+    system, residual = solve_residuals(F12, g[None], [len(F12)], v_nodes[None],
+                                       cell_S22(F22), F22, tau, params, dx)
     return g, v_nodes, float(system[0]), float(residual[0])
 
 
@@ -138,18 +138,19 @@ def test_stacked_solve_is_each_level_alone(params):
     F_e0 = identity((8,))
     F_e0[:, 1, 1] = F22
     tau = rng.standard_normal((4, 2))
-    alone, rows, V, V0 = [], np.zeros((4, 8)), np.empty((4, 9)), np.zeros((4, 9))
+    alone, rows, rates = [], np.zeros((4, 8)), np.zeros((4, 8))
+    V, V0 = np.empty((4, 9)), np.zeros((4, 9))
     for b, m in enumerate(counts):
         rows[b, :m] = rng.standard_normal(m)
-        _, v_nodes, system, traction = level_solve(rows[b, :m], F_e0[:m], dx, params,
-                                                   tau[b])
+        rates[b, :m], v_nodes, system, traction = level_solve(rows[b, :m], F_e0[:m], dx,
+                                                              params, tau[b])
         alone.append((system, traction))
         V[b] = v_nodes[-1]
         V[b, :m + 1] = V0[b, :m + 1] = v_nodes
     stale = (*np.full((3, 40), np.nan), np.ones(40, bool))
     for v_nodes, work in ((V, None), (V0, None), (V, stale), (V0, stale)):
-        system, traction = solve_residuals(rows, counts, v_nodes, cell_S22(F22), F22, tau,
-                                           params, dx, work=work)
+        system, traction = solve_residuals(rows, rates, counts, v_nodes, cell_S22(F22), F22,
+                                           tau, params, dx, work=work)
         assert [(s, t) for s, t in zip(system.tolist(), traction.tolist())] == alone
 
 

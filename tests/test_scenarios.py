@@ -84,8 +84,8 @@ def _level_solve(cfg, F12, F_e0, dx):
     g = first_integral(F12, F22, _traction(cfg, 0.0)[0], cfg.params)
     v_nodes = np.concatenate([[0.0], (dx * g).cumsum()])
     tau = np.array([_traction(cfg, v_nodes[-1])], dtype=float)
-    system, residual = solve_residuals(F12, [len(F12)], v_nodes[None], cell_S22(F22),
-                                       F22, tau, cfg.params, dx)
+    system, residual = solve_residuals(F12, g[None], [len(F12)], v_nodes[None],
+                                       cell_S22(F22), F22, tau, cfg.params, dx)
     return g, v_nodes, float(system[0]), float(residual[0])
 
 
@@ -1640,12 +1640,16 @@ def test_march_checks_the_body_stays_at_the_rest_it_assumed(monkeypatch):
     assert system[age] == pytest.approx(dx * M * abs(moved) / mu, rel=1e-6)
     assert history.metrics["momentum_residual"][age] == pytest.approx(M * abs(moved),
                                                                        rel=1e-6)
+    # the top cell's stress is formed from the rate the march stored, so
+    # the traction residual reads the same M |v_surf|
+    assert history.metrics["traction_residual"][age] == pytest.approx(M * abs(moved),
+                                                                      rel=1e-6)
     # against the march's own traction the level is consistent: only the
     # traction of its own top velocity shows the motion
     rec, rest = history[age], np.array([_traction(cfg, 0.0)])
     F22 = rec.F_e0[:, 1, 1].copy()
-    at_rest, _ = solve_residuals(rec.F_e12, [len(F22)], rec.v_nodes[None], cell_S22(F22),
-                                 F22, rest, cfg.params, dx)
+    at_rest, _ = solve_residuals(rec.F_e12, rec.g[None], [len(F22)], rec.v_nodes[None],
+                                 cell_S22(F22), F22, rest, cfg.params, dx)
     assert at_rest[0] <= 1e-15
     assert history.metrics["momentum_residual"][age] < 1e-6
     dt, _ = cfg.resolve_dt()
@@ -1751,9 +1755,9 @@ def _levels_checked(monkeypatch):
     residuals = surfgrow.scenarios.solve_residuals
     seen = []
 
-    def counting(F12, counts, *args, **kwargs):
+    def counting(F12, g, counts, *args, **kwargs):
         seen.extend([1] * len(counts))
-        return residuals(F12, counts, *args, **kwargs)
+        return residuals(F12, g, counts, *args, **kwargs)
 
     monkeypatch.setattr(surfgrow.scenarios, "solve_residuals", counting)
     return seen
@@ -1850,3 +1854,58 @@ def test_both_infinities_in_a_level_name_its_step(monkeypatch, fault, error):
     # the F12 fault gives the level's rates both infinities too
     assert np.isinf(first_integral(np.array([np.inf, -np.inf]), np.ones(2), 0.0,
                                    cfg.params)).all()
+
+
+@pytest.mark.parametrize("probe_x2", [0.25, 0.9])
+@pytest.mark.parametrize("mu_values", [None, (1.0, 0.1, 0.01, 0.001)],
+                         ids=["defaults", "to_1e-3"])
+def test_sweep_values_are_the_scored_members_probes(monkeypatch, mu_values, probe_x2):
+    # the sweep marches its members unscored, and each value is bitwise the
+    # probe of the member that run_non_normal marches and scores (the
+    # mu = 1e-3 member's 0.0 included)
+    cfg = nn_config(n_cells=32)
+    scale = cfg.params.G * cfg.t_end
+    mus = mu_values or tuple(c * scale for c in (1.0, 0.3, 0.1, 0.03, 0.01))
+    reference = [abs(float(run_non_normal(_sweep_member(mu)).probe(probe_x2)["F_e"][0, 1]))
+                 for mu in mus]
+    if mu_values and probe_x2 == 0.25:
+        assert reference[-1] == 0.0
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the sweep scored a member against the closed form")
+
+    monkeypatch.setattr(surfgrow.scenarios, "_closed_form", closed_form)
+    sweep = run_mu_sweep(cfg, probe_x2=probe_x2, mu_values=mu_values)
+    assert [mu for mu, _ in sweep] == list(mus)
+    assert all(type(value) is float for _, value in sweep)
+    assert [_bits(value) for _, value in sweep] == [_bits(value) for value in reference]
+
+
+def test_sweep_members_keep_every_gate(monkeypatch):
+    # unscored, a member still passes every gate of the block pass, and the
+    # error names the step of the member that failed: the second one here
+    cfg, mus = nn_config(n_cells=32), (1.0, 0.1)
+    first, second = (run_non_normal(_sweep_member(mu)).history for mu in mus)
+    dt, _ = _sweep_member(mus[1]).resolve_dt()
+    _offend_at(monkeypatch, len(first) + 3)
+    step = int(second.step[3])
+    with pytest.raises(IncompatibleAnsatz) as info:
+        run_mu_sweep(cfg, mu_values=mus)
+    assert str(info.value) == (f"step {step}, t = {step * dt:.6g}: reduced solve residual "
+                               f"1.000e-03; the through-thickness ansatz is inconsistent")
+    monkeypatch.undo()
+    # a non-finite rate at age 5 of the second member's table
+    recurrence = surfgrow.scenarios.shear_by_age
+
+    def faulty_recurrence(F12, F22, tau1, params, dt, ages):
+        shears, rates = recurrence(F12, F22, tau1, params, dt, ages)
+        if params.mu == mus[1]:
+            rates[5] = np.nan
+        return shears, rates
+
+    monkeypatch.setattr(surfgrow.scenarios, "shear_by_age", faulty_recurrence)
+    step = int(second.step[5])
+    with pytest.raises(SingularSystem) as info:
+        run_mu_sweep(cfg, mu_values=mus)
+    assert str(info.value) == (f"step {step}, t = {step * dt:.6g}: "
+                               f"momentum solve produced non-finite values")
