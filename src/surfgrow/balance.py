@@ -151,7 +151,8 @@ def cell_S22(F22: np.ndarray) -> np.ndarray:
 def solve_residuals(F12: np.ndarray, g: np.ndarray, counts: np.ndarray,
                     v_nodes: np.ndarray, S22: np.ndarray, F22: np.ndarray,
                     tau: np.ndarray, params: MaterialParams, dx: float, *,
-                    work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    work: tuple | None = None,
+                    past: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """System and traction residuals of the solve on a stack of ``B`` levels;
     the system is ``mu v1'' = -G dS12/dx2``, ``v1(0) = 0``, ``mu v1'(H) = tau1
     - G S12(H)`` on a level's faces, solved by its first integral ``g``.
@@ -165,9 +166,11 @@ def solve_residuals(F12: np.ndarray, g: np.ndarray, counts: np.ndarray,
     ``(B, 2)`` applied top tractions.  Row ``b`` of ``v_nodes`` holds the
     level's ``counts[b] + 1`` face velocities, the running sum of ``dx g``
     from 0, followed by zeros or by its top value repeated (neither moves a
-    residual).  ``work``, when given, is three float arrays and one boolean
-    array, flat and of at least ``B max(counts)`` entries, that the solve
-    writes in place of its temporaries.
+    residual).  ``past``, when given, is the ``(B, max(counts))`` mask of
+    the cells past each level's top, which the solve otherwise builds.
+    ``work``, when given, starts with three float arrays, flat and of at
+    least ``B max(counts)`` entries, that the solve writes in place of its
+    temporaries.
     Returns ``(system_residual, traction_residual)``, two ``(B,)`` arrays,
     each entry that of its level alone: the scaled system's max-norm
     residual over ``max(1, max |v|)`` and the defect of the top cell's
@@ -180,10 +183,11 @@ def solve_residuals(F12: np.ndarray, g: np.ndarray, counts: np.ndarray,
     rows, top = np.arange(B), counts - 1
     tau1, tau2 = tau[:, 0], tau[:, 1]
     # the temporaries hold B rows of m, laid end to end
-    S, dS, resid, past = ((a[:B * m] for a in work) if work else
-                          (*np.empty((3, B * m)), np.empty(B * m, bool)))
+    S, dS, resid = (a[:B * m] for a in work[:3]) if work else np.empty((3, B * m))
+    if past is None:
+        past = np.greater_equal(np.arange(m), counts[:, None])
+    past = np.ravel(past)
     # S12 = F12 F22 on rows zero-padded past each level's top
-    np.greater_equal(np.arange(m), counts[:, None], out=past.reshape(B, m))
     np.multiply(np.reshape(F12, (B, m)), F22[:m], out=S.reshape(B, m))
     S12_top = S[rows * m + top]
     # Residual of the tridiagonal system, rows scaled to O(1) entries:

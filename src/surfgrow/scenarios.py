@@ -15,12 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .balance import (GrowthInput, SideState, advance_domain,
-                      boundary_normal_velocity, cell_S22, growth_traction,
-                      jump_residuals, normal_pressure, require_reduced,
+from .balance import (GrowthInput, advance_domain, boundary_normal_velocity,
+                      cell_S22, growth_traction, normal_pressure, require_reduced,
                       solve_residuals)
-from .constitutive import (AttachmentSpec, MaterialParams,
-                           attach_elastic_deformation, total_stress)
+from .constitutive import AttachmentSpec, MaterialParams, attach_elastic_deformation
 from .errors import (IncompatibleAnsatz, OutOfBody, OutOfDomain, SingularSystem,
                      SingularTensor, SurfgrowError, ValidationError)
 from .grids import Grid1D, History, StepRecord, interp_prefix
@@ -32,6 +30,10 @@ KINDS = ("non_normal", "fdm_shear", "thermal")
 # Residual levels beyond which the through-thickness reduction is deemed
 # inconsistent rather than merely inaccurate.
 ANSATZ_RESIDUAL_LIMIT = 1e-6
+# The largest span lam (t_last - t_first) of a run of levels whose closed
+# form ``_score_non_normal`` separates: each factor lies in exp(+-350),
+# far from overflow (exp(709.8)) and from subnormals (exp(-708.4)).
+SPAN_EXPONENT = 350.0
 # Cells a block pass checks and scores at once: a block holds consecutive
 # stored levels while their count times the last level's cells stays
 # within it (see ``block_bounds``).
@@ -212,9 +214,13 @@ class RunResult:
 
     ``history`` holds every stored level as columns (``grids.History``).
     ``oracle_errors`` maps each oracle error to its per-level column.
-    ``timings`` holds the march's wall time in seconds: ``march_s`` in the
+    ``timings`` holds the march's wall time in seconds, ``march_s`` in the
     march (the age tables' build included) and ``check_s`` in the block
-    passes.
+    passes, which is the sum of their phases: ``solve_s`` (the solve's
+    residuals), ``metrics_s`` (the jump residuals and the gate) and
+    ``oracle_s`` (the oracle errors).  Beside them it counts the stored
+    ``levels``, the ``blocks`` and the ``cell_levels``, the active cells
+    summed over the levels.
     """
 
     config: ScenarioConfig
@@ -262,9 +268,14 @@ def analytic_non_normal(x2, t, alpha: float, G: float, mu: float, V_G: float):
         raise ValidationError(f"mu must be positive, got {mu}")
     x2a = np.asarray(x2, dtype=float)
     _require_in_body(x2a, t, V_G)
-    shape = np.broadcast(x2a, t).shape
-    v1, F_e12 = _closed_form(x2a, t, alpha, G / mu, V_G,
-                             (np.empty(shape), np.empty(shape), np.empty(shape, bool)))
+    lam = G / mu
+    arg = np.asarray(-lam * (t - x2a / V_G))
+    # exp(-lam age) is +0.0 below -746, which numpy returns too, but off its
+    # vector path, an order of magnitude slower
+    keep = arg > -746.0
+    decay = np.exp(arg, out=np.zeros(arg.shape), where=keep)
+    v1 = (decay - np.exp(-lam * t)) * (V_G * alpha)
+    F_e12 = -alpha * decay
     if np.ndim(v1) == 0:
         return float(v1), float(F_e12), float(G)
     return v1, F_e12, np.full_like(v1, float(G))
@@ -274,30 +285,6 @@ def _require_in_body(x2: np.ndarray, t, V_G: float) -> None:
     top = V_G * t
     if np.any(x2 < -1e-12) or np.any(x2 > top * (1 + 1e-12) + 1e-15):
         raise OutOfBody(f"x2 outside [0, V_G t] = [0, {np.max(top):g}]")
-
-
-def _closed_form(x2, t, alpha: float, lam: float, V_G: float, out: tuple,
-                 past: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``analytic_non_normal``'s ``(v1, F_e12)`` at the heights ``x2`` and
-    times ``t``, broadcast, written into ``out``: two float arrays and one
-    boolean array of their shape.  Cells where ``past`` is set get no value.
-
-    ``exp(-lam t)`` is taken once per time, and ``exp(-lam age)`` only where
-    its argument is above -746: below it is +0.0, which numpy returns too,
-    but off its vector path, an order of magnitude slower.
-    """
-    v1, F_e12, keep = out
-    arg = np.subtract(t, x2 / V_G, out=v1)
-    arg *= -lam
-    if past is not None:
-        np.copyto(arg, -np.inf, where=past)
-    np.greater(arg, -746.0, out=keep)
-    F_e12.fill(0.0)
-    decay = np.exp(arg, out=F_e12, where=keep)
-    np.subtract(decay, np.exp(-lam * t), out=v1)
-    v1 *= V_G * alpha
-    decay *= -alpha
-    return v1, decay
 
 
 def block_bounds(counts: np.ndarray, cells: int) -> list[tuple[int, int]]:
@@ -338,7 +325,7 @@ class _Block:
     p: np.ndarray
     rho: np.ndarray
     centers: np.ndarray
-    work: tuple            # three float and one boolean flat scratch
+    work: tuple            # three flat float scratch arrays
 
     @property
     def top(self) -> np.ndarray:
@@ -354,59 +341,81 @@ class _Block:
 
 def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
                    blk: _Block) -> dict[str, np.ndarray]:
-    """The jump residuals of a block's levels: their top cell against the
-    ambient side."""
-    params = config.params
+    """The mass and momentum jump residuals of a block's levels: their top
+    cell against the ambient side.
+
+    They are formed on the levels' top cells component by component, in
+    the operations of ``total_stress`` and ``jump_residuals`` and in their
+    order, with ``F_e21 = 0``, ``grad v = g e1 (x) e2``, ``v = v_surf e1``,
+    ``v_a`` along ``e1`` and ``n = e2``.  The terms left out are finite
+    values times zero, signed zeros that move no residual's absolute value;
+    a stress entry times ``n1 = 0`` is kept, since it turns an entry that
+    overflowed into NaN.
+    """
+    G, mu = config.params.G, config.params.mu
     M = config.mass_rate
-    n_hat = np.array([0.0, 1.0])
-    B = len(blk.t)
-    top = blk.top
-    top_cell = np.arange(B), top
-    rho_top = blk.rho[top]
-    v_surf = np.zeros((B, 2))
-    v_surf[:, 0] = blk.v_surf
-    v_a = growth.v_a if growth.v_a is not None else v_surf
-    V_b = np.zeros((B, 2))
-    V_b[:, 1] = boundary_normal_velocity(M, rho_top, v_surf, n_hat)
-    grad_v_top = np.zeros((B, 2, 2))
-    grad_v_top[:, 0, 1] = blk.g[top_cell]
-    F_e_top = blk.F_e0[top]
-    F_e_top[:, 0, 1] = blk.F12[top_cell]
-    sigma_top = total_stress(F_e_top, grad_v_top, blk.p[top], params)
-    body = SideState(rho=rho_top, v=v_surf, sigma=sigma_top)
     t_b1, t_b2 = growth.t_b  # the symmetric ambient stress's traction on n = e2
-    ambient = SideState(rho=0.0, v=v_a, sigma=np.array([[0.0, t_b1], [t_b1, t_b2]]))
-    mass_res, mom_res = jump_residuals(body, ambient, V_b, n_hat, M, v_a)
-    return {"mass_residual": np.abs(mass_res),
-            "momentum_residual": np.max(np.abs(mom_res), axis=1)}
+    top = blk.top
+    rows = np.arange(len(top))
+    F11, F22, p = blk.F_e0[top, 0, 0], blk.F_e0[top, 1, 1], blk.p[top]
+    F12, g, v = blk.F12[rows, top], blk.g[rows, top], blk.v_surf
+    v_a = v if growth.v_a is None else growth.v_a[0]
+    sigma11 = G * (F11 * F11 + F12 * F12) - p
+    sigma12 = G * (F12 * F22) + 2.0 * mu * (0.5 * g)
+    sigma22 = G * (F22 * F22) - p
+    # the body's mass flux rho (V_b - v) . n, V_b . n = M / rho; the ambient
+    # side (rho = 0) carries none
+    rho = blk.rho[top]
+    flux = rho * (M / rho)
+    momentum1 = ((flux * v + (sigma11 * 0.0 + sigma12)) - t_b1) - M * v_a
+    momentum2 = (sigma12 * 0.0 + sigma22) - t_b2
+    return {"mass_residual": np.abs(flux - M),
+            "momentum_residual": np.maximum(np.abs(momentum1), np.abs(momentum2))}
 
 
 def _score_non_normal(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
     """Oracle errors of a block's levels against ``analytic_non_normal``'s
-    closed form, formed in the block's scratch."""
+    closed form, formed in the block's scratch.
+
+    The closed form's ``exp(-lam (t_k - x_j / V_G))`` is separable, the
+    product ``exp(-lam (t_k - t_s)) exp(-lam (t_s - x_j / V_G))``: per run of
+    levels whose span ``lam (t_last - t_s)`` is at most ``SPAN_EXPONENT``,
+    ``t_s`` its first time, one exponential per level and one per cell of
+    its last level, and neither factor overflows.
+    """
     p = config.params
+    lam, V_G, alpha = p.G / p.mu, config.V_G, config.alpha
+    t, counts = blk.t, blk.counts
     # the centers ascend, so each level's top cell is its highest
-    _require_in_body(blk.centers[blk.top], blk.t, config.V_G)
-    ref, ef, v1, keep = (a[:blk.F12.size].reshape(blk.F12.shape) for a in blk.work)
-    v1_ref, f_ref = _closed_form(blk.centers[:ef.shape[1]], blk.t[:, None], config.alpha,
-                                 p.G / p.mu, config.V_G, (ref, ef, keep), past=blk.past)
-    ef = np.subtract(blk.F12, f_ref, out=f_ref)
+    _require_in_body(blk.centers[blk.top], t, V_G)
+    decay, ef, ref = (a[:blk.F12.size].reshape(blk.F12.shape) for a in blk.work)
+    entry = blk.centers[:decay.shape[1]] / V_G
+    first = 0
+    while first < len(t):
+        end = max(first + 1, int(np.searchsorted(t, t[first] + SPAN_EXPONENT / lam,
+                                                  side="right")))
+        width = int(counts[end - 1])
+        levels = np.exp(-lam * (t[first:end] - t[first]))
+        cells = np.exp(-lam * (t[first] - entry[:width]))
+        np.multiply(levels[:, None], cells, out=decay[first:end, :width])
+        first = end
+    # past a level's top the scratch holds stale values beyond its run's
+    # last level and products up to exp(SPAN_EXPONENT) before it: zeroed,
+    # none of them is scaled by alpha
+    np.copyto(decay, 0.0, where=blk.past)
+    v1_ref = np.subtract(decay, np.exp(-lam * t)[:, None], out=ref)
+    v1_ref *= V_G * alpha
+    decay *= -alpha
+    ef = np.subtract(blk.F12, decay, out=ef)
     # face averages of the running sums
     V = blk.v_nodes
-    np.add(V[:, :-1], V[:, 1:], out=v1)
+    v1 = np.add(V[:, :-1], V[:, 1:], out=decay)
     v1 *= 0.5
     v1 -= v1_ref
-    ef2 = np.square(ef, out=ref)
-    # np.mean's sum per level (a row sum over padded rows sums in another
-    # order), one row sum over each run of consecutive levels with equal
-    # cell counts
-    counts = blk.counts
-    runs = np.flatnonzero(np.diff(counts, prepend=0))
-    sizes = np.diff(runs, append=len(counts))
-    sums = [np.add.reduce(ef2[s:s + k, :n], axis=1) / n for s, k, n in
-            zip(runs.tolist(), sizes.tolist(), counts[runs].tolist())]
-    return {"linf_F_e12": blk.level_max(np.abs(ef, out=ef)),
-            "rms_F_e12": np.sqrt(np.concatenate(sums)),
+    linf_F_e12 = blk.level_max(np.abs(ef, out=ef))
+    # one row sum over the padded rows, now zero past each level's top
+    rms_F_e12 = np.sqrt(np.square(ef, out=ef).sum(axis=1) / counts)
+    return {"linf_F_e12": linf_F_e12, "rms_F_e12": rms_F_e12,
             "linf_v1": blk.level_max(np.abs(v1, out=v1))}
 
 
@@ -542,12 +551,12 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     # again.
     v_flat = np.empty(max(B * (int(m[i0 + B - 1]) + 1) for i0, B in blocks))
     cells = max(B * int(m[i0 + B - 1]) for i0, B in blocks)
-    floats, flags = np.empty((5, cells)), np.empty((2, cells), bool)
-    work = (*floats[:2], np.empty(cells, np.intp), flags[0])
-    scratch = (*floats[2:], flags[1])
+    floats = np.empty((5, cells))
+    work = (*floats[:2], np.empty(cells, np.intp), np.empty(cells, bool))
+    scratch = tuple(floats[2:])
     grid_cells = np.arange(n)
 
-    timings = {"march_s": 0.0, "check_s": 0.0}
+    phases = {"march_s": 0.0, "solve_s": 0.0, "metrics_s": 0.0, "oracle_s": 0.0}
     k, t = first, first * dt
     try:
         require_reduced(F_e0)
@@ -575,7 +584,7 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
         state = np.repeat(np.arange(len(entries)), [cells for _, cells in entries])
         col = (2 * state + 1) * levels - np.searchsorted(m, grid_cells, side="right")
         level_start = np.arange(levels)
-        timings["march_s"] += time.perf_counter() - start
+        phases["march_s"] += time.perf_counter() - start
         for i0, B in blocks:
             start = time.perf_counter()
             shape = B, int(m[i0 + B - 1])
@@ -594,7 +603,7 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
                 k = first + i0 + failed
                 t = k * dt
                 F12 = F12_block[failed, :int(m[i0 + failed])]
-            marched = time.perf_counter()
+            marched = solved = gated = time.perf_counter()
             # The block pass: what does not feed the next step (the solve's
             # residuals, the jump metrics and the oracle), on the levels
             # marched before a failure, so an error names the earliest
@@ -613,9 +622,10 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
                 v_block = v_nodes[:len(counts), :int(counts[-1]) + 1]
                 system, traction_residual = solve_residuals(
                     F12_block[cut], g_block, counts, v_block, S22, F22, tau[rows],
-                    params, dx, work=scratch)
+                    params, dx, work=scratch, past=past[cut])
                 metrics["traction_residual"][rows] = traction_residual
                 metrics["system_residual"][rows] = system
+                solved = time.perf_counter()
                 blk = _Block(t=t_levels[rows], counts=counts, past=past[cut],
                              F12=F12_block[cut], g=g_block[cut], v_nodes=v_block,
                              v_surf=v_surf[rows], F_e0=F_e0, p=p, rho=rho,
@@ -642,6 +652,7 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
                     raise IncompatibleAnsatz(
                         f"{name} residual {value:.3e}; "
                         f"the through-thickness ansatz is inconsistent")
+                gated = time.perf_counter()
                 for name, values in oracle(config, blk).items():
                     if name not in oracle_errors:
                         oracle_errors[name] = np.empty(levels)
@@ -649,13 +660,18 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
             if failed is not None:  # k, t and F12 are the failed step's
                 require_finite(F12, "F_e12")
                 raise SingularSystem("momentum solve produced non-finite values")
-            timings["march_s"] += marched - start
-            timings["check_s"] += time.perf_counter() - marched
+            phases["march_s"] += marched - start
+            phases["solve_s"] += solved - marched
+            phases["metrics_s"] += gated - solved
+            phases["oracle_s"] += time.perf_counter() - gated
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
     history = History(t=t_levels, step=np.arange(first, first + levels), H=H, m=m,
                       start=level_start, v_surf=v_surf, metrics=metrics, source=source,
                       col=col, F_e0=F_e0, p=p, rho=rho, dx=dx, dt=dt)
+    timings = {"march_s": phases.pop("march_s"), "check_s": sum(phases.values()),
+               **phases, "levels": levels, "blocks": len(blocks),
+               "cell_levels": int(m.sum())}
     return RunResult(config=config, history=history, oracle_errors=oracle_errors,
                      timings=timings)
 

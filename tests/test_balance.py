@@ -154,6 +154,28 @@ def test_stacked_solve_is_each_level_alone(params):
         assert [(s, t) for s, t in zip(system.tolist(), traction.tolist())] == alone
 
 
+def test_stacked_solve_reads_a_given_past_mask(params):
+    # the march hands the solve its block's mask of the cells past each
+    # level's top, a view of a wider array, and three float work arrays:
+    # the residuals are bitwise those of the solve that builds the mask
+    rng = np.random.default_rng(5)
+    counts, dx = np.array([2, 4, 4, 7]), 0.25
+    F22 = rng.uniform(0.5, 2.0, 7)
+    rows, rates = np.zeros((4, 7)), np.zeros((4, 7))
+    V = np.zeros((4, 8))
+    for b, m in enumerate(counts):
+        rows[b, :m], rates[b, :m] = rng.standard_normal((2, m))
+        V[b, 1:m + 1] = np.cumsum(dx * rates[b, :m])
+    tau = rng.standard_normal((4, 2))
+    built = solve_residuals(rows, rates, counts, V, cell_S22(F22), F22, tau, params, dx)
+    wide = np.greater_equal(np.arange(9), counts[:, None])
+    stale = tuple(np.full((3, 40), np.nan))
+    for past in (wide[:, :7], np.ascontiguousarray(wide[:, :7])):
+        given = solve_residuals(rows, rates, counts, V, cell_S22(F22), F22, tau, params, dx,
+                                work=stale, past=past)
+        assert [a.tobytes() for a in given] == [a.tobytes() for a in built]
+
+
 def test_solve_equilibrium_is_static(params):
     grid = Grid1D(32, 1.0)
     _, v_nodes, system, traction = level_solve(np.zeros(32), identity((32,)), grid.dx,

@@ -11,6 +11,7 @@ from surfgrow import (History, MaterialParams, ParseError, PathlineRecord, RunRe
                       trace_history_pathlines, write_fields)
 from surfgrow.config import read_pairs
 from surfgrow.output import METRIC_FIELDS, SNAPSHOT_COLUMNS, fmt
+from surfgrow.scenarios import BLOCK_CELLS, block_bounds
 from surfgrow.tensors import identity
 from surfgrow.verify import default_config
 
@@ -137,9 +138,17 @@ def test_manifest_matches_directory(tmp_path):
 
 def test_manifest_timings_only_beside_a_duration(tmp_path):
     res = run_fdm_shear(_tiny_config())
-    # the step kernel's and the block pass's wall time
-    assert sorted(res.timings) == ["check_s", "march_s"]
+    # the march's and the block pass's wall time, the block pass's phases,
+    # which sum to it, and the run's counts
+    assert sorted(res.timings) == ["blocks", "cell_levels", "check_s", "levels", "march_s",
+                                   "metrics_s", "oracle_s", "solve_s"]
     assert res.timings["march_s"] > 0 and res.timings["check_s"] > 0
+    assert res.timings["check_s"] == (res.timings["solve_s"] + res.timings["metrics_s"]
+                                      + res.timings["oracle_s"])
+    history = res.history
+    assert (res.timings["levels"], res.timings["cell_levels"]) == (len(history),
+                                                                  int(history.m.sum()))
+    assert res.timings["blocks"] == len(block_bounds(history.m, BLOCK_CELLS))
     timed = write_fields(res, tmp_path / "timed", duration_seconds=1.25)
     parsed = json.loads((tmp_path / "timed" / "manifest.json").read_text())
     assert parsed["timings"] == res.timings
