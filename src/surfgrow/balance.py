@@ -3,10 +3,10 @@ quasistatic through-thickness momentum balance, and the domain-height update.
 
 Growth enters the balance laws only through the boundary: the surface
 moves with ``V_b . n = v . n + M / rho`` and develops the traction
-``sigma n = M (v_a - v) + t_b``.  The solve is two pieces: the cells'
-shear rates, the first integral ``g = (tau1 - G S12) / mu`` that a march
-evaluates per cell age (``scenarios.shear_by_age``), and the residuals of
-a block of levels, ``solve_residuals`` (see the README's Scenarios section).
+``sigma n = M (v_a - v) + t_b``.  The solve is the cells' shear rates, the
+first integral ``g = (tau1 - G S12) / mu`` that a march evaluates per cell
+age (``scenarios.shear_by_age``); its residuals are read by entry class
+from the age tables (see the README's Scenarios section).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import MaterialParams
 from .errors import NegativeHeight, NotReduced, SingularSystem, ValidationError
 from .tensors import require_finite
 
@@ -146,75 +145,6 @@ def cell_S22(F22: np.ndarray) -> np.ndarray:
     reported traction residuals are formed with: numpy's array square can
     differ from them in the last bit."""
     return np.array([d ** 2 for d in F22.tolist()])
-
-
-def solve_residuals(F12: np.ndarray, g: np.ndarray, counts: np.ndarray,
-                    v_nodes: np.ndarray, S22: np.ndarray, F22: np.ndarray,
-                    tau: np.ndarray, params: MaterialParams, dx: float, *,
-                    work: tuple | None = None,
-                    past: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """System and traction residuals of the solve on a stack of ``B`` levels;
-    the system is ``mu v1'' = -G dS12/dx2``, ``v1(0) = 0``, ``mu v1'(H) = tau1
-    - G S12(H)`` on a level's faces, solved by its first integral ``g``.
-
-    Level ``b`` has ``counts[b] >= 1`` active cells; row ``b`` of ``F12``,
-    ``(B, max(counts))``, holds the level's shears and then zeros, and row
-    ``b`` of ``g``, two-dimensional and at least as large, the shear rates
-    the march stored for the level, of which only the top cell's is read.
-    ``S22 = F_e22^2`` and ``F22`` are the cells' constants (at least
-    ``max(counts)`` of them; ``S22`` from ``cell_S22``) and ``tau`` the
-    ``(B, 2)`` applied top tractions.  Row ``b`` of ``v_nodes`` holds the
-    level's ``counts[b] + 1`` face velocities, the running sum of ``dx g``
-    from 0, followed by zeros or by its top value repeated (neither moves a
-    residual).  ``past``, when given, is the ``(B, max(counts))`` mask of
-    the cells past each level's top, which the solve otherwise builds.
-    ``work``, when given, starts with three float arrays, flat and of at
-    least ``B max(counts)`` entries, that the solve writes in place of its
-    temporaries.
-    Returns ``(system_residual, traction_residual)``, two ``(B,)`` arrays,
-    each entry that of its level alone: the scaled system's max-norm
-    residual over ``max(1, max |v|)`` and the defect of the top cell's
-    stress, formed from its stored ``g``, against the applied traction.
-    """
-    counts = np.asarray(counts)
-    B, m = len(counts), int(counts.max())
-    G, mu = params.G, params.mu
-    V = v_nodes[:, :m + 1]
-    rows, top = np.arange(B), counts - 1
-    tau1, tau2 = tau[:, 0], tau[:, 1]
-    # the temporaries hold B rows of m, laid end to end
-    S, dS, resid = (a[:B * m] for a in work[:3]) if work else np.empty((3, B * m))
-    if past is None:
-        past = np.greater_equal(np.arange(m), counts[:, None])
-    past = np.ravel(past)
-    # S12 = F12 F22 on rows zero-padded past each level's top
-    np.multiply(np.reshape(F12, (B, m)), F22[:m], out=S.reshape(B, m))
-    S12_top = S[rows * m + top]
-    # Residual of the tridiagonal system, rows scaled to O(1) entries:
-    # interior face i carries the second-difference balance (entries at and
-    # past a level's top are not its own and are zeroed), the top row is the
-    # first integral at the top cell.  Differences along the rows are taken
-    # over the rows end to end: the last entry of each row spans two rows,
-    # and no residual reads it.
-    dS = np.subtract(S[1:], S[:-1], out=dS[:-1])
-    dS *= (G / mu) * dx
-    dv = np.subtract(V[:, 1:], V[:, :-1], out=S.reshape(B, m))
-    interior = np.subtract(S[1:], S[:-1], out=resid[:-1])
-    interior += dS
-    np.copyto(interior, 0.0, where=past[1:])
-    np.abs(interior, out=interior)
-    resid_top = np.abs(dv[rows, top] - (dx / mu) * (tau1 - G * S12_top))
-    v_max = np.maximum(V.max(axis=1), -V.min(axis=1))
-    system = (np.maximum(resid.reshape(B, m)[:, :-1].max(axis=1, initial=0.0), resid_top)
-              / np.maximum(1.0, v_max))
-    # The top cell's stress, from the rate the march stored, against the
-    # applied traction.  The normal balance there is normal_pressure's.
-    S22_top = S22[top]
-    p_top = G * S22_top - tau2
-    sigma12_top = G * S12_top + mu * g[rows, top]
-    sigma22_top = -p_top + G * S22_top
-    traction = np.maximum(np.abs(sigma12_top - tau1), np.abs(sigma22_top - tau2))
-    return system, traction
 
 
 def advance_domain(H: float, V_b_normal: float, dt: float, n_steps=1):

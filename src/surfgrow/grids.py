@@ -112,13 +112,14 @@ class History(Sequence):
     Per level: ``t``, ``step``, the height ``H``, the active cell count
     ``m``, ``start``, ``v_surf`` and one array per metric in ``metrics``.
     The levels' ``F_e12`` and ``g`` are the two rows of ``source``, the
-    run's age tables, read through one map: cell ``j`` of level ``k`` is
-    entry ``start[k] + col[j]``, with ``start`` the level's index in the
-    run and ``col`` each cell's entry offset.  ``source``, ``col``,
-    ``F_e0``, ``p``, ``rho``, ``dx`` and the march's step ``dt`` (a level
-    sits at ``t = step dt``) are shared by all levels.  Indexing
-    builds a level's record on first access and keeps it, and a slice is a
-    ``History`` over the same columns and kept records.  ``columns``,
+    run's age tables (per entry state, ``L`` zeros and then the ages ``0 ..
+    L - 1``, as ``scenarios.level_v1`` reads them), read through one map:
+    cell ``j`` of level ``k`` is entry ``start[k] + col[j]``, with ``start``
+    the level's index in the run and ``col`` each cell's entry offset.
+    ``source``, ``col``, ``F_e0``, ``p``, ``rho``, ``dx`` and the march's
+    step ``dt`` (a level sits at ``t = step dt``) are shared by all levels.
+    Indexing builds a level's record on first access and keeps it, and a
+    slice is a ``History`` over the same columns and kept records.  ``columns``,
     ``grid``, ``v_nodes`` and ``F_e_columns`` read a level without building
     a record; ``centers`` and ``faces`` are the run's grid, of which every
     level holds a prefix.

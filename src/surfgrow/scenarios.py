@@ -2,8 +2,8 @@
 
 The three kinds (``non_normal``, ``fdm_shear``, ``thermal``) and the march
 they share, ``_run_1d`` (the schedule known up front, ``F_e12`` and ``g``
-from age tables, and a block pass for the residual checks, metrics and
-oracle), are described in the README's Scenarios section.
+from age tables, and the residual checks, metrics and oracle read from them
+by entry class), are described in the README's Scenarios section.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .balance import (GrowthInput, advance_domain, boundary_normal_velocity,
-                      cell_S22, growth_traction, normal_pressure, require_reduced,
-                      solve_residuals)
+                      cell_S22, growth_traction, normal_pressure, require_reduced)
 from .constitutive import AttachmentSpec, MaterialParams, attach_elastic_deformation
 from .errors import (IncompatibleAnsatz, OutOfBody, OutOfDomain, SingularSystem,
                      SingularTensor, SurfgrowError, ValidationError)
@@ -30,18 +29,13 @@ KINDS = ("non_normal", "fdm_shear", "thermal")
 # Residual levels beyond which the through-thickness reduction is deemed
 # inconsistent rather than merely inaccurate.
 ANSATZ_RESIDUAL_LIMIT = 1e-6
-# The largest span lam (t_last - t_first) of a run of levels whose closed
-# form ``_score_non_normal`` separates: each factor lies in exp(+-350),
-# far from overflow (exp(709.8)) and from subnormals (exp(-708.4)).
-SPAN_EXPONENT = 350.0
-# Cells a block pass checks and scores at once: a block holds consecutive
-# stored levels while their count times the last level's cells stays
-# within it (see ``block_bounds``).
-BLOCK_CELLS = 2 ** 15
+# Entries of the class rows formed at once (``_Classes.chunks``): a chunk
+# takes classes while their count times the rows' length stays within it.
+CLASS_CELLS = 2 ** 14
 # The largest (n_steps + 1) * n_cells a configuration may ask for: it bounds
-# the schedule (a few floats a step) and the cell-levels the block pass
-# scores, so a step count that cannot be marched is refused before
-# anything is allocated.
+# the schedule (a few floats a step) and the cell-levels a run's checks
+# read, so a step count that cannot be marched is refused before anything
+# is allocated.
 MAX_CELL_STEPS = 2 ** 28
 # The metric columns of a run, in the order of a metrics.jsonl header.
 METRIC_FIELDS = ("t", "H", "mass_residual", "momentum_residual",
@@ -214,13 +208,12 @@ class RunResult:
 
     ``history`` holds every stored level as columns (``grids.History``).
     ``oracle_errors`` maps each oracle error to its per-level column.
-    ``timings`` holds the march's wall time in seconds, ``march_s`` in the
-    march (the age tables' build included) and ``check_s`` in the block
-    passes, which is the sum of their phases: ``solve_s`` (the solve's
-    residuals), ``metrics_s`` (the jump residuals and the gate) and
-    ``oracle_s`` (the oracle errors).  Beside them it counts the stored
-    ``levels``, the ``blocks`` and the ``cell_levels``, the active cells
-    summed over the levels.
+    ``timings`` holds wall times in seconds, ``march_s`` (the age tables,
+    entry classes and top velocities) and ``check_s``, the sum of ``solve_s``
+    (the face velocities' extremes and the solve's residuals), ``metrics_s``
+    (jump residuals and the gate) and ``oracle_s``, and counts the stored
+    ``levels``, the entry ``classes``, their ``period`` in levels and the
+    ``cell_levels``.
     """
 
     config: ScenarioConfig
@@ -287,161 +280,201 @@ def _require_in_body(x2: np.ndarray, t, V_G: float) -> None:
         raise OutOfBody(f"x2 outside [0, V_G t] = [0, {np.max(top):g}]")
 
 
-def block_bounds(counts: np.ndarray, cells: int) -> list[tuple[int, int]]:
-    """Split stored levels into the march's blocks, in order, as
-    ``(first level, level count)`` pairs.
-
-    ``counts`` are the levels' active cells, nondecreasing and positive.  A
-    block takes consecutive levels while its level count times its last
-    level's cells stays within ``cells``; a level wider than ``cells`` is a
-    block of its own.
-    """
-    blocks, i0, levels = [], 0, len(counts)
-    while i0 < levels:
-        span = min(levels - i0, max(1, cells // int(counts[i0])))
-        # b levels from i0 take b * counts[i0 + b - 1] cells, increasing in b
-        taken = np.arange(1, span + 1) * counts[i0:i0 + span]
-        B = max(1, int(np.searchsorted(taken, cells, side="right")))
-        blocks.append((i0, B))
-        i0 += B
-    return blocks
+def _stride_accumulate(ufunc, values: np.ndarray, p: int) -> np.ndarray:
+    """``ufunc.accumulate`` with stride ``p`` along each row of the
+    C-contiguous ``values``, in place: entry ``r`` takes in ``r - p``'s."""
+    width = values.shape[1]
+    full = width // p * p
+    if full:
+        view = values[:, :full].reshape(len(values), -1, p)
+        if view[:, 0].size >= 256:  # wide strides: accumulate's loop is slower
+            for j in range(1, view.shape[1]):
+                ufunc(view[:, j], view[:, j - 1], out=view[:, j])
+        else:
+            ufunc.accumulate(view, axis=1, out=view)
+        ufunc(values[:, full:], values[:, full - p:width - p], out=values[:, full:])
+    return values
 
 
-@dataclass(eq=False, repr=False)  # never compared or printed; cheaper to import
-class _Block:
-    """Consecutive stored levels, as the block pass reads them.  Row ``b`` of
-    ``F12`` and ``g``, views of the run's work arrays (``_fill_block``), is
-    level ``b``'s cells and then zeros; the rest is the march's running
-    sums, the run's per-cell constants and the levels' columns."""
-
-    t: np.ndarray          # (B,) times of the levels
-    counts: np.ndarray     # (B,) active cells, nondecreasing
-    past: np.ndarray       # (B, counts[-1]): the cells past each level's top
-    F12: np.ndarray        # (B, counts[-1]) the levels' shears
-    g: np.ndarray          # (B, counts[-1]) the levels' shear rates
-    v_nodes: np.ndarray    # (B, counts[-1] + 1) face velocities, then padding
-    v_surf: np.ndarray     # (B,) top-face velocities
-    F_e0: np.ndarray       # the run's per-cell constants
-    p: np.ndarray
-    rho: np.ndarray
-    centers: np.ndarray
-    work: tuple            # three flat float scratch arrays
-
-    @property
-    def top(self) -> np.ndarray:
-        """Each level's top cell on the grid."""
-        return self.counts - 1
-
-    def level_max(self, values: np.ndarray) -> np.ndarray:
-        """Per-level maximum of nonnegative per-cell values on the block's
-        rows; ``values`` is zeroed past each level's top."""
-        np.copyto(values, 0.0, where=self.past)
-        return values.max(axis=1)
+def _level_extreme(ufunc, values: np.ndarray, active: np.ndarray, p: int) -> np.ndarray:
+    """The ``ufunc`` extreme of ``values`` (a row per class) over each level's
+    cells, the entries ``rho, rho - p, ...`` where ``active``; or infinite."""
+    fill = -np.inf if ufunc is np.maximum else np.inf
+    return ufunc.reduce(_stride_accumulate(ufunc, np.where(active, values, fill), p))
 
 
-def _level_metrics(config: ScenarioConfig, growth: GrowthInput,
-                   blk: _Block) -> dict[str, np.ndarray]:
-    """The mass and momentum jump residuals of a block's levels: their top
-    cell against the ambient side.
-
-    They are formed on the levels' top cells component by component, in
-    the operations of ``total_stress`` and ``jump_residuals`` and in their
-    order, with ``F_e21 = 0``, ``grad v = g e1 (x) e2``, ``v = v_surf e1``,
-    ``v_a`` along ``e1`` and ``n = e2``.  The terms left out are finite
-    values times zero, signed zeros that move no residual's absolute value;
-    a stress entry times ``n1 = 0`` is kept, since it turns an entry that
-    overflowed into NaN.
-    """
-    G, mu = config.params.G, config.params.mu
-    M = config.mass_rate
-    t_b1, t_b2 = growth.t_b  # the symmetric ambient stress's traction on n = e2
-    top = blk.top
-    rows = np.arange(len(top))
-    F11, F22, p = blk.F_e0[top, 0, 0], blk.F_e0[top, 1, 1], blk.p[top]
-    F12, g, v = blk.F12[rows, top], blk.g[rows, top], blk.v_surf
-    v_a = v if growth.v_a is None else growth.v_a[0]
-    sigma11 = G * (F11 * F11 + F12 * F12) - p
-    sigma12 = G * (F12 * F22) + 2.0 * mu * (0.5 * g)
-    sigma22 = G * (F22 * F22) - p
-    # the body's mass flux rho (V_b - v) . n, V_b . n = M / rho; the ambient
-    # side (rho = 0) carries none
-    rho = blk.rho[top]
-    flux = rho * (M / rho)
-    momentum1 = ((flux * v + (sigma11 * 0.0 + sigma12)) - t_b1) - M * v_a
-    momentum2 = (sigma12 * 0.0 + sigma22) - t_b2
-    return {"mass_residual": np.abs(flux - M),
-            "momentum_residual": np.maximum(np.abs(momentum1), np.abs(momentum2))}
+def _periods(gaps: list):
+    """Every ``q`` in ``1 .. len(gaps)`` with ``gaps[j + q] == gaps[j]`` for
+    each ``j``, ascending: the length less each border (prefix function)."""
+    border, k = [0] * len(gaps), 0
+    for j in range(1, len(gaps)):
+        while k and gaps[j] != gaps[k]:
+            k = border[k - 1]
+        k += gaps[j] == gaps[k]
+        border[j] = k
+    k = len(gaps)
+    while k:
+        k = border[k - 1]
+        yield len(gaps) - k
 
 
-def _score_non_normal(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
-    """Oracle errors of a block's levels against ``analytic_non_normal``'s
-    closed form, formed in the block's scratch.
+@dataclass(eq=False, repr=False)
+class _Classes:
+    """A run's cells by entry class (``_entry_classes``): the ``m0`` cells
+    of the initial body hold age ``i`` at level ``i``, and accreted cell ``m0
+    + c + u q`` enters at level ``e[c] + u p`` (``e[q] = e[0] + p``), so at
+    ``rho + u p`` it holds what cell ``m0 + c`` holds at ``rho``.  ``table``
+    is the accreted state's ``F12`` and ``g`` by age from ``-L`` (zeros
+    before 0), ``body`` the initial body's from 0, ``Q`` the running sums of
+    ``g`` along each stride, and ``F22`` the two states'."""
 
-    The closed form's ``exp(-lam (t_k - x_j / V_G))`` is separable, the
-    product ``exp(-lam (t_k - t_s)) exp(-lam (t_s - x_j / V_G))``: per run of
-    levels whose span ``lam (t_last - t_s)`` is at most ``SPAN_EXPONENT``,
-    ``t_s`` its first time, one exponential per level and one per cell of
-    its last level, and neither factor overflows.
-    """
+    e: np.ndarray
+    p: int
+    m0: int
+    table: np.ndarray
+    body: np.ndarray
+    Q: np.ndarray
+    F22: tuple
+    dx: float
+
+    def chunks(self, width: int, stop: int | None = None) -> list[slice]:
+        """Slices of the classes below ``stop``, ``CLASS_CELLS`` entries each."""
+        step = max(1, CLASS_CELLS // max(1, width))
+        stop = len(self.e) - 1 if stop is None else stop
+        return [slice(c0, min(stop, c0 + step)) for c0 in range(0, stop, step)]
+
+    def level_sums(self, cols: np.ndarray) -> np.ndarray:
+        """``P = sum_c Q(cols - e[c])``: ``g`` over each level's accreted cells."""
+        P = np.zeros(len(cols))
+        for cs in self.chunks(len(cols)):
+            rows = self.Q[len(self.body[1]) + cols - self.e[cs, None]]
+            P = np.cumsum(np.concatenate([P[None], rows]), axis=0)[-1]
+        return P
+
+    def rows(self, cols: np.ndarray, P: np.ndarray, stop: int | None = None):
+        """Per chunk ``cs`` of the classes below ``stop``, yield ``(cs, ages,
+        F12, g, below, Z)``, a row per class ``c`` at the levels ``rho`` in
+        ``cols`` (``P`` there); ``ages``, ``F12`` and ``g`` are cell ``m0 +
+        c``'s and then the cell above's.  ``Z[c] = P - sum_{c' <= c} g(rho -
+        e[c'])``, so the face above cell ``m0 + c + u q`` at level ``rho + u
+        p`` moves at ``dx (Y - Z)``, ``Y`` that level's ``P`` plus the body's
+        rates; ``below[c] = Z[c - 1]``.  Class sums run class by class."""
+        C = np.zeros(len(cols))
+        for cs in self.chunks(len(cols), stop):
+            ages = cols - self.e[cs.start:cs.stop + 1, None]
+            F12, g = np.take(self.table, len(self.body[1]) + ages, axis=1, mode="clip")
+            C = np.cumsum(np.concatenate([C[None], g[:-1]]), axis=0)
+            yield cs, ages, F12, g, P - C[:-1], P - C[1:]
+            C = C[-1]
+
+
+def _entry_classes(history: History, advance: float | None = None) -> _Classes:
+    """The entry classes of a run's accreted cells, from its map in O(n):
+    ``q`` the smallest period of the gaps between cells' entry levels, ``p``
+    the levels it spans, such that the cell above a class's last would
+    enter after the last level and ``q dx = p advance`` within 16 eps given
+    the front's ``advance`` per level (one fitting only a short schedule
+    misses by ``1 / (p n)`` or more).  Failing that, each cell is a class
+    (``p = L``), reading as much as every cell of every level."""
+    col, dx = history.col, history.dx
+    L = int(col[0])  # cell 0 enters at the run's first level, at age 0
+    state = (col - 1) // (2 * L)
+    m0 = int(np.count_nonzero(state != state[-1]))
+    a = ((2 * state + 1) * L - col)[m0:]  # the accreted cells' entry levels
+    for q in _periods(np.diff(a).tolist()):
+        p = int(a[q] - a[0])
+        cells = (len(a) - 1 - np.arange(q)) // q + 1
+        if np.all(a[:q] + cells * p >= L) and (
+                advance is None or abs(q * dx - p * advance) <= 16 * np.finfo(float).eps * q * dx):
+            break
+    else:
+        q, p = len(a), L
+    base = (2 * int(state[-1]) + 1) * L
+    table = history.source[:, base - L:base + L]
+    Q = np.concatenate([np.zeros(L), table[1, L:]])
+    with np.errstate(invalid="ignore"):  # both infinities on a stride: NaN
+        _stride_accumulate(np.add, Q[None, L:], p)
+    return _Classes(e=np.append(a[:q], a[0] + p), p=p, m0=m0, table=table,
+                    body=history.source[:, L:2 * L] if m0 else np.zeros((2, L)), Q=Q,
+                    F22=tuple(history.F_e0[[0, -1], 1, 1].tolist()), dx=dx)
+
+
+def _solve_checks(classes: _Classes, P: np.ndarray, scale: float):
+    """Per level ``i < len(P)``, the face velocities' extremes ``(lo, hi)`` and
+    the largest interior row ``(g' - g) dx + (S' - S) scale``, ``S = F12 F22``."""
+    dx, p, (F22_0, F22) = classes.dx, classes.p, classes.F22
+    W = len(P)
+    F12_0, g_0 = classes.body[:, :W]
+    Y = P + classes.m0 * g_0
+    v_body = classes.m0 * (dx * g_0)  # the faces in the body lie on a line from 0
+    lo, hi, interior = np.minimum(0.0, v_body), np.maximum(0.0, v_body), np.zeros(W)
+    for _, ages, F12, g, _, Z in classes.rows(np.arange(W), P):
+        active = ages[:-1] >= 0
+        hi = np.maximum(hi, dx * (Y - _level_extreme(np.minimum, Z, active, p)))
+        lo = np.minimum(lo, dx * (Y - _level_extreme(np.maximum, Z, active, p)))
+        rows = np.abs((g[1:] - g[:-1]) * dx + (F12[1:] - F12[:-1]) * (F22 * scale))
+        interior = np.maximum(interior, _level_extreme(np.maximum, rows, ages[1:] >= 0, p))
+    if classes.m0:  # the row between the body's top cell and the cell above
+        age = np.arange(W) - classes.e[0]
+        F12, g = np.take(classes.table, len(classes.body[1]) + age, axis=1, mode="clip")
+        row = np.abs((g - g_0) * dx + (F12 * F22 - F12_0 * F22_0) * scale)
+        interior = np.maximum(interior, np.where(age >= 0, row, 0.0))
+    return lo, hi, interior
+
+
+def _score_non_normal(config: ScenarioConfig, history: History, classes: _Classes,
+                      P: np.ndarray, v_abs: np.ndarray) -> dict[str, np.ndarray]:
+    """Oracle errors of the levels ``i < len(P)`` against the closed form
+    ``analytic_non_normal``, which at level ``rho + u p`` holds for cell ``c
+    + u q`` what it holds for cell ``c`` at ``rho``; a cell's ``v1`` error
+    is ``A - w``, ``A`` its level's part (no initial body: ``m0 = 0``)."""
     p = config.params
     lam, V_G, alpha = p.G / p.mu, config.V_G, config.alpha
-    t, counts = blk.t, blk.counts
+    W = len(P)
+    t, m = history.t[:W], history.m[:W]
     # the centers ascend, so each level's top cell is its highest
-    _require_in_body(blk.centers[blk.top], t, V_G)
-    decay, ef, ref = (a[:blk.F12.size].reshape(blk.F12.shape) for a in blk.work)
-    entry = blk.centers[:decay.shape[1]] / V_G
-    first = 0
-    while first < len(t):
-        end = max(first + 1, int(np.searchsorted(t, t[first] + SPAN_EXPONENT / lam,
-                                                  side="right")))
-        width = int(counts[end - 1])
-        levels = np.exp(-lam * (t[first:end] - t[first]))
-        cells = np.exp(-lam * (t[first] - entry[:width]))
-        np.multiply(levels[:, None], cells, out=decay[first:end, :width])
-        first = end
-    # past a level's top the scratch holds stale values beyond its run's
-    # last level and products up to exp(SPAN_EXPONENT) before it: zeroed,
-    # none of them is scaled by alpha
-    np.copyto(decay, 0.0, where=blk.past)
-    v1_ref = np.subtract(decay, np.exp(-lam * t)[:, None], out=ref)
-    v1_ref *= V_G * alpha
-    decay *= -alpha
-    ef = np.subtract(blk.F12, decay, out=ef)
-    # face averages of the running sums
-    V = blk.v_nodes
-    v1 = np.add(V[:, :-1], V[:, 1:], out=decay)
-    v1 *= 0.5
-    v1 -= v1_ref
-    linf_F_e12 = blk.level_max(np.abs(ef, out=ef))
-    # one row sum over the padded rows, now zero past each level's top
-    rms_F_e12 = np.sqrt(np.square(ef, out=ef).sum(axis=1) / counts)
-    return {"linf_F_e12": linf_F_e12, "rms_F_e12": rms_F_e12,
-            "linf_v1": blk.level_max(np.abs(v1, out=v1))}
+    _require_in_body(history.centers[m - 1], t, V_G)
+    entry = history.centers[classes.m0:] / V_G
+    A = classes.dx * P + np.exp(-lam * t) * (V_G * alpha)
+    linf, squares, v1 = np.zeros(W), np.zeros(W), np.zeros(W)
+    for cs, ages, F12, _, below, Z in classes.rows(np.arange(W), P):
+        active = ages[:-1] >= 0
+        arg = -lam * (t - entry[cs, None])
+        # +0.0 below -746, as numpy gives it off its vector path
+        decay = np.exp(arg, out=np.zeros(arg.shape), where=active & (arg > -746.0))
+        ef = F12[:-1] + alpha * decay
+        linf = np.maximum(linf, _level_extreme(np.maximum, np.abs(ef), active, classes.p))
+        sums = _stride_accumulate(np.add, ef * ef, classes.p)
+        squares = np.cumsum(np.concatenate([squares[None], sums]), axis=0)[-1]
+        # v1 at a cell's center is the mean of its faces' dx (Y - Z)
+        w = (below + Z) * (0.5 * classes.dx) + decay * (V_G * alpha)
+        v1 = np.maximum(v1, np.maximum(_level_extreme(np.maximum, w, active, classes.p) - A,
+                                       A - _level_extreme(np.minimum, w, active, classes.p)))
+    return {"linf_F_e12": linf, "rms_F_e12": np.sqrt(squares / m), "linf_v1": v1}
 
 
-def _score_steady(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
-    """Oracle errors of a block's levels against the exact steady state: at
-    rest under the attachment traction ``tau1`` (``M v0`` for
-    ``fdm_shear``, 0 for ``thermal``), every cell holds the uniform shear
-    ``tau1 / G`` with ``sigma12 = tau1`` and ``sigma11 = tau1^2 / G``."""
+def _score_steady(config: ScenarioConfig, history: History, classes: _Classes,
+                  P: np.ndarray, v_abs: np.ndarray) -> dict[str, np.ndarray]:
+    """Oracle errors of the levels ``i < len(P)`` against the exact rest
+    under the attachment traction ``tau1`` (``M v0`` for ``fdm_shear``, 0 for
+    ``thermal``): ``F_e12 = tau1 / G``, ``sigma12 = tau1``, ``sigma11 = tau1^2 / G``."""
     G, mu = config.params.G, config.params.mu
     tau1 = config.mass_rate * config.v0 if config.kind == "fdm_shear" else 0.0
-    # total_stress's 11 and 12 entries, in its operations, with F_e21 = 0 and
-    # grad v = g e1 (x) e2 (they differ from it only in the sign of a zero)
-    m = blk.F12.shape[1]
-    F11, F12, F22 = blk.F_e0[:m, 0, 0], blk.F12, blk.F_e0[:m, 1, 1]
-    sigma11 = G * (F11 * F11 + F12 * F12) - blk.p[:m]
-    sigma12 = G * (F12 * F22) + 2.0 * mu * (0.5 * blk.g)
-    return {"linf_F_e12": blk.level_max(np.abs(F12 - tau1 / G)),
-            "linf_v1": np.abs(blk.v_nodes).max(axis=1),
-            "linf_sigma12": blk.level_max(np.abs(sigma12 - tau1)),
-            "linf_sigma11": blk.level_max(np.abs(sigma11 - tau1 ** 2 / G))}
 
+    def errors(F12, g, cell):
+        # total_stress's 11 and 12 entries in its operations (F_e21 = 0)
+        F11, F22 = history.F_e0[cell, 0, 0], history.F_e0[cell, 1, 1]
+        sigma11 = G * (F11 * F11 + F12 * F12) - history.p[cell]
+        sigma12 = G * (F12 * F22) + 2.0 * mu * (0.5 * g)
+        return np.abs([F12 - tau1 / G, sigma12 - tau1, sigma11 - tau1 ** 2 / G])
 
-def _unscored(config: ScenarioConfig, blk: _Block) -> dict[str, np.ndarray]:
-    """The oracle of a run whose scores nobody reads: none.  The block pass
-    runs every check and gate all the same."""
-    return {}
+    worst = errors(*classes.body[:, :len(P)], 0) if classes.m0 else np.zeros((3, len(P)))
+    for _, ages, F12, g, _, _ in classes.rows(np.arange(len(P)), P):
+        for k, values in enumerate(errors(F12[:-1], g[:-1], -1)):
+            worst[k] = np.maximum(worst[k], _level_extreme(np.maximum, values, ages[:-1] >= 0,
+                                                           classes.p))
+    return {"linf_F_e12": worst[0], "linf_v1": v_abs, "linf_sigma12": worst[1],
+            "linf_sigma11": worst[2]}
 
 
 def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
@@ -462,39 +495,12 @@ def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
     return shears, rates
 
 
-def _fill_block(source: np.ndarray, start: np.ndarray, col: np.ndarray,
-                levels: np.ndarray, v_nodes: np.ndarray, dx: float,
-                work: tuple | None = None) -> tuple[np.ndarray, np.ndarray] | None:
-    """Read a block of stored levels through a run's map, ``source[:,
-    start[k] + col[j]]`` for cell ``j`` of level ``k`` (``History``).
-
-    Row ``b`` of ``v_nodes``, ``(B, width)``, becomes level ``levels[b]``'s
-    face velocities: 0, the running sums of ``dx g`` over its cells, then
-    its top value repeated where the map reads zeros past its top (an age
-    table's negative ages).  Given ``work``, contiguous ``(B, width - 1)``
-    arrays for the levels' ``F_e12`` and ``g`` and the map's indices,
-    returns the first two, each row a level's cells and then zeros."""
-    F12, g, index = work or (None, None, None)
-    index = np.add(start[levels, None], col[:v_nodes.shape[1] - 1], out=index)
-    # every index is in range by construction: "clip" only spares the
-    # buffered copy of "raise" mode.  take fills a contiguous `out` in
-    # place, but the strided rows of v_nodes only through a copy.
-    g = np.take(source[1], index, mode="clip", out=g)
-    v_nodes[:, 0] = 0.0
-    # both infinities in a level's rates sum to NaN, which its v_surf shows
-    with np.errstate(invalid="ignore"):
-        np.cumsum(np.multiply(g, dx, out=g if F12 is None else F12), axis=1,
-                  out=v_nodes[:, 1:])
-    if F12 is None:
-        return None
-    return np.take(source[0], index, mode="clip", out=F12), g
-
-
 def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
-    """March a scenario and score it; ``oracle(config, block)`` gives the
-    oracle errors of a block's levels (``_unscored`` gives none)."""
+    """March a scenario, check it and score it; ``oracle(config, history,
+    classes, P, v_abs)`` gives the oracle errors of the levels ``P``
+    covers."""
     params = config.params
-    M = config.mass_rate
+    G, mu, M = params.G, params.mu, config.mass_rate
     dt, n_steps = config.resolve_dt()
     growth = config.growth_input()
     grid = config.eulerian_grid()
@@ -503,26 +509,21 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     # The schedule.  Step k solves at t = k dt on the cells whose centers
     # H(t_k) has reached and advances to (k + 1) dt; the closing solve at
     # t_end is step n_steps.  Levels with no active cell are not stored:
-    # the stored levels are the steps from `first` on, level i holds the
-    # first m[i] cells, and the block pass runs on each of `blocks`.
+    # level i is step first + i and holds the first m[i] cells.
     H = np.empty(n_steps + 1)
     H[0] = config.height0
     H[1:] = advance_domain(config.height0, config.boundary_rate, dt,
                            np.arange(1, n_steps + 1))
-    centers = grid.centers
-    m = np.searchsorted(centers, H, side="right")
+    m = np.searchsorted(grid.centers, H, side="right")
     first = int(np.searchsorted(m, 1))
     m0, H, m = int(m[0]), H[first:], m[first:]
     levels = len(m)
-    blocks = block_bounds(m, BLOCK_CELLS)
 
-    # Per-cell constants of the run, each one read-only array of which every
-    # level holds its active prefix.  Only F_e12 evolves: F_e0 is each
-    # cell's F_e when it entered the run, in one of two entry states, the
-    # initial body's for the m0 cells active at t = 0 and the attachment
-    # value for every later cell.  The pressure depends on F_e22 and on
-    # tau2 = t_b2 (the attachment velocity has no normal component), and
-    # rho keeps its attachment value (v2 = 0, no compression).
+    # Per-cell constants, read-only, of which every level holds a prefix.
+    # Only F_e12 evolves: F_e0 is each cell's F_e when it entered the run,
+    # the initial body's for the m0 cells active at t = 0 and the
+    # attachment value for every later cell.  The pressure depends on F_e22
+    # and tau2 = t_b2, and rho keeps its attachment value (v2 = 0).
     entries = [(F, cells) for F, cells in ((config.initial_deformation(), m0),
                                            (growth.F_e_attach, n - m0)) if cells]
     F_e0 = np.concatenate([np.broadcast_to(F, (cells, 2, 2)) for F, cells in entries])
@@ -531,38 +532,17 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     for constant in (F_e0, p, rho):
         constant.flags.writeable = False
     F22 = F_e0[:, 1, 1].copy()
-    S22 = cell_S22(F22)
+    S22_cells = cell_S22(F22)
 
-    # The per-level columns of the result, and the applied tractions.
     t_levels = np.arange(first, first + levels) * dt
     v_surf = np.empty(levels)
-    tau = np.empty((levels, 2))
     metrics = {name: np.empty(levels) for name in METRIC_FIELDS}
     metrics.update(t=t_levels, H=H)
-    oracle_errors: dict[str, np.ndarray] = {}
-    # Work arrays of the widest block, held for the run: `v_flat` viewed as
-    # (B, m_last + 1), row b the face velocities of the block's level b and
-    # then its top one repeated; in `work`, the levels' F_e12 and g and the
-    # map's indices (``_fill_block``) and the mask of the cells past each
-    # level's top, viewed as (B, m_last), and `scratch` for
-    # ``solve_residuals`` and then the oracle.  The floats are one
-    # allocation: once freed, it raises glibc's trim threshold above the
-    # run's work, so the next run reuses the heap instead of faulting it in
-    # again.
-    v_flat = np.empty(max(B * (int(m[i0 + B - 1]) + 1) for i0, B in blocks))
-    cells = max(B * int(m[i0 + B - 1]) for i0, B in blocks)
-    floats = np.empty((5, cells))
-    work = (*floats[:2], np.empty(cells, np.intp), np.empty(cells, bool))
-    scratch = tuple(floats[2:])
-    grid_cells = np.arange(n)
-
-    phases = {"march_s": 0.0, "solve_s": 0.0, "metrics_s": 0.0, "oracle_s": 0.0}
     k, t = first, first * dt
     try:
         require_reduced(F_e0)
-        # det F_e = F11 F22 (F_e21 = 0) and |p - G| are per-cell constants
-        # and a level holds a prefix of the grid's cells, so a level's
-        # maximum of each is their running maximum at its top cell.
+        # det F_e = F11 F22 (F_e21 = 0) and |p - G| are per-cell constants:
+        # a level's maximum of each is their running maximum at its top cell.
         for name, values in (("det_drift", F_e0[:, 0, 0] * F_e0[:, 1, 1] - 1.0),
                              ("max_p_dev", p - params.G)):
             metrics[name] = np.maximum.accumulate(np.abs(values))[m - 1]
@@ -570,107 +550,94 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
         # Every cell is marched under the traction that arriving material
         # sets on a body at rest, M v_a + t_b (t_b where it attaches at the
         # body's velocity), so its F_e12 is a function of its age alone.
-        # The age tables, the rows of `source`: per entry state that has
-        # cells, `levels` zeros for the negative ages of cells not yet
-        # active, then ages 0 .. levels-1.  Cell j of level i reads entry
-        # i + col[j].
-        tau[:] = growth.t_b if growth.v_a is None else growth_traction(
+        # The age tables, the rows of `source`: per entry state, `levels`
+        # zeros for negative ages, then ages 0 .. levels-1; cell j of level
+        # i reads entry i + col[j].
+        tau1, tau2 = growth.t_b if growth.v_a is None else growth_traction(
             M, growth.v_a, np.zeros(2), growth.t_b)
         tables = np.zeros((2, len(entries), 2, levels))
         for c, (F, _) in enumerate(entries):
             tables[:, c, 1] = shear_by_age(
-                float(F[0, 1]), float(F[1, 1]), float(tau[0, 0]), params, dt, levels)
+                float(F[0, 1]), float(F[1, 1]), float(tau1), params, dt, levels)
         source = tables.reshape(2, -1)
         state = np.repeat(np.arange(len(entries)), [cells for _, cells in entries])
-        col = (2 * state + 1) * levels - np.searchsorted(m, grid_cells, side="right")
-        level_start = np.arange(levels)
-        phases["march_s"] += time.perf_counter() - start
-        for i0, B in blocks:
-            start = time.perf_counter()
-            shape = B, int(m[i0 + B - 1])
-            v_nodes = v_flat[:B * (shape[1] + 1)].reshape(B, -1)
-            F12_block, g_block, index, past = (a[:B * shape[1]].reshape(shape) for a in work)
-            np.greater_equal(grid_cells[:shape[1]], m[i0:i0 + B, None], out=past)
-            _fill_block(source, level_start, col, np.arange(i0, i0 + B), v_nodes, dx,
-                        (F12_block, g_block, index))
-            v_surf[i0:i0 + B] = v_nodes[np.arange(B), m[i0:i0 + B]]
-            # a non-finite shear or shear rate anywhere reaches the top face,
-            # so the first level whose v_surf is not finite has failed
-            failed = None
-            bad = np.flatnonzero(~np.isfinite(v_surf[i0:i0 + B]))
-            if len(bad):
-                failed = int(bad[0])
-                k = first + i0 + failed
-                t = k * dt
-                F12 = F12_block[failed, :int(m[i0 + failed])]
-            marched = solved = gated = time.perf_counter()
-            # The block pass: what does not feed the next step (the solve's
-            # residuals, the jump metrics and the oracle), on the levels
-            # marched before a failure, so an error names the earliest
-            # offending step.
-            if failed != 0:
-                rows = slice(i0, i0 + (B if failed is None else failed))
-                if growth.v_a is not None:
-                    # each level is checked against the traction M (v_a - v)
-                    # + t_b that its own top velocity v sets: the top row of
-                    # its system residual reads dx M |v| / mu, how far the
-                    # body moves from the rest the march assumed
-                    tau[rows, 0] = growth_traction(M, growth.v_a[0], v_surf[rows],
-                                                   growth.t_b[0])
-                counts = m[rows]
-                cut = np.s_[:len(counts), :int(counts[-1])]
-                v_block = v_nodes[:len(counts), :int(counts[-1]) + 1]
-                system, traction_residual = solve_residuals(
-                    F12_block[cut], g_block, counts, v_block, S22, F22, tau[rows],
-                    params, dx, work=scratch, past=past[cut])
-                metrics["traction_residual"][rows] = traction_residual
-                metrics["system_residual"][rows] = system
-                solved = time.perf_counter()
-                blk = _Block(t=t_levels[rows], counts=counts, past=past[cut],
-                             F12=F12_block[cut], g=g_block[cut], v_nodes=v_block,
-                             v_surf=v_surf[rows], F_e0=F_e0, p=p, rho=rho,
-                             centers=centers, work=scratch)
-                for name, values in _level_metrics(config, growth, blk).items():
-                    metrics[name][rows] = values
-                # the jump and traction residuals read M |v_surf| unscaled,
-                # the system's top row times dx / mu
-                momentum = metrics["momentum_residual"]
-                worst = np.maximum(system, momentum[rows])
-                bad = np.flatnonzero(np.maximum(worst, traction_residual, out=worst)
-                                     > ANSATZ_RESIDUAL_LIMIT)
-                if len(bad):
-                    j = int(bad[0])
-                    k = first + i0 + j
-                    t = k * dt
-                    # the first of the level's residuals in this order that
-                    # passes the limit names it
-                    name, value = next(
-                        (name, values[j]) for name, values in (
-                            ("reduced solve", system), ("momentum jump", momentum[rows]),
-                            ("traction", traction_residual))
-                        if values[j] > ANSATZ_RESIDUAL_LIMIT)
-                    raise IncompatibleAnsatz(
-                        f"{name} residual {value:.3e}; "
-                        f"the through-thickness ansatz is inconsistent")
-                gated = time.perf_counter()
-                for name, values in oracle(config, blk).items():
-                    if name not in oracle_errors:
-                        oracle_errors[name] = np.empty(levels)
-                    oracle_errors[name][rows] = values
-            if failed is not None:  # k, t and F12 are the failed step's
-                require_finite(F12, "F_e12")
-                raise SingularSystem("momentum solve produced non-finite values")
-            phases["march_s"] += marched - start
-            phases["solve_s"] += solved - marched
-            phases["metrics_s"] += gated - solved
-            phases["oracle_s"] += time.perf_counter() - gated
+        col = (2 * state + 1) * levels - np.searchsorted(m, np.arange(n), side="right")
+        history = History(t=t_levels, step=np.arange(first, first + levels), H=H, m=m,
+                          start=np.arange(levels), v_surf=v_surf, metrics=metrics,
+                          source=source, col=col, F_e0=F_e0, p=p, rho=rho, dx=dx, dt=dt)
+        classes = _entry_classes(history, config.boundary_rate * dt)
+        with np.errstate(invalid="ignore"):  # both infinities in a level: NaN
+            P = classes.level_sums(np.arange(levels))
+            v_surf[:] = dx * (P + m0 * classes.body[1])
+        marched = time.perf_counter()
+        # The checks, by entry class.  A non-finite shear or shear rate
+        # reaches the top face, so the first level whose v_surf is not
+        # finite has failed; the checks run on the levels before it, so an
+        # error names the earliest offending step.
+        failed = np.flatnonzero(~np.isfinite(v_surf))
+        W = int(failed[0]) if len(failed) else levels
+        P = P[:W]
+        lo, hi, interior = _solve_checks(classes, P, (G / mu) * dx)
+        v_abs = np.maximum(np.abs(hi), np.abs(lo))  # 0.0, never -0.0
+        rows, top = slice(0, W), m[:W] - 1
+        if growth.v_a is not None:
+            # each level is checked against the traction M (v_a - v) + t_b
+            # of its own top velocity v: its top row reads dx M |v| / mu
+            tau1 = growth_traction(M, growth.v_a[0], v_surf[rows], growth.t_b[0])
+        F12, g = source[:, np.arange(W) + history.col[top]]  # the top cells'
+        S12 = F12 * F22[top]
+        resid_top = np.abs(dx * g - (dx / mu) * (tau1 - G * S12))
+        system = np.maximum(interior, resid_top) / np.maximum(1.0, v_abs)
+        # the top cell's stress, from the rate the march stored, against the
+        # applied traction; the normal balance there is normal_pressure's
+        S22 = S22_cells[top]
+        sigma22 = -(G * S22 - tau2) + G * S22
+        traction = np.maximum(np.abs(G * S12 + mu * g - tau1), np.abs(sigma22 - tau2))
+        metrics["system_residual"][rows] = system
+        metrics["traction_residual"][rows] = traction
+        solved = time.perf_counter()
+        # the top cells' jump residuals, in total_stress's and
+        # jump_residuals' operations less finite values times zero (F_e21 =
+        # 0, n = e2); a stress entry times n1 = 0 turns an overflow into NaN
+        v, F11, F22_top, p_top = v_surf[rows], F_e0[top, 0, 0], F22[top], p[top]
+        sigma11 = G * (F11 * F11 + F12 * F12) - p_top
+        sigma12 = G * (F12 * F22_top) + 2.0 * mu * (0.5 * g)
+        sigma22 = G * (F22_top * F22_top) - p_top
+        flux = rho[top] * (M / rho[top])  # rho (V_b - v) . n; none on the ambient side
+        v_a = v if growth.v_a is None else growth.v_a[0]
+        momentum1 = ((flux * v + (sigma11 * 0.0 + sigma12)) - growth.t_b[0]) - M * v_a
+        momentum2 = (sigma12 * 0.0 + sigma22) - growth.t_b[1]
+        metrics["mass_residual"][rows] = np.abs(flux - M)
+        momentum = np.maximum(np.abs(momentum1), np.abs(momentum2))
+        metrics["momentum_residual"][rows] = momentum
+        # the jump and traction residuals read M |v_surf|, the system dx / mu
+        worst = np.maximum(np.maximum(system, momentum), traction)
+        bad = np.flatnonzero(worst > ANSATZ_RESIDUAL_LIMIT)
+        if len(bad):
+            j = int(bad[0])
+            k = first + j
+            t = k * dt
+            # the first of the level's residuals over the limit names it
+            name, value = next(
+                (name, values[j]) for name, values in (
+                    ("reduced solve", system), ("momentum jump", momentum),
+                    ("traction", traction))
+                if values[j] > ANSATZ_RESIDUAL_LIMIT)
+            raise IncompatibleAnsatz(f"{name} residual {value:.3e}; "
+                                     f"the through-thickness ansatz is inconsistent")
+        if W < levels:
+            k = first + W
+            t = k * dt
+            require_finite(history.columns(W, 0), "F_e12")
+            raise SingularSystem("momentum solve produced non-finite values")
+        gated = time.perf_counter()
+        oracle_errors = oracle(config, history, classes, P, v_abs)
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
-    history = History(t=t_levels, step=np.arange(first, first + levels), H=H, m=m,
-                      start=level_start, v_surf=v_surf, metrics=metrics, source=source,
-                      col=col, F_e0=F_e0, p=p, rho=rho, dx=dx, dt=dt)
-    timings = {"march_s": phases.pop("march_s"), "check_s": sum(phases.values()),
-               **phases, "levels": levels, "blocks": len(blocks),
+    phases = {"solve_s": solved - marched, "metrics_s": gated - solved,
+              "oracle_s": time.perf_counter() - gated}
+    timings = {"march_s": marched - start, "check_s": sum(phases.values()), **phases,
+               "levels": levels, "classes": len(classes.e) - 1, "period": classes.p,
                "cell_levels": int(m.sum())}
     return RunResult(config=config, history=history, oracle_errors=oracle_errors,
                      timings=timings)
@@ -738,9 +705,8 @@ def run_mu_sweep(config: ScenarioConfig, probe_x2: float = 0.25,
 
     Each member uses ``dt = min(mu/(2G), t_end/64)`` so the explicit
     relaxation factor ``1 - G dt / mu`` stays within the stability range and
-    the discrete decay remains below the analytic envelope.  A member is
-    marched with every check and gate of ``run_non_normal`` but unscored:
-    the sweep reads one probe, not the oracle errors.  Returns
+    the discrete decay remains below the analytic envelope.  Each member is
+    a ``run_non_normal`` run, checked and scored.  Returns
     ``[(mu, |F_e12|(probe_x2, t_end)), ...]``.
     """
     if config.kind != "non_normal":
@@ -756,10 +722,8 @@ def run_mu_sweep(config: ScenarioConfig, probe_x2: float = 0.25,
     out = []
     for mu in mus:
         params = replace(config.params, mu=mu)
-        dt = min(0.5 * mu / params.G, config.t_end / 64.0)
-        cfg = replace(config, params=params, dt=dt)
-        res = _run_1d(cfg, _unscored)
-        out.append((mu, abs(float(res.probe(probe_x2)["F_e"][0, 1]))))
+        cfg = replace(config, params=params, dt=min(0.5 * mu / params.G, config.t_end / 64.0))
+        out.append((mu, abs(float(run_non_normal(cfg).probe(probe_x2)["F_e"][0, 1]))))
     return out
 
 
@@ -824,34 +788,40 @@ def level_F_e(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray
 
 
 def level_v1(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """``v1`` at the heights ``x2`` of the stored levels ``level``:
-    ``np.interp(x2, faces, History.v_nodes(level))``, bitwise.
-
-    The face velocities are the running sums of ``dx g``, made for a block
-    of levels (``block_bounds`` over the sampled levels' span) at a time by
-    the march's ``_fill_block``, and only for blocks that hold a sample; no
-    scratch exceeds a block's ``BLOCK_CELLS`` cells, and no row is read
-    past its level's top face.
-    """
-    m, faces = history.m, history.faces
-    v1 = np.empty(len(x2))
+    """``v1`` at the heights ``x2`` of the stored levels ``level``,
+    ``np.interp(x2, faces, History.v_nodes(level))`` to round-off: on the two
+    face velocities around each height (``face dx g`` in the body, ``dx (Y
+    - Z)`` above), in windows of ``CLASS_CELLS // 8`` heights by level, with
+    class rows only at the levels and up to the highest class they read."""
+    classes, faces, v1 = _entry_classes(history), history.faces, np.empty(len(x2))
     order = np.argsort(level, kind="stable")
-    if not len(order):
-        return v1
-    span = int(level[order[0]]), int(level[order[-1]]) + 1
-    for i0, B in block_bounds(m[span[0]:span[1]], BLOCK_CELLS):
-        i0 += span[0]
-        a, b = np.searchsorted(level, [i0, i0 + B], sorter=order)
-        if a == b:
-            continue
-        width = int(m[i0 + B - 1]) + 1
-        v_nodes = np.empty((B, width))
-        _fill_block(history.source, history.start, history.col, np.arange(i0, i0 + B),
-                    v_nodes, history.dx)
-        idx = order[a:b]
-        rows = level[idx]
-        v1[idx] = interp_prefix(x2[idx], faces, m[rows] + 1, v_nodes.ravel(),
-                                (rows - i0) * width, np.arange(width))
+    for k in range(0, len(x2), max(1, CLASS_CELLS // 8)):
+        idx = order[k:k + max(1, CLASS_CELLS // 8)]
+        xs, top = x2[idx], history.m[level[idx]]
+        lower = np.clip(np.searchsorted(faces, xs, side="right") - 1, 0, top)
+        face = np.concatenate([lower, np.minimum(lower + 1, top)])
+        at = np.tile(history.start[level[idx]], 2)
+        u, c = np.divmod(face - 1 - classes.m0, len(classes.e) - 1)
+        above = u >= 0
+        rho = np.where(above, at - u * classes.p, at)
+        read = np.zeros(len(classes.body[1]), bool)
+        read[at] = read[rho] = True
+        cols, slot = np.flatnonzero(read), np.cumsum(read) - 1
+        P = classes.level_sums(cols)
+        wanted = np.flatnonzero(above)
+        wanted = wanted[np.argsort(c[wanted], kind="stable")]
+        Z = np.zeros(len(face))
+        with np.errstate(invalid="ignore"):  # both infinities below a face: NaN
+            for cs, *_, rows in classes.rows(cols, P, int(c[wanted].max(initial=-1)) + 1):
+                j = wanted[slice(*np.searchsorted(c[wanted], [cs.start, cs.stop]))]
+                Z[j] = rows[c[j] - cs.start, slot[rho[j]]]
+            g_body = classes.body[1][at]
+            Y = P[slot[at]] + classes.m0 * g_body
+            V = np.where(above, classes.dx * (Y - Z), face * (classes.dx * g_body))
+        # height s reads node `lower` at 2 s and the one above it at 2 s + 1
+        v1[idx] = interp_prefix(
+            xs, faces, top + 1, V.reshape(2, -1).T.ravel(),
+            2 * np.arange(len(xs)) - lower, np.arange(len(faces)))
     return v1
 
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .constitutive import MaterialParams
 from .errors import UsageError
-from .scenarios import (RunResult, ScenarioConfig, _age_rows, _run_1d, _unscored,
-                        convergence_runs, reconstruct_reference, run_mu_sweep,
-                        run_thermal, trace_history_pathlines)
+from .scenarios import (RunResult, ScenarioConfig, _age_rows, convergence_runs,
+                        reconstruct_reference, run_mu_sweep, run_thermal,
+                        trace_history_pathlines)
 from .tensors import det
 
 
@@ -157,8 +157,7 @@ def verify_thermal(alpha: float = 0.8):
     # (History.v_nodes), so the last level's first one stands for all
     rows.append(CheckRow("base_velocity_abs", abs(float(history.v_nodes(-1)[0])), 0.0))
 
-    # only its history is read: marched with every gate, unscored
-    trivial = _run_1d(replace(cfg, alpha=1.0), _unscored).history
+    trivial = run_thermal(replace(cfg, alpha=1.0)).history
     rows.append(CheckRow("alpha1_trivial_deviation", _rest_deviation(trivial), 1e-12))
 
     frame = reconstruct_reference(history[-1:])[0]

@@ -6,10 +6,10 @@ from surfgrow import (Grid1D, MaterialParams, NegativeHeight, NotReduced,
                       advance_domain, boundary_normal_velocity, growth_traction,
                       jump_residuals, neo_hookean_stress, normal_pressure,
                       run_non_normal)
-from surfgrow.balance import cell_S22, require_reduced, solve_residuals
+from surfgrow.balance import cell_S22, require_reduced
 from surfgrow.tensors import identity
 
-from references import first_integral
+from references import first_integral, solve_residuals
 
 E2 = np.array([0.0, 1.0])
 
@@ -129,9 +129,9 @@ def level_solve(F12, F_e0, dx, params, traction):
 
 def test_stacked_solve_is_each_level_alone(params):
     # levels of 3, 5, 5 and 8 cells as zero-padded rows, with face
-    # velocities padded by the top value or by zeros, and with work arrays
-    # of stale values: every level's residuals are bitwise those of its own
-    # solve
+    # velocities padded by the top value or by zeros: every level's
+    # residuals in the reference's stacked solve are bitwise those of its
+    # own solve
     rng = np.random.default_rng(3)
     counts, dx = np.array([3, 5, 5, 8]), 0.125
     F22 = rng.uniform(0.5, 2.0, 8)
@@ -147,33 +147,10 @@ def test_stacked_solve_is_each_level_alone(params):
         alone.append((system, traction))
         V[b] = v_nodes[-1]
         V[b, :m + 1] = V0[b, :m + 1] = v_nodes
-    stale = (*np.full((3, 40), np.nan), np.ones(40, bool))
-    for v_nodes, work in ((V, None), (V0, None), (V, stale), (V0, stale)):
+    for v_nodes in (V, V0):
         system, traction = solve_residuals(rows, rates, counts, v_nodes, cell_S22(F22), F22,
-                                           tau, params, dx, work=work)
+                                           tau, params, dx)
         assert [(s, t) for s, t in zip(system.tolist(), traction.tolist())] == alone
-
-
-def test_stacked_solve_reads_a_given_past_mask(params):
-    # the march hands the solve its block's mask of the cells past each
-    # level's top, a view of a wider array, and three float work arrays:
-    # the residuals are bitwise those of the solve that builds the mask
-    rng = np.random.default_rng(5)
-    counts, dx = np.array([2, 4, 4, 7]), 0.25
-    F22 = rng.uniform(0.5, 2.0, 7)
-    rows, rates = np.zeros((4, 7)), np.zeros((4, 7))
-    V = np.zeros((4, 8))
-    for b, m in enumerate(counts):
-        rows[b, :m], rates[b, :m] = rng.standard_normal((2, m))
-        V[b, 1:m + 1] = np.cumsum(dx * rates[b, :m])
-    tau = rng.standard_normal((4, 2))
-    built = solve_residuals(rows, rates, counts, V, cell_S22(F22), F22, tau, params, dx)
-    wide = np.greater_equal(np.arange(9), counts[:, None])
-    stale = tuple(np.full((3, 40), np.nan))
-    for past in (wide[:, :7], np.ascontiguousarray(wide[:, :7])):
-        given = solve_residuals(rows, rates, counts, V, cell_S22(F22), F22, tau, params, dx,
-                                work=stale, past=past)
-        assert [a.tobytes() for a in given] == [a.tobytes() for a in built]
 
 
 def test_solve_equilibrium_is_static(params):

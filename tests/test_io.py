@@ -11,7 +11,7 @@ from surfgrow import (History, MaterialParams, ParseError, PathlineRecord, RunRe
                       trace_history_pathlines, write_fields)
 from surfgrow.config import read_pairs
 from surfgrow.output import METRIC_FIELDS, SNAPSHOT_COLUMNS, fmt
-from surfgrow.scenarios import BLOCK_CELLS, block_bounds
+from surfgrow.scenarios import level_v1
 from surfgrow.tensors import identity
 from surfgrow.verify import default_config
 
@@ -138,17 +138,24 @@ def test_manifest_matches_directory(tmp_path):
 
 def test_manifest_timings_only_beside_a_duration(tmp_path):
     res = run_fdm_shear(_tiny_config())
-    # the march's and the block pass's wall time, the block pass's phases,
-    # which sum to it, and the run's counts
-    assert sorted(res.timings) == ["blocks", "cell_levels", "check_s", "levels", "march_s",
-                                   "metrics_s", "oracle_s", "solve_s"]
+    # the march's and the checks' wall time, the checks' phases, which sum
+    # to it, and the run's counts
+    assert sorted(res.timings) == ["cell_levels", "check_s", "classes", "levels", "march_s",
+                                   "metrics_s", "oracle_s", "period", "solve_s"]
     assert res.timings["march_s"] > 0 and res.timings["check_s"] > 0
     assert res.timings["check_s"] == (res.timings["solve_s"] + res.timings["metrics_s"]
                                       + res.timings["oracle_s"])
     history = res.history
     assert (res.timings["levels"], res.timings["cell_levels"]) == (len(history),
                                                                   int(history.m.sum()))
-    assert res.timings["blocks"] == len(block_bounds(history.m, BLOCK_CELLS))
+    # the accreted cells' entry levels repeat every `classes` cells and
+    # `period` levels: here one cell enters, a class of its own; 64 cells
+    # over 1,000 steps enter 8 every 125 levels
+    assert (res.timings["classes"], res.timings["period"]) == (1, len(history))
+    grown = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=64, dt=1e-3))
+    assert (grown.timings["classes"], grown.timings["period"]) == (8, 125)
+    entry = np.searchsorted(grown.history.m, np.arange(64), side="right")
+    np.testing.assert_array_equal(entry[8:] - entry[:-8], 125)
     timed = write_fields(res, tmp_path / "timed", duration_seconds=1.25)
     parsed = json.loads((tmp_path / "timed" / "manifest.json").read_text())
     assert parsed["timings"] == res.timings
@@ -192,15 +199,18 @@ def _reference_snapshot(rec) -> str:
 
 
 def _reference_pathlines(result) -> str:
-    # sample by sample: clamped stored level, clamped height, fmt per value
+    # sample by sample: clamped stored level, clamped height, fmt per value;
+    # v1 is level_v1's, which the pathline tests hold to np.interp over
+    # History.v_nodes within round-off
     history = result.history
     t0, dt, last = history[0].t, history[1].t - history[0].t, len(history) - 1
     lines = ["pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p"]
     for i, pl in enumerate(result.pathlines):
         for m, t in enumerate(pl.t):
-            rec = history[min(max(int(round((t - t0) / dt)), 0), last)]
+            level = min(max(int(round((t - t0) / dt)), 0), last)
+            rec = history[level]
             x2 = min(max(pl.x[m, 1], 0.0), rec.grid.height)
-            v1 = float(np.interp(x2, rec.grid.faces, rec.v_nodes))
+            v1 = float(level_v1(history, np.array([level]), np.array([x2]))[0])
             p = float(np.interp(x2, rec.grid.centers, rec.p))
             F = pl.F_e[m]
             lines.append(",".join([str(i)] + [fmt(v) for v in
@@ -221,18 +231,22 @@ def _odd_values_result(metrics=None):
     nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)
     odd = np.array([-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300])
     dx, m = 0.25, np.array([1, 3, 4])
-    # v_nodes is the running sum of dx g
-    g = [np.roll(odd, k)[:mk] / dx for k, mk in enumerate(m)]
-    F_e12 = [np.roll(odd, 2 * k)[:mk] for k, mk in enumerate(m)]
-    F_e12[2][:2] = np.nan, nan2[0]
+    # the run's age tables (``History``): per entry state, zeros for the
+    # negative ages and then the ages 0 .. 2.  Cell 0 is the initial body,
+    # cells 1 to 3 enter at the levels 1, 1 and 2; v_nodes is the running
+    # sum of dx g
+    by_age = np.zeros((2, 2, 2, 3))  # (F_e12 or g, state, zeros or ages, age)
+    by_age[0, :, 1] = [[-0.0, 1.0 / 3.0, np.nan], [1e300, nan2[0], -5e-324]]
+    by_age[1, :, 1] = np.reshape([-np.inf, 5e-324, 1.0 / 3.0, 1e300, np.nan, np.inf], (2, 3)) / dx
+    source, col = by_age.reshape(2, -1), np.array([3, 8, 8, 7])
     rows = metrics or [{name: 0.0 for name in METRIC_FIELDS}] * 3
     history = History(
         t=0.5 * np.arange(3), step=np.arange(3), H=np.array([0.5, 0.75, 1.0]), m=m,
-        start=np.cumsum(m) - m, v_surf=np.array([np.sum(dx * gk) for gk in g]),
+        start=np.arange(3),
+        v_surf=np.array([np.sum(dx * source[1, k + col[:mk]]) for k, mk in enumerate(m)]),
         metrics={name: np.array([row[name] for row in rows]) for name in rows[0]},
-        source=np.stack([np.concatenate(F_e12), np.concatenate(g)]),
-        col=np.arange(4), F_e0=odd.reshape(2, 2, 2).repeat(2, 0), p=odd[3:7].copy(),
-        rho=np.array([0.0, 0.0, -0.0, 0.0]), dx=dx, dt=0.5)
+        source=source, col=col, F_e0=odd.reshape(2, 2, 2).repeat(2, 0),
+        p=odd[3:7].copy(), rho=np.array([0.0, 0.0, -0.0, 0.0]), dx=dx, dt=0.5)
     sign_and_payload = np.resize([1.0, 0.0, 0.0, 1.0], (3, 2, 2))
     sign_and_payload[:, 1, 0] = [np.nan, nan2[0], np.nan]
     pathlines = [
