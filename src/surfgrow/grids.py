@@ -113,7 +113,7 @@ class History(Sequence):
     ``m``, ``start``, ``v_surf`` and one array per metric in ``metrics``.
     The levels' ``F_e12`` and ``g`` are the two rows of ``source``, the
     run's age tables (per entry state, ``L`` zeros and then the ages ``0 ..
-    L - 1``, as ``scenarios.level_v1`` reads them), read through one map:
+    L - 1``, the one layout ``scenarios.level_v1`` reads), through one map:
     cell ``j`` of level ``k`` is entry ``start[k] + col[j]``, with ``start``
     the level's index in the run and ``col`` each cell's entry offset.
     ``source``, ``col``, ``F_e0``, ``p``, ``rho``, ``dx`` and the march's

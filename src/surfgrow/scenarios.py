@@ -283,16 +283,11 @@ def _require_in_body(x2: np.ndarray, t, V_G: float) -> None:
 def _stride_accumulate(ufunc, values: np.ndarray, p: int) -> np.ndarray:
     """``ufunc.accumulate`` with stride ``p`` along each row of the
     C-contiguous ``values``, in place: entry ``r`` takes in ``r - p``'s."""
-    width = values.shape[1]
-    full = width // p * p
+    full = values.shape[1] // p * p
     if full:
         view = values[:, :full].reshape(len(values), -1, p)
-        if view[:, 0].size >= 256:  # wide strides: accumulate's loop is slower
-            for j in range(1, view.shape[1]):
-                ufunc(view[:, j], view[:, j - 1], out=view[:, j])
-        else:
-            ufunc.accumulate(view, axis=1, out=view)
-        ufunc(values[:, full:], values[:, full - p:width - p], out=values[:, full:])
+        ufunc.accumulate(view, axis=1, out=view)
+        ufunc(values[:, full:], values[:, full - p:-p], out=values[:, full:])
     return values
 
 
@@ -369,18 +364,24 @@ class _Classes:
 
 
 def _entry_classes(history: History, advance: float | None = None) -> _Classes:
-    """The entry classes of a run's accreted cells, from its map in O(n):
-    ``q`` the smallest period of the gaps between cells' entry levels, ``p``
-    the levels it spans, such that the cell above a class's last would
-    enter after the last level and ``q dx = p advance`` within 16 eps given
-    the front's ``advance`` per level (one fitting only a short schedule
-    misses by ``1 / (p n)`` or more).  Failing that, each cell is a class
-    (``p = L``), reading as much as every cell of every level."""
+    """The entry classes of a run's accreted cells, from its map (``History``;
+    any other raises ``ValidationError``) in O(n): ``q`` the smallest period
+    of the gaps between cells' entry levels, ``p`` the levels it spans, such
+    that the cell above a class's last enters after the last level and ``q
+    dx = p advance`` within 16 eps, ``advance`` the front's per level (one
+    fitting only a short schedule misses by ``1 / (p n)`` or more); failing
+    that, each cell is a class (``p = L``)."""
     col, dx = history.col, history.dx
-    L = int(col[0])  # cell 0 enters at the run's first level, at age 0
+    L = max(1, int(col[0]))  # cell 0 enters at the run's first level, at age 0
     state = (col - 1) // (2 * L)
     m0 = int(np.count_nonzero(state != state[-1]))
-    a = ((2 * state + 1) * L - col)[m0:]  # the accreted cells' entry levels
+    a = (2 * state + 1) * L - col  # each cell's entry level
+    if not (np.array_equal(state, (np.arange(len(col)) >= m0) * state[-1])
+            and not np.any(a[:m0]) and np.all(np.diff(a) >= 0)
+            and history.source.shape[1] == 2 * L * (state[-1] + 1)
+            and np.all((history.start >= 0) & (history.start < L))):
+        raise ValidationError("History's map (start, col) is not a run's age-table layout")
+    a = a[m0:]  # the accreted cells'
     for q in _periods(np.diff(a).tolist()):
         p = int(a[q] - a[0])
         cells = (len(a) - 1 - np.arange(q)) // q + 1
@@ -428,8 +429,7 @@ def _score_non_normal(config: ScenarioConfig, history: History, classes: _Classe
     ``analytic_non_normal``, which at level ``rho + u p`` holds for cell ``c
     + u q`` what it holds for cell ``c`` at ``rho``; a cell's ``v1`` error
     is ``A - w``, ``A`` its level's part (no initial body: ``m0 = 0``)."""
-    p = config.params
-    lam, V_G, alpha = p.G / p.mu, config.V_G, config.alpha
+    lam, V_G, alpha = config.params.G / config.params.mu, config.V_G, config.alpha
     W = len(P)
     t, m = history.t[:W], history.m[:W]
     # the centers ascend, so each level's top cell is its highest
@@ -808,8 +808,7 @@ def level_v1(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
         read[at] = read[rho] = True
         cols, slot = np.flatnonzero(read), np.cumsum(read) - 1
         P = classes.level_sums(cols)
-        wanted = np.flatnonzero(above)
-        wanted = wanted[np.argsort(c[wanted], kind="stable")]
+        wanted = np.flatnonzero(above)[np.argsort(c[above], kind="stable")]
         Z = np.zeros(len(face))
         with np.errstate(invalid="ignore"):  # both infinities below a face: NaN
             for cs, *_, rows in classes.rows(cols, P, int(c[wanted].max(initial=-1)) + 1):

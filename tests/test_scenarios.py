@@ -1061,20 +1061,45 @@ def _tolerance(config, name, speed, value=0.0):
     system residual, scaled by ``max(1, max |v|)``, by ``ROUNDOFF (1 +
     value)``; the momentum and traction residuals, which read ``v_surf``, by
     ``(1 + M)`` times the velocity's.  ``non_normal``'s oracle columns move
-    by the closed form's rounding bound ``(1 + lam t_end) eps |alpha| max(1,
-    V_G)``, ``lam = G / mu``, and ``linf_v1`` by the velocity's beside it.
-    Every other column is bitwise."""
-    velocity = velocity_tolerance(speed)
-    oracle = 0.0
+    by ``_closed_form_bound``, ``linf_F_e12`` by ``eps`` of its value more
+    (the sum ``F12 + alpha decay``), ``rms_F_e12`` by ``n_cells eps`` of it
+    more (a sum of at most ``n_cells`` squares, in another order), and
+    ``linf_v1`` by the velocity's beside it.  Every other column is bitwise."""
+    velocity, eps, value = velocity_tolerance(speed), np.finfo(float).eps, np.abs(value)
+    oracle = {}
     if config.kind == "non_normal":
-        lam = config.params.G / config.params.mu
-        oracle = ((1.0 + lam * config.t_end) * np.finfo(float).eps * abs(config.alpha)
-                  * max(1.0, config.V_G))
-    return {"v_surf": velocity, "system_residual": ROUNDOFF * (1.0 + np.abs(value)),
+        bound = _closed_form_bound(config)
+        oracle = {"linf_F_e12": bound + eps * value,
+                  "rms_F_e12": bound + config.n_cells * eps * value,
+                  "linf_v1": bound + velocity}
+    return {"v_surf": velocity, "system_residual": ROUNDOFF * (1.0 + value),
             "momentum_residual": (1.0 + config.mass_rate) * velocity,
             "traction_residual": (1.0 + config.mass_rate) * velocity,
-            "linf_F_e12": oracle, "rms_F_e12": oracle,
-            "linf_v1": oracle + velocity}.get(name, 0.0)
+            "linf_v1": velocity, **oracle}.get(name, 0.0)
+
+
+def _closed_form_bound(config):
+    """How far the class pass's closed form ``alpha exp(-lam age)``, ``lam =
+    G / mu``, may lie from the per-cell one's: ``(20 + 21 lam t_end) eps
+    |alpha| max(1, V_G)``.
+
+    Each evaluates ``age = t - x2 / V_G`` in floats from the stored ``t =
+    k dt`` and center ``x2 = (j + 1/2) dx``, within ``eps (3 t_end + age) /
+    2`` of its value on those ``dt`` and ``dx``.  A class evaluates it at
+    its first cell ``c`` and level ``rho`` for the cell ``c + u q`` at ``rho
+    + u p``, whose age is ``u (p dt - q dx / V_G)`` more: ``_entry_classes``
+    takes ``|q dx - p V_b dt| <= 16 eps q dx`` with ``V_b dt`` rounded
+    within ``1.5 eps``, and ``u q dx <= V_G t_end``, ``u p dt <= t_end``, so
+    that offset is at most ``17.5 eps t_end``.  With the rounding of ``-lam
+    age`` the exponents differ by at most ``lam eps (20.5 t_end + 2 age)``,
+    so the decays ``d <= 1`` by ``d`` times that plus 4 ulp of each ``exp``:
+    at most ``eps (20.5 lam t_end + 2 / e + 8)``, as ``d lam age <= 1 / e``.
+    ``F_e12``'s ``alpha d`` adds one rounding of each product; ``v1``'s
+    ``V_G alpha (d - exp(-lam t))`` adds 4 ulp of each ``exp(-lam t)`` and
+    the rounding of three operations more: at most ``20 eps`` in all."""
+    lam = config.params.G / config.params.mu
+    return ((20.0 + 21.0 * lam * config.t_end) * np.finfo(float).eps * abs(config.alpha)
+            * max(1.0, config.V_G))
 
 
 def _assert_columns_agree(config, actual, expected, speed):
@@ -1271,8 +1296,7 @@ def _class_pass_configs(draw):
     return thermal_config(H0=draw(st.sampled_from([0.5, 0.203])), **keys)
 
 
-# derandomized: each run draws the same 30 examples
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30, deadline=None)
 @given(cfg=_class_pass_configs(), seed=st.integers(0, 2 ** 16))
 @example(cfg=nn_config(n_cells=256, dt=1e-3), seed=0)
 @example(cfg=fdm_config(n_cells=200, params=MaterialParams(G=1.0, mu=1.0, rho=1.0)), seed=1)
