@@ -12,6 +12,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -342,8 +343,8 @@ class _Classes:
         """``P = sum_c Q(cols - e[c])``: ``g`` over each level's accreted cells."""
         P = np.zeros(len(cols))
         for cs in self.chunks(len(cols)):
-            rows = self.Q[len(self.body[1]) + cols - self.e[cs, None]]
-            P = np.cumsum(np.concatenate([P[None], rows]), axis=0)[-1]
+            for row in self.Q[len(self.body[1]) + cols - self.e[cs, None]]:
+                P = P + row
         return P
 
     def rows(self, cols: np.ndarray, P: np.ndarray, stop: int | None = None):
@@ -358,7 +359,7 @@ class _Classes:
         for cs in self.chunks(len(cols), stop):
             ages = cols - self.e[cs.start:cs.stop + 1, None]
             F12, g = np.take(self.table, len(self.body[1]) + ages, axis=1, mode="clip")
-            C = np.cumsum(np.concatenate([C[None], g[:-1]]), axis=0)
+            C = np.array(list(accumulate(g[:-1], initial=C)))
             yield cs, ages, F12, g, P - C[:-1], P - C[1:]
             C = C[-1]
 
@@ -444,8 +445,8 @@ def _score_non_normal(config: ScenarioConfig, history: History, classes: _Classe
         decay = np.exp(arg, out=np.zeros(arg.shape), where=active & (arg > -746.0))
         ef = F12[:-1] + alpha * decay
         linf = np.maximum(linf, _level_extreme(np.maximum, np.abs(ef), active, classes.p))
-        sums = _stride_accumulate(np.add, ef * ef, classes.p)
-        squares = np.cumsum(np.concatenate([squares[None], sums]), axis=0)[-1]
+        for row in _stride_accumulate(np.add, ef * ef, classes.p):
+            squares = squares + row
         # v1 at a cell's center is the mean of its faces' dx (Y - Z)
         w = (below + Z) * (0.5 * classes.dx) + decay * (V_G * alpha)
         v1 = np.maximum(v1, np.maximum(_level_extreme(np.maximum, w, active, classes.p) - A,
