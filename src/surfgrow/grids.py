@@ -109,37 +109,39 @@ class History(Sequence):
     """The stored levels of a run, as columns; a read-only sequence of
     ``StepRecord``.
 
-    Per level: ``t``, ``step``, the height ``H``, the active cell count
-    ``m``, ``start``, ``v_surf`` and one array per metric in ``metrics``.
-    The levels' ``F_e12`` and ``g`` are the two rows of ``source``, the
-    run's age tables (per entry state, ``L`` zeros and then the ages ``0 ..
-    L - 1``, the one layout ``scenarios.level_v1`` reads), through one map:
-    cell ``j`` of level ``k`` is entry ``start[k] + col[j]``, with ``start``
-    the level's index in the run and ``col`` each cell's entry offset.
-    ``source``, ``col``, ``F_e0``, ``p``, ``rho``, ``dx`` and the march's
-    step ``dt`` (a level sits at ``t = step dt``) are shared by all levels.
-    Indexing builds a level's record on first access and keeps it, and a
-    slice is a ``History`` over the same columns and kept records.  ``columns``,
-    ``grid``, ``v_nodes`` and ``F_e_columns`` read a level without building
-    a record; ``centers`` and ``faces`` are the run's grid, of which every
-    level holds a prefix.
+    Per level: ``step``, ``t = step dt``, the height ``H``, the active cell
+    count ``m``, its index ``start`` in the run, ``v_surf`` and one array
+    per metric in ``metrics``.  The levels' ``F_e12`` and ``g`` are the rows
+    of ``source``, the age tables of one or two entry states (``table``),
+    each ``L = len(m)`` zeros and then the ages ``0 .. L - 1``; with two,
+    the initial body's ``m0 = m[0]`` cells are in the first.  Cell ``j`` of
+    level ``k``, of age ``k`` less its ``entry`` level, is entry ``start[k]
+    + col[j]`` (``index``), ``col`` derived from ``m``, which must not
+    decrease.  Indexing builds a level's record on first access and keeps
+    it; a slice shares the columns, map and records.  ``columns``, ``grid``,
+    ``v_nodes`` and ``F_e_columns`` read a level without a record; each
+    level holds a prefix of the run's ``centers`` and ``faces``.
     """
 
     LEVEL_COLUMNS = ("t", "step", "H", "m", "start", "v_surf")
 
-    def __init__(self, *, t, step, H, m, start, v_surf, metrics: dict,
-                 source: np.ndarray, col: np.ndarray, F_e0: np.ndarray, p: np.ndarray,
-                 rho: np.ndarray, dx: float, dt: float):
-        self.t, self.step, self.H = t, step, H
-        self.m, self.start, self.v_surf = m, start, v_surf
-        self.metrics = metrics
-        self.source, self.col = source, col
+    def __init__(self, *, step, H, m, v_surf, metrics: dict, source: np.ndarray,
+                 F_e0: np.ndarray, p: np.ndarray, rho: np.ndarray, dx: float, dt: float):
+        L, width = len(m), source.shape[1]
+        two = L and width == 4 * L and 0 < m[0] < len(F_e0)  # a cell in each state
+        if not ((two or L and width == 2 * L) and np.all(np.diff(m) >= 0)):
+            raise ValidationError(f"History needs a nondecreasing m and 1 or 2 age tables "
+                                  f"of {2 * L} entries, a cell in each, got {width} entries")
+        self.t, self.step, self.H, self.m, self.v_surf = step * dt, step, H, m, v_surf
+        self.start, self.metrics, self.source, self.L = np.arange(L), metrics, source, L
+        self.m0 = int(m[0]) if two else 0
         self.F_e0, self.p, self.rho, self.dx, self.dt = F_e0, p, rho, dx, dt
-        self._levels = range(len(m))
+        cells = np.arange(len(F_e0))
+        self.col = self._ages_from(cells) - np.searchsorted(m, cells, side="right")
         self._records: dict[int, StepRecord] = {}
 
     def __len__(self) -> int:
-        return len(self._levels)
+        return len(self.start)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -147,10 +149,9 @@ class History(Sequence):
             for name in self.LEVEL_COLUMNS:
                 setattr(view, name, getattr(self, name)[k])
             view.metrics = {name: col[k] for name, col in self.metrics.items()}
-            view._levels = self._levels[k]
             return view
         k = range(len(self))[k]  # a list's negative indices and IndexError
-        level = self._levels[k]
+        level = int(self.start[k])
         rec = self._records.get(level)
         if rec is None:
             mk = int(self.m[k])
@@ -162,11 +163,44 @@ class History(Sequence):
                 metrics={name: float(col[k]) for name, col in self.metrics.items()})
         return rec
 
+    def _ages_from(self, cells):
+        """Where age 0 of ``cells``' entry states lies in ``source``."""
+        return np.where(cells < self.m0, self.L, self.source.shape[1] - self.L)
+
+    def index(self, k, cells=None) -> np.ndarray:
+        """The entries of ``source`` that level ``k``'s cells (or ``cells``) read."""
+        return self.start[k] + self.col[slice(int(self.m[k])) if cells is None else cells]
+
+    @property
+    def entry(self) -> np.ndarray:
+        """Each cell's entry level, the first of the run that holds it."""
+        return self._ages_from(np.arange(len(self.col))) - self.col
+
+    def table(self, state: int) -> np.ndarray:
+        """Entry state ``state``'s ``F_e12`` and ``g`` by age from ``-L``, a view."""
+        return self.source.reshape(2, -1, 2 * self.L)[:, state]
+
+    def age_rows(self) -> list[tuple[int, slice]]:
+        """Per entry state that the last level holds, its first cell and the
+        slice of a ``source`` row of its ages ``0`` to that cell's there."""
+        return [(j, slice(int(self._ages_from(j)), int(self.start[-1] + self.col[j]) + 1))
+                for j in sorted({0, self.m0}) if j < self.m[-1]]
+
+    def shear_since_entry(self) -> np.ndarray:
+        """Each cell's shear ``F12`` of ``F = I + F12 e1 (x) e2`` since it
+        entered, laid out like a row of ``source`` (``index`` gathers a
+        level's): per state, the running sum from 0 of ``dt g`` over the ages
+        before each one, in the order a march of ``F12 + dt g`` sums it."""
+        F12 = np.zeros_like(self.source[1]).reshape(-1, 2, self.L)
+        np.multiply(self.dt, self.source[1].reshape(F12.shape)[:, 1, :-1], out=F12[:, 1, 1:])
+        np.cumsum(F12[:, 1], axis=1, out=F12[:, 1])
+        return F12.reshape(-1)
+
     def columns(self, k: int, rows=slice(None)) -> np.ndarray:
         """Level ``k``'s ``F_e12`` and ``g`` as the rows of a fresh ``(2, m)``
-        array, gathered through the map; ``rows=0`` or ``1`` gathers one."""
-        index = self.start[k] + self.col[:int(self.m[k])]  # in range: "clip" skips a check
-        return np.take(self.source[rows], index, axis=-1, mode="clip")
+        array, gathered through the map; ``rows=0`` or ``1`` gathers one.  The
+        map is in range, so ``"clip"`` skips a check."""
+        return np.take(self.source[rows], self.index(k), axis=-1, mode="clip")
 
     def grid(self, k: int) -> Grid1D:
         """Level ``k``'s active prefix of the run's grid."""
@@ -181,6 +215,11 @@ class History(Sequence):
     def faces(self) -> np.ndarray:
         """The cell faces of the run's grid; a level's are the first ``m + 1``."""
         return np.arange(len(self.F_e0) + 1) * self.dx
+
+    def interp(self, row: int, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """``F_e12`` (``row=0``) or ``g`` of the levels ``level`` at ``x2``."""
+        return interp_prefix(x2, self.centers, self.m[level], self.source[row],
+                             self.start[level], self.col)
 
     def v_nodes(self, k: int) -> np.ndarray:
         """Level ``k``'s face velocities, as its record computes them."""

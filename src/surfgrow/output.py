@@ -158,7 +158,7 @@ def _write_snapshots(out: Path, history, levels: list[int]) -> list[dict]:
 
     ``x2`` is a prefix of the run's centers; ``Fe11``, ``Fe21``, ``Fe22``,
     ``p`` and ``rho`` are prefixes of its per-cell constants; ``Fe12`` is
-    ``source[0, start[k] + col[:m]]``; ``v2`` is 0.  The centers and
+    ``source[0, History.index(k)]``; ``v2`` is 0.  The centers and
     constants of the cells that the snapshots hold and the ``F_e12`` values
     that they read are formatted once per call, each distinct bit pattern
     once (``_format_once``), and their text gathered by index; only ``v1``
@@ -170,8 +170,7 @@ def _write_snapshots(out: Path, history, levels: list[int]) -> list[dict]:
     per_cell = [_format_once(values) for values in (
         history.centers[:cells], F_e0[:, 0, 0], F_e0[:, 1, 0], F_e0[:, 1, 1],
         history.p[:cells], history.rho[:cells])]
-    F12 = _format_once(history.source[0, np.concatenate(
-        [history.start[k] + history.col[:mk] for k, mk in zip(levels, m)])])
+    F12 = _format_once(history.source[0, np.concatenate([history.index(k) for k in levels])])
     slots = ["%s", "%.17g", "0"] + ["%s"] * 6
     snapshots = []
     for ordinal, (k, mk, row) in enumerate(zip(levels, m, np.cumsum([0] + m).tolist())):
@@ -223,7 +222,7 @@ def _write_pathlines(path: Path, result: RunResult) -> None:
     pathlines = result.pathlines
     history = result.history
     level, x2 = pathline_levels(history, pathlines)
-    v1 = level_v1(history, level, x2)
+    v1 = level_v1(history, level, x2, result.classes)
     p = level_interp(history, level, x2, history.p)
     bounds = np.cumsum([0] + [len(pl.t) for pl in pathlines]).tolist()
     tables = ([np.full(b - a, i), pl.t, *pl.x.T, *pl.F_e.reshape(-1, 4).T,

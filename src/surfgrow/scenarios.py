@@ -12,6 +12,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -223,6 +224,10 @@ class RunResult:
     pathlines: list[PathlineRecord] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
+    @cached_property
+    def classes(self) -> _Classes:  # the entry classes the run found
+        return _entry_classes(self.history, self.config.boundary_rate * self.history.dt)
+
     @property
     def final(self) -> StepRecord:
         return self.history[-1]
@@ -241,7 +246,7 @@ class RunResult:
         xq = np.array([min(max(x2, 0.0), float(history.H[-1]))])
         return {"F_e": level_F_e(history, level, xq)[0],
                 "p": float(level_interp(history, level, xq, history.p)[0]),
-                "v1": float(level_v1(history, level, xq)[0])}
+                "v1": float(level_v1(history, level, xq, self.classes)[0])}
 
 
 def _require_finite_height(x2: float, name: str) -> None:
@@ -321,15 +326,14 @@ class _Classes:
     + c + u q`` enters at level ``e[c] + u p`` (``e[q] = e[0] + p``), so at
     ``rho + u p`` it holds what cell ``m0 + c`` holds at ``rho``.  ``table``
     is the accreted state's ``F12`` and ``g`` by age from ``-L`` (zeros
-    before 0), ``body`` the initial body's from 0, ``Q`` the running sums of
-    ``g`` along each stride, and ``F22`` the two states'."""
+    before 0), ``body`` the initial body's from 0 (zeros without one), and
+    ``F22`` the two states'; all but ``e`` are views or scalars."""
 
     e: np.ndarray
     p: int
     m0: int
     table: np.ndarray
     body: np.ndarray
-    Q: np.ndarray
     F22: tuple
     dx: float
 
@@ -340,10 +344,15 @@ class _Classes:
         return [slice(c0, min(stop, c0 + step)) for c0 in range(0, stop, step)]
 
     def level_sums(self, cols: np.ndarray) -> np.ndarray:
-        """``P = sum_c Q(cols - e[c])``: ``g`` over each level's accreted cells."""
+        """``P = sum_c Q(cols - e[c])``: ``g`` over each level's accreted cells,
+        ``Q`` the running sums of ``g`` along each stride."""
+        L = len(self.body[1])
+        Q = np.concatenate([np.zeros(L), self.table[1, L:]])
+        with np.errstate(invalid="ignore"):  # both infinities on a stride: NaN
+            _stride_accumulate(np.add, Q[None, L:], self.p)
         P = np.zeros(len(cols))
         for cs in self.chunks(len(cols)):
-            for row in self.Q[len(self.body[1]) + cols - self.e[cs, None]]:
+            for row in Q[L + cols - self.e[cs, None]]:
                 P = P + row
         return P
 
@@ -365,24 +374,14 @@ class _Classes:
 
 
 def _entry_classes(history: History, advance: float | None = None) -> _Classes:
-    """The entry classes of a run's accreted cells, from its map (``History``;
-    any other raises ``ValidationError``) in O(n): ``q`` the smallest period
-    of the gaps between cells' entry levels, ``p`` the levels it spans, such
-    that the cell above a class's last enters after the last level and ``q
-    dx = p advance`` within 16 eps, ``advance`` the front's per level (one
-    fitting only a short schedule misses by ``1 / (p n)`` or more); failing
-    that, each cell is a class (``p = L``)."""
-    col, dx = history.col, history.dx
-    L = max(1, int(col[0]))  # cell 0 enters at the run's first level, at age 0
-    state = (col - 1) // (2 * L)
-    m0 = int(np.count_nonzero(state != state[-1]))
-    a = (2 * state + 1) * L - col  # each cell's entry level
-    if not (np.array_equal(state, (np.arange(len(col)) >= m0) * state[-1])
-            and not np.any(a[:m0]) and np.all(np.diff(a) >= 0)
-            and history.source.shape[1] == 2 * L * (state[-1] + 1)
-            and np.all((history.start >= 0) & (history.start < L))):
-        raise ValidationError("History's map (start, col) is not a run's age-table layout")
-    a = a[m0:]  # the accreted cells'
+    """The entry classes of a run's accreted cells in O(n): ``q`` the smallest
+    period of the gaps between their entry levels (``History.entry``), ``p``
+    the levels it spans, such that the cell above a class's last enters after
+    the last level and ``q dx = p advance`` within 16 eps, ``advance`` the
+    front's per level (one fitting only a short schedule misses by ``1 / (p
+    n)`` or more); failing that, each cell is a class (``p = L``)."""
+    L, m0, dx = history.L, history.m0, history.dx
+    a = history.entry[m0:]  # the accreted cells'
     for q in _periods(np.diff(a).tolist()):
         p = int(a[q] - a[0])
         cells = (len(a) - 1 - np.arange(q)) // q + 1
@@ -391,13 +390,8 @@ def _entry_classes(history: History, advance: float | None = None) -> _Classes:
             break
     else:
         q, p = len(a), L
-    base = (2 * int(state[-1]) + 1) * L
-    table = history.source[:, base - L:base + L]
-    Q = np.concatenate([np.zeros(L), table[1, L:]])
-    with np.errstate(invalid="ignore"):  # both infinities on a stride: NaN
-        _stride_accumulate(np.add, Q[None, L:], p)
-    return _Classes(e=np.append(a[:q], a[0] + p), p=p, m0=m0, table=table,
-                    body=history.source[:, L:2 * L] if m0 else np.zeros((2, L)), Q=Q,
+    return _Classes(e=np.append(a[:q], a[0] + p), p=p, m0=m0, table=history.table(-1),
+                    body=history.table(0)[:, L:] if m0 else np.broadcast_to(0.0, (2, L)),
                     F22=tuple(history.F_e0[[0, -1], 1, 1].tolist()), dx=dx)
 
 
@@ -535,10 +529,8 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     F22 = F_e0[:, 1, 1].copy()
     S22_cells = cell_S22(F22)
 
-    t_levels = np.arange(first, first + levels) * dt
     v_surf = np.empty(levels)
-    metrics = {name: np.empty(levels) for name in METRIC_FIELDS}
-    metrics.update(t=t_levels, H=H)
+    metrics = {name: np.empty(levels) for name in METRIC_FIELDS if name not in ("t", "H")}
     k, t = first, first * dt
     try:
         require_reduced(F_e0)
@@ -551,22 +543,19 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
         # Every cell is marched under the traction that arriving material
         # sets on a body at rest, M v_a + t_b (t_b where it attaches at the
         # body's velocity), so its F_e12 is a function of its age alone.
-        # The age tables, the rows of `source`: per entry state, `levels`
-        # zeros for negative ages, then ages 0 .. levels-1; cell j of level
-        # i reads entry i + col[j].
+        # The age tables (History.table): per entry state, F12 and g by age.
         tau1, tau2 = growth.t_b if growth.v_a is None else growth_traction(
             M, growth.v_a, np.zeros(2), growth.t_b)
         tables = np.zeros((2, len(entries), 2, levels))
         for c, (F, _) in enumerate(entries):
             tables[:, c, 1] = shear_by_age(
                 float(F[0, 1]), float(F[1, 1]), float(tau1), params, dt, levels)
-        source = tables.reshape(2, -1)
-        state = np.repeat(np.arange(len(entries)), [cells for _, cells in entries])
-        col = (2 * state + 1) * levels - np.searchsorted(m, np.arange(n), side="right")
-        history = History(t=t_levels, step=np.arange(first, first + levels), H=H, m=m,
-                          start=np.arange(levels), v_surf=v_surf, metrics=metrics,
-                          source=source, col=col, F_e0=F_e0, p=p, rho=rho, dx=dx, dt=dt)
-        classes = _entry_classes(history, config.boundary_rate * dt)
+        history = History(step=np.arange(first, first + levels), H=H, m=m, v_surf=v_surf,
+                          metrics=metrics, source=tables.reshape(2, -1), F_e0=F_e0, p=p,
+                          rho=rho, dx=dx, dt=dt)
+        metrics.update(t=history.t, H=H)
+        result = RunResult(config=config, history=history)
+        classes = result.classes
         with np.errstate(invalid="ignore"):  # both infinities in a level: NaN
             P = classes.level_sums(np.arange(levels))
             v_surf[:] = dx * (P + m0 * classes.body[1])
@@ -585,7 +574,7 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
             # each level is checked against the traction M (v_a - v) + t_b
             # of its own top velocity v: its top row reads dx M |v| / mu
             tau1 = growth_traction(M, growth.v_a[0], v_surf[rows], growth.t_b[0])
-        F12, g = source[:, np.arange(W) + history.col[top]]  # the top cells'
+        F12, g = history.source[:, history.index(rows, top)]  # the top cells'
         S12 = F12 * F22[top]
         resid_top = np.abs(dx * g - (dx / mu) * (tau1 - G * S12))
         system = np.maximum(interior, resid_top) / np.maximum(1.0, v_abs)
@@ -632,43 +621,15 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
             require_finite(history.columns(W, 0), "F_e12")
             raise SingularSystem("momentum solve produced non-finite values")
         gated = time.perf_counter()
-        oracle_errors = oracle(config, history, classes, P, v_abs)
+        result.oracle_errors = oracle(config, history, classes, P, v_abs)
     except SurfgrowError as exc:
         raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
     phases = {"solve_s": solved - marched, "metrics_s": gated - solved,
               "oracle_s": time.perf_counter() - gated}
-    timings = {"march_s": marched - start, "check_s": sum(phases.values()), **phases,
-               "levels": levels, "classes": len(classes.e) - 1, "period": classes.p,
-               "cell_levels": int(m.sum())}
-    return RunResult(config=config, history=history, oracle_errors=oracle_errors,
-                     timings=timings)
-
-
-def _age_rows(history: History) -> list[tuple[int, slice]]:
-    """``_run_1d``'s age tables: per entry state active at the history's last
-    level, its first cell and the slice of a ``source`` row holding its ages
-    ``0`` to that cell's age there, every age the state has reached."""
-    col, last = history.col, int(history.start[-1])
-    levels = int(col[0])  # cell 0 enters at the run's first level, at age 0
-    firsts = np.flatnonzero(np.diff(col, prepend=-1) > 0)
-    return [(j, slice((2 * c + 1) * levels, last + int(col[j]) + 1))
-            for c, j in enumerate(firsts.tolist()) if j < history.m[-1]]
-
-
-def _shear_since_entry(history: History) -> np.ndarray:
-    """Each cell's shear ``F12`` of ``F = I + F12 e1 (x) e2`` since it entered
-    the run, laid out like a row of ``source``, so a level's is gathered
-    through the map as ``History.columns`` gathers its ``F_e12``: per entry
-    state, 0 at the negative ages and then the running sum of ``dt g`` over
-    the ages before each one, summed from 0 in order as a march of ``F12 +
-    dt g`` level by level sums it."""
-    levels = int(history.col[0])
-    F12 = np.zeros_like(history.source[1]).reshape(-1, 2, levels)
-    by_age = F12[:, 1]
-    np.multiply(history.dt, history.source[1].reshape(F12.shape)[:, 1, :-1],
-                out=by_age[:, 1:])
-    np.cumsum(by_age, axis=1, out=by_age)
-    return F12.reshape(-1)
+    result.timings = {"march_s": marched - start, "check_s": sum(phases.values()), **phases,
+                      "levels": levels, "classes": len(classes.e) - 1, "period": classes.p,
+                      "cell_levels": int(m.sum())}
+    return result
 
 
 def run_non_normal(config: ScenarioConfig) -> RunResult:
@@ -779,22 +740,23 @@ def level_F_e(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray
     """``F_e`` at the heights ``x2`` of the stored levels ``level``, as
     ``(len(x2), 2, 2)``: each component ``np.interp``-ed over its level's
     cell centers, bitwise, with no level's ``F_e`` built.  ``F_e12`` is
-    gathered through the history's map (``interp_prefix``)."""
+    gathered through the history's map (``History.interp``)."""
     F = np.empty((len(x2), 2, 2))
     for i, j in ((0, 0), (1, 0), (1, 1)):
         F[:, i, j] = level_interp(history, level, x2, history.F_e0[:, i, j])
-    F[:, 0, 1] = interp_prefix(x2, history.centers, history.m[level], history.source[0],
-                               history.start[level], history.col)
+    F[:, 0, 1] = history.interp(0, level, x2)
     return F
 
 
-def level_v1(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def level_v1(history: History, level: np.ndarray, x2: np.ndarray,
+             classes: _Classes | None = None) -> np.ndarray:
     """``v1`` at the heights ``x2`` of the stored levels ``level``,
     ``np.interp(x2, faces, History.v_nodes(level))`` to round-off: on the two
     face velocities around each height (``face dx g`` in the body, ``dx (Y
     - Z)`` above), in windows of ``CLASS_CELLS // 8`` heights by level, with
-    class rows only at the levels and up to the highest class they read."""
-    classes, faces, v1 = _entry_classes(history), history.faces, np.empty(len(x2))
+    class rows only at the levels and up to the highest class they read, by
+    the run's ``classes`` (``RunResult.classes``) or, without them, its own."""
+    classes, faces, v1 = classes or _entry_classes(history), history.faces, np.empty(len(x2))
     order = np.argsort(level, kind="stable")
     for k in range(0, len(x2), max(1, CLASS_CELLS // 8)):
         idx = order[k:k + max(1, CLASS_CELLS // 8)]
@@ -838,10 +800,12 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
     leaves ``F_e11``, ``F_e21`` and ``F_e22`` as they are and adds
     ``h (g F_e22)`` to ``F_e12``, and ``x1`` gains ``h v1``: both are
     running sums over the levels.  So every step's ``g`` and ``v1`` are
-    gathered at once (``interp_prefix``, ``level_v1``) and each pathline is
+    gathered at once (``History.interp``, ``level_v1``) and each pathline is
     two ``cumsum`` calls.
     A seed first reached at the last level has no step and is skipped.
     """
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+        raise ValidationError(f"count must be a nonnegative integer, got {count!r}")
     history = result.history
     last = len(history) - 1
     times, heights = history.t, history.H
@@ -861,10 +825,8 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
         raise OutOfDomain(f"characteristic left the body at t = "
                           f"{times[level[left].min() + 1]:g}")
     F0 = level_F_e(history, j0, x2)
-    g = interp_prefix(z, history.centers, history.m[level], history.source[1],
-                      history.start[level], history.col)
-    dF12 = h[seed] * (g * F0[seed, 1, 1])
-    dx1 = h[seed] * level_v1(history, level, z)
+    dF12 = h[seed] * (history.interp(1, level, z) * F0[seed, 1, 1])
+    dx1 = h[seed] * level_v1(history, level, z, result.classes)
     pathlines = []
     for i, (j, a, n) in enumerate(zip(j0.tolist(), starts.tolist(), steps.tolist())):
         F = np.empty((n + 1, 2, 2))
@@ -939,17 +901,17 @@ def reconstruct_reference(history: History) -> list[ReconstructedFrame]:
     Each cell's reference is its shape when it entered the run, so ``F =
     I`` there (accreted material's reference is its as-deposited shape), and
     ``F = I + F12 e1 (x) e2`` after, ``F12`` read from the age tables
-    (``_shear_since_entry``).  ``F_relax = F_e^{-1} F`` comes from the
+    (``History.shear_since_entry``).  ``F_relax = F_e^{-1} F`` comes from the
     adjugate, and its 21 entry is 0.  ``NotReduced`` is raised for a nonzero
     ``F_e21``, and ``SingularTensor`` when a level holds a cell with ``|det
     F_e| <= EPS_DET``.
     """
     _, _, det, r11, r22 = _inverse_entry_states(history)
-    shear = _shear_since_entry(history)
+    shear = history.shear_since_entry()
     frames = []
     for k in range(len(history)):
         m = int(history.m[k])
-        index = history.start[k] + history.col[:m]
+        index = history.index(k)
         f12, b = shear[index], history.source[0, index]
         F = identity((m,))
         F[:, 0, 1] = f12
@@ -964,13 +926,13 @@ def reconstruction_roundtrip_error(result: RunResult) -> float:
     """Max defect of ``F_e F_relax`` against ``F`` (``reconstruct_reference``)
     over every cell of every level, each over its own ``max(1, |F12|)``.
     A cell's defect depends on its entry state and age alone, so it is taken
-    over the age tables (``_age_rows``; see the README's round trip).
+    over the age tables (``History.age_rows``; see the README's round trip).
     Raises as ``reconstruct_reference`` does."""
     history = result.history
     states = _inverse_entry_states(history)
-    shear = _shear_since_entry(history)
+    shear = history.shear_since_entry()
     worst = 0.0
-    for first, ages in _age_rows(history):
+    for first, ages in history.age_rows():
         a, d, det, r11, r22 = (float(x[first]) for x in states)
         b, f12 = history.source[0, ages], shear[ages]
         # F_e F_relax entry by entry against F = [[1, f12], [0, 1]]; both 21

@@ -16,9 +16,8 @@ import numpy as np
 
 from .constitutive import MaterialParams
 from .errors import UsageError
-from .scenarios import (RunResult, ScenarioConfig, _age_rows, convergence_runs,
-                        reconstruct_reference, run_mu_sweep, run_thermal,
-                        trace_history_pathlines)
+from .scenarios import (RunResult, ScenarioConfig, convergence_runs, reconstruct_reference,
+                        run_mu_sweep, run_thermal, trace_history_pathlines)
 from .tensors import det
 
 
@@ -123,7 +122,7 @@ def verify_fdm_shear(resolutions=(16, 50, 200)):
     # such pair occurs, so the drift is the largest step along the age rows.
     F12 = result.history.source[0]
     drift = max(float(np.max(np.abs(np.diff(F12[ages])), initial=0.0))
-                for _, ages in _age_rows(result.history))
+                for _, ages in result.history.age_rows())
     rows.append(CheckRow("steady_step_to_step_drift", drift, 1e-12))
     rows.append(CheckRow("runtime_s", elapsed, 5.0))
     rows += _residual_rows(result)
@@ -134,12 +133,12 @@ def _rest_deviation(history) -> float:
     """Largest deviation of any stored level from rest, ``F_e = I`` and ``v1 =
     0``, in O(levels): the levels hold prefixes of the last level's cells,
     whose ``F_e11``, ``F_e21`` and ``F_e22`` are per-cell constants, and read
-    ``F_e12`` and ``g`` from the age rows (``_age_rows``).  A level's ``v1``
+    ``F_e12`` and ``g`` from the age rows (``History.age_rows``).  A level's ``v1``
     is a running sum of at most ``m`` terms ``dx g``, so it counts as ``dx m
     max|g|``, an upper bound that is 0 exactly when every ``g`` is."""
     cells = int(history.m[-1])
     F_e0 = history.F_e0[:cells]
-    F12, g = np.concatenate([history.source[:, ages] for _, ages in _age_rows(history)],
+    F12, g = np.concatenate([history.source[:, ages] for _, ages in history.age_rows()],
                             axis=1)
     return max(float(np.max(np.abs(x))) for x in (
         F_e0[:, 0, 0] - 1.0, F12, F_e0[:, 1, 0], F_e0[:, 1, 1] - 1.0,

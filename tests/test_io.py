@@ -91,12 +91,12 @@ def _tiny_config(n_cells=16):
 
 
 def test_write_fields_single_snapshot_row_count(tmp_path):
-    # one level of 4 cells
-    history = History(t=np.zeros(1), step=np.zeros(1, dtype=int), H=np.ones(1),
-                      m=np.array([4]), start=np.zeros(1, dtype=int), v_surf=np.zeros(1),
-                      metrics={k: np.zeros(1) for k in METRIC_FIELDS},
-                      source=np.zeros((2, 4)), col=np.arange(4), F_e0=identity((4,)),
-                      p=np.ones(4), rho=np.ones(4), dx=0.25, dt=0.5)
+    # one level of 4 cells in one entry state, whose age table is a zero
+    # and age 0
+    history = History(step=np.zeros(1, dtype=int), H=np.ones(1), m=np.array([4]),
+                      v_surf=np.zeros(1), metrics={k: np.zeros(1) for k in METRIC_FIELDS},
+                      source=np.zeros((2, 2)), F_e0=identity((4,)), p=np.ones(4),
+                      rho=np.ones(4), dx=0.25, dt=0.5)
     result = RunResult(config=_tiny_config(), history=history)
     manifest = write_fields(result, tmp_path / "out")
     lines = (tmp_path / "out" / "snapshot_0000.csv").read_text().splitlines()
@@ -250,20 +250,18 @@ def _odd_values_result(metrics=None):
     dx, m = 0.25, np.array([1, 3, 4])
     # the run's age tables (``History``): per entry state, zeros for the
     # negative ages and then the ages 0 .. 2.  Cell 0 is the initial body,
-    # cells 1 to 3 enter at the levels 1, 1 and 2; v_nodes is the running
-    # sum of dx g
+    # cells 1 to 3 enter at the levels 1, 1 and 2; v_surf is the running
+    # sum of dx g to the top face
     by_age = np.zeros((2, 2, 2, 3))  # (F_e12 or g, state, zeros or ages, age)
     by_age[0, :, 1] = [[-0.0, 1.0 / 3.0, np.nan], [1e300, nan2[0], -5e-324]]
     by_age[1, :, 1] = np.reshape([-np.inf, 5e-324, 1.0 / 3.0, 1e300, np.nan, np.inf], (2, 3)) / dx
-    source, col = by_age.reshape(2, -1), np.array([3, 8, 8, 7])
     rows = metrics or [{name: 0.0 for name in METRIC_FIELDS}] * 3
     history = History(
-        t=0.5 * np.arange(3), step=np.arange(3), H=np.array([0.5, 0.75, 1.0]), m=m,
-        start=np.arange(3),
-        v_surf=np.array([np.sum(dx * source[1, k + col[:mk]]) for k, mk in enumerate(m)]),
+        step=np.arange(3), H=np.array([0.5, 0.75, 1.0]), m=m, v_surf=np.empty(3),
         metrics={name: np.array([row[name] for row in rows]) for name in rows[0]},
-        source=source, col=col, F_e0=odd.reshape(2, 2, 2).repeat(2, 0),
+        source=by_age.reshape(2, -1), F_e0=odd.reshape(2, 2, 2).repeat(2, 0),
         p=odd[3:7].copy(), rho=np.array([0.0, 0.0, -0.0, 0.0]), dx=dx, dt=0.5)
+    history.v_surf[:] = [np.sum(dx * history.columns(k, 1)) for k in range(3)]
     sign_and_payload = np.resize([1.0, 0.0, 0.0, 1.0], (3, 2, 2))
     sign_and_payload[:, 1, 0] = [np.nan, nan2[0], np.nan]
     pathlines = [
@@ -308,24 +306,10 @@ def test_csv_rows_match_per_value_fmt(tmp_path):
 
 
 def test_face_velocities_read_only_the_runs_layout():
-    # v1 is read by entry class from the run's age tables; the same levels
-    # stored one after another (each level's F_e12 and g in a row of its
-    # own, col the cell index) have none, and probe and level_v1 refuse
-    # them; a slice of the run keeps its layout
-    res = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=32, t_end=0.5))
-    h = res.history
-    source = np.concatenate([h.columns(k) for k in range(len(h))], axis=1)
-    other = History(t=h.t, step=h.step, H=h.H, m=h.m, start=np.cumsum(h.m) - h.m,
-                    v_surf=h.v_surf, metrics=h.metrics, source=source,
-                    col=np.arange(len(h.col)), F_e0=h.F_e0, p=h.p, rho=h.rho, dx=h.dx,
-                    dt=h.dt)
-    for k in range(len(h)):
-        assert other.columns(k).tobytes() == h.columns(k).tobytes()
-    level, x2 = np.array([0, len(h) - 1]), np.array([0.01, 0.2])
-    with pytest.raises(ValidationError, match="layout"):
-        level_v1(other, level, x2)
-    with pytest.raises(ValidationError, match="layout"):
-        replace(res, history=other).probe(0.2)
+    # v1 is read by entry class from the run's age tables, the one layout a
+    # History holds (tests/test_scenarios.py's map test refuses any other);
+    # a slice of the run keeps it
+    h = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=32, t_end=0.5)).history
     later = np.arange(3, len(h))
     x2 = np.linspace(0.0, 1.0, len(later)) * h.H[later]
     assert level_v1(h[3:], later - 3, x2).tobytes() == level_v1(h, later, x2).tobytes()

@@ -2,7 +2,7 @@
 
 ``trace_history_pathlines``, ``pathline_grid_discrepancy`` and the
 ``pathlines.csv`` writer gather every sample's values through the run's
-map (``History.source``, ``start``, ``col``).  The references below are
+map (``History.interp``, ``level_v1``).  The references below are
 the per-level loops they replace (one ``np.interp`` call per level and
 component, one array RK2 step per level), and every comparison is bitwise.
 """
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import surfgrow.scenarios
 from surfgrow import (MaterialParams, OutOfDomain, PathlineRecord, ScenarioConfig,
-                      pathline_grid_discrepancy, run_scenario, trace_history_pathlines,
-                      write_fields)
+                      ValidationError, pathline_grid_discrepancy, run_scenario,
+                      trace_history_pathlines, write_fields)
 from surfgrow.grids import interp_prefix
 from surfgrow.output import fmt
 from surfgrow.scenarios import CLASS_CELLS, level_v1, pathline_levels
@@ -259,6 +259,17 @@ def test_leaving_the_body_raises_at_the_earliest_level():
         trace_history_pathlines(result, count=20)
     assert str(raised.value) == str(expected.value)
     assert f"t = {result.history.t[70]:g}" in str(raised.value)
+
+
+def test_trace_refuses_a_count_that_is_not_a_nonnegative_integer():
+    # as ScenarioConfig refuses such an n_cells: 2.5 once traced 2 pathlines
+    # seeded at 0.2 H and 0.6 H, and True traced 1
+    result = run_scenario(_config("non_normal", n_cells=40, t_end=0.5))
+    for count in (2.5, 2.0, True, False, -1, "3", None):
+        with pytest.raises(ValidationError, match="count"):
+            trace_history_pathlines(result, count=count)
+    assert trace_history_pathlines(result, count=0) == []
+    assert len(trace_history_pathlines(result, count=np.int64(3))) == 3
 
 
 def _scratch_peak(result, count):

@@ -705,11 +705,71 @@ def test_roundtrip_by_age_agrees_with_the_replay_by_level(make, mu, alpha):
     assert value <= 1e-8
 
 
+def _columns_by_age(cfg, history):
+    """Each level's ``F_e12`` and ``g`` as a ``(2, m)`` array, from the
+    schedule ``m`` and the recurrence ``shear_by_age`` alone: cell ``j``
+    enters at the first level that holds it, in the initial body's entry
+    state if the run's step 0 holds it and else in the deposit's, and holds
+    at level ``k`` its state's entry at age ``k`` less its entry level."""
+    m, n = history.m, len(history.F_e0)
+    entry = np.array([int(np.argmax(m > j)) for j in range(n)])
+    state = (int(history.step[0]) == 0) & (np.arange(n) >= m[0])
+    tables = np.zeros((2, 2, len(m)))  # (state, F_e12 or g, age)
+    for s in np.unique(state):
+        F = history.F_e0[np.argmax(state == s)]
+        tables[int(s)] = shear_by_age(float(F[0, 1]), float(F[1, 1]),
+                                      float(_traction(cfg, 0.0)[0]), cfg.params, history.dt,
+                                      len(m))
+    for k in range(len(history)):
+        j = np.arange(m[k])
+        yield tables[state[j].astype(int), :, k - entry[j]].T
+
+
+MAP_CONFIGS = [nn_config(n_cells=32, t_end=0.25), fdm_config(n_cells=32, t_end=0.25),
+               thermal_config(n_cells=32, t_end=0.25),
+               # one entry state holds the whole body: a body at rest under no
+               # feed, and a thermal deposit grown from nothing
+               fdm_config(n_cells=32, t_end=0.25, v0=0.0),
+               thermal_config(n_cells=32, t_end=0.25, H0=0.0)]
+
+
+@pytest.mark.parametrize("cfg", MAP_CONFIGS, ids=["non_normal", "fdm_shear", "thermal",
+                                                  "fdm_shear_at_rest", "thermal_from_nothing"])
+def test_history_derives_its_map_from_the_schedule(cfg):
+    history = run_scenario(cfg).history
+    assert history.m[-1] == len(history.F_e0)
+    assert np.array_equal(history.start, np.arange(len(history)))
+    assert _bits(history.t) == _bits(history.step * history.dt)
+    assert history.metrics["t"] is history.t
+    for k, expected in enumerate(_columns_by_age(cfg, history)):
+        assert _bits(history.columns(k)) == _bits(expected), k
+    # a source of another width than one or two age tables, or a
+    # decreasing schedule, is refused at construction
+    inputs = dict(step=history.step, H=history.H, m=history.m, v_surf=history.v_surf,
+                  metrics=history.metrics, source=history.source, F_e0=history.F_e0,
+                  p=history.p, rho=history.rho, dx=history.dx, dt=history.dt)
+    same = History(**inputs)
+    assert _bits(same.col) == _bits(history.col) and same.m0 == history.m0
+    L = len(history)
+    for width in (L, 2 * L - 1, 2 * L + 1, 6 * L):
+        source = np.zeros((2, width))
+        with pytest.raises(ValidationError, match="age tables"):
+            History(**{**inputs, "source": source})
+    m = history.m.copy()
+    m[[L // 2, L // 2 + 1]] = m[L // 2] + 1, m[L // 2]
+    with pytest.raises(ValidationError, match="nondecreasing"):
+        History(**{**inputs, "m": m})
+    # two tables, but the first level holds every cell: no deposited cell
+    with pytest.raises(ValidationError, match="a cell in each"):
+        History(**{**inputs, "m": np.full(L, len(history.F_e0)),
+                   "source": np.zeros((2, 4 * L))})
+
+
 @pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
 def test_age_rows_hold_every_level_s_columns(make):
     history = run_scenario(make(n_cells=32, t_end=0.25)).history
     states = [(first, history.source[:, ages])
-              for first, ages in surfgrow.scenarios._age_rows(history)]
+              for first, ages in history.age_rows()]
     n = len(history.F_e0)
     firsts = [first for first, _ in states]
     assert firsts[0] == 0 and len(states) == (1 if make is nn_config else 2)
@@ -737,7 +797,7 @@ def test_reconstruction_of_a_slice_is_the_slice_of_the_reconstruction(make):
     history = res.history
     frames = reconstruct_reference(history)
     roundtrip = reconstruction_roundtrip_error(res)
-    rows = surfgrow.scenarios._age_rows(history)
+    rows = history.age_rows()
     entered = _entered(history)
     for k in (1, 5, entered, len(history) // 2, len(history) - 1):
         part = reconstruct_reference(history[k:])
@@ -745,7 +805,7 @@ def test_reconstruction_of_a_slice_is_the_slice_of_the_reconstruction(make):
         for frame, ref in zip(part, frames[k:], strict=True):
             assert frame.t == ref.t
             assert _bits(frame.F) == _bits(ref.F) and _bits(frame.F_relax) == _bits(ref.F_relax)
-        assert surfgrow.scenarios._age_rows(history[k:]) == rows
+        assert history[k:].age_rows() == rows
         sliced = replace(res, history=history[k:])
         assert _bits(reconstruction_roundtrip_error(sliced)) == _bits(roundtrip), k
     for k, j in ((0, entered), (3, entered + 7), (entered, len(history) - 2)):
@@ -1638,14 +1698,12 @@ def test_no_pass_builds_a_stored_F_e(make, tmp_path):
         assert rec.F_e12.shape == rec.g.shape == (m,)
         for view in (rec.F_e0, rec.p, rec.rho):
             assert view.base is not None and not view.flags.writeable
-    # a record's F_e12 and g are gathered through the history's map, each
-    # level's cells from entry start[k] + col[j] of the two source rows,
-    # into arrays of the record's own
+    # a record's F_e12 and g are each cell's entry state's values at its
+    # age, gathered into arrays of the record's own
     history = res.history
-    for k, rec in enumerate(history):
-        index = history.start[k] + history.col[:rec.grid.n_cells]
-        for row, values in enumerate((rec.F_e12, rec.g)):
-            assert _bits(values) == _bits(history.source[row, index])
+    for rec, expected in zip(history, _columns_by_age(cfg, history), strict=True):
+        for values, reference in zip((rec.F_e12, rec.g), expected, strict=True):
+            assert _bits(values) == _bits(reference)
             assert not np.shares_memory(values, history.source)
 
 
@@ -2038,8 +2096,9 @@ def test_sweep_members_keep_every_gate(monkeypatch):
 
 
 # The audit of the per-level checks: one fault class at a time, injected
-# through the age tables (``shear_by_age``) or the map (``History``'s
-# ``col``) from age 10 on.  Per kind and class: the check that refuses the
+# through the age tables (``shear_by_age``) from age 10 on.  A wrong map
+# cannot be built: ``History`` derives it from the schedule
+# (``test_history_derives_its_map_from_the_schedule``).  Per kind and class: the check that refuses the
 # run first (its error's name, or None for a run that passes every check),
 # the stored level where it does, and the gated residuals that pass the
 # limit at that level when the gate is lifted.
@@ -2048,16 +2107,16 @@ NON_FINITE = "momentum solve produced non-finite values"  # the v_surf check
 AUDIT = {
     "non_normal": {"shear": ("reduced solve", AUDIT_AGE, {"system"}),
                    "rate": ("reduced solve", AUDIT_AGE, {"system"}),
-                   "col": None, "non_finite": (NON_FINITE, AUDIT_AGE, None),
+                   "non_finite": (NON_FINITE, AUDIT_AGE, None),
                    "moving_top": None, "entry_state": None},
     "fdm_shear": {"shear": ("reduced solve", AUDIT_AGE, {"system", "momentum", "traction"}),
                   "rate": ("reduced solve", AUDIT_AGE, {"system", "momentum", "traction"}),
-                  "col": None, "non_finite": (NON_FINITE, AUDIT_AGE, None),
+                  "non_finite": (NON_FINITE, AUDIT_AGE, None),
                   "moving_top": ("momentum jump", AUDIT_AGE, {"momentum", "traction"}),
                   "entry_state": ("reduced solve", 0, {"system", "momentum", "traction"})},
     "thermal": {"shear": ("reduced solve", AUDIT_AGE, {"system"}),
                 "rate": ("reduced solve", AUDIT_AGE, {"system"}),
-                "col": None, "non_finite": (NON_FINITE, AUDIT_AGE, None),
+                "non_finite": (NON_FINITE, AUDIT_AGE, None),
                 "moving_top": None, "entry_state": None},
 }
 
@@ -2066,7 +2125,6 @@ def _inject(monkeypatch, fault):
     """Inject one fault class into every run that follows:
     - ``shear``: the tables' shears from age 10 on offset by 1e-3;
     - ``rate``: their rates offset the same way;
-    - ``col``: the map reads the grid's last cell one age too old;
     - ``non_finite``: a NaN rate at age 10;
     - ``moving_top``: shears offset by 2e-4 from age 10 on with the rates
       the march's traction gives them, so every first integral holds and
@@ -2074,15 +2132,6 @@ def _inject(monkeypatch, fault):
     - ``entry_state``: every table starts from an entry shear off by 1e-3.
     """
     recurrence = surfgrow.scenarios.shear_by_age
-    if fault == "col":
-        class WrongCol(History):
-            def __init__(self, *, col, **kwargs):
-                col = col.copy()
-                col[-1] += 1
-                super().__init__(col=col, **kwargs)
-
-        monkeypatch.setattr(surfgrow.scenarios, "History", WrongCol)
-        return
 
     def faulty(F12, F22, tau1, params, dt, ages):
         if fault == "entry_state":
@@ -2104,7 +2153,7 @@ def _inject(monkeypatch, fault):
     monkeypatch.setattr(surfgrow.scenarios, "shear_by_age", faulty)
 
 
-@pytest.mark.parametrize("fault", ["shear", "rate", "col", "non_finite", "moving_top",
+@pytest.mark.parametrize("fault", ["shear", "rate", "non_finite", "moving_top",
                                    "entry_state"])
 @pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
 def test_audit_names_the_first_check_each_fault_class_trips(monkeypatch, make, fault):
