@@ -110,38 +110,39 @@ class History(Sequence):
     ``StepRecord``.
 
     Per level: ``step``, ``t = step dt``, the height ``H``, the active cell
-    count ``m``, its index ``start`` in the run, ``v_surf`` and one array
-    per metric in ``metrics``.  The levels' ``F_e12`` and ``g`` are the rows
-    of ``source``, the age tables of one or two entry states (``table``),
-    each ``L = len(m)`` zeros and then the ages ``0 .. L - 1``; with two,
-    the initial body's ``m0 = m[0]`` cells are in the first.  Cell ``j`` of
-    level ``k``, of age ``k`` less its ``entry`` level, is entry ``start[k]
-    + col[j]`` (``index``), ``col`` derived from ``m``, which must not
-    decrease.  Indexing builds a level's record on first access and keeps
-    it; a slice shares the columns, map and records.  ``columns``, ``grid``,
-    ``v_nodes`` and ``F_e_columns`` read a level without a record; each
-    level holds a prefix of the run's ``centers`` and ``faces``.
+    count ``m`` (nondecreasing), ``v_surf`` and one array per metric in
+    ``metrics``.  ``tables`` holds per entry state ``F_e12`` and ``g`` at
+    the ages ``0 .. L - 1`` (``L = len(m)``); with two, the initial body's
+    ``m0 = m[0]`` cells are in the first.  Cell ``j`` of level ``k`` holds
+    its state's age ``k`` less its ``entry`` level: the history alone lays
+    the tables out (``source``) and maps a level's cells into them
+    (``index``).  Indexing builds a level's record on first access and
+    keeps it; a slice shares the columns, map and records.  ``columns``,
+    ``grid``, ``v_nodes`` and ``F_e_columns`` read a level without a
+    record; each level holds a prefix of the run's ``centers`` and ``faces``.
     """
 
-    LEVEL_COLUMNS = ("t", "step", "H", "m", "start", "v_surf")
+    LEVEL_COLUMNS = ("t", "step", "H", "m", "v_surf")
 
-    def __init__(self, *, step, H, m, v_surf, metrics: dict, source: np.ndarray,
-                 F_e0: np.ndarray, p: np.ndarray, rho: np.ndarray, dx: float, dt: float):
-        L, width = len(m), source.shape[1]
-        two = L and width == 4 * L and 0 < m[0] < len(F_e0)  # a cell in each state
-        if not ((two or L and width == 2 * L) and np.all(np.diff(m) >= 0)):
-            raise ValidationError(f"History needs a nondecreasing m and 1 or 2 age tables "
-                                  f"of {2 * L} entries, a cell in each, got {width} entries")
+    def __init__(self, *, step, H, m, v_surf, metrics: dict, tables, F_e0: np.ndarray,
+                 p: np.ndarray, rho: np.ndarray, dx: float, dt: float):
+        tables, L = np.asarray(tables, dtype=float), len(m)  # (state, F_e12 or g, age)
+        two = L and len(tables) == 2 and 0 < m[0] < len(F_e0)  # a cell in each state
+        if not ((two or L and len(tables) == 1) and tables.shape[1:] == (2, L)
+                and np.all(np.diff(m) >= 0)):
+            raise ValidationError(f"History needs a nondecreasing m and the age tables of 1 "
+                                  f"or 2 entry states, a cell in each, of ages 0 .. {L - 1}")
+        source = np.zeros((2, len(tables), 2, L))  # per state, zeros for the ages -L .. -1
+        source[:, :, 1] = tables.swapaxes(0, 1)
+        self.source, self.L, self.m0 = source.reshape(2, -1), L, int(m[0]) if two else 0
         self.t, self.step, self.H, self.m, self.v_surf = step * dt, step, H, m, v_surf
-        self.start, self.metrics, self.source, self.L = np.arange(L), metrics, source, L
-        self.m0 = int(m[0]) if two else 0
         self.F_e0, self.p, self.rho, self.dx, self.dt = F_e0, p, rho, dx, dt
-        cells = np.arange(len(F_e0))
+        cells, self.first, self.metrics = np.arange(len(F_e0)), int(step[0]), metrics
         self.col = self._ages_from(cells) - np.searchsorted(m, cells, side="right")
         self._records: dict[int, StepRecord] = {}
 
     def __len__(self) -> int:
-        return len(self.start)
+        return len(self.step)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -151,12 +152,11 @@ class History(Sequence):
             view.metrics = {name: col[k] for name, col in self.metrics.items()}
             return view
         k = range(len(self))[k]  # a list's negative indices and IndexError
-        level = int(self.start[k])
-        rec = self._records.get(level)
+        rec = self._records.get(int(self.step[k]))
         if rec is None:
             mk = int(self.m[k])
             F_e12, g = self.columns(k)
-            rec = self._records[level] = StepRecord(
+            rec = self._records[int(self.step[k])] = StepRecord(
                 t=float(self.t[k]), step=int(self.step[k]), grid=self.grid(k),
                 F_e12=F_e12, g=g, F_e0=self.F_e0[:mk], p=self.p[:mk],
                 rho=self.rho[:mk], v_surf=float(self.v_surf[k]),
@@ -169,7 +169,8 @@ class History(Sequence):
 
     def index(self, k, cells=None) -> np.ndarray:
         """The entries of ``source`` that level ``k``'s cells (or ``cells``) read."""
-        return self.start[k] + self.col[slice(int(self.m[k])) if cells is None else cells]
+        cells = slice(int(self.m[k])) if cells is None else cells
+        return self.step[k] - self.first + self.col[cells]
 
     @property
     def entry(self) -> np.ndarray:
@@ -177,13 +178,18 @@ class History(Sequence):
         return self._ages_from(np.arange(len(self.col))) - self.col
 
     def table(self, state: int) -> np.ndarray:
-        """Entry state ``state``'s ``F_e12`` and ``g`` by age from ``-L``, a view."""
-        return self.source.reshape(2, -1, 2 * self.L)[:, state]
+        """Entry state ``state``'s ``F_e12`` and ``g`` at the ages ``0 .. L - 1``, a view."""
+        return self.source.reshape(2, -1, 2, self.L)[:, state, 1]
+
+    def at_ages(self, state: int, ages: np.ndarray) -> np.ndarray:
+        """``table(state)`` at ``ages`` in ``-L .. L - 1``, zeros at the negative ones."""
+        return np.take(self.source.reshape(2, -1, 2 * self.L)[:, state], self.L + ages,
+                       axis=-1, mode="clip")
 
     def age_rows(self) -> list[tuple[int, slice]]:
         """Per entry state that the last level holds, its first cell and the
         slice of a ``source`` row of its ages ``0`` to that cell's there."""
-        return [(j, slice(int(self._ages_from(j)), int(self.start[-1] + self.col[j]) + 1))
+        return [(j, slice(int(self._ages_from(j)), int(self.index(-1, j)) + 1))
                 for j in sorted({0, self.m0}) if j < self.m[-1]]
 
     def shear_since_entry(self) -> np.ndarray:
@@ -219,7 +225,7 @@ class History(Sequence):
     def interp(self, row: int, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """``F_e12`` (``row=0``) or ``g`` of the levels ``level`` at ``x2``."""
         return interp_prefix(x2, self.centers, self.m[level], self.source[row],
-                             self.start[level], self.col)
+                             self.step[level] - self.first, self.col)
 
     def v_nodes(self, k: int) -> np.ndarray:
         """Level ``k``'s face velocities, as its record computes them."""
@@ -233,10 +239,9 @@ class History(Sequence):
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the history holds: the sources of ``F_e12``
-        and ``g``, the map (``start``, ``col``) and the shared ``F_e0``,
-        ``p`` and ``rho``, each once."""
-        return sum(a.nbytes for a in (self.source, self.start, self.col, self.F_e0,
-                                      self.p, self.rho))
+        and ``g``, the map ``col`` and the shared ``F_e0``, ``p`` and
+        ``rho``, each once."""
+        return sum(a.nbytes for a in (self.source, self.col, self.F_e0, self.p, self.rho))
 
 
 def interp_prefix(x: np.ndarray, xp: np.ndarray, n, fp: np.ndarray, start,

@@ -324,18 +324,14 @@ class _Classes:
     """A run's cells by entry class (``_entry_classes``): the ``m0`` cells
     of the initial body hold age ``i`` at level ``i``, and accreted cell ``m0
     + c + u q`` enters at level ``e[c] + u p`` (``e[q] = e[0] + p``), so at
-    ``rho + u p`` it holds what cell ``m0 + c`` holds at ``rho``.  ``table``
-    is the accreted state's ``F12`` and ``g`` by age from ``-L`` (zeros
-    before 0), ``body`` the initial body's from 0 (zeros without one), and
-    ``F22`` the two states'; all but ``e`` are views or scalars."""
+    ``rho + u p`` it holds what cell ``m0 + c`` holds at ``rho``.  The run's
+    ``history`` holds the accreted state's ``F12`` and ``g`` by age
+    (``at_ages``); ``body`` is the initial body's (zeros without one)."""
 
     e: np.ndarray
     p: int
-    m0: int
-    table: np.ndarray
+    history: History
     body: np.ndarray
-    F22: tuple
-    dx: float
 
     def chunks(self, width: int, stop: int | None = None) -> list[slice]:
         """Slices of the classes below ``stop``, ``CLASS_CELLS`` entries each."""
@@ -343,16 +339,18 @@ class _Classes:
         stop = len(self.e) - 1 if stop is None else stop
         return [slice(c0, min(stop, c0 + step)) for c0 in range(0, stop, step)]
 
-    def level_sums(self, cols: np.ndarray) -> np.ndarray:
-        """``P = sum_c Q(cols - e[c])``: ``g`` over each level's accreted cells,
-        ``Q`` the running sums of ``g`` along each stride."""
-        L = len(self.body[1])
-        Q = np.concatenate([np.zeros(L), self.table[1, L:]])
+    def stride_sums(self) -> np.ndarray:
+        """``Q``, the accreted ``g`` by age from ``-L`` summed along each stride."""
+        Q = np.concatenate([np.zeros(self.history.L), self.history.table(-1)[1]])
         with np.errstate(invalid="ignore"):  # both infinities on a stride: NaN
-            _stride_accumulate(np.add, Q[None, L:], self.p)
+            _stride_accumulate(np.add, Q[None, self.history.L:], self.p)
+        return Q
+
+    def level_sums(self, Q: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``P = sum_c Q(cols - e[c])``: ``g`` over each level's accreted cells."""
         P = np.zeros(len(cols))
         for cs in self.chunks(len(cols)):
-            for row in Q[L + cols - self.e[cs, None]]:
+            for row in Q[self.history.L + cols - self.e[cs, None]]:
                 P = P + row
         return P
 
@@ -367,13 +365,13 @@ class _Classes:
         C = np.zeros(len(cols))
         for cs in self.chunks(len(cols), stop):
             ages = cols - self.e[cs.start:cs.stop + 1, None]
-            F12, g = np.take(self.table, len(self.body[1]) + ages, axis=1, mode="clip")
+            F12, g = self.history.at_ages(-1, ages)
             C = np.array(list(accumulate(g[:-1], initial=C)))
             yield cs, ages, F12, g, P - C[:-1], P - C[1:]
             C = C[-1]
 
 
-def _entry_classes(history: History, advance: float | None = None) -> _Classes:
+def _entry_classes(history: History, advance: float) -> _Classes:
     """The entry classes of a run's accreted cells in O(n): ``q`` the smallest
     period of the gaps between their entry levels (``History.entry``), ``p``
     the levels it spans, such that the cell above a class's last enters after
@@ -385,24 +383,23 @@ def _entry_classes(history: History, advance: float | None = None) -> _Classes:
     for q in _periods(np.diff(a).tolist()):
         p = int(a[q] - a[0])
         cells = (len(a) - 1 - np.arange(q)) // q + 1
-        if np.all(a[:q] + cells * p >= L) and (
-                advance is None or abs(q * dx - p * advance) <= 16 * np.finfo(float).eps * q * dx):
+        if (np.all(a[:q] + cells * p >= L)
+                and abs(q * dx - p * advance) <= 16 * np.finfo(float).eps * q * dx):
             break
     else:
         q, p = len(a), L
-    return _Classes(e=np.append(a[:q], a[0] + p), p=p, m0=m0, table=history.table(-1),
-                    body=history.table(0)[:, L:] if m0 else np.broadcast_to(0.0, (2, L)),
-                    F22=tuple(history.F_e0[[0, -1], 1, 1].tolist()), dx=dx)
+    return _Classes(e=np.append(a[:q], a[0] + p), p=p, history=history,
+                    body=history.table(0) if m0 else np.broadcast_to(0.0, (2, L)))
 
 
 def _solve_checks(classes: _Classes, P: np.ndarray, scale: float):
     """Per level ``i < len(P)``, the face velocities' extremes ``(lo, hi)`` and
     the largest interior row ``(g' - g) dx + (S' - S) scale``, ``S = F12 F22``."""
-    dx, p, (F22_0, F22) = classes.dx, classes.p, classes.F22
-    W = len(P)
+    history, p, W = classes.history, classes.p, len(P)
+    dx, m0, (F22_0, F22) = history.dx, history.m0, history.F_e0[[0, -1], 1, 1]
     F12_0, g_0 = classes.body[:, :W]
-    Y = P + classes.m0 * g_0
-    v_body = classes.m0 * (dx * g_0)  # the faces in the body lie on a line from 0
+    Y = P + m0 * g_0
+    v_body = m0 * (dx * g_0)  # the faces in the body lie on a line from 0
     lo, hi, interior = np.minimum(0.0, v_body), np.maximum(0.0, v_body), np.zeros(W)
     for _, ages, F12, g, _, Z in classes.rows(np.arange(W), P):
         active = ages[:-1] >= 0
@@ -410,9 +407,9 @@ def _solve_checks(classes: _Classes, P: np.ndarray, scale: float):
         lo = np.minimum(lo, dx * (Y - _level_extreme(np.maximum, Z, active, p)))
         rows = np.abs((g[1:] - g[:-1]) * dx + (F12[1:] - F12[:-1]) * (F22 * scale))
         interior = np.maximum(interior, _level_extreme(np.maximum, rows, ages[1:] >= 0, p))
-    if classes.m0:  # the row between the body's top cell and the cell above
+    if m0:  # the row between the body's top cell and the cell above
         age = np.arange(W) - classes.e[0]
-        F12, g = np.take(classes.table, len(classes.body[1]) + age, axis=1, mode="clip")
+        F12, g = history.at_ages(-1, age)
         row = np.abs((g - g_0) * dx + (F12 * F22 - F12_0 * F22_0) * scale)
         interior = np.maximum(interior, np.where(age >= 0, row, 0.0))
     return lo, hi, interior
@@ -429,8 +426,8 @@ def _score_non_normal(config: ScenarioConfig, history: History, classes: _Classe
     t, m = history.t[:W], history.m[:W]
     # the centers ascend, so each level's top cell is its highest
     _require_in_body(history.centers[m - 1], t, V_G)
-    entry = history.centers[classes.m0:] / V_G
-    A = classes.dx * P + np.exp(-lam * t) * (V_G * alpha)
+    entry = history.centers[history.m0:] / V_G
+    A = history.dx * P + np.exp(-lam * t) * (V_G * alpha)
     linf, squares, v1 = np.zeros(W), np.zeros(W), np.zeros(W)
     for cs, ages, F12, _, below, Z in classes.rows(np.arange(W), P):
         active = ages[:-1] >= 0
@@ -442,7 +439,7 @@ def _score_non_normal(config: ScenarioConfig, history: History, classes: _Classe
         for row in _stride_accumulate(np.add, ef * ef, classes.p):
             squares = squares + row
         # v1 at a cell's center is the mean of its faces' dx (Y - Z)
-        w = (below + Z) * (0.5 * classes.dx) + decay * (V_G * alpha)
+        w = (below + Z) * (0.5 * history.dx) + decay * (V_G * alpha)
         v1 = np.maximum(v1, np.maximum(_level_extreme(np.maximum, w, active, classes.p) - A,
                                        A - _level_extreme(np.minimum, w, active, classes.p)))
     return {"linf_F_e12": linf, "rms_F_e12": np.sqrt(squares / m), "linf_v1": v1}
@@ -463,7 +460,7 @@ def _score_steady(config: ScenarioConfig, history: History, classes: _Classes,
         sigma12 = G * (F12 * F22) + 2.0 * mu * (0.5 * g)
         return np.abs([F12 - tau1 / G, sigma12 - tau1, sigma11 - tau1 ** 2 / G])
 
-    worst = errors(*classes.body[:, :len(P)], 0) if classes.m0 else np.zeros((3, len(P)))
+    worst = errors(*classes.body[:, :len(P)], 0) if history.m0 else np.zeros((3, len(P)))
     for _, ages, F12, g, _, _ in classes.rows(np.arange(len(P)), P):
         for k, values in enumerate(errors(F12[:-1], g[:-1], -1)):
             worst[k] = np.maximum(worst[k], _level_extreme(np.maximum, values, ages[:-1] >= 0,
@@ -530,7 +527,7 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     S22_cells = cell_S22(F22)
 
     v_surf = np.empty(levels)
-    metrics = {name: np.empty(levels) for name in METRIC_FIELDS if name not in ("t", "H")}
+    metrics = {name: None if name in ("t", "H") else np.empty(levels) for name in METRIC_FIELDS}
     k, t = first, first * dt
     try:
         require_reduced(F_e0)
@@ -546,18 +543,16 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
         # The age tables (History.table): per entry state, F12 and g by age.
         tau1, tau2 = growth.t_b if growth.v_a is None else growth_traction(
             M, growth.v_a, np.zeros(2), growth.t_b)
-        tables = np.zeros((2, len(entries), 2, levels))
-        for c, (F, _) in enumerate(entries):
-            tables[:, c, 1] = shear_by_age(
-                float(F[0, 1]), float(F[1, 1]), float(tau1), params, dt, levels)
-        history = History(step=np.arange(first, first + levels), H=H, m=m, v_surf=v_surf,
-                          metrics=metrics, source=tables.reshape(2, -1), F_e0=F_e0, p=p,
-                          rho=rho, dx=dx, dt=dt)
+        history = History(
+            step=np.arange(first, first + levels), H=H, m=m, v_surf=v_surf, metrics=metrics,
+            tables=[shear_by_age(float(F[0, 1]), float(F[1, 1]), float(tau1), params, dt,
+                                 levels) for F, _ in entries],
+            F_e0=F_e0, p=p, rho=rho, dx=dx, dt=dt)
         metrics.update(t=history.t, H=H)
         result = RunResult(config=config, history=history)
         classes = result.classes
         with np.errstate(invalid="ignore"):  # both infinities in a level: NaN
-            P = classes.level_sums(np.arange(levels))
+            P = classes.level_sums(classes.stride_sums(), np.arange(levels))
             v_surf[:] = dx * (P + m0 * classes.body[1])
         marched = time.perf_counter()
         # The checks, by entry class.  A non-finite shear or shear rate
@@ -749,28 +744,28 @@ def level_F_e(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray
 
 
 def level_v1(history: History, level: np.ndarray, x2: np.ndarray,
-             classes: _Classes | None = None) -> np.ndarray:
+             classes: _Classes) -> np.ndarray:
     """``v1`` at the heights ``x2`` of the stored levels ``level``,
     ``np.interp(x2, faces, History.v_nodes(level))`` to round-off: on the two
     face velocities around each height (``face dx g`` in the body, ``dx (Y
     - Z)`` above), in windows of ``CLASS_CELLS // 8`` heights by level, with
     class rows only at the levels and up to the highest class they read, by
-    the run's ``classes`` (``RunResult.classes``) or, without them, its own."""
-    classes, faces, v1 = classes or _entry_classes(history), history.faces, np.empty(len(x2))
+    the run's ``classes`` (``RunResult.classes``, also for a slice)."""
+    faces, v1, Q = history.faces, np.empty(len(x2)), classes.stride_sums()
     order = np.argsort(level, kind="stable")
     for k in range(0, len(x2), max(1, CLASS_CELLS // 8)):
         idx = order[k:k + max(1, CLASS_CELLS // 8)]
         xs, top = x2[idx], history.m[level[idx]]
         lower = np.clip(np.searchsorted(faces, xs, side="right") - 1, 0, top)
         face = np.concatenate([lower, np.minimum(lower + 1, top)])
-        at = np.tile(history.start[level[idx]], 2)
-        u, c = np.divmod(face - 1 - classes.m0, len(classes.e) - 1)
+        at = np.tile(history.step[level[idx]] - history.first, 2)
+        u, c = np.divmod(face - 1 - history.m0, len(classes.e) - 1)
         above = u >= 0
         rho = np.where(above, at - u * classes.p, at)
-        read = np.zeros(len(classes.body[1]), bool)
+        read = np.zeros(classes.history.L, bool)
         read[at] = read[rho] = True
         cols, slot = np.flatnonzero(read), np.cumsum(read) - 1
-        P = classes.level_sums(cols)
+        P = classes.level_sums(Q, cols)
         wanted = np.flatnonzero(above)[np.argsort(c[above], kind="stable")]
         Z = np.zeros(len(face))
         with np.errstate(invalid="ignore"):  # both infinities below a face: NaN
@@ -778,8 +773,8 @@ def level_v1(history: History, level: np.ndarray, x2: np.ndarray,
                 j = wanted[slice(*np.searchsorted(c[wanted], [cs.start, cs.stop]))]
                 Z[j] = rows[c[j] - cs.start, slot[rho[j]]]
             g_body = classes.body[1][at]
-            Y = P[slot[at]] + classes.m0 * g_body
-            V = np.where(above, classes.dx * (Y - Z), face * (classes.dx * g_body))
+            Y = P[slot[at]] + history.m0 * g_body
+            V = np.where(above, history.dx * (Y - Z), face * (history.dx * g_body))
         # height s reads node `lower` at 2 s and the one above it at 2 s + 1
         v1[idx] = interp_prefix(
             xs, faces, top + 1, V.reshape(2, -1).T.ravel(),

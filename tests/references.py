@@ -267,7 +267,7 @@ def block_columns(config, history, cells=BLOCK_CELLS):
         counts = m[rows]
         width = int(counts[-1])
         v_nodes = np.empty((B, width + 1))
-        F12, g = fill_block(history.source, history.start, history.col,
+        F12, g = fill_block(history.source, history.step - history.first, history.col,
                             np.arange(i0, i0 + B), v_nodes, dx)
         v_surf[rows] = v_nodes[np.arange(B), counts]
         if growth.v_a is not None:
@@ -319,8 +319,8 @@ def block_v1(history, level, x2, cells=BLOCK_CELLS):
             continue
         width = int(m[i0 + B - 1]) + 1
         v_nodes = np.empty((B, width))
-        fill_block(history.source, history.start, history.col, np.arange(i0, i0 + B),
-                   v_nodes, history.dx)
+        fill_block(history.source, history.step - history.first, history.col,
+                   np.arange(i0, i0 + B), v_nodes, history.dx)
         idx = order[a:b]
         rows = level[idx]
         v1[idx] = interp_prefix(x2[idx], faces, m[rows] + 1, v_nodes.ravel(),

@@ -91,11 +91,10 @@ def _tiny_config(n_cells=16):
 
 
 def test_write_fields_single_snapshot_row_count(tmp_path):
-    # one level of 4 cells in one entry state, whose age table is a zero
-    # and age 0
+    # one level of 4 cells in one entry state, whose age table holds age 0
     history = History(step=np.zeros(1, dtype=int), H=np.ones(1), m=np.array([4]),
                       v_surf=np.zeros(1), metrics={k: np.zeros(1) for k in METRIC_FIELDS},
-                      source=np.zeros((2, 2)), F_e0=identity((4,)), p=np.ones(4),
+                      tables=np.zeros((1, 2, 1)), F_e0=identity((4,)), p=np.ones(4),
                       rho=np.ones(4), dx=0.25, dt=0.5)
     result = RunResult(config=_tiny_config(), history=history)
     manifest = write_fields(result, tmp_path / "out")
@@ -248,18 +247,17 @@ def _odd_values_result(metrics=None):
     nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)
     odd = np.array([-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300])
     dx, m = 0.25, np.array([1, 3, 4])
-    # the run's age tables (``History``): per entry state, zeros for the
-    # negative ages and then the ages 0 .. 2.  Cell 0 is the initial body,
-    # cells 1 to 3 enter at the levels 1, 1 and 2; v_surf is the running
-    # sum of dx g to the top face
-    by_age = np.zeros((2, 2, 2, 3))  # (F_e12 or g, state, zeros or ages, age)
-    by_age[0, :, 1] = [[-0.0, 1.0 / 3.0, np.nan], [1e300, nan2[0], -5e-324]]
-    by_age[1, :, 1] = np.reshape([-np.inf, 5e-324, 1.0 / 3.0, 1e300, np.nan, np.inf], (2, 3)) / dx
+    # the run's age tables (``History``): per entry state, the ages 0 .. 2.
+    # Cell 0 is the initial body, cells 1 to 3 enter at the levels 1, 1 and
+    # 2; v_surf is the running sum of dx g to the top face
+    by_age = np.zeros((2, 2, 3))  # (state, F_e12 or g, age)
+    by_age[:, 0] = [[-0.0, 1.0 / 3.0, np.nan], [1e300, nan2[0], -5e-324]]
+    by_age[:, 1] = np.reshape([-np.inf, 5e-324, 1.0 / 3.0, 1e300, np.nan, np.inf], (2, 3)) / dx
     rows = metrics or [{name: 0.0 for name in METRIC_FIELDS}] * 3
     history = History(
         step=np.arange(3), H=np.array([0.5, 0.75, 1.0]), m=m, v_surf=np.empty(3),
         metrics={name: np.array([row[name] for row in rows]) for name in rows[0]},
-        source=by_age.reshape(2, -1), F_e0=odd.reshape(2, 2, 2).repeat(2, 0),
+        tables=by_age, F_e0=odd.reshape(2, 2, 2).repeat(2, 0),
         p=odd[3:7].copy(), rho=np.array([0.0, 0.0, -0.0, 0.0]), dx=dx, dt=0.5)
     history.v_surf[:] = [np.sum(dx * history.columns(k, 1)) for k in range(3)]
     sign_and_payload = np.resize([1.0, 0.0, 0.0, 1.0], (3, 2, 2))
@@ -306,13 +304,14 @@ def test_csv_rows_match_per_value_fmt(tmp_path):
 
 
 def test_face_velocities_read_only_the_runs_layout():
-    # v1 is read by entry class from the run's age tables, the one layout a
-    # History holds (tests/test_scenarios.py's map test refuses any other);
-    # a slice of the run keeps it
-    h = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=32, t_end=0.5)).history
+    # v1 is read by the run's entry classes from the run's age tables; a
+    # slice of the run's history keeps its map, so the same classes read it
+    res = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=32, t_end=0.5))
+    h, classes = res.history, res.classes
     later = np.arange(3, len(h))
     x2 = np.linspace(0.0, 1.0, len(later)) * h.H[later]
-    assert level_v1(h[3:], later - 3, x2).tobytes() == level_v1(h, later, x2).tobytes()
+    assert (level_v1(h[3:], later - 3, x2, classes).tobytes()
+            == level_v1(h, later, x2, classes).tobytes())
 
 
 def test_csv_blocks_write_the_same_bytes(tmp_path, monkeypatch):
@@ -419,11 +418,11 @@ def test_manifest_size_counters(tmp_path, kind):
     assert parsed["grid"]["cell_steps"] == sum(len(rec.g) for rec in res.history)
     # the sources of F_e12 and g, the age tables: `levels` zeros then
     # `levels` ages for each entry state (the initial body and the deposit
-    # of fdm_shear and thermal, non_normal's deposit); the map, one start
-    # per level and one col per cell; and one (n, 2, 2) F_e0, one p and one
-    # rho over the fixed grid, 8 bytes a float
+    # of fdm_shear and thermal, non_normal's deposit); the map, one col per
+    # cell; and one (n, 2, 2) F_e0, one p and one rho over the fixed grid, 8
+    # bytes a float
     n, levels = cfg.n_cells, len(res.history)
     states = 1 if kind == "non_normal" else 2
     entries = states * 2 * levels
-    assert parsed["history_bytes"] == 8 * (2 * entries + levels + n + 4 * n + n + n)
+    assert parsed["history_bytes"] == 8 * (2 * entries + n + 4 * n + n + n)
     assert all("F_e" not in vars(rec) for rec in res.history)

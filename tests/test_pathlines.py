@@ -211,13 +211,14 @@ def test_face_velocities_do_not_depend_on_the_block_size(traced, monkeypatch):
     history = result.history
     level = np.repeat(np.arange(len(history)), 3)
     x2 = np.tile([0.0, 0.5, 1.0], len(history)) * history.H[level]
-    expected = level_v1(history, level, x2)
+    classes = result.classes
+    expected = level_v1(history, level, x2, classes)
     # every seventh level alone, in reverse
     some = np.arange(len(level))[::-1][level[::-1] % 7 == 3]
     for cells in (1, 97, int(history.m.sum())):
         monkeypatch.setattr(surfgrow.scenarios, "CLASS_CELLS", cells)
-        assert np.array_equal(_bits(level_v1(history, level, x2)), _bits(expected))
-        assert np.array_equal(_bits(level_v1(history, level[some], x2[some])),
+        assert np.array_equal(_bits(level_v1(history, level, x2, classes)), _bits(expected))
+        assert np.array_equal(_bits(level_v1(history, level[some], x2[some], classes)),
                               _bits(expected[some]))
     speed = level_speed(history)
     for j in (0, len(history) // 2, len(history) - 1):
@@ -243,7 +244,7 @@ def test_gap_of_samples_off_the_levels_is_the_per_level_loop():
                     0, len(history) - 1).astype(int)
     x2 = np.minimum(np.maximum(np.concatenate([pl.x[:, 1] for pl in result.pathlines]),
                                0.0), history.H[level])
-    assert np.all(np.abs(level_v1(history, level, x2) - v1)
+    assert np.all(np.abs(level_v1(history, level, x2, result.classes) - v1)
                   <= velocity_tolerance(level_speed(history)[level]))
 
 

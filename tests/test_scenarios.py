@@ -738,23 +738,26 @@ MAP_CONFIGS = [nn_config(n_cells=32, t_end=0.25), fdm_config(n_cells=32, t_end=0
 def test_history_derives_its_map_from_the_schedule(cfg):
     history = run_scenario(cfg).history
     assert history.m[-1] == len(history.F_e0)
-    assert np.array_equal(history.start, np.arange(len(history)))
+    assert np.array_equal(history.step - history.first, np.arange(len(history)))
     assert _bits(history.t) == _bits(history.step * history.dt)
     assert history.metrics["t"] is history.t
+    assert list(history.metrics) == list(METRIC_FIELDS)
     for k, expected in enumerate(_columns_by_age(cfg, history)):
         assert _bits(history.columns(k)) == _bits(expected), k
-    # a source of another width than one or two age tables, or a
-    # decreasing schedule, is refused at construction
+    # the tables by age are all a history takes; other tables, or a
+    # decreasing schedule, are refused at construction
+    tables = [history.table(0), history.table(-1)][:1 + bool(history.m0)]
     inputs = dict(step=history.step, H=history.H, m=history.m, v_surf=history.v_surf,
-                  metrics=history.metrics, source=history.source, F_e0=history.F_e0,
+                  metrics=history.metrics, tables=tables, F_e0=history.F_e0,
                   p=history.p, rho=history.rho, dx=history.dx, dt=history.dt)
     same = History(**inputs)
+    assert _bits(same.source) == _bits(history.source)
     assert _bits(same.col) == _bits(history.col) and same.m0 == history.m0
     L = len(history)
-    for width in (L, 2 * L - 1, 2 * L + 1, 6 * L):
-        source = np.zeros((2, width))
+    for other in ([], tables[:1] * 3, [np.zeros((2, L - 1))], [np.zeros((2, L + 1))],
+                  [np.zeros((3, L))], [np.zeros(2 * L)]):
         with pytest.raises(ValidationError, match="age tables"):
-            History(**{**inputs, "source": source})
+            History(**{**inputs, "tables": other})
     m = history.m.copy()
     m[[L // 2, L // 2 + 1]] = m[L // 2] + 1, m[L // 2]
     with pytest.raises(ValidationError, match="nondecreasing"):
@@ -762,7 +765,7 @@ def test_history_derives_its_map_from_the_schedule(cfg):
     # two tables, but the first level holds every cell: no deposited cell
     with pytest.raises(ValidationError, match="a cell in each"):
         History(**{**inputs, "m": np.full(L, len(history.F_e0)),
-                   "source": np.zeros((2, 4 * L))})
+                   "tables": [np.zeros((2, L))] * 2})
 
 
 @pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
@@ -1379,7 +1382,7 @@ def test_class_pass_matches_the_block_pass(cfg, seed):
     x2 = rng.uniform(-0.1, 1.1, 64) * history.H[level]
     expected = [np.interp(x, history.faces[:history.m[k] + 1], history.v_nodes(k))
                 for k, x in zip(level.tolist(), x2.tolist())]
-    assert np.all(np.abs(level_v1(history, level, x2) - expected)
+    assert np.all(np.abs(level_v1(history, level, x2, result.classes) - expected)
                   <= velocity_tolerance(speed[level]))
 
 
