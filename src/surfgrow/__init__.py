@@ -17,7 +17,7 @@ from .constitutive import (AttachmentSpec, MaterialParams,
                            attach_elastic_deformation, neo_hookean_stress,
                            total_stress)
 from .grids import Grid1D, History, PeriodicStrip, StepRecord
-from .kinematics import (PathlineRecord, advance_deformation_strip,
+from .kinematics import (HistoryPathline, PathlineRecord, advance_deformation_strip,
                          advance_inverse_motion, deformation_from_inverse_motion,
                          integrate_characteristics, strip_row_curl,
                          strip_velocity_gradient)
@@ -42,7 +42,7 @@ __all__ = [
     "EPS_DET", "det", "identity", "inverse", "sym", "AttachmentSpec",
     "MaterialParams", "attach_elastic_deformation", "neo_hookean_stress",
     "total_stress", "Grid1D", "History", "PeriodicStrip", "StepRecord",
-    "PathlineRecord", "ReconstructedFrame", "advance_deformation_strip",
+    "HistoryPathline", "PathlineRecord", "ReconstructedFrame", "advance_deformation_strip",
     "advance_inverse_motion", "deformation_from_inverse_motion",
     "integrate_characteristics", "reconstruct_reference", "strip_row_curl",
     "strip_velocity_gradient", "GrowthInput", "SideState", "advance_domain",

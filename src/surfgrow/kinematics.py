@@ -2,8 +2,9 @@
 
 ``F_e`` obeys ``dF_e/dt + (v . grad) F_e = (grad v) F_e``, the equation
 of the full deformation gradient ``F``; accretion makes the growing
-boundary an inflow.  Here: the RK2 characteristic integrator and the
-two-dimensional strip transports used for verification.  A growth run
+boundary an inflow.  Here: the RK2 characteristic integrator, the
+columns of a stored run's pathline and the two-dimensional strip
+transports used for verification.  A growth run
 marches its shear by age (``scenarios._run_1d``), and ``F`` and the
 relaxed shape are recovered from its age tables afterwards
 (``scenarios.reconstruct_reference``).
@@ -40,6 +41,48 @@ class PathlineRecord:
         self.F_e = np.asarray(self.F_e, dtype=float)
         if np.any(np.diff(self.t) <= 0):
             raise ValidationError("pathline sample times must be strictly increasing")
+
+
+@dataclass
+class HistoryPathline:
+    """A characteristic of a stored run, as columns.
+
+    With ``v = v1(x2) e1`` a pathline keeps its height ``x2`` and its
+    ``F_e11``, ``F_e21`` and ``F_e22``: per sample it holds the time ``t``,
+    ``x1`` and ``F_e12``, and once its height and ``F_e0``, the ``F_e`` at
+    its first sample (whose ``F_e12`` is the column's first value).  ``x``
+    and ``F_e`` build ``PathlineRecord``'s ``(n, 2)`` and ``(n, 2, 2)``
+    layout on each access.
+    """
+
+    t: np.ndarray
+    x1: np.ndarray
+    F_e12: np.ndarray
+    x2: float
+    F_e0: np.ndarray
+
+    def __post_init__(self):
+        self.t, self.x1, self.F_e12, self.F_e0 = (
+            np.asarray(a, dtype=float) for a in (self.t, self.x1, self.F_e12, self.F_e0))
+        self.x2 = float(self.x2)
+        if not (len(self.t) == len(self.x1) == len(self.F_e12) >= 1
+                and self.F_e0.shape == (2, 2)
+                and self.F_e0[0, 1].tobytes() == self.F_e12[0].tobytes()):
+            raise ValidationError("a pathline needs equal-length columns of at least one "
+                                  "sample and a 2x2 F_e0 whose F_e12 is the column's first")
+        if np.any(np.diff(self.t) <= 0):
+            raise ValidationError("pathline sample times must be strictly increasing")
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.column_stack([self.x1, np.full(len(self.t), self.x2)])
+
+    @property
+    def F_e(self) -> np.ndarray:
+        F = np.empty((len(self.t), 2, 2))
+        F[:] = self.F_e0
+        F[:, 0, 1] = self.F_e12
+        return F
 
 
 def integrate_characteristics(velocity_sampler: VelocitySampler, seed, t0: float,

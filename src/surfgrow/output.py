@@ -8,7 +8,10 @@ layout allows: a column that holds one bit pattern over a table is written
 once into the table's row format, and the snapshots' centers, per-cell
 constants and ``F_e12`` values are formatted once per call, each distinct
 bit pattern once, and their text gathered through the ``History`` map; only
-the columns that vary go through ``%`` per row.  Identical (config,
+the columns that vary go through ``%`` per row.  Pathlines are written a
+window of whole pathlines at a time (``scenarios.pathline_windows``), and
+each written file is hashed in 64 KiB blocks, so no pass holds every
+sample or a whole file.  Identical (config,
 version) pairs produce byte-identical data files; the manifest
 additionally records the wall-clock duration and the march's phase
 timings (``RunResult.timings``) when a duration is supplied.
@@ -27,11 +30,15 @@ import numpy as np
 from . import __version__
 from .errors import IoError
 from .scenarios import (METRIC_FIELDS, RunResult, level_interp, level_v1,
-                        pathline_levels)
+                        pathline_windows)
 
 SNAPSHOT_COLUMNS = ("x2", "v1", "v2", "Fe11", "Fe12", "Fe21", "Fe22", "p", "rho")
-# Rows of a CSV table formatted and written at a time.
-BLOCK_ROWS = 1024
+# Rows of a table formatted and written at a time.  A block holds about
+# 1 KB a row of ``metrics.jsonl`` (its row strings, their joined text and
+# its Python floats): at 1024 rows writing a run of n = 400 peaked at
+# 1.37 MB, above its march's 0.85 MB; at 256 it peaks at 0.55 MB, and the
+# writers run no slower.
+BLOCK_ROWS = 256
 
 
 def fmt(x: float) -> str:
@@ -60,7 +67,9 @@ class RunManifest:
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 16), b""):
+            h.update(block)
     return h.hexdigest()
 
 
@@ -137,18 +146,20 @@ def _write_table(path: Path, header: str, slots: list[str], tables) -> None:
     """Write a CSV header and the rows of each of ``tables``, in order, through
     one open file; ``tables`` may be made one at a time as they are written.
 
-    A table is a list of equal-length columns, each an array of numbers or a
-    ``_Text``, written with its slot of ``slots`` (``"%.17g"`` writes the
-    bytes of ``fmt``; ``"%s"`` for text; fixed text for a ``None`` column).
-    A column that holds one value over the table is written once into the
-    table's row format, so only the columns that vary go through ``%`` per
-    row (``_row_format``, ``_write_rows``).
+    A table is a list of columns, each an array of numbers or a ``_Text``,
+    written with its slot of ``slots`` (``"%.17g"`` writes the bytes of
+    ``fmt``; ``"%s"`` for text; fixed text for a ``None`` column); the
+    longest sets the table's rows, and a column of one row holds its value
+    on every row.  A column that holds one value over the table is written
+    once into the table's row format, so only the columns that vary go
+    through ``%`` per row (``_row_format``, ``_write_rows``).
     """
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
         for columns in tables:
             parts, varying = _row_format(slots, columns)
-            _write_rows(f, ",".join(parts) + "\n", varying, len(columns[0]))
+            _write_rows(f, ",".join(parts) + "\n", varying,
+                        max(len(column) for column in columns if column is not None))
 
 
 def _write_snapshots(out: Path, history, levels: list[int]) -> list[dict]:
@@ -215,21 +226,29 @@ def _write_metrics(path: Path, result: RunResult) -> None:
 
 def _write_pathlines(path: Path, result: RunResult) -> None:
     """Write every pathline sample with ``v1`` and ``p`` interpolated at its
-    stored level, one pathline's table at a time; both are gathered for all
-    samples at once (``level_v1``, ``level_interp``).  A pathline keeps its
-    index, height, ``Fe11``, ``Fe21``, ``Fe22`` and, on a uniform ``p``, its
-    pressure, which its table's row format then holds."""
-    pathlines = result.pathlines
+    stored level, one pathline's table at a time.  Both are gathered for a
+    window of whole pathlines at a time (``pathline_windows``, ``level_v1``,
+    ``level_interp``), so the writer holds one window's samples.  A
+    pathline's index, height, ``Fe11``, ``Fe21`` and ``Fe22`` are written
+    once into its table's row format, and so is, on a uniform ``p``, its
+    pressure."""
     history = result.history
-    level, x2 = pathline_levels(history, pathlines)
-    v1 = level_v1(history, level, x2, result.classes)
-    p = level_interp(history, level, x2, history.p)
-    bounds = np.cumsum([0] + [len(pl.t) for pl in pathlines]).tolist()
-    tables = ([np.full(b - a, i), pl.t, *pl.x.T, *pl.F_e.reshape(-1, 4).T,
-               v1[a:b], None, p[a:b]]
-              for i, (pl, a, b) in enumerate(zip(pathlines, bounds, bounds[1:])))
+
+    def tables():
+        index = 0
+        for window, level, x2 in pathline_windows(history, result.pathlines):
+            v1 = level_v1(history, level, x2, result.classes)
+            p = level_interp(history, level, x2, history.p)
+            a = 0
+            for pl in window:
+                b = a + len(pl.t)
+                F11, _, F21, F22 = pl.F_e0.reshape(4, 1)
+                yield [np.array([index]), pl.t, pl.x1, np.array([pl.x2]), F11, pl.F_e12,
+                       F21, F22, v1[a:b], None, p[a:b]]
+                index, a = index + 1, b
+
     _write_table(path, "pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p",
-                 ["%d"] + ["%.17g"] * 8 + ["0", "%.17g"], tables)
+                 ["%d"] + ["%.17g"] * 8 + ["0", "%.17g"], tables())
 
 
 def read_snapshot(path) -> dict:

@@ -23,7 +23,7 @@ from .constitutive import AttachmentSpec, MaterialParams, attach_elastic_deforma
 from .errors import (IncompatibleAnsatz, OutOfBody, OutOfDomain, SingularSystem,
                      SingularTensor, SurfgrowError, ValidationError)
 from .grids import Grid1D, History, StepRecord, interp_prefix
-from .kinematics import PathlineRecord
+from .kinematics import HistoryPathline
 from .tensors import EPS_DET, identity, require_finite
 
 KINDS = ("non_normal", "fdm_shear", "thermal")
@@ -221,7 +221,7 @@ class RunResult:
     config: ScenarioConfig
     history: History
     oracle_errors: dict[str, np.ndarray] = field(default_factory=dict)
-    pathlines: list[PathlineRecord] = field(default_factory=list)
+    pathlines: list[HistoryPathline] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
     @cached_property
@@ -782,7 +782,20 @@ def level_v1(history: History, level: np.ndarray, x2: np.ndarray,
     return v1
 
 
-def trace_history_pathlines(result: RunResult, count: int = 20) -> list[PathlineRecord]:
+def _windows(lengths: list[int]) -> list[tuple[int, int]]:
+    """Bounds ``(a, b)`` of groups of whole consecutive pathlines whose
+    sample counts ``lengths[a:b]`` sum to at most ``CLASS_CELLS``; a longer
+    pathline is a group of its own."""
+    bounds, total = [0], 0
+    for i, n in enumerate(lengths):
+        if total and total + n > CLASS_CELLS:
+            bounds.append(i)
+            total = 0
+        total += n
+    return [(a, b) for a, b in zip(bounds, bounds[1:] + [len(lengths)]) if b > a]
+
+
+def trace_history_pathlines(result: RunResult, count: int = 20) -> list[HistoryPathline]:
     """Integrate characteristics through the stored velocity history.
 
     Seeds are spread through the final body; each pathline starts at the
@@ -794,9 +807,11 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
     coincide with the stored levels.  With ``L = g e1 (x) e2`` the step
     leaves ``F_e11``, ``F_e21`` and ``F_e22`` as they are and adds
     ``h (g F_e22)`` to ``F_e12``, and ``x1`` gains ``h v1``: both are
-    running sums over the levels.  So every step's ``g`` and ``v1`` are
-    gathered at once (``History.interp``, ``level_v1``) and each pathline is
-    two ``cumsum`` calls.
+    running sums over the levels.  So the steps' ``g`` and ``v1`` are
+    gathered for a window of whole pathlines of at most ``CLASS_CELLS``
+    samples at a time (``History.interp``, ``level_v1``), and each
+    pathline's ``F_e12`` and ``x1`` columns are two ``cumsum`` calls
+    (``HistoryPathline``).
     A seed first reached at the last level has no step and is skipped.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
@@ -808,32 +823,32 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[Pathline
     j0 = np.searchsorted(heights, x2)
     x2, j0 = x2[j0 < last], j0[j0 < last]
     h = (times[-1] - times[j0]) / (last - j0)
-    # every step of every pathline, one pathline after another: pathline i
-    # steps from the levels j0[i] .. last - 1
-    steps = last - j0
-    starts = np.cumsum(steps) - steps
-    seed = np.repeat(np.arange(len(x2)), steps)
-    level = np.arange(len(seed)) - np.repeat(starts - j0, steps)
-    z = x2[seed]
-    left = z > heights[level + 1] + 1e-9
-    if np.any(left):
-        raise OutOfDomain(f"characteristic left the body at t = "
-                          f"{times[level[left].min() + 1]:g}")
+    # the highest seed stepped onto each level, against its body
+    reach = np.full(last + 1, -np.inf)
+    np.maximum.at(reach, j0 + 1, x2)
+    left = np.flatnonzero(np.maximum.accumulate(reach) > heights + 1e-9)
+    if len(left):
+        raise OutOfDomain(f"characteristic left the body at t = {times[left[0]]:g}")
     F0 = level_F_e(history, j0, x2)
-    dF12 = h[seed] * (history.interp(1, level, z) * F0[seed, 1, 1])
-    dx1 = h[seed] * level_v1(history, level, z, result.classes)
+    steps = last - j0
     pathlines = []
-    for i, (j, a, n) in enumerate(zip(j0.tolist(), starts.tolist(), steps.tolist())):
-        F = np.empty((n + 1, 2, 2))
-        F[:] = F0[i]
-        F12 = F[:, 0, 1]
-        F12[1:] = dF12[a:a + n]
-        np.cumsum(F12, out=F12)
-        x1 = np.zeros(n + 1)
-        x1[1:] = dx1[a:a + n]
-        pathlines.append(PathlineRecord(
-            t=times[j] + np.arange(n + 1) * h[i],
-            x=np.column_stack([np.cumsum(x1), np.full(n + 1, x2[i])]), F_e=F))
+    for a, b in _windows((steps + 1).tolist()):
+        # every step of the window's pathlines, one after another: pathline
+        # i steps from the levels j0[i] .. last - 1
+        n = steps[a:b]
+        starts = np.cumsum(n) - n
+        seed = np.repeat(np.arange(a, b), n)
+        level = np.arange(len(seed)) - np.repeat(starts - j0[a:b], n)
+        z = x2[seed]
+        dF12 = h[seed] * (history.interp(1, level, z) * F0[seed, 1, 1])
+        dx1 = h[seed] * level_v1(history, level, z, result.classes)
+        for i, s, k in zip(range(a, b), starts.tolist(), n.tolist()):
+            F12, x1 = np.empty(k + 1), np.empty(k + 1)
+            F12[0], F12[1:] = F0[i, 0, 1], dF12[s:s + k]
+            x1[0], x1[1:] = 0.0, dx1[s:s + k]
+            pathlines.append(HistoryPathline(
+                t=times[j0[i]] + np.arange(k + 1) * h[i], x1=np.cumsum(x1, out=x1),
+                F_e12=np.cumsum(F12, out=F12), x2=x2[i], F_e0=F0[i]))
     return pathlines
 
 
@@ -842,25 +857,47 @@ def pathline_levels(history: History, pathlines) -> tuple[np.ndarray, np.ndarray
 
     The samples of all (at least one) pathlines are numbered in order, one
     pathline after another.  A sample's level is the stored level at its
-    time, ``rint((t - t0)/dt)`` clamped to the history, and its height is
-    clamped to that level's body.  Returns ``(level, x2)``.
+    time, ``rint((t - t0)/dt)`` clamped to the history, and its height,
+    its pathline's, is clamped to that level's body.  Returns ``(level,
+    x2)``.
     """
     t = np.concatenate([pl.t for pl in pathlines])
-    x2 = np.concatenate([pl.x[:, 1] for pl in pathlines])
+    x2 = np.repeat([pl.x2 for pl in pathlines], [len(pl.t) for pl in pathlines])
     times = history.t
     dt = times[1] - times[0] if len(times) > 1 else 1.0
     level = np.clip(np.rint((t - times[0]) / dt), 0, len(times) - 1).astype(int)
     return level, np.minimum(np.maximum(x2, 0.0), history.H[level])
 
 
+def pathline_windows(history: History, pathlines):
+    """Yield ``(window, level, x2)`` for groups ``window`` of whole
+    consecutive pathlines of at most ``CLASS_CELLS`` samples each (a longer
+    pathline alone), with their samples' levels and heights
+    (``pathline_levels``), so a pass over the samples holds one window's."""
+    for a, b in _windows([len(pl.t) for pl in pathlines]):
+        window = pathlines[a:b]
+        yield (window, *pathline_levels(history, window))
+
+
 def pathline_grid_discrepancy(result: RunResult, pathlines) -> float:
-    """L-infinity gap between grid-transported and characteristic F_e."""
-    if not pathlines:
-        return 0.0
-    level, x2 = pathline_levels(result.history, pathlines)
-    F_grid = level_F_e(result.history, level, x2)
-    F_char = np.concatenate([pl.F_e for pl in pathlines])
-    return float(np.max(np.abs(F_grid - F_char), initial=0.0))
+    """L-infinity gap between grid-transported and characteristic F_e.
+
+    Scored a window of pathlines at a time (``pathline_windows``) and one
+    component at a time: the ``F_e12`` column against the grid's
+    (``History.interp``), and each pathline's start ``F_e11``, ``F_e21``
+    and ``F_e22`` against the grid's at its samples (``level_interp``).
+    A NaN anywhere makes the gap NaN."""
+    history = result.history
+    worst = [0.0]
+    for window, level, x2 in pathline_windows(history, pathlines):
+        worst.append(np.max(np.abs(history.interp(0, level, x2)
+                                   - np.concatenate([pl.F_e12 for pl in window]))))
+        counts = [len(pl.t) for pl in window]
+        for i, j in ((0, 0), (1, 0), (1, 1)):
+            start = np.repeat([pl.F_e0[i, j] for pl in window], counts)
+            worst.append(np.max(np.abs(
+                level_interp(history, level, x2, history.F_e0[:, i, j]) - start)))
+    return float(np.max(worst))
 
 
 # ---------------------------------------------------------------------------

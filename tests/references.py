@@ -97,6 +97,16 @@ def replay_columns(history):
 ROUNDOFF = 16 * np.finfo(float).eps
 
 
+def pathline_arrays(pathline) -> tuple[np.ndarray, np.ndarray]:
+    """A stored-run pathline's ``(n, 2)`` positions and ``(n, 2, 2)``
+    ``F_e``, from its columns: its height and its start's ``F_e11``,
+    ``F_e21`` and ``F_e22`` on every sample."""
+    n = len(pathline.t)
+    F = np.repeat(pathline.F_e0[None], n, axis=0)
+    F[:, 0, 1] = pathline.F_e12
+    return np.column_stack([pathline.x1, np.full(n, pathline.x2)]), F
+
+
 def level_speed(history, levels=None) -> np.ndarray:
     """``max |v|`` over the faces of each stored level (``History.v_nodes``)."""
     levels = range(len(history)) if levels is None else levels

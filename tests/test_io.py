@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 import surfgrow.output
-from surfgrow import (History, MaterialParams, ParseError, PathlineRecord, RunResult,
-                      ScenarioConfig, ValidationError, parse_config, read_snapshot,
-                      run_fdm_shear, run_non_normal, run_scenario,
-                      trace_history_pathlines, write_fields)
+from surfgrow import (History, HistoryPathline, MaterialParams, ParseError, RunResult,
+                      ScenarioConfig, ValidationError, parse_config,
+                      pathline_grid_discrepancy, read_snapshot, run_fdm_shear,
+                      run_non_normal, run_scenario, trace_history_pathlines,
+                      write_fields)
 from surfgrow.config import read_pairs
 from surfgrow.output import METRIC_FIELDS, SNAPSHOT_COLUMNS, fmt
-from surfgrow.scenarios import level_v1, pathline_levels
+from surfgrow.scenarios import level_v1, pathline_levels, pathline_windows
 from surfgrow.tensors import identity
 from surfgrow.verify import default_config
 
-from references import level_speed, velocity_tolerance
+from references import level_speed, pathline_arrays, velocity_tolerance
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -205,14 +206,15 @@ def _reference_pathlines(result) -> str:
     t0, dt, last = history[0].t, history[1].t - history[0].t, len(history) - 1
     lines = ["pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p"]
     for i, pl in enumerate(result.pathlines):
+        x, F_e = pathline_arrays(pl)
         for m, t in enumerate(pl.t):
             rec = history[min(max(int(round((t - t0) / dt)), 0), last)]
-            x2 = min(max(pl.x[m, 1], 0.0), rec.grid.height)
+            x2 = min(max(x[m, 1], 0.0), rec.grid.height)
             v1 = float(np.interp(x2, rec.grid.faces, rec.v_nodes))
             p = float(np.interp(x2, rec.grid.centers, rec.p))
-            F = pl.F_e[m]
+            F = F_e[m]
             lines.append(",".join([str(i)] + [fmt(v) for v in
-                                              (t, pl.x[m, 0], pl.x[m, 1],
+                                              (t, x[m, 0], x[m, 1],
                                                F[0, 0], F[0, 1], F[1, 0], F[1, 1],
                                                v1, 0.0, p)]))
     return "\n".join(lines) + "\n"
@@ -241,8 +243,9 @@ def _odd_values_result(metrics=None):
     # subnormal, a repeating fraction, nan (two payloads) and infinities;
     # three levels of 1, 3 and 4 cells on one spacing (a one-row snapshot),
     # holding prefixes of one F_e0, p and rho (rho: zeros but for one -0.0);
-    # pathlines with a column constant but for a zero's sign and one of two
-    # NaN payloads, and one of a single sample, whose every column is
+    # pathlines next to the base, below it, above the body and inside it,
+    # one with columns constant but for a zero's sign (x1) and for one of two
+    # NaN payloads (F_e12), and one of a single sample, whose every column is
     # constant (``metrics``: each level's row, zeros by default)
     nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)
     odd = np.array([-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300])
@@ -260,17 +263,17 @@ def _odd_values_result(metrics=None):
         tables=by_age, F_e0=odd.reshape(2, 2, 2).repeat(2, 0),
         p=odd[3:7].copy(), rho=np.array([0.0, 0.0, -0.0, 0.0]), dx=dx, dt=0.5)
     history.v_surf[:] = [np.sum(dx * history.columns(k, 1)) for k in range(3)]
-    sign_and_payload = np.resize([1.0, 0.0, 0.0, 1.0], (3, 2, 2))
-    sign_and_payload[:, 1, 0] = [np.nan, nan2[0], np.nan]
     pathlines = [
-        PathlineRecord(t=[-0.0, 1.0 / 3.0, 0.9, 1.4],
-                       x=[[-0.0, 5e-324], [1.0 / 3.0, -0.0], [5e-324, 0.9], [0.0, 2.0]],
-                       F_e=np.resize(odd, (4, 2, 2))),
-        PathlineRecord(t=[0.5, 1.0], x=[[0.0, 1.0 / 3.0], [1e300, -1.0]],
-                       F_e=np.resize(odd[::-1], (2, 2, 2))),
-        PathlineRecord(t=[0.7], x=[[-0.0, 0.6]], F_e=np.resize(odd[2:6], (1, 2, 2))),
-        PathlineRecord(t=[0.1, 0.6, 1.1], x=[[0.0, 0.3], [-0.0, 0.3], [0.0, 0.3]],
-                       F_e=sign_and_payload),
+        HistoryPathline(t=[-0.0, 1.0 / 3.0, 0.9, 1.4], x1=[-0.0, 1.0 / 3.0, 5e-324, 0.0],
+                        F_e12=[5e-324, -np.inf, 5e-324, -np.inf], x2=5e-324,
+                        F_e0=odd[:4].reshape(2, 2)),
+        HistoryPathline(t=[0.5, 1.0], x1=[0.0, 1e300], F_e12=[-5e-324, 1.0 / 3.0], x2=-1.0,
+                        F_e0=odd[::-1][:4].reshape(2, 2)),
+        HistoryPathline(t=[0.7], x1=[-0.0], F_e12=[np.nan], x2=1e300,
+                        F_e0=odd[2:6].reshape(2, 2)),
+        HistoryPathline(t=[0.1, 0.6, 1.1], x1=[0.0, -0.0, 0.0],
+                        F_e12=[np.nan, nan2[0], np.nan], x2=0.3,
+                        F_e0=[[1.0, np.nan], [1.0 / 3.0, 1.0]]),
     ]
     return RunResult(config=_tiny_config(), history=history, pathlines=pathlines)
 
@@ -327,6 +330,54 @@ def test_csv_blocks_write_the_same_bytes(tmp_path, monkeypatch):
     for name in names:
         assert (tmp_path / "blocks" / name).read_bytes() == \
             (tmp_path / "whole" / name).read_bytes(), name
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def test_pathline_windows_trace_score_and_write_the_same(tmp_path, monkeypatch):
+    # pathlines are traced, scored and written a window of whole pathlines
+    # at a time; with every window one pathline (as long as the shortest
+    # one, or shorter) the columns, the gap and the file must not change
+    res = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=32, t_end=0.5,
+                                        n_snapshots=3))
+    res.pathlines = trace_history_pathlines(res, count=4)
+    gap = pathline_grid_discrepancy(res, res.pathlines)
+    write_fields(res, tmp_path / "whole")
+    assert len(list(pathline_windows(res.history, res.pathlines))) == 1
+    shortest = min(len(pl.t) for pl in res.pathlines)
+    for cells in (shortest, shortest - 1):
+        monkeypatch.setattr(surfgrow.scenarios, "CLASS_CELLS", cells)
+        traced = trace_history_pathlines(res, count=4)
+        assert [len(window) for window, *_ in pathline_windows(res.history, traced)] == [1] * 4
+        for ours, theirs in zip(traced, res.pathlines, strict=True):
+            for name in ("t", "x1", "F_e12", "x2", "F_e0"):
+                assert np.array_equal(_bits(getattr(ours, name)),
+                                      _bits(getattr(theirs, name))), name
+        assert repr(pathline_grid_discrepancy(res, traced)) == repr(gap)
+        res.pathlines = traced
+        write_fields(res, tmp_path / f"windows-{cells}")
+        assert (tmp_path / f"windows-{cells}" / "pathlines.csv").read_bytes() == \
+            (tmp_path / "whole" / "pathlines.csv").read_bytes()
+
+
+def test_a_nan_in_a_pathline_makes_the_gap_nan():
+    # in one pathline's F_e12 column or in another's start F_e22, in a
+    # window of its own or with the others
+    res = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=32, t_end=0.5))
+    pathlines = trace_history_pathlines(res, count=4)
+    assert np.isfinite(pathline_grid_discrepancy(res, pathlines))
+    F_e12 = pathlines[1].F_e12.copy()
+    F_e12[len(F_e12) // 2] = np.nan
+    F_e0 = pathlines[2].F_e0.copy()
+    F_e0[1, 1] = np.nan
+    for changed in ({1: replace(pathlines[1], F_e12=F_e12)},
+                    {2: replace(pathlines[2], F_e0=F_e0)}):
+        odd = [changed.get(i, pl) for i, pl in enumerate(pathlines)]
+        assert np.isnan(pathline_grid_discrepancy(res, odd))
+        for i, one in enumerate(odd):
+            assert np.isnan(pathline_grid_discrepancy(res, [one])) == (i in changed)
 
 
 def test_no_pathlines_writes_no_pathline_file(tmp_path):

@@ -15,14 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surfgrow.scenarios
-from surfgrow import (MaterialParams, OutOfDomain, PathlineRecord, ScenarioConfig,
+from surfgrow import (HistoryPathline, MaterialParams, OutOfDomain, ScenarioConfig,
                       ValidationError, pathline_grid_discrepancy, run_scenario,
                       trace_history_pathlines, write_fields)
 from surfgrow.grids import interp_prefix
 from surfgrow.output import fmt
 from surfgrow.scenarios import CLASS_CELLS, level_v1, pathline_levels
 
-from references import ROUNDOFF, level_speed, velocity_tolerance
+from references import ROUNDOFF, level_speed, pathline_arrays, velocity_tolerance
 
 
 def _bits(x):
@@ -74,7 +74,7 @@ def _reference_levels(history, pathlines):
     """Each sample's stored level and clamped height, and the levels'
     samples grouped, in ascending level order."""
     t = np.concatenate([pl.t for pl in pathlines])
-    x2 = np.concatenate([pl.x[:, 1] for pl in pathlines])
+    x2 = np.concatenate([np.full(len(pl.t), pl.x2) for pl in pathlines])
     times = history.t
     dt = times[1] - times[0] if len(times) > 1 else 1.0
     level = np.clip(np.rint((t - times[0]) / dt), 0, len(times) - 1).astype(int)
@@ -91,7 +91,7 @@ def reference_gap(result, pathlines):
     F_grid = np.empty((len(x2), 2, 2))
     for j, idx in groups:
         F_grid[idx] = _level_F_e(history, j, x2[idx])
-    F_char = np.concatenate([pl.F_e for pl in pathlines])
+    F_char = np.concatenate([pathline_arrays(pl)[1] for pl in pathlines])
     return float(np.max(np.abs(F_grid - F_char), initial=0.0))
 
 
@@ -115,7 +115,8 @@ def reference_pathlines_csv(result, path):
     lines = ["pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p"]
     k = 0
     for i, pl in enumerate(result.pathlines):
-        for t, x, F in zip(pl.t, pl.x, pl.F_e.reshape(-1, 4)):
+        x, F_e = pathline_arrays(pl)
+        for t, x, F in zip(pl.t, x, F_e.reshape(-1, 4)):
             lines.append(",".join([str(i)] + [fmt(v) for v in
                                               (t, *x, *F, v1[k], 0.0, p[k])]))
             k += 1
@@ -231,10 +232,11 @@ def test_gap_of_samples_off_the_levels_is_the_per_level_loop():
     result = run_scenario(_config("non_normal", n_cells=32, t_end=0.5))
     history = result.history
     # times before t0 and past t_end, heights below the base and above the
-    # body at every level, with F_e = I
+    # body at every level, with F_e = I: a one-sample pathline per height
     t = np.linspace(-0.1, history.t[-1] + 0.3, 40) + 1e-4
-    x = np.column_stack([np.zeros(40), np.linspace(-0.2, history.H[-1] + 0.4, 40)])
-    pathlines = [PathlineRecord(t=t, x=x, F_e=np.broadcast_to(np.eye(2), (40, 2, 2)))]
+    heights = np.linspace(-0.2, history.H[-1] + 0.4, 40)
+    pathlines = [HistoryPathline(t=[tm], x1=[0.0], F_e12=[0.0], x2=x2, F_e0=np.eye(2))
+                 for tm, x2 in zip(t, heights)]
     result.pathlines = pathlines + trace_history_pathlines(result, count=3)
     gap = pathline_grid_discrepancy(result, result.pathlines)
     assert repr(gap) == repr(reference_gap(result, result.pathlines))
@@ -242,7 +244,8 @@ def test_gap_of_samples_off_the_levels_is_the_per_level_loop():
     level = np.clip(np.rint((np.concatenate([pl.t for pl in result.pathlines])
                              - history.t[0]) / (history.t[1] - history.t[0])),
                     0, len(history) - 1).astype(int)
-    x2 = np.minimum(np.maximum(np.concatenate([pl.x[:, 1] for pl in result.pathlines]),
+    x2 = np.minimum(np.maximum(np.concatenate([np.full(len(pl.t), pl.x2)
+                                               for pl in result.pathlines]),
                                0.0), history.H[level])
     assert np.all(np.abs(level_v1(history, level, x2, result.classes) - v1)
                   <= velocity_tolerance(level_speed(history)[level]))

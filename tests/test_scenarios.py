@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import surfgrow.scenarios
 from surfgrow import (History, IncompatibleAnsatz, MaterialParams, NotReduced,
-                      OutOfBody, PathlineRecord, ScenarioConfig, SingularSystem,
+                      HistoryPathline, OutOfBody, ScenarioConfig, SingularSystem,
                       SingularTensor,
                       ValidationError, analytic_non_normal, convergence_study,
                       integrate_characteristics, reconstruct_reference,
@@ -33,8 +33,8 @@ from surfgrow.verify import (_residual_rows, _rest_deviation, default_config,
                              verify_scenario)
 
 from references import (BLOCK_CELLS, ROUNDOFF, block_bounds, block_columns, first_integral,
-                        level_speed, reduced_step_1d, replay_columns, solve_residuals,
-                        velocity_tolerance)
+                        level_speed, pathline_arrays, reduced_step_1d, replay_columns,
+                        solve_residuals, velocity_tolerance)
 
 
 def interp_columns(xq, xp, values):
@@ -591,11 +591,12 @@ def _per_sample_discrepancy(history, pathlines):
     last = len(history) - 1
     worst = 0.0
     for pl in pathlines:
+        x, F_e = pathline_arrays(pl)
         for m, t in enumerate(pl.t):
             rec = history[min(max(int(round((t - t0) / dt)), 0), last)]
-            x2 = min(max(pl.x[m, 1], 0.0), rec.grid.height)
+            x2 = min(max(x[m, 1], 0.0), rec.grid.height)
             F_grid = interp_columns(np.array([x2]), rec.grid.centers, rec.F_e)[0]
-            worst = max(worst, float(np.max(np.abs(F_grid - pl.F_e[m]))))
+            worst = max(worst, float(np.max(np.abs(F_grid - F_e[m]))))
     return worst
 
 
@@ -624,16 +625,16 @@ def test_discrepancy_clamps_time_and_height_like_per_sample_loop():
     # the base and above the body at every level
     t = np.linspace(-0.1, t_end + 0.3, 40) + 1e-4
     x2 = np.linspace(-0.2, H_end + 0.4, 40)
-    x = np.column_stack([np.zeros(40), x2])
     assert t.max() > t_end and x2.max() > H_end and t.min() < 0 and x2.min() < 0
-    # with F_e = I the gap of one sample is |F_e12| of the grid where it
-    # lands, so scoring samples one at a time shows any level it misplaces
-    F_e = np.broadcast_to(np.eye(2), (40, 2, 2))
-    for m in range(40):
-        one = [PathlineRecord(t=t[m:m + 1], x=x[m:m + 1], F_e=F_e[m:m + 1])]
-        gap = pathline_grid_discrepancy(res, one)
-        assert repr(gap) == repr(_per_sample_discrepancy(history, one)), m
-    pathlines = [PathlineRecord(t=t, x=x, F_e=F_e)] + trace_history_pathlines(res, count=3)
+    # a one-sample pathline per height; with F_e = I the gap of one sample
+    # is |F_e12| of the grid where it lands, so scoring samples one at a
+    # time shows any level it misplaces
+    samples = [HistoryPathline(t=[t[m]], x1=[0.0], F_e12=[0.0], x2=x2[m], F_e0=np.eye(2))
+               for m in range(40)]
+    for m, one in enumerate(samples):
+        gap = pathline_grid_discrepancy(res, [one])
+        assert repr(gap) == repr(_per_sample_discrepancy(history, [one])), m
+    pathlines = samples + trace_history_pathlines(res, count=3)
     gap = pathline_grid_discrepancy(res, pathlines)
     assert repr(gap) == repr(_per_sample_discrepancy(history, pathlines))
 
