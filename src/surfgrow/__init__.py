@@ -21,9 +21,8 @@ from .kinematics import (HistoryPathline, PathlineRecord, advance_deformation_st
                          advance_inverse_motion, deformation_from_inverse_motion,
                          integrate_characteristics, strip_row_curl,
                          strip_velocity_gradient)
-from .balance import (GrowthInput, SideState, advance_domain,
-                      boundary_normal_velocity, growth_traction,
-                      jump_residuals, normal_pressure)
+from .balance import (SideState, advance_domain, boundary_normal_velocity,
+                      growth_traction, jump_residuals, normal_pressure)
 from .scenarios import (ConvergenceRow, ReconstructedFrame, RunResult,
                         ScenarioConfig, analytic_non_normal, convergence_study,
                         pathline_grid_discrepancy, reconstruct_reference,
@@ -45,7 +44,7 @@ __all__ = [
     "HistoryPathline", "PathlineRecord", "ReconstructedFrame", "advance_deformation_strip",
     "advance_inverse_motion", "deformation_from_inverse_motion",
     "integrate_characteristics", "reconstruct_reference", "strip_row_curl",
-    "strip_velocity_gradient", "GrowthInput", "SideState", "advance_domain",
+    "strip_velocity_gradient", "SideState", "advance_domain",
     "boundary_normal_velocity", "growth_traction", "jump_residuals",
     "normal_pressure",
     "ConvergenceRow", "RunResult", "ScenarioConfig", "analytic_non_normal",

@@ -3,42 +3,22 @@ quasistatic through-thickness momentum balance, and the domain-height update.
 
 Growth enters the balance laws only through the boundary: the surface
 moves with ``V_b . n = v . n + M / rho`` and develops the traction
-``sigma n = M (v_a - v) + t_b``.  The solve is the cells' shear rates, the
-first integral ``g = (tau1 - G S12) / mu`` that a march evaluates per cell
-age (``scenarios.shear_by_age``); its residuals are read by entry class
-from the age tables (see the README's Scenarios section).
+``sigma n = M (v_a - v) + t_b``.  The scenarios have no ambient traction
+(``t_b = 0``) and march under ``ScenarioConfig.attachment_traction``.  The
+solve is the cells' shear rates, the first integral ``g = (tau1 - G S12) /
+mu`` that a march evaluates per cell age (``scenarios.shear_by_age``); its
+residuals are read by entry class from the age tables (see the README's
+Scenarios section).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NegativeHeight, NotReduced, SingularSystem, ValidationError
 from .tensors import require_finite
-
-
-@dataclass(frozen=True)
-class GrowthInput:
-    """Surface-source data: mass rate, attachment velocity/traction/deformation.
-
-    ``M > 0`` is accretion, ``M < 0`` ablation.  ``v_a = None`` means the
-    material attaches at the local body velocity (the slow-growth
-    idealization: no momentum transfer at the surface).
-    """
-
-    M: float
-    v_a: np.ndarray | None = None
-    t_b: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    F_e_attach: np.ndarray = field(default_factory=lambda: np.eye(2))
-
-    def __post_init__(self):
-        object.__setattr__(self, "t_b", require_finite(self.t_b, "t_b").reshape(2))
-        object.__setattr__(self, "F_e_attach",
-                           require_finite(self.F_e_attach, "F_e_attach").reshape(2, 2))
-        if self.v_a is not None:
-            object.__setattr__(self, "v_a", require_finite(self.v_a, "v_a").reshape(2))
 
 
 @dataclass(frozen=True)
@@ -138,13 +118,6 @@ def require_reduced(F_e0: np.ndarray) -> np.ndarray:
     if np.any(F[:, 1, 0] != 0.0):
         raise NotReduced("F_e21 is nonzero: outside the through-thickness family")
     return F
-
-
-def cell_S22(F22: np.ndarray) -> np.ndarray:
-    """Per-cell ``S22 = F_e22^2`` formed with float powers, which the
-    reported traction residuals are formed with: numpy's array square can
-    differ from them in the last bit."""
-    return np.array([d ** 2 for d in F22.tolist()])
 
 
 def advance_domain(H: float, V_b_normal: float, dt: float, n_steps=1):

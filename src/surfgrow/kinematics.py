@@ -50,9 +50,7 @@ class HistoryPathline:
     With ``v = v1(x2) e1`` a pathline keeps its height ``x2`` and its
     ``F_e11``, ``F_e21`` and ``F_e22``: per sample it holds the time ``t``,
     ``x1`` and ``F_e12``, and once its height and ``F_e0``, the ``F_e`` at
-    its first sample (whose ``F_e12`` is the column's first value).  ``x``
-    and ``F_e`` build ``PathlineRecord``'s ``(n, 2)`` and ``(n, 2, 2)``
-    layout on each access.
+    its first sample (whose ``F_e12`` is the column's first value).
     """
 
     t: np.ndarray
@@ -72,17 +70,6 @@ class HistoryPathline:
                                   "sample and a 2x2 F_e0 whose F_e12 is the column's first")
         if np.any(np.diff(self.t) <= 0):
             raise ValidationError("pathline sample times must be strictly increasing")
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.column_stack([self.x1, np.full(len(self.t), self.x2)])
-
-    @property
-    def F_e(self) -> np.ndarray:
-        F = np.empty((len(self.t), 2, 2))
-        F[:] = self.F_e0
-        F[:, 0, 1] = self.F_e12
-        return F
 
 
 def integrate_characteristics(velocity_sampler: VelocitySampler, seed, t0: float,

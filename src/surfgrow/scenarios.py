@@ -17,8 +17,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .balance import (GrowthInput, advance_domain, boundary_normal_velocity,
-                      cell_S22, growth_traction, normal_pressure, require_reduced)
+from .balance import (advance_domain, boundary_normal_velocity, growth_traction,
+                      normal_pressure, require_reduced)
 from .constitutive import AttachmentSpec, MaterialParams, attach_elastic_deformation
 from .errors import (IncompatibleAnsatz, OutOfBody, OutOfDomain, SingularSystem,
                      SingularTensor, SurfgrowError, ValidationError)
@@ -149,15 +149,26 @@ class ScenarioConfig:
         return boundary_normal_velocity(self.mass_rate, self.params.rho,
                                         np.zeros(2), np.array([0.0, 1.0]))
 
+    @property
+    def attachment_traction(self) -> float:
+        """The shear traction ``tau1`` that arriving material sets on a body
+        at rest: ``growth_traction``'s ``M (v_a - 0)`` with no ambient
+        traction, ``M v0`` for ``fdm_shear`` and 0 for the kinds that attach
+        at the body's velocity.  It is the one traction the age tables are
+        marched under (``shear_by_age``)."""
+        if self.kind != "fdm_shear":
+            return 0.0
+        return float(growth_traction(self.mass_rate, np.array([self.v0, 0.0]),
+                                     np.zeros(2), np.zeros(2))[0])
+
     def attachment_deformation(self) -> np.ndarray:
         if self.kind == "non_normal":
             return np.array([[1.0, -self.alpha], [0.0, 1.0]])
         if self.kind == "thermal":
             return np.eye(2) / self.alpha
-        traction = growth_traction(self.mass_rate, np.array([self.v0, 0.0]),
-                                   np.zeros(2), np.zeros(2))
         F_att, _ = attach_elastic_deformation(
-            AttachmentSpec.from_traction(traction, self.params), self.params)
+            AttachmentSpec.from_traction((self.attachment_traction, 0.0), self.params),
+            self.params)
         return F_att
 
     def initial_deformation(self) -> np.ndarray:
@@ -167,11 +178,6 @@ class ScenarioConfig:
         if self.kind == "fdm_shear":
             return self.attachment_deformation()
         return np.eye(2)
-
-    def growth_input(self) -> GrowthInput:
-        v_a = np.array([self.v0, 0.0]) if self.kind == "fdm_shear" else None
-        return GrowthInput(M=self.mass_rate, v_a=v_a, t_b=np.zeros(2),
-                           F_e_attach=self.attachment_deformation())
 
     def eulerian_grid(self) -> Grid1D:
         """The run's fixed grid: ``n_cells`` cells filling the final body
@@ -242,8 +248,7 @@ class RunResult:
         the body)."""
         _require_finite_height(x2, "x2")
         history = self.history
-        level = np.array([len(history) - 1])
-        xq = np.array([min(max(x2, 0.0), float(history.H[-1]))])
+        level, xq = _final_level(history, x2)
         return {"F_e": level_F_e(history, level, xq)[0],
                 "p": float(level_interp(history, level, xq, history.p)[0]),
                 "v1": float(level_v1(history, level, xq, self.classes)[0])}
@@ -252,6 +257,12 @@ class RunResult:
 def _require_finite_height(x2: float, name: str) -> None:
     if not math.isfinite(x2):
         raise ValidationError(f"{name} must be a finite height, got {x2}")
+
+
+def _final_level(history: History, x2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The last stored level and the height ``x2`` clamped to its body, as
+    one-entry arrays."""
+    return np.array([len(history) - 1]), np.array([min(max(x2, 0.0), float(history.H[-1]))])
 
 
 def analytic_non_normal(x2, t, alpha: float, G: float, mu: float, V_G: float):
@@ -448,16 +459,13 @@ def _score_non_normal(config: ScenarioConfig, history: History, classes: _Classe
 def _score_steady(config: ScenarioConfig, history: History, classes: _Classes,
                   P: np.ndarray, v_abs: np.ndarray) -> dict[str, np.ndarray]:
     """Oracle errors of the levels ``i < len(P)`` against the exact rest
-    under the attachment traction ``tau1`` (``M v0`` for ``fdm_shear``, 0 for
-    ``thermal``): ``F_e12 = tau1 / G``, ``sigma12 = tau1``, ``sigma11 = tau1^2 / G``."""
-    G, mu = config.params.G, config.params.mu
-    tau1 = config.mass_rate * config.v0 if config.kind == "fdm_shear" else 0.0
+    under the attachment traction ``tau1`` (``ScenarioConfig.
+    attachment_traction``): ``F_e12 = tau1 / G``, ``sigma12 = tau1``,
+    ``sigma11 = tau1^2 / G``."""
+    G, tau1 = config.params.G, config.attachment_traction
 
     def errors(F12, g, cell):
-        # total_stress's 11 and 12 entries in its operations (F_e21 = 0)
-        F11, F22 = history.F_e0[cell, 0, 0], history.F_e0[cell, 1, 1]
-        sigma11 = G * (F11 * F11 + F12 * F12) - history.p[cell]
-        sigma12 = G * (F12 * F22) + 2.0 * mu * (0.5 * g)
+        sigma11, sigma12, _ = _stress(history, config.params, cell, F12, g)
         return np.abs([F12 - tau1 / G, sigma12 - tau1, sigma11 - tau1 ** 2 / G])
 
     worst = errors(*classes.body[:, :len(P)], 0) if history.m0 else np.zeros((3, len(P)))
@@ -467,6 +475,16 @@ def _score_steady(config: ScenarioConfig, history: History, classes: _Classes,
                                                            classes.p))
     return {"linf_F_e12": worst[0], "linf_v1": v_abs, "linf_sigma12": worst[1],
             "linf_sigma11": worst[2]}
+
+
+def _stress(history: History, params: MaterialParams, cell, F12, g):
+    """``(sigma11, sigma12, sigma22)`` of the run's cells ``cell`` at the
+    shear ``F12`` and shear rate ``g``: ``total_stress``'s operations with
+    ``F_e21 = 0`` on the cells' ``F_e0`` and ``p``."""
+    G, mu = params.G, params.mu
+    F11, F22, p = history.F_e0[cell, 0, 0], history.F_e0[cell, 1, 1], history.p[cell]
+    return (G * (F11 * F11 + F12 * F12) - p, G * (F12 * F22) + 2.0 * mu * (0.5 * g),
+            G * (F22 * F22) - p)
 
 
 def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
@@ -494,7 +512,9 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     params = config.params
     G, mu, M = params.G, params.mu, config.mass_rate
     dt, n_steps = config.resolve_dt()
-    growth = config.growth_input()
+    # fdm_shear's material attaches at v0; the other kinds' at the body's
+    # velocity, which sets no traction
+    fed, tau1 = config.kind == "fdm_shear", config.attachment_traction
     grid = config.eulerian_grid()
     n, dx = grid.n_cells, grid.dx
 
@@ -515,16 +535,15 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     # Only F_e12 evolves: F_e0 is each cell's F_e when it entered the run,
     # the initial body's for the m0 cells active at t = 0 and the
     # attachment value for every later cell.  The pressure depends on F_e22
-    # and tau2 = t_b2, and rho keeps its attachment value (v2 = 0).
+    # alone (no ambient traction), and rho keeps its attachment value (v2 = 0).
     entries = [(F, cells) for F, cells in ((config.initial_deformation(), m0),
-                                           (growth.F_e_attach, n - m0)) if cells]
+                                           (config.attachment_deformation(), n - m0)) if cells]
     F_e0 = np.concatenate([np.broadcast_to(F, (cells, 2, 2)) for F, cells in entries])
-    p = normal_pressure(F_e0, params.G, growth.t_b[1])
+    p = normal_pressure(F_e0, params.G, 0.0)
     rho = np.full(n, params.rho)
     for constant in (F_e0, p, rho):
         constant.flags.writeable = False
     F22 = F_e0[:, 1, 1].copy()
-    S22_cells = cell_S22(F22)
 
     v_surf = np.empty(levels)
     metrics = {name: None if name in ("t", "H") else np.empty(levels) for name in METRIC_FIELDS}
@@ -538,14 +557,12 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
             metrics[name] = np.maximum.accumulate(np.abs(values))[m - 1]
         start = time.perf_counter()
         # Every cell is marched under the traction that arriving material
-        # sets on a body at rest, M v_a + t_b (t_b where it attaches at the
-        # body's velocity), so its F_e12 is a function of its age alone.
-        # The age tables (History.table): per entry state, F12 and g by age.
-        tau1, tau2 = growth.t_b if growth.v_a is None else growth_traction(
-            M, growth.v_a, np.zeros(2), growth.t_b)
+        # sets on a body at rest, so its F_e12 is a function of its age
+        # alone.  The age tables (History.table): per entry state, F12 and g
+        # by age.
         history = History(
             step=np.arange(first, first + levels), H=H, m=m, v_surf=v_surf, metrics=metrics,
-            tables=[shear_by_age(float(F[0, 1]), float(F[1, 1]), float(tau1), params, dt,
+            tables=[shear_by_age(float(F[0, 1]), float(F[1, 1]), tau1, params, dt,
                                  levels) for F, _ in entries],
             F_e0=F_e0, p=p, rho=rho, dx=dx, dt=dt)
         metrics.update(t=history.t, H=H)
@@ -564,34 +581,28 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
         P = P[:W]
         lo, hi, interior = _solve_checks(classes, P, (G / mu) * dx)
         v_abs = np.maximum(np.abs(hi), np.abs(lo))  # 0.0, never -0.0
-        rows, top = slice(0, W), m[:W] - 1
-        if growth.v_a is not None:
-            # each level is checked against the traction M (v_a - v) + t_b
-            # of its own top velocity v: its top row reads dx M |v| / mu
-            tau1 = growth_traction(M, growth.v_a[0], v_surf[rows], growth.t_b[0])
+        rows, top, v = slice(0, W), m[:W] - 1, v_surf[:W]
+        level_tau1 = growth_traction(M, config.v0, v, 0.0) if fed else tau1
         F12, g = history.source[:, history.index(rows, top)]  # the top cells'
         S12 = F12 * F22[top]
-        resid_top = np.abs(dx * g - (dx / mu) * (tau1 - G * S12))
+        # each level is checked against the traction of its own top velocity
+        # v: for fdm_shear its top row reads dx M |v| / mu
+        resid_top = np.abs(dx * g - (dx / mu) * (level_tau1 - G * S12))
         system = np.maximum(interior, resid_top) / np.maximum(1.0, v_abs)
         # the top cell's stress, from the rate the march stored, against the
-        # applied traction; the normal balance there is normal_pressure's
-        S22 = S22_cells[top]
-        sigma22 = -(G * S22 - tau2) + G * S22
-        traction = np.maximum(np.abs(G * S12 + mu * g - tau1), np.abs(sigma22 - tau2))
+        # applied traction; its sigma22 is normal_pressure's balance, 0
+        sigma11, sigma12, sigma22 = _stress(history, params, top, F12, g)
+        traction = np.maximum(np.abs(G * S12 + mu * g - level_tau1), np.abs(sigma22))
         metrics["system_residual"][rows] = system
         metrics["traction_residual"][rows] = traction
         solved = time.perf_counter()
-        # the top cells' jump residuals, in total_stress's and
-        # jump_residuals' operations less finite values times zero (F_e21 =
-        # 0, n = e2); a stress entry times n1 = 0 turns an overflow into NaN
-        v, F11, F22_top, p_top = v_surf[rows], F_e0[top, 0, 0], F22[top], p[top]
-        sigma11 = G * (F11 * F11 + F12 * F12) - p_top
-        sigma12 = G * (F12 * F22_top) + 2.0 * mu * (0.5 * g)
-        sigma22 = G * (F22_top * F22_top) - p_top
+        # the top cells' jump residuals, in jump_residuals' operations less
+        # finite values times zero (n = e2); a stress entry times n1 = 0
+        # turns an overflow into NaN.  The momentum M v_a arrives at v0 for
+        # fdm_shear (M v0 = tau1), else at the body's velocity.
         flux = rho[top] * (M / rho[top])  # rho (V_b - v) . n; none on the ambient side
-        v_a = v if growth.v_a is None else growth.v_a[0]
-        momentum1 = ((flux * v + (sigma11 * 0.0 + sigma12)) - growth.t_b[0]) - M * v_a
-        momentum2 = (sigma12 * 0.0 + sigma22) - growth.t_b[1]
+        momentum1 = (flux * v + (sigma11 * 0.0 + sigma12)) - (tau1 if fed else M * v)
+        momentum2 = sigma12 * 0.0 + sigma22
         metrics["mass_residual"][rows] = np.abs(flux - M)
         momentum = np.maximum(np.abs(momentum1), np.abs(momentum2))
         metrics["momentum_residual"][rows] = momentum
@@ -680,8 +691,16 @@ def run_mu_sweep(config: ScenarioConfig, probe_x2: float = 0.25,
     for mu in mus:
         params = replace(config.params, mu=mu)
         cfg = replace(config, params=params, dt=min(0.5 * mu / params.G, config.t_end / 64.0))
-        out.append((mu, abs(float(run_non_normal(cfg).probe(probe_x2)["F_e"][0, 1]))))
+        out.append((mu, _final_shear(cfg, probe_x2)))
     return out
+
+
+def _final_shear(config: ScenarioConfig, x2: float) -> float:
+    """``|F_e12|`` of a ``run_non_normal`` run at ``t_end`` and the height
+    ``x2``, bitwise ``probe``'s, read through ``History.interp`` alone; the
+    run is dropped on return."""
+    history = run_non_normal(config).history
+    return abs(float(history.interp(0, *_final_level(history, x2))[0]))
 
 
 def convergence_runs(config: ScenarioConfig, resolutions):
@@ -775,6 +794,7 @@ def level_v1(history: History, level: np.ndarray, x2: np.ndarray,
             g_body = classes.body[1][at]
             Y = P[slot[at]] + history.m0 * g_body
             V = np.where(above, history.dx * (Y - Z), face * (history.dx * g_body))
+            V[face == 0] = 0.0  # the clamped base, whatever the body's rate
         # height s reads node `lower` at 2 s and the one above it at 2 s + 1
         v1[idx] = interp_prefix(
             xs, faces, top + 1, V.reshape(2, -1).T.ravel(),

@@ -3,11 +3,17 @@ that its by-age march and checks are compared against."""
 
 import numpy as np
 
-from surfgrow.balance import cell_S22, growth_traction, require_reduced
+from surfgrow.balance import growth_traction, require_reduced
 from surfgrow.constitutive import MaterialParams
 from surfgrow.errors import SingularTensor, ValidationError
 from surfgrow.grids import interp_prefix
 from surfgrow.tensors import EPS_DET
+
+
+def cell_S22(F22: np.ndarray) -> np.ndarray:
+    """Per-cell ``S22 = F_e22^2`` formed with float powers, which the
+    reference traction residuals are formed with."""
+    return np.array([d ** 2 for d in F22.tolist()])
 
 
 def first_integral(F12: np.ndarray, F22: np.ndarray, tau1: float,
@@ -258,16 +264,19 @@ def block_columns(config, history, cells=BLOCK_CELLS):
     ``(v_surf, metrics, oracle_errors)``, with ``metrics`` the system,
     traction, mass and momentum residuals.  Every level is formed; nothing
     is gated."""
-    params, growth = config.params, config.growth_input()
+    params = config.params
     G, mu, M = params.G, params.mu, config.mass_rate
+    # material attaches at v_a = (v0, 0) for fdm_shear, else at the body's
+    # velocity; no kind has an ambient traction t_b
+    v_a0 = np.array([config.v0, 0.0]) if config.kind == "fdm_shear" else None
+    t_b = np.zeros(2)
     m, dx, t = history.m, history.dx, history.t
     F_e0, p_cells, rho = history.F_e0, history.p, history.rho
     F22 = F_e0[:, 1, 1].copy()
     S22 = cell_S22(F22)
     levels = len(m)
     tau = np.empty((levels, 2))
-    tau[:] = growth.t_b if growth.v_a is None else growth_traction(
-        M, growth.v_a, np.zeros(2), growth.t_b)
+    tau[:] = t_b if v_a0 is None else growth_traction(M, v_a0, np.zeros(2), t_b)
     v_surf = np.empty(levels)
     names = ("system_residual", "traction_residual", "mass_residual", "momentum_residual")
     metrics = {name: np.empty(levels) for name in names}
@@ -280,8 +289,8 @@ def block_columns(config, history, cells=BLOCK_CELLS):
         F12, g = fill_block(history.source, history.step - history.first, history.col,
                             np.arange(i0, i0 + B), v_nodes, dx)
         v_surf[rows] = v_nodes[np.arange(B), counts]
-        if growth.v_a is not None:
-            tau[rows, 0] = growth_traction(M, growth.v_a[0], v_surf[rows], growth.t_b[0])
+        if v_a0 is not None:
+            tau[rows, 0] = growth_traction(M, v_a0[0], v_surf[rows], t_b[0])
         system, traction = solve_residuals(F12, g, counts, v_nodes, S22, F22, tau[rows],
                                            params, dx)
         metrics["system_residual"][rows] = system
@@ -291,13 +300,13 @@ def block_columns(config, history, cells=BLOCK_CELLS):
         top, b = counts - 1, np.arange(B)
         F11, F22_top, p_top = F_e0[top, 0, 0], F_e0[top, 1, 1], p_cells[top]
         F12_top, g_top, v = F12[b, top], g[b, top], v_surf[rows]
-        v_a = v if growth.v_a is None else growth.v_a[0]
+        v_a = v if v_a0 is None else v_a0[0]
         sigma11 = G * (F11 * F11 + F12_top * F12_top) - p_top
         sigma12 = G * (F12_top * F22_top) + 2.0 * mu * (0.5 * g_top)
         sigma22 = G * (F22_top * F22_top) - p_top
         flux = rho[top] * (M / rho[top])
-        momentum1 = ((flux * v + (sigma11 * 0.0 + sigma12)) - growth.t_b[0]) - M * v_a
-        momentum2 = (sigma12 * 0.0 + sigma22) - growth.t_b[1]
+        momentum1 = ((flux * v + (sigma11 * 0.0 + sigma12)) - t_b[0]) - M * v_a
+        momentum2 = (sigma12 * 0.0 + sigma22) - t_b[1]
         metrics["mass_residual"][rows] = np.abs(flux - M)
         metrics["momentum_residual"][rows] = np.maximum(np.abs(momentum1),
                                                         np.abs(momentum2))

@@ -23,6 +23,8 @@ from surfgrow.kinematics import (advance_deformation_strip,
                                  strip_row_curl, strip_velocity_gradient)
 from surfgrow.tensors import det, identity, inverse
 
+from references import pathline_arrays
+
 LEVELS = (50, 100, 200, 400)
 
 
@@ -177,7 +179,7 @@ def test_criterion_06_inverse_motion_equivalence():
 
 
 def test_criterion_07_determinant_transport(nn_runs, nn_pathlines):
-    drift200 = max(float(np.abs(det(pl.F_e) - 1.0).max())
+    drift200 = max(float(np.abs(det(pathline_arrays(pl)[1]) - 1.0).max())
                    for pl in nn_pathlines[200])
 
     # halving dt must cut the drift 4x (2nd-order integrator); the growth

@@ -6,10 +6,10 @@ from surfgrow import (Grid1D, MaterialParams, NegativeHeight, NotReduced,
                       advance_domain, boundary_normal_velocity, growth_traction,
                       jump_residuals, neo_hookean_stress, normal_pressure,
                       run_non_normal)
-from surfgrow.balance import cell_S22, require_reduced
+from surfgrow.balance import require_reduced
 from surfgrow.tensors import identity
 
-from references import first_integral, solve_residuals
+from references import cell_S22, first_integral, solve_residuals
 
 E2 = np.array([0.0, 1.0])
 

@@ -238,7 +238,7 @@ def _assert_pathlines_agree(result, written, expected):
     assert np.all(np.where(np.isfinite(theirs), close | (ours == theirs), ~np.isfinite(ours)))
 
 
-def _odd_values_result(metrics=None):
+def _odd_values_result(metrics=None, body_rate=None):
     # values whose text is easy to get wrong: signed zero, the smallest
     # subnormal, a repeating fraction, nan (two payloads) and infinities;
     # three levels of 1, 3 and 4 cells on one spacing (a one-row snapshot),
@@ -246,7 +246,9 @@ def _odd_values_result(metrics=None):
     # pathlines next to the base, below it, above the body and inside it,
     # one with columns constant but for a zero's sign (x1) and for one of two
     # NaN payloads (F_e12), and one of a single sample, whose every column is
-    # constant (``metrics``: each level's row, zeros by default)
+    # constant (``metrics``: each level's row, zeros by default;
+    # ``body_rate``: the initial body's g by age times dx, in place of its
+    # -inf, 5e-324 and 1/3)
     nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)
     odd = np.array([-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300])
     dx, m = 0.25, np.array([1, 3, 4])
@@ -256,6 +258,8 @@ def _odd_values_result(metrics=None):
     by_age = np.zeros((2, 2, 3))  # (state, F_e12 or g, age)
     by_age[:, 0] = [[-0.0, 1.0 / 3.0, np.nan], [1e300, nan2[0], -5e-324]]
     by_age[:, 1] = np.reshape([-np.inf, 5e-324, 1.0 / 3.0, 1e300, np.nan, np.inf], (2, 3)) / dx
+    if body_rate is not None:
+        by_age[0, 1] = np.asarray(body_rate) / dx
     rows = metrics or [{name: 0.0 for name in METRIC_FIELDS}] * 3
     history = History(
         step=np.arange(3), H=np.array([0.5, 0.75, 1.0]), m=m, v_surf=np.empty(3),
@@ -315,6 +319,22 @@ def test_face_velocities_read_only_the_runs_layout():
     x2 = np.linspace(0.0, 1.0, len(later)) * h.H[later]
     assert (level_v1(h[3:], later - 3, x2, classes).tobytes()
             == level_v1(h, later, x2, classes).tobytes())
+
+
+@pytest.mark.parametrize("body_rate", [None, [-2.0, -0.5, -1.0]], ids=["infinite", "negative"])
+def test_face_velocities_read_the_clamped_base_as_zero(body_rate):
+    # the base face moves at 0.0 whatever the initial body's rate: at and
+    # next to the base every level reads bitwise np.interp over its
+    # History.v_nodes, on the odd values' body (g = -inf / dx at level 0,
+    # where the base face times the rate was NaN) and on one of finite
+    # negative rates (where it was -0.0)
+    result = _odd_values_result(body_rate=body_rate)
+    history = result.history
+    x2 = np.array([-0.0, 0.0, 5e-324])
+    for k in range(len(history)):
+        expected = np.interp(x2, history.faces[:history.m[k] + 1], history.v_nodes(k))
+        ours = level_v1(history, np.full(len(x2), k), x2, result.classes)
+        assert np.array_equal(_bits(ours), _bits(expected)), k
 
 
 def test_csv_blocks_write_the_same_bytes(tmp_path, monkeypatch):

@@ -21,9 +21,9 @@ from surfgrow import (History, IncompatibleAnsatz, MaterialParams, NotReduced,
                       run_thermal, trace_history_pathlines,
                       pathline_grid_discrepancy, write_fields)
 from surfgrow.balance import (SideState, advance_domain,
-                              boundary_normal_velocity, cell_S22, growth_traction,
+                              boundary_normal_velocity, growth_traction,
                               jump_residuals, normal_pressure, require_reduced)
-from surfgrow.constitutive import total_stress
+from surfgrow.constitutive import AttachmentSpec, attach_elastic_deformation, total_stress
 from surfgrow.grids import Grid1D, StepRecord
 from surfgrow.output import METRIC_FIELDS
 from surfgrow.scenarios import (ANSATZ_RESIDUAL_LIMIT, KINDS, level_v1,
@@ -32,9 +32,9 @@ from surfgrow.tensors import det, inverse
 from surfgrow.verify import (_residual_rows, _rest_deviation, default_config,
                              verify_scenario)
 
-from references import (BLOCK_CELLS, ROUNDOFF, block_bounds, block_columns, first_integral,
-                        level_speed, pathline_arrays, reduced_step_1d, replay_columns,
-                        solve_residuals, velocity_tolerance)
+from references import (BLOCK_CELLS, ROUNDOFF, block_bounds, block_columns, cell_S22,
+                        first_integral, level_speed, pathline_arrays, reduced_step_1d,
+                        replay_columns, solve_residuals, velocity_tolerance)
 
 
 def interp_columns(xq, xp, values):
@@ -69,12 +69,13 @@ def thermal_config(**kw):
 
 def _traction(cfg, v_surf):
     """The top traction that arriving material sets on a body whose top
-    moves at ``v_surf``: ``M (v_a - v) + t_b``, or ``t_b`` where it
-    attaches at the body's velocity."""
-    growth = cfg.growth_input()
-    if growth.v_a is None:
-        return growth.t_b
-    return growth_traction(cfg.mass_rate, growth.v_a, np.array([v_surf, 0.0]), growth.t_b)
+    moves at ``v_surf``: ``M (v_a - v) + t_b`` with ``v_a = (v0, 0)`` for
+    ``fdm_shear``, or ``t_b`` where it attaches at the body's velocity; no
+    kind has an ambient traction, ``t_b = 0``."""
+    if cfg.kind != "fdm_shear":
+        return np.zeros(2)
+    return growth_traction(cfg.mass_rate, np.array([cfg.v0, 0.0]), np.array([v_surf, 0.0]),
+                           np.zeros(2))
 
 
 def _level_solve(cfg, F12, F_e0, dx):
@@ -462,6 +463,45 @@ def test_fdm_shear_initial_body_enters_in_the_attachment_state(G, rho, h, v0, L)
     assert _bits(history.columns(0, 0)) == _bits(np.full(m0, former[0, 1]))
 
 
+_TRACTION_CONFIGS = [
+    fdm_config(), fdm_config(v0=0.0), fdm_config(v0=-0.0),
+    fdm_config(h=0.37, L=2.3, v0=0.7, params=MaterialParams(G=1.3, mu=1.0, rho=1.7)),
+    nn_config(), nn_config(alpha=0.0), thermal_config(), thermal_config(H0=0.0, alpha=0.7)]
+_TRACTION_IDS = ["fdm_shear", "fdm_v0_0", "fdm_v0_-0", "fdm_h_L_rho", "non_normal",
+                 "non_normal_alpha_0", "thermal", "thermal_H0_0"]
+
+
+@pytest.mark.parametrize("cfg", _TRACTION_CONFIGS, ids=_TRACTION_IDS)
+def test_attachment_traction_is_the_feed_on_a_body_at_rest(cfg):
+    # M (v_a - 0) + 0 through growth_traction for fdm_shear, bitwise (v0 =
+    # -0.0 included), and 0.0 for the kinds that attach at the body's
+    # velocity
+    if cfg.kind == "fdm_shear":
+        expected = growth_traction(cfg.mass_rate, np.array([cfg.v0, 0.0]), np.zeros(2),
+                                   np.zeros(2))[0]
+    else:
+        expected = 0.0
+    assert type(cfg.attachment_traction) is float
+    assert _bits(cfg.attachment_traction) == _bits(expected)
+
+
+@pytest.mark.parametrize("cfg", _TRACTION_CONFIGS, ids=_TRACTION_IDS)
+def test_attachment_deformation_is_the_full_traction_s_attachment_state(cfg):
+    # bitwise the attachment state of the full traction M (v_a - 0) + 0
+    # for fdm_shear, the prescribed shear for non_normal and the isotropic
+    # contraction for thermal
+    if cfg.kind == "fdm_shear":
+        traction = growth_traction(cfg.mass_rate, np.array([cfg.v0, 0.0]), np.zeros(2),
+                                   np.zeros(2))
+        expected, _ = attach_elastic_deformation(
+            AttachmentSpec.from_traction(traction, cfg.params), cfg.params)
+    elif cfg.kind == "non_normal":
+        expected = np.array([[1.0, -cfg.alpha], [0.0, 1.0]])
+    else:
+        expected = np.eye(2) / cfg.alpha
+    assert _bits(cfg.attachment_deformation()) == _bits(expected)
+
+
 def test_fdm_shear_zero_feed_is_static():
     res = run_fdm_shear(fdm_config(v0=0.0, t_end=0.5))
     for rec in res.history:
@@ -580,7 +620,7 @@ def test_pathlines_match_grid_and_attachment_value():
     lam = cfg.params.G / cfg.params.mu
     bound = cfg.alpha * lam * (dx / cfg.V_G + 2 * dt) + 1e-9
     for pl in pathlines:
-        assert abs(pl.F_e[0, 0, 1] + cfg.alpha) <= bound
+        assert abs(pl.F_e12[0] + cfg.alpha) <= bound
 
 
 def _per_sample_discrepancy(history, pathlines):
@@ -925,13 +965,14 @@ def test_pathline_march_matches_general_integrator(make):
         ref = integrate_characteristics(sampler, np.array([0.0, x2]), rec.t,
                                         times[-1], times[1] - times[0], F0,
                                         domain=inside)
+        x, F_e = pathline_arrays(pl)
         np.testing.assert_array_equal(pl.t, ref.t)
-        np.testing.assert_array_equal(pl.x[:, 1], ref.x[:, 1])
-        assert np.all(np.abs(pl.x[:, 0] - ref.x[:, 0])
+        np.testing.assert_array_equal(x[:, 1], ref.x[:, 1])
+        assert np.all(np.abs(x[:, 0] - ref.x[:, 0])
                       <= ROUNDOFF * ((ref.t - ref.t[0]) * speed + np.abs(ref.x[:, 0])))
-        np.testing.assert_array_equal(pl.F_e, ref.F_e)
-        # each record owns its arrays rather than viewing a shared buffer
-        assert all(a.flags.owndata for a in (pl.t, pl.x, pl.F_e))
+        np.testing.assert_array_equal(F_e, ref.F_e)
+        # each record owns its columns rather than viewing a shared buffer
+        assert all(a.flags.owndata for a in (pl.t, pl.x1, pl.F_e12))
 
 
 def test_convergence_study_fdm_is_scheme_exact():
@@ -1075,11 +1116,10 @@ def test_rank_one_step_is_the_full_source_update(make):
 
 def _per_level_metrics(config, rec):
     # one level with scalar SideState / jump_residuals / total_stress calls
-    growth = config.growth_input()
-    M, t_b = config.mass_rate, growth.t_b
+    M, t_b = config.mass_rate, np.zeros(2)  # no ambient traction
     n_hat = np.array([0.0, 1.0])
     v_surf = np.array([rec.v_nodes[-1], 0.0])
-    v_a = growth.v_a if growth.v_a is not None else v_surf
+    v_a = np.array([config.v0, 0.0]) if config.kind == "fdm_shear" else v_surf
     V_b = np.array([0.0, boundary_normal_velocity(M, rec.rho[-1], v_surf, n_hat)])
     grad_v_top = np.array([[0.0, rec.g[-1]], [0.0, 0.0]])
     sigma_top = total_stress(rec.F_e[-1], grad_v_top, rec.p[-1], config.params)
@@ -1395,8 +1435,7 @@ def _per_level_records(cfg):
     params = cfg.params
     dt, n_steps = cfg.resolve_dt()
     grid = cfg.eulerian_grid()
-    growth = cfg.growth_input()
-    F_att = growth.F_e_attach
+    F_att = cfg.attachment_deformation()
     H0, rate = cfg.height0, cfg.boundary_rate
 
     def height(k):
@@ -1410,7 +1449,7 @@ def _per_level_records(cfg):
     F_e0[:m0], F_e0[m0:] = np.eye(2), F_att
     if cfg.kind == "fdm_shear":
         F_e0[:m0, 0, 1] = cfg.mass_rate * cfg.v0 / params.G
-    p = normal_pressure(F_e0, params.G, growth.t_b[1])
+    p = normal_pressure(F_e0, params.G, 0.0)
     rho = np.full(grid.n_cells, params.rho)
     records, F12 = [], None
     for k in range(n_steps + 1):
@@ -1481,8 +1520,9 @@ def _sweep_member(mu):
         "thermal_cells_per_step", "thermal_H0_0", "thermal_equal_states",
         "sweep_mu_1e-3"])
 def test_age_march_is_bitwise_a_per_level_march(monkeypatch, cfg):
-    # a traction that does not follow the body: the run is marched by age
-    assert cfg.growth_input().v_a is None
+    # material attaches at the body's velocity, so no traction follows the
+    # body: the run is marched by age
+    assert cfg.kind != "fdm_shear"
     recurrence, tables = surfgrow.scenarios.shear_by_age, []
 
     def recording_recurrence(F12, F22, *args):
@@ -2046,7 +2086,7 @@ def test_both_infinities_in_a_level_name_its_step(monkeypatch, fault, error):
                                    cfg.params)).all()
 
 
-@pytest.mark.parametrize("probe_x2", [0.25, 0.9])
+@pytest.mark.parametrize("probe_x2", [0.25, 0.9, -1.0, 5.0])
 @pytest.mark.parametrize("mu_values", [None, (1.0, 0.1, 0.01, 0.001)],
                          ids=["defaults", "to_1e-3"])
 def test_sweep_values_are_the_scored_members_probes(monkeypatch, mu_values, probe_x2):
