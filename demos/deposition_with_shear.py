@@ -29,10 +29,8 @@ def main(out_dir=None):
 
     result = run_fdm_shear(config)
     rec = result.final
-    # the final level's F_e from its columns (only F_e12 evolves)
     F12 = rec.F_e12
-    F_e = np.stack(rec.F_e_columns(), axis=1).reshape(-1, 2, 2)
-    sigma = total_stress(F_e, rec.grad_v, rec.p, config.params)
+    sigma = total_stress(rec.F_e, rec.grad_v, rec.p, config.params)
     sigma12, sigma11 = sigma[:, 0, 1], sigma[:, 0, 0]
     print(f"\nafter t = {rec.t:g}:")
     print(f"  H(t)           = {rec.grid.height!r}  "

@@ -22,7 +22,7 @@ import time
 from .config import parse_config
 from .errors import SurfgrowError, UsageError
 from .output import write_fields
-from .scenarios import convergence_study, run_scenario
+from .scenarios import KINDS, convergence_study, run_scenario
 from .verify import format_table, verify_scenario
 
 
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory")
 
     p_ver = sub.add_parser("verify", help="run the built-in oracle checks")
-    p_ver.add_argument("scenario", help="non_normal | fdm_shear | thermal")
+    p_ver.add_argument("scenario", help=" | ".join(KINDS))
     p_ver.add_argument("--out", default=None, help="also write the run outputs")
 
     p_conv = sub.add_parser("converge", help="refinement study")

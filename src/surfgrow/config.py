@@ -1,30 +1,29 @@
 """Plain-text scenario configuration.
 
 Grammar (documented interface): one ``key = value`` pair per line, ``#``
-starts a comment, blank lines are ignored.  No sections, no quoting.
-Unknown keys and malformed lines raise ``ParseError`` with the offending
-line number; well-formed values violating an invariant raise
-``ValidationError`` naming the field.
+starts a comment, blank lines are ignored.  No sections, no quoting.  The
+keys are the scalar fields of ``ScenarioConfig`` and ``MaterialParams``
+(``constitutive.scalar_fields``), each parsed to its field's type, and an
+absent key takes its field's default.  Unknown keys and malformed lines
+raise ``ParseError`` with the offending line number; well-formed values
+violating an invariant raise ``ValidationError`` naming the field.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .constitutive import MaterialParams
+from .constitutive import MaterialParams, scalar_fields
 from .errors import ParseError, ValidationError
 from .scenarios import KINDS, ScenarioConfig
 
-_FLOAT_KEYS = ("G", "mu", "rho", "alpha", "H0", "V_G", "h", "v0", "L", "dt", "t_end")
-_INT_KEYS = ("n_cells", "n_snapshots")
-_KNOWN_KEYS = ("kind",) + _FLOAT_KEYS + _INT_KEYS
+# Each key a config file may set, with the type its value parses to.
+_KEYS = {**scalar_fields(ScenarioConfig), **scalar_fields(MaterialParams)}
 
 
 def _parse_scalar(key: str, raw: str, lineno: int):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return _KEYS[key](raw)
     except ValueError:
         raise ParseError(f"line {lineno}: cannot parse value {raw!r} for key {key!r}") from None
 
@@ -41,29 +40,26 @@ def read_pairs(text: str) -> dict:
             raise ParseError(f"line {lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ParseError(f"line {lineno}: duplicate key {key!r} "
                              f"(first set on line {lines[key]})")
         if not raw:
             raise ParseError(f"line {lineno}: empty value for key {key!r}")
-        if key == "kind":
-            pairs[key] = raw
-        else:
-            pairs[key] = _parse_scalar(key, raw, lineno)
+        pairs[key] = _parse_scalar(key, raw, lineno)
         lines[key] = lineno
     return pairs
 
 
 def config_from_pairs(pairs: dict) -> ScenarioConfig:
+    """The configuration the pairs set; every key left out takes its default."""
     if "kind" not in pairs:
         raise ValidationError("kind is required (one of %s)" % ", ".join(KINDS))
-    params = MaterialParams(G=pairs.get("G", 1.0), mu=pairs.get("mu", 0.1),
-                            rho=pairs.get("rho", 1.0))
-    kwargs = {k: pairs[k] for k in ("alpha", "H0", "V_G", "h", "v0", "L",
-                                    "n_cells", "dt", "t_end", "n_snapshots") if k in pairs}
-    return ScenarioConfig(kind=pairs["kind"], params=params, **kwargs)
+    material = scalar_fields(MaterialParams)
+    params = MaterialParams(**{k: v for k, v in pairs.items() if k in material})
+    return ScenarioConfig(params=params,
+                          **{k: v for k, v in pairs.items() if k not in material})
 
 
 def parse_config(path) -> ScenarioConfig:

@@ -12,12 +12,47 @@ the kinematic state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
+from functools import cache
+from types import MappingProxyType
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import NoInverse, ValidationError
 from .tensors import require_finite, sym
+
+
+# A configuration field's annotation, and the type of its value (None aside).
+_SCALARS = {str: str, int: int, float: float, float | None: float}
+
+
+@cache
+def scalar_fields(cls) -> MappingProxyType:
+    """The scalar fields of the dataclass ``cls`` in order, each with the type
+    of its value (``float`` for ``float | None`` too), read-only; a field of
+    another type (``ScenarioConfig.params``) is left out.  These are the keys
+    a config file sets and the fields ``check_scalar_fields`` checks."""
+    hints = get_type_hints(cls)
+    return MappingProxyType({f.name: _SCALARS[hints[f.name]] for f in fields(cls)
+                             if hints[f.name] in _SCALARS})
+
+
+def check_scalar_fields(obj) -> None:
+    """Refuse a non-finite ``float`` field of the dataclass ``obj`` (``None``
+    passes), then a non-integral ``int`` field, naming the first; each
+    ``int`` field is stored as an ``int``."""
+    kinds = scalar_fields(type(obj))
+    for name in [name for name, kind in kinds.items() if kind is float]:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+    for name in [name for name, kind in kinds.items() if kind is int]:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -33,10 +68,7 @@ class MaterialParams:
     rho: float = 1.0
 
     def __post_init__(self):
-        for name in ("G", "mu", "rho"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+        check_scalar_fields(self)
         if not self.G > 0:
             raise ValidationError(f"G must be positive, got {self.G}")
         if self.mu < 0:

@@ -98,12 +98,6 @@ class StepRecord:
         F_e[:, 0, 1] = self.F_e12
         return F_e
 
-    def F_e_columns(self) -> tuple[np.ndarray, ...]:
-        """The components ``(F_e11, F_e12, F_e21, F_e22)`` as ``(n,)`` arrays,
-        without assembling ``F_e``."""
-        F_e0 = self.F_e0
-        return F_e0[:, 0, 0], self.F_e12, F_e0[:, 1, 0], F_e0[:, 1, 1]
-
 
 class History(Sequence):
     """The stored levels of a run, as columns; a read-only sequence of
@@ -118,8 +112,8 @@ class History(Sequence):
     the tables out (``source``) and maps a level's cells into them
     (``index``).  Indexing builds a level's record on first access and
     keeps it; a slice shares the columns, map and records.  ``columns``,
-    ``grid``, ``v_nodes`` and ``F_e_columns`` read a level without a
-    record; each level holds a prefix of the run's ``centers`` and ``faces``.
+    ``grid`` and ``v_nodes`` read a level without a record; each level
+    holds a prefix of the run's ``centers``, ``faces`` and ``F_e0``.
     """
 
     LEVEL_COLUMNS = ("t", "step", "H", "m", "v_surf")
@@ -230,11 +224,6 @@ class History(Sequence):
     def v_nodes(self, k: int) -> np.ndarray:
         """Level ``k``'s face velocities, as its record computes them."""
         return np.concatenate([[0.0], (self.dx * self.columns(k, 1)).cumsum()])
-
-    def F_e_columns(self, k: int) -> tuple[np.ndarray, ...]:
-        """Level ``k``'s ``(F_e11, F_e12, F_e21, F_e22)`` as ``(m,)`` arrays."""
-        F_e0 = self.F_e0[:int(self.m[k])]
-        return F_e0[:, 0, 0], self.columns(k, 0), F_e0[:, 1, 0], F_e0[:, 1, 1]
 
     @property
     def nbytes(self) -> int:

@@ -62,7 +62,7 @@ class RunManifest:
     files: list
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -282,12 +282,9 @@ def write_fields(result: RunResult, out_dir,
             _write_pathlines(out / "pathlines.csv", result)
             written.append("pathlines.csv")
         dt, n_steps = cfg.resolve_dt()
-        config_echo = {"kind": cfg.kind, "G": cfg.params.G, "mu": cfg.params.mu,
-                       "rho": cfg.params.rho, "alpha": cfg.alpha,
-                       "H0": cfg.height0, "V_G": cfg.V_G, "h": cfg.h,
-                       "v0": cfg.v0, "L": cfg.L, "n_cells": cfg.n_cells,
-                       "dt": dt, "t_end": cfg.t_end,
-                       "n_snapshots": cfg.n_snapshots}
+        # every field, the material's among them, with H0 and dt as resolved
+        echo = asdict(cfg)
+        config_echo = {**echo.pop("params"), **echo, "H0": cfg.height0, "dt": dt}
         files = sorted(({"name": name, "sha256": _sha256(out / name),
                          "bytes": (out / name).stat().st_size}
                         for name in written), key=lambda f: f["name"])

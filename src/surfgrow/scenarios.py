@@ -19,7 +19,8 @@ import numpy as np
 
 from .balance import (advance_domain, boundary_normal_velocity, growth_traction,
                       normal_pressure, require_reduced)
-from .constitutive import AttachmentSpec, MaterialParams, attach_elastic_deformation
+from .constitutive import (AttachmentSpec, MaterialParams, attach_elastic_deformation,
+                           check_scalar_fields)
 from .errors import (IncompatibleAnsatz, OutOfBody, OutOfDomain, SingularSystem,
                      SingularTensor, SurfgrowError, ValidationError)
 from .grids import Grid1D, History, StepRecord, interp_prefix
@@ -71,15 +72,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        for name in ("alpha", "H0", "V_G", "h", "v0", "L", "dt", "t_end"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-        for name in ("n_cells", "n_snapshots"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        check_scalar_fields(self)
         if not self.t_end > 0:
             raise ValidationError(f"t_end must be positive, got {self.t_end}")
         if self.n_cells < 16:
@@ -462,17 +455,21 @@ def _score_steady(config: ScenarioConfig, history: History, classes: _Classes,
     under the attachment traction ``tau1`` (``ScenarioConfig.
     attachment_traction``): ``F_e12 = tau1 / G``, ``sigma12 = tau1``,
     ``sigma11 = tau1^2 / G``."""
-    G, tau1 = config.params.G, config.attachment_traction
+    G, tau1, W, L = config.params.G, config.attachment_traction, len(P), history.L
 
     def errors(F12, g, cell):
         sigma11, sigma12, _ = _stress(history, config.params, cell, F12, g)
         return np.abs([F12 - tau1 / G, sigma12 - tau1, sigma11 - tau1 ** 2 / G])
 
-    worst = errors(*classes.body[:, :len(P)], 0) if history.m0 else np.zeros((3, len(P)))
-    for _, ages, F12, g, _, _ in classes.rows(np.arange(len(P)), P):
-        for k, values in enumerate(errors(F12[:-1], g[:-1], -1)):
-            worst[k] = np.maximum(worst[k], _level_extreme(np.maximum, values, ages[:-1] >= 0,
-                                                           classes.p))
+    worst = errors(*classes.body[:, :W], 0) if history.m0 else np.zeros((3, W))
+    # an accreted cell's errors depend on its age alone: their running
+    # maximum along the stride p by age, -inf below age 0, gathered at each
+    # class's ages is the maximum over the class's cells of a level
+    by_age = np.full((3, 2 * L), -np.inf)
+    by_age[:, L:] = _stride_accumulate(np.maximum, errors(*history.table(-1), -1), classes.p)
+    cols = np.arange(W)
+    for cs in classes.chunks(W):
+        worst = np.maximum(worst, by_age[:, L + cols - classes.e[cs, None]].max(axis=1))
     return {"linf_F_e12": worst[0], "linf_v1": v_abs, "linf_sigma12": worst[1],
             "linf_sigma11": worst[2]}
 
@@ -884,8 +881,7 @@ def pathline_levels(history: History, pathlines) -> tuple[np.ndarray, np.ndarray
     t = np.concatenate([pl.t for pl in pathlines])
     x2 = np.repeat([pl.x2 for pl in pathlines], [len(pl.t) for pl in pathlines])
     times = history.t
-    dt = times[1] - times[0] if len(times) > 1 else 1.0
-    level = np.clip(np.rint((t - times[0]) / dt), 0, len(times) - 1).astype(int)
+    level = np.clip(np.rint((t - times[0]) / history.dt), 0, len(times) - 1).astype(int)
     return level, np.minimum(np.maximum(x2, 0.0), history.H[level])
 
 

@@ -16,8 +16,9 @@ import numpy as np
 
 from .constitutive import MaterialParams
 from .errors import UsageError
-from .scenarios import (RunResult, ScenarioConfig, convergence_runs, reconstruct_reference,
-                        run_mu_sweep, run_thermal, trace_history_pathlines)
+from .scenarios import (KINDS, RunResult, ScenarioConfig, convergence_runs,
+                        reconstruct_reference, run_mu_sweep, run_thermal,
+                        trace_history_pathlines)
 from .tensors import det
 
 
@@ -52,8 +53,7 @@ def default_config(kind: str) -> ScenarioConfig:
     if kind == "thermal":
         return ScenarioConfig(kind=kind, params=MaterialParams(G=1.0, mu=1.0, rho=1.0),
                               alpha=0.8, V_G=1.0, H0=0.5, n_cells=200, t_end=1.0)
-    raise UsageError(f"unknown scenario {kind!r}; choose from non_normal, "
-                     f"fdm_shear, thermal")
+    raise UsageError(f"unknown scenario {kind!r}; choose from {', '.join(KINDS)}")
 
 
 def _residual_rows(result: RunResult) -> list[CheckRow]:
@@ -104,11 +104,11 @@ def verify_non_normal():
     return rows, result
 
 
-def verify_fdm_shear(resolutions=(16, 50, 200)):
+def verify_fdm_shear():
     """Scheme-exact steady state at every resolution."""
     rows: list[CheckRow] = []
     start = time.perf_counter()
-    for row, result in convergence_runs(default_config("fdm_shear"), resolutions):
+    for row, result in convergence_runs(default_config("fdm_shear"), (16, 50, 200)):
         rows.append(CheckRow(f"steady_state_error[n={row.n_cells}]", row.linf, 1e-10))
     elapsed = time.perf_counter() - start
 
@@ -145,10 +145,10 @@ def _rest_deviation(history) -> float:
         history.dx * cells * g))
 
 
-def verify_thermal(alpha: float = 0.8):
+def verify_thermal():
     """Property checks: traction-free top, clamped base, trivial alpha=1 case,
     and a non-identity recovered relaxed shape in the grown region."""
-    cfg = replace(default_config("thermal"), alpha=alpha)
+    cfg = default_config("thermal")
     result = run_thermal(cfg)
     rows = _residual_rows(result)
     history = result.history
@@ -164,7 +164,7 @@ def verify_thermal(alpha: float = 0.8):
         result.final.grid.height - cfg.height0)
     relax_dev = float(np.max(np.abs(frame.F_relax[grown] - np.eye(2))))
     rows.append(CheckRow("relaxed_shape_dev_in_grown_region", relax_dev,
-                         0.5 * abs(alpha - 1.0), direction="min"))
+                         0.5 * abs(cfg.alpha - 1.0), direction="min"))
     detF_dev = float(np.max(np.abs(det(frame.F) - 1.0)))
     rows.append(CheckRow("det_F_reconstructed_dev", detF_dev, 1e-8))
     return rows, result

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -34,6 +34,43 @@ mu = 0.1
 V_G = 1.0
 t_end = 1.0
 """
+
+
+# every key off its default (CI's every_key.cfg)
+EVERY_KEY = """\
+kind = fdm_shear
+G = 2.0
+mu = 1.5
+rho = 0.7
+alpha = 0.3
+H0 = 0.8
+V_G = 1.1
+h = 0.2
+v0 = 0.9
+L = 1.3
+n_cells = 40
+dt = 0.01
+t_end = 0.6
+n_snapshots = 3
+"""
+
+
+def test_every_field_parses_and_is_echoed(tmp_path):
+    # a field the parser or the manifest skips keeps its default or is missing
+    cfg = parse_config(write_cfg(tmp_path, EVERY_KEY))
+    pairs = read_pairs(EVERY_KEY)
+    types = {"str": str, "float": float, "float | None": float, "int": int}
+    owners = [(cfg.params, f) for f in fields(MaterialParams)]
+    owners += [(cfg, f) for f in fields(ScenarioConfig) if f.name != "params"]
+    assert sorted(pairs) == sorted(f.name for _, f in owners)
+    for owner, f in owners:
+        value = getattr(owner, f.name)
+        assert value == pairs[f.name] != f.default
+        assert type(value) is types[f.type]
+    manifest = write_fields(run_scenario(cfg), tmp_path / "out")
+    echo = {**pairs, "H0": cfg.height0, "dt": cfg.resolve_dt()[0]}
+    assert manifest.config == echo
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"] == echo
 
 
 def test_parse_minimal_config_applies_defaults(tmp_path):

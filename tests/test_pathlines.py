@@ -32,7 +32,9 @@ def _bits(x):
 def _level_F_e(history, j, xq):
     """Level ``j``'s F_e at the heights ``xq``, one ``np.interp`` per component."""
     centers = history.grid(j).centers
-    cols = [np.interp(xq, centers, c) for c in history.F_e_columns(j)]
+    F_e0 = history.F_e0[:int(history.m[j])]
+    cols = [np.interp(xq, centers, c) for c in (F_e0[:, 0, 0], history.columns(j, 0),
+                                                F_e0[:, 1, 0], F_e0[:, 1, 1])]
     return np.stack(cols, axis=1).reshape(len(xq), 2, 2)
 
 

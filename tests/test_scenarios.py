@@ -3,7 +3,7 @@ import math
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from surfgrow.balance import (SideState, advance_domain,
 from surfgrow.constitutive import AttachmentSpec, attach_elastic_deformation, total_stress
 from surfgrow.grids import Grid1D, StepRecord
 from surfgrow.output import METRIC_FIELDS
-from surfgrow.scenarios import (ANSATZ_RESIDUAL_LIMIT, KINDS, level_v1,
+from surfgrow.scenarios import (ANSATZ_RESIDUAL_LIMIT, KINDS, _score_steady, level_v1,
                                 shear_by_age)
 from surfgrow.tensors import det, inverse
 from surfgrow.verify import (_residual_rows, _rest_deviation, default_config,
@@ -143,6 +143,26 @@ def test_config_rejects_bad_mu_sweep(sweep):
     # marched its 0.1 member before reaching the bad one
     with pytest.raises(ValidationError, match="^mu_values"):
         run_mu_sweep(nn_config(), mu_values=sweep)
+
+
+def test_every_float_field_refuses_non_finite_and_every_int_field_a_non_integer():
+    # by the dataclasses' own field lists, so a field added later is covered
+    # with no edit here; a field of a type not listed fails the lookup
+    types = {"float": "float", "float | None": "float", "int": "int"}
+    refused = {"float": ((float("inf"), float("nan")), "must be finite"),
+               "int": ((2.5, True), "must be an integer")}
+    checked = Counter()
+    for cls, make in ((ScenarioConfig, nn_config), (MaterialParams, MaterialParams)):
+        for f in fields(cls):
+            if f.name in ("kind", "params"):
+                continue
+            kind = types[f.type]
+            values, message = refused[kind]
+            for value in values:
+                with pytest.raises(ValidationError, match=f"^{f.name} {message}"):
+                    make(**{f.name: value})
+            checked[kind] += 1
+    assert checked["float"] and checked["int"]
 
 
 @pytest.mark.parametrize("field", ["n_cells", "n_snapshots"])
@@ -303,7 +323,7 @@ def test_non_normal_pressure_uniform_and_ansatz_preserved():
     for rec in res.history:
         assert abs(rec.grid.height - rec.t) <= 1e-12  # H = V_G t
         assert np.abs(rec.F_e[:, 0, 0] - 1.0).max() <= 1e-12
-        assert np.abs(rec.F_e_columns()[2]).max() <= 1e-12
+        assert np.abs(rec.F_e0[:, 1, 0]).max() <= 1e-12
         assert np.abs(rec.F_e[:, 1, 1] - 1.0).max() <= 1e-12
 
 
@@ -701,7 +721,8 @@ def _roundtrip_by_level(result):
     history = result.history
     worst = 0.0
     for f12, (r11, r12, r22), j in replay_columns(history):
-        a, b, _, d = history.F_e_columns(j)
+        F_e0, b = history.F_e0[:int(history.m[j])], history.columns(j, 0)
+        a, d = F_e0[:, 0, 0], F_e0[:, 1, 1]
         defect = max(float(np.max(np.abs(a * r11 - 1.0))),
                      float(np.max(np.abs(a * r12 + b * r22 - f12))),
                      float(np.max(np.abs(d * r22 - 1.0))))
@@ -1236,6 +1257,23 @@ def _assert_scored_like_per_level_reference(result):
                                  _per_level_oracle(result.config, history), speed)
 
 
+@pytest.mark.parametrize("cfg", [thermal_config(n_cells=300), thermal_config(n_cells=300, H0=0.0),
+                                 fdm_config(n_cells=333), fdm_config(n_cells=32, H0=0.37)])
+def test_steady_scores_read_every_cell_of_a_level(cfg):
+    # the steady oracle takes each level's maximum over its cells from the
+    # errors by age; a run's age tables barely vary with age, so a cell the
+    # gather missed would not show: on tables of arbitrary values, bitwise
+    # the per-level reference
+    result = run_scenario(cfg)
+    history = result.history
+    history.source[:] = np.random.default_rng(1).standard_normal(history.source.shape)
+    P = np.zeros(len(history))
+    scores = _score_steady(cfg, history, result.classes, P, P)
+    expected = _per_level_oracle(cfg, history)
+    for name in ("linf_F_e12", "linf_sigma12", "linf_sigma11"):
+        assert _bits(scores[name]) == _bits(expected[name])
+
+
 def _class_cells(monkeypatch, cells):
     """Let the class pass form its rows in chunks of ``cells`` entries."""
     monkeypatch.setattr(surfgrow.scenarios, "CLASS_CELLS", cells)
@@ -1405,6 +1443,10 @@ def _class_pass_configs(draw):
 @example(cfg=nn_config(n_cells=256, dt=1e-3), seed=0)
 @example(cfg=fdm_config(n_cells=200, params=MaterialParams(G=1.0, mu=1.0, rho=1.0)), seed=1)
 @example(cfg=nn_config(n_cells=32, params=MaterialParams(G=1.0, mu=1e-4, rho=1.0)), seed=2)
+# many classes through the steady scores: thermal's 200, fdm_shear's 121
+@example(cfg=thermal_config(n_cells=300), seed=3)
+@example(cfg=fdm_config(n_cells=800, t_end=2.0, params=MaterialParams(G=1.0, mu=1.0, rho=1.0)),
+         seed=4)
 def test_class_pass_matches_the_block_pass(cfg, seed):
     # every column the entry-class pass forms against the block pass on the
     # same age tables, and the oracle columns against the per-cell closed
@@ -1694,7 +1736,7 @@ def test_every_level_reads_its_cells_through_the_map(monkeypatch, cfg):
             F12, g = reference[i]
             v_nodes = np.concatenate([[0.0], (history.dx * g).cumsum()])
             assert _bits(view.columns(k)) == _bits(reference[i])
-            assert _bits(view.F_e_columns(k)[1]) == _bits(F12)
+            assert _bits(view.columns(k, 0)) == _bits(F12)
             assert _bits(view.v_nodes(k)) == _bits(v_nodes)
             assert abs(view.v_surf[k] - v_nodes[-1]) <= \
                 velocity_tolerance(np.abs(v_nodes).max())
@@ -1780,7 +1822,8 @@ def test_rest_deviation_reads_every_level(make):
     history = run_scenario(make(n_cells=32, t_end=0.25)).history
     F_dev = v_dev = g_max = 0.0
     for j in range(len(history)):
-        F11, F12, F21, F22 = history.F_e_columns(j)
+        F_e0, F12 = history.F_e0[:int(history.m[j])], history.columns(j, 0)
+        F11, F21, F22 = F_e0[:, 0, 0], F_e0[:, 1, 0], F_e0[:, 1, 1]
         F_dev = max(F_dev, *(float(np.max(np.abs(x)))
                              for x in (F11 - 1.0, F12, F21, F22 - 1.0)))
         v_dev = max(v_dev, float(np.max(np.abs(history.v_nodes(j)))))
