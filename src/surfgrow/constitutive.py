@@ -39,13 +39,23 @@ def scalar_fields(cls) -> MappingProxyType:
                              if hints[f.name] in _SCALARS})
 
 
+@cache
+def _optional_fields(cls) -> frozenset:
+    """The scalar fields of the dataclass ``cls`` typed ``float | None``."""
+    hints = get_type_hints(cls)
+    return frozenset(name for name in scalar_fields(cls) if hints[name] == float | None)
+
+
 def check_scalar_fields(obj) -> None:
-    """Refuse a non-finite ``float`` field of the dataclass ``obj`` (``None``
-    passes), then a non-integral ``int`` field, naming the first; each
-    ``int`` field is stored as an ``int``."""
-    kinds = scalar_fields(type(obj))
+    """Refuse a ``float`` field of the dataclass ``obj`` that is ``None``
+    where its type does not admit it, or not finite, then a non-integral
+    ``int`` field, naming the first; each ``int`` field is stored as an
+    ``int``."""
+    kinds, optional = scalar_fields(type(obj)), _optional_fields(type(obj))
     for name in [name for name, kind in kinds.items() if kind is float]:
         value = getattr(obj, name)
+        if value is None and name not in optional:
+            raise ValidationError(f"{name} must be a number, got None")
         if value is not None and not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
     for name in [name for name, kind in kinds.items() if kind is int]:

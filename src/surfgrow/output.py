@@ -1,44 +1,59 @@
 """Deterministic run serialization: snapshot CSVs, a metrics stream, and a
 checksummed manifest.
 
-Numbers are written with 17 significant decimal digits (``%.17g``, the
-bytes of ``fmt``) so parsing an emitted file reproduces the in-memory
-doubles bitwise.  Each distinct value is formatted as few times as the
-layout allows: a column that holds one bit pattern over a table is written
-once into the table's row format, and the snapshots' centers, per-cell
-constants and ``F_e12`` values are formatted once per call, each distinct
-bit pattern once, and their text gathered through the ``History`` map; only
-the columns that vary go through ``%`` per row.  Pathlines are written a
-window of whole pathlines at a time (``scenarios.pathline_windows``), and
-each written file is hashed in 64 KiB blocks, so no pass holds every
-sample or a whole file.  Identical (config,
-version) pairs produce byte-identical data files; the manifest
-additionally records the wall-clock duration and the march's phase
-timings (``RunResult.timings``) when a duration is supplied.
+Every number is written as the bytes of ``b"%.17g" % x``, ``fmt``'s text,
+so parsing an emitted file reproduces the in-memory doubles bitwise; the
+integer columns (steps, pathline indices) go through the same path, which
+prints an integer below 2**53 as ``%d`` does.  The text comes from the
+kernel ``g17.g17``, exact by construction: a value goes through Python's
+``%`` one at a time only where the kernel cannot certify its digits, an
+infinity or a NaN, a value whose 17-digit rounding lies within 2**-40 of a
+tie (exact ties among them) or one whose decimal exponent is not settled
+in its passes.  A table's rows are made a block at a time
+(``format_rows``): the fixed text between the values and one field per
+value are laid out in one byte matrix with a mask of the bytes that
+belong to the text, which ``compress`` turns into the block's bytes.  A
+block holds as many rows as ``BLOCK_BYTES`` allows, so the writer's peak
+does not grow with the run.  A column that holds one bit pattern over a
+table is formatted once, by ``fmt``, into the row's fixed text.  Pathlines
+are written a window of whole pathlines at a time
+(``scenarios.pathline_windows``), and each data file is hashed and counted
+as its blocks are written, so no pass holds every sample or a whole file,
+and no file is read back.  Identical (config, version) pairs produce
+byte-identical data files; the manifest additionally records the
+wall-clock duration and the march's phase timings (``RunResult.timings``)
+when a duration is supplied.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import IoError
+from .g17 import WIDTH, g17
 from .scenarios import (METRIC_FIELDS, RunResult, level_interp, level_v1,
                         pathline_windows)
 
 SNAPSHOT_COLUMNS = ("x2", "v1", "v2", "Fe11", "Fe12", "Fe21", "Fe22", "p", "rho")
-# Rows of a table formatted and written at a time.  A block holds about
-# 1 KB a row of ``metrics.jsonl`` (its row strings, their joined text and
-# its Python floats): at 1024 rows writing a run of n = 400 peaked at
-# 1.37 MB, above its march's 0.85 MB; at 256 it peaks at 0.55 MB, and the
-# writers run no slower.
-BLOCK_ROWS = 256
+# Bytes a block of rows may hold.  Its peak is the larger of two phases:
+# the kernel's layout holds per value its slot of the byte matrix and of
+# the mask and _VALUE_BYTES (its float64, its digits and the layout's
+# temporaries, measured at about 90); the compaction holds the slots, the
+# float64s, the text twice (the compacted pieces and their join: at most
+# _LONGEST bytes a value and the rows' fixed text) and the index of one
+# piece of _PIECE bytes, 8 bytes a valid byte.  The kernel's arithmetic,
+# about 100 bytes a value, is done before the matrix is made.
+BLOCK_BYTES = 1 << 18
+_PIECE = 1 << 13
+_VALUE_BYTES = 90
+_LONGEST = len("-2.2250738585072014e-308")  # the longest %.17g text
 
 
 def fmt(x: float) -> str:
@@ -65,172 +80,160 @@ class RunManifest:
         return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _snapshot_indices(n_records: int, n_snapshots: int) -> list[int]:
     k = min(n_snapshots, n_records)
     return sorted(set(np.linspace(0, n_records - 1, k).round().astype(int).tolist()))
 
 
-class _Text:
-    """A column of text: row ``i`` reads ``texts[index[i]]``, and a slice
-    gathers its rows' text."""
-
-    def __init__(self, texts: np.ndarray, index: np.ndarray):
-        self.texts, self.index = texts, index
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __getitem__(self, rows) -> np.ndarray:
-        return self.texts[self.index[rows]]
+def _slots(fixed: list[bytes]) -> tuple[list[bytes], int]:
+    """The text before each value of a row (``format_rows``) and the bytes
+    that the longest takes."""
+    texts = [fixed[-1] + fixed[0]] + fixed[1:-1]
+    return texts, max(map(len, texts))
 
 
-def _format_once(values: np.ndarray) -> _Text:
-    """``values`` as text, each distinct bit pattern formatted once (found by
-    sorting the bits, as ``np.unique`` would without importing ``numpy.ma``)."""
-    bits = values.view(np.uint64)
-    order = np.argsort(bits)
-    first = np.empty(len(bits), bool)  # where a new bit pattern starts, in order
-    first[:1] = True
-    np.not_equal(bits[order[1:]], bits[order[:-1]], out=first[1:])
-    index = np.empty(len(bits), np.intp)
-    index[order] = np.cumsum(first) - 1
-    texts = np.array(list(map("%.17g".__mod__, values[order[first]].tolist())),
-                     dtype=object)
-    return _Text(texts, index)
+def format_rows(fixed: list[bytes], columns: list[np.ndarray]) -> np.ndarray:
+    """The bytes, as uint8, of the rows ``fixed[0] + %.17g(columns[0][i]) +
+    fixed[1] + ... + fixed[-1]``, one a row ``i`` of the equally long
+    ``columns``; integers below 2**53 print as ``%d`` does.
+
+    The rows' values are laid out by one call of the kernel, each in a slot
+    of ``pad + WIDTH`` bytes after the text before it, right-aligned (a
+    row's first value: the last text of the row before and its first text),
+    and the slots are compacted ``_PIECE`` bytes at a time.
+    """
+    texts, pad = _slots(fixed)
+    text = np.frombuffer(b"".join(text.rjust(pad) for text in texts), np.uint8)
+    chars, valid = g17(np.stack(columns, axis=1).reshape(-1), text.reshape(len(texts), pad),
+                       np.arange(pad) >= pad - np.array([[len(text)] for text in texts]))
+    valid[:1, :pad - len(fixed[0])] = False
+    chars, valid = chars.reshape(-1), valid.reshape(-1)
+    return np.concatenate([chars[at:at + _PIECE].compress(valid[at:at + _PIECE])
+                           for at in range(0, len(chars), _PIECE)]
+                          + [np.frombuffer(fixed[-1] if len(columns[0]) else b"", np.uint8)])
 
 
-def _constant(column) -> bool:
-    """Whether every row of a nonempty ``column`` holds its first row's bits
-    (a ``_Text``: its first row's text index), so ``-0.0`` and ``0.0``, or
-    two NaN payloads, never count as one value."""
-    bits = (column.index if isinstance(column, _Text) else column).view(np.uint64)
+def _constant(column: np.ndarray) -> bool:
+    """Whether every row of a nonempty ``column`` holds its first row's bits,
+    so ``-0.0`` and ``0.0``, or two NaN payloads, never count as one value."""
+    bits = column.view(np.uint64)
     return len(bits) > 0 and bool((bits == bits[0]).all())
 
 
-def _row_format(slots: list[str], columns: list) -> tuple[list[str], list]:
-    """The parts of a row's %-format and the columns it reads per row.
+def _table_blocks(parts: list) -> Iterator[bytes | np.ndarray]:
+    """The bytes of a table's rows, a block at a time.
 
-    ``slots[i]`` is column ``i``'s text with one %-conversion for its value,
-    or fixed text where the column is ``None``.  A constant column's slot
-    is formatted once, with its first value, into its part."""
-    parts, varying = [], []
-    for slot, column in zip(slots, columns):
-        if column is not None and _constant(column):
-            slot = slot % column[:1].tolist()[0]
-        elif column is not None:
-            varying.append(column)
-        parts.append(slot)
-    return parts, varying
-
-
-def _write_rows(f, line: str, columns: list, n: int) -> None:
-    """Write ``n`` rows ``line % row`` to the open file ``f``, ``row`` the next
-    value of each of ``columns``, ``BLOCK_ROWS`` rows at a time, so no text
-    of more rows is ever held."""
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        rows = (zip(*(column[start:stop].tolist() for column in columns)) if columns
-                else repeat((), stop - start))
-        f.write("".join(map(line.__mod__, rows)))
-
-
-def _write_table(path: Path, header: str, slots: list[str], tables) -> None:
-    """Write a CSV header and the rows of each of ``tables``, in order, through
-    one open file; ``tables`` may be made one at a time as they are written.
-
-    A table is a list of columns, each an array of numbers or a ``_Text``,
-    written with its slot of ``slots`` (``"%.17g"`` writes the bytes of
-    ``fmt``; ``"%s"`` for text; fixed text for a ``None`` column); the
-    longest sets the table's rows, and a column of one row holds its value
-    on every row.  A column that holds one value over the table is written
-    once into the table's row format, so only the columns that vary go
-    through ``%`` per row (``_row_format``, ``_write_rows``).
+    ``parts`` is the row in order: fixed text (``str``) and columns of
+    numbers, the longest of which sets the rows; a column of one row holds
+    its value on every row.  A column that holds one value over the table
+    is written once into the row's fixed text, by ``fmt``, so only the
+    columns that vary are formatted per row (``format_rows``), as many rows
+    at a time as ``BLOCK_BYTES`` allows.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for columns in tables:
-            parts, varying = _row_format(slots, columns)
-            _write_rows(f, ",".join(parts) + "\n", varying,
-                        max(len(column) for column in columns if column is not None))
+    fixed, columns, text = [], [], ""
+    n = max(len(part) for part in parts if not isinstance(part, str))
+    for part in parts:
+        if isinstance(part, str):
+            text += part
+        elif _constant(part):
+            text += fmt(part[0])
+        else:
+            fixed.append(text.encode())
+            columns.append(part)
+            text = ""
+    fixed.append(text.encode())
+    text = 2 * sum(map(len, fixed))
+    if columns:
+        pad = _slots(fixed)[1]
+        c, slot = len(columns), pad + WIDTH
+        index = 8 * (_PIECE // slot + 1) * (pad + _LONGEST)
+        rows = min(BLOCK_BYTES // (c * (2 * slot + _VALUE_BYTES)),
+                   (BLOCK_BYTES - index) // (text + c * (2 * slot + 8 + 2 * _LONGEST)))
+    else:
+        rows = BLOCK_BYTES // text
+    rows = max(1, rows)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        yield (format_rows(fixed, [column[start:stop] for column in columns]) if columns
+               else fixed[0] * (stop - start))
 
 
-def _write_snapshots(out: Path, history, levels: list[int]) -> list[dict]:
-    """Write level ``levels[i]``'s cells to ``snapshot_{i:04d}.csv`` and return
-    the manifest's snapshot entries, reading each level through the
-    history's map without building its record.
+def _csv_blocks(header: tuple[str, ...], tables) -> Iterator[bytes | np.ndarray]:
+    """A CSV file's header and the rows of each of ``tables``, in order; a
+    table lists its columns (``_table_blocks``), a ``str`` for fixed text,
+    and may be made as it is written."""
+    yield (",".join(header) + "\n").encode()
+    for columns in tables:
+        parts = [part for column in columns for part in (column, ",")]
+        yield from _table_blocks(parts[:-1] + ["\n"])
 
-    ``x2`` is a prefix of the run's centers; ``Fe11``, ``Fe21``, ``Fe22``,
-    ``p`` and ``rho`` are prefixes of its per-cell constants; ``Fe12`` is
-    ``source[0, History.index(k)]``; ``v2`` is 0.  The centers and
-    constants of the cells that the snapshots hold and the ``F_e12`` values
-    that they read are formatted once per call, each distinct bit pattern
-    once (``_format_once``), and their text gathered by index; only ``v1``
-    is formatted per row.
-    """
-    m = history.m[levels].tolist()
-    cells = max(m)
-    F_e0 = history.F_e0[:cells]
-    per_cell = [_format_once(values) for values in (
-        history.centers[:cells], F_e0[:, 0, 0], F_e0[:, 1, 0], F_e0[:, 1, 1],
-        history.p[:cells], history.rho[:cells])]
-    F12 = _format_once(history.source[0, np.concatenate([history.index(k) for k in levels])])
-    slots = ["%s", "%.17g", "0"] + ["%s"] * 6
-    snapshots = []
-    for ordinal, (k, mk, row) in enumerate(zip(levels, m, np.cumsum([0] + m).tolist())):
-        x2, F11, F21, F22, p, rho = (_Text(c.texts, c.index[:mk]) for c in per_cell)
+
+def _write(path: Path, blocks) -> dict:
+    """Write ``blocks`` of bytes to ``path`` in order; return its manifest
+    entry, hashed and counted from the blocks as they are written."""
+    digest, size = hashlib.sha256(), 0
+    with open(path, "wb") as f:
+        for block in blocks:
+            f.write(block)
+            digest.update(block)
+            size += len(block)
+    return {"name": path.name, "sha256": digest.hexdigest(), "bytes": size}
+
+
+def _write_snapshots(out: Path, history, levels: list[int]) -> tuple[list[dict], list[dict]]:
+    """Write level ``levels[i]``'s cells to ``snapshot_{i:04d}.csv``; return
+    the manifest's snapshot entries and file entries.  Each level is read
+    through the history's map without building its record: ``x2`` is a
+    prefix of the run's centers; ``Fe11``, ``Fe21``, ``Fe22``, ``p`` and
+    ``rho`` are prefixes of its per-cell constants; ``Fe12`` is
+    ``source[0, History.index(k)]``; ``v2`` is 0."""
+    centers, F_e0 = history.centers, history.F_e0
+    snapshots, files = [], []
+    for ordinal, k in enumerate(levels):
+        mk = int(history.m[k])
         v_nodes = history.v_nodes(k)
         name = f"snapshot_{ordinal:04d}.csv"
-        _write_table(out / name, ",".join(SNAPSHOT_COLUMNS), slots,
-                     [[x2, 0.5 * (v_nodes[:-1] + v_nodes[1:]), None, F11,
-                       _Text(F12.texts, F12.index[row:row + mk]),
-                       F21, F22, p, rho]])
+        files.append(_write(out / name, _csv_blocks(SNAPSHOT_COLUMNS, [[
+            centers[:mk], 0.5 * (v_nodes[:-1] + v_nodes[1:]), "0", F_e0[:mk, 0, 0],
+            history.source[0, history.index(k)], F_e0[:mk, 1, 0], F_e0[:mk, 1, 1],
+            history.p[:mk], history.rho[:mk]]])))
         snapshots.append({"file": name, "step": int(history.step[k]),
                           "t": fmt(history.t[k]), "n_active": mk})
-    return snapshots
+    return snapshots, files
 
 
-def _write_metrics(path: Path, result: RunResult) -> None:
-    """Write the header and one ``json.dumps(row, sort_keys=True)`` line per
-    stored level, each step row made by one %-format.
+def _metrics_blocks(result: RunResult) -> Iterator[bytes | np.ndarray]:
+    """The header and one ``json.dumps(row, sort_keys=True)`` line per stored
+    level.
 
     A step row holds ``"type": "step"``, the march step ``"step": k`` of the
     level (``t = k dt``) and every metric and oracle error as its ``fmt``
-    string, which ``"%.17g"`` writes, each read from its per-level column;
-    the format lists the keys in sorted order with json's separators, and
-    the values need no escaping.  A column that holds one value over the
-    run is written once into the format (``_row_format``), and the rows go
-    through the file ``BLOCK_ROWS`` at a time.
+    string, each read from its per-level column; the row lists the keys in
+    sorted order with json's separators, and the values need no escaping.
     """
     fields = list(METRIC_FIELDS) + sorted(result.oracle_errors)
-    header = json.dumps({"type": "header", "fields": fields}, sort_keys=True)
-    slots = {name: '"%.17g"' for name in fields}
-    slots.update(step="%d", type='"step"')
-    keys = sorted(slots)
+    yield (json.dumps({"type": "header", "fields": fields}, sort_keys=True) + "\n").encode()
     history = result.history
-    columns = {"step": history.step, **history.metrics, **result.oracle_errors,
-               "type": None}
-    parts, varying = _row_format([f'"{key}": {slots[key]}' for key in keys],
-                                 [columns[key] for key in keys])
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        _write_rows(f, "{" + ", ".join(parts) + "}\n", varying, len(history))
+    columns = {"step": history.step, **history.metrics, **result.oracle_errors}
+    parts = []
+    for key in sorted([*columns, "type"]):
+        parts += [", " if parts else "{", f'"{key}": ']
+        if key == "type":
+            parts.append('"step"')
+        elif key == "step":
+            parts.append(columns[key])
+        else:
+            parts += ['"', columns[key], '"']
+    yield from _table_blocks(parts + ["}\n"])
 
 
-def _write_pathlines(path: Path, result: RunResult) -> None:
-    """Write every pathline sample with ``v1`` and ``p`` interpolated at its
-    stored level, one pathline's table at a time.  Both are gathered for a
-    window of whole pathlines at a time (``pathline_windows``, ``level_v1``,
+def _pathline_blocks(result: RunResult) -> Iterator[bytes | np.ndarray]:
+    """Every pathline sample with ``v1`` and ``p`` interpolated at its stored
+    level, one pathline's table at a time.  Both are gathered for a window
+    of whole pathlines at a time (``pathline_windows``, ``level_v1``,
     ``level_interp``), so the writer holds one window's samples.  A
     pathline's index, height, ``Fe11``, ``Fe21`` and ``Fe22`` are written
-    once into its table's row format, and so is, on a uniform ``p``, its
+    once into its table's row text, and so is, on a uniform ``p``, its
     pressure."""
     history = result.history
 
@@ -244,11 +247,11 @@ def _write_pathlines(path: Path, result: RunResult) -> None:
                 b = a + len(pl.t)
                 F11, _, F21, F22 = pl.F_e0.reshape(4, 1)
                 yield [np.array([index]), pl.t, pl.x1, np.array([pl.x2]), F11, pl.F_e12,
-                       F21, F22, v1[a:b], None, p[a:b]]
+                       F21, F22, v1[a:b], "0", p[a:b]]
                 index, a = index + 1, b
 
-    _write_table(path, "pathline,t,x1,x2,Fe11,Fe12,Fe21,Fe22,v1,v2,p",
-                 ["%d"] + ["%.17g"] * 8 + ["0", "%.17g"], tables())
+    return _csv_blocks(("pathline", "t", "x1", "x2", "Fe11", "Fe12", "Fe21", "Fe22",
+                        "v1", "v2", "p"), tables())
 
 
 def read_snapshot(path) -> dict:
@@ -274,20 +277,18 @@ def write_fields(result: RunResult, out_dir,
         out.mkdir(parents=True, exist_ok=True)
         cfg = result.config
         history = result.history
-        snapshots = _write_snapshots(
+        # the pathlines first: gathering a window of their samples is the
+        # writer's largest transient, which then comes before the text
+        # kernel's tables are made
+        files = [_write(out / "pathlines.csv", _pathline_blocks(result))] \
+            if result.pathlines else []
+        snapshots, written = _write_snapshots(
             out, history, _snapshot_indices(len(history), cfg.n_snapshots))
-        _write_metrics(out / "metrics.jsonl", result)
-        written = [s["file"] for s in snapshots] + ["metrics.jsonl"]
-        if result.pathlines:
-            _write_pathlines(out / "pathlines.csv", result)
-            written.append("pathlines.csv")
+        files += written + [_write(out / "metrics.jsonl", _metrics_blocks(result))]
         dt, n_steps = cfg.resolve_dt()
         # every field, the material's among them, with H0 and dt as resolved
         echo = asdict(cfg)
         config_echo = {**echo.pop("params"), **echo, "H0": cfg.height0, "dt": dt}
-        files = sorted(({"name": name, "sha256": _sha256(out / name),
-                         "bytes": (out / name).stat().st_size}
-                        for name in written), key=lambda f: f["name"])
         manifest = RunManifest(
             version=__version__,
             config=config_echo,
@@ -306,7 +307,7 @@ def write_fields(result: RunResult, out_dir,
             # wall-clock, so written only beside the duration
             timings=dict(result.timings) if duration_seconds is not None else None,
             snapshots=snapshots,
-            files=files,
+            files=sorted(files, key=lambda f: f["name"]),
         )
         (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8",
                                            newline="\n")

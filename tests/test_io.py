@@ -283,10 +283,12 @@ def _odd_values_result(metrics=None, body_rate=None):
     # pathlines next to the base, below it, above the body and inside it,
     # one with columns constant but for a zero's sign (x1) and for one of two
     # NaN payloads (F_e12), and one of a single sample, whose every column is
-    # constant (``metrics``: each level's row, zeros by default;
+    # constant; and one with an exact tie and 1e-300 (``metrics``: each
+    # level's row, zeros by default;
     # ``body_rate``: the initial body's g by age times dx, in place of its
     # -inf, 5e-324 and 1/3)
     nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+    tie = 123456789012345.625  # 17 digits and a half: %.17g rounds it to even
     odd = np.array([-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300])
     dx, m = 0.25, np.array([1, 3, 4])
     # the run's age tables (``History``): per entry state, the ages 0 .. 2.
@@ -315,6 +317,8 @@ def _odd_values_result(metrics=None, body_rate=None):
         HistoryPathline(t=[0.1, 0.6, 1.1], x1=[0.0, -0.0, 0.0],
                         F_e12=[np.nan, nan2[0], np.nan], x2=0.3,
                         F_e0=[[1.0, np.nan], [1.0 / 3.0, 1.0]]),
+        HistoryPathline(t=[0.2, 0.4], x1=[1e-300, tie], F_e12=[tie, -1e-300], x2=0.6,
+                        F_e0=[[1e-300, tie], [0.0, 1.0]]),
     ]
     return RunResult(config=_tiny_config(), history=history, pathlines=pathlines)
 
@@ -338,7 +342,8 @@ def test_csv_rows_match_per_value_fmt(tmp_path):
         _assert_pathlines_agree(result, (out / "pathlines.csv").read_text(),
                                 _reference_pathlines(result))
     text = (tmp_path / "odd" / "pathlines.csv").read_text()
-    for token in ("-0", "4.9406564584124654e-324", "0.33333333333333331", "nan", "-inf"):
+    for token in ("-0", "4.9406564584124654e-324", "0.33333333333333331", "nan", "-inf",
+                  "1e-300", "-1e-300", "123456789012345.62"):
         assert token in text.replace("\n", ",").split(","), token
     snapshots = [(tmp_path / "odd" / f"snapshot_{i:04d}.csv").read_text().splitlines()
                  for i in range(3)]
@@ -380,8 +385,21 @@ def test_csv_blocks_write_the_same_bytes(tmp_path, monkeypatch):
                                         n_snapshots=3))
     res.pathlines = trace_history_pathlines(res, count=4)
     write_fields(res, tmp_path / "whole")
-    monkeypatch.setattr(surfgrow.output, "BLOCK_ROWS", 5)
+    # a budget of a few rows a block (a row of k varying values takes k (2
+    # WIDTH + 2 _LONGEST) bytes and more), compacted in pieces that cut
+    # through the values' slots
+    monkeypatch.setattr(surfgrow.output, "BLOCK_BYTES", 4000)
+    monkeypatch.setattr(surfgrow.output, "_PIECE", 64)
+    rows = []
+    format_rows = surfgrow.output.format_rows
+
+    def counted(fixed, columns):
+        rows.append(len(columns[0]))
+        return format_rows(fixed, columns)
+
+    monkeypatch.setattr(surfgrow.output, "format_rows", counted)
     write_fields(res, tmp_path / "blocks")
+    assert 1 < max(rows) <= 10
     names = sorted(f.name for f in (tmp_path / "whole").iterdir())
     assert "pathlines.csv" in names and "snapshot_0002.csv" in names
     for name in names:
@@ -462,7 +480,8 @@ def _reference_metrics(result) -> str:
 @pytest.mark.parametrize("kind", ["non_normal", "fdm_shear", "thermal", "odd"])
 def test_metrics_rows_match_json_dumps(tmp_path, kind):
     if kind == "odd":
-        odd = [-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300, 2.0]
+        odd = [-0.0, 5e-324, 1.0 / 3.0, np.nan, np.inf, -np.inf, -5e-324, 1e300, 2.0,
+               1e-300, 123456789012345.625]
         result = _odd_values_result(metrics=[
             {name: odd[(k + i) % len(odd)] for i, name in enumerate(METRIC_FIELDS)}
             for k in range(3)])

@@ -165,6 +165,20 @@ def test_every_float_field_refuses_non_finite_and_every_int_field_a_non_integer(
     assert checked["float"] and checked["int"]
 
 
+@pytest.mark.parametrize("cls, name, optional", [
+    (cls, f.name, f.type == "float | None") for cls in (ScenarioConfig, MaterialParams)
+    for f in fields(cls) if f.type in ("float", "float | None")])
+def test_a_float_field_refuses_none_unless_typed_optional(cls, name, optional):
+    # alpha = None and h = None were accepted and died in the march; V_G,
+    # t_end and G died in validation with a bare TypeError
+    make = nn_config if cls is ScenarioConfig else MaterialParams
+    if optional:
+        assert getattr(make(**{name: None}), name) is None
+    else:
+        with pytest.raises(ValidationError, match=f"^{name} must be a number, got None$"):
+            make(**{name: None})
+
+
 @pytest.mark.parametrize("field", ["n_cells", "n_snapshots"])
 @pytest.mark.parametrize("value", [64.0, np.float64(3.0), 3.5, True, "64"])
 def test_config_rejects_non_integral_counts(field, value):
