@@ -1,10 +1,10 @@
 """The bytes of ``b"%.17g" % x`` for a block of float64 values at once.
 
-``g17(x, text, mask)`` lays out value ``x[i]`` in the last ``WIDTH`` bytes
-of row ``i`` of a byte matrix and a mask, after the caller's text, so that
-the row's valid bytes are that text and exactly the bytes that Python's
-``b"%.17g" % x[i]`` prints.  The caller compacts many rows at once with
-the mask (``output.format_rows``).
+``g17(x, text)`` lays out value ``x[i]`` in the last ``WIDTH`` bytes of
+row ``i`` of a byte matrix, after the caller's text, NUL wherever a byte
+is not shown, so that the row less its NULs is that text and exactly the
+bytes that Python's ``b"%.17g" % x[i]`` prints.  The caller compacts many
+rows at once by deleting the NULs (``output.format_rows``).
 
 The digits come from fast arithmetic that is exact where it claims to be,
 after Loitsch's Grisu (PLDI 2010).  ``|x| 10^k``, with ``k`` chosen so that
@@ -22,7 +22,7 @@ laid out directly.
 
 A field holds, in order: the sign; the prefix ``0.0000`` of fixed notation
 below 1; the 17 digits, each followed by a point; and ``e±XXX``.  Which
-bytes are valid depends only on the layout of the exponent (fixed notation
+bytes are shown depends only on the layout of the exponent (fixed notation
 for ``-4 <= X < 17``, else ``d.ddd`` and two or three exponent digits), on
 how many digits are left once trailing zeros are stripped and on the
 sign.  The tables, about 130 KB, are built from Python integers at first
@@ -82,28 +82,29 @@ def _tables() -> dict:
     template[_PREFIX:_DIGITS] = np.frombuffer(b"0.0000", np.uint8)
     template[_DIGITS + 1:_EXPONENT:2] = ord(".")
     # layouts: fixed notation at X = -4 .. 16, then d.ddd with two and
-    # with three exponent digits; a row of valid bytes per layout and
-    # digits kept, the sign aside
+    # with three exponent digits; per layout and digits kept, a row that
+    # is 0xFF at the bytes shown, the sign's among them, and 0 elsewhere
     layout = np.array([x + 4 if -4 <= x < 17 else 21 if abs(x) < 100 else 22 for x in X])
-    valid = np.zeros((23, 18, WIDTH), bool)
+    keep = np.zeros((23, 18, WIDTH), np.uint8)
+    keep[..., _SIGN] = 0xFF
     for s in range(23):
         lead = max(s - 3, 0) if s < 21 else 1  # digits before the point
         for k in range(1, 18):
-            v = valid[s, k]
+            v = keep[s, k]
             if s < 4:  # 0.000ddd
-                v[_PREFIX:_PREFIX + 5 - s] = True
+                v[_PREFIX:_PREFIX + 5 - s] = 0xFF
             shown = max(lead, k)
-            v[_DIGITS:_DIGITS + 2 * shown:2] = True
+            v[_DIGITS:_DIGITS + 2 * shown:2] = 0xFF
             if lead and shown > lead:
-                v[_DIGITS + 2 * lead - 1] = True
+                v[_DIGITS + 2 * lead - 1] = 0xFF
             if s >= 21:
-                v[_EXPONENT:_EXPONENT + s - 17] = True
+                v[_EXPONENT:_EXPONENT + s - 17] = 0xFF
     return {"scale": np.array([hi, lo]), "q": np.array(q, np.int16),
             "digits": digits.view(np.uint64).reshape(-1), "last": last,
             "start": np.array([[1], [5], [9], [13]], np.int8),
             "exponent": exponent.view(np.uint64).reshape(-1), "template": template,
             "layout": (18 * layout).astype(np.int16),
-            "valid": valid.reshape(-1, WIDTH)}
+            "keep": keep.reshape(-1, WIDTH)}
 
 
 def _scaled(a: np.ndarray, i: np.ndarray, t: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -137,11 +138,11 @@ def _scaled(a: np.ndarray, i: np.ndarray, t: dict) -> tuple[np.ndarray, np.ndarr
     return D, np.abs(r, out=r) > 0.5 - _NEAR_HALF
 
 
-def g17(x: np.ndarray, text: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def g17(x: np.ndarray, text: np.ndarray) -> bytearray:
     """Each ``x[i]``, as float64, laid out after ``text[i % k]`` in row ``i``
-    of ``chars`` and ``valid``, new ``(len(x), w)`` arrays for ``text`` and
-    ``mask`` of ``(k, w - WIDTH)``, ``len(x)`` a multiple of ``k``, so that
-    ``chars[i][valid[i]]`` is ``text[i % k][mask[i % k]] + b"%.17g" % x[i]``."""
+    of a new ``(len(x), w)`` byte matrix, returned as its bytes, for ``text``
+    of ``(k, w - WIDTH)``, ``len(x)`` a multiple of ``k``: row ``i`` less its
+    NULs is ``text[i % k]`` less its NULs and then ``b"%.17g" % x[i]``."""
     t = _tables()
     x = np.asarray(x, dtype=np.float64)
     a = np.abs(x)
@@ -175,13 +176,12 @@ def g17(x: np.ndarray, text: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, 
     del a, settled
     np.copyto(D, 0, where=zero)  # "0", as 2.0 is laid out
     k, before = text.shape
-    rows = np.zeros((2, k, before + WIDTH), np.uint8)  # the text and mask of k rows
-    rows[0, :, :before], rows[0, :, before:], rows[1, :, :before] = text, t["template"], mask
-    chars = np.empty((len(x), before + WIDTH), np.uint8)
-    valid = np.empty((len(x), before + WIDTH), bool)
-    chars.reshape(-1, rows[0].size)[:] = rows[0].reshape(-1)
-    valid.reshape(-1, rows[1].size)[:] = rows[1].reshape(-1)
-    field, shown = chars[:, before:], valid[:, before:]
+    rows = np.empty((k, before + WIDTH), np.uint8)  # the text and template of k rows
+    rows[:, :before], rows[:, before:] = text, t["template"]
+    out = bytearray(len(x) * (before + WIDTH))
+    chars = np.frombuffer(out, np.uint8).reshape(len(x), before + WIDTH)
+    chars.reshape(-1, rows.size)[:] = rows.reshape(-1)
+    field = chars[:, before:]
     field[:, _EXPONENT - 1:].view(np.uint64)[:, 0] = t["exponent"].take(i, mode="clip")
     # the first digit, then four groups of four, and the digits kept once
     # the trailing zeros are stripped
@@ -205,11 +205,10 @@ def g17(x: np.ndarray, text: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, 
     kept = kept.max(axis=0, initial=1).astype(np.intp)
     del last
     kept += t["layout"].take(i)
-    shown[:] = t["valid"].take(kept, axis=0, mode="clip")
-    shown[:, _SIGN] = np.signbit(x)
+    field &= t["keep"].take(kept, axis=0, mode="clip")
+    field[:, _SIGN] *= np.signbit(x)
     for row in odd.nonzero()[0].tolist():
         txt = np.frombuffer(b"%.17g" % x[row], np.uint8)
+        field[row] = 0
         field[row, :len(txt)] = txt
-        shown[row] = False
-        shown[row, :len(txt)] = True
-    return chars, valid
+    return out

@@ -251,9 +251,20 @@ def interp_prefix(x: np.ndarray, xp: np.ndarray, n, fp: np.ndarray, start,
     out = fp[start + col[np.maximum(k, 0)]]
     inner = (k >= 0) & (k < n - 1)
     inner[inner] = x[inner] != xp[k[inner]]
-    k, xi, f0 = k[inner], x[inner], out[inner]
+    # (f1 - f0) / (x1 - x0) * (xi - x0) + f0, in place to hold fewer arrays
+    k = k[inner]
     x0 = xp[k]
-    out[inner] = (fp[start[inner] + col[k + 1]] - f0) / (xp[k + 1] - x0) * (xi - x0) + f0
+    k += 1
+    dx = xp[k] - x0
+    k = col[k]
+    k += start[inner]
+    f, f0 = fp[k], out[inner]
+    del k
+    f -= f0
+    f /= dx
+    f *= np.subtract(x[inner], x0, out=dx)
+    f += f0
+    out[inner] = f
     np.copyto(out, x, where=np.isnan(x))
     return out
 

@@ -49,21 +49,22 @@ class HistoryPathline:
 
     With ``v = v1(x2) e1`` a pathline keeps its height ``x2`` and its
     ``F_e11``, ``F_e21`` and ``F_e22``: per sample it holds the time ``t``,
-    ``x1`` and ``F_e12``, and once its height and ``F_e0``, the ``F_e`` at
-    its first sample (whose ``F_e12`` is the column's first value).
+    ``x1``, ``F_e12`` and ``v1``, and once its height and ``F_e0``, the
+    ``F_e`` at its first sample (whose ``F_e12`` is the column's first).
     """
 
     t: np.ndarray
     x1: np.ndarray
     F_e12: np.ndarray
+    v1: np.ndarray
     x2: float
     F_e0: np.ndarray
 
     def __post_init__(self):
-        self.t, self.x1, self.F_e12, self.F_e0 = (
-            np.asarray(a, dtype=float) for a in (self.t, self.x1, self.F_e12, self.F_e0))
+        for name in ("t", "x1", "F_e12", "v1", "F_e0"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         self.x2 = float(self.x2)
-        if not (len(self.t) == len(self.x1) == len(self.F_e12) >= 1
+        if not (len(self.t) == len(self.x1) == len(self.F_e12) == len(self.v1) >= 1
                 and self.F_e0.shape == (2, 2)
                 and self.F_e0[0, 1].tobytes() == self.F_e12[0].tobytes()):
             raise ValidationError("a pathline needs equal-length columns of at least one "

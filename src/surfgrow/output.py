@@ -11,18 +11,18 @@ infinity or a NaN, a value whose 17-digit rounding lies within 2**-40 of a
 tie (exact ties among them) or one whose decimal exponent is not settled
 in its passes.  A table's rows are made a block at a time
 (``format_rows``): the fixed text between the values and one field per
-value are laid out in one byte matrix with a mask of the bytes that
-belong to the text, which ``compress`` turns into the block's bytes.  A
-block holds as many rows as ``BLOCK_BYTES`` allows, so the writer's peak
-does not grow with the run.  A column that holds one bit pattern over a
-table is formatted once, by ``fmt``, into the row's fixed text.  Pathlines
-are written a window of whole pathlines at a time
-(``scenarios.pathline_windows``), and each data file is hashed and counted
-as its blocks are written, so no pass holds every sample or a whole file,
-and no file is read back.  Identical (config, version) pairs produce
-byte-identical data files; the manifest additionally records the
-wall-clock duration and the march's phase timings (``RunResult.timings``)
-when a duration is supplied.
+value are laid out in one byte matrix, NUL where a byte is not shown,
+and the block's bytes are that matrix with its NULs deleted.  A block
+holds as many rows as ``BLOCK_BYTES`` allows, so the writer's peak does
+not grow with the run.  A column that holds one bit pattern over a table
+is formatted once, by ``fmt``, into the row's fixed text.  Pathlines,
+with the ``v1`` of their trace (``HistoryPathline.v1``), are written a
+window of whole pathlines at a time (``scenarios.pathline_windows``), and
+each data file is hashed and counted as its blocks are written, so no
+pass holds every sample or a whole file, and no file is read back.
+Identical (config, version) pairs produce byte-identical data files; the
+manifest additionally records the wall-clock duration and the march's
+phase timings (``RunResult.timings``) when a duration is supplied.
 """
 
 from __future__ import annotations
@@ -36,22 +36,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import IoError
+from .errors import IoError, ValidationError
 from .g17 import WIDTH, g17
-from .scenarios import (METRIC_FIELDS, RunResult, level_interp, level_v1,
-                        pathline_windows)
+from .scenarios import METRIC_FIELDS, RunResult, level_interp, pathline_windows
 
 SNAPSHOT_COLUMNS = ("x2", "v1", "v2", "Fe11", "Fe12", "Fe21", "Fe22", "p", "rho")
-# Bytes a block of rows may hold.  Its peak is the larger of two phases:
-# the kernel's layout holds per value its slot of the byte matrix and of
-# the mask and _VALUE_BYTES (its float64, its digits and the layout's
-# temporaries, measured at about 90); the compaction holds the slots, the
-# float64s, the text twice (the compacted pieces and their join: at most
-# _LONGEST bytes a value and the rows' fixed text) and the index of one
-# piece of _PIECE bytes, 8 bytes a valid byte.  The kernel's arithmetic,
-# about 100 bytes a value, is done before the matrix is made.
+# Bytes a block of rows may hold.  The kernel's layout holds per value its
+# slot of the byte matrix and _VALUE_BYTES (its float64, its digits and the
+# layout's temporaries, measured at about 90); the compaction holds the
+# slots and the text twice, at most _LONGEST bytes a value and the rows'
+# fixed text.  The kernel's arithmetic, about 100 bytes a value, comes first.
 BLOCK_BYTES = 1 << 18
-_PIECE = 1 << 13
 _VALUE_BYTES = 90
 _LONGEST = len("-2.2250738585072014e-308")  # the longest %.17g text
 
@@ -98,19 +93,21 @@ def format_rows(fixed: list[bytes], columns: list[np.ndarray]) -> np.ndarray:
     ``columns``; integers below 2**53 print as ``%d`` does.
 
     The rows' values are laid out by one call of the kernel, each in a slot
-    of ``pad + WIDTH`` bytes after the text before it, right-aligned (a
-    row's first value: the last text of the row before and its first text),
-    and the slots are compacted ``_PIECE`` bytes at a time.
+    of ``pad + WIDTH`` bytes after the text before it, right-aligned on NULs
+    (a row's first value: the last text of the row before and its first
+    text), and the slots are compacted by deleting their NULs, so ``fixed``
+    may hold none.
     """
+    if any(b"\0" in text for text in fixed):
+        raise ValidationError("a row's fixed text may not hold a NUL byte")
     texts, pad = _slots(fixed)
-    text = np.frombuffer(b"".join(text.rjust(pad) for text in texts), np.uint8)
-    chars, valid = g17(np.stack(columns, axis=1).reshape(-1), text.reshape(len(texts), pad),
-                       np.arange(pad) >= pad - np.array([[len(text)] for text in texts]))
-    valid[:1, :pad - len(fixed[0])] = False
-    chars, valid = chars.reshape(-1), valid.reshape(-1)
-    return np.concatenate([chars[at:at + _PIECE].compress(valid[at:at + _PIECE])
-                           for at in range(0, len(chars), _PIECE)]
-                          + [np.frombuffer(fixed[-1] if len(columns[0]) else b"", np.uint8)])
+    text = np.frombuffer(b"".join(text.rjust(pad, b"\0") for text in texts), np.uint8)
+    chars = g17(np.stack(columns, axis=1).reshape(-1),
+                text.reshape(len(texts), pad)).translate(None, b"\0")
+    del chars[:len(fixed[-1])]  # the first row's text is fixed[0] alone
+    if chars:
+        chars += fixed[-1]
+    return np.frombuffer(chars, np.uint8)
 
 
 def _constant(column: np.ndarray) -> bool:
@@ -142,16 +139,9 @@ def _table_blocks(parts: list) -> Iterator[bytes | np.ndarray]:
             columns.append(part)
             text = ""
     fixed.append(text.encode())
-    text = 2 * sum(map(len, fixed))
-    if columns:
-        pad = _slots(fixed)[1]
-        c, slot = len(columns), pad + WIDTH
-        index = 8 * (_PIECE // slot + 1) * (pad + _LONGEST)
-        rows = min(BLOCK_BYTES // (c * (2 * slot + _VALUE_BYTES)),
-                   (BLOCK_BYTES - index) // (text + c * (2 * slot + 8 + 2 * _LONGEST)))
-    else:
-        rows = BLOCK_BYTES // text
-    rows = max(1, rows)
+    c, slot, text = len(columns), _slots(fixed)[1] + WIDTH, 2 * sum(map(len, fixed))
+    rows = max(1, BLOCK_BYTES // max(c * (slot + _VALUE_BYTES),
+                                     c * (slot + 2 * _LONGEST) + text))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         yield (format_rows(fixed, [column[start:stop] for column in columns]) if columns
@@ -228,9 +218,9 @@ def _metrics_blocks(result: RunResult) -> Iterator[bytes | np.ndarray]:
 
 
 def _pathline_blocks(result: RunResult) -> Iterator[bytes | np.ndarray]:
-    """Every pathline sample with ``v1`` and ``p`` interpolated at its stored
-    level, one pathline's table at a time.  Both are gathered for a window
-    of whole pathlines at a time (``pathline_windows``, ``level_v1``,
+    """Every pathline sample with its ``v1`` column and ``p`` interpolated at
+    its stored level, one pathline's table at a time.  ``p`` is gathered
+    for a window of whole pathlines at a time (``pathline_windows``,
     ``level_interp``), so the writer holds one window's samples.  A
     pathline's index, height, ``Fe11``, ``Fe21`` and ``Fe22`` are written
     once into its table's row text, and so is, on a uniform ``p``, its
@@ -240,14 +230,13 @@ def _pathline_blocks(result: RunResult) -> Iterator[bytes | np.ndarray]:
     def tables():
         index = 0
         for window, level, x2 in pathline_windows(history, result.pathlines):
-            v1 = level_v1(history, level, x2, result.classes)
             p = level_interp(history, level, x2, history.p)
             a = 0
             for pl in window:
                 b = a + len(pl.t)
                 F11, _, F21, F22 = pl.F_e0.reshape(4, 1)
                 yield [np.array([index]), pl.t, pl.x1, np.array([pl.x2]), F11, pl.F_e12,
-                       F21, F22, v1[a:b], "0", p[a:b]]
+                       F21, F22, pl.v1, "0", p[a:b]]
                 index, a = index + 1, b
 
     return _csv_blocks(("pathline", "t", "x1", "x2", "Fe11", "Fe12", "Fe21", "Fe22",

@@ -824,11 +824,11 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[HistoryP
     coincide with the stored levels.  With ``L = g e1 (x) e2`` the step
     leaves ``F_e11``, ``F_e21`` and ``F_e22`` as they are and adds
     ``h (g F_e22)`` to ``F_e12``, and ``x1`` gains ``h v1``: both are
-    running sums over the levels.  So the steps' ``g`` and ``v1`` are
+    running sums over the levels.  So the samples' ``g`` and ``v1`` are
     gathered for a window of whole pathlines of at most ``CLASS_CELLS``
-    samples at a time (``History.interp``, ``level_v1``), and each
-    pathline's ``F_e12`` and ``x1`` columns are two ``cumsum`` calls
-    (``HistoryPathline``).
+    samples at a time (``History.interp``, ``level_v1``), each pathline's
+    ``F_e12`` and ``x1`` columns are two ``cumsum`` calls, and its ``v1``
+    column is kept (``HistoryPathline``).
     A seed first reached at the last level has no step and is skipped.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
@@ -850,22 +850,22 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[HistoryP
     steps = last - j0
     pathlines = []
     for a, b in _windows((steps + 1).tolist()):
-        # every step of the window's pathlines, one after another: pathline
-        # i steps from the levels j0[i] .. last - 1
-        n = steps[a:b]
+        # every sample of the window's pathlines, one after another: pathline
+        # i samples the levels j0[i] .. last and steps from all but the last
+        n = steps[a:b] + 1
         starts = np.cumsum(n) - n
         seed = np.repeat(np.arange(a, b), n)
         level = np.arange(len(seed)) - np.repeat(starts - j0[a:b], n)
         z = x2[seed]
+        v1 = level_v1(history, level, z, result.classes)
         dF12 = h[seed] * (history.interp(1, level, z) * F0[seed, 1, 1])
-        dx1 = h[seed] * level_v1(history, level, z, result.classes)
+        dx1 = h[seed] * v1
+        # each pathline's start (its F_e12, x1 = 0), then its steps: cumsum makes the columns
+        dF12[1:], dF12[starts], dx1[1:], dx1[starts] = dF12[:-1], F0[a:b, 0, 1], dx1[:-1], 0.0
         for i, s, k in zip(range(a, b), starts.tolist(), n.tolist()):
-            F12, x1 = np.empty(k + 1), np.empty(k + 1)
-            F12[0], F12[1:] = F0[i, 0, 1], dF12[s:s + k]
-            x1[0], x1[1:] = 0.0, dx1[s:s + k]
             pathlines.append(HistoryPathline(
-                t=times[j0[i]] + np.arange(k + 1) * h[i], x1=np.cumsum(x1, out=x1),
-                F_e12=np.cumsum(F12, out=F12), x2=x2[i], F_e0=F0[i]))
+                t=times[j0[i]] + np.arange(k) * h[i], x1=np.cumsum(dx1[s:s + k]),
+                F_e12=np.cumsum(dF12[s:s + k]), v1=v1[s:s + k], x2=x2[i], F_e0=F0[i]))
     return pathlines
 
 

@@ -1,12 +1,16 @@
 """Per-cell kernels that the package no longer calls, kept as the references
 that its by-age march and checks are compared against."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
+from surfgrow import HistoryPathline
 from surfgrow.balance import growth_traction, require_reduced
 from surfgrow.constitutive import MaterialParams
 from surfgrow.errors import SingularTensor, ValidationError
 from surfgrow.grids import interp_prefix
+from surfgrow.scenarios import level_v1, pathline_levels
 from surfgrow.tensors import EPS_DET
 
 
@@ -111,6 +115,15 @@ def pathline_arrays(pathline) -> tuple[np.ndarray, np.ndarray]:
     F = np.repeat(pathline.F_e0[None], n, axis=0)
     F[:, 0, 1] = pathline.F_e12
     return np.column_stack([pathline.x1, np.full(n, pathline.x2)]), F
+
+
+def hand_pathline(result, **columns) -> HistoryPathline:
+    """A ``HistoryPathline`` of the given ``t``, ``x1``, ``F_e12``, ``x2`` and
+    ``F_e0``, whose ``v1`` is ``level_v1``'s at its samples' levels and
+    clamped heights (``pathline_levels``), as a trace's is."""
+    sample = SimpleNamespace(t=np.asarray(columns["t"], dtype=float), x2=columns["x2"])
+    level, x2 = pathline_levels(result.history, [sample])
+    return HistoryPathline(v1=level_v1(result.history, level, x2, result.classes), **columns)
 
 
 def level_speed(history, levels=None) -> np.ndarray:

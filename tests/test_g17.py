@@ -3,9 +3,11 @@
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfgrow.errors import ValidationError
 from surfgrow.output import format_rows
 
 
@@ -67,3 +69,13 @@ def test_random_bit_patterns_print_as_python_does(patterns):
 def test_integers_print_as_percent_d(integers):
     # the writers print integer columns (steps, pathline indices) this way
     assert _lines(np.array(integers)) == b"".join(b"%d\n" % k for k in integers)
+
+
+def test_fixed_text_holding_a_nul_is_refused():
+    # a row's bytes are its layout with the NULs deleted, so a NUL in the
+    # fixed text would vanish from the file
+    values = np.array([1.0, 2.0])
+    for fixed in ([b"\0", b"\n"], [b"", b"a\0b", b"\n"], [b"", b"\n\0"]):
+        with pytest.raises(ValidationError, match="NUL"):
+            format_rows(fixed, [values] * (len(fixed) - 1))
+    assert format_rows([b"", b",", b"\n"], [values, -values]).tobytes() == b"1,-1\n2,-2\n"

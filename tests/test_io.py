@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import surfgrow.output
-from surfgrow import (History, HistoryPathline, MaterialParams, ParseError, RunResult,
+from surfgrow import (History, MaterialParams, ParseError, RunResult,
                       ScenarioConfig, ValidationError, parse_config,
                       pathline_grid_discrepancy, read_snapshot, run_fdm_shear,
                       run_non_normal, run_scenario, trace_history_pathlines,
@@ -16,7 +16,7 @@ from surfgrow.scenarios import level_v1, pathline_levels, pathline_windows
 from surfgrow.tensors import identity
 from surfgrow.verify import default_config
 
-from references import level_speed, pathline_arrays, velocity_tolerance
+from references import hand_pathline, level_speed, pathline_arrays, velocity_tolerance
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -306,21 +306,20 @@ def _odd_values_result(metrics=None, body_rate=None):
         tables=by_age, F_e0=odd.reshape(2, 2, 2).repeat(2, 0),
         p=odd[3:7].copy(), rho=np.array([0.0, 0.0, -0.0, 0.0]), dx=dx, dt=0.5)
     history.v_surf[:] = [np.sum(dx * history.columns(k, 1)) for k in range(3)]
-    pathlines = [
-        HistoryPathline(t=[-0.0, 1.0 / 3.0, 0.9, 1.4], x1=[-0.0, 1.0 / 3.0, 5e-324, 0.0],
-                        F_e12=[5e-324, -np.inf, 5e-324, -np.inf], x2=5e-324,
-                        F_e0=odd[:4].reshape(2, 2)),
-        HistoryPathline(t=[0.5, 1.0], x1=[0.0, 1e300], F_e12=[-5e-324, 1.0 / 3.0], x2=-1.0,
-                        F_e0=odd[::-1][:4].reshape(2, 2)),
-        HistoryPathline(t=[0.7], x1=[-0.0], F_e12=[np.nan], x2=1e300,
-                        F_e0=odd[2:6].reshape(2, 2)),
-        HistoryPathline(t=[0.1, 0.6, 1.1], x1=[0.0, -0.0, 0.0],
-                        F_e12=[np.nan, nan2[0], np.nan], x2=0.3,
-                        F_e0=[[1.0, np.nan], [1.0 / 3.0, 1.0]]),
-        HistoryPathline(t=[0.2, 0.4], x1=[1e-300, tie], F_e12=[tie, -1e-300], x2=0.6,
-                        F_e0=[[1e-300, tie], [0.0, 1.0]]),
-    ]
-    return RunResult(config=_tiny_config(), history=history, pathlines=pathlines)
+    result = RunResult(config=_tiny_config(), history=history)
+    result.pathlines = [hand_pathline(result, **columns) for columns in (
+        dict(t=[-0.0, 1.0 / 3.0, 0.9, 1.4], x1=[-0.0, 1.0 / 3.0, 5e-324, 0.0],
+             F_e12=[5e-324, -np.inf, 5e-324, -np.inf], x2=5e-324,
+             F_e0=odd[:4].reshape(2, 2)),
+        dict(t=[0.5, 1.0], x1=[0.0, 1e300], F_e12=[-5e-324, 1.0 / 3.0], x2=-1.0,
+             F_e0=odd[::-1][:4].reshape(2, 2)),
+        dict(t=[0.7], x1=[-0.0], F_e12=[np.nan], x2=1e300, F_e0=odd[2:6].reshape(2, 2)),
+        dict(t=[0.1, 0.6, 1.1], x1=[0.0, -0.0, 0.0], F_e12=[np.nan, nan2[0], np.nan],
+             x2=0.3, F_e0=[[1.0, np.nan], [1.0 / 3.0, 1.0]]),
+        dict(t=[0.2, 0.4], x1=[1e-300, tie], F_e12=[tie, -1e-300], x2=0.6,
+             F_e0=[[1e-300, tie], [0.0, 1.0]]),
+    )]
+    return result
 
 
 def test_csv_rows_match_per_value_fmt(tmp_path):
@@ -385,11 +384,9 @@ def test_csv_blocks_write_the_same_bytes(tmp_path, monkeypatch):
                                         n_snapshots=3))
     res.pathlines = trace_history_pathlines(res, count=4)
     write_fields(res, tmp_path / "whole")
-    # a budget of a few rows a block (a row of k varying values takes k (2
-    # WIDTH + 2 _LONGEST) bytes and more), compacted in pieces that cut
-    # through the values' slots
+    # a budget of a few rows a block (a row of k varying values takes k
+    # (WIDTH + _VALUE_BYTES) bytes and more)
     monkeypatch.setattr(surfgrow.output, "BLOCK_BYTES", 4000)
-    monkeypatch.setattr(surfgrow.output, "_PIECE", 64)
     rows = []
     format_rows = surfgrow.output.format_rows
 
@@ -427,7 +424,7 @@ def test_pathline_windows_trace_score_and_write_the_same(tmp_path, monkeypatch):
         traced = trace_history_pathlines(res, count=4)
         assert [len(window) for window, *_ in pathline_windows(res.history, traced)] == [1] * 4
         for ours, theirs in zip(traced, res.pathlines, strict=True):
-            for name in ("t", "x1", "F_e12", "x2", "F_e0"):
+            for name in ("t", "x1", "F_e12", "v1", "x2", "F_e0"):
                 assert np.array_equal(_bits(getattr(ours, name)),
                                       _bits(getattr(theirs, name))), name
         assert repr(pathline_grid_discrepancy(res, traced)) == repr(gap)

@@ -22,7 +22,8 @@ from surfgrow.grids import interp_prefix
 from surfgrow.output import fmt
 from surfgrow.scenarios import CLASS_CELLS, level_v1, pathline_levels
 
-from references import ROUNDOFF, level_speed, pathline_arrays, velocity_tolerance
+from references import (ROUNDOFF, hand_pathline, level_speed, pathline_arrays,
+                        velocity_tolerance)
 
 
 def _bits(x):
@@ -188,6 +189,24 @@ def test_gap_is_bitwise_the_per_level_loop(traced):
     assert repr(gap) == repr(reference_gap(result, result.pathlines))
 
 
+def test_traced_v1_is_the_face_velocity_at_each_sample(traced):
+    # the trace keeps the v1 it stepped with, and the writer reads it: it is
+    # level_v1's at each sample's stored level and clamped height, bitwise
+    result, _ = traced
+    level, x2 = pathline_levels(result.history, result.pathlines)
+    expected = level_v1(result.history, level, x2, result.classes)
+    ours = np.concatenate([pl.v1 for pl in result.pathlines])
+    assert np.array_equal(_bits(ours), _bits(expected))
+
+
+def test_a_pathline_refuses_a_v1_of_another_length():
+    columns = dict(t=[0.0, 0.5], x1=[0.0, 0.1], F_e12=[0.0, 0.2], x2=0.3, F_e0=np.eye(2))
+    assert len(HistoryPathline(v1=[1.0, 2.0], **columns).v1) == 2
+    for v1 in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValidationError, match="equal-length"):
+            HistoryPathline(v1=v1, **columns)
+
+
 def test_pathlines_csv_is_bitwise_the_per_level_loop(traced, tmp_path):
     # every column's text is the reference's but v1's, whose values lie
     # within the face velocities' round-off of np.interp's
@@ -238,7 +257,7 @@ def test_gap_of_samples_off_the_levels_is_the_per_level_loop():
     # body at every level, with F_e = I: a one-sample pathline per height
     t = np.linspace(-0.1, history.t[-1] + 0.3, 40) + 1e-4
     heights = np.linspace(-0.2, history.H[-1] + 0.4, 40)
-    pathlines = [HistoryPathline(t=[tm], x1=[0.0], F_e12=[0.0], x2=x2, F_e0=np.eye(2))
+    pathlines = [hand_pathline(result, t=[tm], x1=[0.0], F_e12=[0.0], x2=x2, F_e0=np.eye(2))
                  for tm, x2 in zip(t, heights)]
     result.pathlines = pathlines + trace_history_pathlines(result, count=3)
     gap = pathline_grid_discrepancy(result, result.pathlines)

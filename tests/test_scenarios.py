@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import surfgrow.scenarios
 from surfgrow import (History, IncompatibleAnsatz, MaterialParams, NotReduced,
-                      HistoryPathline, OutOfBody, ScenarioConfig, SingularSystem,
+                      OutOfBody, ScenarioConfig, SingularSystem,
                       SingularTensor,
                       ValidationError, analytic_non_normal, convergence_study,
                       integrate_characteristics, reconstruct_reference,
@@ -33,8 +33,9 @@ from surfgrow.verify import (_residual_rows, _rest_deviation, default_config,
                              verify_scenario)
 
 from references import (BLOCK_CELLS, ROUNDOFF, block_bounds, block_columns, cell_S22,
-                        first_integral, level_speed, pathline_arrays, reduced_step_1d,
-                        replay_columns, solve_residuals, velocity_tolerance)
+                        first_integral, hand_pathline, level_speed, pathline_arrays,
+                        reduced_step_1d, replay_columns, solve_residuals,
+                        velocity_tolerance)
 
 
 def interp_columns(xq, xp, values):
@@ -703,7 +704,7 @@ def test_discrepancy_clamps_time_and_height_like_per_sample_loop():
     # a one-sample pathline per height; with F_e = I the gap of one sample
     # is |F_e12| of the grid where it lands, so scoring samples one at a
     # time shows any level it misplaces
-    samples = [HistoryPathline(t=[t[m]], x1=[0.0], F_e12=[0.0], x2=x2[m], F_e0=np.eye(2))
+    samples = [hand_pathline(res, t=[t[m]], x1=[0.0], F_e12=[0.0], x2=x2[m], F_e0=np.eye(2))
                for m in range(40)]
     for m, one in enumerate(samples):
         gap = pathline_grid_discrepancy(res, [one])
