@@ -175,10 +175,12 @@ class History(Sequence):
         """Entry state ``state``'s ``F_e12`` and ``g`` at the ages ``0 .. L - 1``, a view."""
         return self.source.reshape(2, -1, 2, self.L)[:, state, 1]
 
-    def at_ages(self, state: int, ages: np.ndarray) -> np.ndarray:
-        """``table(state)`` at ``ages`` in ``-L .. L - 1``, zeros at the negative ones."""
-        return np.take(self.source.reshape(2, -1, 2 * self.L)[:, state], self.L + ages,
-                       axis=-1, mode="clip")
+    def at_ages(self, row: int, state: int, ages: np.ndarray) -> np.ndarray:
+        """``F_e12`` (``row=0``) or ``g`` of ``table(state)`` at ``ages`` in ``-L
+        .. L - 1``, zeros at the negative ones.  One row is contiguous, so the
+        gather reads it without a copy."""
+        return np.take(self.source.reshape(2, -1, 2 * self.L)[row, state], self.L + ages,
+                       mode="clip")
 
     def age_rows(self) -> list[tuple[int, slice]]:
         """Per entry state that the last level holds, its first cell and the

@@ -76,7 +76,11 @@ class RunManifest:
 
 
 def _snapshot_indices(n_records: int, n_snapshots: int) -> list[int]:
+    """Up to ``n_snapshots`` levels evenly spaced over ``n_records``, the
+    first and the last among them; one snapshot is the last level."""
     k = min(n_snapshots, n_records)
+    if k == 1:
+        return [n_records - 1]
     return sorted(set(np.linspace(0, n_records - 1, k).round().astype(int).tolist()))
 
 
@@ -259,7 +263,8 @@ def write_fields(result: RunResult, out_dir,
     """Serialize a run: snapshot CSVs, metrics stream, pathlines, manifest.
 
     Snapshot count follows ``result.config.n_snapshots`` (evenly spaced over
-    the stored history, first and last always included).
+    the stored history, first and last always included; a single snapshot
+    is the last level).
     """
     out = Path(out_dir)
     try:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -285,14 +285,17 @@ def analytic_non_normal(x2, t, alpha: float, G: float, mu: float, V_G: float):
 
 
 def _require_in_body(x2: np.ndarray, t, V_G: float) -> None:
-    top = V_G * t
-    if np.any(x2 < -1e-12) or np.any(x2 > top * (1 + 1e-12) + 1e-15):
-        raise OutOfBody(f"x2 outside [0, V_G t] = [0, {np.max(top):g}]")
+    # the front V_G t with its slack, formed in one buffer
+    bound = np.multiply(V_G, t, out=np.empty(np.shape(t)))
+    bound *= 1 + 1e-12
+    bound += 1e-15
+    if np.any(x2 < -1e-12) or np.any(x2 > bound):
+        raise OutOfBody(f"x2 outside [0, V_G t] = [0, {np.max(V_G * np.asarray(t)):g}]")
 
 
 def _stride_accumulate(ufunc, values: np.ndarray, p: int) -> np.ndarray:
-    """``ufunc.accumulate`` with stride ``p`` along each row of the
-    C-contiguous ``values``, in place: entry ``r`` takes in ``r - p``'s."""
+    """``ufunc.accumulate`` with stride ``p`` along each row of ``values``
+    (each row contiguous), in place: entry ``r`` takes in ``r - p``'s."""
     full = values.shape[1] // p * p
     if full:
         view = values[:, :full].reshape(len(values), -1, p)
@@ -303,9 +306,10 @@ def _stride_accumulate(ufunc, values: np.ndarray, p: int) -> np.ndarray:
 
 def _level_extreme(ufunc, values: np.ndarray, active: np.ndarray, p: int) -> np.ndarray:
     """The ``ufunc`` extreme of ``values`` (a row per class) over each level's
-    cells, the entries ``rho, rho - p, ...`` where ``active``; or infinite."""
-    fill = -np.inf if ufunc is np.maximum else np.inf
-    return ufunc.reduce(_stride_accumulate(ufunc, np.where(active, values, fill), p))
+    cells, the entries ``rho, rho - p, ...`` where ``active``; or infinite.
+    ``values`` is overwritten."""
+    np.copyto(values, -np.inf if ufunc is np.maximum else np.inf, where=~active)
+    return ufunc.reduce(_stride_accumulate(ufunc, values, p))
 
 
 def _periods(gaps: list):
@@ -360,19 +364,22 @@ class _Classes:
 
     def rows(self, cols: np.ndarray, P: np.ndarray, stop: int | None = None):
         """Per chunk ``cs`` of the classes below ``stop``, yield ``(cs, ages,
-        F12, g, below, Z)``, a row per class ``c`` at the levels ``rho`` in
-        ``cols`` (``P`` there); ``ages``, ``F12`` and ``g`` are cell ``m0 +
-        c``'s and then the cell above's.  ``Z[c] = P - sum_{c' <= c} g(rho -
-        e[c'])``, so the face above cell ``m0 + c + u q`` at level ``rho + u
-        p`` moves at ``dx (Y - Z)``, ``Y`` that level's ``P`` plus the body's
-        rates; ``below[c] = Z[c - 1]``.  Class sums run class by class."""
+        below, Z)``, a row per class ``c`` at the levels ``rho`` in ``cols``
+        (``P`` there); ``ages`` are cell ``m0 + c``'s and then the cell
+        above's (``History.at_ages`` reads their ``F12`` and ``g``).  ``Z[c] =
+        P - sum_{c' <= c} g(rho - e[c'])``, so the face above cell ``m0 + c + u
+        q`` at level ``rho + u p`` moves at ``dx (Y - Z)``, ``Y`` that level's
+        ``P`` plus the body's rates; ``below[c] = Z[c - 1]``.  Class sums run
+        class by class in one buffer a chunk, which the consumer may overwrite."""
         C = np.zeros(len(cols))
         for cs in self.chunks(len(cols), stop):
             ages = cols - self.e[cs.start:cs.stop + 1, None]
-            F12, g = self.history.at_ages(-1, ages)
-            C = np.array(list(accumulate(g[:-1], initial=C)))
-            yield cs, ages, F12, g, P - C[:-1], P - C[1:]
-            C = C[-1]
+            sums = np.empty(ages.shape)
+            sums[0], sums[1:] = C, self.history.at_ages(1, -1, ages[:-1])
+            np.add.accumulate(sums, axis=0, out=sums)
+            C = sums[-1].copy()
+            np.subtract(P, sums, out=sums)
+            yield cs, ages, sums[:-1], sums[1:]
 
 
 def _entry_classes(history: History, advance: float) -> _Classes:
@@ -404,18 +411,37 @@ def _solve_checks(classes: _Classes, P: np.ndarray, scale: float):
     F12_0, g_0 = classes.body[:, :W]
     Y = P + m0 * g_0
     v_body = m0 * (dx * g_0)  # the faces in the body lie on a line from 0
-    lo, hi, interior = np.minimum(0.0, v_body), np.maximum(0.0, v_body), np.zeros(W)
-    for _, ages, F12, g, _, Z in classes.rows(np.arange(W), P):
+    hi, interior = np.maximum(0.0, v_body), np.zeros(W)
+    lo = np.minimum(0.0, v_body, out=v_body)
+    for _, ages, _, Z in classes.rows(np.arange(W), P):
         active = ages[:-1] >= 0
-        hi = np.maximum(hi, dx * (Y - _level_extreme(np.minimum, Z, active, p)))
-        lo = np.minimum(lo, dx * (Y - _level_extreme(np.maximum, Z, active, p)))
-        rows = np.abs((g[1:] - g[:-1]) * dx + (F12[1:] - F12[:-1]) * (F22 * scale))
-        interior = np.maximum(interior, _level_extreme(np.maximum, rows, ages[1:] >= 0, p))
+        # the faces above move at dx (Y - Z): each level's highest from Z's
+        # least, its lowest from Z's most
+        face = _level_extreme(np.minimum, Z.copy(), active, p)
+        np.maximum(hi, np.multiply(dx, np.subtract(Y, face, out=face), out=face), out=hi)
+        face = _level_extreme(np.maximum, Z, active, p)
+        np.minimum(lo, np.multiply(dx, np.subtract(Y, face, out=face), out=face), out=lo)
+        del face
+        # the rows (g' - g) dx + (F12' - F12) F22 scale, formed in g's buffer
+        F12, g = history.at_ages(0, -1, ages), history.at_ages(1, -1, ages)
+        rows, shear = np.subtract(g[1:], g[:-1], out=g[1:]), F12[1:]
+        rows *= dx
+        np.subtract(shear, F12[:-1], out=shear)
+        shear *= F22 * scale
+        rows += shear
+        np.maximum(interior, _level_extreme(np.maximum, np.abs(rows, out=rows),
+                                            ages[1:] >= 0, p), out=interior)
     if m0:  # the row between the body's top cell and the cell above
         age = np.arange(W) - classes.e[0]
-        F12, g = history.at_ages(-1, age)
-        row = np.abs((g - g_0) * dx + (F12 * F22 - F12_0 * F22_0) * scale)
-        interior = np.maximum(interior, np.where(age >= 0, row, 0.0))
+        F12, row = history.at_ages(0, -1, age), history.at_ages(1, -1, age)
+        row -= g_0
+        row *= dx
+        F12 *= F22
+        F12 -= F12_0 * F22_0
+        F12 *= scale
+        row += F12
+        np.copyto(np.abs(row, out=row), 0.0, where=age < 0)
+        np.maximum(interior, row, out=interior)
     return lo, hi, interior
 
 
@@ -433,19 +459,29 @@ def _score_non_normal(config: ScenarioConfig, history: History, classes: _Classe
     entry = history.centers[history.m0:] / V_G
     A = history.dx * P + np.exp(-lam * t) * (V_G * alpha)
     linf, squares, v1 = np.zeros(W), np.zeros(W), np.zeros(W)
-    for cs, ages, F12, _, below, Z in classes.rows(np.arange(W), P):
+    for cs, ages, below, Z in classes.rows(np.arange(W), P):
         active = ages[:-1] >= 0
-        arg = -lam * (t - entry[cs, None])
+        # arg = -lam (t - entry); alpha decay, the squares and w reuse its buffer
+        work = np.subtract(t, entry[cs, None])
+        work *= -lam
         # +0.0 below -746, as numpy gives it off its vector path
-        decay = np.exp(arg, out=np.zeros(arg.shape), where=active & (arg > -746.0))
-        ef = F12[:-1] + alpha * decay
-        linf = np.maximum(linf, _level_extreme(np.maximum, np.abs(ef), active, classes.p))
-        for row in _stride_accumulate(np.add, ef * ef, classes.p):
-            squares = squares + row
+        decay = np.exp(work, out=np.zeros(work.shape), where=active & (work > -746.0))
+        ef = classes.history.at_ages(0, -1, ages[:-1])  # F12, then F12 + alpha decay
+        ef += np.multiply(alpha, decay, out=work)
+        for row in _stride_accumulate(np.add, np.multiply(ef, ef, out=work), classes.p):
+            squares += row
+        np.maximum(linf, _level_extreme(np.maximum, np.abs(ef, out=ef), active, classes.p),
+                   out=linf)
         # v1 at a cell's center is the mean of its faces' dx (Y - Z)
-        w = (below + Z) * (0.5 * history.dx) + decay * (V_G * alpha)
-        v1 = np.maximum(v1, np.maximum(_level_extreme(np.maximum, w, active, classes.p) - A,
-                                       A - _level_extreme(np.minimum, w, active, classes.p)))
+        w = np.add(below, Z, out=work)
+        w *= 0.5 * history.dx
+        decay *= V_G * alpha
+        w += decay
+        np.copyto(ef, w)
+        high = _level_extreme(np.maximum, ef, active, classes.p)
+        high -= A
+        low = np.subtract(A, _level_extreme(np.minimum, w, active, classes.p))
+        np.maximum(v1, np.maximum(high, low, out=high), out=v1)
     return {"linf_F_e12": linf, "rms_F_e12": np.sqrt(squares / m), "linf_v1": v1}
 
 
@@ -457,19 +493,26 @@ def _score_steady(config: ScenarioConfig, history: History, classes: _Classes,
     ``sigma11 = tau1^2 / G``."""
     G, tau1, W, L = config.params.G, config.attachment_traction, len(P), history.L
 
-    def errors(F12, g, cell):
+    def errors(F12, g, cell, out):
         sigma11, sigma12, _ = _stress(history, config.params, cell, F12, g)
-        return np.abs([F12 - tau1 / G, sigma12 - tau1, sigma11 - tau1 ** 2 / G])
+        for row, value, exact in zip(out, (F12, sigma12, sigma11),
+                                     (tau1 / G, tau1, tau1 ** 2 / G)):
+            np.abs(np.subtract(value, exact, out=row), out=row)
+        return out
 
-    worst = errors(*classes.body[:, :W], 0) if history.m0 else np.zeros((3, W))
+    worst = np.zeros((3, W))
+    if history.m0:
+        errors(*classes.body[:, :W], 0, worst)
     # an accreted cell's errors depend on its age alone: their running
     # maximum along the stride p by age, -inf below age 0, gathered at each
     # class's ages is the maximum over the class's cells of a level
     by_age = np.full((3, 2 * L), -np.inf)
-    by_age[:, L:] = _stride_accumulate(np.maximum, errors(*history.table(-1), -1), classes.p)
+    _stride_accumulate(np.maximum, errors(*history.table(-1), -1, by_age[:, L:]), classes.p)
     cols = np.arange(W)
     for cs in classes.chunks(W):
-        worst = np.maximum(worst, by_age[:, L + cols - classes.e[cs, None]].max(axis=1))
+        at = L + cols - classes.e[cs, None]
+        for row, by_age_row in zip(worst, by_age):
+            np.maximum(row, by_age_row[at].max(axis=0), out=row)
     return {"linf_F_e12": worst[0], "linf_v1": v_abs, "linf_sigma12": worst[1],
             "linf_sigma11": worst[2]}
 
@@ -502,16 +545,91 @@ def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
     return shears, rates
 
 
-def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
-    """March a scenario, check it and score it; ``oracle(config, history,
-    classes, P, v_abs)`` gives the oracle errors of the levels ``P``
-    covers."""
-    params = config.params
-    G, mu, M = params.G, params.mu, config.mass_rate
-    dt, n_steps = config.resolve_dt()
+@contextmanager
+def _at_step(k: int, dt: float):
+    """Raise a ``SurfgrowError`` of the block again as its own type, its
+    message led by the step ``k`` and its time."""
+    try:
+        yield
+    except SurfgrowError as exc:
+        raise type(exc)(f"step {k}, t = {k * dt:.6g}: {exc}") from exc
+
+
+def _check_levels(config: ScenarioConfig, history: History, classes: _Classes,
+                  P: np.ndarray, phases: dict) -> np.ndarray:
+    """Check a marched run by entry class: the face velocities' extremes and
+    the solve's residuals, then the top cells' jump residuals, each filled
+    into its metric column in place, and their times as ``solve_s`` and
+    ``metrics_s`` in ``phases``.  A non-finite shear or shear rate reaches
+    the top face, so the first level whose ``v_surf`` is not finite has
+    failed; the levels before it are checked, so an error names the
+    earliest offending step.  Returns ``v_abs``, each checked level's
+    largest face speed."""
+    start = time.perf_counter()
+    params, metrics, dx, M = config.params, history.metrics, history.dx, config.mass_rate
+    G, mu = params.G, params.mu
     # fdm_shear's material attaches at v0; the other kinds' at the body's
     # velocity, which sets no traction
     fed, tau1 = config.kind == "fdm_shear", config.attachment_traction
+    failed = np.flatnonzero(~np.isfinite(history.v_surf))
+    W = int(failed[0]) if len(failed) else len(history)
+    lo, hi, interior = _solve_checks(classes, P[:W], (G / mu) * dx)
+    v_abs = np.maximum(np.abs(hi, out=hi), np.abs(lo, out=lo), out=hi)  # 0.0, never -0.0
+    top, v = history.m[:W] - 1, history.v_surf[:W]
+    level_tau1 = growth_traction(M, config.v0, v, 0.0) if fed else tau1
+    F12, g = history.source[:, history.index(slice(0, W), top)]  # the top cells'
+    S12 = F12 * history.F_e0[top, 1, 1]
+    # each level is checked against the traction of its own top velocity
+    # v: for fdm_shear its top row reads dx M |v| / mu
+    system = metrics["system_residual"][:W]
+    np.abs(dx * g - (dx / mu) * (level_tau1 - G * S12), out=system)
+    np.maximum(interior, system, out=system)
+    system /= np.maximum(1.0, v_abs)
+    # the top cell's stress, from the rate the march stored, against the
+    # applied traction; its sigma22 is normal_pressure's balance, 0
+    sigma11, sigma12, sigma22 = _stress(history, params, top, F12, g)
+    traction = metrics["traction_residual"][:W]
+    np.maximum(np.abs(G * S12 + mu * g - level_tau1), np.abs(sigma22), out=traction)
+    solved = time.perf_counter()
+    # the top cells' jump residuals, in jump_residuals' operations less
+    # finite values times zero (n = e2); a stress entry times n1 = 0
+    # turns an overflow into NaN.  The momentum M v_a arrives at v0 for
+    # fdm_shear (M v0 = tau1), else at the body's velocity.
+    rho = history.rho[top]
+    flux = rho * (M / rho)  # rho (V_b - v) . n; none on the ambient side
+    np.abs(flux - M, out=metrics["mass_residual"][:W])
+    momentum = metrics["momentum_residual"][:W]
+    np.maximum(np.abs((flux * v + (sigma11 * 0.0 + sigma12)) - (tau1 if fed else M * v)),
+               np.abs(sigma12 * 0.0 + sigma22), out=momentum)
+    # the jump and traction residuals read M |v_surf|, the system dx / mu
+    worst = np.maximum(np.maximum(system, momentum), traction)
+    bad = np.flatnonzero(worst > ANSATZ_RESIDUAL_LIMIT)
+    if len(bad):
+        j = int(bad[0])
+        # the first of the level's residuals over the limit names it
+        name, value = next(
+            (name, values[j]) for name, values in (
+                ("reduced solve", system), ("momentum jump", momentum), ("traction", traction))
+            if values[j] > ANSATZ_RESIDUAL_LIMIT)
+        with _at_step(int(history.step[j]), history.dt):
+            raise IncompatibleAnsatz(f"{name} residual {value:.3e}; "
+                                     f"the through-thickness ansatz is inconsistent")
+    if W < len(history):
+        with _at_step(int(history.step[W]), history.dt):
+            require_finite(history.columns(W, 0), "F_e12")
+            raise SingularSystem("momentum solve produced non-finite values")
+    phases.update(solve_s=solved - start, metrics_s=time.perf_counter() - solved)
+    return v_abs
+
+
+def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
+    """March a scenario, check it (``_check_levels``) and score it;
+    ``oracle(config, history, classes, P, v_abs)`` gives the oracle errors
+    of the levels ``P`` covers.  The checks' arrays are freed before the
+    oracle runs, so a run holds its result and one pass at a time."""
+    params = config.params
+    dt, n_steps = config.resolve_dt()
+    tau1 = config.attachment_traction
     grid = config.eulerian_grid()
     n, dx = grid.n_cells, grid.dx
 
@@ -540,12 +658,10 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     rho = np.full(n, params.rho)
     for constant in (F_e0, p, rho):
         constant.flags.writeable = False
-    F22 = F_e0[:, 1, 1].copy()
 
     v_surf = np.empty(levels)
     metrics = {name: None if name in ("t", "H") else np.empty(levels) for name in METRIC_FIELDS}
-    k, t = first, first * dt
-    try:
+    with _at_step(first, dt):
         require_reduced(F_e0)
         # det F_e = F11 F22 (F_e21 = 0) and |p - G| are per-cell constants:
         # a level's maximum of each is their running maximum at its top cell.
@@ -568,67 +684,13 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
         with np.errstate(invalid="ignore"):  # both infinities in a level: NaN
             P = classes.level_sums(classes.stride_sums(), np.arange(levels))
             v_surf[:] = dx * (P + m0 * classes.body[1])
-        marched = time.perf_counter()
-        # The checks, by entry class.  A non-finite shear or shear rate
-        # reaches the top face, so the first level whose v_surf is not
-        # finite has failed; the checks run on the levels before it, so an
-        # error names the earliest offending step.
-        failed = np.flatnonzero(~np.isfinite(v_surf))
-        W = int(failed[0]) if len(failed) else levels
-        P = P[:W]
-        lo, hi, interior = _solve_checks(classes, P, (G / mu) * dx)
-        v_abs = np.maximum(np.abs(hi), np.abs(lo))  # 0.0, never -0.0
-        rows, top, v = slice(0, W), m[:W] - 1, v_surf[:W]
-        level_tau1 = growth_traction(M, config.v0, v, 0.0) if fed else tau1
-        F12, g = history.source[:, history.index(rows, top)]  # the top cells'
-        S12 = F12 * F22[top]
-        # each level is checked against the traction of its own top velocity
-        # v: for fdm_shear its top row reads dx M |v| / mu
-        resid_top = np.abs(dx * g - (dx / mu) * (level_tau1 - G * S12))
-        system = np.maximum(interior, resid_top) / np.maximum(1.0, v_abs)
-        # the top cell's stress, from the rate the march stored, against the
-        # applied traction; its sigma22 is normal_pressure's balance, 0
-        sigma11, sigma12, sigma22 = _stress(history, params, top, F12, g)
-        traction = np.maximum(np.abs(G * S12 + mu * g - level_tau1), np.abs(sigma22))
-        metrics["system_residual"][rows] = system
-        metrics["traction_residual"][rows] = traction
-        solved = time.perf_counter()
-        # the top cells' jump residuals, in jump_residuals' operations less
-        # finite values times zero (n = e2); a stress entry times n1 = 0
-        # turns an overflow into NaN.  The momentum M v_a arrives at v0 for
-        # fdm_shear (M v0 = tau1), else at the body's velocity.
-        flux = rho[top] * (M / rho[top])  # rho (V_b - v) . n; none on the ambient side
-        momentum1 = (flux * v + (sigma11 * 0.0 + sigma12)) - (tau1 if fed else M * v)
-        momentum2 = sigma12 * 0.0 + sigma22
-        metrics["mass_residual"][rows] = np.abs(flux - M)
-        momentum = np.maximum(np.abs(momentum1), np.abs(momentum2))
-        metrics["momentum_residual"][rows] = momentum
-        # the jump and traction residuals read M |v_surf|, the system dx / mu
-        worst = np.maximum(np.maximum(system, momentum), traction)
-        bad = np.flatnonzero(worst > ANSATZ_RESIDUAL_LIMIT)
-        if len(bad):
-            j = int(bad[0])
-            k = first + j
-            t = k * dt
-            # the first of the level's residuals over the limit names it
-            name, value = next(
-                (name, values[j]) for name, values in (
-                    ("reduced solve", system), ("momentum jump", momentum),
-                    ("traction", traction))
-                if values[j] > ANSATZ_RESIDUAL_LIMIT)
-            raise IncompatibleAnsatz(f"{name} residual {value:.3e}; "
-                                     f"the through-thickness ansatz is inconsistent")
-        if W < levels:
-            k = first + W
-            t = k * dt
-            require_finite(history.columns(W, 0), "F_e12")
-            raise SingularSystem("momentum solve produced non-finite values")
-        gated = time.perf_counter()
-        result.oracle_errors = oracle(config, history, classes, P, v_abs)
-    except SurfgrowError as exc:
-        raise type(exc)(f"step {k}, t = {t:.6g}: {exc}") from exc
-    phases = {"solve_s": solved - marched, "metrics_s": gated - solved,
-              "oracle_s": time.perf_counter() - gated}
+    marched = time.perf_counter()
+    phases = {}
+    v_abs = _check_levels(config, history, classes, P, phases)
+    gated = time.perf_counter()
+    with _at_step(first, dt):
+        result.oracle_errors = oracle(config, history, classes, P[:len(v_abs)], v_abs)
+    phases["oracle_s"] = time.perf_counter() - gated
     result.timings = {"march_s": marched - start, "check_s": sum(phases.values()), **phases,
                       "levels": levels, "classes": len(classes.e) - 1, "period": classes.p,
                       "cell_levels": int(m.sum())}
@@ -876,13 +938,15 @@ def pathline_levels(history: History, pathlines) -> tuple[np.ndarray, np.ndarray
     pathline after another.  A sample's level is the stored level at its
     time, ``rint((t - t0)/dt)`` clamped to the history, and its height,
     its pathline's, is clamped to that level's body.  Returns ``(level,
-    x2)``.
+    x2)``, formed in place: the times' buffer ends holding the levels' heights.
     """
     t = np.concatenate([pl.t for pl in pathlines])
+    t -= history.t[0]
+    t /= history.dt
+    level = np.clip(np.rint(t, out=t), 0, len(history) - 1, out=t).astype(int)
     x2 = np.repeat([pl.x2 for pl in pathlines], [len(pl.t) for pl in pathlines])
-    times = history.t
-    level = np.clip(np.rint((t - times[0]) / history.dt), 0, len(times) - 1).astype(int)
-    return level, np.minimum(np.maximum(x2, 0.0), history.H[level])
+    np.maximum(x2, 0.0, out=x2)
+    return level, np.minimum(x2, np.take(history.H, level, out=t, mode="clip"), out=x2)
 
 
 def pathline_windows(history: History, pathlines):

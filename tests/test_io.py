@@ -142,6 +142,20 @@ def test_write_fields_single_snapshot_row_count(tmp_path):
     assert len(manifest.snapshots) == 1
 
 
+def test_one_snapshot_is_the_last_level(tmp_path):
+    # a 16-cell non_normal run stores steps 2 .. 64; asked for one snapshot,
+    # the writer writes the final state, not the first stored level
+    res = run_scenario(ScenarioConfig(kind="non_normal", n_cells=16, n_snapshots=1))
+    history = res.history
+    assert history.step[0] == 2 and len(history) > 1
+    manifest = write_fields(res, tmp_path / "out")
+    assert manifest.snapshots == [{"file": "snapshot_0000.csv", "step": int(history.step[-1]),
+                                   "t": fmt(history.t[-1]), "n_active": 16}]
+    data = read_snapshot(tmp_path / "out" / "snapshot_0000.csv")
+    np.testing.assert_array_equal(data["Fe12"], history[-1].F_e12)
+    assert not (tmp_path / "out" / "snapshot_0001.csv").exists()
+
+
 def test_snapshot_roundtrip_is_bitwise(tmp_path):
     res = run_fdm_shear(_tiny_config())
     write_fields(res, tmp_path / "out")

@@ -1355,7 +1355,7 @@ def test_separable_oracle_at_small_mu_stays_within_the_bound():
 
 def _record_work(monkeypatch):
     """Record the arrays the class pass forms its rows in (``_Classes.rows``):
-    each chunk's ages, shears, rates and face sums."""
+    each chunk's ages and face sums."""
     rows, seen = surfgrow.scenarios._Classes.rows, []
 
     def recording_rows(self, *args, **kwargs):
@@ -1380,7 +1380,7 @@ def test_work_arrays_stay_out_of_the_results(monkeypatch, make):
     _class_cells(monkeypatch, 256)
     first = run_scenario(make(n_cells=32, t_end=0.25))
     first_work = list(work)
-    assert len(first_work) >= 5
+    assert len(first_work) >= 3
     for column in _columns(first):
         assert not any(np.shares_memory(column, w) for w in first_work)
     before = [column.tobytes() for column in _columns(first)]
@@ -1776,6 +1776,25 @@ def test_age_marched_run_peaks_far_below_its_cells(make):
         tracemalloc.stop()
     assert n_steps == 6400 and 16 * int(history.m.sum()) > 80e6
     assert peak < 12e6
+
+
+@pytest.mark.parametrize("kind", ["non_normal", "thermal"])
+def test_run_peaks_at_its_result_plus_one_pass(kind):
+    # the checks' arrays are freed before the oracle runs, and the class
+    # passes form their rows in reused buffers, so a run at n = 800 peaks
+    # within twice the bytes its result holds (1.8 and 1.7 times; 3.05 and
+    # 2.46 while the checks' arrays lived through the oracle)
+    cfg = ScenarioConfig(kind=kind, n_cells=800)
+    run_scenario(cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_scenario(cfg)
+        held, peak = (value - base for value in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert result.oracle_errors and held > 0.5e6
+    assert peak <= 2.0 * held
 
 
 @pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
