@@ -26,7 +26,8 @@ class Grid1D:
 
     ``dx`` defaults to ``height / n_cells``: cells that fill ``[0, height]``.
     The active prefix of a growth run keeps the run's fixed ``dx``; its top
-    center lies at or below ``height`` and the next center above it, so
+    center lies at or below ``height`` plus a few ulps of the run's final
+    height (``scenarios.FRONT_ULPS``) and the next center above that, so
     the top face may lie up to half a cell above or below ``height``.
     """
 

@@ -35,6 +35,9 @@ ANSATZ_RESIDUAL_LIMIT = 1e-6
 # Entries of the class rows formed at once (``_Classes.chunks``): a chunk
 # takes classes while their count times the rows' length stays within it.
 CLASS_CELLS = 2 ** 14
+# The activation slack in ulps of the final height (``_run_1d``): a cell
+# whose center ties with a level's front in exact arithmetic is active.
+FRONT_ULPS = 8
 # The largest (n_steps + 1) * n_cells a configuration may ask for: it bounds
 # the schedule (a few floats a step) and the cell-levels a run's checks
 # read, so a step count that cannot be marched is refused before anything
@@ -213,7 +216,8 @@ class RunResult:
     entry classes and top velocities) and ``check_s``, the sum of ``solve_s``
     (the face velocities' extremes and the solve's residuals), ``metrics_s``
     (jump residuals and the gate) and ``oracle_s``, and counts the stored
-    ``levels``, the entry ``classes``, their ``period`` in levels and the
+    ``levels``, the entry ``classes`` and their ``period`` in levels, both
+    read from the configuration (``_entry_classes``), and the
     ``cell_levels``.
     """
 
@@ -224,7 +228,7 @@ class RunResult:
     timings: dict[str, float] = field(default_factory=dict)
 
     @cached_property
-    def classes(self) -> _Classes:  # the entry classes the run found
+    def classes(self) -> _Classes:  # the run's entry classes
         return _entry_classes(self.history, self.config.boundary_rate * self.history.dt)
 
     @property
@@ -312,21 +316,6 @@ def _level_extreme(ufunc, values: np.ndarray, active: np.ndarray, p: int) -> np.
     return ufunc.reduce(_stride_accumulate(ufunc, values, p))
 
 
-def _periods(gaps: list):
-    """Every ``q`` in ``1 .. len(gaps)`` with ``gaps[j + q] == gaps[j]`` for
-    each ``j``, ascending: the length less each border (prefix function)."""
-    border, k = [0] * len(gaps), 0
-    for j in range(1, len(gaps)):
-        while k and gaps[j] != gaps[k]:
-            k = border[k - 1]
-        k += gaps[j] == gaps[k]
-        border[j] = k
-    k = len(gaps)
-    while k:
-        k = border[k - 1]
-        yield len(gaps) - k
-
-
 @dataclass(eq=False, repr=False)
 class _Classes:
     """A run's cells by entry class (``_entry_classes``): the ``m0`` cells
@@ -383,22 +372,27 @@ class _Classes:
 
 
 def _entry_classes(history: History, advance: float) -> _Classes:
-    """The entry classes of a run's accreted cells in O(n): ``q`` the smallest
-    period of the gaps between their entry levels (``History.entry``), ``p``
-    the levels it spans, such that the cell above a class's last enters after
-    the last level and ``q dx = p advance`` within 16 eps, ``advance`` the
-    front's per level (one fitting only a short schedule misses by ``1 / (p
-    n)`` or more); failing that, each cell is a class (``p = L``)."""
+    """The entry classes of a run's accreted cells (``History.entry``), read
+    from the configuration: ``q`` the least count with ``|q dx - p advance|
+    <= 16 eps q dx``, ``p = rint(q dx / advance)`` the levels it spans,
+    ``advance`` the front's per level.  The entries confirm the pair: cell
+    ``j + q`` enters ``p`` levels after cell ``j``, and the cell above a
+    class's last enters after the last level.  Failing that, or when the
+    front never passes the top center (no feed: no ratio is formed), each
+    cell is a class (``p = L``)."""
     L, m0, dx = history.L, history.m0, history.dx
     a = history.entry[m0:]  # the accreted cells'
-    for q in _periods(np.diff(a).tolist()):
-        p = int(a[q] - a[0])
-        cells = (len(a) - 1 - np.arange(q)) // q + 1
-        if (np.all(a[:q] + cells * p >= L)
-                and abs(q * dx - p * advance) <= 16 * np.finfo(float).eps * q * dx):
-            break
-    else:
-        q, p = len(a), L
+    q, p = len(a), L
+    # the top cell entered after step 0, so the front rose about dx / 2 or
+    # more: dx / advance is at most about 2 n_steps
+    if history.first + a[-1] > 0:
+        width = np.arange(1, len(a) + 1) * dx  # q dx for q = 1, 2, ...
+        spans = np.rint(width / advance)
+        fits = np.flatnonzero(np.abs(width - spans * advance) <= 16 * np.finfo(float).eps * width)
+        if len(fits):
+            k, span = int(fits[0]) + 1, int(spans[fits[0]])
+            if np.all(a[k:] - a[:-k] == span) and np.all(a[-k:] >= L - span):
+                q, p = k, span
     return _Classes(e=np.append(a[:q], a[0] + p), p=p, history=history,
                     body=history.table(0) if m0 else np.broadcast_to(0.0, (2, L)))
 
@@ -633,15 +627,18 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     grid = config.eulerian_grid()
     n, dx = grid.n_cells, grid.dx
 
-    # The schedule.  Step k solves at t = k dt on the cells whose centers
-    # H(t_k) has reached and advances to (k + 1) dt; the closing solve at
-    # t_end is step n_steps.  Levels with no active cell are not stored:
-    # level i is step first + i and holds the first m[i] cells.
+    # The schedule.  Step k solves at t = k dt on the active cells and
+    # advances to (k + 1) dt; the closing solve at t_end is step n_steps.
+    # Cell j is active at step k iff center_j <= H(t_k) + tau, tau
+    # FRONT_ULPS ulps of the final height, so a front that ties with a
+    # center in exact arithmetic reaches it whichever way both round.
+    # Levels with no active cell are not stored: level i is step first + i
+    # and holds the first m[i] cells.
     H = np.empty(n_steps + 1)
     H[0] = config.height0
     H[1:] = advance_domain(config.height0, config.boundary_rate, dt,
                            np.arange(1, n_steps + 1))
-    m = np.searchsorted(grid.centers, H, side="right")
+    m = np.searchsorted(grid.centers, H + FRONT_ULPS * np.spacing(grid.height), side="right")
     first = int(np.searchsorted(m, 1))
     m0, H, m = int(m[0]), H[first:], m[first:]
     levels = len(m)

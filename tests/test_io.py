@@ -202,9 +202,12 @@ def test_manifest_timings_only_beside_a_duration(tmp_path):
     assert (res.timings["levels"], res.timings["cell_levels"]) == (len(history),
                                                                   int(history.m.sum()))
     # the accreted cells' entry levels repeat every `classes` cells and
-    # `period` levels: here one cell enters, a class of its own; 64 cells
-    # over 1,000 steps enter 8 every 125 levels
-    assert (res.timings["classes"], res.timings["period"]) == (1, len(history))
+    # `period` levels, read from dx / (V_b dt): here one cell enters, a
+    # class of its own, and dx spans 84 front advances; 64 cells over 1,000
+    # steps enter 8 every 125 levels
+    advance = res.config.boundary_rate * history.dt
+    assert history.dx / advance == 84 and history.m[-1] - history.m[0] == 1
+    assert (res.timings["classes"], res.timings["period"]) == (1, 84)
     grown = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=64, dt=1e-3))
     assert (grown.timings["classes"], grown.timings["period"]) == (8, 125)
     entry = np.searchsorted(grown.history.m, np.arange(64), side="right")
