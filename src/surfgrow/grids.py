@@ -121,14 +121,15 @@ class History(Sequence):
 
     def __init__(self, *, step, H, m, v_surf, metrics: dict, tables, F_e0: np.ndarray,
                  p: np.ndarray, rho: np.ndarray, dx: float, dt: float):
-        tables, L = np.asarray(tables, dtype=float), len(m)  # (state, F_e12 or g, age)
+        L = len(m)
         two = L and len(tables) == 2 and 0 < m[0] < len(F_e0)  # a cell in each state
-        if not ((two or L and len(tables) == 1) and tables.shape[1:] == (2, L)
-                and np.all(np.diff(m) >= 0)):
+        if not ((two or L and len(tables) == 1) and np.all(np.diff(m) >= 0) and all(
+                [np.shape(row) for row in rows] == [(L,)] * 2 for rows in tables)):
             raise ValidationError(f"History needs a nondecreasing m and the age tables of 1 "
                                   f"or 2 entry states, a cell in each, of ages 0 .. {L - 1}")
-        source = np.zeros((2, len(tables), 2, L))  # per state, zeros for the ages -L .. -1
-        source[:, :, 1] = tables.swapaxes(0, 1)
+        source = np.zeros((2, len(tables), L + 1))  # per state, a 0 for every negative age
+        for state, (F_e12, g) in enumerate(tables):
+            source[0, state, 1:], source[1, state, 1:] = F_e12, g
         self.source, self.L, self.m0 = source.reshape(2, -1), L, int(m[0]) if two else 0
         self.t, self.step, self.H, self.m, self.v_surf = step * dt, step, H, m, v_surf
         self.F_e0, self.p, self.rho, self.dx, self.dt = F_e0, p, rho, dx, dt
@@ -160,7 +161,7 @@ class History(Sequence):
 
     def _ages_from(self, cells):
         """Where age 0 of ``cells``' entry states lies in ``source``."""
-        return np.where(cells < self.m0, self.L, self.source.shape[1] - self.L)
+        return np.where(cells < self.m0, 1, self.source.shape[1] - self.L)
 
     def index(self, k, cells=None) -> np.ndarray:
         """The entries of ``source`` that level ``k``'s cells (or ``cells``) read."""
@@ -174,13 +175,13 @@ class History(Sequence):
 
     def table(self, state: int) -> np.ndarray:
         """Entry state ``state``'s ``F_e12`` and ``g`` at the ages ``0 .. L - 1``, a view."""
-        return self.source.reshape(2, -1, 2, self.L)[:, state, 1]
+        return self.source.reshape(2, -1, self.L + 1)[:, state, 1:]
 
     def at_ages(self, row: int, state: int, ages: np.ndarray) -> np.ndarray:
-        """``F_e12`` (``row=0``) or ``g`` of ``table(state)`` at ``ages`` in ``-L
-        .. L - 1``, zeros at the negative ones.  One row is contiguous, so the
+        """``F_e12`` (``row=0``) or ``g`` of ``table(state)`` at ``ages`` up to ``L
+        - 1``, zeros at the negative ones.  One row is contiguous, so the
         gather reads it without a copy."""
-        return np.take(self.source.reshape(2, -1, 2 * self.L)[row, state], self.L + ages,
+        return np.take(self.source.reshape(2, -1, self.L + 1)[row, state], 1 + ages,
                        mode="clip")
 
     def age_rows(self) -> list[tuple[int, slice]]:
@@ -194,10 +195,9 @@ class History(Sequence):
         entered, laid out like a row of ``source`` (``index`` gathers a
         level's): per state, the running sum from 0 of ``dt g`` over the ages
         before each one, in the order a march of ``F12 + dt g`` sums it."""
-        F12 = np.zeros_like(self.source[1]).reshape(-1, 2, self.L)
-        np.multiply(self.dt, self.source[1].reshape(F12.shape)[:, 1, :-1], out=F12[:, 1, 1:])
-        np.cumsum(F12[:, 1], axis=1, out=F12[:, 1])
-        return F12.reshape(-1)
+        F12 = np.zeros_like(self.source[1]).reshape(-1, self.L + 1)
+        np.multiply(self.dt, self.source[1].reshape(F12.shape)[:, 1:-1], out=F12[:, 2:])
+        return np.cumsum(F12, axis=1, out=F12).reshape(-1)
 
     def columns(self, k: int, rows=slice(None)) -> np.ndarray:
         """Level ``k``'s ``F_e12`` and ``g`` as the rows of a fresh ``(2, m)``
@@ -230,10 +230,11 @@ class History(Sequence):
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays the history holds: the sources of ``F_e12``
-        and ``g``, the map ``col`` and the shared ``F_e0``, ``p`` and
-        ``rho``, each once."""
-        return sum(a.nbytes for a in (self.source, self.col, self.F_e0, self.p, self.rho))
+        """Bytes of the arrays the history holds, each once and by the memory
+        it spans: the sources of ``F_e12`` and ``g``, the map ``col`` and the
+        shared ``F_e0``, ``p`` and ``rho`` (the run's is one broadcast value)."""
+        return sum(a.itemsize + sum((k - 1) * abs(s) for k, s in zip(a.shape, a.strides))
+                   for a in (self.source, self.col, self.F_e0, self.p, self.rho))
 
 
 def interp_prefix(x: np.ndarray, xp: np.ndarray, n, fp: np.ndarray, start,

@@ -103,6 +103,11 @@ class ScenarioConfig:
             if not math.isfinite(self.params.G * (F22 * F22)):
                 raise ValidationError(f"alpha = {self.alpha:g} is too small for thermal: "
                                       f"G alpha^-2 overflows")
+        if self.kind == "non_normal" and not math.isfinite(
+                self.params.G * (1.0 + self.alpha * self.alpha)):
+            # the entry stress sigma11 + p, which the gate would read as NaN
+            raise ValidationError(f"alpha = {self.alpha:g} and G = {self.params.G:g} are too "
+                                  f"large for non_normal: G (1 + alpha^2) overflows")
         if self.height0 < 0:
             raise ValidationError(f"H0 must be nonnegative, got {self.H0}")
         if self.n_snapshots < 1:
@@ -337,17 +342,17 @@ class _Classes:
         return [slice(c0, min(stop, c0 + step)) for c0 in range(0, stop, step)]
 
     def stride_sums(self) -> np.ndarray:
-        """``Q``, the accreted ``g`` by age from ``-L`` summed along each stride."""
-        Q = np.concatenate([np.zeros(self.history.L), self.history.table(-1)[1]])
+        """``Q``, the accreted ``g`` by age summed along each stride, after a 0 for ages < 0."""
+        Q = np.concatenate([[0.0], self.history.table(-1)[1]])
         with np.errstate(invalid="ignore"):  # both infinities on a stride: NaN
-            _stride_accumulate(np.add, Q[None, self.history.L:], self.p)
+            _stride_accumulate(np.add, Q[None, 1:], self.p)
         return Q
 
     def level_sums(self, Q: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """``P = sum_c Q(cols - e[c])``: ``g`` over each level's accreted cells."""
         P = np.zeros(len(cols))
         for cs in self.chunks(len(cols)):
-            for row in Q[self.history.L + cols - self.e[cs, None]]:
+            for row in np.take(Q, 1 + cols - self.e[cs, None], mode="clip"):
                 P = P + row
         return P
 
@@ -485,7 +490,7 @@ def _score_steady(config: ScenarioConfig, history: History, classes: _Classes,
     under the attachment traction ``tau1`` (``ScenarioConfig.
     attachment_traction``): ``F_e12 = tau1 / G``, ``sigma12 = tau1``,
     ``sigma11 = tau1^2 / G``."""
-    G, tau1, W, L = config.params.G, config.attachment_traction, len(P), history.L
+    G, tau1, W = config.params.G, config.attachment_traction, len(P)
 
     def errors(F12, g, cell, out):
         sigma11, sigma12, _ = _stress(history, config.params, cell, F12, g)
@@ -498,15 +503,15 @@ def _score_steady(config: ScenarioConfig, history: History, classes: _Classes,
     if history.m0:
         errors(*classes.body[:, :W], 0, worst)
     # an accreted cell's errors depend on its age alone: their running
-    # maximum along the stride p by age, -inf below age 0, gathered at each
-    # class's ages is the maximum over the class's cells of a level
-    by_age = np.full((3, 2 * L), -np.inf)
-    _stride_accumulate(np.maximum, errors(*history.table(-1), -1, by_age[:, L:]), classes.p)
+    # maximum along the stride p by age, -inf in one slot for the ages below
+    # 0, gathered at each class's ages is the class's maximum at a level
+    by_age = np.full((3, history.L + 1), -np.inf)
+    _stride_accumulate(np.maximum, errors(*history.table(-1), -1, by_age[:, 1:]), classes.p)
     cols = np.arange(W)
     for cs in classes.chunks(W):
-        at = L + cols - classes.e[cs, None]
+        at = 1 + cols - classes.e[cs, None]
         for row, by_age_row in zip(worst, by_age):
-            np.maximum(row, by_age_row[at].max(axis=0), out=row)
+            np.maximum(row, np.take(by_age_row, at, mode="clip").max(axis=0), out=row)
     return {"linf_F_e12": worst[0], "linf_v1": v_abs, "linf_sigma12": worst[1],
             "linf_sigma11": worst[2]}
 
@@ -522,21 +527,21 @@ def _stress(history: History, params: MaterialParams, cell, F12, g):
 
 
 def shear_by_age(F12: float, F22: float, tau1: float, params: MaterialParams,
-                 dt: float, ages: int) -> tuple[list[float], list[float]]:
+                 dt: float, ages: int) -> tuple[np.ndarray, np.ndarray]:
     """A cell's shear ``F_e12`` and shear rate ``g`` at the ages ``0 ..
     ages - 1`` (steps since it entered with the shear ``F12``) under the
-    constant top traction ``tau1``: the operations of the solve's first
-    integral ``g = (tau1 - G S12) / mu`` and of the transport step ``F12 + dt
-    (g F22)`` on floats, in their order, so each entry is bitwise what a
-    march of the two per cell gives it at that age."""
+    constant top traction ``tau1``, as two float64 rows: the operations of
+    the transport step ``F12 + dt (g F22)`` and of the solve's first
+    integral ``g = (tau1 - G S12) / mu``, on floats and then on the row, in
+    their order, so each entry is bitwise what a per-cell march gives it."""
     G, mu = float(params.G), float(params.mu)
-    shears, rates = [], []
+    shears = []
     for _ in range(ages):
-        g = (tau1 - (F12 * F22) * G) / mu
         shears.append(F12)
-        rates.append(g)
-        F12 = F12 + dt * (g * F22)
-    return shears, rates
+        F12 = F12 + dt * (((tau1 - (F12 * F22) * G) / mu) * F22)
+    shears = np.array(shears, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as on floats
+        return shears, (tau1 - (shears * F22) * G) / mu
 
 
 @contextmanager
@@ -562,15 +567,15 @@ def _check_levels(config: ScenarioConfig, history: History, classes: _Classes,
     start = time.perf_counter()
     params, metrics, dx, M = config.params, history.metrics, history.dx, config.mass_rate
     G, mu = params.G, params.mu
-    # fdm_shear's material attaches at v0; the other kinds' at the body's
-    # velocity, which sets no traction
-    fed, tau1 = config.kind == "fdm_shear", config.attachment_traction
     failed = np.flatnonzero(~np.isfinite(history.v_surf))
     W = int(failed[0]) if len(failed) else len(history)
     lo, hi, interior = _solve_checks(classes, P[:W], (G / mu) * dx)
     v_abs = np.maximum(np.abs(hi, out=hi), np.abs(lo, out=lo), out=hi)  # 0.0, never -0.0
     top, v = history.m[:W] - 1, history.v_surf[:W]
-    level_tau1 = growth_traction(M, config.v0, v, 0.0) if fed else tau1
+    # fdm_shear's material arrives at v0; the other kinds' at the body's
+    # velocity, which sets no traction
+    v_a = config.v0 if config.kind == "fdm_shear" else v
+    level_tau1 = growth_traction(M, v_a, v, 0.0)
     F12, g = history.source[:, history.index(slice(0, W), top)]  # the top cells'
     S12 = F12 * history.F_e0[top, 1, 1]
     # each level is checked against the traction of its own top velocity
@@ -580,31 +585,33 @@ def _check_levels(config: ScenarioConfig, history: History, classes: _Classes,
     np.maximum(interior, system, out=system)
     system /= np.maximum(1.0, v_abs)
     # the top cell's stress, from the rate the march stored, against the
-    # applied traction; its sigma22 is normal_pressure's balance, 0
-    sigma11, sigma12, sigma22 = _stress(history, params, top, F12, g)
-    traction = metrics["traction_residual"][:W]
-    np.maximum(np.abs(G * S12 + mu * g - level_tau1), np.abs(sigma22), out=traction)
-    solved = time.perf_counter()
-    # the top cells' jump residuals, in jump_residuals' operations less
-    # finite values times zero (n = e2); a stress entry times n1 = 0
-    # turns an overflow into NaN.  The momentum M v_a arrives at v0 for
-    # fdm_shear (M v0 = tau1), else at the body's velocity.
-    rho = history.rho[top]
-    flux = rho * (M / rho)  # rho (V_b - v) . n; none on the ambient side
-    np.abs(flux - M, out=metrics["mass_residual"][:W])
-    momentum = metrics["momentum_residual"][:W]
-    np.maximum(np.abs((flux * v + (sigma11 * 0.0 + sigma12)) - (tau1 if fed else M * v)),
-               np.abs(sigma12 * 0.0 + sigma22), out=momentum)
-    # the jump and traction residuals read M |v_surf|, the system dx / mu
+    # applied traction; its sigma22 is normal_pressure's balance, 0.  An
+    # overflow reaches the gate as inf or NaN, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma11, sigma12, sigma22 = _stress(history, params, top, F12, g)
+        traction = metrics["traction_residual"][:W]
+        np.maximum(np.abs(G * S12 + mu * g - level_tau1), np.abs(sigma22), out=traction)
+        solved = time.perf_counter()
+        # the top cells' jump residuals, in jump_residuals' operations less
+        # finite values times zero (n = e2); a stress entry times n1 = 0
+        # turns an overflow into NaN
+        rho = history.rho[top]
+        flux = rho * (M / rho)  # rho (V_b - v) . n; none on the ambient side
+        np.abs(flux - M, out=metrics["mass_residual"][:W])
+        momentum = metrics["momentum_residual"][:W]
+        np.maximum(np.abs((flux * v + (sigma11 * 0.0 + sigma12)) - M * v_a),
+                   np.abs(sigma12 * 0.0 + sigma22), out=momentum)
+    # the jump and traction residuals read M |v_surf|, the system dx / mu; a
+    # NaN residual is over the limit
     worst = np.maximum(np.maximum(system, momentum), traction)
-    bad = np.flatnonzero(worst > ANSATZ_RESIDUAL_LIMIT)
+    bad = np.flatnonzero(~(worst <= ANSATZ_RESIDUAL_LIMIT))
     if len(bad):
         j = int(bad[0])
         # the first of the level's residuals over the limit names it
         name, value = next(
             (name, values[j]) for name, values in (
                 ("reduced solve", system), ("momentum jump", momentum), ("traction", traction))
-            if values[j] > ANSATZ_RESIDUAL_LIMIT)
+            if not values[j] <= ANSATZ_RESIDUAL_LIMIT)
         with _at_step(int(history.step[j]), history.dt):
             raise IncompatibleAnsatz(f"{name} residual {value:.3e}; "
                                      f"the through-thickness ansatz is inconsistent")
@@ -647,12 +654,12 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     # Only F_e12 evolves: F_e0 is each cell's F_e when it entered the run,
     # the initial body's for the m0 cells active at t = 0 and the
     # attachment value for every later cell.  The pressure depends on F_e22
-    # alone (no ambient traction), and rho keeps its attachment value (v2 = 0).
+    # alone (no ambient traction), and rho is one value (v2 = 0).
     entries = [(F, cells) for F, cells in ((config.initial_deformation(), m0),
                                            (config.attachment_deformation(), n - m0)) if cells]
     F_e0 = np.concatenate([np.broadcast_to(F, (cells, 2, 2)) for F, cells in entries])
     p = normal_pressure(F_e0, params.G, 0.0)
-    rho = np.full(n, params.rho)
+    rho = np.broadcast_to(float(params.rho), (n,))
     for constant in (F_e0, p, rho):
         constant.flags.writeable = False
 

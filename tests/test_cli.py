@@ -99,6 +99,19 @@ def test_run_rejects_thermal_alpha_without_a_finite_step(tmp_path, capsys, alpha
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", ["kind = non_normal\nalpha = 1e160\nn_cells = 32\n",
+                                  "kind = non_normal\nG = 1.7e308\nmu = 1e308\nn_cells = 32\n"])
+def test_run_rejects_a_non_normal_entry_stress_that_overflows(tmp_path, capsys, text):
+    # both ran to the end and wrote a NaN momentum residual on every level
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: alpha = ") and err.count("\n") == 1
+    assert "G (1 + alpha^2) overflows" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", [
     # mu sets about 2e300 steps: np.empty(n_steps + 1) died with a
     # ValueError traceback after validation

@@ -557,13 +557,13 @@ def test_manifest_size_counters(tmp_path, kind):
     write_fields(res, tmp_path / "out")
     parsed = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert parsed["grid"]["cell_steps"] == sum(len(rec.g) for rec in res.history)
-    # the sources of F_e12 and g, the age tables: `levels` zeros then
-    # `levels` ages for each entry state (the initial body and the deposit
-    # of fdm_shear and thermal, non_normal's deposit); the map, one col per
-    # cell; and one (n, 2, 2) F_e0, one p and one rho over the fixed grid, 8
-    # bytes a float
+    # the sources of F_e12 and g, the age tables: one zero for every
+    # negative age then `levels` ages for each entry state (the initial body
+    # and the deposit of fdm_shear and thermal, non_normal's deposit); the
+    # map, one col per cell; one (n, 2, 2) F_e0 and one p over the fixed
+    # grid; and rho, one value (v2 = 0), 8 bytes a float
     n, levels = cfg.n_cells, len(res.history)
     states = 1 if kind == "non_normal" else 2
-    entries = states * 2 * levels
-    assert parsed["history_bytes"] == 8 * (2 * entries + n + 4 * n + n + n)
+    entries = states * (levels + 1)
+    assert parsed["history_bytes"] == 8 * (2 * entries + n + 4 * n + n + 1)
     assert all("F_e" not in vars(rec) for rec in res.history)
