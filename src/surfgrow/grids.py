@@ -105,37 +105,80 @@ class History(Sequence):
     ``StepRecord``.
 
     Per level: ``step``, ``t = step dt``, the height ``H``, the active cell
-    count ``m`` (nondecreasing), ``v_surf`` and one array per metric in
-    ``metrics``.  ``tables`` holds per entry state ``F_e12`` and ``g`` at
-    the ages ``0 .. L - 1`` (``L = len(m)``); with two, the initial body's
-    ``m0 = m[0]`` cells are in the first.  Cell ``j`` of level ``k`` holds
-    its state's age ``k`` less its ``entry`` level: the history alone lays
-    the tables out (``source``) and maps a level's cells into them
-    (``index``).  Indexing builds a level's record on first access and
-    keeps it; a slice shares the columns, map and records.  ``columns``,
-    ``grid`` and ``v_nodes`` read a level without a record; each level
-    holds a prefix of the run's ``centers``, ``faces`` and ``F_e0``.
+    count ``m`` (nondecreasing) and one array per metric in ``metrics``.
+    ``tables`` holds per entry state ``F_e12`` and ``g`` at the ages ``0 ..
+    L - 1`` (``L = len(m)``): first the initial body's, the ``m0 = m[0]``
+    cells of a first level at step 0, then the deposit's, the cells that
+    enter later.  Cell ``j`` of level ``k`` holds its state's age ``k`` less
+    the first level that holds it: the history alone lays the tables out
+    (``source``) and maps a level's cells into them (``index``).  The
+    deposited cells fall into entry classes (``rows``), found once from
+    ``advance``, the front's rise a level; with them ``P``, each level's
+    ``g`` summed over its deposited cells, and the top face's velocity
+    ``v_surf``.  Indexing builds a level's record on first access and keeps
+    it; a slice shares the columns, map, classes and records.  ``columns``, ``grid`` and
+    ``v_nodes`` read a level without a record; each level holds a prefix of
+    the run's ``centers``, ``faces`` and ``F_e0``.
     """
 
-    LEVEL_COLUMNS = ("t", "step", "H", "m", "v_surf")
+    LEVEL_COLUMNS = ("t", "step", "H", "m")
+    # Entries of the class rows formed at once (``chunks``): a chunk takes
+    # classes while their count times the rows' length stays within it.
+    CLASS_CELLS = 2 ** 14
 
-    def __init__(self, *, step, H, m, v_surf, metrics: dict, tables, F_e0: np.ndarray,
-                 p: np.ndarray, rho: np.ndarray, dx: float, dt: float):
+    def __init__(self, *, step, H, m, metrics: dict, tables, F_e0: np.ndarray,
+                 p: np.ndarray, rho: np.ndarray, dx: float, dt: float, advance: float):
         L = len(m)
-        two = L and len(tables) == 2 and 0 < m[0] < len(F_e0)  # a cell in each state
-        if not ((two or L and len(tables) == 1) and np.all(np.diff(m) >= 0) and all(
+        m0 = int(m[0]) if L and step[0] == 0 else 0  # the cells present at step 0
+        states = (m0 > 0) + (m0 < len(F_e0))
+        if not (L and len(tables) == states and np.all(np.diff(m) >= 0) and all(
                 [np.shape(row) for row in rows] == [(L,)] * 2 for rows in tables)):
-            raise ValidationError(f"History needs a nondecreasing m and the age tables of 1 "
-                                  f"or 2 entry states, a cell in each, of ages 0 .. {L - 1}")
-        source = np.zeros((2, len(tables), L + 1))  # per state, a 0 for every negative age
+            raise ValidationError(f"History needs a nondecreasing m and the age tables of its "
+                                  f"1 or 2 entry states (the cells at step 0, then the rest), "
+                                  f"a cell in each, of ages 0 .. {L - 1}")
+        source = np.zeros((2, states, L + 1))  # per state, a 0 for every negative age
         for state, (F_e12, g) in enumerate(tables):
             source[0, state, 1:], source[1, state, 1:] = F_e12, g
-        self.source, self.L, self.m0 = source.reshape(2, -1), L, int(m[0]) if two else 0
-        self.t, self.step, self.H, self.m, self.v_surf = step * dt, step, H, m, v_surf
+        self.source, self.L, self.m0 = source.reshape(2, -1), L, m0
+        self.t, self.step, self.H, self.m = step * dt, step, H, m
         self.F_e0, self.p, self.rho, self.dx, self.dt = F_e0, p, rho, dx, dt
         cells, self.first, self.metrics = np.arange(len(F_e0)), int(step[0]), metrics
-        self.col = self._ages_from(cells) - np.searchsorted(m, cells, side="right")
+        entered = np.searchsorted(m, cells, side="right")  # each cell's first level
+        self.col = self._ages_from(cells) - entered
+        self.body = self.table(0) if m0 else np.broadcast_to(0.0, (2, L))
+        self._classes(entered[m0:], advance)
         self._records: dict[int, StepRecord] = {}
+
+    def _classes(self, a: np.ndarray, advance: float) -> None:
+        """Find the entry classes of the deposited cells, which enter at the
+        levels ``a``, and their level sums ``P``.  Cell ``m0 + c + u q`` enters
+        at level ``e[c] + u p`` (``e[q] = e[0] + p``, ``p`` the ``period``), so
+        at ``rho + u p`` it holds what cell ``m0 + c`` holds at ``rho``: ``q``
+        is the least count with ``|q dx - p advance| <= 16 eps q dx``, ``p =
+        rint(q dx / advance)`` the levels it spans.  The entries confirm the
+        pair: cell ``j + q`` enters ``p`` levels after cell ``j``, and the cell
+        above a class's last enters after the last level.  Failing that each
+        deposited cell is a class (``p = L``); with none, ``e = [L]``."""
+        L, dx = self.L, self.dx
+        q, p = len(a), L
+        # a deposited cell enters after step 0, so the front rose about dx / 2
+        # or more: dx / advance is at most about 2 n_steps
+        width = np.arange(1, len(a) + 1) * dx  # q dx for q = 1, 2, ...
+        spans = np.rint(width / advance)
+        fits = np.flatnonzero(np.abs(width - spans * advance) <= 16 * np.finfo(float).eps * width)
+        if len(fits):
+            k, span = int(fits[0]) + 1, int(spans[fits[0]])
+            if np.all(a[k:] - a[:-k] == span) and np.all(a[-k:] >= L - span):
+                q, p = k, span
+        self.e, self.period, self.P = np.append(a[:q], p + (a[0] if q else 0)), p, np.zeros(L)
+        # the deposit's g by age summed along each stride, after a 0 for the
+        # ages below 0, gathered at each class's ages and summed class by class
+        Q, levels = np.concatenate([[0.0], self.table(-1)[1]]), np.arange(L)
+        with np.errstate(invalid="ignore"):  # both infinities on a stride or in a level: NaN
+            _stride_accumulate(np.add, Q[None, 1:], p)
+            for cs in self.chunks(L):
+                for row in np.take(Q, 1 + levels - self.e[cs, None], mode="clip"):
+                    self.P += row
 
     def __len__(self) -> int:
         return len(self.step)
@@ -154,8 +197,8 @@ class History(Sequence):
             F_e12, g = self.columns(k)
             rec = self._records[int(self.step[k])] = StepRecord(
                 t=float(self.t[k]), step=int(self.step[k]), grid=self.grid(k),
-                F_e12=F_e12, g=g, F_e0=self.F_e0[:mk], p=self.p[:mk],
-                rho=self.rho[:mk], v_surf=float(self.v_surf[k]),
+                F_e12=F_e12, g=g, F_e0=self.F_e0[:mk], p=self.p[:mk], rho=self.rho[:mk],
+                v_surf=float(self._top_velocity(int(self.step[k]) - self.first)),
                 metrics={name: float(col[k]) for name, col in self.metrics.items()})
         return rec
 
@@ -169,9 +212,14 @@ class History(Sequence):
         return self.step[k] - self.first + self.col[cells]
 
     @property
-    def entry(self) -> np.ndarray:
-        """Each cell's entry level, the first of the run that holds it."""
-        return self._ages_from(np.arange(len(self.col))) - self.col
+    def v_surf(self) -> np.ndarray:
+        """Each level's top-face velocity, a fresh array."""
+        return self._top_velocity(self.step - self.first)
+
+    def _top_velocity(self, at):
+        """``dx (P + m0 g)``, ``g`` the body's rate, at the run's levels ``at``."""
+        with np.errstate(invalid="ignore"):  # both infinities in a level: NaN
+            return self.dx * (self.P[at] + self.m0 * self.body[1, at])
 
     def table(self, state: int) -> np.ndarray:
         """Entry state ``state``'s ``F_e12`` and ``g`` at the ages ``0 .. L - 1``, a view."""
@@ -184,26 +232,79 @@ class History(Sequence):
         return np.take(self.source.reshape(2, -1, self.L + 1)[row, state], 1 + ages,
                        mode="clip")
 
-    def age_rows(self) -> list[tuple[int, slice]]:
-        """Per entry state that the last level holds, its first cell and the
-        slice of a ``source`` row of its ages ``0`` to that cell's there."""
-        return [(j, slice(int(self._ages_from(j)), int(self.index(-1, j)) + 1))
+    def age_rows(self, values=None) -> list[tuple[int, np.ndarray]]:
+        """Per entry state that the last level holds, its first cell and its
+        ``F_e12`` and ``g`` (or ``values``, laid out like a row of the tables
+        as ``shear_since_entry``'s) at the ages ``0`` to that cell's there,
+        as views."""
+        values = self.source if values is None else values
+        return [(j, values[..., int(self._ages_from(j)):int(self.index(-1, j)) + 1])
                 for j in sorted({0, self.m0}) if j < self.m[-1]]
 
     def shear_since_entry(self) -> np.ndarray:
         """Each cell's shear ``F12`` of ``F = I + F12 e1 (x) e2`` since it
-        entered, laid out like a row of ``source`` (``index`` gathers a
-        level's): per state, the running sum from 0 of ``dt g`` over the ages
-        before each one, in the order a march of ``F12 + dt g`` sums it."""
+        entered, laid out like a row of the tables (``columns`` and
+        ``age_rows`` read it): per state, the running sum from 0 of ``dt g``
+        over the ages before each one, in the order a march of ``F12 + dt g``
+        sums it."""
         F12 = np.zeros_like(self.source[1]).reshape(-1, self.L + 1)
         np.multiply(self.dt, self.source[1].reshape(F12.shape)[:, 1:-1], out=F12[:, 2:])
         return np.cumsum(F12, axis=1, out=F12).reshape(-1)
 
-    def columns(self, k: int, rows=slice(None)) -> np.ndarray:
+    def columns(self, k, rows=slice(None), cells=None, values=None) -> np.ndarray:
         """Level ``k``'s ``F_e12`` and ``g`` as the rows of a fresh ``(2, m)``
-        array, gathered through the map; ``rows=0`` or ``1`` gathers one.  The
-        map is in range, so ``"clip"`` skips a check."""
-        return np.take(self.source[rows], self.index(k), axis=-1, mode="clip")
+        array, gathered through the map; ``rows=0`` or ``1`` gathers one, and
+        ``values`` (laid out like a row of the tables) is gathered in their
+        place.  With ``cells``, those cells', and ``k`` may then be a slice of
+        levels, one cell each.  The map is in range, so ``"clip"`` skips a
+        check."""
+        values = self.source[rows] if values is None else values
+        return np.take(values, self.index(k, cells), axis=-1, mode="clip")
+
+    def chunks(self, width: int, stop: int | None = None) -> list[slice]:
+        """Slices of the classes below ``stop``, ``CLASS_CELLS`` entries each."""
+        step = max(1, self.CLASS_CELLS // max(1, width))
+        stop = len(self.e) - 1 if stop is None else stop
+        return [slice(c0, min(stop, c0 + step)) for c0 in range(0, stop, step)]
+
+    def rows(self, cols, stop: int | None = None):
+        """Per chunk ``cs`` of the classes below ``stop``, yield ``(cs, ages,
+        below, Z)``, a row per class ``c`` at the levels ``rho`` in ``cols`` (an
+        array, or a slice of the levels, whose ``P`` is read as a view);
+        ``ages`` are cell ``m0 + c``'s and then the cell above's (``at_ages``
+        reads their ``F12`` and ``g``).  ``Z[c] = P - sum_{c' <= c} g(rho -
+        e[c'])``, so the face above cell ``m0 + c + u q`` at level ``rho + u
+        p`` moves at ``dx (Y - Z)``, ``Y`` that level's ``P`` plus the body's
+        rates; ``below[c] = Z[c - 1]``.  Class sums run class by class in one
+        buffer a chunk, which the consumer may overwrite."""
+        P = self.P[cols]
+        if isinstance(cols, slice):
+            cols = np.arange(self.L)[cols]
+        C = np.zeros(len(cols))
+        for cs in self.chunks(len(cols), stop):
+            ages = cols - self.e[cs.start:cs.stop + 1, None]
+            sums = np.empty(ages.shape)
+            sums[0], sums[1:] = C, self.at_ages(1, -1, ages[:-1])
+            np.add.accumulate(sums, axis=0, out=sums)
+            C = sums[-1].copy()
+            np.subtract(P, sums, out=sums)
+            yield cs, ages, sums[:-1], sums[1:]
+
+    def deposit_maximum(self, of, out: np.ndarray) -> np.ndarray:
+        """Fold into each row of ``out`` (a column per level ``0, 1, ...``) the
+        maximum over the level's deposited cells of a function of their age:
+        ``of(F12, g, values)`` writes one row per row of ``out`` into
+        ``values`` from the deposit's ``F_e12`` and ``g`` by age.  Their
+        running maximum along the period, -inf in one slot for the ages below
+        0, gathered at a class's ages is the class's maximum at a level."""
+        by_age = np.full((len(out), self.L + 1), -np.inf)
+        _stride_accumulate(np.maximum, of(*self.table(-1), by_age[:, 1:]), self.period)
+        cols = np.arange(out.shape[1])
+        for cs in self.chunks(len(cols)):
+            at = 1 + cols - self.e[cs, None]
+            for row, by_age_row in zip(out, by_age):
+                np.maximum(row, np.take(by_age_row, at, mode="clip").max(axis=0), out=row)
+        return out
 
     def grid(self, k: int) -> Grid1D:
         """Level ``k``'s active prefix of the run's grid."""
@@ -231,10 +332,26 @@ class History(Sequence):
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the history holds, each once and by the memory
-        it spans: the sources of ``F_e12`` and ``g``, the map ``col`` and the
-        shared ``F_e0``, ``p`` and ``rho`` (the run's is one broadcast value)."""
+        it spans: the layout (the sources of ``F_e12`` and ``g`` and the map
+        ``col``), the shared ``F_e0``, ``p`` and ``rho`` (the run's is one
+        broadcast value), ``P``, the level columns and the metric columns
+        (``t`` and ``H`` among them)."""
+        arrays = {(a.__array_interface__["data"][0], a.shape, a.strides): a for a in (
+            self.source, self.col, self.F_e0, self.p, self.rho, self.P,
+            *(getattr(self, name) for name in self.LEVEL_COLUMNS), *self.metrics.values())}
         return sum(a.itemsize + sum((k - 1) * abs(s) for k, s in zip(a.shape, a.strides))
-                   for a in (self.source, self.col, self.F_e0, self.p, self.rho))
+                   for a in arrays.values())
+
+
+def _stride_accumulate(ufunc, values: np.ndarray, p: int) -> np.ndarray:
+    """``ufunc.accumulate`` with stride ``p`` along each row of ``values``
+    (each row contiguous), in place: entry ``r`` takes in ``r - p``'s."""
+    full = values.shape[1] // p * p
+    if full:
+        view = values[:, :full].reshape(len(values), -1, p)
+        ufunc.accumulate(view, axis=1, out=view)
+        ufunc(values[:, full:], values[:, full - p:-p], out=values[:, full:])
+    return values
 
 
 def interp_prefix(x: np.ndarray, xp: np.ndarray, n, fp: np.ndarray, start,

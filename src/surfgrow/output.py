@@ -180,7 +180,7 @@ def _write_snapshots(out: Path, history, levels: list[int]) -> tuple[list[dict],
     through the history's map without building its record: ``x2`` is a
     prefix of the run's centers; ``Fe11``, ``Fe21``, ``Fe22``, ``p`` and
     ``rho`` are prefixes of its per-cell constants; ``Fe12`` is
-    ``source[0, History.index(k)]``; ``v2`` is 0."""
+    ``History.columns(k, 0)``; ``v2`` is 0."""
     centers, F_e0 = history.centers, history.F_e0
     snapshots, files = [], []
     for ordinal, k in enumerate(levels):
@@ -189,7 +189,7 @@ def _write_snapshots(out: Path, history, levels: list[int]) -> tuple[list[dict],
         name = f"snapshot_{ordinal:04d}.csv"
         files.append(_write(out / name, _csv_blocks(SNAPSHOT_COLUMNS, [[
             centers[:mk], 0.5 * (v_nodes[:-1] + v_nodes[1:]), "0", F_e0[:mk, 0, 0],
-            history.source[0, history.index(k)], F_e0[:mk, 1, 0], F_e0[:mk, 1, 1],
+            history.columns(k, 0), F_e0[:mk, 1, 0], F_e0[:mk, 1, 1],
             history.p[:mk], history.rho[:mk]]])))
         snapshots.append({"file": name, "step": int(history.step[k]),
                           "t": fmt(history.t[k]), "n_active": mk})

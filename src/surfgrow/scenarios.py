@@ -13,7 +13,6 @@ import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .constitutive import (AttachmentSpec, MaterialParams, attach_elastic_deform
                            check_scalar_fields)
 from .errors import (IncompatibleAnsatz, OutOfBody, OutOfDomain, SingularSystem,
                      SingularTensor, SurfgrowError, ValidationError)
-from .grids import Grid1D, History, StepRecord, interp_prefix
+from .grids import Grid1D, History, StepRecord, _stride_accumulate, interp_prefix
 from .kinematics import HistoryPathline
 from .tensors import EPS_DET, identity, require_finite
 
@@ -32,9 +31,6 @@ KINDS = ("non_normal", "fdm_shear", "thermal")
 # Residual levels beyond which the through-thickness reduction is deemed
 # inconsistent rather than merely inaccurate.
 ANSATZ_RESIDUAL_LIMIT = 1e-6
-# Entries of the class rows formed at once (``_Classes.chunks``): a chunk
-# takes classes while their count times the rows' length stays within it.
-CLASS_CELLS = 2 ** 14
 # The activation slack in ulps of the final height (``_run_1d``): a cell
 # whose center ties with a level's front in exact arithmetic is active.
 FRONT_ULPS = 8
@@ -218,11 +214,11 @@ class RunResult:
     ``history`` holds every stored level as columns (``grids.History``).
     ``oracle_errors`` maps each oracle error to its per-level column.
     ``timings`` holds wall times in seconds, ``march_s`` (the age tables,
-    entry classes and top velocities) and ``check_s``, the sum of ``solve_s``
+    entry classes and their level sums) and ``check_s``, the sum of ``solve_s``
     (the face velocities' extremes and the solve's residuals), ``metrics_s``
     (jump residuals and the gate) and ``oracle_s``, and counts the stored
     ``levels``, the entry ``classes`` and their ``period`` in levels, both
-    read from the configuration (``_entry_classes``), and the
+    found by the history from the configuration (``History.rows``), and the
     ``cell_levels``.
     """
 
@@ -231,10 +227,6 @@ class RunResult:
     oracle_errors: dict[str, np.ndarray] = field(default_factory=dict)
     pathlines: list[HistoryPathline] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
-
-    @cached_property
-    def classes(self) -> _Classes:  # the run's entry classes
-        return _entry_classes(self.history, self.config.boundary_rate * self.history.dt)
 
     @property
     def final(self) -> StepRecord:
@@ -253,7 +245,7 @@ class RunResult:
         level, xq = _final_level(history, x2)
         return {"F_e": level_F_e(history, level, xq)[0],
                 "p": float(level_interp(history, level, xq, history.p)[0]),
-                "v1": float(level_v1(history, level, xq, self.classes)[0])}
+                "v1": float(level_v1(history, level, xq)[0])}
 
 
 def _require_finite_height(x2: float, name: str) -> None:
@@ -302,17 +294,6 @@ def _require_in_body(x2: np.ndarray, t, V_G: float) -> None:
         raise OutOfBody(f"x2 outside [0, V_G t] = [0, {np.max(V_G * np.asarray(t)):g}]")
 
 
-def _stride_accumulate(ufunc, values: np.ndarray, p: int) -> np.ndarray:
-    """``ufunc.accumulate`` with stride ``p`` along each row of ``values``
-    (each row contiguous), in place: entry ``r`` takes in ``r - p``'s."""
-    full = values.shape[1] // p * p
-    if full:
-        view = values[:, :full].reshape(len(values), -1, p)
-        ufunc.accumulate(view, axis=1, out=view)
-        ufunc(values[:, full:], values[:, full - p:-p], out=values[:, full:])
-    return values
-
-
 def _level_extreme(ufunc, values: np.ndarray, active: np.ndarray, p: int) -> np.ndarray:
     """The ``ufunc`` extreme of ``values`` (a row per class) over each level's
     cells, the entries ``rho, rho - p, ...`` where ``active``; or infinite.
@@ -321,98 +302,16 @@ def _level_extreme(ufunc, values: np.ndarray, active: np.ndarray, p: int) -> np.
     return ufunc.reduce(_stride_accumulate(ufunc, values, p))
 
 
-@dataclass(eq=False, repr=False)
-class _Classes:
-    """A run's cells by entry class (``_entry_classes``): the ``m0`` cells
-    of the initial body hold age ``i`` at level ``i``, and accreted cell ``m0
-    + c + u q`` enters at level ``e[c] + u p`` (``e[q] = e[0] + p``), so at
-    ``rho + u p`` it holds what cell ``m0 + c`` holds at ``rho``.  The run's
-    ``history`` holds the accreted state's ``F12`` and ``g`` by age
-    (``at_ages``); ``body`` is the initial body's (zeros without one)."""
-
-    e: np.ndarray
-    p: int
-    history: History
-    body: np.ndarray
-
-    def chunks(self, width: int, stop: int | None = None) -> list[slice]:
-        """Slices of the classes below ``stop``, ``CLASS_CELLS`` entries each."""
-        step = max(1, CLASS_CELLS // max(1, width))
-        stop = len(self.e) - 1 if stop is None else stop
-        return [slice(c0, min(stop, c0 + step)) for c0 in range(0, stop, step)]
-
-    def stride_sums(self) -> np.ndarray:
-        """``Q``, the accreted ``g`` by age summed along each stride, after a 0 for ages < 0."""
-        Q = np.concatenate([[0.0], self.history.table(-1)[1]])
-        with np.errstate(invalid="ignore"):  # both infinities on a stride: NaN
-            _stride_accumulate(np.add, Q[None, 1:], self.p)
-        return Q
-
-    def level_sums(self, Q: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``P = sum_c Q(cols - e[c])``: ``g`` over each level's accreted cells."""
-        P = np.zeros(len(cols))
-        for cs in self.chunks(len(cols)):
-            for row in np.take(Q, 1 + cols - self.e[cs, None], mode="clip"):
-                P = P + row
-        return P
-
-    def rows(self, cols: np.ndarray, P: np.ndarray, stop: int | None = None):
-        """Per chunk ``cs`` of the classes below ``stop``, yield ``(cs, ages,
-        below, Z)``, a row per class ``c`` at the levels ``rho`` in ``cols``
-        (``P`` there); ``ages`` are cell ``m0 + c``'s and then the cell
-        above's (``History.at_ages`` reads their ``F12`` and ``g``).  ``Z[c] =
-        P - sum_{c' <= c} g(rho - e[c'])``, so the face above cell ``m0 + c + u
-        q`` at level ``rho + u p`` moves at ``dx (Y - Z)``, ``Y`` that level's
-        ``P`` plus the body's rates; ``below[c] = Z[c - 1]``.  Class sums run
-        class by class in one buffer a chunk, which the consumer may overwrite."""
-        C = np.zeros(len(cols))
-        for cs in self.chunks(len(cols), stop):
-            ages = cols - self.e[cs.start:cs.stop + 1, None]
-            sums = np.empty(ages.shape)
-            sums[0], sums[1:] = C, self.history.at_ages(1, -1, ages[:-1])
-            np.add.accumulate(sums, axis=0, out=sums)
-            C = sums[-1].copy()
-            np.subtract(P, sums, out=sums)
-            yield cs, ages, sums[:-1], sums[1:]
-
-
-def _entry_classes(history: History, advance: float) -> _Classes:
-    """The entry classes of a run's accreted cells (``History.entry``), read
-    from the configuration: ``q`` the least count with ``|q dx - p advance|
-    <= 16 eps q dx``, ``p = rint(q dx / advance)`` the levels it spans,
-    ``advance`` the front's per level.  The entries confirm the pair: cell
-    ``j + q`` enters ``p`` levels after cell ``j``, and the cell above a
-    class's last enters after the last level.  Failing that, or when the
-    front never passes the top center (no feed: no ratio is formed), each
-    cell is a class (``p = L``)."""
-    L, m0, dx = history.L, history.m0, history.dx
-    a = history.entry[m0:]  # the accreted cells'
-    q, p = len(a), L
-    # the top cell entered after step 0, so the front rose about dx / 2 or
-    # more: dx / advance is at most about 2 n_steps
-    if history.first + a[-1] > 0:
-        width = np.arange(1, len(a) + 1) * dx  # q dx for q = 1, 2, ...
-        spans = np.rint(width / advance)
-        fits = np.flatnonzero(np.abs(width - spans * advance) <= 16 * np.finfo(float).eps * width)
-        if len(fits):
-            k, span = int(fits[0]) + 1, int(spans[fits[0]])
-            if np.all(a[k:] - a[:-k] == span) and np.all(a[-k:] >= L - span):
-                q, p = k, span
-    return _Classes(e=np.append(a[:q], a[0] + p), p=p, history=history,
-                    body=history.table(0) if m0 else np.broadcast_to(0.0, (2, L)))
-
-
-def _solve_checks(classes: _Classes, P: np.ndarray, scale: float):
-    """Per level ``i < len(P)``, the face velocities' extremes ``(lo, hi)`` and
-    the largest interior row ``(g' - g) dx + (S' - S) scale``, ``S = F12 F22``."""
-    history, p, W = classes.history, classes.p, len(P)
-    dx, m0, (F22_0, F22) = history.dx, history.m0, history.F_e0[[0, -1], 1, 1]
-    F12_0, g_0 = classes.body[:, :W]
-    Y = P + m0 * g_0
+def _solve_checks(history: History, W: int, scale: float):
+    """Per level ``i < W``, the face velocities' extremes ``(lo, hi)`` and the
+    largest interior row ``(g' - g) dx + (S' - S) scale``, ``S = F12 F22``."""
+    dx, m0, p, (F22_0, F22) = history.dx, history.m0, history.period, history.F_e0[[0, -1], 1, 1]
+    F12_0, g_0 = history.body[:, :W]
+    Y = history.P[:W] + m0 * g_0
     v_body = m0 * (dx * g_0)  # the faces in the body lie on a line from 0
     hi, interior = np.maximum(0.0, v_body), np.zeros(W)
     lo = np.minimum(0.0, v_body, out=v_body)
-    for _, ages, _, Z in classes.rows(np.arange(W), P):
+    for _, ages, _, Z in history.rows(slice(W)):
         active = ages[:-1] >= 0
         # the faces above move at dx (Y - Z): each level's highest from Z's
         # least, its lowest from Z's most
@@ -430,8 +329,8 @@ def _solve_checks(classes: _Classes, P: np.ndarray, scale: float):
         rows += shear
         np.maximum(interior, _level_extreme(np.maximum, np.abs(rows, out=rows),
                                             ages[1:] >= 0, p), out=interior)
-    if m0:  # the row between the body's top cell and the cell above
-        age = np.arange(W) - classes.e[0]
+    if m0:  # the row between the body's top cell and the cell above (e[0] = L: none)
+        age = np.arange(W) - history.e[0]
         F12, row = history.at_ages(0, -1, age), history.at_ages(1, -1, age)
         row -= g_0
         row *= dx
@@ -444,53 +343,52 @@ def _solve_checks(classes: _Classes, P: np.ndarray, scale: float):
     return lo, hi, interior
 
 
-def _score_non_normal(config: ScenarioConfig, history: History, classes: _Classes,
-                      P: np.ndarray, v_abs: np.ndarray) -> dict[str, np.ndarray]:
-    """Oracle errors of the levels ``i < len(P)`` against the closed form
+def _score_non_normal(config: ScenarioConfig, history: History,
+                      v_abs: np.ndarray) -> dict[str, np.ndarray]:
+    """Oracle errors of the levels ``i < len(v_abs)`` against the closed form
     ``analytic_non_normal``, which at level ``rho + u p`` holds for cell ``c
     + u q`` what it holds for cell ``c`` at ``rho``; a cell's ``v1`` error
     is ``A - w``, ``A`` its level's part (no initial body: ``m0 = 0``)."""
     lam, V_G, alpha = config.params.G / config.params.mu, config.V_G, config.alpha
-    W = len(P)
+    W, p = len(v_abs), history.period
     t, m = history.t[:W], history.m[:W]
     # the centers ascend, so each level's top cell is its highest
     _require_in_body(history.centers[m - 1], t, V_G)
     entry = history.centers[history.m0:] / V_G
-    A = history.dx * P + np.exp(-lam * t) * (V_G * alpha)
+    A = history.dx * history.P[:W] + np.exp(-lam * t) * (V_G * alpha)
     linf, squares, v1 = np.zeros(W), np.zeros(W), np.zeros(W)
-    for cs, ages, below, Z in classes.rows(np.arange(W), P):
+    for cs, ages, below, Z in history.rows(slice(W)):
         active = ages[:-1] >= 0
         # arg = -lam (t - entry); alpha decay, the squares and w reuse its buffer
         work = np.subtract(t, entry[cs, None])
         work *= -lam
         # +0.0 below -746, as numpy gives it off its vector path
         decay = np.exp(work, out=np.zeros(work.shape), where=active & (work > -746.0))
-        ef = classes.history.at_ages(0, -1, ages[:-1])  # F12, then F12 + alpha decay
+        ef = history.at_ages(0, -1, ages[:-1])  # F12, then F12 + alpha decay
         ef += np.multiply(alpha, decay, out=work)
-        for row in _stride_accumulate(np.add, np.multiply(ef, ef, out=work), classes.p):
+        for row in _stride_accumulate(np.add, np.multiply(ef, ef, out=work), p):
             squares += row
-        np.maximum(linf, _level_extreme(np.maximum, np.abs(ef, out=ef), active, classes.p),
-                   out=linf)
+        np.maximum(linf, _level_extreme(np.maximum, np.abs(ef, out=ef), active, p), out=linf)
         # v1 at a cell's center is the mean of its faces' dx (Y - Z)
         w = np.add(below, Z, out=work)
         w *= 0.5 * history.dx
         decay *= V_G * alpha
         w += decay
         np.copyto(ef, w)
-        high = _level_extreme(np.maximum, ef, active, classes.p)
+        high = _level_extreme(np.maximum, ef, active, p)
         high -= A
-        low = np.subtract(A, _level_extreme(np.minimum, w, active, classes.p))
+        low = np.subtract(A, _level_extreme(np.minimum, w, active, p))
         np.maximum(v1, np.maximum(high, low, out=high), out=v1)
     return {"linf_F_e12": linf, "rms_F_e12": np.sqrt(squares / m), "linf_v1": v1}
 
 
-def _score_steady(config: ScenarioConfig, history: History, classes: _Classes,
-                  P: np.ndarray, v_abs: np.ndarray) -> dict[str, np.ndarray]:
-    """Oracle errors of the levels ``i < len(P)`` against the exact rest
+def _score_steady(config: ScenarioConfig, history: History,
+                  v_abs: np.ndarray) -> dict[str, np.ndarray]:
+    """Oracle errors of the levels ``i < len(v_abs)`` against the exact rest
     under the attachment traction ``tau1`` (``ScenarioConfig.
     attachment_traction``): ``F_e12 = tau1 / G``, ``sigma12 = tau1``,
     ``sigma11 = tau1^2 / G``."""
-    G, tau1, W = config.params.G, config.attachment_traction, len(P)
+    G, tau1, W = config.params.G, config.attachment_traction, len(v_abs)
 
     def errors(F12, g, cell, out):
         sigma11, sigma12, _ = _stress(history, config.params, cell, F12, g)
@@ -501,17 +399,9 @@ def _score_steady(config: ScenarioConfig, history: History, classes: _Classes,
 
     worst = np.zeros((3, W))
     if history.m0:
-        errors(*classes.body[:, :W], 0, worst)
-    # an accreted cell's errors depend on its age alone: their running
-    # maximum along the stride p by age, -inf in one slot for the ages below
-    # 0, gathered at each class's ages is the class's maximum at a level
-    by_age = np.full((3, history.L + 1), -np.inf)
-    _stride_accumulate(np.maximum, errors(*history.table(-1), -1, by_age[:, 1:]), classes.p)
-    cols = np.arange(W)
-    for cs in classes.chunks(W):
-        at = 1 + cols - classes.e[cs, None]
-        for row, by_age_row in zip(worst, by_age):
-            np.maximum(row, np.take(by_age_row, at, mode="clip").max(axis=0), out=row)
+        errors(*history.body[:, :W], 0, worst)
+    # a deposited cell's errors depend on its age alone
+    history.deposit_maximum(lambda F12, g, out: errors(F12, g, -1, out), worst)
     return {"linf_F_e12": worst[0], "linf_v1": v_abs, "linf_sigma12": worst[1],
             "linf_sigma11": worst[2]}
 
@@ -554,8 +444,7 @@ def _at_step(k: int, dt: float):
         raise type(exc)(f"step {k}, t = {k * dt:.6g}: {exc}") from exc
 
 
-def _check_levels(config: ScenarioConfig, history: History, classes: _Classes,
-                  P: np.ndarray, phases: dict) -> np.ndarray:
+def _check_levels(config: ScenarioConfig, history: History, phases: dict) -> np.ndarray:
     """Check a marched run by entry class: the face velocities' extremes and
     the solve's residuals, then the top cells' jump residuals, each filled
     into its metric column in place, and their times as ``solve_s`` and
@@ -567,16 +456,17 @@ def _check_levels(config: ScenarioConfig, history: History, classes: _Classes,
     start = time.perf_counter()
     params, metrics, dx, M = config.params, history.metrics, history.dx, config.mass_rate
     G, mu = params.G, params.mu
-    failed = np.flatnonzero(~np.isfinite(history.v_surf))
+    v_surf = history.v_surf
+    failed = np.flatnonzero(~np.isfinite(v_surf))
     W = int(failed[0]) if len(failed) else len(history)
-    lo, hi, interior = _solve_checks(classes, P[:W], (G / mu) * dx)
+    lo, hi, interior = _solve_checks(history, W, (G / mu) * dx)
     v_abs = np.maximum(np.abs(hi, out=hi), np.abs(lo, out=lo), out=hi)  # 0.0, never -0.0
-    top, v = history.m[:W] - 1, history.v_surf[:W]
+    top, v = history.m[:W] - 1, v_surf[:W]
     # fdm_shear's material arrives at v0; the other kinds' at the body's
     # velocity, which sets no traction
     v_a = config.v0 if config.kind == "fdm_shear" else v
     level_tau1 = growth_traction(M, v_a, v, 0.0)
-    F12, g = history.source[:, history.index(slice(0, W), top)]  # the top cells'
+    F12, g = history.columns(slice(0, W), cells=top)  # the top cells'
     S12 = F12 * history.F_e0[top, 1, 1]
     # each level is checked against the traction of its own top velocity
     # v: for fdm_shear its top row reads dx M |v| / mu
@@ -625,8 +515,8 @@ def _check_levels(config: ScenarioConfig, history: History, classes: _Classes,
 
 def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     """March a scenario, check it (``_check_levels``) and score it;
-    ``oracle(config, history, classes, P, v_abs)`` gives the oracle errors
-    of the levels ``P`` covers.  The checks' arrays are freed before the
+    ``oracle(config, history, v_abs)`` gives the oracle errors of the
+    levels ``v_abs`` covers.  The checks' arrays are freed before the
     oracle runs, so a run holds its result and one pass at a time."""
     params = config.params
     dt, n_steps = config.resolve_dt()
@@ -663,7 +553,6 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
     for constant in (F_e0, p, rho):
         constant.flags.writeable = False
 
-    v_surf = np.empty(levels)
     metrics = {name: None if name in ("t", "H") else np.empty(levels) for name in METRIC_FIELDS}
     with _at_step(first, dt):
         require_reduced(F_e0)
@@ -676,28 +565,24 @@ def _run_1d(config: ScenarioConfig, oracle) -> RunResult:
         # Every cell is marched under the traction that arriving material
         # sets on a body at rest, so its F_e12 is a function of its age
         # alone.  The age tables (History.table): per entry state, F12 and g
-        # by age.
+        # by age; the history finds the entry classes from the front's rise.
         history = History(
-            step=np.arange(first, first + levels), H=H, m=m, v_surf=v_surf, metrics=metrics,
+            step=np.arange(first, first + levels), H=H, m=m, metrics=metrics,
             tables=[shear_by_age(float(F[0, 1]), float(F[1, 1]), tau1, params, dt,
                                  levels) for F, _ in entries],
-            F_e0=F_e0, p=p, rho=rho, dx=dx, dt=dt)
+            F_e0=F_e0, p=p, rho=rho, dx=dx, dt=dt, advance=config.boundary_rate * dt)
         metrics.update(t=history.t, H=H)
         result = RunResult(config=config, history=history)
-        classes = result.classes
-        with np.errstate(invalid="ignore"):  # both infinities in a level: NaN
-            P = classes.level_sums(classes.stride_sums(), np.arange(levels))
-            v_surf[:] = dx * (P + m0 * classes.body[1])
     marched = time.perf_counter()
     phases = {}
-    v_abs = _check_levels(config, history, classes, P, phases)
+    v_abs = _check_levels(config, history, phases)
     gated = time.perf_counter()
     with _at_step(first, dt):
-        result.oracle_errors = oracle(config, history, classes, P[:len(v_abs)], v_abs)
+        result.oracle_errors = oracle(config, history, v_abs)
     phases["oracle_s"] = time.perf_counter() - gated
     result.timings = {"march_s": marched - start, "check_s": sum(phases.values()), **phases,
-                      "levels": levels, "classes": len(classes.e) - 1, "period": classes.p,
-                      "cell_levels": int(m.sum())}
+                      "levels": levels, "classes": len(history.e) - 1,
+                      "period": history.period, "cell_levels": int(m.sum())}
     return result
 
 
@@ -825,37 +710,35 @@ def level_F_e(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray
     return F
 
 
-def level_v1(history: History, level: np.ndarray, x2: np.ndarray,
-             classes: _Classes) -> np.ndarray:
+def level_v1(history: History, level: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """``v1`` at the heights ``x2`` of the stored levels ``level``,
     ``np.interp(x2, faces, History.v_nodes(level))`` to round-off: on the two
     face velocities around each height (``face dx g`` in the body, ``dx (Y
     - Z)`` above), in windows of ``CLASS_CELLS // 8`` heights by level, with
-    class rows only at the levels and up to the highest class they read, by
-    the run's ``classes`` (``RunResult.classes``, also for a slice)."""
-    faces, v1, Q = history.faces, np.empty(len(x2)), classes.stride_sums()
+    class rows (``History.rows``, whose classes a slice shares) only at the
+    levels and up to the highest class they read."""
+    faces, v1, window = history.faces, np.empty(len(x2)), max(1, History.CLASS_CELLS // 8)
     order = np.argsort(level, kind="stable")
-    for k in range(0, len(x2), max(1, CLASS_CELLS // 8)):
-        idx = order[k:k + max(1, CLASS_CELLS // 8)]
+    for k in range(0, len(x2), window):
+        idx = order[k:k + window]
         xs, top = x2[idx], history.m[level[idx]]
         lower = np.clip(np.searchsorted(faces, xs, side="right") - 1, 0, top)
         face = np.concatenate([lower, np.minimum(lower + 1, top)])
         at = np.tile(history.step[level[idx]] - history.first, 2)
-        u, c = np.divmod(face - 1 - history.m0, len(classes.e) - 1)
+        u, c = np.divmod(face - 1 - history.m0, max(1, len(history.e) - 1))
         above = u >= 0
-        rho = np.where(above, at - u * classes.p, at)
-        read = np.zeros(classes.history.L, bool)
+        rho = np.where(above, at - u * history.period, at)
+        read = np.zeros(history.L, bool)
         read[at] = read[rho] = True
         cols, slot = np.flatnonzero(read), np.cumsum(read) - 1
-        P = classes.level_sums(Q, cols)
         wanted = np.flatnonzero(above)[np.argsort(c[above], kind="stable")]
         Z = np.zeros(len(face))
         with np.errstate(invalid="ignore"):  # both infinities below a face: NaN
-            for cs, *_, rows in classes.rows(cols, P, int(c[wanted].max(initial=-1)) + 1):
+            for cs, *_, rows in history.rows(cols, int(c[wanted].max(initial=-1)) + 1):
                 j = wanted[slice(*np.searchsorted(c[wanted], [cs.start, cs.stop]))]
                 Z[j] = rows[c[j] - cs.start, slot[rho[j]]]
-            g_body = classes.body[1][at]
-            Y = P[slot[at]] + history.m0 * g_body
+            g_body = history.body[1][at]
+            Y = history.P[at] + history.m0 * g_body
             V = np.where(above, history.dx * (Y - Z), face * (history.dx * g_body))
             V[face == 0] = 0.0  # the clamped base, whatever the body's rate
         # height s reads node `lower` at 2 s and the one above it at 2 s + 1
@@ -867,11 +750,11 @@ def level_v1(history: History, level: np.ndarray, x2: np.ndarray,
 
 def _windows(lengths: list[int]) -> list[tuple[int, int]]:
     """Bounds ``(a, b)`` of groups of whole consecutive pathlines whose
-    sample counts ``lengths[a:b]`` sum to at most ``CLASS_CELLS``; a longer
+    sample counts ``lengths[a:b]`` sum to at most ``History.CLASS_CELLS``; a longer
     pathline is a group of its own."""
     bounds, total = [0], 0
     for i, n in enumerate(lengths):
-        if total and total + n > CLASS_CELLS:
+        if total and total + n > History.CLASS_CELLS:
             bounds.append(i)
             total = 0
         total += n
@@ -923,7 +806,7 @@ def trace_history_pathlines(result: RunResult, count: int = 20) -> list[HistoryP
         seed = np.repeat(np.arange(a, b), n)
         level = np.arange(len(seed)) - np.repeat(starts - j0[a:b], n)
         z = x2[seed]
-        v1 = level_v1(history, level, z, result.classes)
+        v1 = level_v1(history, level, z)
         dF12 = h[seed] * (history.interp(1, level, z) * F0[seed, 1, 1])
         dx1 = h[seed] * v1
         # each pathline's start (its F_e12, x1 = 0), then its steps: cumsum makes the columns
@@ -1027,8 +910,7 @@ def reconstruct_reference(history: History) -> list[ReconstructedFrame]:
     frames = []
     for k in range(len(history)):
         m = int(history.m[k])
-        index = history.index(k)
-        f12, b = shear[index], history.source[0, index]
+        f12, b = history.columns(k, values=shear), history.columns(k, 0)
         F = identity((m,))
         F[:, 0, 1] = f12
         F_relax = np.zeros((m, 2, 2))
@@ -1046,11 +928,10 @@ def reconstruction_roundtrip_error(result: RunResult) -> float:
     Raises as ``reconstruct_reference`` does."""
     history = result.history
     states = _inverse_entry_states(history)
-    shear = history.shear_since_entry()
+    shear = history.age_rows(history.shear_since_entry())
     worst = 0.0
-    for first, ages in history.age_rows():
+    for (first, (b, _)), (_, f12) in zip(history.age_rows(), shear):
         a, d, det, r11, r22 = (float(x[first]) for x in states)
-        b, f12 = history.source[0, ages], shear[ages]
         # F_e F_relax entry by entry against F = [[1, f12], [0, 1]]; both 21
         # entries are 0
         defect = np.maximum(np.abs(a * (r11 * f12 + -b / det) + b * r22 - f12),

@@ -120,9 +120,8 @@ def verify_fdm_shear():
     # F_e12 evolves, the other components are per-cell constants.  A cell's
     # consecutive levels are consecutive ages of its entry state, and every
     # such pair occurs, so the drift is the largest step along the age rows.
-    F12 = result.history.source[0]
-    drift = max(float(np.max(np.abs(np.diff(F12[ages])), initial=0.0))
-                for _, ages in result.history.age_rows())
+    drift = max(float(np.max(np.abs(np.diff(F12)), initial=0.0))
+                for _, (F12, _) in result.history.age_rows())
     rows.append(CheckRow("steady_step_to_step_drift", drift, 1e-12))
     rows.append(CheckRow("runtime_s", elapsed, 5.0))
     rows += _residual_rows(result)
@@ -138,8 +137,7 @@ def _rest_deviation(history) -> float:
     max|g|``, an upper bound that is 0 exactly when every ``g`` is."""
     cells = int(history.m[-1])
     F_e0 = history.F_e0[:cells]
-    F12, g = np.concatenate([history.source[:, ages] for _, ages in history.age_rows()],
-                            axis=1)
+    F12, g = np.concatenate([rows for _, rows in history.age_rows()], axis=1)
     return max(float(np.max(np.abs(x))) for x in (
         F_e0[:, 0, 0] - 1.0, F12, F_e0[:, 1, 0], F_e0[:, 1, 1] - 1.0,
         history.dx * cells * g))

@@ -123,7 +123,7 @@ def hand_pathline(result, **columns) -> HistoryPathline:
     clamped heights (``pathline_levels``), as a trace's is."""
     sample = SimpleNamespace(t=np.asarray(columns["t"], dtype=float), x2=columns["x2"])
     level, x2 = pathline_levels(result.history, [sample])
-    return HistoryPathline(v1=level_v1(result.history, level, x2, result.classes), **columns)
+    return HistoryPathline(v1=level_v1(result.history, level, x2), **columns)
 
 
 def level_speed(history, levels=None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +23,14 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.strip() == "False"
+
+
+def test_only_grids_reads_the_history_layout():
+    # the age tables' layout (History.source) and the map into it
+    # (History.col) are read through History's accessors everywhere else
+    package = Path(surfgrow.__file__).resolve().parent
+    readers = sorted(f"{path.name}:{node.lineno}" for path in package.glob("*.py")
+                     if path.name != "grids.py"
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and node.attr in ("source", "col"))
+    assert readers == []

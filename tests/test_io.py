@@ -131,9 +131,9 @@ def _tiny_config(n_cells=16):
 def test_write_fields_single_snapshot_row_count(tmp_path):
     # one level of 4 cells in one entry state, whose age table holds age 0
     history = History(step=np.zeros(1, dtype=int), H=np.ones(1), m=np.array([4]),
-                      v_surf=np.zeros(1), metrics={k: np.zeros(1) for k in METRIC_FIELDS},
+                      metrics={k: np.zeros(1) for k in METRIC_FIELDS},
                       tables=np.zeros((1, 2, 1)), F_e0=identity((4,)), p=np.ones(4),
-                      rho=np.ones(4), dx=0.25, dt=0.5)
+                      rho=np.ones(4), dx=0.25, dt=0.5, advance=0.05)
     result = RunResult(config=_tiny_config(), history=history)
     manifest = write_fields(result, tmp_path / "out")
     lines = (tmp_path / "out" / "snapshot_0000.csv").read_text().splitlines()
@@ -310,7 +310,7 @@ def _odd_values_result(metrics=None, body_rate=None):
     dx, m = 0.25, np.array([1, 3, 4])
     # the run's age tables (``History``): per entry state, the ages 0 .. 2.
     # Cell 0 is the initial body, cells 1 to 3 enter at the levels 1, 1 and
-    # 2; v_surf is the running sum of dx g to the top face
+    # 2; the front rises 0.05 a level (``_tiny_config``'s V_b dt)
     by_age = np.zeros((2, 2, 3))  # (state, F_e12 or g, age)
     by_age[:, 0] = [[-0.0, 1.0 / 3.0, np.nan], [1e300, nan2[0], -5e-324]]
     by_age[:, 1] = np.reshape([-np.inf, 5e-324, 1.0 / 3.0, 1e300, np.nan, np.inf], (2, 3)) / dx
@@ -318,11 +318,10 @@ def _odd_values_result(metrics=None, body_rate=None):
         by_age[0, 1] = np.asarray(body_rate) / dx
     rows = metrics or [{name: 0.0 for name in METRIC_FIELDS}] * 3
     history = History(
-        step=np.arange(3), H=np.array([0.5, 0.75, 1.0]), m=m, v_surf=np.empty(3),
+        step=np.arange(3), H=np.array([0.5, 0.75, 1.0]), m=m,
         metrics={name: np.array([row[name] for row in rows]) for name in rows[0]},
         tables=by_age, F_e0=odd.reshape(2, 2, 2).repeat(2, 0),
-        p=odd[3:7].copy(), rho=np.array([0.0, 0.0, -0.0, 0.0]), dx=dx, dt=0.5)
-    history.v_surf[:] = [np.sum(dx * history.columns(k, 1)) for k in range(3)]
+        p=odd[3:7].copy(), rho=np.array([0.0, 0.0, -0.0, 0.0]), dx=dx, dt=0.5, advance=0.05)
     result = RunResult(config=_tiny_config(), history=history)
     result.pathlines = [hand_pathline(result, **columns) for columns in (
         dict(t=[-0.0, 1.0 / 3.0, 0.9, 1.4], x1=[-0.0, 1.0 / 3.0, 5e-324, 0.0],
@@ -370,13 +369,13 @@ def test_csv_rows_match_per_value_fmt(tmp_path):
 
 def test_face_velocities_read_only_the_runs_layout():
     # v1 is read by the run's entry classes from the run's age tables; a
-    # slice of the run's history keeps its map, so the same classes read it
+    # slice of the run's history keeps its map and classes, so it reads the same
     res = run_non_normal(ScenarioConfig(kind="non_normal", n_cells=32, t_end=0.5))
-    h, classes = res.history, res.classes
+    h = res.history
     later = np.arange(3, len(h))
     x2 = np.linspace(0.0, 1.0, len(later)) * h.H[later]
-    assert (level_v1(h[3:], later - 3, x2, classes).tobytes()
-            == level_v1(h, later, x2, classes).tobytes())
+    assert (level_v1(h[3:], later - 3, x2).tobytes()
+            == level_v1(h, later, x2).tobytes())
 
 
 @pytest.mark.parametrize("body_rate", [None, [-2.0, -0.5, -1.0]], ids=["infinite", "negative"])
@@ -391,7 +390,7 @@ def test_face_velocities_read_the_clamped_base_as_zero(body_rate):
     x2 = np.array([-0.0, 0.0, 5e-324])
     for k in range(len(history)):
         expected = np.interp(x2, history.faces[:history.m[k] + 1], history.v_nodes(k))
-        ours = level_v1(history, np.full(len(x2), k), x2, result.classes)
+        ours = level_v1(history, np.full(len(x2), k), x2)
         assert np.array_equal(_bits(ours), _bits(expected)), k
 
 
@@ -437,7 +436,7 @@ def test_pathline_windows_trace_score_and_write_the_same(tmp_path, monkeypatch):
     assert len(list(pathline_windows(res.history, res.pathlines))) == 1
     shortest = min(len(pl.t) for pl in res.pathlines)
     for cells in (shortest, shortest - 1):
-        monkeypatch.setattr(surfgrow.scenarios, "CLASS_CELLS", cells)
+        monkeypatch.setattr(History, "CLASS_CELLS", cells)
         traced = trace_history_pathlines(res, count=4)
         assert [len(window) for window, *_ in pathline_windows(res.history, traced)] == [1] * 4
         for ours, theirs in zip(traced, res.pathlines, strict=True):
@@ -561,9 +560,11 @@ def test_manifest_size_counters(tmp_path, kind):
     # negative age then `levels` ages for each entry state (the initial body
     # and the deposit of fdm_shear and thermal, non_normal's deposit); the
     # map, one col per cell; one (n, 2, 2) F_e0 and one p over the fixed
-    # grid; and rho, one value (v2 = 0), 8 bytes a float
+    # grid; rho, one value (v2 = 0); and 11 columns a level: P, step, t, H,
+    # m and the six metrics of their own (t and H are the history's), 8
+    # bytes an entry
     n, levels = cfg.n_cells, len(res.history)
     states = 1 if kind == "non_normal" else 2
     entries = states * (levels + 1)
-    assert parsed["history_bytes"] == 8 * (2 * entries + n + 4 * n + n + 1)
+    assert parsed["history_bytes"] == 8 * (2 * entries + n + 4 * n + n + 1 + 11 * levels)
     assert all("F_e" not in vars(rec) for rec in res.history)

@@ -14,13 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import surfgrow.scenarios
 from surfgrow import (HistoryPathline, MaterialParams, OutOfDomain, ScenarioConfig,
                       ValidationError, pathline_grid_discrepancy, run_scenario,
                       trace_history_pathlines, write_fields)
-from surfgrow.grids import interp_prefix
+from surfgrow.grids import History, interp_prefix
 from surfgrow.output import fmt
-from surfgrow.scenarios import CLASS_CELLS, level_v1, pathline_levels
+from surfgrow.scenarios import level_v1, pathline_levels
 
 from references import (ROUNDOFF, hand_pathline, level_speed, pathline_arrays,
                         velocity_tolerance)
@@ -194,7 +193,7 @@ def test_traced_v1_is_the_face_velocity_at_each_sample(traced):
     # level_v1's at each sample's stored level and clamped height, bitwise
     result, _ = traced
     level, x2 = pathline_levels(result.history, result.pathlines)
-    expected = level_v1(result.history, level, x2, result.classes)
+    expected = level_v1(result.history, level, x2)
     ours = np.concatenate([pl.v1 for pl in result.pathlines])
     assert np.array_equal(_bits(ours), _bits(expected))
 
@@ -234,14 +233,13 @@ def test_face_velocities_do_not_depend_on_the_block_size(traced, monkeypatch):
     history = result.history
     level = np.repeat(np.arange(len(history)), 3)
     x2 = np.tile([0.0, 0.5, 1.0], len(history)) * history.H[level]
-    classes = result.classes
-    expected = level_v1(history, level, x2, classes)
+    expected = level_v1(history, level, x2)
     # every seventh level alone, in reverse
     some = np.arange(len(level))[::-1][level[::-1] % 7 == 3]
     for cells in (1, 97, int(history.m.sum())):
-        monkeypatch.setattr(surfgrow.scenarios, "CLASS_CELLS", cells)
-        assert np.array_equal(_bits(level_v1(history, level, x2, classes)), _bits(expected))
-        assert np.array_equal(_bits(level_v1(history, level[some], x2[some], classes)),
+        monkeypatch.setattr(History, "CLASS_CELLS", cells)
+        assert np.array_equal(_bits(level_v1(history, level, x2)), _bits(expected))
+        assert np.array_equal(_bits(level_v1(history, level[some], x2[some])),
                               _bits(expected[some]))
     speed = level_speed(history)
     for j in (0, len(history) // 2, len(history) - 1):
@@ -269,7 +267,7 @@ def test_gap_of_samples_off_the_levels_is_the_per_level_loop():
     x2 = np.minimum(np.maximum(np.concatenate([np.full(len(pl.t), pl.x2)
                                                for pl in result.pathlines]),
                                0.0), history.H[level])
-    assert np.all(np.abs(level_v1(history, level, x2, result.classes) - v1)
+    assert np.all(np.abs(level_v1(history, level, x2) - v1)
                   <= velocity_tolerance(level_speed(history)[level]))
 
 
@@ -319,7 +317,7 @@ def test_trace_and_gap_scratch_is_sized_by_blocks():
     # (a few hundred bytes each) stay far below it
     dense = 8 * int(history.m.sum())
     samples = sum(len(pl.t) for pl in pathlines)
-    assert 8 * 8 * CLASS_CELLS + 256 * samples < dense / 3
+    assert 8 * 8 * History.CLASS_CELLS + 256 * samples < dense / 3
     assert peak < dense / 4
 
 

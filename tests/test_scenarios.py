@@ -571,6 +571,13 @@ def test_fdm_shear_zero_feed_is_static():
     assert res.final.grid.height == 1.0
 
 
+def test_a_body_with_no_feed_is_one_body():
+    # every cell is present at step 0, so the initial body holds them all:
+    # no cell is deposited, so there is no entry class
+    res = run_fdm_shear(fdm_config(v0=0.0, n_cells=800))
+    assert res.timings["classes"] == 0 and res.history.m0 == 800
+
+
 def test_thermal_alpha_one_is_trivial():
     res = run_thermal(thermal_config(alpha=1.0))
     for rec in res.history:
@@ -880,10 +887,10 @@ def test_history_derives_its_map_from_the_schedule(cfg):
         assert _bits(history.columns(k)) == _bits(expected), k
     # the tables by age are all a history takes; other tables, or a
     # decreasing schedule, are refused at construction
-    tables = [history.table(0), history.table(-1)][:1 + bool(history.m0)]
-    inputs = dict(step=history.step, H=history.H, m=history.m, v_surf=history.v_surf,
-                  metrics=history.metrics, tables=tables, F_e0=history.F_e0,
-                  p=history.p, rho=history.rho, dx=history.dx, dt=history.dt)
+    tables = [history.table(0), history.table(-1)][:1 + (0 < history.m0 < len(history.F_e0))]
+    inputs = dict(step=history.step, H=history.H, m=history.m, metrics=history.metrics,
+                  tables=tables, F_e0=history.F_e0, p=history.p, rho=history.rho,
+                  dx=history.dx, dt=history.dt, advance=cfg.boundary_rate * history.dt)
     same = History(**inputs)
     assert _bits(same.source) == _bits(history.source)
     assert _bits(same.col) == _bits(history.col) and same.m0 == history.m0
@@ -905,8 +912,7 @@ def test_history_derives_its_map_from_the_schedule(cfg):
 @pytest.mark.parametrize("make", [nn_config, fdm_config, thermal_config])
 def test_age_rows_hold_every_level_s_columns(make):
     history = run_scenario(make(n_cells=32, t_end=0.25)).history
-    states = [(first, history.source[:, ages])
-              for first, ages in history.age_rows()]
+    states = history.age_rows()
     n = len(history.F_e0)
     firsts = [first for first, _ in states]
     assert firsts[0] == 0 and len(states) == (1 if make is nn_config else 2)
@@ -942,7 +948,8 @@ def test_reconstruction_of_a_slice_is_the_slice_of_the_reconstruction(make):
         for frame, ref in zip(part, frames[k:], strict=True):
             assert frame.t == ref.t
             assert _bits(frame.F) == _bits(ref.F) and _bits(frame.F_relax) == _bits(ref.F_relax)
-        assert history[k:].age_rows() == rows
+        assert [(j, _bits(r)) for j, r in history[k:].age_rows()] == \
+            [(j, _bits(r)) for j, r in rows]
         sliced = replace(res, history=history[k:])
         assert _bits(reconstruction_roundtrip_error(sliced)) == _bits(roundtrip), k
     for k, j in ((0, entered), (3, entered + 7), (entered, len(history) - 2)):
@@ -1284,7 +1291,7 @@ def _closed_form_bound(config):
     k dt`` and center ``x2 = (j + 1/2) dx``, within ``eps (3 t_end + age) /
     2`` of its value on those ``dt`` and ``dx``.  A class evaluates it at
     its first cell ``c`` and level ``rho`` for the cell ``c + u q`` at ``rho
-    + u p``, whose age is ``u (p dt - q dx / V_G)`` more: ``_entry_classes``
+    + u p``, whose age is ``u (p dt - q dx / V_G)`` more: ``History``
     reads ``q`` and ``p = rint(q dx / (V_b dt))`` from the configuration
     with ``|q dx - p V_b dt| <= 16 eps q dx``, ``V_b dt`` rounded within
     ``1.5 eps``, and ``u q dx <= V_G t_end``, ``u p dt <= t_end``, so
@@ -1340,8 +1347,7 @@ def test_steady_scores_read_every_cell_of_a_level(cfg):
     result = run_scenario(cfg)
     history = result.history
     history.source[:] = np.random.default_rng(1).standard_normal(history.source.shape)
-    P = np.zeros(len(history))
-    scores = _score_steady(cfg, history, result.classes, P, P)
+    scores = _score_steady(cfg, history, np.zeros(len(history)))
     expected = _per_level_oracle(cfg, history)
     for name in ("linf_F_e12", "linf_sigma12", "linf_sigma11"):
         assert _bits(scores[name]) == _bits(expected[name])
@@ -1349,7 +1355,7 @@ def test_steady_scores_read_every_cell_of_a_level(cfg):
 
 def _class_cells(monkeypatch, cells):
     """Let the class pass form its rows in chunks of ``cells`` entries."""
-    monkeypatch.setattr(surfgrow.scenarios, "CLASS_CELLS", cells)
+    monkeypatch.setattr(History, "CLASS_CELLS", cells)
     return cells
 
 
@@ -1412,16 +1418,16 @@ def test_separable_oracle_at_small_mu_stays_within_the_bound():
 
 
 def _record_work(monkeypatch):
-    """Record the arrays the class pass forms its rows in (``_Classes.rows``):
+    """Record the arrays the class pass forms its rows in (``History.rows``):
     each chunk's ages and face sums."""
-    rows, seen = surfgrow.scenarios._Classes.rows, []
+    rows, seen = History.rows, []
 
     def recording_rows(self, *args, **kwargs):
         for chunk in rows(self, *args, **kwargs):
             seen.extend(chunk[1:])
             yield chunk
 
-    monkeypatch.setattr(surfgrow.scenarios._Classes, "rows", recording_rows)
+    monkeypatch.setattr(History, "rows", recording_rows)
     return seen
 
 
@@ -1526,6 +1532,8 @@ def _class_pass_configs(draw):
 @example(cfg=thermal_config(n_cells=300, dt=1.0 / 1201), seed=5)
 @example(cfg=fdm_config(n_cells=800, t_end=2.0, dt=2.0 / 3300,
                         params=MaterialParams(G=1.0, mu=1.0, rho=1.0)), seed=6)
+# a body with no feed: every cell in the initial body, no class
+@example(cfg=fdm_config(n_cells=800, v0=0.0), seed=7)
 def test_class_pass_matches_the_block_pass(cfg, seed):
     # every column the entry-class pass forms against the block pass on the
     # same age tables, and the oracle columns against the per-cell closed
@@ -1544,7 +1552,7 @@ def test_class_pass_matches_the_block_pass(cfg, seed):
     x2 = rng.uniform(-0.1, 1.1, 64) * history.H[level]
     expected = [np.interp(x, history.faces[:history.m[k] + 1], history.v_nodes(k))
                 for k, x in zip(level.tolist(), x2.tolist())]
-    assert np.all(np.abs(level_v1(history, level, x2, result.classes) - expected)
+    assert np.all(np.abs(level_v1(history, level, x2) - expected)
                   <= velocity_tolerance(speed[level]))
 
 
@@ -2082,8 +2090,8 @@ def _offend_at(monkeypatch, level, value=1e-3):
     checks = surfgrow.scenarios._solve_checks
     seen = [0]
 
-    def inconsistent(classes, P, scale):
-        lo, hi, interior = checks(classes, P, scale)
+    def inconsistent(history, W, scale):
+        lo, hi, interior = checks(history, W, scale)
         j = level - seen[0]
         if 0 <= j < len(interior):
             interior[j] = value
@@ -2098,9 +2106,9 @@ def _levels_checked(monkeypatch):
     checks = surfgrow.scenarios._solve_checks
     seen = []
 
-    def counting(classes, P, scale):
-        seen.append(len(P))
-        return checks(classes, P, scale)
+    def counting(history, W, scale):
+        seen.append(W)
+        return checks(history, W, scale)
 
     monkeypatch.setattr(surfgrow.scenarios, "_solve_checks", counting)
     return seen
